@@ -207,6 +207,10 @@ fn run<W: Workload>(args: &Args, setup: impl Fn(&mut Tracer) -> Result<W, String
     let probe_before_ms = probe_in_child()?;
     let mut tracer = Tracer::new();
     let (workload, setup_s) = setup_repeatedly(&mut tracer, setup)?;
+    // `peak_rss_mb` covers the timed ops only; the set-ups' references
+    // and warm-ups peak on their own, printed on the `setup` line.
+    let setup_peak_rss_mb = stats::peak_rss_mb()?;
+    stats::reset_peak_rss()?;
     let measurement = measure(&workload, args.seconds, args.trace.then_some(&mut tracer))?;
     let peak_rss_mb = stats::peak_rss_mb()?;
     let probe_after_ms = probe_in_child()?;
@@ -228,6 +232,7 @@ fn run<W: Workload>(args: &Args, setup: impl Fn(&mut Tracer) -> Result<W, String
             "cost_calibration",
             format!("{:?}", esram_exec::CalibrationMode::from_env()),
         ),
+        ("allocator", stats::ALLOCATOR_POLICY.to_string()),
     ];
     config.extend(workload.config());
     let config_json: Vec<String> = config
@@ -239,6 +244,13 @@ fn run<W: Workload>(args: &Args, setup: impl Fn(&mut Tracer) -> Result<W, String
         "{{\"probe\": {{\"before_ms\": {probe_before_ms}, \"after_ms\": {probe_after_ms}, \"bytes\": {}, \"reads\": {}}}}}",
         stats::PROBE_BYTES,
         stats::PROBE_READS
+    );
+    println!(
+        "{{\"setup\": {{\"runs\": {}, \"min_s\": {}, \"median_s\": {}, \"max_s\": {}, \"peak_rss_mb\": {setup_peak_rss_mb}}}}}",
+        setup_s.len(),
+        stats::quantile(&setup_s, 0.0),
+        median(&setup_s),
+        stats::quantile(&setup_s, 1.0)
     );
     let mut paper = workload.paper_metrics();
     paper.push(PaperMetric::new(
@@ -311,7 +323,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if let Err(error) = check_environment() {
+    if let Err(error) = check_environment().and_then(|()| stats::pin_allocator()) {
         eprintln!("perfbench: {error}");
         return ExitCode::from(2);
     }

@@ -1,31 +1,29 @@
-//! `execute_plan`'s work replayed as separate public calls, one span
-//! per layer.
+//! `execute_plan`'s diagnosis work replayed as separate public calls,
+//! one span per layer.
 //!
 //! The fast scheme runs as `FleetRunner::{plan, build, diagnose}` and the
 //! baseline as `SocBuilder::build_with` then `HuangScheme::diagnose_with`;
-//! every job is scored with `Soc::score`. The report is then assembled
-//! exactly as `esram_spec::execute_plan` assembles it, so the traced op's
-//! rendered bytes can be compared with the untraced op's.
+//! every job is scored with `Soc::score`. For the baseline these are the
+//! calls `execute_plan` makes. For the fast scheme they are not:
+//! `execute_plan` calls `FleetRunner::run`, which runs the same three
+//! phases inside per-job isolation (contained panics, failpoints, a
+//! cancellation token). The phase spans therefore time the non-isolated
+//! phase methods; the traced op also times `FleetRunner::run` itself
+//! (`fleet.run`), so the cost of the isolation layer is measured rather
+//! than assumed.
 
 use crate::trace::Tracer;
 use bisd::{DiagnosisKernel, DiagnosisResult, DrfMode, FastScheme, HuangScheme};
-use esram_diag::{AnalyticModel, FleetJob, FleetRunner, ShardPlan, Soc, SocBuilder};
-use esram_spec::{DiagnosisPlan, DrfSpec, Json, PlannedJob, SchemeConfig, REPORT_FORMAT};
+use esram_diag::{DiagnosisScore, FleetJob, FleetRunner, ShardPlan, Soc, SocBuilder};
+use esram_spec::{DiagnosisPlan, DrfSpec, PlannedJob, SchemeConfig};
 
-/// One healthy job's row and whether it located every injected fault.
-struct Row {
-    json: Json,
-    all_located: bool,
-}
+/// One job's diagnosis result and its score against the injected
+/// ground truth.
+pub type Verdict = (DiagnosisResult, DiagnosisScore);
 
-/// Replays a plan. Returns the report and, for the fast scheme, the
-/// per-job diagnosis results.
-pub fn replay(
-    plan: &DiagnosisPlan,
-    shard: ShardPlan,
-    tracer: &mut Tracer,
-) -> Result<(Json, Vec<DiagnosisResult>), String> {
-    let (rows, results) = match &plan.scheme {
+/// Replays a plan layer by layer and returns one verdict per job.
+pub fn replay(plan: &DiagnosisPlan, shard: ShardPlan, tracer: &mut Tracer) -> Result<Vec<Verdict>, String> {
+    match &plan.scheme {
         SchemeConfig::Fast { clock_ns, drf } => {
             let jobs = fleet_jobs(plan, *clock_ns, *drf)?;
             let runner = FleetRunner::new(shard);
@@ -39,27 +37,15 @@ pub fn replay(
                 .span("bisd.fast.diagnose", |_| runner.diagnose(&fleet_plan, &mut socs))
                 .map_err(|e| e.to_string())?;
             count_fast_work(&socs, &results, tracer);
-            let rows = plan
-                .jobs
+            Ok(socs
                 .iter()
-                .zip(&socs)
-                .zip(&results)
-                .map(|((job, soc), result)| row(plan, job, soc, result, tracer))
-                .collect();
-            (rows, results)
+                .zip(results)
+                .map(|(soc, result)| score(soc, result, tracer))
+                .collect())
         }
-        SchemeConfig::Baseline {
-            clock_ns,
-            retention_pause_ms,
-            max_iterations,
-        } => {
-            let mut scheme = HuangScheme::new(*clock_ns)
-                .with_max_iterations(*max_iterations)
-                .with_kernel(plan.kernel.unwrap_or_default());
-            if let Some(pause) = retention_pause_ms {
-                scheme = scheme.with_retention_pause(*pause);
-            }
-            let mut rows = Vec::with_capacity(plan.jobs.len());
+        SchemeConfig::Baseline { .. } => {
+            let scheme = huang_scheme(plan);
+            let mut verdicts = Vec::with_capacity(plan.jobs.len());
             let mut iterations = 0;
             for job in &plan.jobs {
                 let builder = builder_for(job)?;
@@ -72,13 +58,43 @@ pub fn replay(
                     })
                     .map_err(|e| e.to_string())?;
                 iterations += result.iterations;
-                rows.push(row(plan, job, &soc, &result, tracer));
+                verdicts.push(score(&soc, result, tracer));
             }
             tracer.count("bisd.huang.iterations", iterations as f64);
-            (rows, Vec::new())
+            Ok(verdicts)
         }
-    };
-    Ok((report(plan, rows), results))
+    }
+}
+
+/// The verdicts of `execute_plan`'s own path: one `FleetRunner::run`
+/// for the fast scheme, the baseline's per-job calls otherwise.
+pub fn production_verdicts(plan: &DiagnosisPlan, shard: ShardPlan) -> Result<Vec<Verdict>, String> {
+    match &plan.scheme {
+        SchemeConfig::Fast { clock_ns, drf } => fleet_run(plan, *clock_ns, *drf, shard, &mut Tracer::new()),
+        SchemeConfig::Baseline { .. } => replay(plan, shard, &mut Tracer::new()),
+    }
+}
+
+/// `FleetRunner::run` over a fast-scheme plan's jobs, as `execute_plan`
+/// calls it, inside a `fleet.run` span; the jobs are scored after it.
+pub fn fleet_run(
+    plan: &DiagnosisPlan,
+    clock_ns: f64,
+    drf: DrfSpec,
+    shard: ShardPlan,
+    tracer: &mut Tracer,
+) -> Result<Vec<Verdict>, String> {
+    let jobs = fleet_jobs(plan, clock_ns, drf)?;
+    tracer
+        .span("fleet.run", |_| FleetRunner::new(shard).run(&jobs))
+        .map_err(|e| e.to_string())?
+        .into_iter()
+        .map(|outcome| {
+            let outcome = outcome.map_err(|e| e.to_string())?;
+            let score = outcome.score();
+            Ok((outcome.into_parts().1, score))
+        })
+        .collect()
 }
 
 /// The fleet jobs `execute_plan` runs for a fast-scheme plan, with the
@@ -98,7 +114,25 @@ pub fn fleet_jobs(plan: &DiagnosisPlan, clock_ns: f64, drf: DrfSpec) -> Result<V
         .collect()
 }
 
-fn builder_for(job: &PlannedJob) -> Result<SocBuilder, String> {
+fn huang_scheme(plan: &DiagnosisPlan) -> HuangScheme {
+    let SchemeConfig::Baseline {
+        clock_ns,
+        retention_pause_ms,
+        max_iterations,
+    } = plan.scheme
+    else {
+        unreachable!("baseline plans only");
+    };
+    let scheme = HuangScheme::new(clock_ns)
+        .with_max_iterations(max_iterations)
+        .with_kernel(plan.kernel.unwrap_or(DiagnosisKernel::BitParallel));
+    match retention_pause_ms {
+        Some(pause) => scheme.with_retention_pause(pause),
+        None => scheme,
+    }
+}
+
+pub fn builder_for(job: &PlannedJob) -> Result<SocBuilder, String> {
     let mut builder = Soc::builder();
     for group in &job.memories {
         builder = builder
@@ -132,142 +166,9 @@ fn count_fast_work(socs: &[Soc], results: &[DiagnosisResult], tracer: &mut Trace
     tracer.count("bisd.fast.cells", cells as f64);
 }
 
-fn population_model(plan: &DiagnosisPlan) -> AnalyticModel {
-    let mut words = 1u64;
-    let mut width = 1u64;
-    if let Some(job) = plan.jobs.first() {
-        for group in &job.memories {
-            words = words.max(group.words);
-            width = width.max(group.width as u64);
-        }
-    }
-    AnalyticModel::new(words, width, plan.scheme.clock_ns())
-}
-
-fn row(
-    plan: &DiagnosisPlan,
-    job: &PlannedJob,
-    soc: &Soc,
-    result: &DiagnosisResult,
-    tracer: &mut Tracer,
-) -> Row {
-    let score = tracer.span("score.evaluate", |_| soc.score(result));
+fn score(soc: &Soc, result: DiagnosisResult, tracer: &mut Tracer) -> Verdict {
+    let score = tracer.span("score.evaluate", |_| soc.score(&result));
     tracer.add("soc.cells", soc.total_cells() as f64);
     tracer.add("soc.faults_injected", score.injected() as f64);
-    let model = population_model(plan);
-    let faults = model.max_faults_for_defect_rate(job.defect_rate);
-    let eq1_k = AnalyticModel::iterations_for_faults(faults);
-    let eq1_cycles = model.baseline_cycles(eq1_k);
-    let expected_cycles = match &plan.scheme {
-        SchemeConfig::Fast {
-            drf: DrfSpec::None, ..
-        } => Some(model.proposed_cycles()),
-        SchemeConfig::Baseline {
-            retention_pause_ms: None,
-            ..
-        } => Some(model.baseline_cycles(result.iterations)),
-        _ => None,
-    };
-    let all_located = score.located() == score.injected();
-    let json = Json::object(vec![
-        ("label", Json::Str(job.label.clone())),
-        ("status", Json::Str("ok".to_string())),
-        ("seed", Json::Int(job.seed as i128)),
-        ("defect_rate", Json::Float(job.defect_rate)),
-        (
-            "classes",
-            Json::Array(
-                job.classes
-                    .iter()
-                    .map(|c| Json::Str(c.slug().to_string()))
-                    .collect(),
-            ),
-        ),
-        ("memories", Json::Int(job.memory_count() as i128)),
-        ("cells", Json::Int(soc.total_cells() as i128)),
-        ("injected", Json::Int(score.injected() as i128)),
-        ("located_injected", Json::Int(score.located() as i128)),
-        ("additional_sites", Json::Int(score.additional_sites as i128)),
-        ("located_sites", Json::Int(result.located_count() as i128)),
-        ("location_coverage", Json::Float(score.location_coverage())),
-        ("all_faults_located", Json::Bool(all_located)),
-        ("cycles", Json::Int(result.cycles as i128)),
-        ("iterations", Json::Int(result.iterations as i128)),
-        ("pause_ms", Json::Float(result.pause_ms)),
-        ("diagnosis_ms", Json::Float(result.time_ms())),
-        ("eq1_k", Json::Int(eq1_k as i128)),
-        ("eq1_cycles", Json::Int(eq1_cycles as i128)),
-        ("eq2_cycles", Json::Int(model.proposed_cycles() as i128)),
-        (
-            "analytic_exact",
-            expected_cycles.map_or(Json::Null, |expected| Json::Bool(result.cycles == expected)),
-        ),
-        (
-            "modeled_reduction",
-            if result.cycles > 0 {
-                Json::Float(eq1_cycles as f64 / result.cycles as f64)
-            } else {
-                Json::Null
-            },
-        ),
-    ]);
-    Row { json, all_located }
-}
-
-fn report(plan: &DiagnosisPlan, rows: Vec<Row>) -> Json {
-    let all_located = rows.iter().all(|row| row.all_located);
-    Json::object(vec![
-        ("format", Json::Str(REPORT_FORMAT.to_string())),
-        ("scenario", Json::Str(plan.name.clone())),
-        ("scheme", scheme_json(plan)),
-        (
-            "summary",
-            Json::object(vec![
-                ("jobs", Json::Int(rows.len() as i128)),
-                ("failed", Json::Int(0)),
-                ("all_faults_located", Json::Bool(all_located)),
-            ]),
-        ),
-        (
-            "jobs",
-            Json::Array(rows.into_iter().map(|row| row.json).collect()),
-        ),
-    ])
-}
-
-fn scheme_json(plan: &DiagnosisPlan) -> Json {
-    let pinned = |kernel: Option<String>| Json::Str(kernel.unwrap_or_else(|| "inherit".to_string()));
-    let kernel = pinned(plan.kernel.map(|k| k.to_string()));
-    let faultsim_kernel = pinned(plan.faultsim_kernel.map(|k| k.to_string()));
-    let mut fields = Vec::new();
-    match &plan.scheme {
-        SchemeConfig::Fast { clock_ns, drf } => {
-            fields.push(("kind", Json::Str("fast".to_string())));
-            fields.push(("clock_ns", Json::Float(*clock_ns)));
-            let drf_name = match drf {
-                DrfSpec::None => "none",
-                DrfSpec::Nwrtm => "nwrtm",
-                DrfSpec::Pause(_) => "pause",
-            };
-            fields.push(("drf", Json::Str(drf_name.to_string())));
-            if let DrfSpec::Pause(ms) = drf {
-                fields.push(("pause_ms", Json::Int(*ms as i128)));
-            }
-        }
-        SchemeConfig::Baseline {
-            clock_ns,
-            retention_pause_ms,
-            max_iterations,
-        } => {
-            fields.push(("kind", Json::Str("baseline".to_string())));
-            fields.push(("clock_ns", Json::Float(*clock_ns)));
-            if let Some(ms) = retention_pause_ms {
-                fields.push(("retention_pause_ms", Json::Int(*ms as i128)));
-            }
-            fields.push(("max_iterations", Json::Int(*max_iterations as i128)));
-        }
-    }
-    fields.push(("kernel", kernel));
-    fields.push(("faultsim_kernel", faultsim_kernel));
-    Json::object(fields)
+    (result, score)
 }

@@ -1,13 +1,13 @@
 //! The three workloads that run the `esram run` pipeline as library
 //! calls: `compile_str`, then `execute_plan`, then `Json::render`.
 
-use crate::replay::{fleet_jobs, replay};
+use crate::replay::{fleet_jobs, fleet_run, production_verdicts, replay, Verdict};
 use crate::trace::Tracer;
 use crate::workload::{OpWork, PaperMetric, Scale, Workload, WorkloadName};
 use bisd::DiagnosisResult;
-use esram_diag::{AnalyticModel, FleetRunner, ShardPlan, ShardStrategy};
-use esram_spec::{compile_str, execute_plan, DiagnosisPlan, Json, SchemeConfig};
-use fault_models::FaultInjector;
+use esram_diag::{AnalyticModel, FleetRunner, ShardPlan, ShardStrategy, Soc};
+use esram_spec::{compile_str, execute_plan, DiagnosisPlan, DrfSpec, Json, SchemeConfig};
+use fault_models::{FaultClass, FaultInjector};
 use std::fmt::Write as _;
 
 /// The case study's checked-in seed; at this seed the report must equal
@@ -18,6 +18,10 @@ pub const CASE_STUDY_SEED: u64 = 42;
 pub const CASE_STUDY_GOLDEN: &str = "examples/goldens/case_study_512x100/report.json";
 /// The retention pause of the baseline's data-retention test.
 const BASELINE_PAUSE_MS: u32 = 100;
+/// Defect rates of the fleet's sweep.
+const FLEET_RATES: [f64; 2] = [0.0005, 0.002];
+/// Defect rate of the baseline comparison's SoCs.
+const COMPARISON_RATE: f64 = 0.01;
 
 /// One spec the op runs, with the references its output is checked
 /// against.
@@ -26,7 +30,27 @@ struct SpecRun {
     source: String,
     /// The verified report bytes every op must reproduce.
     reference: String,
+    /// The same report parsed; the traced op times its rendering.
+    report: Json,
+    /// Per-job verdicts of `execute_plan`'s own path, matched against the
+    /// report's rows at set-up; the traced replay must reproduce them.
+    verdicts: Vec<Verdict>,
     totals: ReportTotals,
+}
+
+/// What one op produced.
+#[derive(Debug)]
+pub enum SpecOutput {
+    /// The untraced op: one rendered report per spec.
+    Reports(Vec<String>),
+    /// The traced op: per spec, the replay's verdicts and the rendered
+    /// reference; then the verdicts of `FleetRunner::run` and, on the
+    /// fleet, the results of the two-worker diagnosis.
+    Replay {
+        runs: Vec<(Vec<Verdict>, String)>,
+        fleet_run: Vec<Verdict>,
+        two_workers: Option<Vec<DiagnosisResult>>,
+    },
 }
 
 /// Sums over a report's jobs.
@@ -46,6 +70,8 @@ pub struct SpecWorkload {
     scale: Scale,
     shard: ShardPlan,
     runs: Vec<SpecRun>,
+    /// Address-decoder faults over the proposed scheme's SoCs.
+    decoder_faults: usize,
 }
 
 /// A `[[memory]]` group: count, words, width.
@@ -67,20 +93,82 @@ fn mixed_population(count: usize) -> Vec<Group> {
     vec![(count, 64, 16), (count, 32, 8), (count, 128, 8), (count, 16, 4)]
 }
 
+/// Builds one population of the distributed workloads (four-class plus
+/// DRF defects) and counts its injected faults and its address-decoder
+/// faults.
+fn decoder_census(groups: &[Group], rate: f64, seed: u64) -> Result<(usize, usize), String> {
+    let mut builder = Soc::builder();
+    for &(count, words, width) in groups {
+        builder = builder.memories(count, words, width).map_err(|e| e.to_string())?;
+    }
+    let soc = builder
+        .defect_rate(rate)
+        .seed(seed)
+        .with_data_retention_defects()
+        .build_with(ShardPlan::with_threads(1))
+        .map_err(|e| e.to_string())?;
+    let decoder = soc
+        .memories()
+        .iter()
+        .flat_map(|member| member.injected.iter())
+        .filter(|fault| fault.class() == FaultClass::AddressDecoder)
+        .count();
+    Ok((soc.injected_faults(), decoder))
+}
+
+/// `count` SoC seeds drawn from the run seed's stream (shifted to stay
+/// within TOML's signed 64-bit integers). The number of defect sites of
+/// a population is fixed by its geometry and rate; which class each
+/// site gets is drawn from the seed. Address-decoder faults alias whole
+/// rows, so their number sets most of a population's diagnosis and
+/// scoring work: a draw of the fleet with a few more of them took a
+/// quarter longer per op. So a candidate seed is kept only if, at every
+/// rate, its decoder faults are within one of a fifth of its defects
+/// (the expected share under the four-class-plus-DRF profile). The seed
+/// still decides which faults the populations carry, not how much work
+/// they are.
+fn balanced_seeds(seed: u64, count: usize, groups: &[Group], rates: &[f64]) -> Result<Vec<u64>, String> {
+    let mut seeds = Vec::with_capacity(count);
+    let mut stream = 0;
+    while seeds.len() < count {
+        let candidate = FaultInjector::stream_seed(seed, stream) >> 16;
+        stream += 1;
+        let mut balanced = true;
+        for &rate in rates {
+            let (faults, decoder) = decoder_census(groups, rate, candidate)?;
+            balanced &= (decoder as f64 - faults as f64 / 5.0).abs() <= 1.0;
+        }
+        if balanced {
+            seeds.push(candidate);
+        }
+    }
+    Ok(seeds)
+}
+
+fn toml_list<T: ToString>(items: &[T]) -> String {
+    items
+        .iter()
+        .map(ToString::to_string)
+        .collect::<Vec<_>>()
+        .join(", ")
+}
+
 /// The spec texts an op runs, each generated from the run's seed, and
 /// the execution section that pins their kernels. `kernel` replaces the
 /// pinned diagnosis kernel (the set-up's oracle run).
-fn sources(name: WorkloadName, seed: u64, scale: Scale, kernel: Option<&str>) -> Vec<String> {
+fn sources(name: WorkloadName, seed: u64, scale: Scale, kernel: Option<&str>) -> Result<Vec<String>, String> {
     let tiny = scale == Scale::Tiny;
     let execution = |default: Option<&str>| match kernel.or(default) {
         Some(kernel) => format!("\n[execution]\nkernel = \"{kernel}\"\nfaultsim_kernel = \"lanes\"\n"),
         None => String::new(),
     };
-    match name {
+    Ok(match name {
         // The paper's headline run. It leaves the kernel unpinned, as
         // the checked-in example does, so its report can be compared
         // with the committed golden ("kernel": "inherit"); the
         // environment check makes "inherit" resolve to the default.
+        // Its defects are stuck-at and transition only, each a single
+        // cell, so the seed moves no work and needs no filter.
         WorkloadName::CaseStudy => {
             let (words, width) = if tiny { (64, 16) } else { (512, 100) };
             vec![format!(
@@ -93,24 +181,28 @@ fn sources(name: WorkloadName, seed: u64, scale: Scale, kernel: Option<&str>) ->
         }
         WorkloadName::DistributedFleet => {
             let (count, seeds) = if tiny { (2, 2) } else { (16, 8) };
+            let groups = mixed_population(count);
             vec![format!(
                 "[scenario]\nname = \"distributed_fleet\"\nseed = {seed}\n{}\n[defects]\n\
                  data_retention = true\n\n[scheme]\nkind = \"fast\"\ndrf = \"nwrtm\"\n{}\n[sweep]\n\
-                 defect_rates = [0.0005, 0.002]\nseeds = [{}]\n",
-                memory_groups(&mixed_population(count)),
+                 defect_rates = [{}]\nseeds = [{}]\n",
+                memory_groups(&groups),
                 execution(Some("bit-parallel")),
-                sweep_seeds(seed, seeds),
+                toml_list(&FLEET_RATES),
+                toml_list(&balanced_seeds(seed, seeds, &groups, &FLEET_RATES)?),
             )]
         }
         WorkloadName::BaselineComparison => {
             let (count, socs) = if tiny { (1, 2) } else { (2, 12) };
+            let groups = mixed_population(count);
+            let seeds = toml_list(&balanced_seeds(seed, socs, &groups, &[COMPARISON_RATE])?);
             let spec = |label: &str, scheme: &str| {
                 format!(
                     "[scenario]\nname = \"baseline_comparison_{label}\"\nseed = {seed}\n{}\n[defects]\n\
-                     rate = 0.01\ndata_retention = true\n\n[scheme]\n{scheme}\n{}\n[sweep]\nseeds = [{}]\n",
-                    memory_groups(&mixed_population(count)),
+                     rate = {COMPARISON_RATE}\ndata_retention = true\n\n[scheme]\n{scheme}\n{}\n[sweep]\n\
+                     seeds = [{seeds}]\n",
+                    memory_groups(&groups),
                     execution(Some("bit-parallel")),
-                    sweep_seeds(seed, socs),
                 )
             };
             vec![
@@ -122,16 +214,7 @@ fn sources(name: WorkloadName, seed: u64, scale: Scale, kernel: Option<&str>) ->
             ]
         }
         WorkloadName::FaultSimCampaign => unreachable!("fault_sim_campaign runs no spec"),
-    }
-}
-
-/// A `[sweep] seeds` list of `count` SoC seeds derived from the run's
-/// seed (shifted to stay within TOML's signed 64-bit integers).
-fn sweep_seeds(seed: u64, count: u64) -> String {
-    let seeds: Vec<String> = (0..count)
-        .map(|i| (FaultInjector::stream_seed(seed, i) >> 16).to_string())
-        .collect();
-    seeds.join(", ")
+    })
 }
 
 /// Compiles, executes and renders one spec: the `esram run` pipeline
@@ -161,13 +244,17 @@ fn float(json: &Json, key: &str) -> Result<f64, String> {
     }
 }
 
+fn rows(report: &Json) -> Result<&[Json], String> {
+    field(report, "jobs")?
+        .as_array()
+        .ok_or_else(|| "report 'jobs' is not an array".to_string())
+}
+
 /// Checks a report's rows: none failed, `analytic_exact` is true
 /// wherever it is not null. Returns the totals over its jobs.
 fn check_report(report: &Json) -> Result<ReportTotals, String> {
     let fast = field(field(report, "scheme")?, "kind")?.as_str() == Some("fast");
-    let jobs = field(report, "jobs")?
-        .as_array()
-        .ok_or("report 'jobs' is not an array")?;
+    let jobs = rows(report)?;
     if jobs.is_empty() {
         return Err("report has no jobs".to_string());
     }
@@ -200,6 +287,29 @@ fn check_report(report: &Json) -> Result<ReportTotals, String> {
     Ok(totals)
 }
 
+/// Checks per-job verdicts against the report rows they must agree with.
+fn match_rows(report: &Json, verdicts: &[Verdict]) -> Result<(), String> {
+    let jobs = rows(report)?;
+    if jobs.len() != verdicts.len() {
+        return Err("verdict count differs from the report's jobs".to_string());
+    }
+    for (row, (result, score)) in jobs.iter().zip(verdicts) {
+        for (key, value) in [
+            ("cycles", result.cycles),
+            ("iterations", result.iterations),
+            ("injected", score.injected() as u64),
+            ("located_injected", score.located() as u64),
+            ("additional_sites", score.additional_sites as u64),
+            ("located_sites", result.located_count() as u64),
+        ] {
+            if int(row, key)? != value {
+                return Err(format!("report row '{key}' differs from the verdict"));
+            }
+        }
+    }
+    Ok(())
+}
+
 /// The case study's paper checks: the committed golden at its own seed;
 /// at any other seed Eq. (2) cycles and every fault located.
 fn check_case_study(
@@ -219,7 +329,7 @@ fn check_case_study(
     let job = &plan.jobs[0];
     let group = &job.memories[0];
     let eq2 = AnalyticModel::new(group.words, group.width as u64, plan.scheme.clock_ns()).proposed_cycles();
-    for row in field(report, "jobs")?.as_array().unwrap_or_default() {
+    for row in rows(report)? {
         if int(row, "cycles")? != eq2 {
             return Err(format!(
                 "case study ran {} cycles, Eq. (2) gives {eq2}",
@@ -233,20 +343,32 @@ fn check_case_study(
     Ok(())
 }
 
+/// The clock and DRF mode of a fast-scheme plan.
+fn fast_scheme(plan: &DiagnosisPlan) -> Result<(f64, DrfSpec), String> {
+    match plan.scheme {
+        SchemeConfig::Fast { clock_ns, drf } => Ok((clock_ns, drf)),
+        SchemeConfig::Baseline { .. } => Err("not a fast-scheme spec".to_string()),
+    }
+}
+
 impl SpecWorkload {
     pub fn setup(name: WorkloadName, seed: u64, scale: Scale, tracer: &mut Tracer) -> Result<Self, String> {
         // One worker: on a 2-vCPU host shared with other tenants, a
         // two-worker op's median moved by 30 % between runs. The
         // two-worker executor path is timed in the traced run instead.
         let shard = ShardPlan::with_threads(1).with_strategy(ShardStrategy::Cost);
-        let production = sources(name, seed, scale, None);
-        let oracle = sources(name, seed, scale, Some("per-memory"));
+        let production = sources(name, seed, scale, None)?;
+        let oracle = sources(name, seed, scale, Some("per-memory"))?;
         let mut runs = Vec::with_capacity(production.len());
+        let mut decoder_faults = 0;
         for (source, oracle_source) in production.into_iter().zip(oracle) {
             let plan = compile_str(&source).map_err(|e| format!("generated spec: {e}"))?;
-            // The one-off reference: the same spec on the per-memory
-            // oracle kernel. Its jobs must match the production run's.
+            // The one-off references: the same spec on the per-memory
+            // oracle kernel, whose jobs must match the production run's,
+            // and the per-job verdicts of the production path, which
+            // must match the report's rows.
             let oracle_bytes = tracer.span("check.reference", |_| run_spec(&oracle_source, shard))?;
+            let verdicts = tracer.span("check.reference", |_| production_verdicts(&plan, shard))?;
             let bytes = tracer.span("warmup", |_| run_spec(&source, shard))?;
             let report = Json::parse(&bytes)?;
             let oracle_report = Json::parse(&oracle_bytes)?;
@@ -256,12 +378,25 @@ impl SpecWorkload {
                 }
             }
             let totals = check_report(&report)?;
+            match_rows(&report, &verdicts)?;
             if name == WorkloadName::CaseStudy {
                 check_case_study(&plan, &report, &bytes, seed, scale)?;
+            }
+            if totals.fast {
+                for job in &plan.jobs {
+                    let groups: Vec<Group> = job
+                        .memories
+                        .iter()
+                        .map(|group| (group.count, group.words, group.width))
+                        .collect();
+                    decoder_faults += decoder_census(&groups, job.defect_rate, job.seed)?.1;
+                }
             }
             runs.push(SpecRun {
                 source,
                 reference: bytes,
+                report,
+                verdicts,
                 totals,
             });
         }
@@ -270,6 +405,7 @@ impl SpecWorkload {
             scale,
             shard,
             runs,
+            decoder_faults,
         })
     }
 
@@ -283,64 +419,103 @@ impl SpecWorkload {
     /// `FleetRunner::diagnose` of the fleet at two workers, on a fresh
     /// population, timed as its own root span; the traced op times the
     /// same call at the workload's one worker.
-    fn probe_two_workers(&self, tracer: &mut Tracer, one_worker: &[DiagnosisResult]) -> Result<(), String> {
-        let plan = compile_str(&self.run(true).source).map_err(|e| e.to_string())?;
-        let SchemeConfig::Fast { clock_ns, drf } = plan.scheme else {
-            return Err("fleet spec is not a fast-scheme spec".to_string());
-        };
-        let jobs = fleet_jobs(&plan, clock_ns, drf)?;
+    fn diagnose_two_workers(
+        &self,
+        plan: &DiagnosisPlan,
+        tracer: &mut Tracer,
+    ) -> Result<Vec<DiagnosisResult>, String> {
+        let (clock_ns, drf) = fast_scheme(plan)?;
+        let jobs = fleet_jobs(plan, clock_ns, drf)?;
         let runner = FleetRunner::new(ShardPlan::with_threads(2).with_strategy(ShardStrategy::Cost));
         let fleet_plan = runner.plan(&jobs).map_err(|e| e.to_string())?;
         let mut socs = runner.build(&fleet_plan).map_err(|e| e.to_string())?;
-        let results = tracer
+        tracer
             .span("exec.diagnose_2w", |_| runner.diagnose(&fleet_plan, &mut socs))
-            .map_err(|e| e.to_string())?;
-        if results != one_worker {
-            return Err("diagnosis at two workers differs from one worker".to_string());
-        }
-        Ok(())
+            .map_err(|e| e.to_string())
     }
 }
 
 impl Workload for SpecWorkload {
-    type Output = Vec<String>;
+    type Output = SpecOutput;
 
-    fn op(&self) -> Result<Vec<String>, String> {
+    fn op(&self) -> Result<SpecOutput, String> {
         self.runs
             .iter()
             .map(|run| run_spec(&run.source, self.shard))
-            .collect()
+            .collect::<Result<_, _>>()
+            .map(SpecOutput::Reports)
     }
 
-    fn traced_op(&self, tracer: &mut Tracer) -> Result<Vec<String>, String> {
-        let (outputs, fast_results) = tracer.span("op", |t| {
-            let mut outputs = Vec::with_capacity(self.runs.len());
-            let mut fast_results = Vec::new();
+    fn traced_op(&self, tracer: &mut Tracer) -> Result<SpecOutput, String> {
+        let (runs, fast_plan) = tracer.span("op", |t| {
+            let mut runs = Vec::with_capacity(self.runs.len());
+            let mut fast_plan = None;
             for run in &self.runs {
                 let plan = t
                     .span("spec.compile", |_| compile_str(&run.source))
                     .map_err(|e| e.to_string())?;
-                let (report, results) = replay(&plan, self.shard, t)?;
-                outputs.push(t.span("report.render", |_| report.render()));
+                let verdicts = replay(&plan, self.shard, t)?;
+                runs.push((verdicts, t.span("report.render", |_| run.report.render())));
                 if run.totals.fast {
-                    fast_results = results;
+                    fast_plan = Some(plan);
                 }
             }
-            Ok::<_, String>((outputs, fast_results))
+            Ok::<_, String>((runs, fast_plan))
         })?;
-        if self.name == WorkloadName::DistributedFleet {
-            self.probe_two_workers(tracer, &fast_results)?;
-        }
-        Ok(outputs)
+        let plan = fast_plan.ok_or("workload runs no fast-scheme spec")?;
+        // `execute_plan`'s own call, with its per-job isolation, timed
+        // beside the phase methods the replay calls.
+        let (clock_ns, drf) = fast_scheme(&plan)?;
+        let run_verdicts = fleet_run(&plan, clock_ns, drf, self.shard, tracer)?;
+        let two_workers = if self.name == WorkloadName::DistributedFleet {
+            Some(self.diagnose_two_workers(&plan, tracer)?)
+        } else {
+            None
+        };
+        Ok(SpecOutput::Replay {
+            runs,
+            fleet_run: run_verdicts,
+            two_workers,
+        })
     }
 
-    fn check(&self, outputs: &Vec<String>) -> Result<(), String> {
-        if outputs.len() != self.runs.len() {
-            return Err("op produced the wrong number of reports".to_string());
-        }
-        for (output, run) in outputs.iter().zip(&self.runs) {
-            if *output != run.reference {
-                return Err("report bytes differ from the verified reference".to_string());
+    fn check(&self, output: &SpecOutput) -> Result<(), String> {
+        match output {
+            SpecOutput::Reports(reports) => {
+                if reports.len() != self.runs.len() {
+                    return Err("op produced the wrong number of reports".to_string());
+                }
+                for (report, run) in reports.iter().zip(&self.runs) {
+                    if *report != run.reference {
+                        return Err("report bytes differ from the verified reference".to_string());
+                    }
+                }
+            }
+            SpecOutput::Replay {
+                runs,
+                fleet_run,
+                two_workers,
+            } => {
+                if runs.len() != self.runs.len() {
+                    return Err("traced op replayed the wrong number of specs".to_string());
+                }
+                for ((verdicts, report), run) in runs.iter().zip(&self.runs) {
+                    if *verdicts != run.verdicts {
+                        return Err("replayed verdicts differ from execute_plan's".to_string());
+                    }
+                    if *report != run.reference {
+                        return Err("rendered report differs from the reference".to_string());
+                    }
+                }
+                let fast = &self.run(true).verdicts;
+                if fleet_run != fast {
+                    return Err("FleetRunner::run verdicts differ from execute_plan's".to_string());
+                }
+                if let Some(results) = two_workers {
+                    if !results.iter().eq(fast.iter().map(|(result, _)| result)) {
+                        return Err("diagnosis at two workers differs from one worker".to_string());
+                    }
+                }
             }
         }
         Ok(())
@@ -364,6 +539,8 @@ impl Workload for SpecWorkload {
         let mut metrics = vec![
             PaperMetric::new("sim_diag_ms", sim_diag_ms, "ms"),
             PaperMetric::new("location_coverage", self.location_coverage(), "ratio"),
+            PaperMetric::new("injected_faults", fast.injected as f64, "count"),
+            PaperMetric::new("decoder_faults", self.decoder_faults as f64, "count"),
         ];
         if self.name == WorkloadName::CaseStudy {
             let (words, width) = if self.scale == Scale::Tiny {

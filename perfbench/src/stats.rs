@@ -37,6 +37,43 @@ pub fn peak_rss_mb() -> Result<f64, String> {
     Ok(kib / 1024.0)
 }
 
+extern "C" {
+    fn mallopt(param: i32, value: i32) -> i32;
+    fn malloc_trim(pad: usize) -> i32;
+}
+
+/// The heap policy [`pin_allocator`] sets, recorded with the results.
+pub const ALLOCATOR_POLICY: &str = "glibc: trim_threshold 2 GiB, top_pad 64 MiB, mmap_threshold 32 MiB";
+
+/// Pins glibc's heap policy for the run. By default glibc hands freed
+/// heap memory back to the kernel and serves large blocks from fresh
+/// mappings, so every op faulted its buffers in again: on the 2-vCPU
+/// build host a fault-sim run spent 2.0 s of 10.9 s in the kernel, and
+/// the cost of those faults moved with the neighbours' load. With the
+/// heap kept, an op reuses the pages the previous op freed.
+pub fn pin_allocator() -> Result<(), String> {
+    // glibc's `M_TRIM_THRESHOLD`, `M_TOP_PAD` and `M_MMAP_THRESHOLD`.
+    for (param, value) in [(-1, i32::MAX), (-2, 64 << 20), (-3, 32 << 20)] {
+        // SAFETY: `mallopt` takes two integers and only changes the
+        // allocator's tuning; no other thread is running yet.
+        if unsafe { mallopt(param, value) } != 1 {
+            return Err(format!("mallopt({param}, {value}) was refused"));
+        }
+    }
+    Ok(())
+}
+
+/// Hands the heap's free memory back to the kernel and resets this
+/// process's peak-RSS mark (`VmHWM`) to its current resident size, so
+/// the next [`peak_rss_mb`] covers only what ran after this call.
+pub fn reset_peak_rss() -> Result<(), String> {
+    // SAFETY: `malloc_trim` takes a byte count and only releases free
+    // heap pages; it is given no pointer.
+    unsafe { malloc_trim(0) };
+    // Writing 5 to the process's own `clear_refs` resets `VmHWM`.
+    std::fs::write("/proc/self/clear_refs", "5").map_err(|e| format!("/proc/self/clear_refs: {e}"))
+}
+
 /// Bytes the contention probe reads from: larger than this host
 /// family's 300 MiB last-level cache, so every read can go to DRAM.
 pub const PROBE_BYTES: usize = 320 << 20;
