@@ -5,11 +5,12 @@ use crate::trace::Tracer;
 use crate::workload::OpWork;
 use std::collections::BTreeMap;
 
-/// End-to-end metrics (`--trace 0`): name and unit. The op-time tail
-/// (p90) is printed on the `op_ms` line instead: its spread over ten
-/// seeds reached 0.21–0.25 on this host, the largest bound allowed.
+/// End-to-end metrics (`--trace 0`): name and unit. The op-time
+/// percentiles (p10, p50, p90) are printed on the `op_ms` line instead:
+/// on a shared 2-vCPU host they move with the neighbours' load by more
+/// than the largest bound allowed.
 pub const END_TO_END: &[(&str, &str)] = &[
-    ("op_ms_p10", "ms"),
+    ("op_ms_min", "ms"),
     ("cells_per_s", "1/s"),
     ("faults_per_s", "1/s"),
     ("setup_s", "s"),
@@ -66,15 +67,17 @@ pub fn end_to_end(
     peak_rss_mb: f64,
     location_coverage: f64,
 ) -> BTreeMap<&'static str, f64> {
-    // The 10th percentile, not the median: on the 2-vCPU build host op
-    // times fall in two groups (the case study's about 23 and 36 ms)
-    // whose shares move with the neighbours' load, and the median lands
-    // in whichever group holds more ops.
-    let p10 = quantile(&measurement.op_ms, 0.1);
+    // The fastest op, not the median or the 10th percentile: on the
+    // shared 2-vCPU build host the same op runs about 1.5 times slower
+    // for seconds at a time while neighbours are busy, and those phases
+    // can cover most of a run. Every op does the same deterministic
+    // work, so the fastest one is the op with the least interference; a
+    // change to the program's own work moves it like every other op.
+    let fastest = quantile(&measurement.op_ms, 0.0);
     BTreeMap::from([
-        ("op_ms_p10", p10),
-        ("cells_per_s", work.cells as f64 / (p10 / 1e3)),
-        ("faults_per_s", work.faults as f64 / (p10 / 1e3)),
+        ("op_ms_min", fastest),
+        ("cells_per_s", work.cells as f64 / (fastest / 1e3)),
+        ("faults_per_s", work.faults as f64 / (fastest / 1e3)),
         ("setup_s", setup_s),
         ("peak_rss_mb", peak_rss_mb),
         ("location_coverage", location_coverage),

@@ -4,7 +4,7 @@
 use crate::replay::{fleet_jobs, fleet_run, production_verdicts, replay, Verdict};
 use crate::trace::Tracer;
 use crate::workload::{OpWork, PaperMetric, Scale, Workload, WorkloadName};
-use bisd::DiagnosisResult;
+use bisd::{DiagnosisKernel, DiagnosisResult, HuangScheme};
 use esram_diag::{AnalyticModel, FleetRunner, ShardPlan, ShardStrategy, Soc};
 use esram_spec::{compile_str, execute_plan, DiagnosisPlan, DrfSpec, Json, SchemeConfig};
 use fault_models::{FaultClass, FaultInjector};
@@ -22,6 +22,58 @@ const BASELINE_PAUSE_MS: u32 = 100;
 const FLEET_RATES: [f64; 2] = [0.0005, 0.002];
 /// Defect rate of the baseline comparison's SoCs.
 const COMPARISON_RATE: f64 = 0.01;
+/// The baseline's `M1` iterations and simulated cycles a comparison SoC
+/// must take (see [`balanced_seeds`]): in a census of 60
+/// decoder-balanced SoCs, the most common iteration count and the band
+/// around the most common cycle count.
+const BASELINE_ITERATIONS: u64 = 7;
+const BASELINE_CYCLES: std::ops::RangeInclusive<u64> = 522_240..=557_056;
+/// The SoC seeds the comparison draws from: the first 32 seeds of
+/// [`COMPARISON_POOL_STREAM`]'s stream that [`balanced_seeds`] keeps
+/// with the baseline band (the self-test derives them again). They are
+/// 32 of the first 737 candidates (204 pass the decoder filter), so
+/// drawing a run's SoCs from its own seed's stream took a set-up
+/// 0.5-4 s of baseline diagnoses, by how lucky the draw was. A run's
+/// seed picks which pool SoCs its op runs instead, and every set-up
+/// does the same work.
+#[cfg(test)]
+const COMPARISON_POOL_STREAM: u64 = 0;
+const COMPARISON_POOL: [u64; 32] = [
+    237_608_549_177_924,
+    240_798_954_885_131,
+    116_239_779_009_059,
+    72_013_605_601_754,
+    68_740_627_658_302,
+    142_347_479_810_208,
+    34_609_998_246_153,
+    25_934_134_037_993,
+    175_829_484_861_908,
+    122_129_620_338_372,
+    272_952_189_109_069,
+    62_358_261_730_924,
+    38_300_592_443_755,
+    238_699_798_782_703,
+    109_927_272_807_481,
+    108_804_230_050_570,
+    258_098_821_045_749,
+    31_861_142_262_994,
+    265_853_706_062_199,
+    23_635_444_944_304,
+    66_755_478_749_835,
+    196_927_826_090_759,
+    121_201_374_000_584,
+    12_700_908_728_501,
+    23_715_679_860_827,
+    30_222_917_066_979,
+    15_725_753_172_785,
+    232_270_984_960_486,
+    86_196_869_527_351,
+    100_309_943_757_418,
+    171_364_381_776_365,
+    113_829_294_420_573,
+];
+/// SoCs per comparison op.
+const COMPARISON_SOCS: usize = 8;
 
 /// One spec the op runs, with the references its output is checked
 /// against.
@@ -94,26 +146,39 @@ fn mixed_population(count: usize) -> Vec<Group> {
 }
 
 /// Builds one population of the distributed workloads (four-class plus
-/// DRF defects) and counts its injected faults and its address-decoder
-/// faults.
-fn decoder_census(groups: &[Group], rate: f64, seed: u64) -> Result<(usize, usize), String> {
+/// DRF defects) as a spec job with these memories, rate and seed would.
+fn population(groups: &[Group], rate: f64, seed: u64) -> Result<Soc, String> {
     let mut builder = Soc::builder();
     for &(count, words, width) in groups {
         builder = builder.memories(count, words, width).map_err(|e| e.to_string())?;
     }
-    let soc = builder
+    builder
         .defect_rate(rate)
         .seed(seed)
         .with_data_retention_defects()
         .build_with(ShardPlan::with_threads(1))
-        .map_err(|e| e.to_string())?;
-    let decoder = soc
-        .memories()
+        .map_err(|e| e.to_string())
+}
+
+/// A population's address-decoder faults.
+fn decoder_faults(soc: &Soc) -> usize {
+    soc.memories()
         .iter()
         .flat_map(|member| member.injected.iter())
         .filter(|fault| fault.class() == FaultClass::AddressDecoder)
-        .count();
-    Ok((soc.injected_faults(), decoder))
+        .count()
+}
+
+/// Whether the baseline's diagnosis of a population, with the
+/// comparison's retention pause, takes [`BASELINE_ITERATIONS`] and
+/// [`BASELINE_CYCLES`].
+fn baseline_in_band(mut soc: Soc) -> Result<bool, String> {
+    let result = HuangScheme::new(10.0)
+        .with_retention_pause(BASELINE_PAUSE_MS)
+        .with_kernel(DiagnosisKernel::BitParallel)
+        .diagnose_with(ShardPlan::with_threads(1), soc.memories_mut())
+        .map_err(|e| e.to_string())?;
+    Ok(result.iterations == BASELINE_ITERATIONS && BASELINE_CYCLES.contains(&result.cycles))
 }
 
 /// `count` SoC seeds drawn from the run seed's stream (shifted to stay
@@ -124,10 +189,26 @@ fn decoder_census(groups: &[Group], rate: f64, seed: u64) -> Result<(usize, usiz
 /// scoring work: a draw of the fleet with a few more of them took a
 /// quarter longer per op. So a candidate seed is kept only if, at every
 /// rate, its decoder faults are within one of a fifth of its defects
-/// (the expected share under the four-class-plus-DRF profile). The seed
-/// still decides which faults the populations carry, not how much work
-/// they are.
-fn balanced_seeds(seed: u64, count: usize, groups: &[Group], rates: &[f64]) -> Result<Vec<u64>, String> {
+/// (the expected share under the four-class-plus-DRF profile).
+///
+/// With `baseline_band`, a candidate is also kept only if the baseline's
+/// diagnosis of it takes [`BASELINE_ITERATIONS`] and
+/// [`BASELINE_CYCLES`]. The baseline sweeps every faulty member once per
+/// pass until a pass finds nothing new, so its host time follows its
+/// pass counts, which the decoder filter leaves free: over 60 filtered
+/// SoCs the Huang diagnosis took 5-13 ms, in step with 0.39-1.08 M
+/// simulated cycles, and two seeds of twelve such SoCs differed by 18 %
+/// per op.
+///
+/// Either way the seed decides which faults the populations carry, not
+/// how much work they are.
+fn balanced_seeds(
+    seed: u64,
+    count: usize,
+    groups: &[Group],
+    rates: &[f64],
+    baseline_band: bool,
+) -> Result<Vec<u64>, String> {
     let mut seeds = Vec::with_capacity(count);
     let mut stream = 0;
     while seeds.len() < count {
@@ -135,14 +216,26 @@ fn balanced_seeds(seed: u64, count: usize, groups: &[Group], rates: &[f64]) -> R
         stream += 1;
         let mut balanced = true;
         for &rate in rates {
-            let (faults, decoder) = decoder_census(groups, rate, candidate)?;
-            balanced &= (decoder as f64 - faults as f64 / 5.0).abs() <= 1.0;
+            let soc = population(groups, rate, candidate)?;
+            balanced &= (decoder_faults(&soc) as f64 - soc.injected_faults() as f64 / 5.0).abs() <= 1.0;
+            if balanced && baseline_band {
+                balanced &= baseline_in_band(soc)?;
+            }
         }
         if balanced {
             seeds.push(candidate);
         }
     }
     Ok(seeds)
+}
+
+/// `count` distinct seeds of [`COMPARISON_POOL`], in an order drawn from
+/// the run seed.
+fn comparison_socs(seed: u64, count: usize) -> Vec<u64> {
+    let mut pool = COMPARISON_POOL.to_vec();
+    pool.sort_by_key(|&soc| FaultInjector::stream_seed(seed, soc));
+    pool.truncate(count);
+    pool
 }
 
 fn toml_list<T: ToString>(items: &[T]) -> String {
@@ -153,68 +246,80 @@ fn toml_list<T: ToString>(items: &[T]) -> String {
         .join(", ")
 }
 
-/// The spec texts an op runs, each generated from the run's seed, and
-/// the execution section that pins their kernels. `kernel` replaces the
-/// pinned diagnosis kernel (the set-up's oracle run).
-fn sources(name: WorkloadName, seed: u64, scale: Scale, kernel: Option<&str>) -> Result<Vec<String>, String> {
+/// The spec texts an op runs, each generated from the run's seed, paired
+/// with the same text on the per-memory oracle kernel (the set-up's
+/// reference run). The execution section pins the kernels.
+fn sources(name: WorkloadName, seed: u64, scale: Scale) -> Result<Vec<(String, String)>, String> {
     let tiny = scale == Scale::Tiny;
-    let execution = |default: Option<&str>| match kernel.or(default) {
-        Some(kernel) => format!("\n[execution]\nkernel = \"{kernel}\"\nfaultsim_kernel = \"lanes\"\n"),
-        None => String::new(),
-    };
-    Ok(match name {
-        // The paper's headline run. It leaves the kernel unpinned, as
-        // the checked-in example does, so its report can be compared
-        // with the committed golden ("kernel": "inherit"); the
-        // environment check makes "inherit" resolve to the default.
-        // Its defects are stuck-at and transition only, each a single
-        // cell, so the seed moves no work and needs no filter.
-        WorkloadName::CaseStudy => {
-            let (words, width) = if tiny { (64, 16) } else { (512, 100) };
-            vec![format!(
-                "[scenario]\nname = \"case_study_512x100\"\nseed = {seed}\n{}\n[defects]\nrate = 0.01\n\
-                 classes = [\"stuck-at\", \"transition\"]\n\n[scheme]\nkind = \"fast\"\nclock_ns = 10.0\n\
-                 drf = \"none\"\n{}",
-                memory_groups(&[(4, words, width)]),
-                execution(None),
-            )]
-        }
+    // The SoC seeds of the distributed workloads, drawn once for both
+    // kernels.
+    let (groups, socs) = match name {
+        WorkloadName::CaseStudy | WorkloadName::FaultSimCampaign => (Vec::new(), Vec::new()),
         WorkloadName::DistributedFleet => {
             let (count, seeds) = if tiny { (2, 2) } else { (16, 8) };
             let groups = mixed_population(count);
-            vec![format!(
+            let socs = balanced_seeds(seed, seeds, &groups, &FLEET_RATES, false)?;
+            (groups, socs)
+        }
+        WorkloadName::BaselineComparison => {
+            let (count, socs) = if tiny { (1, 2) } else { (2, COMPARISON_SOCS) };
+            (mixed_population(count), comparison_socs(seed, socs))
+        }
+    };
+    let texts = |kernel: Option<&str>| {
+        let execution = |default: Option<&str>| match kernel.or(default) {
+            Some(kernel) => format!("\n[execution]\nkernel = \"{kernel}\"\nfaultsim_kernel = \"lanes\"\n"),
+            None => String::new(),
+        };
+        match name {
+            // The paper's headline run. It leaves the kernel unpinned, as
+            // the checked-in example does, so its report can be compared
+            // with the committed golden ("kernel": "inherit"); the
+            // environment check makes "inherit" resolve to the default.
+            // Its defects are stuck-at and transition only, each a single
+            // cell, so the seed moves no work and needs no filter.
+            WorkloadName::CaseStudy => {
+                let (words, width) = if tiny { (64, 16) } else { (512, 100) };
+                vec![format!(
+                    "[scenario]\nname = \"case_study_512x100\"\nseed = {seed}\n{}\n[defects]\nrate = 0.01\n\
+                     classes = [\"stuck-at\", \"transition\"]\n\n[scheme]\nkind = \"fast\"\nclock_ns = 10.0\n\
+                     drf = \"none\"\n{}",
+                    memory_groups(&[(4, words, width)]),
+                    execution(None),
+                )]
+            }
+            WorkloadName::DistributedFleet => vec![format!(
                 "[scenario]\nname = \"distributed_fleet\"\nseed = {seed}\n{}\n[defects]\n\
                  data_retention = true\n\n[scheme]\nkind = \"fast\"\ndrf = \"nwrtm\"\n{}\n[sweep]\n\
                  defect_rates = [{}]\nseeds = [{}]\n",
                 memory_groups(&groups),
                 execution(Some("bit-parallel")),
                 toml_list(&FLEET_RATES),
-                toml_list(&balanced_seeds(seed, seeds, &groups, &FLEET_RATES)?),
-            )]
+                toml_list(&socs),
+            )],
+            WorkloadName::BaselineComparison => {
+                let spec = |label: &str, scheme: &str| {
+                    format!(
+                        "[scenario]\nname = \"baseline_comparison_{label}\"\nseed = {seed}\n{}\n[defects]\n\
+                         rate = {COMPARISON_RATE}\ndata_retention = true\n\n[scheme]\n{scheme}\n{}\n[sweep]\n\
+                         seeds = [{}]\n",
+                        memory_groups(&groups),
+                        execution(Some("bit-parallel")),
+                        toml_list(&socs),
+                    )
+                };
+                vec![
+                    spec(
+                        "baseline",
+                        &format!("kind = \"baseline\"\ndrf = \"pause\"\npause_ms = {BASELINE_PAUSE_MS}\n"),
+                    ),
+                    spec("proposed", "kind = \"fast\"\ndrf = \"nwrtm\"\n"),
+                ]
+            }
+            WorkloadName::FaultSimCampaign => unreachable!("fault_sim_campaign runs no spec"),
         }
-        WorkloadName::BaselineComparison => {
-            let (count, socs) = if tiny { (1, 2) } else { (2, 12) };
-            let groups = mixed_population(count);
-            let seeds = toml_list(&balanced_seeds(seed, socs, &groups, &[COMPARISON_RATE])?);
-            let spec = |label: &str, scheme: &str| {
-                format!(
-                    "[scenario]\nname = \"baseline_comparison_{label}\"\nseed = {seed}\n{}\n[defects]\n\
-                     rate = {COMPARISON_RATE}\ndata_retention = true\n\n[scheme]\n{scheme}\n{}\n[sweep]\n\
-                     seeds = [{seeds}]\n",
-                    memory_groups(&groups),
-                    execution(Some("bit-parallel")),
-                )
-            };
-            vec![
-                spec(
-                    "baseline",
-                    &format!("kind = \"baseline\"\ndrf = \"pause\"\npause_ms = {BASELINE_PAUSE_MS}\n"),
-                ),
-                spec("proposed", "kind = \"fast\"\ndrf = \"nwrtm\"\n"),
-            ]
-        }
-        WorkloadName::FaultSimCampaign => unreachable!("fault_sim_campaign runs no spec"),
-    })
+    };
+    Ok(texts(None).into_iter().zip(texts(Some("per-memory"))).collect())
 }
 
 /// Compiles, executes and renders one spec: the `esram run` pipeline
@@ -357,11 +462,10 @@ impl SpecWorkload {
         // two-worker op's median moved by 30 % between runs. The
         // two-worker executor path is timed in the traced run instead.
         let shard = ShardPlan::with_threads(1).with_strategy(ShardStrategy::Cost);
-        let production = sources(name, seed, scale, None)?;
-        let oracle = sources(name, seed, scale, Some("per-memory"))?;
-        let mut runs = Vec::with_capacity(production.len());
-        let mut decoder_faults = 0;
-        for (source, oracle_source) in production.into_iter().zip(oracle) {
+        let sources = sources(name, seed, scale)?;
+        let mut runs = Vec::with_capacity(sources.len());
+        let mut decoder = 0;
+        for (source, oracle_source) in sources {
             let plan = compile_str(&source).map_err(|e| format!("generated spec: {e}"))?;
             // The one-off references: the same spec on the per-memory
             // oracle kernel, whose jobs must match the production run's,
@@ -382,14 +486,15 @@ impl SpecWorkload {
             if name == WorkloadName::CaseStudy {
                 check_case_study(&plan, &report, &bytes, seed, scale)?;
             }
-            if totals.fast {
+            // The case study's defects are cell faults only.
+            if totals.fast && name != WorkloadName::CaseStudy {
                 for job in &plan.jobs {
                     let groups: Vec<Group> = job
                         .memories
                         .iter()
                         .map(|group| (group.count, group.words, group.width))
                         .collect();
-                    decoder_faults += decoder_census(&groups, job.defect_rate, job.seed)?.1;
+                    decoder += decoder_faults(&population(&groups, job.defect_rate, job.seed)?);
                 }
             }
             runs.push(SpecRun {
@@ -405,7 +510,7 @@ impl SpecWorkload {
             scale,
             shard,
             runs,
-            decoder_faults,
+            decoder_faults: decoder,
         })
     }
 
@@ -586,5 +691,34 @@ impl Workload for SpecWorkload {
             ("diagnosis_kernel", diagnosis.to_string()),
             ("faultsim_kernel", faultsim.to_string()),
         ]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn comparison_pool_is_the_filtered_stream() {
+        let derived = balanced_seeds(
+            COMPARISON_POOL_STREAM,
+            COMPARISON_POOL.len(),
+            &mixed_population(2),
+            &[COMPARISON_RATE],
+            true,
+        )
+        .unwrap();
+        assert_eq!(derived, COMPARISON_POOL, "{derived:?}");
+    }
+
+    #[test]
+    fn comparison_socs_differ_by_seed() {
+        let first = comparison_socs(1, COMPARISON_SOCS);
+        assert_eq!(first, comparison_socs(1, COMPARISON_SOCS));
+        assert_ne!(first, comparison_socs(2, COMPARISON_SOCS));
+        let mut distinct = first.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), COMPARISON_SOCS);
     }
 }
