@@ -34,16 +34,11 @@
 //! host — and the measured entries record what that means in
 //! wall-clock. The CI perf gate (`perf_gate --strict --prefix fleet`)
 //! keeps every entry within 2× of the committed ledger.
-//!
-//! When `ESRAM_CALIB_PATH` is set, the active [`CostCalibration`]
-//! table (the weights the partitions above were computed from) is
-//! exported there as JSON; CI uploads it next to the fresh ledger so a
-//! gated run documents the exact cost model it was gated under.
 
 use bench::print_section;
 use criterion::{criterion_group, criterion_main, Criterion};
 use esram_diag::{DiagnosisResult, FastScheme, FleetJob, FleetPlan, FleetRunner, Soc};
-use esram_exec::{cost_ranges, even_ranges, steal_schedule, CostCalibration, DEFAULT_BLOCK_SIZE};
+use esram_exec::{cost_ranges, even_ranges, steal_schedule, DEFAULT_BLOCK_SIZE};
 use march::ShardPlan;
 use sram_model::{MemoryId, Sram};
 use std::hint::black_box;
@@ -147,16 +142,6 @@ fn serial_results(jobs: &[FleetJob]) -> Vec<DiagnosisResult> {
         .collect()
 }
 
-fn export_calibration() {
-    if let Ok(path) = std::env::var("ESRAM_CALIB_PATH") {
-        if let Err(error) = std::fs::write(&path, CostCalibration::current().to_json()) {
-            eprintln!("warning: could not write calibration table {path}: {error}");
-        } else {
-            println!("calibration table exported to {path}");
-        }
-    }
-}
-
 fn bench_fleet(c: &mut Criterion) {
     let jobs = fleet_jobs();
     let runner = FleetRunner::new(ShardPlan::with_threads(1));
@@ -253,8 +238,6 @@ fn bench_fleet(c: &mut Criterion) {
         })
     });
     group.finish();
-
-    export_calibration();
 }
 
 criterion_group!(benches, bench_fleet);

@@ -1,15 +1,14 @@
 //! E1–E4: diagnosis-time models (Eq. 1–4) and the Sec. 4.2 case study,
 //! plus a cycle-accurate simulated comparison of both schemes and the
-//! SoA population-batching measurement points:
+//! 512-memory population measurement points:
 //!
-//! * `fast_scheme_diagnose_512mem_soa` — end-to-end diagnosis of a
-//!   512-memory SoC, tractable because the controller's golden state is
-//!   one shared SoA store instead of 512 `Vec<DataWord>`s;
-//! * `population_golden_soa_512mem` vs `population_golden_aos_512mem` —
-//!   the golden-state maintenance alone, SoA [`GoldenStore`] against
-//!   the frozen pre-SoA per-memory `Vec<DataWord>` layout, driven by
-//!   the identical write/read stream (the entries proving the SoA win
-//!   in the committed ledger).
+//! * `population_golden_soa_512mem` — the golden-state maintenance of
+//!   the shared SoA [`GoldenStore`] alone, driven by the fast scheme's
+//!   write/read stream;
+//! * `fast_scheme_diagnose_512mem_{permem,sharded}` — end-to-end
+//!   diagnosis of a 512-memory SoC under the per-memory oracle kernel
+//!   and under the default kernel and plan;
+//! * `soc_build_512mem_sharded` — SoC construction at population scale.
 
 use bench::{print_section, small_population};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -17,7 +16,7 @@ use esram_diag::{
     AnalyticModel, CaseStudy, DataBackground, DataBackgroundGenerator, DiagnosisKernel, DiagnosisScheme,
     DrfMode, FastScheme, GoldenStore, HuangScheme, MarchSchedule, MemConfig, ShardPlan, Soc,
 };
-use sram_model::{Address, DataWord};
+use sram_model::Address;
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -53,51 +52,6 @@ fn golden_soa_stream(configs: &[MemConfig], schedule: &MarchSchedule) -> usize {
                     } else if op.is_read() {
                         for member in 0..configs.len() {
                             checksum = checksum.wrapping_add(store.expected_at(member, global).count_ones());
-                        }
-                    }
-                }
-            }
-        }
-    }
-    checksum
-}
-
-/// The frozen pre-SoA layout: one golden `Vec<DataWord>` per memory,
-/// per-element expectation words per memory, `clone_from` per write per
-/// memory — exactly the controller state maintenance the fast scheme
-/// performed before the SoA rewrite, driven by the same stream.
-fn golden_aos_stream(configs: &[MemConfig], schedule: &MarchSchedule) -> usize {
-    let generator = DataBackgroundGenerator::new(16);
-    let mut golden: Vec<Vec<DataWord>> = configs
-        .iter()
-        .map(|c| vec![DataWord::zero(c.width()); c.words() as usize])
-        .collect();
-    let words = configs[0].words();
-    let mut checksum = 0usize;
-    for phase in schedule.phases() {
-        let background = phase.background;
-        for element in phase.test.elements() {
-            let expected_by_value: Vec<Vec<DataWord>> = [false, true]
-                .iter()
-                .map(|&value| {
-                    configs
-                        .iter()
-                        .map(|c| generator.pattern_for_width(background, value, c.width()))
-                        .collect()
-                })
-                .collect();
-            for global in 0..words {
-                for op in &element.ops {
-                    if op.is_write() {
-                        let value = usize::from(op.value().unwrap_or(false));
-                        for (index, memory_golden) in golden.iter_mut().enumerate() {
-                            let local = (global % configs[index].words()) as usize;
-                            memory_golden[local].clone_from(&expected_by_value[value][index]);
-                        }
-                    } else if op.is_read() {
-                        for (index, memory_golden) in golden.iter().enumerate() {
-                            let local = (global % configs[index].words()) as usize;
-                            checksum = checksum.wrapping_add(memory_golden[local].count_ones());
                         }
                     }
                 }
@@ -204,46 +158,19 @@ fn bench_time_models(c: &mut Criterion) {
         )
     });
 
-    // SoA population batching: a 512-memory SoC end to end, plus the
-    // golden-state maintenance in isolation (SoA vs frozen AoS layout).
+    // Golden-state maintenance of a 512-memory population in isolation.
     let configs = vec![soa_config(); SOA_MEMORIES];
     let schedule = soa_schedule();
-    assert_eq!(
-        golden_soa_stream(&configs, &schedule),
-        golden_aos_stream(&configs, &schedule),
-        "SoA and AoS golden maintenance must visit identical expectations"
-    );
-    group.bench_function("fast_scheme_diagnose_512mem_soa", |b| {
-        b.iter_batched(
-            || small_population(SOA_MEMORIES, 64, 16, 0.0005, 42),
-            |mut soc| {
-                let result = FastScheme::new(10.0)
-                    .with_drf_mode(DrfMode::None)
-                    .diagnose(soc.memories_mut())
-                    .expect("fast run");
-                black_box(result.cycles)
-            },
-            criterion::BatchSize::SmallInput,
-        )
-    });
     group.bench_function("population_golden_soa_512mem", |b| {
         b.iter(|| black_box(golden_soa_stream(&configs, &schedule)))
     });
-    group.bench_function("population_golden_aos_512mem", |b| {
-        b.iter(|| black_box(golden_aos_stream(&configs, &schedule)))
-    });
 
-    // Population sharding + parallel SoC construction: the 512-memory
-    // diagnosis under the frozen sequential comparator plan vs the
-    // library plan (`ESRAM_DIAG_THREADS`-overridable; CI pins it to 1
-    // so the perf gate compares like with like), and SoC construction
-    // at population scale under both plans. On a multi-core runner the
-    // `_sharded` entries scale with the worker count while the
-    // `_sequential` comparators freeze the single-thread walk.
-    // The per-memory oracle kernel on the same population: the committed
-    // pair documents the bit-parallel kernel's speedup, and the gap
-    // collapsing is the first sign the fast path silently degraded to
-    // dense stepping.
+    // The 512-memory diagnosis under the library plan
+    // (`ESRAM_DIAG_THREADS`-overridable; CI pins it to 1 so the perf
+    // gate compares like with like) and, on the same population, under
+    // the per-memory oracle kernel: the pair documents the bit-parallel
+    // kernel's speedup, and the gap collapsing is the first sign the
+    // fast path silently degraded to dense stepping.
     group.bench_function("fast_scheme_diagnose_512mem_permem", |b| {
         b.iter_batched(
             || small_population(SOA_MEMORIES, 64, 16, 0.0005, 42),
@@ -259,19 +186,6 @@ fn bench_time_models(c: &mut Criterion) {
         )
     });
 
-    group.bench_function("fast_scheme_diagnose_512mem_sequential", |b| {
-        b.iter_batched(
-            || small_population(SOA_MEMORIES, 64, 16, 0.0005, 42),
-            |mut soc| {
-                let result = FastScheme::new(10.0)
-                    .with_drf_mode(DrfMode::None)
-                    .diagnose_with(ShardPlan::sequential(), soc.memories_mut())
-                    .expect("fast run");
-                black_box(result.cycles)
-            },
-            criterion::BatchSize::SmallInput,
-        )
-    });
     group.bench_function("fast_scheme_diagnose_512mem_sharded", |b| {
         b.iter_batched(
             || small_population(SOA_MEMORIES, 64, 16, 0.0005, 42),
@@ -285,22 +199,18 @@ fn bench_time_models(c: &mut Criterion) {
             criterion::BatchSize::SmallInput,
         )
     });
-    let build_512 = |plan: ShardPlan| {
-        let soc = Soc::builder()
-            .memories(SOA_MEMORIES, 64, 16)
-            .expect("valid geometry")
-            .defect_rate(0.0005)
-            .seed(42)
-            .spares(32)
-            .build_with(plan)
-            .expect("population builds");
-        soc.injected_faults()
-    };
-    group.bench_function("soc_build_512mem_sequential", |b| {
-        b.iter(|| black_box(build_512(ShardPlan::sequential())))
-    });
     group.bench_function("soc_build_512mem_sharded", |b| {
-        b.iter(|| black_box(build_512(ShardPlan::from_env())))
+        b.iter(|| {
+            let soc = Soc::builder()
+                .memories(SOA_MEMORIES, 64, 16)
+                .expect("valid geometry")
+                .defect_rate(0.0005)
+                .seed(42)
+                .spares(32)
+                .build_with(ShardPlan::from_env())
+                .expect("population builds");
+            black_box(soc.injected_faults())
+        })
     });
 
     group.finish();

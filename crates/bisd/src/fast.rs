@@ -7,8 +7,8 @@ use crate::log::{DiagnosisLog, DiagnosisRecord};
 use crate::population::GoldenStore;
 use crate::result::DiagnosisResult;
 use crate::scheme::{DiagnosisScheme, MemoryUnderDiagnosis};
-use march::shard::{failpoint, CostCalibration, CostDomain, ExecError, RunToken};
-use march::{algorithms, AddressOrder, DataBackground, MarchElement, MarchOp, MarchSchedule, ShardPlan};
+use esram_exec::{failpoint, CostCalibration, CostDomain, ExecError, RunToken, ShardPlan};
+use march::{algorithms, AddressOrder, DataBackground, MarchElement, MarchOp, MarchSchedule};
 use serial::{ParallelToSerialConverter, PatternDeliveryBus, ShiftOrder};
 use sram_model::{Address, DataWord, MemConfig, MemError, MemoryId, MemoryPort, Sram};
 use std::collections::BTreeMap;
@@ -245,8 +245,8 @@ impl FastScheme {
     /// Diagnoses a population under an explicit [`ShardPlan`].
     ///
     /// The population is split into contiguous segments by the
-    /// deterministic executor — per-worker chunks (even or calibrated
-    /// cost-weighted) or fixed-size stolen blocks, depending on the
+    /// deterministic executor — calibrated cost-weighted per-worker
+    /// chunks or fixed-size stolen blocks, depending on the
     /// plan's strategy; memories are independent given the shared write
     /// stream. Each segment replays the planned schedule with its own
     /// [`GoldenStore`] segment view, PSCs and comparator, and the
@@ -266,12 +266,11 @@ impl FastScheme {
         assert!(!memories.is_empty(), "diagnosis needs at least one memory");
         let configs: Vec<MemConfig> = memories.iter().map(|(_, m)| m.config()).collect();
         let population = self.plan_population(&configs);
-        let worker_results: Vec<Result<SegmentOutcome, MemError>> =
-            plan.with_domain(CostDomain::Diagnosis).run_segments(
-                memories,
-                |index, _| population.member_cost(index),
-                |base, segment| population.run_segment(base, segment),
-            );
+        let worker_results: Vec<Result<SegmentOutcome, MemError>> = plan.run_segments(
+            memories,
+            |index, _| population.member_cost(index),
+            |base, segment| population.run_segment(base, segment),
+        );
         let mut outcomes = Vec::with_capacity(worker_results.len());
         for result in worker_results {
             outcomes.push(result?);
@@ -317,13 +316,12 @@ impl FastScheme {
         assert!(!memories.is_empty(), "diagnosis needs at least one memory");
         let configs: Vec<MemConfig> = memories.iter().map(|(_, m)| m.config()).collect();
         let population = self.plan_population(&configs);
-        let worker_results: Vec<Result<SegmentOutcome, MemError>> =
-            plan.with_domain(CostDomain::Diagnosis).try_run_segments(
-                token,
-                memories,
-                |index, _| population.member_cost(index),
-                |base, segment| population.run_segment(base, segment),
-            )?;
+        let worker_results: Vec<Result<SegmentOutcome, MemError>> = plan.try_run_segments(
+            token,
+            memories,
+            |index, _| population.member_cost(index),
+            |base, segment| population.run_segment(base, segment),
+        )?;
         let mut outcomes = Vec::with_capacity(worker_results.len());
         for result in worker_results {
             outcomes.push(result?);

@@ -54,7 +54,7 @@ impl DiagnosisKernel {
     /// wrong kernel) — routed through the workspace's shared warn-once
     /// knob path so this knob cannot drift from the executor's.
     pub fn from_env() -> Self {
-        march::shard::read_knob(KERNEL_ENV, Self::parse, || {
+        esram_exec::env::read_knob(KERNEL_ENV, Self::parse, || {
             format!("the default kernel ({})", DiagnosisKernel::default())
         })
         .unwrap_or_default()

@@ -19,8 +19,9 @@
 //! `ESRAM_DIAG_KERNEL`, `ESRAM_FAULTSIM_KERNEL`, `ESRAM_COST_CALIB`)
 //! are inherited from the environment exactly as every other harness in
 //! the workspace inherits them — and the report bytes are identical
-//! under all of them. A spec's `[execution] faultsim_kernel` pins the
-//! fault-sim kernel over the ambient knob for its run.
+//! under all of them. A spec's `[execution] faultsim_kernel` is
+//! validated and recorded in the report, not applied: spec runs never
+//! simulate faults.
 //!
 //! Exit codes: 0 success, 1 spec/run failure (including any failed job
 //! in the report), 2 usage error.
@@ -112,14 +113,6 @@ fn run(args: &[String]) -> Result<(), CliError> {
     let spec = load_spec(spec_path)?;
     let plan = spec.compile();
     let out_dir = resolve_out_dir(&plan.name, plan.report.dir.as_deref(), out_flag);
-
-    // A spec-pinned fault-sim kernel overrides the ambient knob for the
-    // whole run: the simulator reads it at construction, so pinning the
-    // process environment (still single-threaded here) is exactly the
-    // inherit path with the spec's value in place.
-    if let Some(kernel) = plan.faultsim_kernel {
-        std::env::set_var(esram_exec::FAULTSIM_KERNEL_ENV, kernel.to_string());
-    }
 
     let shard = ShardPlan::from_env();
     let started = Instant::now();

@@ -38,7 +38,7 @@
 //! sequence number regardless of where segment boundaries fell — so
 //! each job's [`DiagnosisResult`] is byte-identical to what
 //! [`FastScheme::diagnose_with`] produces for that job alone, under
-//! any plan. Calibration (measured, hand-tuned or online) moves only
+//! any plan. Calibration (measured or hand-tuned) moves only
 //! the shard *boundaries*, never the results. The fleet determinism
 //! suite asserts both properties across strategies, worker counts and
 //! kernels.
@@ -59,9 +59,10 @@
 use crate::soc::Soc;
 use crate::SocBuilder;
 use bisd::{DiagnosisResult, FastScheme, MemoryUnderDiagnosis, PopulationPlan, SegmentOutcome};
+use esram_exec::{
+    failpoint, panic_payload, CostCalibration, CostDomain, ExecError, ItemFault, RunToken, ShardPlan,
+};
 use fault_models::DefectProfile;
-use march::shard::{failpoint, panic_payload, CostCalibration, CostDomain, ExecError, ItemFault, RunToken};
-use march::ShardPlan;
 use sram_model::{MemError, MemoryId, Sram};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -422,7 +423,6 @@ impl FleetRunner {
         let calibration = CostCalibration::current();
         let built = self
             .shard
-            .with_domain(CostDomain::SocBuild)
             .map_slots_isolated(
                 &self.token,
                 &members,
@@ -492,7 +492,6 @@ impl FleetRunner {
         }
         let groups: Vec<Vec<(usize, Result<SegmentOutcome, ChunkFault>)>> = self
             .shard
-            .with_domain(CostDomain::Diagnosis)
             .try_run_segments(
                 &self.token,
                 &mut slots,
@@ -639,19 +638,18 @@ impl FleetRunner {
             .map(|fleet_job| fleet_job.builder.defect_profile())
             .collect();
         let calibration = CostCalibration::current();
-        let built: Vec<Result<MemoryUnderDiagnosis, MemError>> =
-            self.shard.with_domain(CostDomain::SocBuild).map_slots(
-                &plan.members,
-                |_, &(job, member)| {
-                    let cells = plan.jobs[job].builder.member_configs()[member].cells();
-                    calibration.cost(CostDomain::SocBuild, cells)
-                },
-                || (),
-                |_, _, &(job, member)| {
-                    let builder = plan.jobs[job].builder();
-                    builder.build_member(&profiles[job], member, builder.member_configs()[member])
-                },
-            );
+        let built: Vec<Result<MemoryUnderDiagnosis, MemError>> = self.shard.map_slots(
+            &plan.members,
+            |_, &(job, member)| {
+                let cells = plan.jobs[job].builder.member_configs()[member].cells();
+                calibration.cost(CostDomain::SocBuild, cells)
+            },
+            || (),
+            |_, _, &(job, member)| {
+                let builder = plan.jobs[job].builder();
+                builder.build_member(&profiles[job], member, builder.member_configs()[member])
+            },
+        );
         let mut socs: Vec<Vec<MemoryUnderDiagnosis>> = plan.jobs.iter().map(|_| Vec::new()).collect();
         for (&(job, _), member) in plan.members.iter().zip(built) {
             socs[job].push(member?);
@@ -706,26 +704,25 @@ impl FleetRunner {
         // several jobs; each job-contiguous chunk replays through its
         // own population plan with the chunk's first member index as
         // the segment base.
-        let groups: Vec<Vec<(usize, Result<SegmentOutcome, MemError>)>> =
-            self.shard.with_domain(CostDomain::Diagnosis).run_segments(
-                &mut slots,
-                |_, slot| populations[slot.job].member_cost(slot.member),
-                |_, segment| {
-                    let mut outcomes = Vec::new();
-                    let mut rest = segment;
-                    while !rest.is_empty() {
-                        let job = rest[0].job;
-                        let len = rest.iter().take_while(|slot| slot.job == job).count();
-                        let (chunk, tail) = rest.split_at_mut(len);
-                        let base = chunk[0].member;
-                        let mut pairs: Vec<(MemoryId, &mut Sram)> =
-                            chunk.iter_mut().map(|slot| (slot.id, &mut *slot.sram)).collect();
-                        outcomes.push((job, populations[job].run_segment(base, &mut pairs)));
-                        rest = tail;
-                    }
-                    outcomes
-                },
-            );
+        let groups: Vec<Vec<(usize, Result<SegmentOutcome, MemError>)>> = self.shard.run_segments(
+            &mut slots,
+            |_, slot| populations[slot.job].member_cost(slot.member),
+            |_, segment| {
+                let mut outcomes = Vec::new();
+                let mut rest = segment;
+                while !rest.is_empty() {
+                    let job = rest[0].job;
+                    let len = rest.iter().take_while(|slot| slot.job == job).count();
+                    let (chunk, tail) = rest.split_at_mut(len);
+                    let base = chunk[0].member;
+                    let mut pairs: Vec<(MemoryId, &mut Sram)> =
+                        chunk.iter_mut().map(|slot| (slot.id, &mut *slot.sram)).collect();
+                    outcomes.push((job, populations[job].run_segment(base, &mut pairs)));
+                    rest = tail;
+                }
+                outcomes
+            },
+        );
 
         // Segments come back in item order and chunks within a segment
         // preserve it too, so each job's outcomes land in member order
@@ -747,7 +744,7 @@ impl FleetRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use march::ShardStrategy;
+    use esram_exec::ShardStrategy;
 
     fn mixed_jobs() -> Vec<FleetJob> {
         let mut jobs = Vec::new();

@@ -71,8 +71,8 @@ pub use bisd::{
     DataBackgroundGenerator, DiagnosisKernel, DiagnosisResult, DiagnosisScheme, DrfMode, FastScheme,
     GoldenStore, HuangScheme, MemoryUnderDiagnosis,
 };
+pub use esram_exec::RunToken;
 pub use fault_models::{DefectProfile, FaultClass, FaultInjector, FaultList, FaultUniverse, MemoryFault};
-pub use march::shard::RunToken;
 pub use march::{
     algorithms, DataBackground, FaultSimKernel, MarchSchedule, MarchTest, ShardPlan, ShardStrategy,
 };

@@ -2,9 +2,8 @@
 
 use crate::score::DiagnosisScore;
 use bisd::{DiagnosisResult, MemoryUnderDiagnosis};
+use esram_exec::{CostCalibration, CostDomain, ShardPlan};
 use fault_models::{DefectProfile, FaultClass, FaultInjector};
-use march::shard::{CostCalibration, CostDomain};
-use march::ShardPlan;
 use sram_model::{MemConfig, MemError, MemoryId};
 use std::fmt;
 
@@ -156,13 +155,12 @@ impl SocBuilder {
         }
         let profile = self.defect_profile();
         let calibration = CostCalibration::current();
-        let built: Vec<Result<MemoryUnderDiagnosis, MemError>> =
-            plan.with_domain(CostDomain::SocBuild).map_slots(
-                &self.configs,
-                |_, config| calibration.cost(CostDomain::SocBuild, config.cells()),
-                || (),
-                |_, index, &config| self.build_member(&profile, index, config),
-            );
+        let built: Vec<Result<MemoryUnderDiagnosis, MemError>> = plan.map_slots(
+            &self.configs,
+            |_, config| calibration.cost(CostDomain::SocBuild, config.cells()),
+            || (),
+            |_, index, &config| self.build_member(&profile, index, config),
+        );
         let mut memories = Vec::with_capacity(built.len());
         for member in built {
             memories.push(member?);

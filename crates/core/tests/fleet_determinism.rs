@@ -187,19 +187,19 @@ proptest! {
             })
             .collect();
         let baseline = serial_baseline(&jobs);
-        // Three of the nine strategy × thread combos per case; the
-        // cases jointly cover the grid (same rotation idiom as the
-        // SoC-build determinism suite).
+        // Three of the nine rows per case; the cases jointly cover the
+        // strategy × thread grid, each cost combo twice (same rotation
+        // idiom as the SoC-build determinism suite).
         let combos = [
-            (ShardStrategy::Even, 2usize),
+            (ShardStrategy::Cost, 2usize),
             (ShardStrategy::Cost, 7),
             (ShardStrategy::Steal, 32),
             (ShardStrategy::Steal, 2),
-            (ShardStrategy::Even, 7),
+            (ShardStrategy::Cost, 7),
             (ShardStrategy::Cost, 32),
             (ShardStrategy::Cost, 2),
             (ShardStrategy::Steal, 7),
-            (ShardStrategy::Even, 32),
+            (ShardStrategy::Cost, 32),
         ];
         let rotation = (grid_seed % 3) as usize * 3;
         for &(strategy, threads) in combos[rotation..rotation + 3].iter() {

@@ -19,7 +19,7 @@
 //! `ESRAM_FAILPOINTS="soc.build@member=2:error"` armed.
 
 use esram_diag::{DiagnosisResult, FastScheme, FleetJob, FleetRunner, ShardPlan, ShardStrategy, Soc};
-use march::shard::{failpoint, FailpointGuard, FailpointSet, FAILPOINTS_ENV};
+use esram_exec::{failpoint, FailpointGuard, FailpointSet, FAILPOINTS_ENV};
 
 fn mixed_jobs() -> Vec<FleetJob> {
     let mut jobs = Vec::new();

@@ -20,7 +20,7 @@ use esram_diag::{
     DiagnosisKernel, DiagnosisResult, FastScheme, FleetError, FleetJob, FleetPhase, FleetRunner, JobOutcome,
     RunToken, ShardPlan, ShardStrategy, Soc,
 };
-use march::shard::{failpoint, FailpointGuard};
+use esram_exec::{failpoint, FailpointGuard};
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 7];
 
@@ -261,7 +261,7 @@ fn expired_deadline_fails_globally() {
 #[test]
 fn solo_diagnosis_survives_cancellation_with_resettable_memories() {
     use bisd::DiagError;
-    use march::shard::ExecError;
+    use esram_exec::ExecError;
     let _quiet = FailpointGuard::disabled();
     // The bisd-level fallible path: cancel mid-API, then reuse the very
     // same memories for a clean run — no poisoned state.

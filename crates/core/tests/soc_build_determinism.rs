@@ -76,15 +76,15 @@ proptest! {
         // still costs three sharded builds while the cases jointly
         // cover the full strategy x worker-count grid.
         let combos = [
-            (ShardStrategy::Even, 2usize),
+            (ShardStrategy::Cost, 2usize),
             (ShardStrategy::Cost, 7),
             (ShardStrategy::Steal, 32),
             (ShardStrategy::Steal, 2),
-            (ShardStrategy::Even, 7),
+            (ShardStrategy::Cost, 7),
             (ShardStrategy::Cost, 32),
             (ShardStrategy::Cost, 2),
             (ShardStrategy::Steal, 7),
-            (ShardStrategy::Even, 32),
+            (ShardStrategy::Cost, 32),
         ];
         let rotation = (seed % 3) as usize * 3;
         for &(strategy, threads) in combos[rotation..rotation + 3].iter() {

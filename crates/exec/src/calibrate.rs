@@ -14,17 +14,13 @@
 //! A [`CostCalibration`] table maps each [`CostDomain`] to an affine
 //! model `cost(units) = fixed + unit · units`, in picoseconds, where
 //! `units` is the call site's existing physical measure (rows swept,
-//! data bits, cells). Three sources, selected by [`CALIB_ENV`]:
+//! data bits, cells). [`CALIB_ENV`] selects one of two tables:
 //!
+//! * **measured** (the default) — one committed table of weights
+//!   derived once from benchmark timings (see
+//!   [`CostCalibration::measured`]);
 //! * **hand-tuned** — the pre-calibration constants, kept as the
-//!   reference point ablations compare against;
-//! * **measured** (the default) — weights harvested from the committed
-//!   `BENCH_results.json` ledger at build time, so Cost/Steal
-//!   boundaries track timings actually observed on the benchmark
-//!   machine;
-//! * **online** — measured defaults refined at run time by a
-//!   least-squares fit over observed shard timings, which the executors
-//!   report (only in this mode) via [`record_shard_sample`].
+//!   reference point ablations compare against.
 //!
 //! Calibration influences **shard boundaries only, never results**: the
 //! executors guarantee byte-identical output at any cost model (the
@@ -33,29 +29,16 @@
 //! determinism suites exercise exactly this freedom by sweeping
 //! strategies and worker counts over fixed inputs.
 
-use std::sync::Mutex;
-
 use crate::env;
 
-/// Environment variable selecting the calibration source:
-/// `hand-tuned` (alias `model`, `off`), `measured` (alias `baked`, the
-/// default) or `online`, case-insensitive. A set-but-malformed value
-/// falls back to the default with a one-time warning, like every other
-/// `ESRAM_*` knob.
+/// Environment variable selecting the calibration table: `hand-tuned`
+/// (alias `model`, `off`) or `measured` (alias `baked`, the default),
+/// case-insensitive. A set-but-malformed value falls back to the
+/// default with a one-time warning, like every other `ESRAM_*` knob.
 pub const CALIB_ENV: &str = "ESRAM_COST_CALIB";
 
-/// The committed benchmark ledger the measured defaults are harvested
-/// from (baked in at compile time so the crate stays dependency-free
-/// and the defaults cannot drift from the checked-in numbers).
-const COMMITTED_LEDGER: &str = include_str!("../../../BENCH_results.json");
-
-/// Which subsystem a shard's work items belong to, i.e. which row of
-/// the calibration table prices them.
-///
-/// Tagged onto a [`crate::ShardPlan`] via
-/// [`crate::ShardPlan::with_domain`] by the call sites; the executors
-/// use the tag only to attribute online samples — untagged plans are
-/// never sampled.
+/// Which subsystem a work item belongs to, i.e. which row of the
+/// calibration table prices it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum CostDomain {
     /// March fault simulation; one unit = one row swept (the fault
@@ -66,39 +49,6 @@ pub enum CostDomain {
     Diagnosis,
     /// SoC population construction; one unit = one memory cell.
     SocBuild,
-}
-
-impl CostDomain {
-    /// All domains, in table order.
-    pub fn all() -> [CostDomain; 3] {
-        [CostDomain::FaultSim, CostDomain::Diagnosis, CostDomain::SocBuild]
-    }
-
-    /// Stable lower-case name used in exported calibration tables.
-    pub fn name(&self) -> &'static str {
-        match self {
-            CostDomain::FaultSim => "fault_sim",
-            CostDomain::Diagnosis => "diagnosis",
-            CostDomain::SocBuild => "soc_build",
-        }
-    }
-
-    /// What one unit means physically, for exported tables.
-    pub fn unit_name(&self) -> &'static str {
-        match self {
-            CostDomain::FaultSim => "row_sweep",
-            CostDomain::Diagnosis => "io_bit",
-            CostDomain::SocBuild => "cell",
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            CostDomain::FaultSim => 0,
-            CostDomain::Diagnosis => 1,
-            CostDomain::SocBuild => 2,
-        }
-    }
 }
 
 /// Affine per-item cost model for one domain: `fixed + unit · units`,
@@ -120,16 +70,14 @@ impl DomainWeights {
     }
 }
 
-/// Where a calibration table's weights came from.
+/// Which calibration table is active.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CalibrationMode {
     /// The pre-calibration hand-tuned constants.
     HandTuned,
-    /// Weights harvested from the committed benchmark ledger.
+    /// The committed measured table.
     #[default]
     Measured,
-    /// Measured defaults refined online from observed shard timings.
-    Online,
 }
 
 impl CalibrationMode {
@@ -139,7 +87,6 @@ impl CalibrationMode {
         match raw.trim().to_ascii_lowercase().as_str() {
             "hand-tuned" | "handtuned" | "hand" | "model" | "off" => Some(CalibrationMode::HandTuned),
             "measured" | "baked" => Some(CalibrationMode::Measured),
-            "online" => Some(CalibrationMode::Online),
             _ => None,
         }
     }
@@ -166,18 +113,6 @@ pub struct CostCalibration {
     pub build: DomainWeights,
 }
 
-/// Geometry constants of the benchmark entries the measured weights are
-/// derived from (512 memories of 512 words × 100 bits; the
-/// heterogeneous universe models 360 single-row + 40 full-sweep
-/// faults). Kept here, next to the derivation, so a bench reshape that
-/// invalidates them fails the calibration unit tests instead of
-/// silently skewing the weights.
-const BENCH_POPULATION: u64 = 512;
-const BENCH_WORDS: u64 = 512;
-const BENCH_WIDTH: u64 = 100;
-const HET_UNIVERSE_ROW_UNITS: u64 = 360 + 40 * BENCH_WORDS;
-const BENCH_SCALE_FAULTS: u64 = 256;
-
 impl CostCalibration {
     /// The pre-calibration constants: fault sim charged its pruned row
     /// count, diagnosis charged `io_width + 4`, the builder charged the
@@ -190,83 +125,40 @@ impl CostCalibration {
         }
     }
 
-    /// Weights harvested from the committed `BENCH_results.json`
-    /// (parsed once per process). Falls back to
-    /// [`CostCalibration::hand_tuned`] if the ledger is ever missing
-    /// the needed entries (a fresh ledger regenerated with a renamed
-    /// bench, say) — a worse balance, never an error.
-    pub fn measured() -> Self {
-        use std::sync::OnceLock;
-        static MEASURED: OnceLock<CostCalibration> = OnceLock::new();
-        *MEASURED.get_or_init(|| Self::from_ledger(COMMITTED_LEDGER).unwrap_or_else(Self::hand_tuned))
-    }
-
-    /// Derives a table from benchmark-ledger text.
+    /// The committed measured table, in picoseconds.
     ///
-    /// * `sim.unit` — mean of the heterogeneous whole-universe sweep
-    ///   divided by its modeled row units (360 single-row + 40
-    ///   full-sweep faults).
-    /// * `sim.fixed` — benchmark-scale per-fault mean minus one row
-    ///   unit: the residual setup cost of a mostly-pruned fault
-    ///   (golden reset + injection), a deliberate upper bound since the
-    ///   population holds a few multi-row faults.
-    /// * `diag.unit` — per-bit serial-interface delivery cost from the
-    ///   100-bit PSC serialisation microbench.
-    /// * `diag.fixed` — per-memory mean of the 512-memory sequential
-    ///   diagnosis minus the width's worth of per-bit cost. Measured
-    ///   fixed cost dominates width cost — the single biggest deviation
-    ///   from the hand-tuned `io_width + 4` model.
-    /// * `build.unit` — per-cell cost of the 512-memory sequential SoC
-    ///   build; `build.fixed` stays 0 (construction is cell-dominated).
-    pub fn from_ledger(text: &str) -> Option<Self> {
-        let het_universe = ledger_mean_ns(text, "fault_sim_heterogeneous/whole_universe_sequential")?;
-        let scale_sharded = ledger_mean_ns(text, "fault_sim_throughput/benchmark_scale_sharded")?;
-        let psc_100 = ledger_mean_ns(text, "interface_cycles/psc_serialize_100_bits")?;
-        let diag_512 = ledger_mean_ns(text, "time_models/fast_scheme_diagnose_512mem_sequential")?;
-        let build_512 = ledger_mean_ns(text, "time_models/soc_build_512mem_sequential")?;
-
-        let sim_unit = (het_universe * 1000) / HET_UNIVERSE_ROW_UNITS;
-        let sim_fixed = ((scale_sharded * 1000) / BENCH_SCALE_FAULTS).saturating_sub(sim_unit);
-        let diag_unit = (psc_100 * 1000) / BENCH_WIDTH;
-        let diag_fixed = ((diag_512 * 1000) / BENCH_POPULATION).saturating_sub(diag_unit * BENCH_WIDTH);
-        let build_unit = (build_512 * 1000) / (BENCH_POPULATION * BENCH_WORDS * BENCH_WIDTH);
-
-        // A ledger so skewed that a unit weight rounds to zero would
-        // make every item of the domain free; refuse it.
-        if sim_unit == 0 || diag_unit == 0 || build_unit == 0 {
-            return None;
-        }
-        Some(CostCalibration {
+    /// Derived once from the benchmark ledger's mean timings (1 thread,
+    /// 512 memories of 512 words × 100 bits):
+    ///
+    /// * `sim.unit` — the heterogeneous whole-universe sweep divided by
+    ///   its modeled row units (360 single-row + 40 full-sweep faults);
+    ///   `sim.fixed` — the benchmark-scale per-fault mean minus one row
+    ///   unit, the setup cost of a mostly-pruned fault.
+    /// * `diag.unit` — the 100-bit PSC serialisation per bit;
+    ///   `diag.fixed` — the per-memory sequential diagnosis mean minus
+    ///   the width's worth of per-bit cost. Fixed cost dominating width
+    ///   cost is the biggest departure from the hand-tuned model.
+    /// * `build.unit` — the per-cell sequential SoC build; construction
+    ///   is cell-dominated, so `build.fixed` is 0.
+    pub const fn measured() -> Self {
+        CostCalibration {
             sim: DomainWeights {
-                fixed: sim_fixed,
-                unit: sim_unit,
+                fixed: 389_807,
+                unit: 1_194_837,
             },
             diag: DomainWeights {
-                fixed: diag_fixed,
-                unit: diag_unit,
+                fixed: 6_821_638,
+                unit: 9_170,
             },
-            build: DomainWeights {
-                fixed: 0,
-                unit: build_unit,
-            },
-        })
+            build: DomainWeights { fixed: 0, unit: 65 },
+        }
     }
 
-    /// The active table per [`CALIB_ENV`]: hand-tuned, measured, or
-    /// measured overlaid with any online-refined domains.
+    /// The table selected by [`CALIB_ENV`].
     pub fn current() -> Self {
         match CalibrationMode::from_env() {
             CalibrationMode::HandTuned => Self::hand_tuned(),
             CalibrationMode::Measured => Self::measured(),
-            CalibrationMode::Online => {
-                let mut table = Self::measured();
-                for domain in CostDomain::all() {
-                    if let Some(weights) = refined_weights(domain) {
-                        *table.weights_mut(domain) = weights;
-                    }
-                }
-                table
-            }
         }
     }
 
@@ -279,40 +171,9 @@ impl CostCalibration {
         }
     }
 
-    fn weights_mut(&mut self, domain: CostDomain) -> &mut DomainWeights {
-        match domain {
-            CostDomain::FaultSim => &mut self.sim,
-            CostDomain::Diagnosis => &mut self.diag,
-            CostDomain::SocBuild => &mut self.build,
-        }
-    }
-
     /// Prices an item of `units` size in the given domain.
     pub fn cost(&self, domain: CostDomain, units: u64) -> u64 {
         self.weights(domain).cost(units)
-    }
-
-    /// Serialises the table for the CI calibration artifact (stable
-    /// hand-rolled JSON; the crate deliberately has no dependencies).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"calibration\": [\n");
-        for (index, domain) in CostDomain::all().into_iter().enumerate() {
-            let weights = self.weights(domain);
-            out.push_str(&format!(
-                "    {{\"domain\": \"{}\", \"unit\": \"{}\", \"fixed_ps\": {}, \"unit_ps\": {}}}{}\n",
-                domain.name(),
-                domain.unit_name(),
-                weights.fixed,
-                weights.unit,
-                if index + 1 < CostDomain::all().len() {
-                    ","
-                } else {
-                    ""
-                }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
     }
 }
 
@@ -321,108 +182,6 @@ impl Default for CostCalibration {
     fn default() -> Self {
         Self::current()
     }
-}
-
-/// Extracts `mean_ns` for a named entry from benchmark-ledger text
-/// (the fixed `{"name": ..., "mean_ns": ...}` shape the bench harness
-/// writes; scanned textually to keep the crate dependency-free).
-fn ledger_mean_ns(text: &str, name: &str) -> Option<u64> {
-    let needle = format!("\"name\": \"{name}\"");
-    let at = text.find(&needle)? + needle.len();
-    let rest = &text[at..];
-    let mean_at = rest.find("\"mean_ns\":")? + "\"mean_ns\":".len();
-    let digits: String = rest[mean_at..]
-        .chars()
-        .skip_while(|c| c.is_whitespace())
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
-}
-
-/// Running sums for the per-domain least-squares fit
-/// `elapsed_ns ≈ a · items + b · units` over observed shard timings.
-#[derive(Debug, Clone, Copy, Default)]
-struct SampleSums {
-    count: u64,
-    ii: f64,
-    iu: f64,
-    uu: f64,
-    in_: f64,
-    un: f64,
-}
-
-const ZERO_SUMS: SampleSums = SampleSums {
-    count: 0,
-    ii: 0.0,
-    iu: 0.0,
-    uu: 0.0,
-    in_: 0.0,
-    un: 0.0,
-};
-
-static SAMPLES: Mutex<[SampleSums; 3]> = Mutex::new([ZERO_SUMS; 3]);
-
-/// Records one observed shard timing for the online sampler: a shard of
-/// `items` work items totalling `units` domain units took `elapsed_ns`.
-/// Called by the executors for plans tagged with a domain, and only
-/// when [`CALIB_ENV`] selects online mode; also available to external
-/// harnesses feeding their own timings.
-pub fn record_shard_sample(domain: CostDomain, items: u64, units: u64, elapsed_ns: u64) {
-    if items == 0 {
-        return;
-    }
-    let mut samples = SAMPLES.lock().expect("calibration sample store poisoned");
-    let sums = &mut samples[domain.index()];
-    let (i, u, n) = (items as f64, units as f64, elapsed_ns as f64);
-    sums.count += 1;
-    sums.ii += i * i;
-    sums.iu += i * u;
-    sums.uu += u * u;
-    sums.in_ += i * n;
-    sums.un += u * n;
-}
-
-/// Number of shard samples recorded for a domain in this process.
-pub fn observed_shard_samples(domain: CostDomain) -> u64 {
-    SAMPLES.lock().expect("calibration sample store poisoned")[domain.index()].count
-}
-
-/// Discards all recorded samples (test isolation).
-pub fn reset_shard_samples() {
-    let mut samples = SAMPLES.lock().expect("calibration sample store poisoned");
-    *samples = [SampleSums::default(); 3];
-}
-
-/// Solves the 2×2 normal equations for `(fixed, unit)` in ns/item and
-/// ns/unit, returning picosecond weights. `None` until at least two
-/// samples exist or while the system is too degenerate to solve (e.g.
-/// all samples collinear with zero determinant *and* zero unit mass).
-fn refined_weights(domain: CostDomain) -> Option<DomainWeights> {
-    let sums = SAMPLES.lock().expect("calibration sample store poisoned")[domain.index()];
-    if sums.count < 2 {
-        return None;
-    }
-    let det = sums.ii * sums.uu - sums.iu * sums.iu;
-    let (fixed_ns, unit_ns) = if det.abs() > 1e-9 * sums.ii.max(1.0) * sums.uu.max(1.0) {
-        (
-            (sums.in_ * sums.uu - sums.un * sums.iu) / det,
-            (sums.ii * sums.un - sums.iu * sums.in_) / det,
-        )
-    } else if sums.uu > 0.0 {
-        // Collinear samples (e.g. constant units-per-item): attribute
-        // everything to the unit weight.
-        (0.0, sums.un / sums.uu)
-    } else if sums.ii > 0.0 {
-        (sums.in_ / sums.ii, 0.0)
-    } else {
-        return None;
-    };
-    let fixed = (fixed_ns.max(0.0) * 1000.0).round() as u64;
-    let unit = (unit_ns.max(0.0) * 1000.0).round() as u64;
-    if fixed == 0 && unit == 0 {
-        return None;
-    }
-    Some(DomainWeights { fixed, unit })
 }
 
 #[cfg(test)]
@@ -442,41 +201,29 @@ mod tests {
     }
 
     #[test]
-    fn measured_weights_parse_from_the_committed_ledger() {
+    fn measured_table_pins_the_committed_weights() {
         let table = CostCalibration::measured();
-        assert_ne!(
-            table,
-            CostCalibration::hand_tuned(),
-            "ledger must actually be used"
+        assert_eq!(
+            table.sim,
+            DomainWeights {
+                fixed: 389_807,
+                unit: 1_194_837
+            }
         );
-        for domain in CostDomain::all() {
-            assert!(table.weights(domain).unit > 0, "{domain:?} unit weight");
-        }
+        assert_eq!(
+            table.diag,
+            DomainWeights {
+                fixed: 6_821_638,
+                unit: 9_170
+            }
+        );
+        assert_eq!(table.build, DomainWeights { fixed: 0, unit: 65 });
         // The per-memory fixed cost dominating the per-bit cost is the
         // point of measuring: a 100-bit memory is nowhere near 100×
         // cheaper than nothing.
         assert!(table.diag.fixed > table.diag.unit * 100);
         // A full-sweep 512-word fault must still dwarf a pruned one.
-        let pruned = table.cost(CostDomain::FaultSim, 1);
-        let full = table.cost(CostDomain::FaultSim, 512);
-        assert!(full > pruned * 20);
-    }
-
-    #[test]
-    fn from_ledger_rejects_incomplete_ledgers() {
-        assert_eq!(CostCalibration::from_ledger(""), None);
-        assert_eq!(CostCalibration::from_ledger("{\"benches\": []}"), None);
-    }
-
-    #[test]
-    fn ledger_scan_extracts_mean_ns() {
-        let text = r#"{"benches": [
-            {"name": "a/b", "mean_ns": 123, "min_ns": 100, "samples": 10},
-            {"name": "c/d", "mean_ns": 456, "min_ns": 400, "samples": 10}
-        ]}"#;
-        assert_eq!(ledger_mean_ns(text, "a/b"), Some(123));
-        assert_eq!(ledger_mean_ns(text, "c/d"), Some(456));
-        assert_eq!(ledger_mean_ns(text, "e/f"), None);
+        assert!(table.cost(CostDomain::FaultSim, 512) > table.cost(CostDomain::FaultSim, 1) * 20);
     }
 
     #[test]
@@ -490,53 +237,8 @@ mod tests {
             Some(CalibrationMode::HandTuned)
         );
         assert_eq!(CalibrationMode::parse("OFF"), Some(CalibrationMode::HandTuned));
-        assert_eq!(CalibrationMode::parse("online"), Some(CalibrationMode::Online));
+        assert_eq!(CalibrationMode::parse("online"), None);
         assert_eq!(CalibrationMode::parse("onlien"), None);
         assert_eq!(CalibrationMode::parse(""), None);
-    }
-
-    #[test]
-    fn online_fit_recovers_known_weights() {
-        reset_shard_samples();
-        // Synthesise shards obeying elapsed = 5·items + 3·units ns with
-        // varying items/units mixes (so the system is well-posed).
-        for (items, units) in [(1u64, 10u64), (2, 10), (4, 100), (8, 20), (16, 400)] {
-            record_shard_sample(CostDomain::SocBuild, items, units, 5 * items + 3 * units);
-        }
-        let weights = refined_weights(CostDomain::SocBuild).expect("fit must converge");
-        assert_eq!(weights.fixed, 5_000, "per-item ns → ps");
-        assert_eq!(weights.unit, 3_000, "per-unit ns → ps");
-        reset_shard_samples();
-    }
-
-    #[test]
-    fn online_fit_requires_two_samples_and_handles_collinearity() {
-        reset_shard_samples();
-        assert_eq!(refined_weights(CostDomain::FaultSim), None);
-        record_shard_sample(CostDomain::FaultSim, 4, 40, 400);
-        assert_eq!(
-            refined_weights(CostDomain::FaultSim),
-            None,
-            "one sample is not a fit"
-        );
-        // Second sample is collinear (units = 10 × items): the fit
-        // degrades to a pure unit weight instead of dividing by a ~0
-        // determinant.
-        record_shard_sample(CostDomain::FaultSim, 8, 80, 800);
-        let weights = refined_weights(CostDomain::FaultSim).expect("collinear fallback");
-        assert_eq!(weights.fixed, 0);
-        assert_eq!(weights.unit, 10_000);
-        reset_shard_samples();
-    }
-
-    #[test]
-    fn json_export_names_every_domain() {
-        let json = CostCalibration::measured().to_json();
-        for domain in CostDomain::all() {
-            assert!(json.contains(domain.name()), "{json}");
-            assert!(json.contains(domain.unit_name()), "{json}");
-        }
-        assert!(json.contains("fixed_ps"));
-        assert!(json.contains("unit_ps"));
     }
 }

@@ -36,9 +36,8 @@
 //! ([`ItemFault`]), the worker's scratch state is rebuilt, and every
 //! surviving slot stays byte-identical to the sequential map.
 
-use crate::calibrate::{self, CalibrationMode, CostDomain};
 use crate::error::{panic_payload, ExecError, ItemFault};
-use crate::plan::{block_ranges, cost_ranges, even_ranges, ShardPlan, ShardStrategy};
+use crate::plan::{block_ranges, cost_ranges, ShardPlan, ShardStrategy};
 use crate::token::RunToken;
 use std::any::Any;
 use std::ops::Range;
@@ -115,109 +114,7 @@ fn record_failure(shared: &Mutex<Option<RawFailure>>, candidate: RawFailure) {
     keep_worst(&mut slot, candidate);
 }
 
-/// Observes shard timings for the online cost calibrator.
-///
-/// Inert (a `None` domain, zero-cost checks) unless the plan is tagged
-/// with a [`CostDomain`] *and* [`CalibrationMode::Online`] is selected;
-/// when active, each shard/block execution is timed and reported via
-/// [`calibrate::record_shard_sample`]. Sampling never touches results
-/// — it only feeds the weights future partitions are balanced by.
-#[derive(Clone, Copy)]
-struct ShardSampler {
-    domain: Option<CostDomain>,
-}
-
-impl ShardSampler {
-    fn for_plan(plan: &ShardPlan) -> Self {
-        ShardSampler {
-            domain: plan
-                .domain()
-                .filter(|_| CalibrationMode::from_env() == CalibrationMode::Online),
-        }
-    }
-
-    fn active(&self) -> bool {
-        self.domain.is_some()
-    }
-
-    /// Sums per-item cost units over an index range, only when active
-    /// (the cost closure is otherwise not consulted more than the
-    /// strategy itself requires).
-    fn units_over(&self, range: Range<usize>, mut cost_of: impl FnMut(usize) -> u64) -> u64 {
-        if !self.active() {
-            return 0;
-        }
-        range.fold(0u64, |acc, index| acc.saturating_add(cost_of(index)))
-    }
-
-    /// Runs a shard's work, recording `(items, units, elapsed)` when
-    /// active.
-    fn observe<R>(&self, items: usize, units: u64, run: impl FnOnce() -> R) -> R {
-        match self.domain {
-            None => run(),
-            Some(domain) => {
-                let started = std::time::Instant::now();
-                let result = run();
-                let elapsed = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-                calibrate::record_shard_sample(domain, items as u64, units, elapsed);
-                result
-            }
-        }
-    }
-}
-
-/// Per-item cost estimate used by [`ShardStrategy::Cost`] (and by the
-/// block-stealing critical-path model in benches).
-///
-/// Costs are relative weights, not absolute times: only their ratios
-/// steer the partition. Implement it on items whose cost is intrinsic
-/// and run them through [`ShardPlan::map_slots_costed`] /
-/// [`ShardPlan::run_segments_costed`]; call sites whose cost needs
-/// outside context (a geometry, a golden-run verdict) pass a closure to
-/// [`ShardPlan::map_slots`] / [`ShardPlan::run_segments`] instead.
-pub trait WorkCost {
-    /// Estimated relative cost of processing this item.
-    fn cost(&self) -> u64;
-}
-
-impl<T: WorkCost> WorkCost for &T {
-    fn cost(&self) -> u64 {
-        (*self).cost()
-    }
-}
-
 impl ShardPlan {
-    /// [`ShardPlan::map_slots`] for items whose cost is intrinsic: the
-    /// per-item estimate comes from the [`WorkCost`] implementation
-    /// instead of a closure.
-    pub fn map_slots_costed<T, S, R>(
-        &self,
-        items: &[T],
-        init: impl Fn() -> S + Sync,
-        work: impl Fn(&mut S, usize, &T) -> R + Sync,
-    ) -> Vec<R>
-    where
-        T: WorkCost + Sync,
-        R: Send,
-    {
-        self.map_slots(items, |_, item| item.cost(), init, work)
-    }
-
-    /// [`ShardPlan::run_segments`] for items whose cost is intrinsic:
-    /// the per-item estimate comes from the [`WorkCost`] implementation
-    /// instead of a closure.
-    pub fn run_segments_costed<T, R>(
-        &self,
-        items: &mut [T],
-        work: impl Fn(usize, &mut [T]) -> R + Sync,
-    ) -> Vec<R>
-    where
-        T: WorkCost + Send,
-        R: Send,
-    {
-        self.run_segments(items, |_, item| item.cost(), work)
-    }
-
     /// Maps every item to one output slot, deterministically, with one
     /// scratch state per worker.
     ///
@@ -346,21 +243,17 @@ impl ShardPlan {
         if items.is_empty() {
             return Ok(Vec::new());
         }
-        let sampler = ShardSampler::for_plan(self);
         // One shard's (or block's) contained run: panics are caught and
         // tagged with the unit index; the token is checked per item.
         let run_range = |shard: usize, range: Range<usize>| -> Result<Vec<R>, RawFailure> {
             let caught = catch_unwind(AssertUnwindSafe(|| -> Result<Vec<R>, RawFailure> {
-                let units = sampler.units_over(range.clone(), |index| cost(index, &items[index]));
-                sampler.observe(range.len(), units, || {
-                    let mut state = init();
-                    let mut results = Vec::with_capacity(range.len());
-                    for index in range.clone() {
-                        token.check().map_err(RawFailure::from_exec)?;
-                        results.push(work(&mut state, index, &items[index]));
-                    }
-                    Ok(results)
-                })
+                let mut state = init();
+                let mut results = Vec::with_capacity(range.len());
+                for index in range.clone() {
+                    token.check().map_err(RawFailure::from_exec)?;
+                    results.push(work(&mut state, index, &items[index]));
+                }
+                Ok(results)
             }));
             match caught {
                 Ok(result) => result,
@@ -371,7 +264,7 @@ impl ShardPlan {
             return run_range(0, 0..items.len());
         }
         match self.strategy() {
-            ShardStrategy::Even | ShardStrategy::Cost => {
+            ShardStrategy::Cost => {
                 let ranges = self.contiguous_ranges(items.len(), |index| cost(index, &items[index]));
                 if ranges.len() <= 1 {
                     return run_range(0, 0..items.len());
@@ -442,15 +335,11 @@ impl ShardPlan {
                                 }
                                 let caught = catch_unwind(AssertUnwindSafe(|| {
                                     let state = state.get_or_insert_with(&init);
-                                    let units =
-                                        sampler.units_over(block.clone(), |index| cost(index, &items[index]));
-                                    sampler.observe(block.len(), units, || {
-                                        items[block.clone()]
-                                            .iter()
-                                            .zip(block.clone())
-                                            .map(|(item, index)| work(state, index, item))
-                                            .collect::<Vec<R>>()
-                                    })
+                                    items[block.clone()]
+                                        .iter()
+                                        .zip(block.clone())
+                                        .map(|(item, index)| work(state, index, item))
+                                        .collect::<Vec<R>>()
                                 }));
                                 match caught {
                                     Ok(results) => {
@@ -569,35 +458,22 @@ impl ShardPlan {
         if items.is_empty() {
             return Ok(Vec::new());
         }
-        let sampler = ShardSampler::for_plan(self);
         // One segment's contained run: the token gates entry, the work
         // itself runs under catch_unwind.
-        let run_segment =
-            |shard: usize, base: usize, segment: &mut [T], units: u64| -> Result<R, RawFailure> {
-                token.check().map_err(RawFailure::from_exec)?;
-                let len = segment.len();
-                catch_unwind(AssertUnwindSafe(|| {
-                    sampler.observe(len, units, || work(base, segment))
-                }))
+        let run_segment = |shard: usize, base: usize, segment: &mut [T]| -> Result<R, RawFailure> {
+            token.check().map_err(RawFailure::from_exec)?;
+            catch_unwind(AssertUnwindSafe(|| work(base, segment)))
                 .map_err(|payload| RawFailure::Panic { shard, payload })
-            };
+        };
         if self.shard_count(items.len()) <= 1 {
-            let units = sampler.units_over(0..items.len(), |index| cost(index, &items[index]));
-            return Ok(vec![run_segment(0, 0, items, units)?]);
+            return Ok(vec![run_segment(0, 0, items)?]);
         }
         match self.strategy() {
-            ShardStrategy::Even | ShardStrategy::Cost => {
+            ShardStrategy::Cost => {
                 let ranges = self.contiguous_ranges(items.len(), |index| cost(index, &items[index]));
                 if ranges.len() <= 1 {
-                    let units = sampler.units_over(0..items.len(), |index| cost(index, &items[index]));
-                    return Ok(vec![run_segment(0, 0, items, units)?]);
+                    return Ok(vec![run_segment(0, 0, items)?]);
                 }
-                // Per-range units are summed before the mutable split
-                // below makes the items unreadable through `cost`.
-                let range_units: Vec<u64> = ranges
-                    .iter()
-                    .map(|range| sampler.units_over(range.clone(), |index| cost(index, &items[index])))
-                    .collect();
                 let mut segments: Vec<(usize, &mut [T])> = Vec::with_capacity(ranges.len());
                 let mut rest = items;
                 for range in &ranges {
@@ -608,11 +484,10 @@ impl ShardPlan {
                 std::thread::scope(|scope| {
                     let workers: Vec<_> = segments
                         .into_iter()
-                        .zip(range_units)
                         .enumerate()
-                        .map(|(shard, ((base, segment), units))| {
+                        .map(|(shard, (base, segment))| {
                             let run_segment = &run_segment;
-                            scope.spawn(move || run_segment(shard, base, segment, units))
+                            scope.spawn(move || run_segment(shard, base, segment))
                         })
                         .collect();
                     let mut merged = Vec::with_capacity(workers.len());
@@ -632,14 +507,6 @@ impl ShardPlan {
             }
             ShardStrategy::Steal => {
                 let block_size = self.block_size();
-                let block_units: Vec<u64> = if sampler.active() {
-                    block_ranges(items.len(), block_size)
-                        .into_iter()
-                        .map(|range| sampler.units_over(range, |index| cost(index, &items[index])))
-                        .collect()
-                } else {
-                    Vec::new()
-                };
                 let blocks: Vec<ClaimableBlock<'_, T>> = items
                     .chunks_mut(block_size)
                     .enumerate()
@@ -653,8 +520,7 @@ impl ShardPlan {
                             .into_inner()
                             .unwrap_or_else(PoisonError::into_inner)
                             .expect("block present");
-                        let units = block_units.get(index).copied().unwrap_or(0);
-                        merged.push(run_segment(index, base, segment, units)?);
+                        merged.push(run_segment(index, base, segment)?);
                     }
                     return Ok(merged);
                 }
@@ -675,8 +541,7 @@ impl ShardPlan {
                                 .unwrap_or_else(PoisonError::into_inner)
                                 .take()
                                 .expect("each block is claimed exactly once");
-                            let units = block_units.get(claimed).copied().unwrap_or(0);
-                            match run_segment(claimed, base, segment, units) {
+                            match run_segment(claimed, base, segment) {
                                 Ok(result) => {
                                     *slots[claimed].lock().unwrap_or_else(PoisonError::into_inner) =
                                         Some(result);
@@ -705,19 +570,15 @@ impl ShardPlan {
         }
     }
 
-    /// The contiguous partition the plan would use for `len` items
-    /// under its strategy, with empty ranges (possible when one item
-    /// dominates the cost total) dropped.
+    /// The cost-balanced contiguous partition for `len` items, with
+    /// empty ranges (possible when one item dominates the cost total)
+    /// dropped.
     fn contiguous_ranges(&self, len: usize, cost_of: impl Fn(usize) -> u64) -> Vec<Range<usize>> {
-        let ranges = match self.strategy() {
-            ShardStrategy::Even => even_ranges(len, self.shard_count(len)),
-            ShardStrategy::Cost => {
-                let costs: Vec<u64> = (0..len).map(cost_of).collect();
-                cost_ranges(&costs, self.shard_count(len))
-            }
-            ShardStrategy::Steal => unreachable!("stealing does not use contiguous shard ranges"),
-        };
-        ranges.into_iter().filter(|range| !range.is_empty()).collect()
+        let costs: Vec<u64> = (0..len).map(cost_of).collect();
+        cost_ranges(&costs, self.shard_count(len))
+            .into_iter()
+            .filter(|range| !range.is_empty())
+            .collect()
     }
 }
 
@@ -804,30 +665,6 @@ mod tests {
     }
 
     #[test]
-    fn costed_entry_points_use_the_intrinsic_work_cost() {
-        struct Job(u64);
-        impl crate::executor::WorkCost for Job {
-            fn cost(&self) -> u64 {
-                self.0
-            }
-        }
-        let jobs: Vec<Job> = (0..40).map(|i| Job(if i < 36 { 1 } else { 100 })).collect();
-        let expected: Vec<u64> = jobs.iter().map(|job| job.0 * 2).collect();
-        for plan in plans() {
-            let mapped = plan.map_slots_costed(&jobs, || (), |_, _, job| job.0 * 2);
-            assert_eq!(mapped, expected, "costed map diverged under {plan}");
-            let mut working: Vec<Job> = (0..40).map(|i| Job(if i < 36 { 1 } else { 100 })).collect();
-            let segments = plan.run_segments_costed(&mut working, |base, segment| (base, segment.len()));
-            let mut next = 0;
-            for (base, len) in segments {
-                assert_eq!(base, next, "costed segments out of order under {plan}");
-                next += len;
-            }
-            assert_eq!(next, jobs.len());
-        }
-    }
-
-    #[test]
     fn tiny_block_sizes_still_merge_in_item_order() {
         let items: Vec<u64> = (0..31).collect();
         for block_size in [1, 2, 3, 16, 100] {
@@ -852,7 +689,7 @@ mod tests {
         // abort hazard. Now both are caught, both joined, and the
         // lowest shard is reported as a value.
         let items: Vec<u64> = (0..8).collect();
-        let plan = ShardPlan::with_threads(2).with_strategy(ShardStrategy::Even);
+        let plan = ShardPlan::with_threads(2).with_strategy(ShardStrategy::Cost);
         let token = RunToken::new();
         let result = plan.try_map_slots(
             &token,

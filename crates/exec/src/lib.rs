@@ -10,13 +10,11 @@
 //! * [`ShardPlan`] carries the tunables: worker count
 //!   ([`THREADS_ENV`] overridable), scheduling strategy
 //!   ([`SCHED_ENV`] overridable) and the stealing block size.
-//! * [`ShardStrategy::Even`] splits items into contiguous equal-count
-//!   chunks (the pre-executor behaviour).
-//! * [`ShardStrategy::Cost`] splits items into contiguous chunks whose
-//!   *estimated cost* is balanced: callers supply a per-item cost (the
-//!   [`WorkCost`] trait, or any closure) and the chunk boundaries are
-//!   computed once from prefix sums — the partition is a pure function
-//!   of the item costs and the shard count.
+//! * [`ShardStrategy::Cost`] (the default) splits items into contiguous
+//!   chunks whose *estimated cost* is balanced: callers supply a
+//!   per-item cost closure and the chunk boundaries are computed once
+//!   from prefix sums — the partition is a pure function of the item
+//!   costs and the shard count.
 //! * [`ShardStrategy::Steal`] claims fixed-size blocks from a shared
 //!   atomic counter. Which worker runs which block is scheduling noise;
 //!   every block's results are written into a pre-sized slot, and the
@@ -46,11 +44,11 @@
 //!
 //! * [`env`] centralises the `ESRAM_*` knob parsing (warn-once fallback
 //!   on malformed values) so every knob shares one discipline.
-//! * [`calibrate`] prices work items: a [`CostCalibration`] table maps
-//!   each [`CostDomain`] (fault sim, diagnosis, SoC build) to measured
-//!   `fixed + unit · units` picosecond weights, replacing the old
-//!   hand-tuned per-call-site constants. Calibration moves shard
-//!   *boundaries* only — results are byte-identical under any table.
+//! * [`calibrate`] prices work items: one committed [`CostCalibration`]
+//!   table maps each [`CostDomain`] (fault sim, diagnosis, SoC build)
+//!   to `fixed + unit · units` picosecond weights derived once from
+//!   benchmark timings. Calibration moves shard *boundaries* only —
+//!   results are byte-identical under any table.
 //! * [`failpoint`] deterministically injects panics/errors/delays at
 //!   named sites ([`FAILPOINTS_ENV`], e.g. `diag.segment@job=3:panic`),
 //!   zero-cost when unset — the substrate for the chaos test suites.
@@ -71,7 +69,6 @@ pub use env::{
     parse_spec_out, spec_out_from_env, EnvFallback, FaultSimKernel, FAULTSIM_KERNEL_ENV, SPEC_OUT_ENV,
 };
 pub use error::{panic_payload, ExecError, ItemFault};
-pub use executor::WorkCost;
 pub use failpoint::{FailAction, Failpoint, FailpointGuard, FailpointSet, InjectedFailure, FAILPOINTS_ENV};
 pub use plan::{
     block_ranges, cost_ranges, even_ranges, steal_schedule, ShardPlan, ShardStrategy, DEFAULT_BLOCK_SIZE,

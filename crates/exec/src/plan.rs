@@ -12,7 +12,6 @@
 use std::fmt;
 use std::ops::Range;
 
-use crate::calibrate::CostDomain;
 use crate::env::{self, EnvFallback};
 
 /// Environment variable overriding the default worker count used by
@@ -21,8 +20,7 @@ use crate::env::{self, EnvFallback};
 pub const THREADS_ENV: &str = "ESRAM_DIAG_THREADS";
 
 /// Environment variable overriding the default scheduling strategy used
-/// by [`ShardPlan::from_env`]: `even`, `cost` or `steal`
-/// (case-insensitive). Unrecognised values fall back to the default
+/// by [`ShardPlan::from_env`]: `cost` or `steal` (case-insensitive). Unrecognised values fall back to the default
 /// ([`ShardStrategy::Cost`]).
 pub const SCHED_ENV: &str = "ESRAM_DIAG_SCHED";
 
@@ -38,13 +36,10 @@ pub const DEFAULT_BLOCK_SIZE: usize = 16;
 /// when item costs are heterogeneous.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardStrategy {
-    /// Contiguous chunks of equal item *count* (the pre-executor
-    /// behaviour). Loses when expensive items cluster.
-    Even,
     /// Contiguous chunks of balanced estimated *cost*: boundaries are
     /// computed once from prefix sums of the caller's per-item costs,
     /// so the partition is a pure function of the item list and the
-    /// shard count.
+    /// shard count. Uniform costs give near-equal item counts.
     #[default]
     Cost,
     /// Deterministic block-stealing: fixed-size blocks claimed from a
@@ -55,11 +50,10 @@ pub enum ShardStrategy {
 }
 
 impl ShardStrategy {
-    /// Parses an environment-variable value (`even` / `cost` / `steal`,
+    /// Parses an environment-variable value (`cost` / `steal`,
     /// case-insensitive, surrounding whitespace ignored).
     pub fn parse(raw: &str) -> Option<Self> {
         match raw.trim().to_ascii_lowercase().as_str() {
-            "even" => Some(ShardStrategy::Even),
             "cost" => Some(ShardStrategy::Cost),
             "steal" => Some(ShardStrategy::Steal),
             _ => None,
@@ -67,15 +61,14 @@ impl ShardStrategy {
     }
 
     /// All strategies, for determinism sweeps.
-    pub fn all() -> [ShardStrategy; 3] {
-        [ShardStrategy::Even, ShardStrategy::Cost, ShardStrategy::Steal]
+    pub fn all() -> [ShardStrategy; 2] {
+        [ShardStrategy::Cost, ShardStrategy::Steal]
     }
 }
 
 impl fmt::Display for ShardStrategy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ShardStrategy::Even => write!(f, "even"),
             ShardStrategy::Cost => write!(f, "cost"),
             ShardStrategy::Steal => write!(f, "steal"),
         }
@@ -93,7 +86,6 @@ pub struct ShardPlan {
     threads: usize,
     strategy: ShardStrategy,
     block_size: usize,
-    domain: Option<CostDomain>,
 }
 
 impl ShardPlan {
@@ -109,7 +101,6 @@ impl ShardPlan {
             threads: threads.max(1),
             strategy: ShardStrategy::default(),
             block_size: DEFAULT_BLOCK_SIZE,
-            domain: None,
         }
     }
 
@@ -183,21 +174,6 @@ impl ShardPlan {
     /// The scheduling strategy.
     pub fn strategy(&self) -> ShardStrategy {
         self.strategy
-    }
-
-    /// Tags the plan with the cost domain its items belong to, so the
-    /// executors can attribute shard timings to the right calibration
-    /// row when the online sampler is active. Purely observational: the
-    /// tag never influences partitioning or results, and untagged plans
-    /// are simply never sampled.
-    pub fn with_domain(mut self, domain: CostDomain) -> Self {
-        self.domain = Some(domain);
-        self
-    }
-
-    /// The cost domain the plan's items belong to, if tagged.
-    pub fn domain(&self) -> Option<CostDomain> {
-        self.domain
     }
 
     /// The stealing block size.
@@ -386,10 +362,13 @@ mod tests {
 
     #[test]
     fn strategy_parses_case_insensitively() {
-        assert_eq!(ShardStrategy::parse(" Even "), Some(ShardStrategy::Even));
+        assert_eq!(ShardStrategy::parse(" Cost "), Some(ShardStrategy::Cost));
         assert_eq!(ShardStrategy::parse("COST"), Some(ShardStrategy::Cost));
         assert_eq!(ShardStrategy::parse("steal"), Some(ShardStrategy::Steal));
         assert_eq!(ShardStrategy::parse("work-stealing"), None);
+        // No `even` strategy: cost partitioning over uniform costs
+        // already balances item counts.
+        assert_eq!(ShardStrategy::parse("even"), None);
         for strategy in ShardStrategy::all() {
             assert_eq!(ShardStrategy::parse(&strategy.to_string()), Some(strategy));
         }

@@ -67,9 +67,9 @@ fn ambient_faultsim_kernel_knob_is_well_formed() {
 
 #[test]
 fn ambient_calibration_knob_is_well_formed() {
-    // Same guard for the cost-calibration mode: a matrix entry like
-    // `ESRAM_COST_CALIB=onlien` must fail this test loudly instead of
-    // silently running the measured default under an online label.
+    // Same guard for the cost-calibration mode: a matrix entry naming a
+    // retired mode like `ESRAM_COST_CALIB=online` must fail this test
+    // loudly instead of silently running the measured default.
     if let Ok(raw) = std::env::var(CALIB_ENV) {
         assert!(
             CalibrationMode::parse(&raw).is_some(),

@@ -61,7 +61,7 @@ use crate::coverage::CoverageReport;
 use crate::engine::{FailureRecord, MarchRunner, RunOutcome};
 use crate::ops::{AddressOrder, MarchOp, MarchTest};
 use crate::schedule::{MarchSchedule, SchedulePatterns, SchedulePhase};
-use crate::shard::{failpoint, CostCalibration, CostDomain, ExecError, FaultSimKernel, RunToken, ShardPlan};
+use esram_exec::{failpoint, CostCalibration, CostDomain, ExecError, FaultSimKernel, RunToken, ShardPlan};
 use fault_models::{FaultList, MemoryFault};
 use sram_model::{Address, CellFault, FailingBits, LanePlanes, MemConfig, Sram};
 use std::collections::BTreeMap;
@@ -481,7 +481,7 @@ impl FaultSimulator {
 
     /// Simulates every fault of a universe against a schedule with the
     /// default [`ShardPlan`] (available cores, overridable through the
-    /// [`crate::shard::THREADS_ENV`] environment variable). Outcomes are
+    /// [`esram_exec::THREADS_ENV`] environment variable). Outcomes are
     /// returned in exact universe order regardless of the plan.
     pub fn simulate_universe(&self, schedule: &MarchSchedule, universe: &FaultList) -> Vec<FaultSimOutcome> {
         self.simulate_universe_with(ShardPlan::default(), schedule, universe)
@@ -521,7 +521,7 @@ impl FaultSimulator {
         universe: &FaultList,
     ) -> Vec<FaultSimOutcome> {
         let calibration = CostCalibration::current();
-        plan.with_domain(CostDomain::FaultSim).map_slots(
+        plan.map_slots(
             universe.as_slice(),
             |_, fault| calibration.cost(CostDomain::FaultSim, self.fault_cost(prep.golden_passed, fault)),
             || Sram::new(self.config),
@@ -539,7 +539,7 @@ impl FaultSimulator {
     ) -> Vec<FaultSimOutcome> {
         let lane_plan = self.lane_plan(prep.golden_passed, universe);
         let calibration = CostCalibration::current();
-        let item_outcomes = plan.with_domain(CostDomain::FaultSim).map_slots(
+        let item_outcomes = plan.map_slots(
             &lane_plan.work,
             |_, &work| {
                 calibration.cost(
@@ -588,7 +588,7 @@ impl FaultSimulator {
     ) -> Result<Vec<FaultSimOutcome>, ExecError> {
         let prep = self.prepare(schedule);
         let calibration = CostCalibration::current();
-        plan.with_domain(CostDomain::FaultSim).try_map_slots(
+        plan.try_map_slots(
             token,
             universe.as_slice(),
             |_, fault| calibration.cost(CostDomain::FaultSim, self.fault_cost(prep.golden_passed, fault)),
@@ -640,7 +640,7 @@ impl FaultSimulator {
             .flat_map(|(job_index, lane_plan)| lane_plan.work.iter().map(move |&work| (job_index, work)))
             .collect();
         let calibration = CostCalibration::current();
-        let outcomes = plan.with_domain(CostDomain::FaultSim).map_slots(
+        let outcomes = plan.map_slots(
             &flat,
             |_, &(job, work)| {
                 calibration.cost(

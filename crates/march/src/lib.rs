@@ -52,12 +52,11 @@ pub mod engine;
 pub mod fault_sim;
 pub mod ops;
 pub mod schedule;
-pub mod shard;
 
 pub use background::{BackgroundPatterns, DataBackground};
 pub use coverage::{ClassCoverage, CoverageReport};
 pub use engine::{FailureRecord, MarchRunner, RunOutcome};
+pub use esram_exec::{FaultSimKernel, ShardPlan, ShardStrategy, FAULTSIM_KERNEL_ENV};
 pub use fault_sim::{FaultSimOutcome, FaultSimulator, UniverseJob};
 pub use ops::{AddressOrder, MarchElement, MarchOp, MarchTest};
 pub use schedule::{MarchSchedule, SchedulePatterns, SchedulePhase};
-pub use shard::{FaultSimKernel, ShardPlan, ShardStrategy, FAULTSIM_KERNEL_ENV};

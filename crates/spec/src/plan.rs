@@ -19,11 +19,9 @@ pub struct DiagnosisPlan {
     pub scheme: SchemeConfig,
     /// Kernel override; `None` inherits `ESRAM_DIAG_KERNEL`.
     pub kernel: Option<DiagnosisKernel>,
-    /// Fault-simulation kernel pin for any fault simulation the run
-    /// performs; `None` inherits `ESRAM_FAULTSIM_KERNEL`. Report bytes
-    /// are identical under either kernel (the lane kernel is exactly
-    /// equivalent to the per-memory oracle), so this only pins
-    /// reproducibility, never results.
+    /// Fault-simulation kernel, validated and echoed in the report but
+    /// not applied: spec runs never construct a fault simulator. `None`
+    /// reports `inherit`.
     pub faultsim_kernel: Option<FaultSimKernel>,
     /// Report settings.
     pub report: ReportConfig,

@@ -35,7 +35,7 @@
 //!
 //! [execution]
 //! kernel = "bit-parallel" # (inherit ESRAM_DIAG_KERNEL) or "per-memory"
-//! faultsim_kernel = "lanes" # (inherit ESRAM_FAULTSIM_KERNEL) or "permem"
+//! faultsim_kernel = "lanes" # or "permem"; recorded in the report, not applied
 //!
 //! [sweep]                 # optional; axes form a cartesian job grid
 //! defect_rates = [0.001, 0.01, 0.1]
@@ -77,8 +77,8 @@ pub struct ScenarioSpec {
     pub scheme: SchemeSpec,
     /// Kernel override; `None` inherits `ESRAM_DIAG_KERNEL`.
     pub kernel: Option<DiagnosisKernel>,
-    /// Fault-simulation kernel pin; `None` inherits
-    /// `ESRAM_FAULTSIM_KERNEL`.
+    /// Fault-simulation kernel, recorded in the report but not applied
+    /// (spec runs never simulate faults); `None` reports `inherit`.
     pub faultsim_kernel: Option<FaultSimKernel>,
     /// Sweep axes (empty = single job).
     pub sweep: SweepSpec,
