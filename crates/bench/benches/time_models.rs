@@ -8,13 +8,15 @@
 //! * `fast_scheme_diagnose_512mem_{permem,sharded}` — end-to-end
 //!   diagnosis of a 512-memory SoC under the per-memory oracle kernel
 //!   and under the default kernel and plan;
-//! * `soc_build_512mem_sharded` — SoC construction at population scale.
+//! * `soc_build_512mem_sharded` — SoC construction at population scale;
+//! * `score_case_study_4x512x100` — scoring the Sec. 4.2 case study's
+//!   bit-parallel diagnosis against its injected faults.
 
 use bench::{print_section, small_population};
 use criterion::{criterion_group, criterion_main, Criterion};
 use esram_diag::{
     AnalyticModel, CaseStudy, DataBackground, DataBackgroundGenerator, DiagnosisKernel, DiagnosisScheme,
-    DrfMode, FastScheme, GoldenStore, HuangScheme, MarchSchedule, MemConfig, ShardPlan, Soc,
+    DrfMode, FastScheme, FaultClass, GoldenStore, HuangScheme, MarchSchedule, MemConfig, ShardPlan, Soc,
 };
 use sram_model::Address;
 use std::hint::black_box;
@@ -211,6 +213,25 @@ fn bench_time_models(c: &mut Criterion) {
                 .expect("population builds");
             black_box(soc.injected_faults())
         })
+    });
+
+    // Scoring alone, on the case-study population (4 x 512 x 100 at
+    // 1 %, stuck-at and transition faults, as in the checked-in spec)
+    // and its bit-parallel diagnosis.
+    let mut case_study = Soc::builder()
+        .memories(4, 512, 100)
+        .expect("valid geometry")
+        .defect_rate(0.01)
+        .fault_classes(&[FaultClass::StuckAt, FaultClass::Transition])
+        .seed(42)
+        .build()
+        .expect("population builds");
+    let case_study_result = FastScheme::new(10.0)
+        .with_drf_mode(DrfMode::None)
+        .diagnose(case_study.memories_mut())
+        .expect("fast run");
+    group.bench_function("score_case_study_4x512x100", |b| {
+        b.iter(|| black_box(case_study.score(&case_study_result).located()))
     });
 
     group.finish();

@@ -1,8 +1,8 @@
 //! Diagnosis records and the per-run diagnosis log.
 
+use fault_models::MemoryFault;
 use march::DataBackground;
 use sram_model::{Address, DataWord, FailingBits, MemoryId};
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// A located faulty bit cell: memory, word address and bit position.
@@ -102,29 +102,10 @@ impl DiagnosisLog {
         self.records.is_empty()
     }
 
-    /// Distinct located fault sites, grouped per memory.
-    pub fn sites_by_memory(&self) -> BTreeMap<MemoryId, BTreeSet<FaultSite>> {
-        let mut map: BTreeMap<MemoryId, BTreeSet<FaultSite>> = BTreeMap::new();
-        for record in &self.records {
-            for site in record.sites() {
-                map.entry(site.memory).or_default().insert(site);
-            }
-        }
-        map
-    }
-
-    /// Every distinct located fault site.
-    pub fn sites(&self) -> BTreeSet<FaultSite> {
-        self.records.iter().flat_map(DiagnosisRecord::sites).collect()
-    }
-
-    /// Distinct failing word addresses of one memory (repair granularity).
-    pub fn failing_addresses(&self, memory: MemoryId) -> BTreeSet<Address> {
-        self.records
-            .iter()
-            .filter(|r| r.memory == memory)
-            .map(|r| r.address)
-            .collect()
+    /// The log's located-site index, built in one pass over its
+    /// records.
+    pub fn located_sites(&self) -> LocatedSites {
+        LocatedSites::new(self)
     }
 
     /// Merges another log into this one.
@@ -143,6 +124,110 @@ impl DiagnosisLog {
 impl Extend<DiagnosisRecord> for DiagnosisLog {
     fn extend<T: IntoIterator<Item = DiagnosisRecord>>(&mut self, iter: T) {
         self.records.extend(iter);
+    }
+}
+
+/// The distinct located sites and failing words of a diagnosis log.
+///
+/// Built in one pass over the log (then sorted and deduplicated), it is
+/// the one definition of "located" that scoring, scheme coverage,
+/// repair and report rows share: per-memory views are slices and
+/// membership is a binary search, so no consumer rescans the log per
+/// memory or per fault.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct LocatedSites {
+    /// Distinct `(memory, address, bit)` sites, ascending.
+    sites: Vec<FaultSite>,
+    /// Distinct `(memory, address)` failing words, ascending. A record
+    /// with no failing bit still fails its word.
+    words: Vec<(MemoryId, Address)>,
+}
+
+impl LocatedSites {
+    /// Indexes every record of `log`: one sort of packed
+    /// `(memory, address, record)` keys groups the records by failing
+    /// word, then each word's failing bits are merged.
+    pub fn new(log: &DiagnosisLog) -> Self {
+        let records = log.records();
+        let mut keys: Vec<u128> = records
+            .iter()
+            .enumerate()
+            .map(|(index, record)| {
+                let index = u32::try_from(index).expect("a log holds fewer than 2^32 records");
+                (u128::from(record.memory.index()) << 96)
+                    | (u128::from(record.address.index()) << 32)
+                    | u128::from(index)
+            })
+            .collect();
+        keys.sort_unstable();
+
+        // A key's low 32 bits are its record's index.
+        let record_of = |key: u128| &records[key as u32 as usize];
+        let mut sites = Vec::new();
+        let mut words = Vec::new();
+        let mut bits = Vec::new();
+        for word in keys.chunk_by(|a, b| a >> 32 == b >> 32) {
+            let first = record_of(word[0]);
+            words.push((first.memory, first.address));
+            bits.clear();
+            for &key in word {
+                bits.extend_from_slice(&record_of(key).failing_bits);
+            }
+            bits.sort_unstable();
+            bits.dedup();
+            sites.extend(
+                bits.iter()
+                    .map(|&bit| FaultSite::new(first.memory, first.address, bit)),
+            );
+        }
+        LocatedSites { sites, words }
+    }
+
+    /// Total number of distinct located sites.
+    pub fn len(&self) -> usize {
+        self.sites.len()
+    }
+
+    /// True if no site was located.
+    pub fn is_empty(&self) -> bool {
+        self.sites.is_empty()
+    }
+
+    /// Every distinct site, ordered by memory, address and bit.
+    pub fn all(&self) -> &[FaultSite] {
+        &self.sites
+    }
+
+    /// The distinct sites of one memory, ordered by address and bit.
+    pub fn of(&self, memory: MemoryId) -> &[FaultSite] {
+        let start = self.sites.partition_point(|site| site.memory < memory);
+        let len = self.sites[start..].partition_point(|site| site.memory == memory);
+        &self.sites[start..start + len]
+    }
+
+    /// The distinct failing word addresses of one memory, ascending
+    /// (the repair granularity).
+    pub fn failing_addresses(&self, memory: MemoryId) -> impl Iterator<Item = Address> + '_ {
+        let start = self.words.partition_point(|&(id, _)| id < memory);
+        self.words[start..]
+            .iter()
+            .take_while(move |&&(id, _)| id == memory)
+            .map(|&(_, address)| address)
+    }
+
+    /// True if `fault`, injected into `memory`, was located: a cell
+    /// fault when its own site was located, a decoder fault when any
+    /// record of that memory failed its address.
+    pub fn locates(&self, memory: MemoryId, fault: &MemoryFault) -> bool {
+        match fault {
+            MemoryFault::Cell { coord, .. } => self
+                .sites
+                .binary_search(&FaultSite::new(memory, coord.address, coord.bit))
+                .is_ok(),
+            MemoryFault::Decoder(decoder_fault) => {
+                self.words.binary_search(&(memory, decoder_fault.address)).is_ok()
+            }
+        }
     }
 }
 
@@ -179,15 +264,68 @@ mod tests {
         log.push(record(1, 5, vec![0, 2]));
         assert_eq!(log.len(), 3);
         assert!(!log.is_empty());
-        let by_memory = log.sites_by_memory();
-        assert_eq!(by_memory[&MemoryId::new(0)].len(), 1);
-        assert_eq!(by_memory[&MemoryId::new(1)].len(), 2);
-        assert_eq!(log.sites().len(), 3);
+        let located = log.located_sites();
+        assert_eq!(located.of(MemoryId::new(0)).len(), 1);
+        assert_eq!(located.of(MemoryId::new(1)).len(), 2);
+        assert_eq!(located.len(), 3);
         assert_eq!(
-            log.failing_addresses(MemoryId::new(1)),
-            BTreeSet::from([Address::new(5)])
+            located.failing_addresses(MemoryId::new(1)).collect::<Vec<_>>(),
+            vec![Address::new(5)]
         );
-        assert!(log.failing_addresses(MemoryId::new(7)).is_empty());
+        assert_eq!(located.failing_addresses(MemoryId::new(7)).count(), 0);
+    }
+
+    #[test]
+    fn index_orders_out_of_order_memories_and_keeps_bitless_words() {
+        let mut log = DiagnosisLog::new();
+        log.push(record(9, 4, vec![2, 0]));
+        log.push(record(2, 6, vec![]));
+        log.push(record(2, 1, vec![3]));
+        log.push(record(9, 4, vec![0]));
+        let located = log.located_sites();
+        let id = MemoryId::new;
+        assert_eq!(
+            located.all(),
+            &[
+                FaultSite::new(id(2), Address::new(1), 3),
+                FaultSite::new(id(9), Address::new(4), 0),
+                FaultSite::new(id(9), Address::new(4), 2),
+            ]
+        );
+        assert!(located.of(id(5)).is_empty());
+        // A record without failing bits fails its word but locates no site.
+        assert_eq!(
+            located.failing_addresses(id(2)).collect::<Vec<_>>(),
+            vec![Address::new(1), Address::new(6)]
+        );
+        assert!(located
+            .of(id(2))
+            .iter()
+            .all(|site| site.address != Address::new(6)));
+    }
+
+    #[test]
+    fn locates_matches_cells_by_site_and_decoders_by_word() {
+        use sram_model::cell::CellCoord;
+        use sram_model::decoder::{DecoderFault, DecoderFaultKind};
+        let mut log = DiagnosisLog::new();
+        log.push(record(1, 3, vec![2]));
+        log.push(record(1, 8, vec![]));
+        let located = log.located_sites();
+        let cell = |address, bit| MemoryFault::stuck_at_0(CellCoord::new(Address::new(address), bit));
+        let decoder = |address| {
+            MemoryFault::decoder(DecoderFault::new(
+                Address::new(address),
+                DecoderFaultKind::NoAccess,
+            ))
+        };
+        let one = MemoryId::new(1);
+        assert!(located.locates(one, &cell(3, 2)));
+        assert!(!located.locates(one, &cell(3, 1)));
+        assert!(!located.locates(MemoryId::new(0), &cell(3, 2)));
+        assert!(located.locates(one, &decoder(3)));
+        assert!(located.locates(one, &decoder(8)));
+        assert!(!located.locates(one, &decoder(4)));
     }
 
     #[test]

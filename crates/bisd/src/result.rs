@@ -1,6 +1,6 @@
 //! Diagnosis results: located faults plus cycle and wall-time accounting.
 
-use crate::log::{DiagnosisLog, FaultSite};
+use crate::log::{DiagnosisLog, FaultSite, LocatedSites};
 use sram_model::{Address, MemoryId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -39,24 +39,34 @@ impl DiagnosisResult {
         self.log.is_empty()
     }
 
+    /// The located-site index of the run's log. Consumers that query
+    /// several memories or faults build it once and reuse it.
+    pub fn located_sites(&self) -> LocatedSites {
+        self.log.located_sites()
+    }
+
     /// Distinct located fault sites per memory.
     pub fn sites_by_memory(&self) -> BTreeMap<MemoryId, BTreeSet<FaultSite>> {
-        self.log.sites_by_memory()
+        let mut map: BTreeMap<MemoryId, BTreeSet<FaultSite>> = BTreeMap::new();
+        for site in self.located_sites().all() {
+            map.entry(site.memory).or_default().insert(*site);
+        }
+        map
     }
 
     /// Distinct located fault sites of one memory.
     pub fn sites(&self, memory: MemoryId) -> BTreeSet<FaultSite> {
-        self.sites_by_memory().remove(&memory).unwrap_or_default()
+        self.located_sites().of(memory).iter().copied().collect()
     }
 
     /// Total number of distinct located fault sites.
     pub fn located_count(&self) -> usize {
-        self.log.sites().len()
+        self.located_sites().len()
     }
 
     /// Failing word addresses of one memory (the repair granularity).
     pub fn failing_addresses(&self, memory: MemoryId) -> BTreeSet<Address> {
-        self.log.failing_addresses(memory)
+        self.located_sites().failing_addresses(memory).collect()
     }
 
     /// Ratio of another result's diagnosis time to this one's

@@ -1,6 +1,7 @@
 //! The diagnosis-scheme abstraction and the memory population it
 //! operates on.
 
+use crate::log::LocatedSites;
 use crate::result::DiagnosisResult;
 use fault_models::{DefectProfile, FaultInjector, FaultList};
 use sram_model::{BackupMemory, MemConfig, MemError, MemoryId, RepairOutcome, Sram};
@@ -83,11 +84,10 @@ impl MemoryUnderDiagnosis {
         self.sram.config()
     }
 
-    /// Repairs every failing address reported for this memory by a
-    /// diagnosis result, consuming spare words.
-    pub fn repair_from(&mut self, result: &DiagnosisResult) -> RepairOutcome {
-        let addresses = result.failing_addresses(self.id);
-        self.backup.repair_all(addresses)
+    /// Repairs every failing address a diagnosis located in this memory
+    /// (see [`DiagnosisResult::located_sites`]), consuming spare words.
+    pub fn repair_from(&mut self, located: &LocatedSites) -> RepairOutcome {
+        self.backup.repair_all(located.failing_addresses(self.id))
     }
 }
 

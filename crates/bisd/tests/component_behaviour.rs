@@ -118,7 +118,7 @@ fn comparator_array_records_only_mismatches() {
     assert_eq!(record.memory, MemoryId::new(1));
     assert_eq!(record.address, Address::new(5));
     assert_eq!(record.failing_bits, expected.mismatches(&off_by_two));
-    let sites = log.sites();
+    let sites = log.located_sites();
     assert_eq!(sites.len(), 2, "two failing bits are two fault sites");
 }
 

@@ -7,7 +7,7 @@
 //! fault injected at a time.
 
 use bisd::{DiagnosisScheme, MemoryUnderDiagnosis};
-use fault_models::{FaultList, MemoryFault};
+use fault_models::FaultList;
 use march::CoverageReport;
 use sram_model::{MemConfig, MemoryId};
 
@@ -36,23 +36,10 @@ pub fn scheme_coverage<S: DiagnosisScheme>(
             .diagnose(&mut population)
             .expect("diagnosis of a valid population");
         let detected = !result.is_clean();
-        let located = detected && locates(fault, &result);
+        let located = detected && result.located_sites().locates(MemoryId::new(0), fault);
         report.record(fault.class(), detected, located);
     }
     report
-}
-
-fn locates(fault: &MemoryFault, result: &bisd::DiagnosisResult) -> bool {
-    let memory = MemoryId::new(0);
-    match fault {
-        MemoryFault::Cell { coord, .. } => result
-            .sites(memory)
-            .iter()
-            .any(|site| site.address == coord.address && site.bit == coord.bit),
-        MemoryFault::Decoder(decoder_fault) => {
-            result.failing_addresses(memory).contains(&decoder_fault.address)
-        }
-    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Scoring of a diagnosis result against the injected ground truth.
 
-use bisd::{DiagnosisResult, MemoryUnderDiagnosis};
-use fault_models::{FaultClass, MemoryFault};
+use bisd::{DiagnosisResult, LocatedSites, MemoryUnderDiagnosis};
+use fault_models::FaultClass;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -13,9 +13,14 @@ pub struct DiagnosisScore {
     pub injected_by_class: BTreeMap<FaultClass, usize>,
     /// Number of injected faults whose site was located, per class.
     pub located_by_class: BTreeMap<FaultClass, usize>,
-    /// Located fault sites that do not correspond to any injected fault
-    /// site (e.g. victim cells corrupted by coupling aggressors); these
-    /// are not errors, but they consume repair resources.
+    /// Distinct located sites of the population's memories, minus the
+    /// number of injected faults located, floored at 0. These are
+    /// mostly victim cells corrupted by coupling aggressors: not errors,
+    /// but they consume repair resources. A located decoder fault
+    /// counts as one site even though it fails a whole word, so its
+    /// other failing bits stay in this count; two injected faults at one
+    /// site subtract twice; sites of memories outside the population
+    /// never count.
     pub additional_sites: usize,
 }
 
@@ -23,24 +28,21 @@ impl DiagnosisScore {
     /// Computes the score of `result` against the ground truth carried
     /// by `memories`.
     pub fn evaluate(memories: &[MemoryUnderDiagnosis], result: &DiagnosisResult) -> Self {
+        Self::evaluate_sites(memories, &result.located_sites())
+    }
+
+    /// [`DiagnosisScore::evaluate`] against a located-site index that
+    /// the caller already built.
+    pub fn evaluate_sites(memories: &[MemoryUnderDiagnosis], located: &LocatedSites) -> Self {
         let mut score = DiagnosisScore::default();
         let mut matched_sites = 0usize;
         let mut total_sites = 0usize;
 
         for memory in memories {
-            let located = result.sites(memory.id);
-            total_sites += located.len();
+            total_sites += located.of(memory.id).len();
             for fault in memory.injected.iter() {
                 *score.injected_by_class.entry(fault.class()).or_insert(0) += 1;
-                let hit = match fault {
-                    MemoryFault::Cell { coord, .. } => located
-                        .iter()
-                        .any(|site| site.address == coord.address && site.bit == coord.bit),
-                    MemoryFault::Decoder(decoder_fault) => result
-                        .failing_addresses(memory.id)
-                        .contains(&decoder_fault.address),
-                };
-                if hit {
+                if located.locates(memory.id, fault) {
                     *score.located_by_class.entry(fault.class()).or_insert(0) += 1;
                     matched_sites += 1;
                 }
@@ -98,10 +100,11 @@ impl fmt::Display for DiagnosisScore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bisd::{DiagnosisScheme, FastScheme};
-    use fault_models::FaultList;
+    use bisd::{DiagnosisLog, DiagnosisRecord, DiagnosisScheme, FastScheme};
+    use fault_models::{FaultList, MemoryFault};
+    use march::DataBackground;
     use sram_model::cell::CellCoord;
-    use sram_model::{Address, MemConfig, MemoryId};
+    use sram_model::{Address, DataWord, DecoderFault, DecoderFaultKind, MemConfig, MemoryId};
 
     fn memory_with(faults: Vec<MemoryFault>) -> MemoryUnderDiagnosis {
         let config = MemConfig::new(16, 4).unwrap();
@@ -155,5 +158,38 @@ mod tests {
         assert_eq!(score.injected(), 0);
         assert_eq!(score.location_coverage(), 1.0);
         assert_eq!(score.additional_sites, 0);
+    }
+
+    #[test]
+    fn decoder_hit_counts_as_one_site_of_its_failing_word() {
+        // A decoder fault that fails all four bits of its word: the hit
+        // subtracts one site, so the word's other three stay additional.
+        let fault = MemoryFault::decoder(DecoderFault::new(Address::new(6), DecoderFaultKind::NoAccess));
+        let memory = MemoryUnderDiagnosis {
+            injected: std::iter::once(fault).collect(),
+            ..MemoryUnderDiagnosis::pristine(MemoryId::new(0), MemConfig::new(16, 4).unwrap())
+        };
+        let mut log = DiagnosisLog::new();
+        log.push(DiagnosisRecord {
+            memory: MemoryId::new(0),
+            address: Address::new(6),
+            background: DataBackground::Solid,
+            element: "M1".to_string(),
+            expected: DataWord::zero(4),
+            observed: DataWord::splat(true, 4),
+            failing_bits: vec![0, 1, 2, 3].into(),
+        });
+        let result = DiagnosisResult {
+            scheme: "hand-built".to_string(),
+            log,
+            cycles: 0,
+            pause_ms: 0.0,
+            iterations: 1,
+            clock_period_ns: 10.0,
+        };
+        let score = DiagnosisScore::evaluate(&[memory], &result);
+        assert_eq!(score.located(), 1);
+        assert_eq!(score.class_coverage(FaultClass::AddressDecoder), 1.0);
+        assert_eq!(score.additional_sites, 3);
     }
 }

@@ -285,9 +285,10 @@ impl Soc {
     /// Repairs every memory from a diagnosis result and returns the
     /// number of addresses that could not be repaired (spares exhausted).
     pub fn repair_from(&mut self, result: &DiagnosisResult) -> usize {
+        let located = result.located_sites();
         self.memories
             .iter_mut()
-            .map(|m| m.repair_from(result).unrepaired.len())
+            .map(|m| m.repair_from(&located).unrepaired.len())
             .sum()
     }
 }

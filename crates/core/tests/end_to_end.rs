@@ -2,8 +2,9 @@
 //! defect injection, diagnosis with both schemes, scoring and repair.
 
 use esram_diag::{
-    AnalyticModel, CaseStudy, DiagnosisScheme, DrfMode, FastScheme, FaultClass, HuangScheme, Soc,
+    Address, AnalyticModel, CaseStudy, DiagnosisScheme, DrfMode, FastScheme, FaultClass, HuangScheme, Soc,
 };
+use std::collections::BTreeSet;
 
 /// Builds the same defective population twice (same seed) so both
 /// schemes can be compared on identical ground truth.
@@ -146,7 +147,18 @@ fn repair_consumes_spares_and_clears_located_addresses() {
         unrepaired, 0,
         "16 spares per memory must suffice at a 1 % defect rate"
     );
+    // Each memory is repaired at exactly its own failing words: a
+    // heterogeneous five-memory SoC, several of them faulty.
+    assert_eq!(soc.memories().len(), 5);
+    let faulty = soc
+        .memories()
+        .iter()
+        .filter(|m| !result.failing_addresses(m.id).is_empty())
+        .count();
+    assert!(faulty >= 2, "only {faulty} memories need repair");
     for memory in soc.memories() {
+        let repaired: BTreeSet<Address> = memory.backup.repaired_addresses().into_iter().collect();
+        assert_eq!(repaired, result.failing_addresses(memory.id), "{}", memory.id);
         for address in result.failing_addresses(memory.id) {
             assert!(memory.backup.is_repaired(address));
         }

@@ -18,8 +18,8 @@
 use crate::json::Json;
 use crate::plan::{DiagnosisPlan, PlannedJob, SchemeConfig};
 use crate::spec::DrfSpec;
-use bisd::{DiagnosisResult, DrfMode, FastScheme, HuangScheme};
-use esram_diag::{AnalyticModel, FleetJob, FleetRunner, ShardPlan, Soc, SocBuilder};
+use bisd::{DiagnosisResult, DrfMode, FastScheme, HuangScheme, LocatedSites};
+use esram_diag::{AnalyticModel, DiagnosisScore, FleetJob, FleetRunner, ShardPlan, Soc, SocBuilder};
 
 /// Version tag stamped into every report.
 pub const REPORT_FORMAT: &str = "esram-report/1";
@@ -306,7 +306,8 @@ fn healthy_row(
     result: &DiagnosisResult,
     expected_cycles: Option<u64>,
 ) -> Row {
-    let score = soc.score(result);
+    let located = result.located_sites();
+    let score = DiagnosisScore::evaluate_sites(soc.memories(), &located);
     let model = population_model(plan);
     let faults = model.max_faults_for_defect_rate(job.defect_rate);
     let eq1_k = AnalyticModel::iterations_for_faults(faults);
@@ -325,7 +326,7 @@ fn healthy_row(
         ("injected", Json::Int(score.injected() as i128)),
         ("located_injected", Json::Int(score.located() as i128)),
         ("additional_sites", Json::Int(score.additional_sites as i128)),
-        ("located_sites", Json::Int(result.located_count() as i128)),
+        ("located_sites", Json::Int(located.len() as i128)),
         ("location_coverage", Json::Float(score.location_coverage())),
         ("all_faults_located", Json::Bool(all_located)),
         ("cycles", Json::Int(result.cycles as i128)),
@@ -352,7 +353,7 @@ fn healthy_row(
         ),
     ];
     if plan.report.sites {
-        fields.push(("sites", sites_json(result)));
+        fields.push(("sites", sites_json(&located)));
     }
     Row {
         json: Json::object(fields),
@@ -384,18 +385,20 @@ fn classes_json(job: &PlannedJob) -> Json {
     )
 }
 
-fn sites_json(result: &DiagnosisResult) -> Json {
-    let mut sites = Vec::new();
-    for (memory, memory_sites) in result.sites_by_memory() {
-        for site in memory_sites {
-            sites.push(Json::object(vec![
-                ("memory", Json::Int(memory.index() as i128)),
-                ("address", Json::Int(site.address.index() as i128)),
-                ("bit", Json::Int(site.bit as i128)),
-            ]));
-        }
-    }
-    Json::Array(sites)
+fn sites_json(located: &LocatedSites) -> Json {
+    Json::Array(
+        located
+            .all()
+            .iter()
+            .map(|site| {
+                Json::object(vec![
+                    ("memory", Json::Int(site.memory.index() as i128)),
+                    ("address", Json::Int(site.address.index() as i128)),
+                    ("bit", Json::Int(site.bit as i128)),
+                ])
+            })
+            .collect(),
+    )
 }
 
 fn scheme_json(plan: &DiagnosisPlan) -> Json {
