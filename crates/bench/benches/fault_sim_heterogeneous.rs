@@ -1,11 +1,12 @@
 //! P4: heterogeneous-universe scheduling — where even chunking loses.
 //!
 //! Real fault universes are cost-skewed: after golden-run-gated pruning,
-//! ~90 % of the faults (single-row classes) sweep one row each while the
-//! fallback classes (stuck-open, decoder) still sweep the whole address
-//! space — and universes are enumerated class by class, so the expensive
-//! faults *cluster* at the tail of the list. Contiguous equal-count
-//! chunks then hand one unlucky worker nearly all of the work.
+//! almost every fault sweeps one or two rows (single-row cell classes one,
+//! decoder faults their one or two deviation rows) while stuck-open faults
+//! still sweep the whole address space — and universes are enumerated
+//! class by class, so the expensive faults *cluster* at the tail of the
+//! list. Contiguous equal-count chunks then hand one unlucky worker
+//! nearly all of the work.
 //!
 //! This host may have a single core, so the bench measures what actually
 //! distinguishes the strategies: the **critical path** — the wall-clock
@@ -18,7 +19,7 @@
 //! `MODEL_WORKERS`-core machine would see:
 //!
 //! * `critical_path_even_8w` — equal-count chunks (the pre-executor
-//!   strategy): the tail chunk holds almost every fallback fault.
+//!   strategy): the tail chunk holds every full-sweep fault.
 //! * `critical_path_cost_8w` — cost-weighted chunk boundaries from
 //!   prefix sums of the per-fault cost.
 //! * `critical_path_steal_8w` — deterministic block-stealing under the
@@ -49,10 +50,11 @@ fn benchmark_config() -> MemConfig {
     testutil::benchmark_geometry()
 }
 
-/// The mixed universe: 90 % pruned single-row stuck-at faults spread
-/// over the address space, 10 % full-sweep fallback faults (decoder +
-/// stuck-open) clustered at the tail, as class-by-class enumeration
-/// produces them. 400 faults at 512 x 100.
+/// The mixed universe, 400 faults at 512 x 100: 360 pruned single-row
+/// stuck-at faults spread over the address space, then 20 decoder
+/// faults pruned to their deviation rows and 20 full-sweep stuck-open
+/// faults clustered at the tail, as class-by-class enumeration produces
+/// them.
 fn heterogeneous_universe(config: MemConfig) -> FaultList {
     let mut universe = FaultList::new();
     let rows = config.words();
@@ -135,6 +137,7 @@ fn bench_heterogeneous(c: &mut Criterion) {
         modeled_cost(&costs, &steal),
     );
     let total: u128 = costs.iter().map(|&c| u128::from(c)).sum();
+    let full_sweeps = costs.iter().filter(|&&c| c == config.words()).count();
     assert!(
         cost_cost < even_cost && steal_cost < even_cost,
         "cost-weighted ({cost_cost}) and stealing ({steal_cost}) bottlenecks must beat even \
@@ -143,11 +146,10 @@ fn bench_heterogeneous(c: &mut Criterion) {
 
     print_section("P4: heterogeneous-universe scheduling — modeled 8-worker critical paths");
     println!(
-        "universe: {} faults ({} single-row + {} full-sweep), total modeled cost {total} row-sweeps \
-         (ideal critical path {})",
+        "universe: {} faults ({} pruned + {full_sweeps} full-sweep), total modeled cost {total} \
+         row-sweeps (ideal critical path {})",
         universe.len(),
-        360,
-        universe.len() - 360,
+        universe.len() - full_sweeps,
         total / MODEL_WORKERS as u128
     );
     println!(

@@ -58,8 +58,8 @@ fn coverage_slice(config: MemConfig, count: usize) -> FaultList {
 
 /// The Sec. 4.2 defect-rate sweep point: the paper's 1 % defect rate
 /// over the benchmark geometry, drawing from all four baseline defect
-/// classes — so coupling batches, lane batches and full-sweep decoder
-/// singles (which no kernel can batch) are all exercised.
+/// classes — so coupling batches, lane batches and decoder singles
+/// (pruned to their deviation rows, never batched) are all exercised.
 fn defect_rate_point(config: MemConfig) -> FaultList {
     FaultInjector::with_seed(SEEDS[2]).generate(config, &DefectProfile::date2005(0.01))
 }

@@ -75,7 +75,7 @@ pub enum FaultSimKernel {
     Lanes,
     /// The original per-fault kernel: one full (row-pruned) schedule
     /// replay on a dedicated memory per fault. Kept as the equivalence
-    /// oracle and frozen performance comparator.
+    /// oracle.
     PerMemory,
 }
 

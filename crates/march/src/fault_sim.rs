@@ -26,9 +26,11 @@
 //!   and substitutes the closed-form operation count. A coupling fault
 //!   involves exactly two rows (victim and aggressor), so it takes an
 //!   order-preserving two-row restricted sweep
-//!   ([`MarchRunner::run_schedule_rows`]) instead of the full fallback.
-//!   Faults with whole-memory behaviour (stuck-open sense-amp history,
-//!   decoder faults) and schedules whose golden run fails take the full
+//!   ([`MarchRunner::run_schedule_rows`]) instead of the full fallback,
+//!   and so does an address-decoder fault, over its corrupted address
+//!   plus the row it drags in ([`sram_model::DecoderFault::deviation_rows`]).
+//!   Stuck-open faults (whose reads replay the sense-amp history left
+//!   by other rows) and schedules whose golden run fails take the full
 //!   sweep, so outcomes are observationally identical either way —
 //!   which the one-off [`FaultSimulator::simulate_fault_schedule`]
 //!   oracle and the sharded-determinism suite assert.
@@ -50,8 +52,9 @@
 //!   batches plus the per-fault singles (or every fault alone under
 //!   the per-memory kernel), one reusable `Sram` per worker, a
 //!   per-item cost model (rows swept: 1 for pruned single-row
-//!   classes, 2 for coupling, the union row count for a lane batch,
-//!   the whole address space for fallback classes) steering
+//!   classes, 1 or 2 for coupling and decoder faults, the union row
+//!   count for a lane batch, the whole address space for stuck-open)
+//!   steering
 //!   cost-weighted chunking and block-stealing, and outcomes merged
 //!   back into exact universe order for every strategy and worker
 //!   count; per-shard [`CoverageReport`]s fold associatively.
@@ -156,8 +159,8 @@ impl FaultSimulator {
     }
 
     /// Returns a copy of the simulator pinned to an explicit kernel,
-    /// ignoring the environment — how the equivalence suites and the
-    /// frozen benchmark comparator select the per-memory oracle.
+    /// ignoring the environment — how the equivalence suites select the
+    /// per-memory oracle.
     pub fn with_kernel(mut self, kernel: FaultSimKernel) -> Self {
         self.kernel = kernel;
         self
@@ -239,10 +242,16 @@ impl FaultSimulator {
     ///   identical relative operation sequence to both cells that the
     ///   full sweep would — the dominant pruning-fallback class in
     ///   `date2005_baseline` universes now avoids full-sweep cost.
+    /// * decoder faults deviate only on their deviation rows
+    ///   ([`sram_model::DecoderFault::deviation_rows`]): the corrupted
+    ///   address and, for a distinct maps-to or also-accesses target,
+    ///   the target row. Every other address decodes to its own
+    ///   untouched row, so the same order-preserving restricted sweep
+    ///   applies.
     ///
     /// Stuck-open faults (the observation replays the sense-amp history
-    /// left by *other* rows' reads), decoder faults (whole-address-space
-    /// behaviour) and any future variant take the full sweep.
+    /// left by *other* rows' reads) and any future variant take the full
+    /// sweep.
     fn prunable_rows(fault: &MemoryFault) -> Option<(Address, Option<Address>)> {
         match fault {
             MemoryFault::Cell { coord, fault } => match fault {
@@ -265,7 +274,7 @@ impl FaultSimulator {
                 }
                 _ => None,
             },
-            MemoryFault::Decoder(_) => None,
+            MemoryFault::Decoder(decoder_fault) => Some(decoder_fault.deviation_rows()),
         }
     }
 
@@ -693,13 +702,13 @@ impl FaultSimulator {
 
     /// Physical size of one fault's run: the number of rows its
     /// (possibly pruned) sweep will visit. Pruned single-row classes
-    /// sweep one row, coupling faults two; fallback classes
-    /// (stuck-open, decoder) — and every fault when the golden run
-    /// failed (`golden_passed == false`) — sweep the whole address
-    /// space. The batched entry points price these row units through
-    /// the active [`CostCalibration`] (`FaultSim` domain) to steer the
-    /// cost-weighted and stealing strategies; neither the units nor the
-    /// calibration ever change outcomes, only the partition.
+    /// sweep one row, coupling and decoder faults one or two; stuck-open
+    /// faults — and every fault when the golden run failed
+    /// (`golden_passed == false`) — sweep the whole address space. The
+    /// batched entry points price these row units through the active
+    /// [`CostCalibration`] (`FaultSim` domain) to steer the cost-weighted
+    /// and stealing strategies; neither the units nor the calibration
+    /// ever change outcomes, only the partition.
     pub fn fault_cost(&self, golden_passed: bool, fault: &MemoryFault) -> u64 {
         let full_sweep = self.config.words();
         if !golden_passed {
@@ -1162,6 +1171,24 @@ mod tests {
         let unpruned = sim.lane_plan(false, &universe);
         assert!(unpruned.batches.is_empty());
         assert_eq!(unpruned.work.len(), universe.len());
+    }
+
+    #[test]
+    fn decoder_fault_cost_is_its_deviation_rows_unless_the_golden_run_fails() {
+        use sram_model::{DecoderFault, DecoderFaultKind};
+        let sim = FaultSimulator::new(config());
+        let decoder =
+            |address: u64, kind| MemoryFault::decoder(DecoderFault::new(Address::new(address), kind));
+        for (fault, rows) in [
+            (decoder(3, DecoderFaultKind::NoAccess), 1),
+            (decoder(3, DecoderFaultKind::MapsTo(Address::new(3))), 1),
+            (decoder(3, DecoderFaultKind::AlsoAccesses(Address::new(3))), 1),
+            (decoder(3, DecoderFaultKind::MapsTo(Address::new(0))), 2),
+            (decoder(0, DecoderFaultKind::AlsoAccesses(Address::new(7))), 2),
+        ] {
+            assert_eq!(sim.fault_cost(true, &fault), rows, "{fault}");
+            assert_eq!(sim.fault_cost(false, &fault), config().words(), "{fault}");
+        }
     }
 
     #[test]

@@ -9,15 +9,19 @@
 //!   [`FaultSimulator::simulate_fault_schedule`];
 //! * schedules whose golden fault-free run fails (so pruning must be
 //!   disabled) still agree with the oracle.
+//!
+//! Only [`FaultSimulator::simulate_fault_schedule`] can catch a pruning
+//! bug: both fault-sim kernels share the pruned row sets, so kernel
+//! equivalence alone would not.
 
-use fault_models::{FaultList, FaultUniverse, MemoryFault};
+use fault_models::{DefectProfile, FaultClass, FaultInjector, FaultList, FaultUniverse, MemoryFault};
 use march::{
     algorithms, AddressOrder, CoverageReport, DataBackground, FaultSimKernel, FaultSimulator, MarchElement,
     MarchOp, MarchSchedule, MarchTest, ShardPlan, ShardStrategy, UniverseJob,
 };
 use proptest::prelude::*;
 use sram_model::cell::CellCoord;
-use sram_model::{Address, CellFault, CouplingKind, MemConfig};
+use sram_model::{Address, CellFault, CouplingKind, DecoderFault, DecoderFaultKind, MemConfig};
 
 fn config() -> MemConfig {
     MemConfig::new(16, 5).unwrap()
@@ -39,8 +43,43 @@ fn mixed_universe() -> FaultList {
 /// The fast scheme's production programme: March CW with NWRTM merged
 /// into the last phase (multi-background, NWRC writes).
 fn nwrtm_schedule() -> MarchSchedule {
-    let cw = algorithms::march_cw(config().width());
+    nwrtm_schedule_for(config().width())
+}
+
+/// [`nwrtm_schedule`] for an arbitrary IO width.
+fn nwrtm_schedule_for(width: usize) -> MarchSchedule {
+    let cw = algorithms::march_cw(width);
     cw.map_last_phase(format!("{} + NWRTM", cw.name()), algorithms::with_nwrtm)
+}
+
+/// The schedules the pruned paths are checked against the oracle under:
+/// multi-background NWRTM, a checkerboard single phase, and a
+/// row-stripe phase with retention pauses.
+fn oracle_schedules() -> [MarchSchedule; 3] {
+    [
+        nwrtm_schedule(),
+        MarchSchedule::single(algorithms::march_c_minus(), DataBackground::Checkerboard),
+        MarchSchedule::single(
+            algorithms::with_retention_pauses(&algorithms::march_c_minus(), 100),
+            DataBackground::RowStripe,
+        ),
+    ]
+}
+
+/// Asserts that every batched (possibly pruned) outcome of `universe`
+/// equals the unpruned full-sweep oracle.
+fn assert_batched_matches_oracle(sim: &FaultSimulator, schedule: &MarchSchedule, universe: &FaultList) {
+    let batched = sim.simulate_universe(schedule, universe);
+    assert_eq!(batched.len(), universe.len());
+    for (fault, outcome) in universe.iter().zip(&batched) {
+        let oracle = sim.simulate_fault_schedule(schedule, fault);
+        assert_eq!(
+            &oracle,
+            outcome,
+            "pruned/batched outcome diverged from the full-sweep oracle for {fault} under {}",
+            schedule.name()
+        );
+    }
 }
 
 #[test]
@@ -197,23 +236,64 @@ fn per_shard_coverage_reports_fold_into_the_sequential_report() {
 fn batched_pruned_outcomes_match_the_full_sweep_oracle() {
     let sim = FaultSimulator::new(config());
     let universe = mixed_universe();
-    for schedule in [
-        nwrtm_schedule(),
-        MarchSchedule::single(algorithms::march_c_minus(), DataBackground::Checkerboard),
-        MarchSchedule::single(
-            algorithms::with_retention_pauses(&algorithms::march_c_minus(), 100),
-            DataBackground::RowStripe,
-        ),
-    ] {
-        let batched = sim.simulate_universe(&schedule, &universe);
-        for (fault, outcome) in universe.iter().zip(&batched) {
-            let oracle = sim.simulate_fault_schedule(&schedule, fault);
-            assert_eq!(
-                &oracle,
-                outcome,
-                "pruned/batched outcome diverged from the full-sweep oracle for {fault} under {}",
-                schedule.name()
-            );
+    for schedule in oracle_schedules() {
+        assert_batched_matches_oracle(&sim, &schedule, &universe);
+    }
+}
+
+/// The three decoder fault kinds at `address`, targeting `target`.
+fn decoder_faults(address: u64, target: u64) -> [MemoryFault; 3] {
+    let (address, target) = (Address::new(address), Address::new(target));
+    [
+        DecoderFaultKind::NoAccess,
+        DecoderFaultKind::MapsTo(target),
+        DecoderFaultKind::AlsoAccesses(target),
+    ]
+    .map(|kind| MemoryFault::decoder(DecoderFault::new(address, kind)))
+}
+
+#[test]
+fn decoder_deviation_row_sweeps_match_the_unpruned_oracle_at_edge_geometries() {
+    // (address, target) pairs: the address-space extremes in both
+    // orders, adjacent rows in both orders, far-apart rows in both
+    // orders, and self-targets (which degenerate to one row).
+    let pairs: [(u64, u64); 9] = [
+        (0, 15),
+        (15, 0),
+        (4, 5),
+        (9, 8),
+        (1, 13),
+        (14, 2),
+        (0, 0),
+        (7, 7),
+        (15, 15),
+    ];
+    let universe: FaultList = pairs
+        .iter()
+        .flat_map(|&(address, target)| decoder_faults(address, target))
+        .collect();
+    let sim = FaultSimulator::new(config());
+    for schedule in oracle_schedules() {
+        assert_batched_matches_oracle(&sim, &schedule, &universe);
+    }
+}
+
+#[test]
+fn seeded_decoder_draws_at_the_benchmark_geometry_match_the_unpruned_oracle() {
+    // The fault-simulation campaign's decoder class: 0.5 % defects split
+    // over the four baseline classes, drawn from the decoder class's
+    // stream, on one 512 x 100 memory.
+    let config = testutil::benchmark_geometry();
+    let sim = FaultSimulator::new(config);
+    let profile = DefectProfile::single_class(FaultClass::AddressDecoder, 0.005 / 4.0);
+    for seed in [1, 2, 3] {
+        let universe = FaultInjector::for_stream(seed, 3).generate(config, &profile);
+        assert_eq!(universe.len(), 64);
+        for schedule in [
+            algorithms::march_cw(config.width()),
+            nwrtm_schedule_for(config.width()),
+        ] {
+            assert_batched_matches_oracle(&sim, &schedule, &universe);
         }
     }
 }
@@ -224,6 +304,9 @@ fn failing_golden_runs_disable_pruning_and_still_match_the_oracle() {
     // writing fails on *every* row of a pristine memory. Pruning to the
     // faulty row would drop the other rows' failures, so the simulator
     // must detect the failing golden run and fall back to full sweeps.
+    // The closing r0 over the written ones fails every address under
+    // every fault too, including a no-access address, whose reads
+    // return the precharged ones and so pass every r1.
     let pathological = MarchTest::new(
         "read-before-write",
         vec![
@@ -232,19 +315,22 @@ fn failing_golden_runs_disable_pruning_and_still_match_the_oracle() {
                 vec![MarchOp::Read(true), MarchOp::Write(true), MarchOp::Read(true)],
             ),
             MarchElement::new(AddressOrder::Descending, vec![MarchOp::Read(true)]),
+            MarchElement::new(AddressOrder::Ascending, vec![MarchOp::Read(false)]),
         ],
     );
     let schedule = MarchSchedule::single(pathological, DataBackground::Solid);
     let sim = FaultSimulator::new(config());
-    let universe = FaultUniverse::new(config()).stuck_at();
+    let universes = FaultUniverse::new(config());
 
-    let batched = sim.simulate_universe(&schedule, &universe);
-    for (fault, outcome) in universe.iter().zip(&batched) {
-        let oracle = sim.simulate_fault_schedule(&schedule, fault);
-        assert_eq!(&oracle, outcome, "fallback outcome diverged for {fault}");
-        // Every row fails in this programme, not just the faulty one —
-        // proof that the full sweep actually ran.
-        assert!(outcome.run.failing_addresses().len() == config().words() as usize);
+    for universe in [universes.stuck_at(), universes.address_decoder()] {
+        let batched = sim.simulate_universe(&schedule, &universe);
+        for (fault, outcome) in universe.iter().zip(&batched) {
+            let oracle = sim.simulate_fault_schedule(&schedule, fault);
+            assert_eq!(&oracle, outcome, "fallback outcome diverged for {fault}");
+            // Every row fails in this programme, not just the faulty one
+            // — proof that the full sweep actually ran.
+            assert!(outcome.run.failing_addresses().len() == config().words() as usize);
+        }
     }
 }
 
@@ -298,14 +384,7 @@ fn coupling_two_row_pruned_sweeps_match_the_unpruned_oracle_for_every_mode() {
             universe.push(MemoryFault::cell(victim, CellFault::Coupling { aggressor, kind }));
         }
     }
-    let batched = sim.simulate_universe(&schedule, &universe);
-    for (fault, outcome) in universe.iter().zip(&batched) {
-        let oracle = sim.simulate_fault_schedule(&schedule, fault);
-        assert_eq!(
-            &oracle, outcome,
-            "two-row pruned outcome diverged from the full-sweep oracle for {fault}"
-        );
-    }
+    assert_batched_matches_oracle(&sim, &schedule, &universe);
 }
 
 proptest! {
@@ -338,6 +417,28 @@ proptest! {
         let schedule = nwrtm_schedule();
         let batched = sim.simulate_universe(&schedule, &universe);
         let oracle = sim.simulate_fault_schedule(&schedule, &fault);
+        prop_assert_eq!(&batched[0], &oracle);
+    }
+
+    /// Property: an arbitrary decoder fault — any kind, any address,
+    /// any target, self-targets included — prunes to its deviation rows
+    /// with the same outcome as the unpruned full-sweep oracle, under
+    /// each of the oracle schedules.
+    #[test]
+    fn arbitrary_decoder_faults_prune_identically(
+        address in 0u64..16,
+        target in 0u64..16,
+        kind_index in 0usize..3,
+        schedule_index in 0usize..3,
+    ) {
+        let fault = decoder_faults(address, target)[kind_index];
+        let mut universe = FaultList::new();
+        universe.push(fault);
+
+        let sim = FaultSimulator::new(config());
+        let schedule = &oracle_schedules()[schedule_index];
+        let batched = sim.simulate_universe(schedule, &universe);
+        let oracle = sim.simulate_fault_schedule(schedule, &fault);
         prop_assert_eq!(&batched[0], &oracle);
     }
 }

@@ -50,6 +50,30 @@ impl DecoderFault {
     pub fn new(address: Address, kind: DecoderFaultKind) -> Self {
         DecoderFault { address, kind }
     }
+
+    /// Every physical row whose observable behaviour this fault can
+    /// influence, ascending: the first row and, when the fault drags in
+    /// a second row, that (strictly greater) row.
+    ///
+    /// A no-access fault deviates only on its own address, as does a
+    /// fault whose target is its own address. A maps-to or also-accesses
+    /// fault with a distinct target deviates on the corrupted address
+    /// and the target row. The set is exact: accesses to any other
+    /// address decode to exactly their own row and neither read nor
+    /// write the rows listed here, a no-access read returns the
+    /// precharged all-ones word regardless of history, and the
+    /// wired-AND of a multi-access read only combines rows inside the
+    /// set.
+    pub fn deviation_rows(&self) -> (Address, Option<Address>) {
+        match self.kind {
+            DecoderFaultKind::MapsTo(target) | DecoderFaultKind::AlsoAccesses(target)
+                if target != self.address =>
+            {
+                (self.address.min(target), Some(self.address.max(target)))
+            }
+            _ => (self.address, None),
+        }
+    }
 }
 
 impl fmt::Display for DecoderFault {
@@ -132,24 +156,16 @@ impl AddressDecoder {
         !self.faults.is_empty()
     }
 
-    /// Every physical row whose observable behaviour a decoder fault can
-    /// influence, in ascending order: the corrupted address itself plus
-    /// the redirected/extra row it drags in. Accesses to any other
-    /// address decode to exactly their own row and neither read nor
-    /// write the rows listed here, so the deviation set is exact — a
-    /// no-access read returns the precharged all-ones word regardless of
-    /// history, and the wired-AND of a multi-access read only combines
-    /// rows in the set with the accessed row itself.
+    /// Every physical row whose observable behaviour an injected
+    /// decoder fault can influence, in ascending order: the union of
+    /// each fault's [`DecoderFault::deviation_rows`], which documents
+    /// why the set is exact.
     pub fn deviation_rows(&self) -> Vec<u64> {
         let mut rows: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
-        for (&address, kind) in &self.faults {
-            rows.insert(address);
-            match kind {
-                DecoderFaultKind::NoAccess => {}
-                DecoderFaultKind::MapsTo(target) | DecoderFaultKind::AlsoAccesses(target) => {
-                    rows.insert(target.index());
-                }
-            }
+        for (&address, &kind) in &self.faults {
+            let (first, second) = DecoderFault::new(Address::new(address), kind).deviation_rows();
+            rows.insert(first.index());
+            rows.extend(second.map(Address::index));
         }
         rows.into_iter().collect()
     }
@@ -245,6 +261,39 @@ mod tests {
             .unwrap();
         decoder.clear_faults();
         assert_eq!(decoder.activated_rows(Address::new(5)), vec![Address::new(5)]);
+    }
+
+    #[test]
+    fn fault_deviation_rows_are_one_or_two_ascending_rows() {
+        let rows = |address: u64, kind| DecoderFault::new(Address::new(address), kind).deviation_rows();
+        let a = Address::new;
+        assert_eq!(rows(5, DecoderFaultKind::NoAccess), (a(5), None));
+        assert_eq!(rows(3, DecoderFaultKind::MapsTo(a(9))), (a(3), Some(a(9))));
+        assert_eq!(rows(9, DecoderFaultKind::MapsTo(a(3))), (a(3), Some(a(9))));
+        assert_eq!(
+            rows(0, DecoderFaultKind::AlsoAccesses(a(15))),
+            (a(0), Some(a(15)))
+        );
+        assert_eq!(
+            rows(15, DecoderFaultKind::AlsoAccesses(a(0))),
+            (a(0), Some(a(15)))
+        );
+        assert_eq!(rows(7, DecoderFaultKind::MapsTo(a(7))), (a(7), None));
+        assert_eq!(rows(7, DecoderFaultKind::AlsoAccesses(a(7))), (a(7), None));
+    }
+
+    #[test]
+    fn decoder_deviation_rows_are_the_union_of_its_faults() {
+        let mut decoder = AddressDecoder::new(config());
+        assert!(decoder.deviation_rows().is_empty());
+        for fault in [
+            DecoderFault::new(Address::new(12), DecoderFaultKind::MapsTo(Address::new(4))),
+            DecoderFault::new(Address::new(4), DecoderFaultKind::NoAccess),
+            DecoderFault::new(Address::new(1), DecoderFaultKind::AlsoAccesses(Address::new(1))),
+        ] {
+            decoder.inject(fault).unwrap();
+        }
+        assert_eq!(decoder.deviation_rows(), vec![1, 4, 12]);
     }
 
     #[test]
