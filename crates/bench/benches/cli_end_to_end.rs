@@ -8,6 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use esram_diag::ShardPlan;
+use esram_exec::THREADS_ENV;
 use esram_spec::{compile_str, execute_plan};
 use std::hint::black_box;
 use std::path::Path;
@@ -21,7 +22,7 @@ fn case_study_source() -> String {
 fn bench_cli(c: &mut Criterion) {
     let source = case_study_source();
     let plan = compile_str(&source).expect("case-study spec compiles");
-    let shard = ShardPlan::from_env();
+    let shard = ShardPlan::from_env_values(std::env::var(THREADS_ENV).ok().as_deref()).0;
 
     // Sanity: the benched pipeline is the conformance contract.
     let run = execute_plan(&plan, &shard).expect("case-study runs");

@@ -9,32 +9,30 @@
 //! nearly all of the work.
 //!
 //! This host may have a single core, so the bench measures what actually
-//! distinguishes the strategies: the **critical path** — the wall-clock
+//! distinguishes the partitions: the **critical path** — the wall-clock
 //! of the most loaded worker under a modeled `MODEL_WORKERS`-worker
 //! partition, obtained by *executing* exactly that worker's fault share
 //! sequentially. The partitions come from the same pure functions the
-//! executor uses ([`even_ranges`], [`cost_ranges`], [`steal_schedule`]),
-//! fed by the simulator's own cost model ([`FaultSimulator::fault_cost`]),
-//! so the measured entries are the per-strategy parallel wall-clock a
+//! executor uses ([`even_ranges`], [`cost_ranges`]), fed by the
+//! simulator's own cost model ([`FaultSimulator::fault_cost`]), so the
+//! measured entries are the per-partition parallel wall-clock a
 //! `MODEL_WORKERS`-core machine would see:
 //!
 //! * `critical_path_even_8w` — equal-count chunks (the pre-executor
-//!   strategy): the tail chunk holds every full-sweep fault.
+//!   partition): the tail chunk holds every full-sweep fault.
 //! * `critical_path_cost_8w` — cost-weighted chunk boundaries from
-//!   prefix sums of the per-fault cost.
-//! * `critical_path_steal_8w` — deterministic block-stealing under the
-//!   greedy next-free-worker model.
+//!   prefix sums of the per-fault cost, as the executor runs them.
 //! * `whole_universe_sequential` — the total work, for reference (the
 //!   ideal critical path is total/8).
 //!
-//! The cost-weighted and stealing entries must beat the even one; the
+//! The cost-weighted entry must beat the even one; the
 //! committed `BENCH_results.json` records the ratio, and the CI perf
 //! gate (`perf_gate --prefix fault_sim_heterogeneous/`) keeps every
 //! entry within 2x of it.
 
 use bench::print_section;
 use criterion::{criterion_group, criterion_main, Criterion};
-use esram_exec::{cost_ranges, even_ranges, steal_schedule, DEFAULT_BLOCK_SIZE};
+use esram_exec::{cost_ranges, even_ranges};
 use fault_models::{FaultList, FaultUniverse, MemoryFault};
 use march::{algorithms, FaultSimulator, MarchSchedule, ShardPlan};
 use sram_model::cell::CellCoord;
@@ -106,14 +104,6 @@ fn bottleneck_contiguous(costs: &[u64], ranges: Vec<Range<usize>>) -> Vec<Range<
         .unwrap_or_default()
 }
 
-/// The most loaded worker of the greedy stealing model.
-fn bottleneck_steal(costs: &[u64]) -> Vec<Range<usize>> {
-    steal_schedule(costs, DEFAULT_BLOCK_SIZE, MODEL_WORKERS)
-        .into_iter()
-        .max_by_key(|ranges| modeled_cost(costs, ranges))
-        .unwrap_or_default()
-}
-
 fn detections(sim: &FaultSimulator, schedule: &MarchSchedule, universe: &FaultList) -> usize {
     sim.simulate_universe_with(ShardPlan::sequential(), schedule, universe)
         .iter()
@@ -130,18 +120,13 @@ fn bench_heterogeneous(c: &mut Criterion) {
 
     let even = bottleneck_contiguous(&costs, even_ranges(universe.len(), MODEL_WORKERS));
     let cost = bottleneck_contiguous(&costs, cost_ranges(&costs, MODEL_WORKERS));
-    let steal = bottleneck_steal(&costs);
-    let (even_cost, cost_cost, steal_cost) = (
-        modeled_cost(&costs, &even),
-        modeled_cost(&costs, &cost),
-        modeled_cost(&costs, &steal),
-    );
+    let (even_cost, cost_cost) = (modeled_cost(&costs, &even), modeled_cost(&costs, &cost));
     let total: u128 = costs.iter().map(|&c| u128::from(c)).sum();
     let full_sweeps = costs.iter().filter(|&&c| c == config.words()).count();
     assert!(
-        cost_cost < even_cost && steal_cost < even_cost,
-        "cost-weighted ({cost_cost}) and stealing ({steal_cost}) bottlenecks must beat even \
-         chunking ({even_cost}) on the clustered universe"
+        cost_cost < even_cost,
+        "the cost-weighted bottleneck ({cost_cost}) must beat even chunking ({even_cost}) on the \
+         clustered universe"
     );
 
     print_section("P4: heterogeneous-universe scheduling — modeled 8-worker critical paths");
@@ -153,15 +138,13 @@ fn bench_heterogeneous(c: &mut Criterion) {
         total / MODEL_WORKERS as u128
     );
     println!(
-        "modeled bottleneck cost: even {even_cost}, cost-weighted {cost_cost} ({:.1}x better), \
-         stealing {steal_cost} ({:.1}x better)",
-        even_cost as f64 / cost_cost as f64,
-        even_cost as f64 / steal_cost as f64
+        "modeled bottleneck cost: even {even_cost}, cost-weighted {cost_cost} ({:.1}x better)",
+        even_cost as f64 / cost_cost as f64
     );
 
-    // All strategies must agree on what the universe contains.
+    // Both partitions must agree on what the universe contains.
     let whole = detections(&sim, &schedule, &universe);
-    for (name, ranges) in [("even", &even), ("cost", &cost), ("steal", &steal)] {
+    for (name, ranges) in [("even", &even), ("cost", &cost)] {
         let sub = sub_universe(&universe, ranges);
         let partial = detections(&sim, &schedule, &sub);
         assert!(
@@ -179,10 +162,6 @@ fn bench_heterogeneous(c: &mut Criterion) {
     let cost_universe = sub_universe(&universe, &cost);
     group.bench_function("critical_path_cost_8w", |b| {
         b.iter(|| black_box(detections(&sim, &schedule, &cost_universe)))
-    });
-    let steal_universe = sub_universe(&universe, &steal);
-    group.bench_function("critical_path_steal_8w", |b| {
-        b.iter(|| black_box(detections(&sim, &schedule, &steal_universe)))
     });
     group.bench_function("whole_universe_sequential", |b| {
         b.iter(|| black_box(detections(&sim, &schedule, &universe)))

@@ -7,8 +7,8 @@
 //!   which packs up to 64 compatible faults into the bit lanes of a
 //!   `u64` and replays each march schedule once per batch over the
 //!   union of the batch's pruned rows.
-//! * `*_permem` — the PR 9 architecture, frozen behind the
-//!   [`FaultSimKernel::PerMemory`] knob: one pruned `Sram` replay per
+//! * `*_permem` — the earlier architecture, kept as the
+//!   [`FaultSimKernel::PerMemory`] kernel: one pruned `Sram` replay per
 //!   fault. This is the equivalence oracle, not a strawman — identical
 //!   sharding, pruning and golden-run gating, differing only in the
 //!   kernel.
@@ -22,16 +22,19 @@
 
 use bench::print_section;
 use criterion::{criterion_group, criterion_main, Criterion};
+use esram_exec::THREADS_ENV;
 use fault_models::{DefectProfile, FaultInjector, FaultList, FaultUniverse};
-use march::{algorithms, FaultSimKernel, FaultSimulator, MarchSchedule};
+use march::{algorithms, FaultSimKernel, FaultSimulator, MarchSchedule, ShardPlan};
 use sram_model::MemConfig;
 use std::hint::black_box;
 use std::time::Instant;
 use testutil::{benchmark_geometry, SEEDS};
 
-/// Detections under the given kernel — the measured unit of work.
+/// Detections under the given kernel, on the plan `ESRAM_DIAG_THREADS`
+/// selects — the measured unit of work.
 fn simulate(sim: &FaultSimulator, schedule: &MarchSchedule, universe: &FaultList) -> usize {
-    sim.simulate_universe(schedule, universe)
+    let plan = ShardPlan::from_env_values(std::env::var(THREADS_ENV).ok().as_deref()).0;
+    sim.simulate_universe_with(plan, schedule, universe)
         .iter()
         .filter(|outcome| outcome.detected)
         .count()

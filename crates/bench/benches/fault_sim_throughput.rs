@@ -1,7 +1,8 @@
 //! P1: fault-simulation throughput — the sharded + pruned library path
-//! ([`FaultSimulator::simulate_universe`]): shared `SchedulePatterns`,
-//! golden-run-gated single-row pruning and sharding under the default
-//! [`ShardPlan`], on the S1 scaled geometry and at benchmark scale.
+//! ([`FaultSimulator::simulate_universe_with`]): shared
+//! `SchedulePatterns`, golden-run-gated single-row pruning and sharding
+//! under the plan `ESRAM_DIAG_THREADS` selects (default: one worker per
+//! core), on the S1 scaled geometry and at benchmark scale.
 //!
 //! These entries feed the CI perf gate (`perf_gate`), which fails a
 //! release build when a fresh run regresses more than 2x against the
@@ -12,6 +13,7 @@
 
 use bench::print_section;
 use criterion::{criterion_group, criterion_main, Criterion};
+use esram_exec::THREADS_ENV;
 use fault_models::FaultList;
 use march::{algorithms, FaultSimulator, MarchSchedule, ShardPlan};
 use sram_model::MemConfig;
@@ -29,9 +31,14 @@ fn benchmark_config() -> MemConfig {
     testutil::benchmark_geometry()
 }
 
+/// The plan the bench runs under, read from `ESRAM_DIAG_THREADS`.
+fn shard_plan() -> ShardPlan {
+    ShardPlan::from_env_values(std::env::var(THREADS_ENV).ok().as_deref()).0
+}
+
 /// The current library path: sharded + pruned batched simulation.
 fn simulate_sharded(sim: &FaultSimulator, schedule: &MarchSchedule, universe: &FaultList) -> usize {
-    sim.simulate_universe(schedule, universe)
+    sim.simulate_universe_with(shard_plan(), schedule, universe)
         .iter()
         .filter(|outcome| outcome.detected)
         .count()
@@ -52,10 +59,7 @@ fn time_ms(mut run: impl FnMut() -> usize) -> (usize, f64) {
 
 fn print_throughput_table() {
     print_section("P1: fault-simulation throughput — sharded + pruned library path");
-    println!(
-        "shard plan: {} (ESRAM_DIAG_THREADS overrides)",
-        ShardPlan::default()
-    );
+    println!("shard plan: {} (ESRAM_DIAG_THREADS overrides)", shard_plan());
     for (label, config, seed) in [
         ("S1 scaled population", s1_config(), SEEDS[0]),
         ("benchmark scale", benchmark_config(), SEEDS[1]),

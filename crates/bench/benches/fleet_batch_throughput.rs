@@ -14,21 +14,20 @@
 //! `MODEL_WORKERS`-worker partition, obtained by *executing* exactly
 //! that worker's member share sequentially. The partitions come from
 //! the same pure functions the executor uses ([`even_ranges`],
-//! [`cost_ranges`], [`steal_schedule`]), fed by the fleet plan's own
-//! calibrated costs ([`FleetPlan::member_costs`]):
+//! [`cost_ranges`]), fed by the fleet plan's own calibrated costs
+//! ([`FleetPlan::member_costs`]):
 //!
 //! * `serial_jobs_critical_path_8w` — jobs dispatched one at a time,
 //!   each alone on the 8 workers: the modeled wall-clock is the *sum*
 //!   of every job's own bottleneck share (one 512×100 member per job —
 //!   the small members ride along on otherwise idle workers).
-//! * `batched_cost_8w` / `batched_steal_8w` — the whole fleet in one
-//!   run: the bottleneck worker of the global cost-weighted
-//!   (respectively stealing) partition over all members.
+//! * `batched_cost_8w` — the whole fleet in one run: the bottleneck
+//!   worker of the global cost-weighted partition over all members.
 //! * `fleet_end_to_end_sequential` — one full [`FleetRunner::run`]
 //!   (build + plan + diagnose) on one thread: the total work, and a
 //!   standing proof the batched pipeline runs end to end.
 //!
-//! The batched bottlenecks must beat serial dispatch by at least
+//! The batched bottleneck must beat serial dispatch by at least
 //! [`REQUIRED_SPEEDUP`]× in modeled cost — asserted deterministically
 //! from the cost table, so the claim cannot silently rot on a noisy
 //! host — and the measured entries record what that means in
@@ -38,7 +37,7 @@
 use bench::print_section;
 use criterion::{criterion_group, criterion_main, Criterion};
 use esram_diag::{DiagnosisResult, FastScheme, FleetJob, FleetPlan, FleetRunner, Soc};
-use esram_exec::{cost_ranges, even_ranges, steal_schedule, DEFAULT_BLOCK_SIZE};
+use esram_exec::{cost_ranges, even_ranges};
 use march::ShardPlan;
 use sram_model::{MemoryId, Sram};
 use std::hint::black_box;
@@ -87,14 +86,6 @@ fn bottleneck_contiguous(costs: &[u64], ranges: Vec<Range<usize>>) -> Vec<Range<
         .into_iter()
         .max_by_key(|range| modeled_cost(costs, std::slice::from_ref(range)))
         .map(|range| vec![range])
-        .unwrap_or_default()
-}
-
-/// The most loaded worker of the greedy stealing model.
-fn bottleneck_steal(costs: &[u64]) -> Vec<Range<usize>> {
-    steal_schedule(costs, DEFAULT_BLOCK_SIZE, MODEL_WORKERS)
-        .into_iter()
-        .max_by_key(|ranges| modeled_cost(costs, ranges))
         .unwrap_or_default()
 }
 
@@ -176,19 +167,13 @@ fn bench_fleet(c: &mut Criterion) {
     // Batched dispatch: one global partition over every member.
     let even = bottleneck_contiguous(&costs, even_ranges(costs.len(), MODEL_WORKERS));
     let cost = bottleneck_contiguous(&costs, cost_ranges(&costs, MODEL_WORKERS));
-    let steal = bottleneck_steal(&costs);
-    let (even_modeled, cost_modeled, steal_modeled) = (
-        modeled_cost(&costs, &even),
-        modeled_cost(&costs, &cost),
-        modeled_cost(&costs, &steal),
-    );
+    let (even_modeled, cost_modeled) = (modeled_cost(&costs, &even), modeled_cost(&costs, &cost));
     let total: u128 = costs.iter().map(|&c| u128::from(c)).sum();
     let cost_speedup = serial_modeled as f64 / cost_modeled as f64;
-    let steal_speedup = serial_modeled as f64 / steal_modeled as f64;
     assert!(
-        cost_speedup >= REQUIRED_SPEEDUP && steal_speedup >= REQUIRED_SPEEDUP,
+        cost_speedup >= REQUIRED_SPEEDUP,
         "batched dispatch must model a >= {REQUIRED_SPEEDUP}x win over serial job dispatch \
-         (cost {cost_speedup:.2}x, steal {steal_speedup:.2}x, serial bottleneck {serial_modeled})"
+         (cost {cost_speedup:.2}x, serial bottleneck {serial_modeled})"
     );
 
     print_section("P7: fleet batching — modeled 8-worker critical paths over 32 SoC jobs");
@@ -200,8 +185,7 @@ fn bench_fleet(c: &mut Criterion) {
     );
     println!(
         "modeled bottleneck cost: serial-jobs {serial_modeled}, batched even {even_modeled}, \
-         batched cost {cost_modeled} ({cost_speedup:.1}x over serial), batched steal \
-         {steal_modeled} ({steal_speedup:.1}x over serial)"
+         batched cost {cost_modeled} ({cost_speedup:.1}x over serial)"
     );
 
     // The batched pipeline must be byte-identical to per-job serial
@@ -223,9 +207,6 @@ fn bench_fleet(c: &mut Criterion) {
     });
     group.bench_function("batched_cost_8w", |b| {
         b.iter(|| black_box(run_share(&plan, &mut socs, &starts, &cost)))
-    });
-    group.bench_function("batched_steal_8w", |b| {
-        b.iter(|| black_box(run_share(&plan, &mut socs, &starts, &steal)))
     });
     group.bench_function("fleet_end_to_end_sequential", |b| {
         b.iter(|| {

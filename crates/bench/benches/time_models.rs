@@ -7,7 +7,7 @@
 //!   write/read stream;
 //! * `fast_scheme_diagnose_512mem_{permem,sharded}` — end-to-end
 //!   diagnosis of a 512-memory SoC under the per-memory oracle kernel
-//!   and under the default kernel and plan;
+//!   and under the default kernel and the `ESRAM_DIAG_THREADS` plan;
 //! * `soc_build_512mem_sharded` — SoC construction at population scale;
 //! * `score_case_study_4x512x100` — scoring the Sec. 4.2 case study's
 //!   bit-parallel diagnosis against its injected faults.
@@ -18,9 +18,17 @@ use esram_diag::{
     AnalyticModel, CaseStudy, DataBackground, DataBackgroundGenerator, DiagnosisKernel, DiagnosisScheme,
     DrfMode, FastScheme, FaultClass, GoldenStore, HuangScheme, MarchSchedule, MemConfig, ShardPlan, Soc,
 };
+use esram_exec::THREADS_ENV;
 use sram_model::Address;
 use std::hint::black_box;
 use std::time::Duration;
+
+/// The plan the population benches run under, read from
+/// `ESRAM_DIAG_THREADS` (CI pins it to 1 so the perf gate compares like
+/// with like).
+fn shard_plan() -> ShardPlan {
+    ShardPlan::from_env_values(std::env::var(THREADS_ENV).ok().as_deref()).0
+}
 
 /// Population size for the SoA measurement points.
 const SOA_MEMORIES: usize = 512;
@@ -139,7 +147,7 @@ fn bench_time_models(c: &mut Criterion) {
             |mut soc| {
                 let result = FastScheme::new(10.0)
                     .with_drf_mode(DrfMode::None)
-                    .diagnose(soc.memories_mut())
+                    .diagnose_with(shard_plan(), soc.memories_mut())
                     .expect("fast run");
                 black_box(result.cycles)
             },
@@ -152,7 +160,7 @@ fn bench_time_models(c: &mut Criterion) {
             || small_population(4, 64, 16, 0.01, 42),
             |mut soc| {
                 let result = HuangScheme::new(10.0)
-                    .diagnose(soc.memories_mut())
+                    .diagnose_with(shard_plan(), soc.memories_mut())
                     .expect("baseline run");
                 black_box(result.cycles)
             },
@@ -167,9 +175,8 @@ fn bench_time_models(c: &mut Criterion) {
         b.iter(|| black_box(golden_soa_stream(&configs, &schedule)))
     });
 
-    // The 512-memory diagnosis under the library plan
-    // (`ESRAM_DIAG_THREADS`-overridable; CI pins it to 1 so the perf
-    // gate compares like with like) and, on the same population, under
+    // The 512-memory diagnosis under the bench plan and, on the same
+    // population, under
     // the per-memory oracle kernel: the pair documents the bit-parallel
     // kernel's speedup, and the gap collapsing is the first sign the
     // fast path silently degraded to dense stepping.
@@ -194,7 +201,7 @@ fn bench_time_models(c: &mut Criterion) {
             |mut soc| {
                 let result = FastScheme::new(10.0)
                     .with_drf_mode(DrfMode::None)
-                    .diagnose_with(ShardPlan::from_env(), soc.memories_mut())
+                    .diagnose_with(shard_plan(), soc.memories_mut())
                     .expect("fast run");
                 black_box(result.cycles)
             },
@@ -209,7 +216,7 @@ fn bench_time_models(c: &mut Criterion) {
                 .defect_rate(0.0005)
                 .seed(42)
                 .spares(32)
-                .build_with(ShardPlan::from_env())
+                .build_with(shard_plan())
                 .expect("population builds");
             black_box(soc.injected_faults())
         })

@@ -72,7 +72,7 @@ impl FastScheme {
             drf_mode: DrfMode::Nwrtm,
             shift_order: ShiftOrder::MsbFirst,
             use_march_cw: true,
-            kernel: DiagnosisKernel::from_env(),
+            kernel: DiagnosisKernel::default(),
         }
     }
 
@@ -82,10 +82,10 @@ impl FastScheme {
         self
     }
 
-    /// Selects the population-stepping kernel explicitly, overriding the
-    /// `ESRAM_DIAG_KERNEL` default [`FastScheme::new`] picked up. Both
-    /// kernels produce byte-identical results; `PerMemory` is the dense
-    /// oracle the equivalence suite compares against.
+    /// Selects the population-stepping kernel, replacing the
+    /// bit-parallel default [`FastScheme::new`] picks. Both kernels
+    /// produce byte-identical results; `PerMemory` is the dense oracle
+    /// the equivalence suite compares against.
     pub fn with_kernel(mut self, kernel: DiagnosisKernel) -> Self {
         self.kernel = kernel;
         self
@@ -224,7 +224,7 @@ impl FastScheme {
 
     /// Diagnoses a population presented as `(id, memory)` pairs over any
     /// [`MemoryPort`] implementation, under the default [`ShardPlan`]
-    /// (available cores, `ESRAM_DIAG_THREADS` overrides).
+    /// (one worker per available core).
     ///
     /// This is the generic core [`DiagnosisScheme::diagnose`] wraps (the
     /// packed population case); the dense-vs-packed equivalence suite
@@ -245,10 +245,8 @@ impl FastScheme {
     /// Diagnoses a population under an explicit [`ShardPlan`].
     ///
     /// The population is split into contiguous segments by the
-    /// deterministic executor — calibrated cost-weighted per-worker
-    /// chunks or fixed-size stolen blocks, depending on the
-    /// plan's strategy; memories are independent given the shared write
-    /// stream. Each segment replays the planned schedule with its own
+    /// deterministic executor into calibrated cost-weighted per-worker
+    /// chunks; memories are independent given the shared write stream. Each segment replays the planned schedule with its own
     /// [`GoldenStore`] segment view, PSCs and comparator, and the
     /// per-segment logs are merged back in exact population order — the
     /// result is byte-identical to the sequential (1-thread) walk for
@@ -534,8 +532,8 @@ impl PopulationPlan {
 
     /// Calibrated cost estimate for diagnosing member `index`
     /// (diagnosis-domain pricing of the member's IO width). Used by the
-    /// executor's cost-weighted and stealing strategies; influences
-    /// shard boundaries only, never results.
+    /// executor's cost-weighted partition; influences shard boundaries
+    /// only, never results.
     pub fn member_cost(&self, index: usize) -> u64 {
         self.calibration
             .cost(CostDomain::Diagnosis, self.configs[index].width() as u64)

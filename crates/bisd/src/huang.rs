@@ -50,12 +50,12 @@ impl HuangScheme {
             clock_period_ns,
             max_iterations: 4096,
             retention_pause_ms: None,
-            kernel: DiagnosisKernel::from_env(),
+            kernel: DiagnosisKernel::default(),
         }
     }
 
-    /// Selects the population-stepping kernel explicitly, overriding
-    /// the `ESRAM_DIAG_KERNEL` default [`HuangScheme::new`] picked up.
+    /// Selects the population-stepping kernel, replacing the
+    /// bit-parallel default [`HuangScheme::new`] picks.
     /// For the baseline the bit-parallel kernel only skips memories
     /// that are provably pristine (fault-free, power-on contents) for
     /// the duration of a pass — the bi-directional serial interface
@@ -246,7 +246,7 @@ struct PassOptions {
 /// The population (zipped with its per-memory known-site sets) runs on
 /// the deterministic executor over contiguous mutable segments; the
 /// baseline's bit-serial cost is `words × width` cycles per memory, so
-/// cost-aware strategies weight each memory by its cell count. The
+/// the cost-balanced partition weights each memory by its cell count. The
 /// per-segment logs concatenate in memory order and the found-anything
 /// verdicts OR-reduce — both associative over adjacent segments, so the
 /// merged pass equals the sequential walk for every plan.

@@ -5,18 +5,11 @@
 //! the controller's golden model (see the scheme documentation for the
 //! soundness argument). The per-memory kernel is the original dense
 //! walk, retained verbatim as the equivalence oracle — the kernel
-//! equivalence suite asserts the two produce byte-identical results,
-//! and `ESRAM_DIAG_KERNEL=permem` lets any run (or the CI determinism
-//! matrix) re-check that on demand.
+//! equivalence suite asserts the two produce byte-identical results.
+//! Tests and benches select it with `with_kernel`, and a spec with
+//! `[execution] kernel = "per-memory"`.
 
 use std::fmt;
-
-/// Environment variable overriding the default diagnosis kernel:
-/// `bitparallel` (the default) or `permem` (the per-memory oracle),
-/// case-insensitive. A set-but-unrecognised value falls back to the
-/// default with a one-time warning on stderr, mirroring the executor's
-/// `ESRAM_DIAG_THREADS` / `ESRAM_DIAG_SCHED` knobs.
-pub const KERNEL_ENV: &str = "ESRAM_DIAG_KERNEL";
 
 /// Which stepping kernel a scheme uses over the population.
 ///
@@ -37,27 +30,14 @@ pub enum DiagnosisKernel {
 }
 
 impl DiagnosisKernel {
-    /// Parses an environment-variable value (case-insensitive,
-    /// surrounding whitespace ignored).
+    /// Parses a kernel name (a spec's `[execution] kernel`),
+    /// case-insensitive, surrounding whitespace ignored.
     pub fn parse(raw: &str) -> Option<Self> {
         match raw.trim().to_ascii_lowercase().as_str() {
             "bitparallel" | "bit-parallel" => Some(DiagnosisKernel::BitParallel),
             "permem" | "per-memory" | "permemory" => Some(DiagnosisKernel::PerMemory),
             _ => None,
         }
-    }
-
-    /// The kernel selected by [`KERNEL_ENV`], defaulting to
-    /// [`DiagnosisKernel::BitParallel`] when unset. A set-but-malformed
-    /// value also yields the default, with a one-time warning naming
-    /// the variable and the fallback (a typo must not silently test the
-    /// wrong kernel) — routed through the workspace's shared warn-once
-    /// knob path so this knob cannot drift from the executor's.
-    pub fn from_env() -> Self {
-        esram_exec::env::read_knob(KERNEL_ENV, Self::parse, || {
-            format!("the default kernel ({})", DiagnosisKernel::default())
-        })
-        .unwrap_or_default()
     }
 
     /// Both kernels, for equivalence sweeps.

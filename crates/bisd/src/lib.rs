@@ -56,7 +56,7 @@ pub mod scheme;
 pub use components::{AddressTrigger, ComparatorArray, DataBackgroundGenerator, MemorySizeTable, StepIndex};
 pub use fast::{DiagError, DrfMode, FastScheme, PopulationPlan, SegmentOutcome};
 pub use huang::HuangScheme;
-pub use kernel::{DiagnosisKernel, KERNEL_ENV};
+pub use kernel::DiagnosisKernel;
 pub use log::{DiagnosisLog, DiagnosisRecord, FaultSite, LocatedSites};
 pub use population::GoldenStore;
 pub use result::DiagnosisResult;

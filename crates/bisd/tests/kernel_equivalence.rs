@@ -246,37 +246,20 @@ fn huang_scheme_kernels_agree_on_every_fault_class_exhaustive() {
 }
 
 #[test]
-fn explicit_kernel_choice_overrides_the_environment_default() {
-    // `new()` reads `ESRAM_DIAG_KERNEL`; `with_kernel` must win over
-    // whatever the ambient environment says, and both kernels must be
-    // constructible regardless of it.
+fn explicit_kernel_choice_overrides_the_default() {
+    // `new()` picks the bit-parallel kernel without consulting the
+    // environment; `with_kernel` replaces it.
     let scheme = FastScheme::new(10.0);
+    assert_eq!(scheme.kernel(), DiagnosisKernel::BitParallel);
     assert_eq!(
         scheme.with_kernel(DiagnosisKernel::PerMemory).kernel(),
         DiagnosisKernel::PerMemory
     );
-    assert_eq!(
-        scheme.with_kernel(DiagnosisKernel::BitParallel).kernel(),
-        DiagnosisKernel::BitParallel
-    );
+    assert_eq!(HuangScheme::new(10.0).kernel(), DiagnosisKernel::BitParallel);
     assert_eq!(
         HuangScheme::new(10.0)
             .with_kernel(DiagnosisKernel::PerMemory)
             .kernel(),
         DiagnosisKernel::PerMemory
     );
-}
-
-#[test]
-fn ambient_kernel_knob_is_well_formed() {
-    // CI's malformed-environment cases must fail loudly instead of
-    // silently falling back: if `ESRAM_DIAG_KERNEL` is set, it must be
-    // a value `DiagnosisKernel::parse` accepts.
-    if let Ok(raw) = std::env::var(bisd::KERNEL_ENV) {
-        assert!(
-            DiagnosisKernel::parse(&raw).is_some(),
-            "{}={raw:?} is not a valid kernel (expected one of: bitparallel, permem)",
-            bisd::KERNEL_ENV
-        );
-    }
 }

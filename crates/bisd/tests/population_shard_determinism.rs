@@ -3,18 +3,18 @@
 //!
 //! * `FastScheme::diagnose_ports_with` returns the identical
 //!   [`bisd::DiagnosisResult`] — comparator log in exact record order,
-//!   cycles, pause accounting — for every worker count;
+//!   cycles, pause accounting — for every worker count, under both
+//!   kernels, equal to the per-memory oracle's sequential walk;
 //! * `HuangScheme::diagnose_with` iterates globally with sharded
 //!   passes, and its log/iteration/cycle accounting never depends on
-//!   the plan;
-//! * the default (environment-driven) plan used by the
+//!   the plan or the kernel;
+//! * the default plan (one worker per core) used by the
 //!   [`DiagnosisScheme::diagnose`] entry points equals the explicit
-//!   sequential plan — this is what the CI thread-matrix job sweeps
-//!   over `ESRAM_DIAG_THREADS` ∈ {1, 2, 7, 32}.
+//!   sequential plan.
 
-use bisd::{DiagnosisScheme, DrfMode, FastScheme, HuangScheme, MemoryUnderDiagnosis};
+use bisd::{DiagnosisKernel, DiagnosisScheme, DrfMode, FastScheme, HuangScheme, MemoryUnderDiagnosis};
 use fault_models::{DefectProfile, FaultInjector};
-use march::{ShardPlan, ShardStrategy};
+use march::ShardPlan;
 use sram_model::{MemConfig, MemoryId};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 7, 32];
@@ -93,7 +93,10 @@ fn fast_scheme_drf_modes_and_ablations_shard_identically() {
             .with_drf_mode(DrfMode::None),
         FastScheme::new(10.0).with_march_c_minus(),
     ];
-    for scheme in schemes {
+    for scheme in schemes
+        .into_iter()
+        .flat_map(|scheme| DiagnosisKernel::all().map(|k| scheme.with_kernel(k)))
+    {
         let mut sequential_population = population(7, 0.03);
         let sequential = scheme
             .diagnose_with(ShardPlan::sequential(), &mut sequential_population)
@@ -113,11 +116,15 @@ fn fast_scheme_drf_modes_and_ablations_shard_identically() {
 
 #[test]
 fn huang_scheme_output_is_byte_identical_for_every_thread_count() {
-    for scheme in [
+    let schemes = [
         HuangScheme::new(10.0),
         HuangScheme::new(10.0).with_retention_pause(100),
         HuangScheme::new(10.0).with_max_iterations(3),
-    ] {
+    ];
+    for scheme in schemes
+        .into_iter()
+        .flat_map(|scheme| DiagnosisKernel::all().map(|k| scheme.with_kernel(k)))
+    {
         let mut sequential_population = population(11, 0.04);
         let sequential = scheme
             .diagnose_with(ShardPlan::sequential(), &mut sequential_population)
@@ -143,8 +150,7 @@ fn huang_scheme_output_is_byte_identical_for_every_thread_count() {
 fn both_schemes_are_byte_identical_under_every_strategy() {
     // The population mixes IO widths (the fast scheme's cost model) and
     // cell counts (the baseline's), so cost-weighted segment boundaries
-    // differ from even ones, and a block size of 2 forces stealing to
-    // cut mid-population — none of which may show in the output.
+    // differ from even ones — which may not show in the output.
     let fast_sequential = {
         let mut population = population(13, 0.04);
         FastScheme::new(10.0)
@@ -158,59 +164,61 @@ fn both_schemes_are_byte_identical_under_every_strategy() {
             .expect("sequential baseline run")
     };
     assert!(!fast_sequential.is_clean(), "the population must contain faults");
-    for strategy in ShardStrategy::all() {
-        for threads in [2, 7, 32] {
-            let plan = ShardPlan::with_threads(threads)
-                .with_strategy(strategy)
-                .with_block_size(2);
-            let mut fast_population = population(13, 0.04);
-            let fast = FastScheme::new(10.0)
-                .diagnose_with(plan, &mut fast_population)
-                .expect("sharded fast run");
-            assert_eq!(fast, fast_sequential, "fast scheme diverged under {plan}");
-            let mut huang_population = population(13, 0.04);
-            let huang = HuangScheme::new(10.0)
-                .diagnose_with(plan, &mut huang_population)
-                .expect("sharded baseline run");
-            assert_eq!(huang, huang_sequential, "baseline diverged under {plan}");
-        }
+    for threads in [2, 7, 32] {
+        let plan = ShardPlan::with_threads(threads);
+        let mut fast_population = population(13, 0.04);
+        let fast = FastScheme::new(10.0)
+            .diagnose_with(plan, &mut fast_population)
+            .expect("sharded fast run");
+        assert_eq!(fast, fast_sequential, "fast scheme diverged under {plan}");
+        let mut huang_population = population(13, 0.04);
+        let huang = HuangScheme::new(10.0)
+            .diagnose_with(plan, &mut huang_population)
+            .expect("sharded baseline run");
+        assert_eq!(huang, huang_sequential, "baseline diverged under {plan}");
     }
 }
 
 #[test]
-fn default_env_driven_plan_equals_the_explicit_sequential_plan() {
-    // The trait entry points run under `ShardPlan::from_env()`; whatever
-    // `ESRAM_DIAG_THREADS` the CI matrix sets, the result must equal the
+fn default_plan_equals_the_explicit_sequential_plan() {
+    // The trait entry points run under `ShardPlan::default()`, one
+    // worker per core; for either kernel the result must equal the
     // sequential oracle.
-    let mut fast_default = population(5, 0.03);
-    let fast = FastScheme::new(10.0)
-        .diagnose(&mut fast_default)
-        .expect("default fast run");
-    let mut fast_sequential = population(5, 0.03);
-    let fast_oracle = FastScheme::new(10.0)
-        .diagnose_with(ShardPlan::sequential(), &mut fast_sequential)
-        .expect("sequential fast run");
-    assert_eq!(
-        fast,
-        fast_oracle,
-        "default-plan fast diagnosis diverged under {}",
-        ShardPlan::from_env()
-    );
+    for kernel in DiagnosisKernel::all() {
+        let mut fast_default = population(5, 0.03);
+        let fast = FastScheme::new(10.0)
+            .with_kernel(kernel)
+            .diagnose(&mut fast_default)
+            .expect("default fast run");
+        let mut fast_sequential = population(5, 0.03);
+        let fast_oracle = FastScheme::new(10.0)
+            .with_kernel(kernel)
+            .diagnose_with(ShardPlan::sequential(), &mut fast_sequential)
+            .expect("sequential fast run");
+        assert_eq!(
+            fast,
+            fast_oracle,
+            "default-plan {kernel} fast diagnosis diverged under {}",
+            ShardPlan::default()
+        );
 
-    let mut huang_default = population(5, 0.03);
-    let huang = HuangScheme::new(10.0)
-        .diagnose(&mut huang_default)
-        .expect("default baseline run");
-    let mut huang_sequential = population(5, 0.03);
-    let huang_oracle = HuangScheme::new(10.0)
-        .diagnose_with(ShardPlan::sequential(), &mut huang_sequential)
-        .expect("sequential baseline run");
-    assert_eq!(
-        huang,
-        huang_oracle,
-        "default-plan baseline diagnosis diverged under {}",
-        ShardPlan::from_env()
-    );
+        let mut huang_default = population(5, 0.03);
+        let huang = HuangScheme::new(10.0)
+            .with_kernel(kernel)
+            .diagnose(&mut huang_default)
+            .expect("default baseline run");
+        let mut huang_sequential = population(5, 0.03);
+        let huang_oracle = HuangScheme::new(10.0)
+            .with_kernel(kernel)
+            .diagnose_with(ShardPlan::sequential(), &mut huang_sequential)
+            .expect("sequential baseline run");
+        assert_eq!(
+            huang,
+            huang_oracle,
+            "default-plan {kernel} baseline diagnosis diverged under {}",
+            ShardPlan::default()
+        );
+    }
 }
 
 #[test]
@@ -240,12 +248,8 @@ fn single_memory_population_shards_trivially() {
 
 #[test]
 fn both_kernels_shard_identically_under_every_strategy() {
-    // The kernel knob composes with sharding: for each kernel the
-    // sharded run must equal that kernel's own sequential walk, and the
-    // two kernels' sequential walks must equal each other — so the CI
-    // matrix rows that pin `ESRAM_DIAG_KERNEL=permem` gate exactly the
-    // same bytes as the default bit-parallel rows.
-    use bisd::DiagnosisKernel;
+    // The kernel choice composes with sharding: for each kernel the
+    // sharded run must equal the per-memory kernel's sequential walk.
     let oracle = {
         let mut population = population(17, 0.04);
         FastScheme::new(10.0)
@@ -255,34 +259,17 @@ fn both_kernels_shard_identically_under_every_strategy() {
     };
     assert!(!oracle.is_clean(), "the population must contain faults");
     for kernel in DiagnosisKernel::all() {
-        for strategy in ShardStrategy::all() {
-            for threads in [1, 7, 32] {
-                let plan = ShardPlan::with_threads(threads)
-                    .with_strategy(strategy)
-                    .with_block_size(2);
-                let mut sharded_population = population(17, 0.04);
-                let sharded = FastScheme::new(10.0)
-                    .with_kernel(kernel)
-                    .diagnose_with(plan, &mut sharded_population)
-                    .expect("sharded run");
-                assert_eq!(
-                    sharded, oracle,
-                    "kernel {kernel} diverged from the sequential oracle under {plan}"
-                );
-            }
+        for threads in THREAD_COUNTS {
+            let plan = ShardPlan::with_threads(threads);
+            let mut sharded_population = population(17, 0.04);
+            let sharded = FastScheme::new(10.0)
+                .with_kernel(kernel)
+                .diagnose_with(plan, &mut sharded_population)
+                .expect("sharded run");
+            assert_eq!(
+                sharded, oracle,
+                "kernel {kernel} diverged from the sequential oracle under {plan}"
+            );
         }
-    }
-}
-
-#[test]
-fn ambient_kernel_knob_is_well_formed() {
-    // The determinism matrix sets `ESRAM_DIAG_KERNEL` per row; a typo
-    // there must fail the suite loudly, not fall back silently.
-    if let Ok(raw) = std::env::var(bisd::KERNEL_ENV) {
-        assert!(
-            bisd::DiagnosisKernel::parse(&raw).is_some(),
-            "{}={raw:?} is not a valid kernel (expected one of: bitparallel, permem)",
-            bisd::KERNEL_ENV
-        );
     }
 }

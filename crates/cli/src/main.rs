@@ -12,25 +12,41 @@
 //! * `esram report <report.json | dir>` — render a human-readable
 //!   summary of a previously written report.
 //!
-//! Output directory precedence for `run`: `--out` beats the
-//! `ESRAM_SPEC_OUT` environment knob, which beats the spec's own
-//! `[report] dir`, which beats the default `esram-out/<name>`. The
-//! executor knobs (`ESRAM_DIAG_THREADS`, `ESRAM_DIAG_SCHED`,
-//! `ESRAM_DIAG_KERNEL`, `ESRAM_FAULTSIM_KERNEL`, `ESRAM_COST_CALIB`)
-//! are inherited from the environment exactly as every other harness in
-//! the workspace inherits them — and the report bytes are identical
-//! under all of them. A spec's `[execution] faultsim_kernel` is
+//! The CLI is the entry point that turns the environment into
+//! configuration; the libraries it drives read none of it, except
+//! `ESRAM_COST_CALIB` and `ESRAM_FAILPOINTS`. `run` reads two
+//! variables itself:
+//!
+//! * `ESRAM_DIAG_THREADS` — the worker count (default: available
+//!   cores). The report bytes are identical at every count; the count
+//!   in use is recorded in `timing.json`.
+//! * `ESRAM_SPEC_OUT` — the output directory. `--out` beats it, it
+//!   beats the spec's own `[report] dir`, which beats the default
+//!   `esram-out/<name>`.
+//!
+//! Any other `ESRAM_*` variable that is set — a retired knob such as
+//! `ESRAM_DIAG_SCHED`, or a typo — draws one warning on stderr and has
+//! no effect. The diagnosis kernel is chosen by the spec's
+//! `[execution] kernel`. A spec's `[execution] faultsim_kernel` is
 //! validated and recorded in the report, not applied: spec runs never
 //! simulate faults.
 //!
 //! Exit codes: 0 success, 1 spec/run failure (including any failed job
 //! in the report), 2 usage error.
 
-use esram_exec::ShardPlan;
+use esram_exec::{env, ShardPlan, CALIB_ENV, FAILPOINTS_ENV, THREADS_ENV};
 use esram_spec::{execute_plan, summarize, Json, ScenarioSpec};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
+
+/// Environment override for the `run` output directory (see the module
+/// documentation for the precedence).
+const SPEC_OUT_ENV: &str = "ESRAM_SPEC_OUT";
+
+/// Every `ESRAM_*` variable a run reads: two here, two inside the
+/// libraries. A set variable outside this list draws a warning.
+const READ_VARIABLES: [&str; 4] = [THREADS_ENV, SPEC_OUT_ENV, CALIB_ENV, FAILPOINTS_ENV];
 
 const USAGE: &str = "usage: esram <command> [args]
 
@@ -110,11 +126,12 @@ fn run(args: &[String]) -> Result<(), CliError> {
         }
     };
 
+    warn_unread_variables();
     let spec = load_spec(spec_path)?;
     let plan = spec.compile();
     let out_dir = resolve_out_dir(&plan.name, plan.report.dir.as_deref(), out_flag);
 
-    let shard = ShardPlan::from_env();
+    let (shard, _) = ShardPlan::from_env_values(std::env::var(THREADS_ENV).ok().as_deref());
     let started = Instant::now();
     let run = execute_plan(&plan, &shard).map_err(CliError::Failure)?;
     let wall_ms = started.elapsed().as_secs_f64() * 1e3;
@@ -176,7 +193,10 @@ fn resolve_out_dir(name: &str, spec_dir: Option<&str>, out_flag: Option<String>)
     if let Some(dir) = out_flag {
         return PathBuf::from(dir);
     }
-    if let Some(dir) = esram_exec::spec_out_from_env() {
+    let spec_out = std::env::var(SPEC_OUT_ENV).ok();
+    if let Some(dir) = env::read_knob(SPEC_OUT_ENV, spec_out.as_deref(), parse_spec_out, || {
+        "the spec's own report directory".to_string()
+    }) {
         return PathBuf::from(dir);
     }
     if let Some(dir) = spec_dir {
@@ -185,7 +205,41 @@ fn resolve_out_dir(name: &str, spec_dir: Option<&str>, out_flag: Option<String>)
     Path::new("esram-out").join(name)
 }
 
+/// Parser for [`SPEC_OUT_ENV`]: any non-blank path is accepted
+/// verbatim; a set-but-blank value is malformed (it would silently
+/// write reports to the current directory while the environment claims
+/// an override is in force).
+fn parse_spec_out(raw: &str) -> Option<String> {
+    (!raw.trim().is_empty()).then(|| raw.to_string())
+}
+
+/// Warns once for every set `ESRAM_*` variable that no part of a run
+/// reads, so a retired knob or a typo cannot silently claim to
+/// configure the run.
+fn warn_unread_variables() {
+    for (key, _) in std::env::vars_os() {
+        let Some(key) = key.to_str() else { continue };
+        if key.starts_with("ESRAM_") && !READ_VARIABLES.contains(&key) {
+            eprintln!("warning: {key} is set but esram does not read it; it has no effect");
+        }
+    }
+}
+
 fn write_file(path: &Path, contents: &str) -> Result<(), CliError> {
     std::fs::write(path, contents)
         .map_err(|error| CliError::Failure(format!("cannot write {}: {error}", path.display())))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn spec_out_accepts_any_non_blank_path_and_rejects_blank_ones() {
+        assert_eq!(parse_spec_out("/tmp/reports"), Some("/tmp/reports".to_string()));
+        assert_eq!(parse_spec_out("relative/dir"), Some("relative/dir".to_string()));
+        // Leading/trailing whitespace alone is not a directory.
+        assert_eq!(parse_spec_out(""), None);
+        assert_eq!(parse_spec_out("   "), None);
+    }
 }

@@ -6,8 +6,11 @@
 //!   byte for byte (report.json only; timing.json is wall-clock).
 //! * The case-study report carries the paper's numbers: Eq. (2)-exact
 //!   cycles, k = 96, R >= 84, and every injected fault located.
-//! * Reports are byte-identical across `ESRAM_DIAG_THREADS` in {1, 32}
-//!   and both work-distribution strategies ({cost, steal}).
+//! * Reports are byte-identical across `ESRAM_DIAG_THREADS` in
+//!   {1, 2, 7, 32}, which `timing.json` records, and under the
+//!   per-memory oracle kernel.
+//! * A set `ESRAM_*` variable the CLI does not read draws a warning and
+//!   changes nothing.
 //! * Malformed specs exit non-zero with a span-bearing error message.
 
 use esram_spec::Json;
@@ -48,39 +51,46 @@ fn out_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Runs the binary with the given args and executor knobs, clearing the
-/// ambient knobs first so the calling environment cannot skew a test.
-fn esram(args: &[&str], knobs: &[(&str, &str)]) -> Output {
+/// The binary with the given args and knobs, in `cwd`, with every
+/// ambient `ESRAM_*` variable cleared first so the calling environment
+/// cannot skew a test.
+fn esram_command(args: &[&str], knobs: &[(&str, &str)], cwd: &Path) -> Command {
     let mut command = Command::new(env!("CARGO_BIN_EXE_esram"));
-    command.args(args).current_dir(repo_root());
-    for knob in [
-        "ESRAM_DIAG_THREADS",
-        "ESRAM_DIAG_SCHED",
-        "ESRAM_DIAG_KERNEL",
-        "ESRAM_FAULTSIM_KERNEL",
-        "ESRAM_SPEC_OUT",
-    ] {
-        command.env_remove(knob);
+    command.args(args).current_dir(cwd);
+    for (key, _) in std::env::vars_os() {
+        if key.to_string_lossy().starts_with("ESRAM_") {
+            command.env_remove(key);
+        }
     }
     for (key, value) in knobs {
         command.env(key, value);
     }
-    command.output().expect("esram binary must spawn")
+    command
 }
 
-fn run_spec(spec: &str, tag: &str, knobs: &[(&str, &str)]) -> (Output, String) {
+/// Runs the binary from the repository root.
+fn esram(args: &[&str], knobs: &[(&str, &str)]) -> Output {
+    esram_command(args, knobs, &repo_root())
+        .output()
+        .expect("esram binary must spawn")
+}
+
+/// Runs a spec file into a fresh directory and returns the process
+/// output with the written `report.json` and `timing.json`.
+fn run_spec_path(spec: &Path, tag: &str, knobs: &[(&str, &str)]) -> (Output, String, String) {
     let dir = out_dir(tag);
     let output = esram(
-        &[
-            "run",
-            example(spec).to_str().unwrap(),
-            "--out",
-            dir.to_str().unwrap(),
-        ],
+        &["run", spec.to_str().unwrap(), "--out", dir.to_str().unwrap()],
         knobs,
     );
     let report = std::fs::read_to_string(dir.join("report.json")).unwrap_or_default();
+    let timing = std::fs::read_to_string(dir.join("timing.json")).unwrap_or_default();
     std::fs::remove_dir_all(&dir).ok();
+    (output, report, timing)
+}
+
+fn run_spec(spec: &str, tag: &str, knobs: &[(&str, &str)]) -> (Output, String) {
+    let (output, report, _) = run_spec_path(&example(spec), tag, knobs);
     (output, report)
 }
 
@@ -143,46 +153,79 @@ fn sweep_example_reproduces_the_committed_golden() {
 }
 
 #[test]
-fn reports_are_byte_identical_across_threads_and_strategies() {
+fn reports_are_byte_identical_across_threads() {
     let baseline = std::fs::read_to_string(golden("case_study_512x100")).unwrap();
-    for threads in ["1", "32"] {
-        for sched in ["cost", "steal"] {
-            let (output, report) = run_spec(
-                "case_study_512x100.toml",
-                &format!("det-{threads}-{sched}"),
-                &[("ESRAM_DIAG_THREADS", threads), ("ESRAM_DIAG_SCHED", sched)],
-            );
-            assert!(
-                output.status.success(),
-                "run ({threads}, {sched}) failed: {output:?}"
-            );
-            assert_eq!(
-                report, baseline,
-                "report bytes differ at {threads} threads / {sched} strategy"
-            );
-        }
+    for threads in ["1", "2", "7", "32"] {
+        let (output, report, timing) = run_spec_path(
+            &example("case_study_512x100.toml"),
+            &format!("det-{threads}"),
+            &[("ESRAM_DIAG_THREADS", threads)],
+        );
+        assert!(
+            output.status.success(),
+            "run ({threads} threads) failed: {output:?}"
+        );
+        assert_eq!(report, baseline, "report bytes differ at {threads} threads");
+        // The knob must take effect: the plan the run used is recorded.
+        let timing = Json::parse(&timing).unwrap();
+        assert_eq!(
+            timing.get("shard_plan").and_then(Json::as_str),
+            Some(format!("{threads} thread(s)").as_str()),
+            "ESRAM_DIAG_THREADS={threads} did not reach the run"
+        );
     }
 }
 
 #[test]
-fn reports_are_byte_identical_across_faultsim_kernels() {
-    // The committed goldens were produced under the default (lane)
-    // fault-sim kernel; pinning the frozen per-memory oracle — or the
-    // default explicitly — must not move a byte. This is the CLI edge
-    // of the lane-kernel equivalence contract (the CI determinism
-    // matrix sweeps the same knob across the whole suite).
+fn per_memory_kernel_reproduces_the_committed_goldens() {
+    // The end-to-end differential check of the dense oracle: the same
+    // specs pinned to `kernel = "per-memory"` must give the golden
+    // bytes, apart from the echoed kernel name.
+    for name in ["case_study_512x100", "defect_rate_sweep"] {
+        let source = std::fs::read_to_string(example(&format!("{name}.toml"))).unwrap();
+        let dir = out_dir(&format!("permem-spec-{name}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        let spec = dir.join("spec.toml");
+        std::fs::write(&spec, format!("{source}\n[execution]\nkernel = \"per-memory\"\n")).unwrap();
+        let (output, report, _) = run_spec_path(&spec, &format!("permem-{name}"), &[]);
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(
+            output.status.success(),
+            "per-memory run of {name} failed: {output:?}"
+        );
+        let pinned = "\"kernel\": \"permem\",";
+        assert!(report.contains(pinned), "{name}: the pinned kernel is not echoed");
+        let committed = std::fs::read_to_string(golden(name)).unwrap();
+        assert_eq!(
+            report.replacen(pinned, "\"kernel\": \"inherit\",", 1),
+            committed,
+            "{name}: the per-memory kernel drifted from the committed golden"
+        );
+    }
+}
+
+#[test]
+fn unread_esram_variables_warn_and_change_nothing() {
     let baseline = std::fs::read_to_string(golden("case_study_512x100")).unwrap();
-    for kernel in ["lanes", "permem"] {
+    for retired in ["ESRAM_DIAG_SCHED", "ESRAM_DIAG_KERNEL", "ESRAM_FAULTSIM_KERNEL"] {
         let (output, report) = run_spec(
             "case_study_512x100.toml",
-            &format!("faultsim-{kernel}"),
-            &[("ESRAM_FAULTSIM_KERNEL", kernel)],
+            &format!("retired-{retired}"),
+            &[(retired, "permem")],
         );
-        assert!(output.status.success(), "run ({kernel}) failed: {output:?}");
+        assert_eq!(output.status.code(), Some(0), "{retired}: {output:?}");
+        assert_eq!(report, baseline, "{retired} moved the report bytes");
+        let stderr = String::from_utf8(output.stderr).unwrap();
+        let warnings: Vec<&str> = stderr
+            .lines()
+            .filter(|line| line.starts_with("warning:"))
+            .collect();
         assert_eq!(
-            report, baseline,
-            "report bytes differ under the {kernel} fault-sim kernel"
+            warnings.len(),
+            1,
+            "{retired}: expected one warning, got {stderr:?}"
         );
+        assert!(warnings[0].contains(retired), "{retired}: {stderr:?}");
     }
 }
 
@@ -239,6 +282,32 @@ fn spec_out_env_knob_sets_the_output_directory() {
         "ESRAM_SPEC_OUT was not honoured"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn blank_spec_out_warns_and_falls_back_to_the_default_directory() {
+    // A set-but-blank override would otherwise write the reports to the
+    // working directory while the environment claims an override.
+    let cwd = out_dir("blank-spec-out");
+    std::fs::create_dir_all(&cwd).unwrap();
+    let output = esram_command(
+        &["run", example("case_study_512x100.toml").to_str().unwrap()],
+        &[("ESRAM_SPEC_OUT", "   ")],
+        &cwd,
+    )
+    .output()
+    .expect("esram binary must spawn");
+    assert!(output.status.success(), "run failed: {output:?}");
+    let stderr = String::from_utf8(output.stderr).unwrap();
+    assert!(
+        stderr.contains("warning: ESRAM_SPEC_OUT=\"   \" is not a valid value"),
+        "blank ESRAM_SPEC_OUT was accepted silently: {stderr:?}"
+    );
+    assert!(
+        cwd.join("esram-out/case_study_512x100/report.json").is_file(),
+        "the run did not fall back to esram-out/<name>"
+    );
+    std::fs::remove_dir_all(&cwd).ok();
 }
 
 #[test]

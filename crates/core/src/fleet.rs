@@ -11,7 +11,7 @@
 //!
 //! The fleet runner removes those boundaries. It flattens every job's
 //! shardable work items into one global work list per phase and lets
-//! the cost-weighted (or stealing) executor split the *combined* list,
+//! the cost-weighted executor split the *combined* list,
 //! so a worker that finishes its share of one job's memories
 //! immediately continues into the next job's:
 //!
@@ -33,15 +33,14 @@
 //!    ([`PopulationPlan::merge`]) in member order.
 //!
 //! Determinism is inherited, not re-proved: the executor returns
-//! results in exact item order for every strategy and worker count,
+//! results in exact item order at every worker count,
 //! and `merge` reassembles segment outcomes by global operation
 //! sequence number regardless of where segment boundaries fell — so
 //! each job's [`DiagnosisResult`] is byte-identical to what
 //! [`FastScheme::diagnose_with`] produces for that job alone, under
 //! any plan. Calibration (measured or hand-tuned) moves only
 //! the shard *boundaries*, never the results. The fleet determinism
-//! suite asserts both properties across strategies, worker counts and
-//! kernels.
+//! suite asserts both properties across worker counts and kernels.
 //!
 //! # Fault domains
 //!
@@ -49,8 +48,8 @@
 //! [`JobOutcome`] per job: a job whose plan, build or diagnosis
 //! panicked, errored or hit an armed failpoint fails with a structured
 //! [`FleetError`] naming the [`FleetPhase`], while every *other* job's
-//! outcome stays byte-identical to its solo run at any strategy ×
-//! worker count × kernel — which the chaos suite asserts by poisoning
+//! outcome stays byte-identical to its solo run at any worker count ×
+//! kernel — which the chaos suite asserts by poisoning
 //! one job at a time. Only fleet-global conditions (a cancelled
 //! [`RunToken`], an expired deadline) fail the whole call. The
 //! instrumented failpoint sites are `soc.build` (qualified by `job` and
@@ -125,7 +124,7 @@ impl FleetPlan {
 
     /// Calibrated diagnosis cost of every flattened member, in global
     /// item order — exactly the weights the diagnose phase hands the
-    /// executor's cost-aware strategies.
+    /// executor's cost-balanced partition.
     pub fn member_costs(&self) -> Vec<u64> {
         self.members
             .iter()
@@ -319,8 +318,8 @@ pub struct FleetRunner {
 }
 
 impl FleetRunner {
-    /// A runner executing under the given shard plan (strategy and
-    /// worker count apply to the *combined* work list of all jobs),
+    /// A runner executing under the given shard plan (its worker count
+    /// applies to the *combined* work list of all jobs),
     /// with a fresh never-cancelling [`RunToken`].
     pub fn new(shard: ShardPlan) -> Self {
         FleetRunner {
@@ -356,7 +355,7 @@ impl FleetRunner {
     /// contained panic, armed failpoint) comes back as
     /// `Err(`[`FleetError`]`)` in its slot and is excluded from later
     /// phases; every **other** job's outcome is byte-identical to its
-    /// solo run at any strategy, worker count and kernel. The outer
+    /// solo run at any worker count and kernel. The outer
     /// `Result` fails only on fleet-global conditions: the runner's
     /// [`RunToken`] was cancelled or timed out, or a panic escaped the
     /// per-job containment.
@@ -622,8 +621,7 @@ impl FleetRunner {
 
     /// Builds every job's population through one batched executor run
     /// (phase 1) and returns the populations in job order — each
-    /// bit-identical to its job building alone, for every strategy and
-    /// worker count.
+    /// bit-identical to its job building alone, at every worker count.
     ///
     /// # Errors
     ///
@@ -744,7 +742,6 @@ impl FleetRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esram_exec::ShardStrategy;
 
     fn mixed_jobs() -> Vec<FleetJob> {
         let mut jobs = Vec::new();
@@ -880,12 +877,12 @@ mod tests {
     fn batched_fleet_matches_per_job_serial_runs() {
         let jobs = mixed_jobs();
         let baseline = serial_baseline(&jobs);
-        for strategy in ShardStrategy::all() {
-            let runner = FleetRunner::new(ShardPlan::with_threads(7).with_strategy(strategy));
+        for threads in [2, 7] {
+            let runner = FleetRunner::new(ShardPlan::with_threads(threads));
             let outcomes = runner.run_all(&jobs).unwrap();
             assert_eq!(outcomes.len(), jobs.len());
             for (outcome, (soc, result)) in outcomes.iter().zip(&baseline) {
-                assert_eq!(outcome.result(), result, "{strategy:?}");
+                assert_eq!(outcome.result(), result, "{threads} threads");
                 assert_eq!(outcome.soc().injected_faults(), soc.injected_faults());
             }
         }

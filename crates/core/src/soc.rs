@@ -124,8 +124,8 @@ impl SocBuilder {
     }
 
     /// Builds the population, injecting defects if a defect rate was
-    /// set, under the default [`ShardPlan`] (available cores,
-    /// `ESRAM_DIAG_THREADS` overrides).
+    /// set, under the default [`ShardPlan`] (one worker per available
+    /// core).
     ///
     /// # Errors
     ///
@@ -139,10 +139,10 @@ impl SocBuilder {
     /// Defect injection runs on the deterministic executor, with each
     /// memory weighted by the calibrated build cost of its cell count
     /// so heterogeneous populations (a few big e-SRAMs among many small
-    /// buffers) split evenly under the cost-aware strategies. Memory
+    /// buffers) split evenly under the cost-balanced partition. Memory
     /// `i` always draws from RNG stream `i` of the builder seed
     /// ([`FaultInjector::for_stream`]), so the built population is
-    /// bit-identical for every strategy and worker count — a 512-memory
+    /// bit-identical at every worker count — a 512-memory
     /// benchmark SoC no longer costs more to build than to diagnose,
     /// without giving up reproducibility.
     ///

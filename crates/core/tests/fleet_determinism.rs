@@ -2,16 +2,10 @@
 //! job running alone on one thread: flattening many jobs' members into
 //! one executor run moves shard boundaries (possibly across job
 //! boundaries) but may never move a single diagnosis record, cycle
-//! count or injected fault.
-//!
-//! The CI determinism matrix runs this suite under every
-//! `ESRAM_DIAG_THREADS` / `ESRAM_DIAG_SCHED` / `ESRAM_DIAG_KERNEL`
-//! combination it pins, so the default-plan fleet path is exercised at
-//! every worker count, strategy and kernel too.
+//! count or injected fault — at any worker count, under either kernel.
 
 use esram_diag::{
-    DiagnosisKernel, DiagnosisResult, FastScheme, FleetJob, FleetRunner, ShardPlan, ShardStrategy, Soc,
-    SocBuilder,
+    DiagnosisKernel, DiagnosisResult, FastScheme, FleetJob, FleetRunner, ShardPlan, Soc, SocBuilder,
 };
 use proptest::prelude::*;
 
@@ -108,23 +102,21 @@ fn fleet_matches_serial_for_every_strategy_thread_count_and_kernel() {
     for kernel in DiagnosisKernel::all() {
         let jobs = mixed_jobs(kernel);
         let baseline = serial_baseline(&jobs);
-        for strategy in ShardStrategy::all() {
-            for threads in [1usize, 2, 7, 32] {
-                let plan = ShardPlan::with_threads(threads).with_strategy(strategy);
-                assert_fleet_matches(&jobs, &baseline, plan);
-            }
+        for threads in [1usize, 2, 7, 32] {
+            assert_fleet_matches(&jobs, &baseline, ShardPlan::with_threads(threads));
         }
     }
 }
 
 #[test]
 fn fleet_under_the_default_plan_matches_serial() {
-    // The CI matrix drives this path: whatever the ambient
-    // `ESRAM_DIAG_*` knobs select, the fleet must equal the per-job
-    // sequential oracle.
-    let jobs = mixed_jobs(DiagnosisKernel::from_env());
-    let baseline = serial_baseline(&jobs);
-    assert_fleet_matches(&jobs, &baseline, ShardPlan::default());
+    // One worker per core, under either kernel: the fleet must equal
+    // the per-job sequential oracle.
+    for kernel in DiagnosisKernel::all() {
+        let jobs = mixed_jobs(kernel);
+        let baseline = serial_baseline(&jobs);
+        assert_fleet_matches(&jobs, &baseline, ShardPlan::default());
+    }
 }
 
 #[test]
@@ -132,26 +124,22 @@ fn single_member_jobs_saturate_nothing_and_still_match() {
     // 16 one-memory jobs under 32 workers: serial dispatch could never
     // use more than one worker per job; the fleet uses many — and the
     // results must not know the difference.
-    let scheme = FastScheme::new(10.0);
-    let jobs: Vec<FleetJob> = (0..16u64)
-        .map(|index| {
-            FleetJob::new(
-                Soc::builder()
-                    .memory(32 + index % 3 * 16, 4 + (index % 5) as usize)
-                    .unwrap()
-                    .defect_rate(0.03)
-                    .seed(index),
-                scheme,
-            )
-        })
-        .collect();
-    let baseline = serial_baseline(&jobs);
-    for strategy in ShardStrategy::all() {
-        assert_fleet_matches(
-            &jobs,
-            &baseline,
-            ShardPlan::with_threads(32).with_strategy(strategy),
-        );
+    for kernel in DiagnosisKernel::all() {
+        let scheme = FastScheme::new(10.0).with_kernel(kernel);
+        let jobs: Vec<FleetJob> = (0..16u64)
+            .map(|index| {
+                FleetJob::new(
+                    Soc::builder()
+                        .memory(32 + index % 3 * 16, 4 + (index % 5) as usize)
+                        .unwrap()
+                        .defect_rate(0.03)
+                        .seed(index),
+                    scheme,
+                )
+            })
+            .collect();
+        let baseline = serial_baseline(&jobs);
+        assert_fleet_matches(&jobs, &baseline, ShardPlan::with_threads(32));
     }
 }
 
@@ -160,14 +148,13 @@ proptest! {
 
     /// Property: any random mix of jobs (member counts, geometries,
     /// defect rates, seeds, kernels) diagnoses identically batched and
-    /// solo, under a rotating strategy × worker-count grid. Each job's
+    /// solo, at 2, 7 and 32 workers. Each job's
     /// shape is unpacked from one random word (member count, words,
     /// width, defect rate and RNG seed from disjoint bit fields).
     #[test]
     fn random_job_mixes_are_identical_batched_and_solo(
         shapes in proptest::collection::vec(any::<u64>(), 1..5),
         bitparallel in any::<bool>(),
-        grid_seed in any::<u64>(),
     ) {
         let kernel = if bitparallel { DiagnosisKernel::BitParallel } else { DiagnosisKernel::PerMemory };
         let scheme = FastScheme::new(10.0).with_kernel(kernel);
@@ -187,26 +174,8 @@ proptest! {
             })
             .collect();
         let baseline = serial_baseline(&jobs);
-        // Three of the nine rows per case; the cases jointly cover the
-        // strategy × thread grid, each cost combo twice (same rotation
-        // idiom as the SoC-build determinism suite).
-        let combos = [
-            (ShardStrategy::Cost, 2usize),
-            (ShardStrategy::Cost, 7),
-            (ShardStrategy::Steal, 32),
-            (ShardStrategy::Steal, 2),
-            (ShardStrategy::Cost, 7),
-            (ShardStrategy::Cost, 32),
-            (ShardStrategy::Cost, 2),
-            (ShardStrategy::Steal, 7),
-            (ShardStrategy::Cost, 32),
-        ];
-        let rotation = (grid_seed % 3) as usize * 3;
-        for &(strategy, threads) in combos[rotation..rotation + 3].iter() {
-            let plan = ShardPlan::with_threads(threads)
-                .with_strategy(strategy)
-                .with_block_size(1 + (grid_seed % 5) as usize);
-            assert_fleet_matches(&jobs, &baseline, plan);
+        for threads in [2, 7, 32] {
+            assert_fleet_matches(&jobs, &baseline, ShardPlan::with_threads(threads));
         }
     }
 }

@@ -11,14 +11,14 @@
 //! * every job that succeeds is byte-identical to its solo baseline
 //!   (computed with injection disarmed);
 //! * with nothing armed, every job succeeds;
-//! * the set of failed jobs is identical across strategies and worker
-//!   counts — injection is deterministic, not scheduling-dependent.
+//! * the set of failed jobs is identical across worker counts —
+//!   injection is deterministic, not scheduling-dependent.
 //!
 //! The CI rows run this binary with e.g.
 //! `ESRAM_FAILPOINTS="diag.segment@job=1:panic"` or
 //! `ESRAM_FAILPOINTS="soc.build@member=2:error"` armed.
 
-use esram_diag::{DiagnosisResult, FastScheme, FleetJob, FleetRunner, ShardPlan, ShardStrategy, Soc};
+use esram_diag::{DiagnosisResult, FastScheme, FleetJob, FleetRunner, ShardPlan, Soc};
 use esram_exec::{failpoint, FailpointGuard, FailpointSet, FAILPOINTS_ENV};
 
 fn mixed_jobs() -> Vec<FleetJob> {
@@ -76,36 +76,34 @@ fn ambient_failpoints_degrade_gracefully() {
         .unwrap_or(false);
 
     let mut failed_jobs: Option<Vec<usize>> = None;
-    for strategy in ShardStrategy::all() {
-        for threads in [1, 2, 7] {
-            let plan = ShardPlan::with_threads(threads).with_strategy(strategy);
-            let outcomes = FleetRunner::new(plan)
-                .run(&jobs)
-                .expect("injected faults must never fail the fleet call itself");
-            let mut failed = Vec::new();
-            for (job, outcome) in outcomes.iter().enumerate() {
-                match outcome {
-                    Ok(outcome) => assert_eq!(
-                        outcome.result(),
-                        &baseline[job],
-                        "job {job} under {plan}: succeeded but diverged from its solo run"
-                    ),
-                    Err(error) => {
-                        assert!(
-                            armed,
-                            "job {job} under {plan} failed with no failpoint armed: {error}"
-                        );
-                        failed.push(job);
-                    }
+    for threads in [1, 2, 7] {
+        let plan = ShardPlan::with_threads(threads);
+        let outcomes = FleetRunner::new(plan)
+            .run(&jobs)
+            .expect("injected faults must never fail the fleet call itself");
+        let mut failed = Vec::new();
+        for (job, outcome) in outcomes.iter().enumerate() {
+            match outcome {
+                Ok(outcome) => assert_eq!(
+                    outcome.result(),
+                    &baseline[job],
+                    "job {job} under {plan}: succeeded but diverged from its solo run"
+                ),
+                Err(error) => {
+                    assert!(
+                        armed,
+                        "job {job} under {plan} failed with no failpoint armed: {error}"
+                    );
+                    failed.push(job);
                 }
             }
-            match &failed_jobs {
-                None => failed_jobs = Some(failed),
-                Some(expected) => assert_eq!(
-                    &failed, expected,
-                    "under {plan}: injection hit a different job set — not deterministic"
-                ),
-            }
+        }
+        match &failed_jobs {
+            None => failed_jobs = Some(failed),
+            Some(expected) => assert_eq!(
+                &failed, expected,
+                "under {plan}: injection hit a different job set — not deterministic"
+            ),
         }
     }
     if !armed {

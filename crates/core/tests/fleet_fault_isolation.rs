@@ -5,8 +5,8 @@
 //! programmatic [`FailpointGuard`] scenario and asserts the isolation
 //! contract of [`FleetRunner::run`]: the poisoned job comes back as a
 //! structured [`FleetError`] naming the phase, and **every other job's
-//! outcome is byte-identical to its solo run** — across strategies,
-//! worker counts and kernels. Cancellation and deadlines are asserted
+//! outcome is byte-identical to its solo run** — across worker counts
+//! and kernels. Cancellation and deadlines are asserted
 //! to tear down cleanly (state reusable, immediate rerun matches the
 //! baseline), and injected worker delays are asserted to never move a
 //! single diagnosis record.
@@ -18,7 +18,7 @@
 
 use esram_diag::{
     DiagnosisKernel, DiagnosisResult, FastScheme, FleetError, FleetJob, FleetPhase, FleetRunner, JobOutcome,
-    RunToken, ShardPlan, ShardStrategy, Soc,
+    RunToken, ShardPlan, Soc,
 };
 use esram_exec::{failpoint, FailpointGuard};
 
@@ -109,13 +109,7 @@ fn assert_isolated(
 }
 
 fn all_plans() -> Vec<ShardPlan> {
-    let mut plans = Vec::new();
-    for strategy in ShardStrategy::all() {
-        for threads in WORKER_COUNTS {
-            plans.push(ShardPlan::with_threads(threads).with_strategy(strategy));
-        }
-    }
-    plans
+    WORKER_COUNTS.into_iter().map(ShardPlan::with_threads).collect()
 }
 
 #[test]
@@ -197,19 +191,13 @@ fn injected_build_panic_on_one_member_fails_only_its_job() {
 }
 
 #[test]
-fn injected_delay_under_steal_never_changes_results() {
+fn injected_delay_never_changes_results() {
     let jobs = mixed_jobs(DiagnosisKernel::BitParallel);
     let baseline = serial_baseline(&jobs);
-    // Unqualified delay at every diagnosis segment: workers race and
-    // stall in injected-noise order, results must not move a byte.
+    // Unqualified delay at every diagnosis segment: workers finish in
+    // injected-noise order, results must not move a byte.
     let _guard = FailpointGuard::scenario("diag.segment:delay(2),soc.build:delay(1)");
-    for plan in [
-        ShardPlan::with_threads(7).with_strategy(ShardStrategy::Steal),
-        ShardPlan::with_threads(7)
-            .with_strategy(ShardStrategy::Steal)
-            .with_block_size(1),
-        ShardPlan::with_threads(2).with_strategy(ShardStrategy::Cost),
-    ] {
+    for plan in [ShardPlan::with_threads(7), ShardPlan::with_threads(2)] {
         let outcomes = FleetRunner::new(plan).run_all(&jobs).expect("delays never fail");
         for (job, (outcome, (_, result))) in outcomes.iter().zip(&baseline).enumerate() {
             assert_eq!(

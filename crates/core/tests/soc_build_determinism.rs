@@ -2,12 +2,8 @@
 //! construction: memory `i` draws its defects from RNG stream `i` of
 //! the builder seed, so the built population is a pure function of
 //! `(seed, index, geometry)` no matter how many workers build it.
-//!
-//! The CI thread-matrix job runs this suite under `ESRAM_DIAG_THREADS`
-//! ∈ {1, 2, 7, 32} so the default-plan path is exercised at every
-//! worker count too.
 
-use esram_diag::{DiagnosisScheme, FastScheme, ShardPlan, ShardStrategy, Soc};
+use esram_diag::{DiagnosisKernel, DiagnosisScheme, FastScheme, ShardPlan, Soc};
 use proptest::prelude::*;
 
 /// Compares two populations member by member: identity, geometry,
@@ -72,25 +68,8 @@ proptest! {
         let words = 1u64 << words_exp;
         let rate = f64::from(rate_millis) / 1000.0;
         let sequential = build(memories, words, width, rate, seed, drf, ShardPlan::sequential());
-        // Rotate strategies across the thread counts so every case
-        // still costs three sharded builds while the cases jointly
-        // cover the full strategy x worker-count grid.
-        let combos = [
-            (ShardStrategy::Cost, 2usize),
-            (ShardStrategy::Cost, 7),
-            (ShardStrategy::Steal, 32),
-            (ShardStrategy::Steal, 2),
-            (ShardStrategy::Cost, 7),
-            (ShardStrategy::Cost, 32),
-            (ShardStrategy::Cost, 2),
-            (ShardStrategy::Steal, 7),
-            (ShardStrategy::Cost, 32),
-        ];
-        let rotation = (seed % 3) as usize * 3;
-        for &(strategy, threads) in combos[rotation..rotation + 3].iter() {
-            let plan = ShardPlan::with_threads(threads)
-                .with_strategy(strategy)
-                .with_block_size(1 + (seed % 7) as usize);
+        for threads in [2, 7, 32] {
+            let plan = ShardPlan::with_threads(threads);
             let sharded = build(memories, words, width, rate, seed, drf, plan);
             assert_bit_identical(&sequential, &sharded, &plan.to_string());
         }
@@ -99,8 +78,8 @@ proptest! {
 
 #[test]
 fn default_plan_build_equals_sequential_build() {
-    // The plain `build()` runs under `ShardPlan::from_env()`; whatever
-    // the CI matrix sets, it must equal the sequential oracle.
+    // The plain `build()` runs under `ShardPlan::default()`, one worker
+    // per core; it must equal the sequential oracle.
     let make_default = || {
         Soc::builder()
             .memories(37, 64, 16)
@@ -126,7 +105,7 @@ fn default_plan_build_equals_sequential_build() {
     assert_bit_identical(
         &make_default(),
         &sequential,
-        &format!("default plan ({})", ShardPlan::from_env()),
+        &format!("default plan ({})", ShardPlan::default()),
     );
 }
 
@@ -134,15 +113,17 @@ fn default_plan_build_equals_sequential_build() {
 fn sharded_and_sequential_builds_diagnose_identically() {
     // End-to-end corroboration: identical construction implies
     // identical diagnosis, including the comparator log order.
-    let mut sequential = build(12, 32, 8, 0.05, 7, true, ShardPlan::sequential());
-    let mut sharded = build(12, 32, 8, 0.05, 7, true, ShardPlan::with_threads(7));
-    let scheme = FastScheme::new(10.0);
-    let a = scheme
-        .diagnose(sequential.memories_mut())
-        .expect("diagnosis runs");
-    let b = scheme.diagnose(sharded.memories_mut()).expect("diagnosis runs");
-    assert_eq!(a, b);
-    assert!(!a.is_clean(), "the population must contain faults");
+    for kernel in DiagnosisKernel::all() {
+        let mut sequential = build(12, 32, 8, 0.05, 7, true, ShardPlan::sequential());
+        let mut sharded = build(12, 32, 8, 0.05, 7, true, ShardPlan::with_threads(7));
+        let scheme = FastScheme::new(10.0).with_kernel(kernel);
+        let a = scheme
+            .diagnose(sequential.memories_mut())
+            .expect("diagnosis runs");
+        let b = scheme.diagnose(sharded.memories_mut()).expect("diagnosis runs");
+        assert_eq!(a, b, "{kernel} diagnosis diverged");
+        assert!(!a.is_clean(), "the population must contain faults");
+    }
 }
 
 #[test]
@@ -159,17 +140,15 @@ fn benchmark_population_builds_identically_at_every_worker_count() {
         .build_with(ShardPlan::sequential())
         .expect("population builds");
     assert!(sequential.injected_faults() > 0);
-    for strategy in ShardStrategy::all() {
-        for threads in [2usize, 32] {
-            let plan = ShardPlan::with_threads(threads).with_strategy(strategy);
-            let sharded = Soc::builder()
-                .memories(64, 512, 100)
-                .expect("valid geometry")
-                .defect_rate(0.01)
-                .seed(2005)
-                .build_with(plan)
-                .expect("population builds");
-            assert_bit_identical(&sequential, &sharded, &format!("benchmark, {plan}"));
-        }
+    for threads in [2usize, 7, 32] {
+        let plan = ShardPlan::with_threads(threads);
+        let sharded = Soc::builder()
+            .memories(64, 512, 100)
+            .expect("valid geometry")
+            .defect_rate(0.01)
+            .seed(2005)
+            .build_with(plan)
+            .expect("population builds");
+        assert_bit_identical(&sequential, &sharded, &format!("benchmark, {plan}"));
     }
 }

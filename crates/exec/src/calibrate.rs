@@ -1,7 +1,7 @@
 //! Measured-cost calibration for the executor's shard cost models.
 //!
-//! The partition strategies ([`crate::plan::cost_ranges`],
-//! [`crate::plan::steal_schedule`]) balance *estimated* per-item costs.
+//! The cost-balanced partition ([`crate::plan::cost_ranges`]) balances
+//! *estimated* per-item costs.
 //! Until this module existed every call site hard-coded its own
 //! estimate: the fault simulator charged one unit per row swept,
 //! diagnosis charged `io_width + 4`, the SoC builder charged one unit
@@ -26,8 +26,8 @@
 //! executors guarantee byte-identical output at any cost model (the
 //! cost closure cannot touch the work closure's inputs), so a wildly
 //! wrong calibration costs wall-clock time, not correctness. The
-//! determinism suites exercise exactly this freedom by sweeping
-//! strategies and worker counts over fixed inputs.
+//! determinism suites exercise exactly this freedom by sweeping worker
+//! counts over fixed inputs.
 
 use crate::env;
 
@@ -95,7 +95,8 @@ impl CalibrationMode {
     /// [`CalibrationMode::Measured`] when unset; a set-but-malformed
     /// value warns once and takes the same default.
     pub fn from_env() -> Self {
-        env::read_knob(CALIB_ENV, CalibrationMode::parse, || {
+        let raw = std::env::var(CALIB_ENV).ok();
+        env::read_knob(CALIB_ENV, raw.as_deref(), CalibrationMode::parse, || {
             format!("the default calibration ({:?})", CalibrationMode::default())
         })
         .unwrap_or_default()

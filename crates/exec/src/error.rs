@@ -32,16 +32,14 @@ use std::fmt;
 /// Reported by the `try_*` entry points; the winning failure is chosen
 /// deterministically when several workers fail in one run: a panic
 /// beats a cancellation, and among panics the lowest-indexed failed
-/// shard (contiguous strategies) or block (stealing) is reported.
+/// shard is reported.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ExecError {
-    /// A worker panicked while processing its shard (contiguous
-    /// strategies) or a claimed block (stealing).
+    /// A worker panicked while processing its shard.
     WorkerPanic {
-        /// Shard index (contiguous strategies) or block index
-        /// (stealing) whose work panicked — the lowest such index when
-        /// several failed.
+        /// Index of the shard whose work panicked — the lowest such
+        /// index when several failed.
         shard: usize,
         /// The panic payload rendered as a string (`&str` and `String`
         /// payloads verbatim; anything else a placeholder).

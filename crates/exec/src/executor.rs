@@ -11,10 +11,8 @@
 //!   plan over a single-item list) executes on the calling thread, so
 //!   the sequential path *is* the 1-worker instance of the parallel
 //!   one.
-//! * **Output order is item order** for every strategy and every worker
-//!   count: contiguous chunks concatenate in chunk order; stolen blocks
-//!   merge in block-index order through per-block slots, regardless of
-//!   which thread claimed which block.
+//! * **Output order is item order** at every worker count: contiguous
+//!   cost-balanced chunks concatenate in chunk order.
 //!
 //! # Fault containment
 //!
@@ -22,14 +20,12 @@
 //! wrapped in `catch_unwind`, **all** workers are joined even when some
 //! panicked (two shards panicking simultaneously can no longer
 //! escalate into a process-killing double panic), and the caller's
-//! [`RunToken`] is checked at item, segment and block boundaries. The
+//! [`RunToken`] is checked at item and segment boundaries. The
 //! `try_*` variants surface failures as a structured [`ExecError`]; the
 //! infallible classics keep their contract by re-raising the original
 //! panic payload *after* teardown completed. When several workers fail
 //! in one run the reported failure is deterministic: a panic outranks a
-//! cancellation, and among panics the lowest-indexed failed shard (or
-//! stolen block) wins — every lower-indexed unit either completed or
-//! was itself recorded first.
+//! cancellation, and among panics the lowest-indexed failed shard wins.
 //!
 //! [`ShardPlan::map_slots_isolated`] narrows the fault domain to a
 //! single item: a panicking or erroring item fails only its own slot
@@ -37,18 +33,11 @@
 //! surviving slot stays byte-identical to the sequential map.
 
 use crate::error::{panic_payload, ExecError, ItemFault};
-use crate::plan::{block_ranges, cost_ranges, ShardPlan, ShardStrategy};
+use crate::plan::{cost_ranges, ShardPlan};
 use crate::token::RunToken;
 use std::any::Any;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
-
-/// A claimable mutable block under [`ShardStrategy::Steal`]: the base
-/// item index of the block plus the block's slice, taken exactly once
-/// by whichever worker claims the block's index.
-type ClaimableBlock<'a, T> = Mutex<Option<(usize, &'a mut [T])>>;
 
 /// Internal failure currency of the fallible core: panics keep their
 /// original boxed payload so the infallible wrappers can re-raise it
@@ -106,24 +95,16 @@ fn keep_worst(slot: &mut Option<RawFailure>, candidate: RawFailure) {
     }
 }
 
-/// [`keep_worst`] behind a mutex, for the stealing workers' shared
-/// failure slot. Work never runs while this lock is held, so a panic
-/// cannot poison it (recovered defensively anyway).
-fn record_failure(shared: &Mutex<Option<RawFailure>>, candidate: RawFailure) {
-    let mut slot = shared.lock().unwrap_or_else(PoisonError::into_inner);
-    keep_worst(&mut slot, candidate);
-}
-
 impl ShardPlan {
     /// Maps every item to one output slot, deterministically, with one
     /// scratch state per worker.
     ///
-    /// `cost` estimates per-item work for [`ShardStrategy::Cost`] (it
-    /// is not called for the other strategies); `init` builds one
+    /// `cost` estimates per-item work for the cost-balanced partition
+    /// ([`cost_ranges`]); `init` builds one
     /// scratch state per worker (a reusable memory, an RNG — anything
     /// whose reuse across items has no observable effect); `work` maps
     /// `(state, index, item)` to the item's result. Returns the results
-    /// in exact item order for every strategy and worker count.
+    /// in exact item order at every worker count.
     ///
     /// # Panics
     ///
@@ -186,8 +167,8 @@ impl ShardPlan {
     /// After a caught item panic the worker's scratch state is rebuilt
     /// with `init` before the next item (an unwound closure may leave
     /// it inconsistent), so every *surviving* slot is byte-identical to
-    /// the sequential map for every strategy, worker count and block
-    /// size — the chaos proptest asserts exactly this.
+    /// the sequential map at every worker count — the chaos proptest
+    /// asserts exactly this.
     ///
     /// # Errors
     ///
@@ -243,8 +224,8 @@ impl ShardPlan {
         if items.is_empty() {
             return Ok(Vec::new());
         }
-        // One shard's (or block's) contained run: panics are caught and
-        // tagged with the unit index; the token is checked per item.
+        // One shard's contained run: panics are caught and tagged with
+        // the shard index; the token is checked per item.
         let run_range = |shard: usize, range: Range<usize>| -> Result<Vec<R>, RawFailure> {
             let caught = catch_unwind(AssertUnwindSafe(|| -> Result<Vec<R>, RawFailure> {
                 let mut state = init();
@@ -263,119 +244,39 @@ impl ShardPlan {
         if self.shard_count(items.len()) <= 1 {
             return run_range(0, 0..items.len());
         }
-        match self.strategy() {
-            ShardStrategy::Cost => {
-                let ranges = self.contiguous_ranges(items.len(), |index| cost(index, &items[index]));
-                if ranges.len() <= 1 {
-                    return run_range(0, 0..items.len());
-                }
-                std::thread::scope(|scope| {
-                    let workers: Vec<_> = ranges
-                        .into_iter()
-                        .enumerate()
-                        .map(|(shard, range)| {
-                            let run_range = &run_range;
-                            scope.spawn(move || run_range(shard, range))
-                        })
-                        .collect();
-                    // Join ALL workers before reporting anything: a
-                    // second simultaneous panic lands here as a value,
-                    // not as a double-panic abort.
-                    let mut merged = Vec::with_capacity(items.len());
-                    let mut failure: Option<RawFailure> = None;
-                    for (shard, worker) in workers.into_iter().enumerate() {
-                        match worker.join() {
-                            Ok(Ok(results)) => merged.extend(results),
-                            Ok(Err(raw)) => keep_worst(&mut failure, raw),
-                            // The worker closure is fully caught; a join
-                            // error would mean the spawn machinery itself
-                            // panicked — still contained, still reported.
-                            Err(payload) => keep_worst(&mut failure, RawFailure::Panic { shard, payload }),
-                        }
-                    }
-                    match failure {
-                        None => Ok(merged),
-                        Some(raw) => Err(raw),
-                    }
-                })
-            }
-            ShardStrategy::Steal => {
-                let blocks = block_ranges(items.len(), self.block_size());
-                let workers = self.threads().min(blocks.len());
-                if workers <= 1 {
-                    let mut merged = Vec::with_capacity(items.len());
-                    for (index, block) in blocks.into_iter().enumerate() {
-                        merged.extend(run_range(index, block)?);
-                    }
-                    return Ok(merged);
-                }
-                let slots: Vec<Mutex<Option<Vec<R>>>> = blocks.iter().map(|_| Mutex::new(None)).collect();
-                let next = AtomicUsize::new(0);
-                let abort = AtomicBool::new(false);
-                let failure: Mutex<Option<RawFailure>> = Mutex::new(None);
-                std::thread::scope(|scope| {
-                    for _ in 0..workers {
-                        scope.spawn(|| {
-                            // Scratch state is lazily built inside the
-                            // catch so a panicking `init` is contained
-                            // too, and rebuilt after nothing: a failed
-                            // block aborts the whole run, so a possibly
-                            // corrupted state is never reused.
-                            let mut state: Option<S> = None;
-                            loop {
-                                if abort.load(Ordering::Relaxed) {
-                                    break;
-                                }
-                                let claimed = next.fetch_add(1, Ordering::Relaxed);
-                                let Some(block) = blocks.get(claimed) else { break };
-                                if let Err(error) = token.check() {
-                                    record_failure(&failure, RawFailure::from_exec(error));
-                                    abort.store(true, Ordering::Relaxed);
-                                    break;
-                                }
-                                let caught = catch_unwind(AssertUnwindSafe(|| {
-                                    let state = state.get_or_insert_with(&init);
-                                    items[block.clone()]
-                                        .iter()
-                                        .zip(block.clone())
-                                        .map(|(item, index)| work(state, index, item))
-                                        .collect::<Vec<R>>()
-                                }));
-                                match caught {
-                                    Ok(results) => {
-                                        *slots[claimed].lock().unwrap_or_else(PoisonError::into_inner) =
-                                            Some(results);
-                                    }
-                                    Err(payload) => {
-                                        record_failure(
-                                            &failure,
-                                            RawFailure::Panic {
-                                                shard: claimed,
-                                                payload,
-                                            },
-                                        );
-                                        abort.store(true, Ordering::Relaxed);
-                                        break;
-                                    }
-                                }
-                            }
-                        });
-                    }
-                });
-                if let Some(raw) = failure.into_inner().unwrap_or_else(PoisonError::into_inner) {
-                    return Err(raw);
-                }
-                let mut merged = Vec::with_capacity(items.len());
-                for slot in slots {
-                    let results = slot
-                        .into_inner()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .expect("no failure was recorded, so every block completed");
-                    merged.extend(results);
-                }
-                Ok(merged)
-            }
+        let ranges = self.contiguous_ranges(items.len(), |index| cost(index, &items[index]));
+        if ranges.len() <= 1 {
+            return run_range(0, 0..items.len());
         }
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = ranges
+                .into_iter()
+                .enumerate()
+                .map(|(shard, range)| {
+                    let run_range = &run_range;
+                    scope.spawn(move || run_range(shard, range))
+                })
+                .collect();
+            // Join ALL workers before reporting anything: a second
+            // simultaneous panic lands here as a value, not as a
+            // double-panic abort.
+            let mut merged = Vec::with_capacity(items.len());
+            let mut failure: Option<RawFailure> = None;
+            for (shard, worker) in workers.into_iter().enumerate() {
+                match worker.join() {
+                    Ok(Ok(results)) => merged.extend(results),
+                    Ok(Err(raw)) => keep_worst(&mut failure, raw),
+                    // The worker closure is fully caught; a join error
+                    // would mean the spawn machinery itself panicked —
+                    // still contained, still reported.
+                    Err(payload) => keep_worst(&mut failure, RawFailure::Panic { shard, payload }),
+                }
+            }
+            match failure {
+                None => Ok(merged),
+                Some(raw) => Err(raw),
+            }
+        })
     }
 
     /// Processes disjoint contiguous mutable segments of `items`,
@@ -383,10 +284,10 @@ impl ShardPlan {
     ///
     /// `work` receives each segment together with the index of its
     /// first item, so callers can slice parallel read-only arrays to
-    /// match. How many segments exist depends on the strategy (one per
-    /// shard for the contiguous strategies, one per block for
-    /// stealing), so callers must merge the per-segment results with an
-    /// operation that is associative over adjacent segments — which the
+    /// match. How many segments exist depends on the worker count and
+    /// the item costs (one per non-empty shard), so callers must merge
+    /// the per-segment results with an operation that is associative
+    /// over adjacent segments — which the
     /// workspace's merges (ordered concatenation, OR-reduction, stable
     /// sort by a shared sequence key) all are.
     ///
@@ -416,7 +317,7 @@ impl ShardPlan {
 
     /// Fallible [`ShardPlan::run_segments`]: worker panics are
     /// contained and surfaced as [`ExecError::WorkerPanic`], and
-    /// `token` is checked at every segment/block boundary so
+    /// `token` is checked at every segment boundary so
     /// cancellation and deadlines stop the run with a deterministic
     /// error and clean teardown. Items already processed by completed
     /// segments keep their mutations (cooperative cancellation is a
@@ -468,106 +369,40 @@ impl ShardPlan {
         if self.shard_count(items.len()) <= 1 {
             return Ok(vec![run_segment(0, 0, items)?]);
         }
-        match self.strategy() {
-            ShardStrategy::Cost => {
-                let ranges = self.contiguous_ranges(items.len(), |index| cost(index, &items[index]));
-                if ranges.len() <= 1 {
-                    return Ok(vec![run_segment(0, 0, items)?]);
-                }
-                let mut segments: Vec<(usize, &mut [T])> = Vec::with_capacity(ranges.len());
-                let mut rest = items;
-                for range in &ranges {
-                    let (segment, tail) = rest.split_at_mut(range.len());
-                    segments.push((range.start, segment));
-                    rest = tail;
-                }
-                std::thread::scope(|scope| {
-                    let workers: Vec<_> = segments
-                        .into_iter()
-                        .enumerate()
-                        .map(|(shard, (base, segment))| {
-                            let run_segment = &run_segment;
-                            scope.spawn(move || run_segment(shard, base, segment))
-                        })
-                        .collect();
-                    let mut merged = Vec::with_capacity(workers.len());
-                    let mut failure: Option<RawFailure> = None;
-                    for (shard, worker) in workers.into_iter().enumerate() {
-                        match worker.join() {
-                            Ok(Ok(result)) => merged.push(result),
-                            Ok(Err(raw)) => keep_worst(&mut failure, raw),
-                            Err(payload) => keep_worst(&mut failure, RawFailure::Panic { shard, payload }),
-                        }
-                    }
-                    match failure {
-                        None => Ok(merged),
-                        Some(raw) => Err(raw),
-                    }
-                })
-            }
-            ShardStrategy::Steal => {
-                let block_size = self.block_size();
-                let blocks: Vec<ClaimableBlock<'_, T>> = items
-                    .chunks_mut(block_size)
-                    .enumerate()
-                    .map(|(index, block)| Mutex::new(Some((index * block_size, block))))
-                    .collect();
-                let workers = self.threads().min(blocks.len());
-                if workers <= 1 {
-                    let mut merged = Vec::with_capacity(blocks.len());
-                    for (index, block) in blocks.into_iter().enumerate() {
-                        let (base, segment) = block
-                            .into_inner()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .expect("block present");
-                        merged.push(run_segment(index, base, segment)?);
-                    }
-                    return Ok(merged);
-                }
-                let slots: Vec<Mutex<Option<R>>> = blocks.iter().map(|_| Mutex::new(None)).collect();
-                let next = AtomicUsize::new(0);
-                let abort = AtomicBool::new(false);
-                let failure: Mutex<Option<RawFailure>> = Mutex::new(None);
-                std::thread::scope(|scope| {
-                    for _ in 0..workers {
-                        scope.spawn(|| loop {
-                            if abort.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            let claimed = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(block) = blocks.get(claimed) else { break };
-                            let (base, segment) = block
-                                .lock()
-                                .unwrap_or_else(PoisonError::into_inner)
-                                .take()
-                                .expect("each block is claimed exactly once");
-                            match run_segment(claimed, base, segment) {
-                                Ok(result) => {
-                                    *slots[claimed].lock().unwrap_or_else(PoisonError::into_inner) =
-                                        Some(result);
-                                }
-                                Err(raw) => {
-                                    record_failure(&failure, raw);
-                                    abort.store(true, Ordering::Relaxed);
-                                    break;
-                                }
-                            }
-                        });
-                    }
-                });
-                if let Some(raw) = failure.into_inner().unwrap_or_else(PoisonError::into_inner) {
-                    return Err(raw);
-                }
-                Ok(slots
-                    .into_iter()
-                    .map(|slot| {
-                        slot.into_inner()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .expect("no failure was recorded, so every block completed")
-                    })
-                    .collect())
-            }
+        let ranges = self.contiguous_ranges(items.len(), |index| cost(index, &items[index]));
+        if ranges.len() <= 1 {
+            return Ok(vec![run_segment(0, 0, items)?]);
         }
+        let mut segments: Vec<(usize, &mut [T])> = Vec::with_capacity(ranges.len());
+        let mut rest = items;
+        for range in &ranges {
+            let (segment, tail) = rest.split_at_mut(range.len());
+            segments.push((range.start, segment));
+            rest = tail;
+        }
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = segments
+                .into_iter()
+                .enumerate()
+                .map(|(shard, (base, segment))| {
+                    let run_segment = &run_segment;
+                    scope.spawn(move || run_segment(shard, base, segment))
+                })
+                .collect();
+            let mut merged = Vec::with_capacity(workers.len());
+            let mut failure: Option<RawFailure> = None;
+            for (shard, worker) in workers.into_iter().enumerate() {
+                match worker.join() {
+                    Ok(Ok(result)) => merged.push(result),
+                    Ok(Err(raw)) => keep_worst(&mut failure, raw),
+                    Err(payload) => keep_worst(&mut failure, RawFailure::Panic { shard, payload }),
+                }
+            }
+            match failure {
+                None => Ok(merged),
+                Some(raw) => Err(raw),
+            }
+        })
     }
 
     /// The cost-balanced contiguous partition for `len` items, with
@@ -586,16 +421,9 @@ impl ShardPlan {
 mod tests {
     use super::*;
     use crate::failpoint::{install_quiet_panic_hook, QUIET_MARKER};
-    use crate::plan::ShardStrategy;
 
     fn plans() -> Vec<ShardPlan> {
-        let mut plans = Vec::new();
-        for strategy in ShardStrategy::all() {
-            for threads in [1, 2, 7, 32] {
-                plans.push(ShardPlan::with_threads(threads).with_strategy(strategy));
-            }
-        }
-        plans
+        [1, 2, 7, 32].into_iter().map(ShardPlan::with_threads).collect()
     }
 
     #[test]
@@ -638,17 +466,13 @@ mod tests {
 
     #[test]
     fn empty_input_returns_without_spawning_for_every_strategy() {
-        for strategy in ShardStrategy::all() {
-            let plan = ShardPlan::with_threads(32).with_strategy(strategy);
+        for plan in plans() {
             let empty: [u64; 0] = [];
             let mapped: Vec<u64> = plan.map_slots(&empty, |_, _| 1, || (), |_, _, &v| v);
-            assert!(mapped.is_empty(), "empty map under {strategy} must be empty");
+            assert!(mapped.is_empty(), "empty map under {plan} must be empty");
             let mut none: [u64; 0] = [];
             let segments: Vec<usize> = plan.run_segments(&mut none, |_, _| 1, |_, s| s.len());
-            assert!(
-                segments.is_empty(),
-                "empty segments under {strategy} must be empty"
-            );
+            assert!(segments.is_empty(), "empty segments under {plan} must be empty");
             // The degenerate shard geometry stays well-defined even
             // though the fast path never consults it.
             assert_eq!(plan.shard_count(0), 1);
@@ -665,22 +489,6 @@ mod tests {
     }
 
     #[test]
-    fn tiny_block_sizes_still_merge_in_item_order() {
-        let items: Vec<u64> = (0..31).collect();
-        for block_size in [1, 2, 3, 16, 100] {
-            let plan = ShardPlan::with_threads(7)
-                .with_strategy(ShardStrategy::Steal)
-                .with_block_size(block_size);
-            let mapped = plan.map_slots(&items, |_, _| 1, || (), |_, index, &v| (index as u64, v));
-            let expected: Vec<(u64, u64)> = items.iter().map(|&v| (v, v)).collect();
-            assert_eq!(
-                mapped, expected,
-                "steal merge diverged at block size {block_size}"
-            );
-        }
-    }
-
-    #[test]
     fn two_simultaneously_panicking_shards_report_the_lowest_without_aborting() {
         install_quiet_panic_hook();
         // Two shards at two threads: both panic at the same time. The
@@ -689,7 +497,7 @@ mod tests {
         // abort hazard. Now both are caught, both joined, and the
         // lowest shard is reported as a value.
         let items: Vec<u64> = (0..8).collect();
-        let plan = ShardPlan::with_threads(2).with_strategy(ShardStrategy::Cost);
+        let plan = ShardPlan::with_threads(2);
         let token = RunToken::new();
         let result = plan.try_map_slots(
             &token,
@@ -742,33 +550,6 @@ mod tests {
                 .downcast_ref::<String>()
                 .expect("original String payload must survive containment");
             assert!(message.contains("original payload"), "{message} under {plan}");
-        }
-    }
-
-    #[test]
-    fn steal_reports_the_lowest_failing_block() {
-        install_quiet_panic_hook();
-        let items: Vec<u64> = (0..40).collect();
-        let plan = ShardPlan::with_threads(7)
-            .with_strategy(ShardStrategy::Steal)
-            .with_block_size(1);
-        let result = plan.try_map_slots(
-            &RunToken::new(),
-            &items,
-            |_, _| 1,
-            || (),
-            |_, index, &v| {
-                if index == 5 || index == 9 {
-                    panic!("{QUIET_MARKER} block {index} exploded");
-                }
-                v
-            },
-        );
-        match result {
-            // Block 5 is always claimed before block 9 (monotonic
-            // counter), so the recorded minimum is deterministic.
-            Err(ExecError::WorkerPanic { shard, .. }) => assert_eq!(shard, 5),
-            other => panic!("expected a worker panic, got {other:?}"),
         }
     }
 

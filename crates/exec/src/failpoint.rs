@@ -25,7 +25,7 @@
 //!   the site has an error channel; sites without one escalate it to a
 //!   marked panic), or `delay(ms)` (sleep that many milliseconds, then
 //!   proceed — injected slowdown must never change any result, which
-//!   the chaos suite asserts under the stealing scheduler).
+//!   the chaos suite asserts at several worker counts).
 //!
 //! # Cost when unset
 //!
@@ -207,7 +207,8 @@ static ENV_SET: OnceLock<FailpointSet> = OnceLock::new();
 
 fn env_set() -> &'static FailpointSet {
     ENV_SET.get_or_init(|| {
-        env::read_knob(FAILPOINTS_ENV, FailpointSet::parse, || {
+        let raw = std::env::var(FAILPOINTS_ENV).ok();
+        env::read_knob(FAILPOINTS_ENV, raw.as_deref(), FailpointSet::parse, || {
             "no failpoints (injection disabled)".to_string()
         })
         .unwrap_or_default()

@@ -1,11 +1,11 @@
 //! The executor's headline guarantee, property-tested: for arbitrary
-//! item lists, cost functions, block sizes and worker counts, every
-//! strategy produces output slot-for-slot identical to the sequential
+//! item lists, cost functions and worker counts, the cost-balanced
+//! executor produces output slot-for-slot identical to the sequential
 //! map — and mutable-segment processing touches every item exactly
 //! once, in order, under every partition.
 
 use esram_exec::failpoint::{install_quiet_panic_hook, QUIET_MARKER};
-use esram_exec::{cost_ranges, even_ranges, steal_schedule, ItemFault, RunToken, ShardPlan, ShardStrategy};
+use esram_exec::{cost_ranges, even_ranges, ItemFault, RunToken, ShardPlan};
 use proptest::collection;
 use proptest::prelude::*;
 
@@ -16,41 +16,39 @@ const WORKER_COUNTS: [usize; 4] = [1, 2, 7, 32];
 /// universe, one item fanned across 32 shards, and all-zero costs.
 #[test]
 fn degenerate_universes_run_on_every_strategy() {
-    for strategy in ShardStrategy::all() {
-        for threads in WORKER_COUNTS {
-            let plan = ShardPlan::with_threads(threads).with_strategy(strategy);
+    for threads in WORKER_COUNTS {
+        let plan = ShardPlan::with_threads(threads);
 
-            // Empty universe: no segments, no spawns, no panic.
-            let mut empty: Vec<u64> = Vec::new();
-            let segments = plan.run_segments(&mut empty, |_, v| *v, |base, s| (base, s.len()));
-            assert!(segments.is_empty(), "empty universe must yield no segments");
+        // Empty universe: no segments, no spawns, no panic.
+        let mut empty: Vec<u64> = Vec::new();
+        let segments = plan.run_segments(&mut empty, |_, v| *v, |base, s| (base, s.len()));
+        assert!(segments.is_empty(), "empty universe must yield no segments");
 
-            // One item across up to 32 shards: exactly one segment.
-            let mut single = vec![41u64];
-            let segments = plan.run_segments(
-                &mut single,
-                |_, v| *v,
-                |base, segment| {
-                    segment[0] += 1;
-                    (base, segment.len())
-                },
-            );
-            assert_eq!(single, vec![42]);
-            assert_eq!(segments, vec![(0, 1)]);
+        // One item across up to 32 shards: exactly one segment.
+        let mut single = vec![41u64];
+        let segments = plan.run_segments(
+            &mut single,
+            |_, v| *v,
+            |base, segment| {
+                segment[0] += 1;
+                (base, segment.len())
+            },
+        );
+        assert_eq!(single, vec![42]);
+        assert_eq!(segments, vec![(0, 1)]);
 
-            // All-zero costs: every item still visited exactly once.
-            let mut zeros = vec![0u64; 5];
-            plan.run_segments(
-                &mut zeros,
-                |_, _| 0,
-                |_, segment| {
-                    for value in segment.iter_mut() {
-                        *value += 1;
-                    }
-                },
-            );
-            assert_eq!(zeros, vec![1; 5], "all-zero costs dropped or repeated items");
-        }
+        // All-zero costs: every item still visited exactly once.
+        let mut zeros = vec![0u64; 5];
+        plan.run_segments(
+            &mut zeros,
+            |_, _| 0,
+            |_, segment| {
+                for value in segment.iter_mut() {
+                    *value += 1;
+                }
+            },
+        );
+        assert_eq!(zeros, vec![1; 5], "all-zero costs dropped or repeated items");
     }
 }
 
@@ -64,7 +62,6 @@ proptest! {
     fn partitions_always_cover_contiguously(
         costs in collection::vec(0u64..1000, 0..130),
         shards in 0usize..40,
-        block_size in 1usize..41,
     ) {
         let assert_covers = |ranges: &[std::ops::Range<usize>]| {
             let mut next = 0;
@@ -77,28 +74,21 @@ proptest! {
         };
         assert_covers(&even_ranges(costs.len(), shards));
         assert_covers(&cost_ranges(&costs, shards));
-        let mut stolen: Vec<std::ops::Range<usize>> = steal_schedule(&costs, block_size, shards)
-            .into_iter()
-            .flatten()
-            .collect();
-        stolen.sort_by_key(|range| range.start);
-        assert_covers(&stolen);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Property: `map_slots` equals the sequential map for every
-    /// strategy, with an arbitrary (deterministic) cost function and an
-    /// arbitrary stealing block size — per-worker scratch state
-    /// included, to prove state reuse cannot reorder or drop slots.
+    /// Property: `map_slots` equals the sequential map at every worker
+    /// count, with an arbitrary (deterministic) cost function —
+    /// per-worker scratch state included, to prove state reuse cannot
+    /// reorder or drop slots.
     #[test]
     fn map_slots_matches_the_sequential_map(
         items in collection::vec(any::<u64>(), 0..130),
         cost_mul in 0u64..7,
         cost_mod in 1u64..97,
-        block_size in 1usize..41,
         workers_index in 0usize..4,
     ) {
         let threads = WORKER_COUNTS[workers_index];
@@ -109,31 +99,22 @@ proptest! {
             .enumerate()
             .map(|(index, &value)| value.rotate_left((index % 64) as u32))
             .collect();
-        for strategy in ShardStrategy::all() {
-            let plan = ShardPlan::with_threads(threads)
-                .with_strategy(strategy)
-                .with_block_size(block_size);
-            let mapped = plan.map_slots(&items, cost, || 0u32, |scratch, index, &value| {
-                // Scratch state drifts per worker; results must not.
-                *scratch = scratch.wrapping_add(1);
-                value.rotate_left((index % 64) as u32)
-            });
-            prop_assert_eq!(
-                &mapped, &sequential,
-                "map diverged under {} x {} threads, block {}", strategy, threads, block_size
-            );
-        }
+        let plan = ShardPlan::with_threads(threads);
+        let mapped = plan.map_slots(&items, cost, || 0u32, |scratch, index, &value| {
+            // Scratch state drifts per worker; results must not.
+            *scratch = scratch.wrapping_add(1);
+            value.rotate_left((index % 64) as u32)
+        });
+        prop_assert_eq!(&mapped, &sequential, "map diverged at {} threads", threads);
     }
 
     /// Property: `run_segments` visits every item exactly once through
     /// contiguous, in-order segments, and the per-segment results merge
-    /// back in item order — for every strategy, block size and worker
-    /// count.
+    /// back in item order — at every worker count.
     #[test]
     fn run_segments_matches_the_sequential_walk(
         items in collection::vec(any::<u64>(), 0..130),
         cost_mod in 1u64..53,
-        block_size in 1usize..41,
         workers_index in 0usize..4,
     ) {
         let threads = WORKER_COUNTS[workers_index];
@@ -142,45 +123,36 @@ proptest! {
             .enumerate()
             .map(|(index, &value)| value.wrapping_mul(3) ^ index as u64)
             .collect();
-        for strategy in ShardStrategy::all() {
-            let mut working = items.clone();
-            let plan = ShardPlan::with_threads(threads)
-                .with_strategy(strategy)
-                .with_block_size(block_size);
-            let segments = plan.run_segments(
-                &mut working,
-                |index, value| value % cost_mod + (index as u64 & 1),
-                |base, segment| {
-                    for (offset, value) in segment.iter_mut().enumerate() {
-                        *value = value.wrapping_mul(3) ^ (base + offset) as u64;
-                    }
-                    (base, segment.len())
-                },
-            );
-            prop_assert_eq!(
-                &working, &expected,
-                "segment mutation diverged under {} x {} threads, block {}", strategy, threads, block_size
-            );
-            let mut next = 0;
-            for (base, len) in segments {
-                prop_assert_eq!(base, next, "segments out of order under {}", strategy);
-                next += len;
-            }
-            prop_assert_eq!(next, items.len(), "segments must cover every item under {}", strategy);
+        let mut working = items.clone();
+        let plan = ShardPlan::with_threads(threads);
+        let segments = plan.run_segments(
+            &mut working,
+            |index, value| value % cost_mod + (index as u64 & 1),
+            |base, segment| {
+                for (offset, value) in segment.iter_mut().enumerate() {
+                    *value = value.wrapping_mul(3) ^ (base + offset) as u64;
+                }
+                (base, segment.len())
+            },
+        );
+        prop_assert_eq!(&working, &expected, "segment mutation diverged at {} threads", threads);
+        let mut next = 0;
+        for (base, len) in segments {
+            prop_assert_eq!(base, next, "segments out of order at {} threads", threads);
+            next += len;
         }
+        prop_assert_eq!(next, items.len(), "segments must cover every item at {} threads", threads);
     }
 
     /// Property: the isolated mapper confines panicking and erroring
     /// items to their own slots, and every *surviving* slot equals the
-    /// sequential map — for every strategy, worker count and block
-    /// size, even though caught panics forced scratch-state rebuilds
-    /// mid-shard.
+    /// sequential map — at every worker count, even though caught
+    /// panics forced scratch-state rebuilds mid-shard.
     #[test]
     fn isolated_map_survives_poisoned_items(
         items in collection::vec(any::<u64>(), 0..130),
         panic_mod in 2u64..12,
         error_mod in 2u64..12,
-        block_size in 1usize..41,
         workers_index in 0usize..4,
     ) {
         install_quiet_panic_hook();
@@ -196,52 +168,48 @@ proptest! {
                 Some(Ok(value.wrapping_mul(7)))
             }
         };
-        for strategy in ShardStrategy::all() {
-            let plan = ShardPlan::with_threads(threads)
-                .with_strategy(strategy)
-                .with_block_size(block_size);
-            let slots = plan
-                .map_slots_isolated(
-                    &token,
-                    &items,
-                    |index, value| value % 5 + (index as u64 & 1),
-                    || 0u64,
-                    |scratch, _, &value| {
-                        // Scratch drifts per worker and is rebuilt after
-                        // caught panics; surviving results must not care.
-                        *scratch = scratch.wrapping_add(value);
-                        match classify(value) {
-                            None => std::panic::panic_any(format!(
-                                "{QUIET_MARKER} injected item panic on {value}"
-                            )),
-                            Some(Err(error)) => Err(error),
-                            Some(Ok(result)) => Ok(result),
-                        }
-                    },
-                )
-                .expect("item faults must never fail the run");
-            prop_assert_eq!(slots.len(), items.len());
-            for (index, (&value, slot)) in items.iter().zip(&slots).enumerate() {
-                match (classify(value), slot) {
-                    (None, Err(ItemFault::Panic { payload })) => {
-                        prop_assert!(payload.contains("injected item panic"), "{}", payload);
+        let plan = ShardPlan::with_threads(threads);
+        let slots = plan
+            .map_slots_isolated(
+                &token,
+                &items,
+                |index, value| value % 5 + (index as u64 & 1),
+                || 0u64,
+                |scratch, _, &value| {
+                    // Scratch drifts per worker and is rebuilt after
+                    // caught panics; surviving results must not care.
+                    *scratch = scratch.wrapping_add(value);
+                    match classify(value) {
+                        None => std::panic::panic_any(format!(
+                            "{QUIET_MARKER} injected item panic on {value}"
+                        )),
+                        Some(Err(error)) => Err(error),
+                        Some(Ok(result)) => Ok(result),
                     }
-                    (Some(Err(expected)), Err(ItemFault::Error(error))) => {
-                        prop_assert_eq!(*error, expected);
-                    }
-                    (Some(Ok(expected)), Ok(result)) => {
-                        prop_assert_eq!(
-                            *result, expected,
-                            "surviving slot {} diverged under {} x {} threads, block {}",
-                            index, strategy, threads, block_size
-                        );
-                    }
-                    (expected, actual) => prop_assert!(
-                        false,
-                        "slot {} misclassified under {}: expected {:?}, got {:?}",
-                        index, strategy, expected, actual
-                    ),
+                },
+            )
+            .expect("item faults must never fail the run");
+        prop_assert_eq!(slots.len(), items.len());
+        for (index, (&value, slot)) in items.iter().zip(&slots).enumerate() {
+            match (classify(value), slot) {
+                (None, Err(ItemFault::Panic { payload })) => {
+                    prop_assert!(payload.contains("injected item panic"), "{}", payload);
                 }
+                (Some(Err(expected)), Err(ItemFault::Error(error))) => {
+                    prop_assert_eq!(*error, expected);
+                }
+                (Some(Ok(expected)), Ok(result)) => {
+                    prop_assert_eq!(
+                        *result, expected,
+                        "surviving slot {} diverged at {} threads",
+                        index, threads
+                    );
+                }
+                (expected, actual) => prop_assert!(
+                    false,
+                    "slot {} misclassified at {} threads: expected {:?}, got {:?}",
+                    index, threads, expected, actual
+                ),
             }
         }
     }

@@ -44,8 +44,8 @@
 //!   aggressor stays broadcast); stuck-open, decoder and failing-golden
 //!   faults fall back to the per-fault path, which
 //!   [`FaultSimKernel::PerMemory`] retains wholesale as the equivalence
-//!   oracle ([`crate::FAULTSIM_KERNEL_ENV`]). Outcomes are unpacked back into
-//!   exact universe order, so the kernels are byte-identical — the
+//!   oracle ([`FaultSimulator::with_kernel`]). Outcomes are unpacked
+//!   back into exact universe order, so the kernels are byte-identical — the
 //!   `lane_kernel_equivalence` suite proves it per fault class.
 //! * **Sharded** — the universe runs on the deterministic executor
 //!   ([`ShardPlan::map_slots`]): the shardable items are the lane
@@ -54,17 +54,17 @@
 //!   per-item cost model (rows swept: 1 for pruned single-row
 //!   classes, 1 or 2 for coupling and decoder faults, the union row
 //!   count for a lane batch, the whole address space for stuck-open)
-//!   steering
-//!   cost-weighted chunking and block-stealing, and outcomes merged
-//!   back into exact universe order for every strategy and worker
-//!   count; per-shard [`CoverageReport`]s fold associatively.
+//!   steering cost-weighted chunking, and outcomes merged back into
+//!   exact universe order at every worker count; per-shard
+//!   [`CoverageReport`]s fold associatively.
 
 use crate::background::DataBackground;
 use crate::coverage::CoverageReport;
 use crate::engine::{FailureRecord, MarchRunner, RunOutcome};
+use crate::kernel::FaultSimKernel;
 use crate::ops::{AddressOrder, MarchOp, MarchTest};
 use crate::schedule::{MarchSchedule, SchedulePatterns, SchedulePhase};
-use esram_exec::{failpoint, CostCalibration, CostDomain, ExecError, FaultSimKernel, RunToken, ShardPlan};
+use esram_exec::{failpoint, CostCalibration, CostDomain, ExecError, RunToken, ShardPlan};
 use fault_models::{FaultList, MemoryFault};
 use sram_model::{Address, CellFault, FailingBits, LanePlanes, MemConfig, Sram};
 use std::collections::BTreeMap;
@@ -109,8 +109,8 @@ enum LaneWork {
 
 /// The lane batcher's output: a partition of the universe into lane
 /// batches and per-fault singles. A pure function of the universe, the
-/// golden verdict and the kernel — never of plan, strategy or worker
-/// count — so the executor shards identical items in every
+/// golden verdict and the kernel — never of the plan or worker count
+/// — so the executor shards identical items in every
 /// configuration.
 #[derive(Debug, Clone)]
 struct LanePlan {
@@ -148,19 +148,18 @@ struct UniversePrep<'a> {
 }
 
 impl FaultSimulator {
-    /// Creates a simulator for the given geometry, reading the
-    /// fault-simulation kernel from [`crate::FAULTSIM_KERNEL_ENV`] (default:
-    /// lane-parallel).
+    /// Creates a simulator for the given geometry, running the default
+    /// lane-parallel kernel.
     pub fn new(config: MemConfig) -> Self {
         FaultSimulator {
             config,
-            kernel: FaultSimKernel::from_env(),
+            kernel: FaultSimKernel::default(),
         }
     }
 
-    /// Returns a copy of the simulator pinned to an explicit kernel,
-    /// ignoring the environment — how the equivalence suites select the
-    /// per-memory oracle.
+    /// Returns a copy of the simulator pinned to an explicit kernel —
+    /// how the equivalence suites and benches select the per-memory
+    /// oracle.
     pub fn with_kernel(mut self, kernel: FaultSimKernel) -> Self {
         self.kernel = kernel;
         self
@@ -489,9 +488,8 @@ impl FaultSimulator {
     }
 
     /// Simulates every fault of a universe against a schedule with the
-    /// default [`ShardPlan`] (available cores, overridable through the
-    /// [`esram_exec::THREADS_ENV`] environment variable). Outcomes are
-    /// returned in exact universe order regardless of the plan.
+    /// default [`ShardPlan`] (one worker per available core). Outcomes
+    /// are returned in exact universe order regardless of the plan.
     pub fn simulate_universe(&self, schedule: &MarchSchedule, universe: &FaultList) -> Vec<FaultSimOutcome> {
         self.simulate_universe_with(ShardPlan::default(), schedule, universe)
     }
@@ -503,8 +501,8 @@ impl FaultSimulator {
     /// lane kernel the work items are the batcher's lane batches plus
     /// the fallback singles, and batch outcomes are scattered back into
     /// universe-order slots. Either way the result is byte-identical to
-    /// the sequential (1-thread) run for every kernel, plan, strategy
-    /// and worker count. Cost-aware strategies are steered by
+    /// the sequential (1-thread) run for every kernel and worker count.
+    /// The cost-balanced partition is steered by
     /// [`FaultSimulator::fault_cost`] / the batch's union row count —
     /// the rows each item's (possibly pruned) replay will actually
     /// sweep.
@@ -618,7 +616,7 @@ impl FaultSimulator {
     ///
     /// Each per-job outcome vector is byte-identical to what
     /// [`FaultSimulator::simulate_universe_with`] returns for that job
-    /// alone, at any strategy and worker count — flattening preserves
+    /// alone, at any worker count — flattening preserves
     /// (job, fault) order and per-fault outcomes are pure functions of
     /// their job's prep. The point of batching is the partition: a
     /// worker finishing a cheap job's pruned faults immediately picks
@@ -707,8 +705,8 @@ impl FaultSimulator {
     /// (`golden_passed == false`) — sweep the whole address space. The
     /// batched entry points price these row units through the active
     /// [`CostCalibration`] (`FaultSim` domain) to steer the cost-weighted
-    /// and stealing strategies; neither the units nor the calibration
-    /// ever change outcomes, only the partition.
+    /// partition; neither the units nor the calibration ever change
+    /// outcomes, only the partition.
     pub fn fault_cost(&self, golden_passed: bool, fault: &MemoryFault) -> u64 {
         let full_sweep = self.config.words();
         if !golden_passed {

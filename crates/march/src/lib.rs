@@ -50,13 +50,15 @@ pub mod background;
 pub mod coverage;
 pub mod engine;
 pub mod fault_sim;
+pub mod kernel;
 pub mod ops;
 pub mod schedule;
 
 pub use background::{BackgroundPatterns, DataBackground};
 pub use coverage::{ClassCoverage, CoverageReport};
 pub use engine::{FailureRecord, MarchRunner, RunOutcome};
-pub use esram_exec::{FaultSimKernel, ShardPlan, ShardStrategy, FAULTSIM_KERNEL_ENV};
+pub use esram_exec::{ShardPlan, ShardStrategy};
 pub use fault_sim::{FaultSimOutcome, FaultSimulator, UniverseJob};
+pub use kernel::FaultSimKernel;
 pub use ops::{AddressOrder, MarchElement, MarchOp, MarchTest};
 pub use schedule::{MarchSchedule, SchedulePatterns, SchedulePhase};

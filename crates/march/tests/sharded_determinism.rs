@@ -17,7 +17,7 @@
 use fault_models::{DefectProfile, FaultClass, FaultInjector, FaultList, FaultUniverse, MemoryFault};
 use march::{
     algorithms, AddressOrder, CoverageReport, DataBackground, FaultSimKernel, FaultSimulator, MarchElement,
-    MarchOp, MarchSchedule, MarchTest, ShardPlan, ShardStrategy, UniverseJob,
+    MarchOp, MarchSchedule, MarchTest, ShardPlan, UniverseJob,
 };
 use proptest::prelude::*;
 use sram_model::cell::CellCoord;
@@ -66,70 +66,58 @@ fn oracle_schedules() -> [MarchSchedule; 3] {
     ]
 }
 
-/// Asserts that every batched (possibly pruned) outcome of `universe`
-/// equals the unpruned full-sweep oracle.
+/// Asserts that every batched (possibly pruned) outcome of `universe`,
+/// under either kernel, equals the unpruned full-sweep oracle.
 fn assert_batched_matches_oracle(sim: &FaultSimulator, schedule: &MarchSchedule, universe: &FaultList) {
-    let batched = sim.simulate_universe(schedule, universe);
-    assert_eq!(batched.len(), universe.len());
-    for (fault, outcome) in universe.iter().zip(&batched) {
-        let oracle = sim.simulate_fault_schedule(schedule, fault);
-        assert_eq!(
-            &oracle,
-            outcome,
-            "pruned/batched outcome diverged from the full-sweep oracle for {fault} under {}",
-            schedule.name()
-        );
+    let oracles: Vec<_> = universe
+        .iter()
+        .map(|fault| sim.simulate_fault_schedule(schedule, fault))
+        .collect();
+    for kernel in FaultSimKernel::all() {
+        let batched = sim.with_kernel(kernel).simulate_universe(schedule, universe);
+        assert_eq!(batched.len(), universe.len());
+        for ((fault, outcome), oracle) in universe.iter().zip(&batched).zip(&oracles) {
+            assert_eq!(
+                oracle,
+                outcome,
+                "{kernel} outcome diverged from the full-sweep oracle for {fault} under {}",
+                schedule.name()
+            );
+        }
     }
 }
 
 #[test]
 fn outcomes_are_identical_for_every_thread_count() {
-    let sim = FaultSimulator::new(config());
-    let universe = mixed_universe();
-    let schedule = nwrtm_schedule();
-    let sequential = sim.simulate_universe_with(ShardPlan::sequential(), &schedule, &universe);
-    assert_eq!(sequential.len(), universe.len());
-    // Outcomes come back in exact universe order.
-    for (fault, outcome) in universe.iter().zip(&sequential) {
-        assert_eq!(&outcome.fault, fault);
-    }
-    for threads in [2, 3, 5, 32] {
-        let sharded = sim.simulate_universe_with(ShardPlan::with_threads(threads), &schedule, &universe);
-        assert_eq!(
-            sharded, sequential,
-            "sharded outcomes diverged from sequential at {threads} threads"
-        );
-    }
-}
-
-#[test]
-fn outcomes_are_identical_for_every_strategy_and_block_size() {
     // The mixed universe combines pruned single-row faults (cost 1),
     // coupling pairs (cost 2) and full-sweep fallback classes (cost =
     // the whole address space), so cost-weighted boundaries genuinely
     // differ from even ones — and the outcomes still must not.
-    let sim = FaultSimulator::new(config());
     let universe = mixed_universe();
     let schedule = nwrtm_schedule();
-    let sequential = sim.simulate_universe_with(ShardPlan::sequential(), &schedule, &universe);
-    for strategy in ShardStrategy::all() {
-        for threads in [2, 7, 32] {
-            for block_size in [1, 5, 16] {
-                let plan = ShardPlan::with_threads(threads)
-                    .with_strategy(strategy)
-                    .with_block_size(block_size);
-                let sharded = sim.simulate_universe_with(plan, &schedule, &universe);
-                assert_eq!(sharded, sequential, "outcomes diverged under {plan}");
-            }
+    for kernel in FaultSimKernel::all() {
+        let sim = FaultSimulator::new(config()).with_kernel(kernel);
+        let sequential = sim.simulate_universe_with(ShardPlan::sequential(), &schedule, &universe);
+        assert_eq!(sequential.len(), universe.len());
+        // Outcomes come back in exact universe order.
+        for (fault, outcome) in universe.iter().zip(&sequential) {
+            assert_eq!(&outcome.fault, fault);
+        }
+        for threads in [2, 3, 5, 7, 32] {
+            let sharded = sim.simulate_universe_with(ShardPlan::with_threads(threads), &schedule, &universe);
+            assert_eq!(
+                sharded, sequential,
+                "{kernel} outcomes diverged from sequential at {threads} threads"
+            );
         }
     }
 }
 
 #[test]
 fn kernels_agree_under_every_strategy_and_thread_count() {
-    // The full kernel × strategy × thread-count matrix: both fault-sim
-    // kernels must produce the per-memory sequential baseline byte for
-    // byte, whatever the sharding. The mixed universe keeps lane
+    // The full kernel × thread-count matrix: both fault-sim kernels
+    // must produce the per-memory sequential baseline byte for byte,
+    // whatever the sharding. The mixed universe keeps lane
     // batches, coupling batches and per-fault fallback singles all in
     // play at once.
     let universe = mixed_universe();
@@ -139,15 +127,13 @@ fn kernels_agree_under_every_strategy_and_thread_count() {
         .simulate_universe_with(ShardPlan::sequential(), &schedule, &universe);
     for kernel in FaultSimKernel::all() {
         let sim = FaultSimulator::new(config()).with_kernel(kernel);
-        for strategy in ShardStrategy::all() {
-            for threads in [1, 2, 7, 32] {
-                let plan = ShardPlan::with_threads(threads).with_strategy(strategy);
-                let outcomes = sim.simulate_universe_with(plan, &schedule, &universe);
-                assert_eq!(
-                    outcomes, baseline,
-                    "kernel {kernel} diverged from the per-memory sequential baseline under {plan}"
-                );
-            }
+        for threads in [1, 2, 7, 32] {
+            let plan = ShardPlan::with_threads(threads);
+            let outcomes = sim.simulate_universe_with(plan, &schedule, &universe);
+            assert_eq!(
+                outcomes, baseline,
+                "kernel {kernel} diverged from the per-memory sequential baseline under {plan}"
+            );
         }
     }
 }
@@ -203,17 +189,21 @@ fn fleet_runs_agree_between_kernels() {
 
 #[test]
 fn per_shard_coverage_reports_fold_into_the_sequential_report() {
-    let sim = FaultSimulator::new(config());
     let universe = mixed_universe();
     let schedule = nwrtm_schedule();
-    let sequential = sim.coverage_schedule_with(ShardPlan::sequential(), &schedule, &universe);
+    let sequential =
+        FaultSimulator::new(config()).coverage_schedule_with(ShardPlan::sequential(), &schedule, &universe);
 
-    for threads in [2, 4, 7] {
+    for (kernel, threads) in FaultSimKernel::all()
+        .into_iter()
+        .flat_map(|k| [2, 4, 7].map(|t| (k, t)))
+    {
+        let sim = FaultSimulator::new(config()).with_kernel(kernel);
         // The whole-universe sharded report equals the sequential one...
         let sharded = sim.coverage_schedule_with(ShardPlan::with_threads(threads), &schedule, &universe);
         assert_eq!(
             sharded, sequential,
-            "sharded coverage diverged at {threads} threads"
+            "sharded {kernel} coverage diverged at {threads} threads"
         );
 
         // ...and so does an explicit associative fold of per-shard
@@ -227,7 +217,7 @@ fn per_shard_coverage_reports_fold_into_the_sequential_report() {
         }
         assert_eq!(
             merged, sequential,
-            "merged shard reports diverged at {threads} threads"
+            "merged {kernel} shard reports diverged at {threads} threads"
         );
     }
 }
@@ -323,12 +313,10 @@ fn failing_golden_runs_disable_pruning_and_still_match_the_oracle() {
     let universes = FaultUniverse::new(config());
 
     for universe in [universes.stuck_at(), universes.address_decoder()] {
-        let batched = sim.simulate_universe(&schedule, &universe);
-        for (fault, outcome) in universe.iter().zip(&batched) {
-            let oracle = sim.simulate_fault_schedule(&schedule, fault);
-            assert_eq!(&oracle, outcome, "fallback outcome diverged for {fault}");
-            // Every row fails in this programme, not just the faulty one
-            // — proof that the full sweep actually ran.
+        assert_batched_matches_oracle(&sim, &schedule, &universe);
+        // Every row fails in this programme, not just the faulty one —
+        // proof that the full sweep actually ran.
+        for outcome in sim.simulate_universe(&schedule, &universe) {
             assert!(outcome.run.failing_addresses().len() == config().words() as usize);
         }
     }
@@ -415,9 +403,11 @@ proptest! {
 
         let sim = FaultSimulator::new(config());
         let schedule = nwrtm_schedule();
-        let batched = sim.simulate_universe(&schedule, &universe);
         let oracle = sim.simulate_fault_schedule(&schedule, &fault);
-        prop_assert_eq!(&batched[0], &oracle);
+        for kernel in FaultSimKernel::all() {
+            let batched = sim.with_kernel(kernel).simulate_universe(&schedule, &universe);
+            prop_assert_eq!(&batched[0], &oracle);
+        }
     }
 
     /// Property: an arbitrary decoder fault — any kind, any address,
@@ -437,9 +427,11 @@ proptest! {
 
         let sim = FaultSimulator::new(config());
         let schedule = &oracle_schedules()[schedule_index];
-        let batched = sim.simulate_universe(schedule, &universe);
         let oracle = sim.simulate_fault_schedule(schedule, &fault);
-        prop_assert_eq!(&batched[0], &oracle);
+        for kernel in FaultSimKernel::all() {
+            let batched = sim.with_kernel(kernel).simulate_universe(schedule, &universe);
+            prop_assert_eq!(&batched[0], &oracle);
+        }
     }
 }
 
@@ -448,50 +440,49 @@ fn batched_universes_match_per_job_sequential_runs() {
     // The fleet path: several independent (simulator, schedule,
     // universe) jobs flattened into one executor run must demultiplex
     // into exactly the outcomes each job produces alone — for every
-    // strategy and worker count, including jobs of different geometry
+    // kernel and worker count, including jobs of different geometry
     // and different programmes interleaved in one work list.
     let config_a = config();
     let config_b = MemConfig::new(32, 4).unwrap();
-    let sim_a = FaultSimulator::new(config_a);
-    let sim_b = FaultSimulator::new(config_b);
     let schedule_a = nwrtm_schedule();
     let schedule_b = MarchSchedule::single(algorithms::march_c_minus(), DataBackground::Checkerboard);
     let universe_a = mixed_universe();
     let universe_b = FaultUniverse::new(config_b).date2005_baseline();
     let universe_c: FaultList = mixed_universe().iter().copied().take(7).collect();
-    let jobs = [
-        UniverseJob {
-            sim: sim_a,
-            schedule: &schedule_a,
-            universe: &universe_a,
-        },
-        UniverseJob {
-            sim: sim_b,
-            schedule: &schedule_b,
-            universe: &universe_b,
-        },
-        UniverseJob {
-            sim: sim_a,
-            schedule: &schedule_b,
-            universe: &universe_c,
-        },
-    ];
-    let baseline: Vec<_> = jobs
-        .iter()
-        .map(|job| {
-            job.sim
-                .simulate_universe_with(ShardPlan::sequential(), job.schedule, job.universe)
-        })
-        .collect();
-
     assert!(FaultSimulator::simulate_universes_with(ShardPlan::with_threads(7), &[]).is_empty());
-    for strategy in ShardStrategy::all() {
+    for kernel in FaultSimKernel::all() {
+        let sim_a = FaultSimulator::new(config_a).with_kernel(kernel);
+        let sim_b = FaultSimulator::new(config_b).with_kernel(kernel);
+        let jobs = [
+            UniverseJob {
+                sim: sim_a,
+                schedule: &schedule_a,
+                universe: &universe_a,
+            },
+            UniverseJob {
+                sim: sim_b,
+                schedule: &schedule_b,
+                universe: &universe_b,
+            },
+            UniverseJob {
+                sim: sim_a,
+                schedule: &schedule_b,
+                universe: &universe_c,
+            },
+        ];
+        let baseline: Vec<_> = jobs
+            .iter()
+            .map(|job| {
+                job.sim
+                    .simulate_universe_with(ShardPlan::sequential(), job.schedule, job.universe)
+            })
+            .collect();
         for threads in [1, 2, 7, 32] {
-            let plan = ShardPlan::with_threads(threads).with_strategy(strategy);
+            let plan = ShardPlan::with_threads(threads);
             let batched = FaultSimulator::simulate_universes_with(plan, &jobs);
             assert_eq!(
                 batched, baseline,
-                "batched universe outcomes diverged from per-job runs under {plan}"
+                "batched {kernel} universe outcomes diverged from per-job runs under {plan}"
             );
         }
     }
@@ -499,11 +490,14 @@ fn batched_universes_match_per_job_sequential_runs() {
 
 #[test]
 fn default_plan_equals_an_explicit_sequential_run() {
-    let sim = FaultSimulator::new(config());
     let universe = mixed_universe();
     let schedule = nwrtm_schedule();
-    assert_eq!(
-        sim.simulate_universe(&schedule, &universe),
-        sim.simulate_universe_with(ShardPlan::sequential(), &schedule, &universe)
-    );
+    for kernel in FaultSimKernel::all() {
+        let sim = FaultSimulator::new(config()).with_kernel(kernel);
+        assert_eq!(
+            sim.simulate_universe(&schedule, &universe),
+            sim.simulate_universe_with(ShardPlan::sequential(), &schedule, &universe),
+            "{kernel} default-plan outcomes diverged"
+        );
+    }
 }

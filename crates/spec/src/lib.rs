@@ -18,8 +18,7 @@
 //!   fault domains; baseline jobs run per population) and emits a
 //!   deterministic JSON report: verdicts, Eq. (1)/(2) cycle tables,
 //!   per-job scores and simulated times. Same spec + seed means
-//!   byte-identical report bytes at any worker count, strategy or
-//!   kernel.
+//!   byte-identical report bytes at any worker count or kernel.
 //!
 //! [`FleetRunner`]: esram_diag::FleetRunner
 

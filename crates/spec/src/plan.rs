@@ -17,7 +17,8 @@ pub struct DiagnosisPlan {
     pub name: String,
     /// The resolved scheme configuration, shared by every job.
     pub scheme: SchemeConfig,
-    /// Kernel override; `None` inherits `ESRAM_DIAG_KERNEL`.
+    /// Kernel override; `None` runs the default bit-parallel kernel and
+    /// is reported as `inherit`.
     pub kernel: Option<DiagnosisKernel>,
     /// Fault-simulation kernel, validated and echoed in the report but
     /// not applied: spec runs never construct a fault simulator. `None`

@@ -3,7 +3,7 @@
 //! [`execute_plan`] runs every job of a [`DiagnosisPlan`] and folds the
 //! outcomes into one JSON report. Fast-scheme jobs batch into a single
 //! [`FleetRunner`] run — a sweep is a fleet, so it inherits the
-//! executor's strategy/calibration knobs and the per-job fault domains
+//! executor's cost-balanced partition and the per-job fault domains
 //! (one failed grid point reports `"status": "failed"` without taking
 //! the sweep down). Baseline jobs run one population at a time, since
 //! the Huang scheme shards inside each global iteration instead.
@@ -12,8 +12,8 @@
 //! pure function of the spec — verdicts, Eq. (1)/(2) cycle tables,
 //! scores, simulated diagnosis times (cycle counts times the spec's
 //! clock, not wall-clock). Nothing in it depends on worker count,
-//! scheduling strategy, kernel choice or machine speed, which is what
-//! lets CI `cmp` reports across the whole determinism matrix.
+//! kernel choice or machine speed, which is what lets CI `cmp` reports
+//! across worker counts.
 
 use crate::json::Json;
 use crate::plan::{DiagnosisPlan, PlannedJob, SchemeConfig};
@@ -402,6 +402,8 @@ fn sites_json(located: &LocatedSites) -> Json {
 }
 
 fn scheme_json(plan: &DiagnosisPlan) -> Json {
+    // An unset kernel runs the default but is still spelled `inherit`:
+    // the committed goldens and the benchmark read these bytes.
     let kernel = match plan.kernel {
         Some(kernel) => Json::Str(kernel.to_string()),
         None => Json::Str("inherit".to_string()),

@@ -34,7 +34,9 @@
 //! max_iterations = 4096   # (4096) baseline only
 //!
 //! [execution]
-//! kernel = "bit-parallel" # (inherit ESRAM_DIAG_KERNEL) or "per-memory"
+//! kernel = "bit-parallel" # ("bit-parallel") or "per-memory"; an unset
+//!                         # kernel runs bit-parallel but is reported as
+//!                         # "inherit", so existing report bytes hold
 //! faultsim_kernel = "lanes" # or "permem"; recorded in the report, not applied
 //!
 //! [sweep]                 # optional; axes form a cartesian job grid
@@ -75,7 +77,8 @@ pub struct ScenarioSpec {
     pub defects: DefectSpec,
     /// Diagnosis scheme settings.
     pub scheme: SchemeSpec,
-    /// Kernel override; `None` inherits `ESRAM_DIAG_KERNEL`.
+    /// Kernel override; `None` runs the default bit-parallel kernel and
+    /// is reported as `inherit`.
     pub kernel: Option<DiagnosisKernel>,
     /// Fault-simulation kernel, recorded in the report but not applied
     /// (spec runs never simulate faults); `None` reports `inherit`.
