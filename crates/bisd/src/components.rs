@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 /// The controller only *triggers* the per-memory local address
 /// generators: it counts up to the capacity of the largest memory and
 /// each local generator wraps the count into its own address space
-/// (Sec. 3.1), which is also how the scheme in [7,8] works.
+/// (Sec. 3.1), which is also how the scheme in \[7,8\] works.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AddressTrigger {
     max_words: u64,

@@ -7,7 +7,7 @@ use crate::log::{DiagnosisLog, DiagnosisRecord};
 use crate::population::GoldenStore;
 use crate::result::DiagnosisResult;
 use crate::scheme::{DiagnosisScheme, MemoryUnderDiagnosis};
-use esram_exec::{failpoint, CostCalibration, CostDomain, ExecError, RunToken, ShardPlan};
+use esram_exec::{failpoint, CostCalibration, CostDomain, ShardPlan};
 use march::{algorithms, AddressOrder, DataBackground, MarchElement, MarchOp, MarchSchedule};
 use serial::{ParallelToSerialConverter, PatternDeliveryBus, ShiftOrder};
 use sram_model::{Address, DataWord, MemConfig, MemError, MemoryId, MemoryPort, Sram};
@@ -17,7 +17,7 @@ use std::fmt;
 /// How the scheme handles data-retention faults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DrfMode {
-    /// Ignore DRFs (what the baseline architecture of [7,8] does).
+    /// Ignore DRFs (what the baseline architecture of \[7,8\] does).
     None,
     /// Merge NWRTM No-Write-Recovery cycles into the last phase: DRFs are
     /// located at speed with no pause (the paper's proposal).
@@ -149,41 +149,6 @@ impl DiagnosisScheme for FastScheme {
     }
 }
 
-/// A fallible diagnosis run failed: either the memory model rejected an
-/// operation (a scheme bug) or the executor reported a contained
-/// failure — a worker panic, a cancelled [`RunToken`] or an expired
-/// deadline.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DiagError {
-    /// A memory-model validation failure surfaced by the scheme.
-    Memory(MemError),
-    /// The executor run failed (worker panic, cancellation, deadline).
-    Exec(ExecError),
-}
-
-impl fmt::Display for DiagError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DiagError::Memory(error) => write!(f, "memory model error: {error}"),
-            DiagError::Exec(error) => write!(f, "execution error: {error}"),
-        }
-    }
-}
-
-impl std::error::Error for DiagError {}
-
-impl From<MemError> for DiagError {
-    fn from(error: MemError) -> Self {
-        DiagError::Memory(error)
-    }
-}
-
-impl From<ExecError> for DiagError {
-    fn from(error: ExecError) -> Self {
-        DiagError::Exec(error)
-    }
-}
-
 /// One March element of the schedule as planned by the controller before
 /// any memory is touched: its position in the schedule, the comparator
 /// label, the per-element retention pause and the serially delivered
@@ -223,26 +188,10 @@ impl FastScheme {
     }
 
     /// Diagnoses a population presented as `(id, memory)` pairs over any
-    /// [`MemoryPort`] implementation, under the default [`ShardPlan`]
-    /// (one worker per available core).
-    ///
-    /// This is the generic core [`DiagnosisScheme::diagnose`] wraps (the
-    /// packed population case); the dense-vs-packed equivalence suite
-    /// drives it with [`sram_model::ReferenceSram`] populations to prove
-    /// the scheme observes identical diagnoses on both memory models.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on memory-model validation failures (which
-    /// indicate a bug in the scheme, not in the population).
-    pub fn diagnose_ports<M: MemoryPort + Send>(
-        &self,
-        memories: &mut [(MemoryId, M)],
-    ) -> Result<DiagnosisResult, MemError> {
-        self.diagnose_ports_with(ShardPlan::default(), memories)
-    }
-
-    /// Diagnoses a population under an explicit [`ShardPlan`].
+    /// [`MemoryPort`] implementation, under an explicit [`ShardPlan`].
+    /// This is the generic core [`FastScheme::diagnose_with`] wraps; the
+    /// dense-vs-packed equivalence suite drives it with
+    /// [`sram_model::ReferenceSram`] populations.
     ///
     /// The population is split into contiguous segments by the
     /// deterministic executor into calibrated cost-weighted per-worker
@@ -269,57 +218,6 @@ impl FastScheme {
             |index, _| population.member_cost(index),
             |base, segment| population.run_segment(base, segment),
         );
-        let mut outcomes = Vec::with_capacity(worker_results.len());
-        for result in worker_results {
-            outcomes.push(result?);
-        }
-        Ok(population.merge(outcomes))
-    }
-
-    /// Fallible [`FastScheme::diagnose_with`]: the same byte-identical
-    /// result, but worker panics are contained and `token` cancellation
-    /// and deadlines stop the run at segment boundaries with clean
-    /// teardown — the memories are resettable and reusable afterwards.
-    ///
-    /// # Errors
-    ///
-    /// [`DiagError::Memory`] on memory-model validation failures;
-    /// [`DiagError::Exec`] when a worker panicked or the token stopped
-    /// the run.
-    pub fn try_diagnose_with(
-        &self,
-        plan: ShardPlan,
-        token: &RunToken,
-        memories: &mut [MemoryUnderDiagnosis],
-    ) -> Result<DiagnosisResult, DiagError> {
-        let mut members: Vec<(MemoryId, &mut Sram)> =
-            memories.iter_mut().map(|m| (m.id, &mut m.sram)).collect();
-        self.try_diagnose_ports_with(plan, token, &mut members)
-    }
-
-    /// Fallible [`FastScheme::diagnose_ports_with`] (see
-    /// [`FastScheme::try_diagnose_with`]).
-    ///
-    /// # Errors
-    ///
-    /// [`DiagError::Memory`] on memory-model validation failures;
-    /// [`DiagError::Exec`] when a worker panicked or the token stopped
-    /// the run.
-    pub fn try_diagnose_ports_with<M: MemoryPort + Send>(
-        &self,
-        plan: ShardPlan,
-        token: &RunToken,
-        memories: &mut [(MemoryId, M)],
-    ) -> Result<DiagnosisResult, DiagError> {
-        assert!(!memories.is_empty(), "diagnosis needs at least one memory");
-        let configs: Vec<MemConfig> = memories.iter().map(|(_, m)| m.config()).collect();
-        let population = self.plan_population(&configs);
-        let worker_results: Vec<Result<SegmentOutcome, MemError>> = plan.try_run_segments(
-            token,
-            memories,
-            |index, _| population.member_cost(index),
-            |base, segment| population.run_segment(base, segment),
-        )?;
         let mut outcomes = Vec::with_capacity(worker_results.len());
         for result in worker_results {
             outcomes.push(result?);

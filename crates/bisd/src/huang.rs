@@ -1,4 +1,4 @@
-//! The baseline diagnosis architecture of [7,8] (Fig. 1): shared BISD
+//! The baseline diagnosis architecture of \[7,8\] (Fig. 1): shared BISD
 //! controller plus a bi-directional serial interface per memory.
 
 use crate::components::MemorySizeTable;
@@ -16,7 +16,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// segments of memories and known-sets shard together).
 type KnownSites = BTreeSet<(Address, usize)>;
 
-/// The baseline scheme of [7,8].
+/// The baseline scheme of \[7,8\].
 ///
 /// Test data is shifted through the memory cells by the bi-directional
 /// serial interface, so every operation costs one clock per bit and one

@@ -5,7 +5,7 @@
 //! March engine, serial fabrics) into the two end-to-end diagnosis
 //! architectures the DATE 2005 paper compares:
 //!
-//! * [`HuangScheme`] — the baseline of [7,8] (Fig. 1): one shared BISD
+//! * [`HuangScheme`] — the baseline of \[7,8\] (Fig. 1): one shared BISD
 //!   controller, local address generators, and a **bi-directional serial
 //!   interface** per memory. Every memory operation is applied
 //!   bit-serially and each March element can locate at most one new
@@ -54,7 +54,7 @@ pub mod result;
 pub mod scheme;
 
 pub use components::{AddressTrigger, ComparatorArray, DataBackgroundGenerator, MemorySizeTable, StepIndex};
-pub use fast::{DiagError, DrfMode, FastScheme, PopulationPlan, SegmentOutcome};
+pub use fast::{DrfMode, FastScheme, PopulationPlan, SegmentOutcome};
 pub use huang::HuangScheme;
 pub use kernel::DiagnosisKernel;
 pub use log::{DiagnosisLog, DiagnosisRecord, FaultSite, LocatedSites};

@@ -11,6 +11,7 @@
 
 use bisd::{DiagnosisScheme, DrfMode, FastScheme, MemoryUnderDiagnosis};
 use fault_models::MemoryFault;
+use march::ShardPlan;
 use sram_model::cell::CellCoord;
 use sram_model::{Address, CellFault, MemConfig, MemoryId, ReferenceSram, Sram};
 use testutil::{distinct_sites, FixtureRng, SEEDS};
@@ -86,8 +87,12 @@ fn fast_scheme_diagnoses_packed_and_dense_populations_identically() {
     for seed in SEEDS {
         for scheme in schemes() {
             let (mut packed, mut dense) = build_populations(seed);
-            let from_packed = scheme.diagnose_ports(&mut packed).expect("packed run");
-            let from_dense = scheme.diagnose_ports(&mut dense).expect("dense run");
+            let from_packed = scheme
+                .diagnose_ports_with(ShardPlan::default(), &mut packed)
+                .expect("packed run");
+            let from_dense = scheme
+                .diagnose_ports_with(ShardPlan::default(), &mut dense)
+                .expect("dense run");
             assert_eq!(
                 from_packed,
                 from_dense,
@@ -113,7 +118,9 @@ fn diagnose_ports_agrees_with_the_trait_entry_point() {
         })
         .collect();
     let scheme = FastScheme::new(10.0);
-    let from_ports = scheme.diagnose_ports(&mut via_ports).expect("port run");
+    let from_ports = scheme
+        .diagnose_ports_with(ShardPlan::default(), &mut via_ports)
+        .expect("port run");
     let from_trait = scheme.diagnose(&mut via_trait).expect("trait run");
     assert_eq!(from_ports, from_trait);
 }
@@ -131,7 +138,9 @@ fn located_sites_cover_the_injected_single_row_faults() {
             (MemoryId::new(index as u32), site.address, site.bit)
         })
         .collect();
-    let result = FastScheme::new(10.0).diagnose_ports(&mut packed).expect("run");
+    let result = FastScheme::new(10.0)
+        .diagnose_ports_with(ShardPlan::default(), &mut packed)
+        .expect("run");
     for (id, address, bit) in injected {
         assert!(
             result

@@ -236,6 +236,7 @@ fn malformed_specs_fail_with_span_bearing_errors() {
         "invalid/unknown_scheme.toml",
         "invalid/trailing_garbage.toml",
         "invalid/unknown_faultsim_kernel.toml",
+        "invalid/huge_count.toml",
     ] {
         let output = esram(&["compile", example(spec).to_str().unwrap()], &[]);
         assert_eq!(output.status.code(), Some(1), "{spec} must exit 1: {output:?}");
@@ -251,6 +252,18 @@ fn malformed_specs_fail_with_span_bearing_errors() {
         );
         assert_eq!(run.status.code(), Some(1), "{spec} run must exit 1");
     }
+}
+
+#[test]
+fn oversized_spec_is_rejected_before_anything_is_allocated() {
+    let spec = example("invalid/huge_count.toml");
+    let output = esram(&["run", spec.to_str().unwrap(), "--out", "/tmp/unused"], &[]);
+    assert_eq!(output.status.code(), Some(1), "{output:?}");
+    let stderr = String::from_utf8(output.stderr).unwrap();
+    assert!(
+        stderr.contains("line 9, column 9") && stderr.contains("'count'"),
+        "the rejection must point at the count: {stderr}"
+    );
 }
 
 #[test]

@@ -77,7 +77,7 @@ impl AnalyticModel {
         }
     }
 
-    /// The benchmark parameters of the paper's case study (from [16]):
+    /// The benchmark parameters of the paper's case study (from \[16\]):
     /// n = 512, c = 100, t = 10 ns.
     pub fn date2005_benchmark() -> Self {
         AnalyticModel::new(512, 100, 10.0)
@@ -171,7 +171,7 @@ impl AnalyticModel {
 
     /// The paper's estimate of the maximum number of faults for a defect
     /// rate: defective cells spread over `n·c` cells, with the four
-    /// defect classes of [8] assumed to pair into at most
+    /// defect classes of \[8\] assumed to pair into at most
     /// `n·c·rate / 2` distinguishable faulty cells (the case study turns
     /// 1 % of 51 200 cells into 256 faults).
     pub fn max_faults_for_defect_rate(&self, defect_rate: f64) -> u64 {

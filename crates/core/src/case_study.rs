@@ -1,4 +1,4 @@
-//! The Sec. 4.2 case study: benchmark e-SRAMs from [16], 1 % defect
+//! The Sec. 4.2 case study: benchmark e-SRAMs from \[16\], 1 % defect
 //! rate, four defect classes with equal likelihood.
 
 use crate::analytic::AnalyticModel;

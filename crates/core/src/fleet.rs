@@ -15,22 +15,29 @@
 //! so a worker that finishes its share of one job's memories
 //! immediately continues into the next job's:
 //!
-//! 1. **Build** — every `(job, member)` pair becomes one item of a
-//!    single [`ShardPlan::map_slots`] run, weighted by the calibrated
-//!    build cost of the member's cell count. A member's defects are a
-//!    pure function of `(job seed, member index, geometry)`, so the
-//!    batched build is bit-identical to each job building alone.
-//! 2. **Plan** — each job's [`FastScheme`] plans its population once
+//! 1. **Plan** — each job's [`FastScheme`] plans its population once
 //!    ([`FastScheme::plan_population`]): schedule, delivered patterns,
 //!    Eq. (2) cycle accounting, kernel decision, calibration snapshot.
 //!    Planning is controller work, independent of sharding.
+//! 2. **Build** — every `(job, member)` pair becomes one item of a
+//!    single [`ShardPlan::map_slots_isolated`] run, weighted by the
+//!    calibrated build cost of the member's cell count. A member's
+//!    defects are a pure function of `(job seed, member index,
+//!    geometry)`, so the batched build is bit-identical to each job
+//!    building alone.
 //! 3. **Diagnose** — every memory of every job becomes one item of a
-//!    single [`run_segments`](ShardPlan::run_segments) run, weighted
-//!    by its job's calibrated [`member_cost`](PopulationPlan::member_cost).
-//!    A segment may span jobs; the worker replays each job-contiguous
-//!    chunk through that job's [`PopulationPlan::run_segment`] and the
-//!    outcomes are demultiplexed back per job and merged
-//!    ([`PopulationPlan::merge`]) in member order.
+//!    single [`try_run_segments`](ShardPlan::try_run_segments) run,
+//!    weighted by its job's calibrated
+//!    [`member_cost`](PopulationPlan::member_cost). A segment may span
+//!    jobs; the worker replays each job-contiguous chunk through that
+//!    job's [`PopulationPlan::run_segment`] and the outcomes are
+//!    demultiplexed back per job and merged ([`PopulationPlan::merge`])
+//!    in member order.
+//!
+//! Each phase has one implementation. [`FleetRunner::run`] chains the
+//! three; [`FleetRunner::plan`], [`FleetRunner::build`] and
+//! [`FleetRunner::diagnose`] run one phase each, under the same
+//! per-job containment, and fail with the first failing job's error.
 //!
 //! Determinism is inherited, not re-proved: the executor returns
 //! results in exact item order at every worker count,
@@ -129,19 +136,6 @@ impl FleetPlan {
         self.members
             .iter()
             .map(|&(job, member)| self.populations[job].member_cost(member))
-            .collect()
-    }
-
-    /// Calibrated build cost of every flattened member, in global item
-    /// order — the weights of the batched build phase.
-    pub fn build_costs(&self) -> Vec<u64> {
-        let calibration = CostCalibration::current();
-        self.members
-            .iter()
-            .map(|&(job, member)| {
-                let cells = self.jobs[job].builder.member_configs()[member].cells();
-                calibration.cost(CostDomain::SocBuild, cells)
-            })
             .collect()
     }
 
@@ -281,18 +275,22 @@ impl FleetError {
 /// [`FleetOutcome`], or the structured reason this job (alone) failed.
 pub type JobOutcome = Result<FleetOutcome, FleetError>;
 
-/// A build-phase item failure, before it is demultiplexed onto its job.
-enum BuildFault {
-    Memory(MemError),
-    Injected(String),
-}
-
-/// A diagnose-phase chunk failure, before it is demultiplexed onto its
-/// job.
-enum ChunkFault {
+/// A build-item or diagnosis-chunk failure, before it is demultiplexed
+/// onto its job.
+enum JobFault {
     Memory(MemError),
     Injected(String),
     Panicked(String),
+}
+
+impl JobFault {
+    fn into_error(self, phase: FleetPhase) -> FleetError {
+        match self {
+            JobFault::Memory(error) => FleetError::Memory(error),
+            JobFault::Injected(site) => FleetError::Injected { phase, site },
+            JobFault::Panicked(payload) => FleetError::Panicked { phase, payload },
+        }
+    }
 }
 
 /// One flattened diagnosis work item: a borrowed memory tagged with its
@@ -309,8 +307,8 @@ struct MemberSlot<'a> {
 ///
 /// See the [module documentation](self) for the three-phase pipeline,
 /// the determinism argument and the per-job fault domains. Cloning the
-/// runner shares its [`RunToken`]: cancelling one clone's token cancels
-/// them all.
+/// runner shares its [`RunToken`]: cancelling the token given to
+/// [`FleetRunner::with_token`] stops every clone.
 #[derive(Debug, Clone, Default)]
 pub struct FleetRunner {
     shard: ShardPlan,
@@ -328,8 +326,8 @@ impl FleetRunner {
         }
     }
 
-    /// Replaces the runner's cancellation token: [`FleetRunner::run`]
-    /// checks it at item/segment boundaries and fails fleet-globally
+    /// Replaces the runner's cancellation token: every phase checks it
+    /// at job/item/segment boundaries and fails fleet-globally
     /// with [`FleetError::Cancelled`] / [`FleetError::Deadline`] — with
     /// clean teardown, so the jobs can be re-run with a fresh token.
     pub fn with_token(mut self, token: RunToken) -> Self {
@@ -337,17 +335,7 @@ impl FleetRunner {
         self
     }
 
-    /// The shard plan the runner executes under.
-    pub fn shard_plan(&self) -> &ShardPlan {
-        &self.shard
-    }
-
-    /// The runner's cancellation token.
-    pub fn token(&self) -> &RunToken {
-        &self.token
-    }
-
-    /// Builds, plans and diagnoses every job in one batched pipeline
+    /// Plans, builds and diagnoses every job in one batched pipeline
     /// and returns one [`JobOutcome`] per job, in job order — each job
     /// its own fault domain.
     ///
@@ -361,8 +349,8 @@ impl FleetRunner {
     /// per-job containment.
     ///
     /// Degenerate inputs are well-defined, not special-cased
-    /// downstream: **zero jobs** returns an empty vector without
-    /// touching the executor, and **one job under many workers**
+    /// downstream: **zero jobs** returns an empty vector, and **one job
+    /// under many workers**
     /// degrades to exactly [`FastScheme::diagnose_with`] — the
     /// flattened work list is that job's member list, so surplus
     /// workers idle and the output is the single-job output.
@@ -373,207 +361,25 @@ impl FleetRunner {
     /// token stopped the run; [`FleetError::Panicked`] if a panic
     /// escaped the per-job containment (a bug, not a job fault).
     pub fn run(&self, jobs: &[FleetJob]) -> Result<Vec<JobOutcome>, FleetError> {
-        if jobs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let mut job_errors: Vec<Option<FleetError>> = vec![None; jobs.len()];
-
-        // Phase 1 — plan, each job's controller work under its own
-        // containment. An empty population is the per-job equivalent of
-        // the solo builder's InvalidConfig rejection.
-        let mut populations: Vec<Option<PopulationPlan>> = Vec::with_capacity(jobs.len());
-        for (job, fleet_job) in jobs.iter().enumerate() {
-            self.token
-                .check()
-                .map_err(|error| FleetError::from_exec(FleetPhase::Plan, error))?;
-            let configs = fleet_job.builder.member_configs();
-            if configs.is_empty() {
-                job_errors[job] = Some(FleetError::Memory(MemError::InvalidConfig { words: 0, width: 0 }));
-                populations.push(None);
-                continue;
-            }
-            match catch_unwind(AssertUnwindSafe(|| fleet_job.scheme.plan_population(configs))) {
-                Ok(population) => populations.push(Some(population)),
-                Err(payload) => {
-                    job_errors[job] = Some(FleetError::Panicked {
-                        phase: FleetPhase::Plan,
-                        payload: panic_payload(payload.as_ref()),
-                    });
-                    populations.push(None);
-                }
-            }
-        }
-
-        // Phase 2 — build every healthy job's members in one isolated
-        // executor run: a panicking or erroring member fails only its
-        // own job.
-        let profiles: Vec<DefectProfile> = jobs
+        let mut errors = vec![None; jobs.len()];
+        let populations = self.plan_jobs(jobs, &mut errors)?;
+        let mut socs = self.build_jobs(jobs, &mut errors)?;
+        let pairs = populations
             .iter()
-            .map(|fleet_job| fleet_job.builder.defect_profile())
-            .collect();
-        let members: Vec<(usize, usize)> = jobs
-            .iter()
-            .enumerate()
-            .filter(|&(job, _)| job_errors[job].is_none())
-            .flat_map(|(job, fleet_job)| {
-                (0..fleet_job.builder.member_configs().len()).map(move |member| (job, member))
-            })
-            .collect();
-        let calibration = CostCalibration::current();
-        let built = self
-            .shard
-            .map_slots_isolated(
-                &self.token,
-                &members,
-                |_, &(job, member)| {
-                    let cells = jobs[job].builder.member_configs()[member].cells();
-                    calibration.cost(CostDomain::SocBuild, cells)
-                },
-                || (),
-                |_, _, &(job, member)| {
-                    failpoint::fire("soc.build", &[("job", job as u64), ("member", member as u64)])
-                        .map_err(|injected| BuildFault::Injected(injected.site))?;
-                    let builder = jobs[job].builder();
-                    builder
-                        .build_member(&profiles[job], member, builder.member_configs()[member])
-                        .map_err(BuildFault::Memory)
-                },
-            )
-            .map_err(|error| FleetError::from_exec(FleetPhase::Build, error))?;
-        let mut built_members: Vec<Vec<MemoryUnderDiagnosis>> = jobs.iter().map(|_| Vec::new()).collect();
-        for (&(job, _), slot) in members.iter().zip(built) {
-            if job_errors[job].is_some() {
-                // The job already failed on an earlier member (first
-                // fault in item order wins); drop later results.
-                continue;
-            }
-            match slot {
-                Ok(member) => built_members[job].push(member),
-                Err(ItemFault::Error(BuildFault::Injected(site))) => {
-                    job_errors[job] = Some(FleetError::Injected {
-                        phase: FleetPhase::Build,
-                        site,
-                    });
-                }
-                Err(ItemFault::Error(BuildFault::Memory(error))) => {
-                    job_errors[job] = Some(FleetError::Memory(error));
-                }
-                Err(ItemFault::Panic { payload }) => {
-                    job_errors[job] = Some(FleetError::Panicked {
-                        phase: FleetPhase::Build,
-                        payload,
-                    });
-                }
-            }
-        }
-        let mut socs: Vec<Option<Soc>> = built_members
+            .zip(&mut socs)
+            .map(|(population, soc)| population.as_ref().zip(soc.as_mut()));
+        let results = self.diagnose_jobs(pairs, &mut errors)?;
+        let outcomes = socs
             .into_iter()
-            .zip(&job_errors)
-            .map(|(members, error)| {
-                (error.is_none() && !members.is_empty()).then(|| Soc::from_memories(members))
+            .zip(results)
+            .map(|(soc, result)| {
+                Some(FleetOutcome {
+                    soc: soc?,
+                    result: result?,
+                })
             })
             .collect();
-
-        // Phase 3 — diagnose every surviving job's members in one
-        // executor run. Job-contiguous chunks are each run under their
-        // own containment, so a chunk never spans a fault domain.
-        let mut slots: Vec<MemberSlot<'_>> = Vec::new();
-        for (job, soc) in socs.iter_mut().enumerate() {
-            let Some(soc) = soc.as_mut() else { continue };
-            for (member, memory) in soc.memories_mut().iter_mut().enumerate() {
-                slots.push(MemberSlot {
-                    job,
-                    member,
-                    id: memory.id,
-                    sram: &mut memory.sram,
-                });
-            }
-        }
-        let groups: Vec<Vec<(usize, Result<SegmentOutcome, ChunkFault>)>> = self
-            .shard
-            .try_run_segments(
-                &self.token,
-                &mut slots,
-                |_, slot| {
-                    populations[slot.job]
-                        .as_ref()
-                        .expect("a job with diagnosis slots has a plan")
-                        .member_cost(slot.member)
-                },
-                |_, segment| {
-                    let mut outcomes = Vec::new();
-                    let mut rest = segment;
-                    while !rest.is_empty() {
-                        let job = rest[0].job;
-                        let len = rest.iter().take_while(|slot| slot.job == job).count();
-                        let (chunk, tail) = rest.split_at_mut(len);
-                        let base = chunk[0].member;
-                        let caught = catch_unwind(AssertUnwindSafe(|| {
-                            failpoint::fire("diag.segment", &[("job", job as u64)])
-                                .map_err(|injected| ChunkFault::Injected(injected.site))?;
-                            let mut pairs: Vec<(MemoryId, &mut Sram)> =
-                                chunk.iter_mut().map(|slot| (slot.id, &mut *slot.sram)).collect();
-                            populations[job]
-                                .as_ref()
-                                .expect("a job with diagnosis slots has a plan")
-                                .run_segment(base, &mut pairs)
-                                .map_err(ChunkFault::Memory)
-                        }));
-                        let outcome = match caught {
-                            Ok(result) => result,
-                            Err(payload) => Err(ChunkFault::Panicked(panic_payload(payload.as_ref()))),
-                        };
-                        outcomes.push((job, outcome));
-                        rest = tail;
-                    }
-                    outcomes
-                },
-            )
-            .map_err(|error| FleetError::from_exec(FleetPhase::Diagnose, error))?;
-        let mut per_job: Vec<Vec<SegmentOutcome>> = jobs.iter().map(|_| Vec::new()).collect();
-        for group in groups {
-            for (job, outcome) in group {
-                if job_errors[job].is_some() {
-                    continue;
-                }
-                match outcome {
-                    Ok(segment) => per_job[job].push(segment),
-                    Err(ChunkFault::Memory(error)) => {
-                        job_errors[job] = Some(FleetError::Memory(error));
-                    }
-                    Err(ChunkFault::Injected(site)) => {
-                        job_errors[job] = Some(FleetError::Injected {
-                            phase: FleetPhase::Diagnose,
-                            site,
-                        });
-                    }
-                    Err(ChunkFault::Panicked(payload)) => {
-                        job_errors[job] = Some(FleetError::Panicked {
-                            phase: FleetPhase::Diagnose,
-                            payload,
-                        });
-                    }
-                }
-            }
-        }
-
-        Ok(job_errors
-            .into_iter()
-            .zip(per_job)
-            .zip(socs)
-            .enumerate()
-            .map(|(job, ((error, outcomes), soc))| match error {
-                Some(error) => Err(error),
-                None => {
-                    let soc = soc.expect("a healthy job has a built population");
-                    let result = populations[job]
-                        .as_ref()
-                        .expect("a healthy job has a plan")
-                        .merge(outcomes);
-                    Ok(FleetOutcome { soc, result })
-                }
-            })
-            .collect())
+        Ok(job_results(errors, outcomes))
     }
 
     /// All-or-nothing convenience over [`FleetRunner::run`]: returns
@@ -588,80 +394,54 @@ impl FleetRunner {
         self.run(jobs)?.into_iter().collect()
     }
 
-    /// Plans every job (phase 2 of the pipeline) without building or
-    /// diagnosing anything. Zero jobs yields an empty plan.
+    /// Plans every job (the first phase of [`FleetRunner::run`])
+    /// without building or diagnosing anything. Zero jobs yields an
+    /// empty plan.
     ///
     /// # Errors
     ///
-    /// Returns an error if any job's builder holds no memories (the
-    /// same `InvalidConfig` a solo [`SocBuilder::build`] reports).
-    pub fn plan(&self, jobs: &[FleetJob]) -> Result<FleetPlan, MemError> {
-        let mut members = Vec::new();
-        for (job, fleet_job) in jobs.iter().enumerate() {
-            let configs = fleet_job.builder.member_configs();
-            if configs.is_empty() {
-                return Err(MemError::InvalidConfig { words: 0, width: 0 });
-            }
-            members.extend((0..configs.len()).map(|member| (job, member)));
-        }
-        let populations = jobs
-            .iter()
-            .map(|fleet_job| {
-                fleet_job
-                    .scheme
-                    .plan_population(fleet_job.builder.member_configs())
-            })
-            .collect();
+    /// The first failing job's [`FleetError`] in job order — e.g. the
+    /// `InvalidConfig` a solo [`SocBuilder::build`] reports for a job
+    /// holding no memories — or a fleet-global
+    /// [`FleetError::Cancelled`] / [`FleetError::Deadline`].
+    pub fn plan(&self, jobs: &[FleetJob]) -> Result<FleetPlan, FleetError> {
+        let mut errors = vec![None; jobs.len()];
+        let populations = self.plan_jobs(jobs, &mut errors)?;
         Ok(FleetPlan {
             jobs: jobs.to_vec(),
-            populations,
-            members,
+            members: members(jobs, &errors),
+            populations: job_results(errors, populations)
+                .into_iter()
+                .collect::<Result<_, _>>()?,
         })
     }
 
-    /// Builds every job's population through one batched executor run
-    /// (phase 1) and returns the populations in job order — each
-    /// bit-identical to its job building alone, at every worker count.
+    /// Builds every job's population (the second phase of
+    /// [`FleetRunner::run`]) and returns the populations in job order —
+    /// each bit-identical to its job building alone, at every worker
+    /// count.
     ///
     /// # Errors
     ///
-    /// Returns an error if injection fails for any member.
-    pub fn build(&self, plan: &FleetPlan) -> Result<Vec<Soc>, MemError> {
-        if plan.jobs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let profiles: Vec<DefectProfile> = plan
-            .jobs
-            .iter()
-            .map(|fleet_job| fleet_job.builder.defect_profile())
-            .collect();
-        let calibration = CostCalibration::current();
-        let built: Vec<Result<MemoryUnderDiagnosis, MemError>> = self.shard.map_slots(
-            &plan.members,
-            |_, &(job, member)| {
-                let cells = plan.jobs[job].builder.member_configs()[member].cells();
-                calibration.cost(CostDomain::SocBuild, cells)
-            },
-            || (),
-            |_, _, &(job, member)| {
-                let builder = plan.jobs[job].builder();
-                builder.build_member(&profiles[job], member, builder.member_configs()[member])
-            },
-        );
-        let mut socs: Vec<Vec<MemoryUnderDiagnosis>> = plan.jobs.iter().map(|_| Vec::new()).collect();
-        for (&(job, _), member) in plan.members.iter().zip(built) {
-            socs[job].push(member?);
-        }
-        Ok(socs.into_iter().map(Soc::from_memories).collect())
+    /// The first failing job's [`FleetError`] in job order (injection
+    /// failure, contained panic, armed `soc.build` failpoint), or a
+    /// fleet-global [`FleetError::Cancelled`] / [`FleetError::Deadline`].
+    pub fn build(&self, plan: &FleetPlan) -> Result<Vec<Soc>, FleetError> {
+        let mut errors = vec![None; plan.jobs.len()];
+        let socs = self.build_jobs(&plan.jobs, &mut errors)?;
+        job_results(errors, socs).into_iter().collect()
     }
 
-    /// Diagnoses every job's population through one batched executor
-    /// run (phase 3) and returns the per-job results in job order.
+    /// Diagnoses every job's population (the third phase of
+    /// [`FleetRunner::run`]) and returns the per-job results in job
+    /// order.
     ///
     /// # Errors
     ///
-    /// Returns an error on memory-model validation failures (which
-    /// indicate a bug in the scheme, not in the populations).
+    /// The first failing job's [`FleetError`] in job order (contained
+    /// panic, armed `diag.segment` failpoint, or a memory-model
+    /// validation failure, which indicates a bug in the scheme), or a
+    /// fleet-global [`FleetError::Cancelled`] / [`FleetError::Deadline`].
     ///
     /// # Panics
     ///
@@ -669,7 +449,7 @@ impl FleetRunner {
     /// per job, the exact geometries the plan was built for (a plan
     /// replayed over a different population would compare against the
     /// wrong golden expectations).
-    pub fn diagnose(&self, plan: &FleetPlan, socs: &mut [Soc]) -> Result<Vec<DiagnosisResult>, MemError> {
+    pub fn diagnose(&self, plan: &FleetPlan, socs: &mut [Soc]) -> Result<Vec<DiagnosisResult>, FleetError> {
         assert_eq!(
             socs.len(),
             plan.jobs.len(),
@@ -682,12 +462,118 @@ impl FleetRunner {
                 "job {job}: population geometries must match the plan"
             );
         }
-        if plan.jobs.is_empty() {
-            return Ok(Vec::new());
+        let mut errors = vec![None; plan.jobs.len()];
+        let pairs = plan.populations.iter().zip(socs).map(Some);
+        let results = self.diagnose_jobs(pairs, &mut errors)?;
+        job_results(errors, results).into_iter().collect()
+    }
+
+    /// The plan phase: each job's controller work under its own
+    /// containment. An empty population is the per-job equivalent of
+    /// the solo builder's `InvalidConfig` rejection. A failed job's
+    /// error lands in its `errors` slot and its plan is `None`.
+    fn plan_jobs(
+        &self,
+        jobs: &[FleetJob],
+        errors: &mut [Option<FleetError>],
+    ) -> Result<Vec<Option<PopulationPlan>>, FleetError> {
+        let mut populations = Vec::with_capacity(jobs.len());
+        for (job, fleet_job) in jobs.iter().enumerate() {
+            self.token
+                .check()
+                .map_err(|error| FleetError::from_exec(FleetPhase::Plan, error))?;
+            let configs = fleet_job.builder.member_configs();
+            let planned = if configs.is_empty() {
+                Err(FleetError::Memory(MemError::InvalidConfig { words: 0, width: 0 }))
+            } else {
+                catch_unwind(AssertUnwindSafe(|| fleet_job.scheme.plan_population(configs))).map_err(
+                    |payload| FleetError::Panicked {
+                        phase: FleetPhase::Plan,
+                        payload: panic_payload(payload.as_ref()),
+                    },
+                )
+            };
+            populations.push(planned.map_err(|error| errors[job] = Some(error)).ok());
         }
-        let populations = &plan.populations;
+        Ok(populations)
+    }
+
+    /// The build phase: every still-healthy job's members in one
+    /// isolated executor run, so a panicking or erroring member fails
+    /// only its own job (the first fault in member order wins). A
+    /// failed job's population is `None`.
+    fn build_jobs(
+        &self,
+        jobs: &[FleetJob],
+        errors: &mut [Option<FleetError>],
+    ) -> Result<Vec<Option<Soc>>, FleetError> {
+        let profiles: Vec<DefectProfile> = jobs
+            .iter()
+            .map(|fleet_job| fleet_job.builder.defect_profile())
+            .collect();
+        let members = members(jobs, errors);
+        let calibration = CostCalibration::current();
+        let built = self
+            .shard
+            .map_slots_isolated(
+                &self.token,
+                &members,
+                |_, &(job, member)| {
+                    let cells = jobs[job].builder.member_configs()[member].cells();
+                    calibration.cost(CostDomain::SocBuild, cells)
+                },
+                || (),
+                |_, _, &(job, member)| {
+                    failpoint::fire("soc.build", &[("job", job as u64), ("member", member as u64)])
+                        .map_err(|injected| JobFault::Injected(injected.site))?;
+                    let builder = jobs[job].builder();
+                    builder
+                        .build_member(&profiles[job], member, builder.member_configs()[member])
+                        .map_err(JobFault::Memory)
+                },
+            )
+            .map_err(|error| FleetError::from_exec(FleetPhase::Build, error))?;
+        let mut built_members: Vec<Vec<MemoryUnderDiagnosis>> = jobs.iter().map(|_| Vec::new()).collect();
+        for (&(job, _), slot) in members.iter().zip(built) {
+            if errors[job].is_some() {
+                // The job already failed on an earlier member; drop
+                // later results.
+                continue;
+            }
+            match slot {
+                Ok(member) => built_members[job].push(member),
+                Err(ItemFault::Error(fault)) => errors[job] = Some(fault.into_error(FleetPhase::Build)),
+                Err(ItemFault::Panic { payload }) => {
+                    errors[job] = Some(JobFault::Panicked(payload).into_error(FleetPhase::Build));
+                }
+            }
+        }
+        Ok(built_members
+            .into_iter()
+            .zip(errors.iter())
+            .map(|(members, error)| error.is_none().then(|| Soc::from_memories(members)))
+            .collect())
+    }
+
+    /// The diagnose phase: every member of every `Some` (plan,
+    /// population) pair in one executor run. A segment may span jobs;
+    /// each job-contiguous chunk replays through its own plan, with the
+    /// chunk's first member index as the segment base, under its own
+    /// containment — so a chunk never spans a fault domain. A failed
+    /// job's result is `None`.
+    fn diagnose_jobs<'s>(
+        &self,
+        jobs: impl Iterator<Item = Option<(&'s PopulationPlan, &'s mut Soc)>>,
+        errors: &mut [Option<FleetError>],
+    ) -> Result<Vec<Option<DiagnosisResult>>, FleetError> {
+        let mut populations = Vec::new();
         let mut slots: Vec<MemberSlot<'_>> = Vec::new();
-        for (job, soc) in socs.iter_mut().enumerate() {
+        for (job, pair) in jobs.enumerate() {
+            let Some((population, soc)) = pair else {
+                populations.push(None);
+                continue;
+            };
+            populations.push(Some(population));
             for (member, memory) in soc.memories_mut().iter_mut().enumerate() {
                 slots.push(MemberSlot {
                     job,
@@ -697,46 +583,84 @@ impl FleetRunner {
                 });
             }
         }
-
-        // One global run over all jobs' members. A segment may span
-        // several jobs; each job-contiguous chunk replays through its
-        // own population plan with the chunk's first member index as
-        // the segment base.
-        let groups: Vec<Vec<(usize, Result<SegmentOutcome, MemError>)>> = self.shard.run_segments(
-            &mut slots,
-            |_, slot| populations[slot.job].member_cost(slot.member),
-            |_, segment| {
-                let mut outcomes = Vec::new();
-                let mut rest = segment;
-                while !rest.is_empty() {
-                    let job = rest[0].job;
-                    let len = rest.iter().take_while(|slot| slot.job == job).count();
-                    let (chunk, tail) = rest.split_at_mut(len);
-                    let base = chunk[0].member;
-                    let mut pairs: Vec<(MemoryId, &mut Sram)> =
-                        chunk.iter_mut().map(|slot| (slot.id, &mut *slot.sram)).collect();
-                    outcomes.push((job, populations[job].run_segment(base, &mut pairs)));
-                    rest = tail;
-                }
-                outcomes
-            },
-        );
-
+        let population = |job: usize| populations[job].expect("a job with diagnosis slots has a plan");
+        let groups: Vec<Vec<(usize, Result<SegmentOutcome, JobFault>)>> = self
+            .shard
+            .try_run_segments(
+                &self.token,
+                &mut slots,
+                |_, slot| population(slot.job).member_cost(slot.member),
+                |_, segment| {
+                    let mut outcomes = Vec::new();
+                    let mut rest = segment;
+                    while !rest.is_empty() {
+                        let job = rest[0].job;
+                        let len = rest.iter().take_while(|slot| slot.job == job).count();
+                        let (chunk, tail) = rest.split_at_mut(len);
+                        let base = chunk[0].member;
+                        let caught = catch_unwind(AssertUnwindSafe(|| {
+                            failpoint::fire("diag.segment", &[("job", job as u64)])
+                                .map_err(|injected| JobFault::Injected(injected.site))?;
+                            let mut pairs: Vec<(MemoryId, &mut Sram)> =
+                                chunk.iter_mut().map(|slot| (slot.id, &mut *slot.sram)).collect();
+                            population(job)
+                                .run_segment(base, &mut pairs)
+                                .map_err(JobFault::Memory)
+                        }));
+                        let outcome = caught.unwrap_or_else(|payload| {
+                            Err(JobFault::Panicked(panic_payload(payload.as_ref())))
+                        });
+                        outcomes.push((job, outcome));
+                        rest = tail;
+                    }
+                    outcomes
+                },
+            )
+            .map_err(|error| FleetError::from_exec(FleetPhase::Diagnose, error))?;
         // Segments come back in item order and chunks within a segment
         // preserve it too, so each job's outcomes land in member order
         // — exactly what `merge`'s stable sequence sort expects.
-        let mut per_job: Vec<Vec<SegmentOutcome>> = plan.jobs.iter().map(|_| Vec::new()).collect();
-        for group in groups {
-            for (job, outcome) in group {
-                per_job[job].push(outcome?);
+        let mut per_job: Vec<Vec<SegmentOutcome>> = populations.iter().map(|_| Vec::new()).collect();
+        for (job, outcome) in groups.into_iter().flatten() {
+            if errors[job].is_some() {
+                continue;
+            }
+            match outcome {
+                Ok(segment) => per_job[job].push(segment),
+                Err(fault) => errors[job] = Some(fault.into_error(FleetPhase::Diagnose)),
             }
         }
         Ok(per_job
             .into_iter()
             .enumerate()
-            .map(|(job, outcomes)| populations[job].merge(outcomes))
+            .map(|(job, outcomes)| errors[job].is_none().then(|| population(job).merge(outcomes)))
             .collect())
     }
+}
+
+/// The flattened `(job, member)` build work list of every job whose
+/// `errors` slot is still empty: job-major, member order.
+fn members(jobs: &[FleetJob], errors: &[Option<FleetError>]) -> Vec<(usize, usize)> {
+    jobs.iter()
+        .enumerate()
+        .filter(|&(job, _)| errors[job].is_none())
+        .flat_map(|(job, fleet_job)| {
+            (0..fleet_job.builder.member_configs().len()).map(move |member| (job, member))
+        })
+        .collect()
+}
+
+/// Each job's phase output, or the error that failed the job. The
+/// phase methods collect this into the first failing job's error.
+fn job_results<T>(errors: Vec<Option<FleetError>>, values: Vec<Option<T>>) -> Vec<Result<T, FleetError>> {
+    errors
+        .into_iter()
+        .zip(values)
+        .map(|(error, value)| match error {
+            Some(error) => Err(error),
+            None => Ok(value.expect("a healthy job has a value")),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -901,9 +825,7 @@ mod tests {
             "job-major order"
         );
         assert_eq!(plan.member_costs().len(), plan.member_count());
-        assert_eq!(plan.build_costs().len(), plan.member_count());
         assert!(plan.member_costs().iter().all(|&cost| cost > 0));
-        assert!(plan.build_costs().iter().all(|&cost| cost > 0));
         assert_eq!(plan.population_plan(3).member_count(), 4);
     }
 }

@@ -81,7 +81,7 @@ impl SocBuilder {
     }
 
     /// Includes data-retention faults in the defect mix (by default only
-    /// the four baseline classes of [8] are injected).
+    /// the four baseline classes of \[8\] are injected).
     pub fn with_data_retention_defects(mut self) -> Self {
         self.include_drf = true;
         self

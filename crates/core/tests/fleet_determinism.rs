@@ -109,6 +109,28 @@ fn fleet_matches_serial_for_every_strategy_thread_count_and_kernel() {
 }
 
 #[test]
+fn phase_methods_chain_to_the_same_results_as_run_all() {
+    // `plan`, `build` and `diagnose` are the phases `run` chains;
+    // called one by one they must reproduce `run_all` exactly.
+    for kernel in DiagnosisKernel::all() {
+        let jobs = mixed_jobs(kernel);
+        for threads in [1usize, 2, 7] {
+            let runner = FleetRunner::new(ShardPlan::with_threads(threads));
+            let plan = runner.plan(&jobs).expect("fleet plans");
+            let mut socs = runner.build(&plan).expect("fleet builds");
+            let phased = runner.diagnose(&plan, &mut socs).expect("fleet diagnoses");
+            let chained: Vec<DiagnosisResult> = runner
+                .run_all(&jobs)
+                .expect("fleet runs")
+                .into_iter()
+                .map(|outcome| outcome.into_parts().1)
+                .collect();
+            assert_eq!(phased, chained, "{kernel:?} at {threads} threads");
+        }
+    }
+}
+
+#[test]
 fn fleet_under_the_default_plan_matches_serial() {
     // One worker per core, under either kernel: the fleet must equal
     // the per-job sequential oracle.

@@ -6,7 +6,9 @@
 //! contract of [`FleetRunner::run`]: the poisoned job comes back as a
 //! structured [`FleetError`] naming the phase, and **every other job's
 //! outcome is byte-identical to its solo run** — across worker counts
-//! and kernels. Cancellation and deadlines are asserted
+//! and kernels. The phase methods ([`FleetRunner::build`],
+//! [`FleetRunner::diagnose`]) run the same contained phases and report
+//! the poisoned job's error. Cancellation and deadlines are asserted
 //! to tear down cleanly (state reusable, immediate rerun matches the
 //! baseline), and injected worker delays are asserted to never move a
 //! single diagnosis record.
@@ -247,38 +249,47 @@ fn expired_deadline_fails_globally() {
 }
 
 #[test]
-fn solo_diagnosis_survives_cancellation_with_resettable_memories() {
-    use bisd::DiagError;
-    use esram_exec::ExecError;
-    let _quiet = FailpointGuard::disabled();
-    // The bisd-level fallible path: cancel mid-API, then reuse the very
-    // same memories for a clean run — no poisoned state.
-    let build = || {
-        Soc::builder()
-            .memories(3, 64, 12)
-            .unwrap()
-            .defect_rate(0.02)
-            .seed(7)
-            .build_with(ShardPlan::sequential())
-            .unwrap()
-    };
-    let scheme = FastScheme::new(10.0);
-    let mut reference = build();
-    let expected = scheme
-        .diagnose_with(ShardPlan::sequential(), reference.memories_mut())
-        .unwrap();
+fn phase_methods_report_injected_build_errors() {
+    let jobs = mixed_jobs(DiagnosisKernel::BitParallel);
+    let _guard = FailpointGuard::scenario("soc.build@job=1:error");
+    for plan in all_plans() {
+        let runner = FleetRunner::new(plan);
+        let fleet_plan = runner.plan(&jobs).expect("planning fires no build failpoint");
+        let error = runner.build(&fleet_plan).expect_err("job 1's build must fail");
+        assert!(
+            matches!(
+                &error,
+                FleetError::Injected {
+                    phase: FleetPhase::Build,
+                    site,
+                } if site == "soc.build"
+            ),
+            "{plan}: wrong build error {error:?}"
+        );
+    }
+}
 
-    let mut soc = build();
-    let token = RunToken::new();
-    token.cancel();
-    let error = scheme
-        .try_diagnose_with(ShardPlan::with_threads(4), &token, soc.memories_mut())
-        .expect_err("cancelled diagnosis must fail");
-    assert_eq!(error, DiagError::Exec(ExecError::Cancelled));
-
-    let fresh = RunToken::new();
-    let rerun = scheme
-        .try_diagnose_with(ShardPlan::with_threads(4), &fresh, soc.memories_mut())
-        .expect("rerun after cancellation");
-    assert_eq!(rerun, expected, "memories were poisoned by the cancelled run");
+#[test]
+fn phase_methods_contain_injected_diagnosis_panics() {
+    failpoint::install_quiet_panic_hook();
+    let jobs = mixed_jobs(DiagnosisKernel::BitParallel);
+    let _guard = FailpointGuard::scenario("diag.segment@job=1:panic");
+    for plan in all_plans() {
+        let runner = FleetRunner::new(plan);
+        let fleet_plan = runner.plan(&jobs).expect("fleet plans");
+        let mut socs = runner.build(&fleet_plan).expect("fleet builds");
+        let error = runner
+            .diagnose(&fleet_plan, &mut socs)
+            .expect_err("job 1's diagnosis must fail");
+        assert!(
+            matches!(
+                error,
+                FleetError::Panicked {
+                    phase: FleetPhase::Diagnose,
+                    ..
+                }
+            ),
+            "{plan}: wrong diagnosis error {error:?}"
+        );
+    }
 }

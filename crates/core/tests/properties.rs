@@ -5,7 +5,7 @@ use esram_diag::{
     algorithms, Address, AnalyticModel, DataBackground, DataWord, DiagnosisScheme, FastScheme, MemConfig,
     MemoryFault, MemoryId,
 };
-use march::{FaultSimulator, MarchRunner};
+use march::{FaultSimulator, MarchRunner, MarchSchedule};
 use proptest::prelude::*;
 use serial::{ParallelToSerialConverter, SerialToParallelConverter, ShiftOrder};
 use sram_model::cell::CellCoord;
@@ -121,7 +121,8 @@ proptest! {
 
         // March-level simulation.
         let sim = FaultSimulator::new(config);
-        let outcome = sim.simulate_fault(&algorithms::march_c_minus(), &fault, DataBackground::Solid);
+        let schedule = MarchSchedule::single(algorithms::march_c_minus(), DataBackground::Solid);
+        let outcome = sim.simulate_fault_schedule(&schedule, &fault);
         prop_assert!(outcome.detected);
         prop_assert!(outcome.located);
 
@@ -175,7 +176,7 @@ proptest! {
         };
         let test = algorithms::with_nwrtm(&algorithms::march_c_minus());
         let sim = FaultSimulator::new(config);
-        let outcome = sim.simulate_fault(&test, &fault, DataBackground::Solid);
+        let outcome = sim.simulate_fault_schedule(&MarchSchedule::single(test, DataBackground::Solid), &fault);
         prop_assert!(outcome.detected);
         prop_assert!(outcome.located);
         prop_assert_eq!(outcome.run.pause_ms, 0.0);

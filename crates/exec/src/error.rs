@@ -4,8 +4,7 @@
 //! `.expect("shard worker panicked")` — a worker panic killed the whole
 //! process, and a *second* worker panicking while the first join was
 //! unwinding could escalate to a double-panic abort. The fallible
-//! variants ([`ShardPlan::try_map_slots`](crate::ShardPlan::try_map_slots),
-//! [`ShardPlan::try_run_segments`](crate::ShardPlan::try_run_segments),
+//! variants ([`ShardPlan::try_run_segments`](crate::ShardPlan::try_run_segments),
 //! [`ShardPlan::map_slots_isolated`](crate::ShardPlan::map_slots_isolated))
 //! instead catch every worker's unwind, join **all** workers, and
 //! report the failure as a value:

@@ -111,8 +111,8 @@ impl ShardPlan {
     /// If any worker's work panics, the panic is contained, **all**
     /// workers are joined (no double-panic abort), and the original
     /// payload of the lowest-indexed failed shard is re-raised on the
-    /// calling thread. Use [`ShardPlan::try_map_slots`] to receive the
-    /// failure as a value instead.
+    /// calling thread. Use [`ShardPlan::map_slots_isolated`] to receive
+    /// failures as values instead.
     pub fn map_slots<T, S, R>(
         &self,
         items: &[T],
@@ -136,13 +136,7 @@ impl ShardPlan {
     /// checked at every item boundary so cancellation and deadlines
     /// stop the run with a deterministic error and clean teardown (all
     /// workers joined, no poisoned state).
-    ///
-    /// # Errors
-    ///
-    /// [`ExecError::WorkerPanic`] when any worker's work panicked;
-    /// [`ExecError::Cancelled`] / [`ExecError::Deadline`] when the
-    /// token stopped the run first.
-    pub fn try_map_slots<T, S, R>(
+    fn try_map_slots<T, S, R>(
         &self,
         token: &RunToken,
         items: &[T],
@@ -158,8 +152,10 @@ impl ShardPlan {
             .map_err(RawFailure::into_exec)
     }
 
-    /// Per-item fault isolation: like [`ShardPlan::try_map_slots`], but
-    /// a panicking or erroring item fails only its own slot.
+    /// Per-item fault isolation: like [`ShardPlan::map_slots`], but a
+    /// panicking or erroring item fails only its own slot, and `token`
+    /// is checked at every item boundary so cancellation and deadlines
+    /// stop the run with a deterministic error and clean teardown.
     ///
     /// `work` returns `Result<R, E>`; each item runs under its own
     /// `catch_unwind`, so a slot comes back as `Ok(R)`, or

@@ -14,8 +14,8 @@
 //! site[@key=N]:action
 //! ```
 //!
-//! * `site` — a dotted site name (`diag.segment`, `soc.build`,
-//!   `fault.sim`); each instrumented call site names its own.
+//! * `site` — a dotted site name (`diag.segment`, `soc.build`); each
+//!   instrumented call site names its own.
 //! * `@key=N` — optional qualifier: the spec only fires where the site
 //!   supplies a qualifier named `key` with value `N`
 //!   (`diag.segment@job=3` fires only for fleet job 3). An unqualified
@@ -357,8 +357,8 @@ mod tests {
         let point = Failpoint::parse("soc.build@member=7:error").unwrap();
         assert_eq!(point.action, FailAction::Error);
 
-        let point = Failpoint::parse(" fault.sim : delay( 25 ) ").unwrap();
-        assert_eq!(point.site, "fault.sim");
+        let point = Failpoint::parse(" soc.build : delay( 25 ) ").unwrap();
+        assert_eq!(point.site, "soc.build");
         assert_eq!(point.qualifier, None);
         assert_eq!(point.action, FailAction::Delay(25));
     }

@@ -27,17 +27,17 @@
 //! all workers are joined before anything propagates, so two shards
 //! panicking simultaneously can no longer escalate into a double-panic
 //! process abort. The fallible entry points
-//! ([`ShardPlan::try_map_slots`], [`ShardPlan::try_run_segments`],
-//! [`ShardPlan::map_slots_isolated`]) surface failures as a structured
-//! [`ExecError`] / [`ItemFault`] taxonomy, and a [`RunToken`] gives
+//! ([`ShardPlan::try_run_segments`], [`ShardPlan::map_slots_isolated`])
+//! surface failures as a structured [`ExecError`] / [`ItemFault`]
+//! taxonomy, and a [`RunToken`] gives
 //! callers cooperative cancellation and deadlines checked at item and
 //! segment boundaries with clean teardown.
 //!
 //! Three supporting modules round out the crate:
 //!
-//! * [`env`] centralises the `ESRAM_*` knob parsing (warn-once fallback
-//!   on malformed values) so every knob shares one discipline; it reads
-//!   no variable itself.
+//! * [`env`](mod@env) centralises the `ESRAM_*` knob parsing
+//!   (warn-once fallback on malformed values) so every knob shares one
+//!   discipline; it reads no variable itself.
 //! * [`calibrate`] prices work items: one committed [`CostCalibration`]
 //!   table maps each [`CostDomain`] (fault sim, diagnosis, SoC build)
 //!   to `fixed + unit · units` picosecond weights derived once from

@@ -6,7 +6,7 @@ use std::fmt;
 
 /// High-level fault classes used in the paper's evaluation.
 ///
-/// The baseline architecture of [7,8] considers four defect classes
+/// The baseline architecture of \[7,8\] considers four defect classes
 /// (stuck-at, transition, coupling and address-decoder faults); the
 /// DATE 2005 paper adds data-retention faults on top. The remaining
 /// classes (read-disturb variants, stuck-open) are included because
@@ -32,7 +32,7 @@ pub enum FaultClass {
 }
 
 impl FaultClass {
-    /// The four defect classes of the baseline evaluation in [8], used
+    /// The four defect classes of the baseline evaluation in \[8\], used
     /// by the paper's case study with equal likelihood.
     pub fn date2005_baseline_classes() -> [FaultClass; 4] {
         [
@@ -161,7 +161,7 @@ impl MemoryFault {
     }
 
     /// Injects this fault into a memory (any [`FaultTarget`], i.e. the
-    /// packed [`Sram`] or the dense reference model).
+    /// packed [`Sram`](sram_model::Sram) or the dense reference model).
     ///
     /// # Errors
     ///

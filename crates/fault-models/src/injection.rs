@@ -13,7 +13,7 @@ use sram_model::{
 /// Statistical description of a manufacturing defect population.
 ///
 /// The paper's case study assumes "1 % of the memory cells are defective
-/// and all four different defect types in [8] occur with equal
+/// and all four different defect types in \[8\] occur with equal
 /// likelihood"; [`DefectProfile::date2005`] reproduces that profile and
 /// [`DefectProfile::with_data_retention`] extends it with DRFs for the
 /// coverage experiments.
@@ -27,7 +27,7 @@ pub struct DefectProfile {
 
 impl DefectProfile {
     /// The paper's case-study profile: the four baseline defect classes
-    /// of [8] with equal likelihood at the given defect rate.
+    /// of \[8\] with equal likelihood at the given defect rate.
     ///
     /// # Panics
     ///

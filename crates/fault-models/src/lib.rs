@@ -7,7 +7,7 @@
 //! evaluation, maps them onto per-cell / per-decoder behavioural faults,
 //! generates exhaustive fault universes for coverage analysis, and
 //! injects random defect populations ("1 % of the memory cells are
-//! defective and all four different defect types in [8] occur with equal
+//! defective and all four different defect types in \[8\] occur with equal
 //! likelihood") for statistical diagnosis-time experiments.
 //!
 //! # Example

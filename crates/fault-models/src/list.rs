@@ -83,7 +83,7 @@ impl FaultList {
     }
 
     /// Faults that are *not* data-retention faults (the subset the
-    /// baseline scheme of [7,8] can diagnose at all).
+    /// baseline scheme of \[7,8\] can diagnose at all).
     pub fn without_data_retention(&self) -> FaultList {
         FaultList {
             faults: self

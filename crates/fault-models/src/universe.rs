@@ -179,7 +179,7 @@ impl FaultUniverse {
         }
     }
 
-    /// The baseline universe of [8] (stuck-at, transition, coupling and
+    /// The baseline universe of \[8\] (stuck-at, transition, coupling and
     /// address-decoder faults).
     pub fn date2005_baseline(&self) -> FaultList {
         let mut list = FaultList::new();

@@ -1,11 +1,11 @@
 //! Library of March algorithms used by the paper and its baseline.
 //!
-//! * [`march_c_minus`] — the classical 10n March C− [12], the core of
+//! * [`march_c_minus`] — the classical 10n March C− \[12\], the core of
 //!   both schemes.
 //! * [`march_cw`] — March C− extended with ⌈log2 c⌉ binary data
-//!   backgrounds [13], the algorithm the proposed scheme runs.
+//!   backgrounds \[13\], the algorithm the proposed scheme runs.
 //! * [`diag_rs_march_m1`] / [`diag_rs_march_base`] — the DiagRSMarch
-//!   structure of the baseline [7,8], split into the repeated `M1`
+//!   structure of the baseline \[7,8\], split into the repeated `M1`
 //!   element group (17 operations per address and per bit, iterated `k`
 //!   times) and the remaining elements (9 operations per address and per
 //!   bit), matching the operation counts of Eq. (1).
@@ -52,7 +52,7 @@ pub fn mats_plus() -> MarchTest {
     )
 }
 
-/// March C− (10n): `⇕(w0); ⇑(r0,w1); ⇑(r1,w0); ⇓(r0,w1); ⇓(r1,w0); ⇕(r0)` [12].
+/// March C− (10n): `⇕(w0); ⇑(r0,w1); ⇑(r1,w0); ⇓(r0,w1); ⇓(r1,w0); ⇕(r0)` \[12\].
 pub fn march_c_minus() -> MarchTest {
     MarchTest::new(
         "March C-",
@@ -104,7 +104,7 @@ pub fn march_cw_intra_word_elements() -> Vec<MarchElement> {
 
 /// March CW for a word width of `width` bits: March C− under the solid
 /// background followed by the intra-word element group under each of the
-/// ⌈log2 c⌉ binary backgrounds [13].
+/// ⌈log2 c⌉ binary backgrounds \[13\].
 pub fn march_cw(width: usize) -> MarchSchedule {
     let mut phases = vec![SchedulePhase::new(DataBackground::Solid, march_c_minus())];
     for background in DataBackground::march_cw_set(width) {
@@ -119,7 +119,7 @@ pub fn march_cw(width: usize) -> MarchSchedule {
     MarchSchedule::new("March CW", phases)
 }
 
-/// The `M1` element group of DiagRSMarch [7,8]: 17 operations per address.
+/// The `M1` element group of DiagRSMarch \[7,8\]: 17 operations per address.
 ///
 /// With the bi-directional serial interface every operation is applied
 /// bit-serially, so the group costs `17·n·c` cycles per iteration; the
@@ -174,7 +174,7 @@ pub fn diag_rs_march_m1() -> MarchTest {
     )
 }
 
-/// The non-iterated remainder of DiagRSMarch [7,8]: 9 operations per
+/// The non-iterated remainder of DiagRSMarch \[7,8\]: 9 operations per
 /// address (left-shift and checkerboard style elements), matching the
 /// `9·n·c` term of Eq. (1).
 pub fn diag_rs_march_base() -> MarchTest {
@@ -239,7 +239,7 @@ pub fn with_nwrtm(test: &MarchTest) -> MarchTest {
 /// Extends `test` with the classical pause-based data-retention check:
 /// `⇕(w0); del; ⇕(r0,w1); del; ⇕(r1)` with a pause of `pause_ms`
 /// milliseconds per retention state (the paper uses 100 ms, 200 ms in
-/// total), as the baseline architecture of [7,8] would have to do to
+/// total), as the baseline architecture of \[7,8\] would have to do to
 /// reach the same DRF coverage.
 pub fn with_retention_pauses(test: &MarchTest, pause_ms: u32) -> MarchTest {
     let name = format!("{} + retention pauses", test.name());

@@ -2,7 +2,7 @@
 //!
 //! A bit-oriented March algorithm such as March C− detects inter-word
 //! faults but not all intra-word (within one word) coupling faults.
-//! March CW [13] therefore repeats a short element under multiple *data
+//! March CW \[13\] therefore repeats a short element under multiple *data
 //! backgrounds*; the classical choice is the ⌈log2 c⌉ "binary"
 //! backgrounds in which background `j` sets bit `i` to bit `j` of the
 //! binary representation of `i`, so that every pair of bits within a

@@ -151,45 +151,21 @@ impl MarchRunner {
         self.run_schedule_inner(sram, schedule, patterns, None)
     }
 
-    /// Runs a schedule visiting only `address` in every element sweep.
-    ///
-    /// Element structure, phase order and retention pauses are executed
-    /// exactly as in a full run — only the address sweeps are restricted
-    /// — so the visited row experiences the identical operation sequence
-    /// it would in a whole-memory run. This is the engine half of the
-    /// simulator's fault-locality pruning: for a fault confined to one
-    /// row of a memory whose fault-free run is known to pass, the
-    /// restricted run observes exactly the failures of the full run.
-    ///
-    /// The returned outcome's `operations` count covers only the visited
-    /// address; callers accounting for a whole memory substitute the
-    /// closed form `schedule.operation_count(words)`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates memory-model validation errors.
-    pub fn run_schedule_at<M: MemoryPort>(
-        &self,
-        sram: &mut M,
-        schedule: &MarchSchedule,
-        patterns: &SchedulePatterns,
-        address: Address,
-    ) -> Result<RunOutcome, MemError> {
-        let rows = [address];
-        self.run_schedule_inner(sram, schedule, patterns, Some(&rows))
-    }
-
     /// Runs a schedule visiting only `rows` (ascending-sorted, distinct)
     /// in every element sweep, *order-preserving*: ascending elements
     /// visit the rows in ascending order, descending elements in
     /// descending order, so the visited rows experience the identical
     /// relative operation sequence they would in a whole-memory sweep.
+    /// Element structure, phase order and retention pauses are executed
+    /// exactly as in a full run.
     ///
-    /// This is the engine half of the simulator's two-row coupling
-    /// pruning: a coupling fault's observable behaviour involves exactly
-    /// the victim and aggressor rows, and on a memory whose fault-free
-    /// run passes, a sweep restricted to those two rows observes the
-    /// full run's failures.
+    /// This is the engine half of the simulator's fault-locality
+    /// pruning: a fault confined to one row, or a coupling fault's
+    /// victim and aggressor rows, is observed on a memory whose
+    /// fault-free run passes exactly as in the full run. The returned
+    /// outcome's `operations` count covers only the visited rows;
+    /// callers accounting for a whole memory substitute the closed form
+    /// `schedule.operation_count(words)`.
     ///
     /// # Errors
     ///

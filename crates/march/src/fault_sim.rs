@@ -22,7 +22,7 @@
 //!   transition, retention, read-disturb) only needs that row swept:
 //!   if a golden fault-free run of the schedule passes, reads of every
 //!   other row match by construction, so the simulator restricts the
-//!   address sweeps to the faulty row ([`MarchRunner::run_schedule_at`])
+//!   address sweeps to the faulty row ([`MarchRunner::run_schedule_rows`])
 //!   and substitutes the closed-form operation count. A coupling fault
 //!   involves exactly two rows (victim and aggressor), so it takes an
 //!   order-preserving two-row restricted sweep
@@ -64,10 +64,9 @@ use crate::engine::{FailureRecord, MarchRunner, RunOutcome};
 use crate::kernel::FaultSimKernel;
 use crate::ops::{AddressOrder, MarchOp, MarchTest};
 use crate::schedule::{MarchSchedule, SchedulePatterns, SchedulePhase};
-use esram_exec::{failpoint, CostCalibration, CostDomain, ExecError, RunToken, ShardPlan};
+use esram_exec::{CostCalibration, CostDomain, ShardPlan};
 use fault_models::{FaultList, MemoryFault};
 use sram_model::{Address, CellFault, FailingBits, LanePlanes, MemConfig, Sram};
-use std::collections::BTreeMap;
 
 /// Outcome of simulating one fault instance against one programme.
 #[derive(Debug, Clone, PartialEq)]
@@ -118,19 +117,6 @@ struct LanePlan {
     work: Vec<LaneWork>,
 }
 
-/// One independent fault-simulation job of a batched multi-universe
-/// run ([`FaultSimulator::simulate_universes_with`]): a simulator (and
-/// thus a geometry), the schedule it runs, and the universe it sweeps.
-#[derive(Debug, Clone, Copy)]
-pub struct UniverseJob<'a> {
-    /// The simulator (geometry) the job's faults are simulated on.
-    pub sim: FaultSimulator,
-    /// The March schedule the job runs.
-    pub schedule: &'a MarchSchedule,
-    /// The fault universe to sweep.
-    pub universe: &'a FaultList,
-}
-
 /// Per-universe shared state, built once and borrowed by every shard
 /// worker: the schedule, its precomputed pattern words, and the golden
 /// fault-free run's verdict that gates single-row pruning.
@@ -175,27 +161,15 @@ impl FaultSimulator {
         self.config
     }
 
-    /// Simulates one fault against a single-background March test.
-    ///
-    /// One-off convenience; batch work should go through
-    /// [`FaultSimulator::simulate_universe`], which builds the schedule
-    /// once and reuses one memory across the whole fault list.
-    pub fn simulate_fault(
-        &self,
-        test: &MarchTest,
-        fault: &MemoryFault,
-        background: DataBackground,
-    ) -> FaultSimOutcome {
-        let schedule = MarchSchedule::single(test.clone(), background);
-        self.simulate_fault_schedule(&schedule, fault)
-    }
-
-    /// Simulates one fault against a multi-background schedule on a
-    /// fresh memory, always running the full address sweeps.
+    /// Simulates one fault against a schedule on a fresh memory, always
+    /// running the full address sweeps.
     ///
     /// This is the *unpruned oracle*: the batched universe entry points
     /// skip the sweeps a single-row fault cannot influence, and the
-    /// regression suite asserts their outcomes equal this one's.
+    /// regression suite asserts their outcomes equal this one's. Batch
+    /// work should go through [`FaultSimulator::simulate_universe`],
+    /// which builds the schedule once and reuses one memory across the
+    /// whole fault list.
     pub fn simulate_fault_schedule(&self, schedule: &MarchSchedule, fault: &MemoryFault) -> FaultSimOutcome {
         let mut sram = Sram::new(self.config);
         let patterns = SchedulePatterns::new(schedule, self.config.width());
@@ -295,14 +269,11 @@ impl FaultSimulator {
         let runner = MarchRunner::new();
         let run = match Self::prunable_rows(fault).filter(|_| prep.golden_passed) {
             Some((row, second)) => {
-                let mut run = match second {
-                    None => runner
-                        .run_schedule_at(sram, prep.schedule, &prep.patterns, row)
-                        .expect("march programme must match the simulator geometry"),
-                    Some(other) => runner
-                        .run_schedule_rows(sram, prep.schedule, &prep.patterns, &[row, other])
-                        .expect("march programme must match the simulator geometry"),
-                };
+                let pair = [row, second.unwrap_or(row)];
+                let rows = if second.is_some() { &pair[..] } else { &pair[..1] };
+                let mut run = runner
+                    .run_schedule_rows(sram, prep.schedule, &prep.patterns, rows)
+                    .expect("march programme must match the simulator geometry");
                 // The restricted sweep performed only the visited rows'
                 // share of the operations; report the whole memory's
                 // count, as the full run would.
@@ -565,137 +536,6 @@ impl FaultSimulator {
             },
         );
         scatter_lane_outcomes(&lane_plan, universe.len(), item_outcomes)
-    }
-
-    /// Fallible [`FaultSimulator::simulate_universe_with`]: the same
-    /// byte-identical universe-order outcomes, but worker panics are
-    /// contained ([`ExecError::WorkerPanic`]) and `token` cancellation
-    /// and deadlines stop the run at fault boundaries with clean
-    /// teardown. The `fault.sim` failpoint (qualified by the flat fault
-    /// `index`) fires inside each fault's work, so chaos suites can
-    /// inject deterministic panics and delays into the simulation loop.
-    ///
-    /// This entry point always runs the per-fault path, under every
-    /// kernel: cancellation, deadline and failpoint semantics stay
-    /// defined at *fault* granularity (`fault.sim@index=N` trips inside
-    /// fault `N` and a token stop loses at most one fault's work, not a
-    /// 64-lane batch). The kernels are outcome-equivalent, so this
-    /// choice is unobservable in the returned data.
-    ///
-    /// # Errors
-    ///
-    /// [`ExecError`] when a worker panicked or the token stopped the
-    /// run.
-    pub fn try_simulate_universe_with(
-        &self,
-        plan: ShardPlan,
-        token: &RunToken,
-        schedule: &MarchSchedule,
-        universe: &FaultList,
-    ) -> Result<Vec<FaultSimOutcome>, ExecError> {
-        let prep = self.prepare(schedule);
-        let calibration = CostCalibration::current();
-        plan.try_map_slots(
-            token,
-            universe.as_slice(),
-            |_, fault| calibration.cost(CostDomain::FaultSim, self.fault_cost(prep.golden_passed, fault)),
-            || Sram::new(self.config),
-            |sram, index, fault| {
-                failpoint::trip("fault.sim", &[("index", index as u64)]);
-                self.simulate_fault_batched(sram, &prep, fault)
-            },
-        )
-    }
-
-    /// Simulates several independent (simulator, schedule, universe)
-    /// jobs in **one** executor run: every job's work items (lane
-    /// batches plus fallback singles, per that job's kernel) are
-    /// flattened into a single global work list, partitioned by the
-    /// active calibrated cost model across *all* jobs at once, and the
-    /// outcomes are demultiplexed back per job in exact universe order.
-    ///
-    /// Each per-job outcome vector is byte-identical to what
-    /// [`FaultSimulator::simulate_universe_with`] returns for that job
-    /// alone, at any worker count — flattening preserves
-    /// (job, fault) order and per-fault outcomes are pure functions of
-    /// their job's prep. The point of batching is the partition: a
-    /// worker finishing a cheap job's pruned faults immediately picks
-    /// up another job's full-sweep tail instead of idling at a job
-    /// boundary.
-    ///
-    /// Degenerate inputs take documented early returns instead of
-    /// panicking: an empty job list yields an empty result (nothing is
-    /// prepared, no worker spawns), and jobs with empty universes
-    /// contribute empty outcome vectors.
-    pub fn simulate_universes_with(plan: ShardPlan, jobs: &[UniverseJob<'_>]) -> Vec<Vec<FaultSimOutcome>> {
-        if jobs.is_empty() {
-            // Early return: no jobs means no preps and no executor run.
-            return Vec::new();
-        }
-        let preps: Vec<UniversePrep<'_>> = jobs.iter().map(|job| job.sim.prepare(job.schedule)).collect();
-        // Each job batches under its own simulator's kernel, so a fleet
-        // can mix lane-kernel and per-memory jobs; the flattened work
-        // list interleaves every job's batches and singles.
-        let lane_plans: Vec<LanePlan> = jobs
-            .iter()
-            .zip(&preps)
-            .map(|(job, prep)| job.sim.lane_plan(prep.golden_passed, job.universe))
-            .collect();
-        let flat: Vec<(usize, LaneWork)> = lane_plans
-            .iter()
-            .enumerate()
-            .flat_map(|(job_index, lane_plan)| lane_plan.work.iter().map(move |&work| (job_index, work)))
-            .collect();
-        let calibration = CostCalibration::current();
-        let outcomes = plan.map_slots(
-            &flat,
-            |_, &(job, work)| {
-                calibration.cost(
-                    CostDomain::FaultSim,
-                    jobs[job].sim.work_cost(
-                        &lane_plans[job],
-                        preps[job].golden_passed,
-                        jobs[job].universe,
-                        work,
-                    ),
-                )
-            },
-            // Jobs at different geometries need different scratch
-            // memories; each worker keeps one per geometry it meets.
-            || (BTreeMap::<(u64, usize), Sram>::new(), LaneScratch::default()),
-            |(srams, scratch), _, &(job, work)| {
-                let sim = &jobs[job].sim;
-                match work {
-                    LaneWork::Batch(batch) => sim.simulate_lane_batch(
-                        &preps[job],
-                        jobs[job].universe,
-                        &lane_plans[job].batches[batch],
-                        scratch,
-                    ),
-                    LaneWork::Single(index) => {
-                        let sram = srams
-                            .entry((sim.config.words(), sim.config.width()))
-                            .or_insert_with(|| Sram::new(sim.config));
-                        vec![sim.simulate_fault_batched(
-                            sram,
-                            &preps[job],
-                            &jobs[job].universe.as_slice()[index],
-                        )]
-                    }
-                }
-            },
-        );
-        // Demultiplex the item outcomes per job, then scatter each
-        // job's batches back into its own exact universe order.
-        let mut per_job_items: Vec<Vec<Vec<FaultSimOutcome>>> = jobs.iter().map(|_| Vec::new()).collect();
-        for (&(job, _), outcome) in flat.iter().zip(outcomes) {
-            per_job_items[job].push(outcome);
-        }
-        jobs.iter()
-            .zip(&lane_plans)
-            .zip(per_job_items)
-            .map(|((job, lane_plan), items)| scatter_lane_outcomes(lane_plan, job.universe.len(), items))
-            .collect()
     }
 
     /// Physical size of one fault's run: the number of rows its
@@ -1221,11 +1061,8 @@ mod tests {
     fn simulate_fault_reports_location_details() {
         let sim = FaultSimulator::new(config());
         let site = sram_model::cell::CellCoord::new(sram_model::Address::new(3), 1);
-        let outcome = sim.simulate_fault(
-            &algorithms::march_c_minus(),
-            &MemoryFault::stuck_at_0(site),
-            DataBackground::Solid,
-        );
+        let schedule = MarchSchedule::single(algorithms::march_c_minus(), DataBackground::Solid);
+        let outcome = sim.simulate_fault_schedule(&schedule, &MemoryFault::stuck_at_0(site));
         assert!(outcome.detected);
         assert!(outcome.located);
         assert!(!outcome.run.failures.is_empty());

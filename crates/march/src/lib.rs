@@ -11,7 +11,7 @@
 //! * an algorithm library ([`algorithms`]): MATS+, March C−, March CW
 //!   (March C− with multiple data backgrounds, as used by the proposed
 //!   scheme), the RSMarch/DiagRSMarch family used by the baseline
-//!   architecture of [7,8], and NWRTM / retention-pause DRF variants;
+//!   architecture of \[7,8\], and NWRTM / retention-pause DRF variants;
 //! * a word-oriented execution engine ([`MarchRunner`]) that applies a
 //!   test to a behavioural [`sram_model::Sram`] and reports failures
 //!   (address, bit, expected vs observed, detecting operation);
@@ -58,7 +58,7 @@ pub use background::{BackgroundPatterns, DataBackground};
 pub use coverage::{ClassCoverage, CoverageReport};
 pub use engine::{FailureRecord, MarchRunner, RunOutcome};
 pub use esram_exec::{ShardPlan, ShardStrategy};
-pub use fault_sim::{FaultSimOutcome, FaultSimulator, UniverseJob};
+pub use fault_sim::{FaultSimOutcome, FaultSimulator};
 pub use kernel::FaultSimKernel;
 pub use ops::{AddressOrder, MarchElement, MarchOp, MarchTest};
 pub use schedule::{MarchSchedule, SchedulePatterns, SchedulePhase};

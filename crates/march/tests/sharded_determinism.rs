@@ -17,7 +17,7 @@
 use fault_models::{DefectProfile, FaultClass, FaultInjector, FaultList, FaultUniverse, MemoryFault};
 use march::{
     algorithms, AddressOrder, CoverageReport, DataBackground, FaultSimKernel, FaultSimulator, MarchElement,
-    MarchOp, MarchSchedule, MarchTest, ShardPlan, UniverseJob,
+    MarchOp, MarchSchedule, MarchTest, ShardPlan,
 };
 use proptest::prelude::*;
 use sram_model::cell::CellCoord;
@@ -133,55 +133,6 @@ fn kernels_agree_under_every_strategy_and_thread_count() {
             assert_eq!(
                 outcomes, baseline,
                 "kernel {kernel} diverged from the per-memory sequential baseline under {plan}"
-            );
-        }
-    }
-}
-
-#[test]
-fn fleet_runs_agree_between_kernels() {
-    // The flattened multi-universe path must demultiplex identically
-    // whichever kernel each job's simulator carries — including a fleet
-    // mixing kernels across jobs.
-    let config_b = MemConfig::new(32, 4).unwrap();
-    let schedule = nwrtm_schedule();
-    let universe_a = mixed_universe();
-    let universe_b = FaultUniverse::new(config_b).date2005_baseline();
-    let baseline: Vec<Vec<_>> = [
-        (FaultSimulator::new(config()), &universe_a),
-        (FaultSimulator::new(config_b), &universe_b),
-    ]
-    .iter()
-    .map(|(sim, universe)| {
-        sim.with_kernel(FaultSimKernel::PerMemory).simulate_universe_with(
-            ShardPlan::sequential(),
-            &schedule,
-            universe,
-        )
-    })
-    .collect();
-    for (kernel_a, kernel_b) in [
-        (FaultSimKernel::Lanes, FaultSimKernel::Lanes),
-        (FaultSimKernel::PerMemory, FaultSimKernel::PerMemory),
-        (FaultSimKernel::Lanes, FaultSimKernel::PerMemory),
-    ] {
-        let jobs = [
-            UniverseJob {
-                sim: FaultSimulator::new(config()).with_kernel(kernel_a),
-                schedule: &schedule,
-                universe: &universe_a,
-            },
-            UniverseJob {
-                sim: FaultSimulator::new(config_b).with_kernel(kernel_b),
-                schedule: &schedule,
-                universe: &universe_b,
-            },
-        ];
-        for threads in [1, 2, 7] {
-            let batched = FaultSimulator::simulate_universes_with(ShardPlan::with_threads(threads), &jobs);
-            assert_eq!(
-                batched, baseline,
-                "fleet outcomes diverged for kernels ({kernel_a}, {kernel_b}) at {threads} threads"
             );
         }
     }
@@ -431,59 +382,6 @@ proptest! {
         for kernel in FaultSimKernel::all() {
             let batched = sim.with_kernel(kernel).simulate_universe(schedule, &universe);
             prop_assert_eq!(&batched[0], &oracle);
-        }
-    }
-}
-
-#[test]
-fn batched_universes_match_per_job_sequential_runs() {
-    // The fleet path: several independent (simulator, schedule,
-    // universe) jobs flattened into one executor run must demultiplex
-    // into exactly the outcomes each job produces alone — for every
-    // kernel and worker count, including jobs of different geometry
-    // and different programmes interleaved in one work list.
-    let config_a = config();
-    let config_b = MemConfig::new(32, 4).unwrap();
-    let schedule_a = nwrtm_schedule();
-    let schedule_b = MarchSchedule::single(algorithms::march_c_minus(), DataBackground::Checkerboard);
-    let universe_a = mixed_universe();
-    let universe_b = FaultUniverse::new(config_b).date2005_baseline();
-    let universe_c: FaultList = mixed_universe().iter().copied().take(7).collect();
-    assert!(FaultSimulator::simulate_universes_with(ShardPlan::with_threads(7), &[]).is_empty());
-    for kernel in FaultSimKernel::all() {
-        let sim_a = FaultSimulator::new(config_a).with_kernel(kernel);
-        let sim_b = FaultSimulator::new(config_b).with_kernel(kernel);
-        let jobs = [
-            UniverseJob {
-                sim: sim_a,
-                schedule: &schedule_a,
-                universe: &universe_a,
-            },
-            UniverseJob {
-                sim: sim_b,
-                schedule: &schedule_b,
-                universe: &universe_b,
-            },
-            UniverseJob {
-                sim: sim_a,
-                schedule: &schedule_b,
-                universe: &universe_c,
-            },
-        ];
-        let baseline: Vec<_> = jobs
-            .iter()
-            .map(|job| {
-                job.sim
-                    .simulate_universe_with(ShardPlan::sequential(), job.schedule, job.universe)
-            })
-            .collect();
-        for threads in [1, 2, 7, 32] {
-            let plan = ShardPlan::with_threads(threads);
-            let batched = FaultSimulator::simulate_universes_with(plan, &jobs);
-            assert_eq!(
-                batched, baseline,
-                "batched {kernel} universe outcomes diverged from per-job runs under {plan}"
-            );
         }
     }
 }

@@ -1,5 +1,5 @@
 //! The bi-directional serial interface of the baseline architecture
-//! ([7,8], Fig. 2 of the paper).
+//! (\[7,8\], Fig. 2 of the paper).
 //!
 //! In the baseline, test data is shifted *through the memory cells
 //! themselves*: every read or write of a word is performed bit-serially
@@ -49,7 +49,7 @@ pub struct SerialElementOutcome {
     pub cycles: u64,
 }
 
-/// Behavioural model of the bi-directional serial interface of [7,8].
+/// Behavioural model of the bi-directional serial interface of \[7,8\].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BidirectionalSerialInterface {
     width: usize,

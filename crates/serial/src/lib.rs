@@ -1,7 +1,7 @@
 //! Serial test-access fabrics for distributed e-SRAM diagnosis.
 //!
 //! The DATE 2005 paper's architectural contribution is to replace the
-//! bi-directional serial interface of [7,8] with a per-memory pair of
+//! bi-directional serial interface of \[7,8\] with a per-memory pair of
 //! converters:
 //!
 //! * [`SerialToParallelConverter`] (SPC, Fig. 4) — receives the test
@@ -17,12 +17,12 @@
 //!
 //! The crate also models the two interfaces the paper compares against:
 //!
-//! * [`BidirectionalSerialInterface`] (Fig. 2, the baseline of [7,8]) —
+//! * [`BidirectionalSerialInterface`] (Fig. 2, the baseline of \[7,8\]) —
 //!   test data shifts *through* the memory cells, every operation costs
 //!   one cycle per bit, and a March element can pinpoint at most one
 //!   faulty cell per shift direction, which makes total diagnosis time
 //!   proportional to the number of faults.
-//! * [`SingleDirectionalSerialInterface`] ([9,10]) — the older scan-style
+//! * [`SingleDirectionalSerialInterface`] (\[9,10\]) — the older scan-style
 //!   interface in which a faulty cell corrupts all data shifted through
 //!   it, so a fault can *mask* downstream faults entirely.
 //!

@@ -10,7 +10,7 @@ use sram_model::DataWord;
 /// position towards the serial output (LSB first), feeding `0` in at the
 /// tail. Because the shift path never passes through the memory cells,
 /// shifting cannot be corrupted by memory faults and no fault can mask
-/// another — the property the bi-directional interface of [7,8] lacks.
+/// another — the property the bi-directional interface of \[7,8\] lacks.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParallelToSerialConverter {
     width: usize,

@@ -1,4 +1,4 @@
-//! The single-directional serial interface of [9,10] and its serial
+//! The single-directional serial interface of \[9,10\] and its serial
 //! fault-masking problem.
 //!
 //! In the original serial-interfacing technique, test data enters the
@@ -7,7 +7,7 @@
 //! cell therefore corrupts everything that passes through it: faults
 //! located *downstream* of the first defective cell cannot be attributed
 //! reliably — they are **masked**. The bi-directional interface of
-//! [7,8] (and, in the proposed scheme, the PSC whose shift path avoids
+//! \[7,8\] (and, in the proposed scheme, the PSC whose shift path avoids
 //! the cells entirely) removes this limitation. This module models the
 //! masking behaviour so the benches can quantify what the later
 //! interfaces fix.
@@ -45,7 +45,7 @@ impl MaskingOutcome {
     }
 }
 
-/// Behavioural model of the single-directional serial interface [9,10].
+/// Behavioural model of the single-directional serial interface \[9,10\].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SingleDirectionalSerialInterface {
     width: usize,

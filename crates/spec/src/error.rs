@@ -3,7 +3,7 @@
 //! Every failure mode in the spec pipeline — TOML syntax, schema
 //! validation, plan compilation — is one [`SpecErrorKind`] variant
 //! attached to the [`Span`] where the offending token starts. The CLI
-//! prints the [`Display`] form verbatim, so the CI negative rows can
+//! prints the [`Display`](std::fmt::Display) form verbatim, so the CI negative rows can
 //! grep for `line` and the exact failure wording.
 
 use crate::toml::Span;

@@ -38,6 +38,6 @@ pub use plan::{DiagnosisPlan, PlannedJob, ReportConfig, SchemeConfig};
 pub use report::{execute_plan, summarize, RunReport, REPORT_FORMAT};
 pub use spec::{
     compile_str, DefectSpec, DrfSpec, MemoryGroup, ReportSpec, ScenarioSpec, SchemeKind, SchemeSpec,
-    SweepSpec, DEFAULT_SEED,
+    SweepSpec, DEFAULT_SEED, MAX_CELLS,
 };
 pub use toml::Span;

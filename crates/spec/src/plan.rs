@@ -118,9 +118,6 @@ impl PlannedJob {
 
     /// Total number of cells across the job's population.
     pub fn total_cells(&self) -> u64 {
-        self.memories
-            .iter()
-            .map(|group| group.count as u64 * group.words * group.width as u64)
-            .sum()
+        self.memories.iter().map(MemoryGroup::cells).sum()
     }
 }

@@ -18,6 +18,9 @@
 //! count = 8               # (1) memories of this geometry
 //! words = 512             # required, >= 1
 //! width = 100             # required, 1..=128
+//!                         # count × words × width, summed over the
+//!                         # groups and multiplied by the sweep's job
+//!                         # count, must not exceed MAX_CELLS (2^30)
 //!
 //! [defects]
 //! rate = 0.01             # (0.0) per-cell defect rate, within [0, 1]
@@ -59,6 +62,13 @@ use sram_model::MemConfig;
 /// the same default the [`esram_diag::Soc`] builder uses.
 pub const DEFAULT_SEED: u64 = 0xDA7E_2005;
 
+/// The most memory cells a spec may ask for: per job, and summed over
+/// every job its sweep expands to, since a fleet run holds all of its
+/// jobs' populations at once. Over 5 000 times the paper's case study
+/// (4 × 512 × 100 cells); a larger spec is rejected at parse time
+/// instead of aborting the run on a failed allocation.
+pub const MAX_CELLS: u64 = 1 << 30;
+
 /// Span used for whole-file complaints (a section that never appeared).
 const FILE_SPAN: Span = Span { line: 1, col: 1 };
 
@@ -98,6 +108,15 @@ pub struct MemoryGroup {
     pub words: u64,
     /// Bits per word.
     pub width: usize,
+}
+
+impl MemoryGroup {
+    /// Memory cells in the group, `count × words × width`, saturating.
+    pub(crate) fn cells(&self) -> u64 {
+        (self.count as u64)
+            .saturating_mul(self.words)
+            .saturating_mul(self.width as u64)
+    }
 }
 
 /// The `[defects]` section.
@@ -224,7 +243,8 @@ impl ScenarioSpec {
         let defects = parse_defects(&doc)?;
         let scheme = parse_scheme(&doc)?;
         let (kernel, faultsim_kernel) = parse_execution(&doc)?;
-        let sweep = parse_sweep(&doc)?;
+        let job_cells = memories.iter().map(MemoryGroup::cells).sum();
+        let sweep = parse_sweep(&doc, job_cells)?;
         let report = parse_report(&doc)?;
 
         Ok(ScenarioSpec {
@@ -439,12 +459,13 @@ fn parse_memories(doc: &TomlDocument) -> Result<Vec<MemoryGroup>, SpecError> {
         .array("memory")
         .ok_or_else(|| SpecError::new(SpecErrorKind::EmptyMemories, FILE_SPAN))?;
     let mut memories = Vec::with_capacity(groups.len());
+    let mut cells: u64 = 0;
     for (span, table) in groups {
         let group = Section { span: *span, table };
         group.check_keys(&["count", "words", "width"])?;
         let count = match group.get("count") {
             Some(value) => {
-                let count = as_u64("count", value)? as usize;
+                let count = as_u64("count", value)?;
                 if count == 0 {
                     return Err(SpecError::new(
                         SpecErrorKind::OutOfRange {
@@ -468,7 +489,19 @@ fn parse_memories(doc: &TomlDocument) -> Result<Vec<MemoryGroup>, SpecError> {
                 words_value.span,
             ));
         }
-        memories.push(MemoryGroup { count, words, width });
+        let memory = MemoryGroup {
+            count: count as usize,
+            words,
+            width,
+        };
+        cells = cells.saturating_add(memory.cells());
+        if cells > MAX_CELLS {
+            let (key, value) = group
+                .get("count")
+                .map_or(("words", words_value), |count| ("count", count));
+            return Err(over_cell_budget(key, value.span));
+        }
+        memories.push(memory);
     }
     Ok(memories)
 }
@@ -672,7 +705,9 @@ fn parse_execution(doc: &TomlDocument) -> Result<ExecutionKnobs, SpecError> {
     Ok((kernel, faultsim_kernel))
 }
 
-fn parse_sweep(doc: &TomlDocument) -> Result<SweepSpec, SpecError> {
+/// Parses `[sweep]` and checks that its jobs, `job_cells` memory cells
+/// each, stay within [`MAX_CELLS`].
+fn parse_sweep(doc: &TomlDocument, job_cells: u64) -> Result<SweepSpec, SpecError> {
     let mut sweep = SweepSpec::default();
     let Some(table) = section(doc, "sweep") else {
         return Ok(sweep);
@@ -703,7 +738,29 @@ fn parse_sweep(doc: &TomlDocument) -> Result<SweepSpec, SpecError> {
             sweep.seeds.push(as_u64("seeds", item)?);
         }
     }
+    let jobs = (sweep.defect_rates.len().max(1) as u64).saturating_mul(sweep.seeds.len().max(1) as u64);
+    if jobs.saturating_mul(job_cells) > MAX_CELLS {
+        // More than one job, so at least one axis is present.
+        let key = if sweep.seeds.is_empty() {
+            "defect_rates"
+        } else {
+            "seeds"
+        };
+        return Err(over_cell_budget(key, table.require(key)?.span));
+    }
     Ok(sweep)
+}
+
+/// The rejection of a spec asking for more than [`MAX_CELLS`] cells,
+/// at the key that pushed it over.
+fn over_cell_budget(key: &str, span: Span) -> SpecError {
+    SpecError::new(
+        SpecErrorKind::OutOfRange {
+            key: key.to_string(),
+            allowed: "at most MAX_CELLS = 2^30 memory cells over all groups and sweep jobs",
+        },
+        span,
+    )
 }
 
 fn parse_report(doc: &TomlDocument) -> Result<ReportSpec, SpecError> {

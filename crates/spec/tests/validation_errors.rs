@@ -2,7 +2,7 @@
 //! rejected produces the right kind, anchored at a real span, and a
 //! `Display` line the CI negative rows can grep (`line N, column M`).
 
-use esram_spec::{ScenarioSpec, SpecError, SpecErrorKind};
+use esram_spec::{ScenarioSpec, SpecError, SpecErrorKind, MAX_CELLS};
 
 /// A minimal valid spec the mutations below build on.
 const VALID: &str = concat!(
@@ -181,6 +181,40 @@ fn out_of_range() {
         "{VALID}[scheme]\ndrf = \"pause\"\npause_ms = 5000000000\n"
     ));
     assert!(matches!(big_pause.kind, SpecErrorKind::OutOfRange { key, .. } if key == "pause_ms"));
+}
+
+#[test]
+fn specs_over_the_cell_budget_are_rejected_at_the_key_that_overflows() {
+    // One job: the second group's count pushes the total past the
+    // budget, so the error anchors there (line 9).
+    let huge_count = reject(concat!(
+        "[scenario]\nname = \"x\"\n\n",
+        "[[memory]]\nwords = 64\nwidth = 8\n\n",
+        "[[memory]]\ncount = 100000000000\nwords = 64\nwidth = 8\n",
+    ));
+    assert!(matches!(huge_count.kind, SpecErrorKind::OutOfRange { key, .. } if key == "count"));
+    assert_eq!(huge_count.span.line, 9);
+    // No count: the single memory's words carry the blame.
+    let huge_words = reject("[scenario]\nname = \"x\"\n\n[[memory]]\nwords = 1099511627776\nwidth = 8\n");
+    assert!(matches!(huge_words.kind, SpecErrorKind::OutOfRange { key, .. } if key == "words"));
+    // Each job fits, but the sweep's jobs together do not.
+    let cells_per_job = MAX_CELLS / 16;
+    let fits = format!(
+        "[scenario]\nname = \"x\"\n\n[[memory]]\ncount = 16\nwords = {}\nwidth = 128\n",
+        cells_per_job / 16 / 128
+    );
+    ScenarioSpec::parse(&format!("{fits}\n[sweep]\nseeds = [{}]\n", ["1"; 16].join(", ")))
+        .expect("exactly at the budget");
+    let over = reject(&format!(
+        "{fits}\n[sweep]\ndefect_rates = [0.0, 0.1]\nseeds = [{}]\n",
+        ["1"; 9].join(", ")
+    ));
+    assert!(matches!(over.kind, SpecErrorKind::OutOfRange { key, .. } if key == "seeds"));
+    let over_rates = reject(&format!(
+        "{fits}\n[sweep]\ndefect_rates = [{}]\n",
+        ["0.0"; 17].join(", ")
+    ));
+    assert!(matches!(over_rates.kind, SpecErrorKind::OutOfRange { key, .. } if key == "defect_rates"));
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Backup (spare) memory used to repair diagnosed faulty words.
 //!
-//! Both the baseline architecture ([7,8], Fig. 1) and the proposed
+//! Both the baseline architecture (\[7,8\], Fig. 1) and the proposed
 //! scheme keep a small backup memory next to each e-SRAM so that, once
 //! the BISD controller has located a faulty cell, the affected word can
 //! be remapped to a spare ("registered for on-chip repair"). This module

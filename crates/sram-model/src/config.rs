@@ -82,7 +82,7 @@ impl From<u64> for Address {
 
 /// Geometry of one e-SRAM: number of words and IO width in bits.
 ///
-/// The paper's benchmark memory (from [16]) has `n = 512` words and
+/// The paper's benchmark memory (from \[16\]) has `n = 512` words and
 /// `c = 100` IO bits; [`MemConfig::date2005_benchmark`] constructs it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemConfig {

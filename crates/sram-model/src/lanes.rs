@@ -16,7 +16,7 @@
 //! overlay cell XORs its lane word against the splat of the expected
 //! bit: a nonzero limb instantly flags exactly the deviating lanes.
 //!
-//! The per-lane cell semantics ([`LaneCell`], private) are the
+//! The per-lane cell semantics (the private `LaneCell`) are the
 //! bit-parallel transcription of [`crate::cell::Cell`]'s state machine
 //! for the classes the transposition can express: stuck-at, transition,
 //! data-retention, the read-disturb family, and coupling faults whose

@@ -2,10 +2,9 @@
 //!
 //! The March engine and the fault-injection layer only need a small
 //! behavioural surface; abstracting it lets the same programmes drive
-//! both the packed [`Sram`](crate::array::Sram) and the dense
-//! [`ReferenceSram`](crate::reference::ReferenceSram), which is how the
-//! dense-vs-overlay equivalence property tests and the before/after
-//! throughput benches are built.
+//! both the packed [`Sram`] and the dense [`ReferenceSram`], which is
+//! how the dense-vs-overlay equivalence property tests and the
+//! before/after throughput benches are built.
 
 use crate::array::Sram;
 use crate::cell::{CellCoord, CellFault};

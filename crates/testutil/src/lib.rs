@@ -20,7 +20,7 @@ use sram_model::{Address, MemConfig};
 /// `fault_models` doctest); the rest provide independent repetitions.
 pub const SEEDS: [u64; 6] = [0xDA7E_2005, 1, 7, 42, 0xBEEF, 0x5EED];
 
-/// The paper's benchmark geometry from [16]: 512 words × 100 IO bits.
+/// The paper's benchmark geometry from \[16\]: 512 words × 100 IO bits.
 pub fn benchmark_geometry() -> MemConfig {
     MemConfig::new(512, 100).expect("benchmark geometry is valid")
 }
