@@ -19,16 +19,11 @@
 //!   `O(distinct word counts)` bits, not `O(memories)` words;
 //! * one **pattern set per background** (phase), not per memory: a
 //!   `[phase][distinct width][value]` matrix of pattern words built
-//!   once per run, borrowed on every read comparison;
-//! * a **per-memory sparse diff** map for the rare case where one
-//!   memory's expectation must deviate from its class (an escape hatch
-//!   for callers emulating repairs or injected expectation overrides —
-//!   empty in the standard diagnosis loop, and skipped in O(1) then).
+//!   once per run, borrowed on every read comparison.
 
 use crate::components::DataBackgroundGenerator;
 use march::DataBackground;
 use sram_model::{Address, BitPlanes, DataWord, MemConfig};
-use std::collections::BTreeMap;
 
 /// Epoch marker for "never written since power-on".
 const NEVER: u32 = u32::MAX;
@@ -63,9 +58,6 @@ pub struct GoldenStore {
     phase_patterns: Vec<Vec<[DataWord; 2]>>,
     /// Power-on (all-zero) golden word per width class.
     pristine: Vec<DataWord>,
-    /// Sparse per-memory expectation overrides, keyed by
-    /// `(member index, local address)`.
-    diffs: BTreeMap<(usize, u64), DataWord>,
 }
 
 impl GoldenStore {
@@ -141,7 +133,6 @@ impl GoldenStore {
             widths,
             phase_patterns,
             pristine,
-            diffs: BTreeMap::new(),
         }
     }
 
@@ -196,14 +187,9 @@ impl GoldenStore {
 
     /// The golden word of `member` at its local address `local`: the
     /// pattern of the phase that last wrote the address (materialised
-    /// for the member's width), the pristine all-zero word if never
-    /// written, or the member's sparse override if one is set.
+    /// for the member's width), or the pristine all-zero word if never
+    /// written.
     pub fn expected_at(&self, member: usize, local: Address) -> &DataWord {
-        if !self.diffs.is_empty() {
-            if let Some(word) = self.diffs.get(&(member, local.index())) {
-                return word;
-            }
-        }
         let info = self.members[member];
         let class = &self.classes[info.value_class];
         let epoch = class.epoch[local.index() as usize];
@@ -225,26 +211,6 @@ impl GoldenStore {
     pub fn expected_at_global(&self, member: usize, global: Address) -> (Address, &DataWord) {
         let local = global.wrapped(self.members[member].words);
         (local, self.expected_at(member, local))
-    }
-
-    /// Installs a per-memory expectation override at `(member, local)`,
-    /// deviating that one address from its shared class (e.g. to model
-    /// a repaired word whose reads are expected to come from a spare).
-    /// Overrides survive subsequent [`GoldenStore::record_write`] calls
-    /// until removed.
-    pub fn override_word(&mut self, member: usize, local: Address, word: DataWord) {
-        self.diffs.insert((member, local.index()), word);
-    }
-
-    /// Removes the override at `(member, local)`, restoring the shared
-    /// class expectation. Returns the removed word, if any.
-    pub fn clear_override(&mut self, member: usize, local: Address) -> Option<DataWord> {
-        self.diffs.remove(&(member, local.index()))
-    }
-
-    /// Number of active per-memory overrides.
-    pub fn override_count(&self) -> usize {
-        self.diffs.len()
     }
 }
 
@@ -327,25 +293,6 @@ mod tests {
         }
         // Member 1 (16 words) sees global 20 at local 4.
         assert_eq!(s.expected_at_global(1, Address::new(20)).0, Address::new(4));
-    }
-
-    #[test]
-    fn sparse_overrides_shadow_and_restore_the_class_expectation() {
-        let mut s = store();
-        s.record_write(0, Address::new(2), true);
-        let special = DataWord::from_u64(0b1010_1010, 8);
-        s.override_word(0, Address::new(2), special.clone());
-        assert_eq!(s.override_count(), 1);
-        // Only the overridden member deviates; class members are intact.
-        assert_eq!(s.expected_at(0, Address::new(2)), &special);
-        assert_eq!(s.expected_at(2, Address::new(2)), &DataWord::splat(true, 8));
-        // Overrides survive later writes...
-        s.record_write(0, Address::new(2), false);
-        assert_eq!(s.expected_at(0, Address::new(2)), &special);
-        // ...and clearing restores the shared expectation.
-        assert_eq!(s.clear_override(0, Address::new(2)), Some(special));
-        assert_eq!(s.expected_at(0, Address::new(2)), &DataWord::zero(8));
-        assert_eq!(s.clear_override(0, Address::new(2)), None);
     }
 
     #[test]

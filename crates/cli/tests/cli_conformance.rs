@@ -207,11 +207,18 @@ fn per_memory_kernel_reproduces_the_committed_goldens() {
 #[test]
 fn unread_esram_variables_warn_and_change_nothing() {
     let baseline = std::fs::read_to_string(golden("case_study_512x100")).unwrap();
-    for retired in ["ESRAM_DIAG_SCHED", "ESRAM_DIAG_KERNEL", "ESRAM_FAULTSIM_KERNEL"] {
+    // `ESRAM_FAILPOINTS` carries a well-formed spec that would fail the
+    // run if anything still armed failpoints from the environment.
+    for (retired, value) in [
+        ("ESRAM_DIAG_SCHED", "permem"),
+        ("ESRAM_DIAG_KERNEL", "permem"),
+        ("ESRAM_FAULTSIM_KERNEL", "permem"),
+        ("ESRAM_FAILPOINTS", "diag.segment:panic"),
+    ] {
         let (output, report) = run_spec(
             "case_study_512x100.toml",
             &format!("retired-{retired}"),
-            &[(retired, "permem")],
+            &[(retired, value)],
         );
         assert_eq!(output.status.code(), Some(0), "{retired}: {output:?}");
         assert_eq!(report, baseline, "{retired} moved the report bytes");

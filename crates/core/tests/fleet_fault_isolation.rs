@@ -13,10 +13,8 @@
 //! baseline), and injected worker delays are asserted to never move a
 //! single diagnosis record.
 //!
-//! Scenario guards take full precedence over `ESRAM_FAILPOINTS`, so
-//! this suite is immune to whatever the CI chaos matrix arms in the
-//! environment; the ambient-env rows are covered by the companion
-//! `fleet_env_chaos` suite.
+//! A scenario guard is the only way to arm a failpoint, and holding one
+//! serialises the tests of this suite against each other.
 
 use esram_diag::{
     DiagnosisKernel, DiagnosisResult, FastScheme, FleetError, FleetJob, FleetPhase, FleetRunner, JobOutcome,
@@ -53,8 +51,7 @@ fn mixed_jobs(kernel: DiagnosisKernel) -> Vec<FleetJob> {
     jobs
 }
 
-/// Solo-run oracle, computed with all failpoints disarmed so an armed
-/// environment cannot skew the expectation.
+/// Solo-run oracle, computed while no other test's scenario is armed.
 fn serial_baseline(jobs: &[FleetJob]) -> Vec<(Soc, DiagnosisResult)> {
     let _quiet = FailpointGuard::disabled();
     jobs.iter()
@@ -190,6 +187,62 @@ fn injected_build_panic_on_one_member_fails_only_its_job() {
             )
         });
     }
+}
+
+#[test]
+fn member_qualified_build_error_fails_every_job_with_that_member() {
+    let mut jobs = mixed_jobs(DiagnosisKernel::BitParallel);
+    // Two members only: no member 2, so this job must stay healthy.
+    jobs.push(FleetJob::new(
+        Soc::builder()
+            .memories(2, 32, 8)
+            .unwrap()
+            .defect_rate(0.02)
+            .seed(7),
+        FastScheme::new(10.0),
+    ));
+    let baseline = serial_baseline(&jobs);
+    let _guard = FailpointGuard::scenario("soc.build@member=2:error");
+    let mut failed_per_plan = Vec::new();
+    for plan in all_plans() {
+        let outcomes = FleetRunner::new(plan).run(&jobs).expect("run survives");
+        let mut failed = Vec::new();
+        for (job, (outcome, (soc, result))) in outcomes.iter().zip(&baseline).enumerate() {
+            let has_member_2 = soc.memories().len() > 2;
+            match outcome {
+                Err(error) => {
+                    assert!(
+                        has_member_2,
+                        "job {job} under {plan} has no member 2 but failed: {error}"
+                    );
+                    assert!(
+                        matches!(
+                            error,
+                            FleetError::Injected {
+                                phase: FleetPhase::Build,
+                                site,
+                            } if site == "soc.build"
+                        ),
+                        "job {job} under {plan}: wrong error {error:?}"
+                    );
+                    failed.push(job);
+                }
+                Ok(outcome) => {
+                    assert!(
+                        !has_member_2,
+                        "job {job} under {plan} has a member 2 but succeeded"
+                    );
+                    assert_eq!(outcome.result(), result, "job {job} under {plan} diverged");
+                }
+            }
+        }
+        failed_per_plan.push(failed);
+    }
+    assert_eq!(failed_per_plan[0], vec![0, 1, 2, 3]);
+    assert!(
+        failed_per_plan.iter().all(|failed| failed == &failed_per_plan[0]),
+        "the failed-job set moved with the worker count: {failed_per_plan:?}"
+    );
 }
 
 #[test]

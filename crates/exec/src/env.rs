@@ -3,9 +3,8 @@
 //!
 //! Libraries do not read the environment. An entry point (the CLI, a
 //! bench harness or a test) reads a variable itself and hands the raw
-//! value to the knob's parser; the two readers still inside libraries
-//! ([`crate::calibrate::CALIB_ENV`] and
-//! [`crate::failpoint::FAILPOINTS_ENV`]) do the same at their one read
+//! value to the knob's parser; the one reader still inside a library
+//! ([`crate::calibrate::CALIB_ENV`]) does the same at its one read
 //! site.
 //!
 //! Every knob follows one discipline: a value that is *unset* silently

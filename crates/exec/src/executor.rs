@@ -5,8 +5,8 @@
 //! sites that already hold a plan need no extra imports. Both share the
 //! same contract:
 //!
-//! * **Empty input spawns nothing** — the degenerate `shard_count(0)` /
-//!   `chunk_size(0)` geometry is never consulted past the fast path.
+//! * **Empty input spawns nothing** — the degenerate `shard_count(0)`
+//!   geometry is never consulted past the fast path.
 //! * **One worker runs inline** — `ShardPlan::sequential()` (and any
 //!   plan over a single-item list) executes on the calling thread, so
 //!   the sequential path *is* the 1-worker instance of the parallel
@@ -472,7 +472,7 @@ mod tests {
             // The degenerate shard geometry stays well-defined even
             // though the fast path never consults it.
             assert_eq!(plan.shard_count(0), 1);
-            assert_eq!(plan.chunk_size(0), 1);
+            assert!(crate::plan::even_ranges(0, plan.threads()).is_empty());
         }
     }
 

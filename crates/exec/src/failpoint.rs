@@ -1,14 +1,14 @@
-//! Deterministic failpoint harness: named injection sites that can be
-//! armed — from the [`FAILPOINTS_ENV`] environment variable or
-//! programmatically ([`FailpointGuard`]) — to panic, error or delay at
-//! exact, reproducible places. This is the substrate of the chaos test
-//! suite: every graceful-degradation guarantee (a poisoned fleet job
-//! fails alone, injected slowdown never changes results) is proved by
-//! arming a failpoint and asserting the isolation held.
+//! Deterministic failpoint harness: named injection sites that a test
+//! arms through a [`FailpointGuard`] to panic, error or delay at exact,
+//! reproducible places. This is the substrate of the chaos test suite:
+//! every graceful-degradation guarantee (a poisoned fleet job fails
+//! alone, injected slowdown never changes results) is proved by arming a
+//! failpoint and asserting the isolation held. Nothing else arms a site,
+//! so outside a held guard every site is disarmed.
 //!
 //! # Grammar
 //!
-//! `ESRAM_FAILPOINTS` holds a comma-separated list of specs:
+//! [`FailpointGuard::scenario`] takes a comma-separated list of specs:
 //!
 //! ```text
 //! site[@key=N]:action
@@ -27,11 +27,14 @@
 //!   proceed — injected slowdown must never change any result, which
 //!   the chaos suite asserts at several worker counts).
 //!
+//! Empty segments contribute nothing; any malformed spec makes
+//! [`FailpointGuard::scenario`] panic rather than run uninjected.
+//!
 //! # Cost when unset
 //!
-//! A hit at an un-armed site is two relaxed atomic loads — no parsing,
-//! no locks, no allocation — so instrumented hot paths stay free in
-//! production.
+//! A hit while no guard is held is one relaxed atomic load — no
+//! parsing, no locks, no allocation — so instrumented hot paths stay
+//! free in production.
 //!
 //! # Determinism
 //!
@@ -39,15 +42,9 @@
 //! armed specs)` — no randomness, no probabilities — so an injected
 //! failure reproduces identically on every run at every worker count.
 
-use crate::env;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 use std::time::Duration;
-
-/// Environment variable holding the armed failpoint specs (parsed once
-/// per process through [`env::read_knob`]: malformed values warn once
-/// on stderr and disarm injection entirely rather than half-applying).
-pub const FAILPOINTS_ENV: &str = "ESRAM_FAILPOINTS";
 
 /// Marker embedded in every injected panic payload, so panic output
 /// from *expected* injections can be told apart from real bugs (and
@@ -60,7 +57,7 @@ pub const QUIET_MARKER: &str = "[expected]";
 
 /// What an armed failpoint does when it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FailAction {
+enum FailAction {
     /// Panic with an [`INJECTED_MARKER`]-carrying payload.
     Panic,
     /// Return an [`InjectedFailure`] through the site's error channel.
@@ -88,8 +85,8 @@ impl FailAction {
 
 /// One parsed failpoint spec: a site, an optional `key=N` qualifier and
 /// the action to take when a matching hit occurs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Failpoint {
+#[derive(Debug)]
+struct Failpoint {
     site: String,
     qualifier: Option<(String, u64)>,
     action: FailAction,
@@ -99,7 +96,7 @@ impl Failpoint {
     /// Parses one `site[@key=N]:action` spec. Returns `None` on any
     /// malformed component (unknown action, non-numeric qualifier
     /// value, empty or ill-formed site name).
-    pub fn parse(spec: &str) -> Option<Failpoint> {
+    fn parse(spec: &str) -> Option<Failpoint> {
         let (target, action) = spec.rsplit_once(':')?;
         let action = FailAction::parse(action)?;
         let (site, qualifier) = match target.split_once('@') {
@@ -139,40 +136,23 @@ impl Failpoint {
     }
 }
 
-/// A parsed set of failpoint specs (the whole [`FAILPOINTS_ENV`] value,
-/// or a programmatic scenario for [`FailpointGuard`]).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct FailpointSet {
-    points: Vec<Failpoint>,
+/// Parses a [`FailpointGuard::scenario`] string: a comma-separated spec
+/// list. Empty segments (and an all-whitespace value) contribute
+/// nothing; any malformed spec rejects the whole value.
+fn parse_scenario(raw: &str) -> Option<Vec<Failpoint>> {
+    raw.split(',')
+        .map(str::trim)
+        .filter(|spec| !spec.is_empty())
+        .map(Failpoint::parse)
+        .collect()
 }
 
-impl FailpointSet {
-    /// Parses a comma-separated spec list. Empty segments (and an
-    /// all-whitespace value) are permitted and contribute nothing;
-    /// any malformed spec rejects the whole value.
-    pub fn parse(raw: &str) -> Option<FailpointSet> {
-        let mut points = Vec::new();
-        for spec in raw.split(',') {
-            let spec = spec.trim();
-            if spec.is_empty() {
-                continue;
-            }
-            points.push(Failpoint::parse(spec)?);
-        }
-        Some(FailpointSet { points })
-    }
-
-    /// Whether the set arms no failpoint at all.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    fn action_for(&self, site: &str, qualifiers: &[(&str, u64)]) -> Option<FailAction> {
-        self.points
-            .iter()
-            .find(|point| point.matches(site, qualifiers))
-            .map(|point| point.action)
-    }
+/// The action of the first spec in `points` matching the hit.
+fn action_for(points: &[Failpoint], site: &str, qualifiers: &[(&str, u64)]) -> Option<FailAction> {
+    points
+        .iter()
+        .find(|point| point.matches(site, qualifiers))
+        .map(|point| point.action)
 }
 
 /// The error an armed `error` action injects through a site's error
@@ -191,42 +171,24 @@ impl std::fmt::Display for InjectedFailure {
 
 impl std::error::Error for InjectedFailure {}
 
-/// Serialises programmatic scenarios: only one [`FailpointGuard`] can
-/// be live at a time, so parallel tests cannot overlay each other's
-/// injections.
+/// Serialises scenarios: only one [`FailpointGuard`] can be live at a
+/// time, so parallel tests cannot overlay each other's injections.
 static SCENARIO: Mutex<()> = Mutex::new(());
-/// Fast flag for "a programmatic override is installed".
-static OVERRIDE_ON: AtomicBool = AtomicBool::new(false);
-/// The installed override (replaces the environment set entirely while
-/// present — including with an empty set, which disarms everything).
-static OVERRIDE: RwLock<Option<FailpointSet>> = RwLock::new(None);
-/// Whether the environment armed any failpoint (computed once).
-static ENV_ARMED: OnceLock<bool> = OnceLock::new();
-/// The environment's parsed set (computed once, warn-once on garbage).
-static ENV_SET: OnceLock<FailpointSet> = OnceLock::new();
-
-fn env_set() -> &'static FailpointSet {
-    ENV_SET.get_or_init(|| {
-        let raw = std::env::var(FAILPOINTS_ENV).ok();
-        env::read_knob(FAILPOINTS_ENV, raw.as_deref(), FailpointSet::parse, || {
-            "no failpoints (injection disabled)".to_string()
-        })
-        .unwrap_or_default()
-    })
-}
+/// Fast flag for "a guard is installed"; [`ARMED`] is read only while
+/// it is set.
+static GUARDED: AtomicBool = AtomicBool::new(false);
+/// The specs of the most recently installed guard.
+static ARMED: RwLock<Vec<Failpoint>> = RwLock::new(Vec::new());
 
 /// Looks up the armed action for a hit of `site` with the given
 /// qualifiers, without performing it. `None` when nothing matching is
-/// armed — the common case, answered by two relaxed atomic loads.
-pub fn evaluate(site: &str, qualifiers: &[(&str, u64)]) -> Option<FailAction> {
-    if OVERRIDE_ON.load(Ordering::Relaxed) {
-        let guard = OVERRIDE.read().unwrap_or_else(PoisonError::into_inner);
-        return guard.as_ref().and_then(|set| set.action_for(site, qualifiers));
-    }
-    if !*ENV_ARMED.get_or_init(|| !env_set().is_empty()) {
+/// armed — without a guard, answered by one relaxed atomic load.
+fn evaluate(site: &str, qualifiers: &[(&str, u64)]) -> Option<FailAction> {
+    if !GUARDED.load(Ordering::Relaxed) {
         return None;
     }
-    env_set().action_for(site, qualifiers)
+    let armed = ARMED.read().unwrap_or_else(PoisonError::into_inner);
+    action_for(&armed, site, qualifiers)
 }
 
 /// Performs a hit of `site`: no-op when un-armed; sleeps and proceeds
@@ -269,50 +231,41 @@ pub fn trip(site: &str, qualifiers: &[(&str, u64)]) {
     }
 }
 
-/// Programmatic failpoint scenario for tests: installs a set that
-/// *replaces* the environment's (even an empty set, which disarms
-/// everything — baselines are computed under
-/// [`FailpointGuard::disabled`]), and restores the environment-driven
-/// behaviour on drop. Holding the guard serialises scenarios across
-/// threads, so parallel tests cannot contaminate each other.
+/// A failpoint scenario held by a test: arms its specs while alive and
+/// disarms every site on drop. Holding the guard serialises scenarios
+/// across threads, so parallel tests cannot contaminate each other;
+/// baselines are computed under [`FailpointGuard::disabled`].
 #[derive(Debug)]
 pub struct FailpointGuard {
     _scenario: MutexGuard<'static, ()>,
 }
 
 impl FailpointGuard {
-    /// Installs `set` as the live failpoint scenario.
-    pub fn install(set: FailpointSet) -> FailpointGuard {
-        let scenario = SCENARIO.lock().unwrap_or_else(PoisonError::into_inner);
-        *OVERRIDE.write().unwrap_or_else(PoisonError::into_inner) = Some(set);
-        OVERRIDE_ON.store(true, Ordering::SeqCst);
-        FailpointGuard { _scenario: scenario }
-    }
-
-    /// Parses and installs a spec string (same grammar as
-    /// [`FAILPOINTS_ENV`]).
+    /// Parses and arms a scenario string (see the module's grammar).
     ///
     /// # Panics
     ///
     /// Panics if `spec` is malformed — a test arming garbage should
     /// fail loudly, not silently run without injection.
     pub fn scenario(spec: &str) -> FailpointGuard {
-        let set =
-            FailpointSet::parse(spec).unwrap_or_else(|| panic!("malformed failpoint scenario {spec:?}"));
-        Self::install(set)
+        let points = parse_scenario(spec).unwrap_or_else(|| panic!("malformed failpoint scenario {spec:?}"));
+        let scenario = SCENARIO.lock().unwrap_or_else(PoisonError::into_inner);
+        *ARMED.write().unwrap_or_else(PoisonError::into_inner) = points;
+        GUARDED.store(true, Ordering::SeqCst);
+        FailpointGuard { _scenario: scenario }
     }
 
-    /// Disarms every failpoint (environment included) while held — how
-    /// chaos tests compute their uninjected baselines.
+    /// Arms nothing while held, so no other test's scenario can run
+    /// concurrently — how chaos tests compute their uninjected
+    /// baselines.
     pub fn disabled() -> FailpointGuard {
-        Self::install(FailpointSet::default())
+        Self::scenario("")
     }
 }
 
 impl Drop for FailpointGuard {
     fn drop(&mut self) {
-        OVERRIDE_ON.store(false, Ordering::SeqCst);
-        *OVERRIDE.write().unwrap_or_else(PoisonError::into_inner) = None;
+        GUARDED.store(false, Ordering::SeqCst);
     }
 }
 
@@ -379,34 +332,33 @@ mod tests {
             assert!(Failpoint::parse(bad).is_none(), "{bad:?} must be rejected");
         }
         // One garbage spec poisons the whole set.
-        assert!(FailpointSet::parse("a.b:panic,junk").is_none());
+        assert!(parse_scenario("a.b:panic,junk").is_none());
     }
 
     #[test]
     fn set_parse_tolerates_empty_segments() {
-        let set = FailpointSet::parse("").unwrap();
-        assert!(set.is_empty());
-        let set = FailpointSet::parse(" a.b:panic , , c.d@k=1:error ,").unwrap();
-        assert_eq!(set.points.len(), 2);
+        assert!(parse_scenario("").unwrap().is_empty());
+        let points = parse_scenario(" a.b:panic , , c.d@k=1:error ,").unwrap();
+        assert_eq!(points.len(), 2);
     }
 
     #[test]
     fn qualifier_matching_is_exact() {
-        let set = FailpointSet::parse("diag.segment@job=3:panic,soc.build:error").unwrap();
+        let points = parse_scenario("diag.segment@job=3:panic,soc.build:error").unwrap();
         assert_eq!(
-            set.action_for("diag.segment", &[("job", 3)]),
+            action_for(&points, "diag.segment", &[("job", 3)]),
             Some(FailAction::Panic)
         );
-        assert_eq!(set.action_for("diag.segment", &[("job", 2)]), None);
-        assert_eq!(set.action_for("diag.segment", &[("base", 3)]), None);
-        assert_eq!(set.action_for("diag.segment", &[]), None);
+        assert_eq!(action_for(&points, "diag.segment", &[("job", 2)]), None);
+        assert_eq!(action_for(&points, "diag.segment", &[("base", 3)]), None);
+        assert_eq!(action_for(&points, "diag.segment", &[]), None);
         // Unqualified specs fire at every hit of the site.
         assert_eq!(
-            set.action_for("soc.build", &[("member", 9)]),
+            action_for(&points, "soc.build", &[("member", 9)]),
             Some(FailAction::Error)
         );
-        assert_eq!(set.action_for("soc.build", &[]), Some(FailAction::Error));
-        assert_eq!(set.action_for("other.site", &[]), None);
+        assert_eq!(action_for(&points, "soc.build", &[]), Some(FailAction::Error));
+        assert_eq!(action_for(&points, "other.site", &[]), None);
     }
 
     #[test]

@@ -44,8 +44,9 @@
 //!   benchmark timings. Calibration moves shard *boundaries* only —
 //!   results are byte-identical under any table.
 //! * [`failpoint`] deterministically injects panics/errors/delays at
-//!   named sites ([`FAILPOINTS_ENV`], e.g. `diag.segment@job=3:panic`),
-//!   zero-cost when unset — the substrate for the chaos test suites.
+//!   named sites, armed only by a test's [`FailpointGuard`] (e.g.
+//!   `diag.segment@job=3:panic`) and zero-cost otherwise — the
+//!   substrate for the chaos test suites.
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
@@ -61,6 +62,6 @@ pub mod token;
 pub use calibrate::{CalibrationMode, CostCalibration, CostDomain, DomainWeights, CALIB_ENV};
 pub use env::EnvFallback;
 pub use error::{panic_payload, ExecError, ItemFault};
-pub use failpoint::{FailAction, Failpoint, FailpointGuard, FailpointSet, InjectedFailure, FAILPOINTS_ENV};
+pub use failpoint::{FailpointGuard, InjectedFailure};
 pub use plan::{cost_ranges, even_ranges, ShardPlan, ShardStrategy, THREADS_ENV};
 pub use token::RunToken;

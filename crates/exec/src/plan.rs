@@ -122,13 +122,6 @@ impl ShardPlan {
     pub fn shard_count(&self, items: usize) -> usize {
         self.threads.min(items).max(1)
     }
-
-    /// Contiguous chunk size that splits `items` into
-    /// [`ShardPlan::shard_count`] balanced shards (1 for the degenerate
-    /// empty list, which the executors never reach a spawn with).
-    pub fn chunk_size(&self, items: usize) -> usize {
-        items.div_ceil(self.shard_count(items)).max(1)
-    }
 }
 
 impl Default for ShardPlan {
@@ -225,16 +218,15 @@ mod tests {
     fn shard_geometry_is_balanced_and_covers_all_items() {
         let plan = ShardPlan::with_threads(4);
         assert_eq!(plan.shard_count(100), 4);
-        assert_eq!(plan.chunk_size(100), 25);
+        assert_eq!(even_ranges(100, plan.threads())[0], 0..25);
         // Fewer items than workers: one shard per item.
         assert_eq!(plan.shard_count(3), 3);
-        assert_eq!(plan.chunk_size(3), 1);
+        assert_eq!(even_ranges(3, plan.threads()), vec![0..1, 1..2, 2..3]);
         // Uneven split still covers everything in shard_count chunks.
-        assert_eq!(plan.chunk_size(10), 3);
-        assert!(plan.chunk_size(10) * plan.shard_count(10) >= 10);
+        assert_eq!(even_ranges(10, plan.threads()), vec![0..3, 3..6, 6..9, 9..10]);
         // Degenerate empty universe: one (never-spawned) shard.
         assert_eq!(plan.shard_count(0), 1);
-        assert_eq!(plan.chunk_size(0), 1);
+        assert!(even_ranges(0, plan.threads()).is_empty());
     }
 
     #[test]

@@ -6,15 +6,14 @@
 //!
 //! * `crates/cli` — the entry point;
 //! * `exec/src/calibrate.rs` — `ESRAM_COST_CALIB`, kept until the
-//!   benchmark stops printing `CalibrationMode::from_env`;
-//! * `exec/src/failpoint.rs` — `ESRAM_FAILPOINTS`, the chaos harness.
+//!   benchmark stops printing `CalibrationMode::from_env`.
 //!
 //! Bench harnesses (`crates/bench/benches`) and tests are entry points
 //! too, and are not scanned.
 
 use std::path::{Path, PathBuf};
 
-const ALLOWED: [&str; 3] = ["cli/", "exec/src/calibrate.rs", "exec/src/failpoint.rs"];
+const ALLOWED: [&str; 2] = ["cli/", "exec/src/calibrate.rs"];
 
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     for entry in std::fs::read_dir(dir).expect("readable source directory") {

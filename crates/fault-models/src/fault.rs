@@ -1,7 +1,7 @@
 //! Fault classes and the unified memory-fault type.
 
 use sram_model::cell::CellCoord;
-use sram_model::{CellFault, CellNode, CouplingKind, DecoderFault, FaultTarget, MemError};
+use sram_model::{Address, CellFault, CellNode, CouplingKind, DecoderFault, FaultTarget, MemError};
 use std::fmt;
 
 /// High-level fault classes used in the paper's evaluation.
@@ -151,6 +151,16 @@ impl MemoryFault {
         match self {
             MemoryFault::Cell { coord, .. } => Some(*coord),
             MemoryFault::Decoder(_) => None,
+        }
+    }
+
+    /// The rows this fault can make deviate (`None`: the whole memory),
+    /// per [`CellFault::deviation_rows`] and
+    /// [`DecoderFault::deviation_rows`].
+    pub fn deviation_rows(&self) -> Option<(Address, Option<Address>)> {
+        match self {
+            MemoryFault::Cell { coord, fault } => fault.deviation_rows(*coord),
+            MemoryFault::Decoder(fault) => Some(fault.deviation_rows()),
         }
     }
 

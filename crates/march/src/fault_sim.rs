@@ -28,7 +28,8 @@
 //!   order-preserving two-row restricted sweep
 //!   ([`MarchRunner::run_schedule_rows`]) instead of the full fallback,
 //!   and so does an address-decoder fault, over its corrupted address
-//!   plus the row it drags in ([`sram_model::DecoderFault::deviation_rows`]).
+//!   plus the row it drags in. Every fault's rows come from one
+//!   definition, [`MemoryFault::deviation_rows`].
 //!   Stuck-open faults (whose reads replay the sense-amp history left
 //!   by other rows) and schedules whose golden run fails take the full
 //!   sweep, so outcomes are observationally identical either way —
@@ -66,7 +67,7 @@ use crate::ops::{AddressOrder, MarchOp, MarchTest};
 use crate::schedule::{MarchSchedule, SchedulePatterns, SchedulePhase};
 use esram_exec::{CostCalibration, CostDomain, ShardPlan};
 use fault_models::{FaultList, MemoryFault};
-use sram_model::{Address, CellFault, FailingBits, LanePlanes, MemConfig, Sram};
+use sram_model::{Address, FailingBits, LanePlanes, MemConfig, Sram};
 
 /// Outcome of simulating one fault instance against one programme.
 #[derive(Debug, Clone, PartialEq)]
@@ -199,58 +200,6 @@ impl FaultSimulator {
         }
     }
 
-    /// The rows a fault's observable behaviour is confined to, if any —
-    /// the pruning eligibility test. Returns the first row and, for
-    /// two-row faults, the second (strictly greater) row.
-    ///
-    /// Only fault models whose behaviour depends exclusively on the
-    /// operations addressed to the returned rows qualify:
-    ///
-    /// * single-row faults (stuck-at, transition, retention,
-    ///   read-disturb) involve one cell, so one row suffices;
-    /// * coupling faults involve exactly the victim and aggressor cells.
-    ///   The aggressor's state changes only on writes to its own row and
-    ///   the victim's deviation is observable only on its own row, so an
-    ///   *order-preserving* sweep restricted to the two rows applies the
-    ///   identical relative operation sequence to both cells that the
-    ///   full sweep would — the dominant pruning-fallback class in
-    ///   `date2005_baseline` universes now avoids full-sweep cost.
-    /// * decoder faults deviate only on their deviation rows
-    ///   ([`sram_model::DecoderFault::deviation_rows`]): the corrupted
-    ///   address and, for a distinct maps-to or also-accesses target,
-    ///   the target row. Every other address decodes to its own
-    ///   untouched row, so the same order-preserving restricted sweep
-    ///   applies.
-    ///
-    /// Stuck-open faults (the observation replays the sense-amp history
-    /// left by *other* rows' reads) and any future variant take the full
-    /// sweep.
-    fn prunable_rows(fault: &MemoryFault) -> Option<(Address, Option<Address>)> {
-        match fault {
-            MemoryFault::Cell { coord, fault } => match fault {
-                CellFault::StuckAt(_)
-                | CellFault::TransitionUp
-                | CellFault::TransitionDown
-                | CellFault::DataRetention { .. }
-                | CellFault::ReadDestructive
-                | CellFault::DeceptiveReadDestructive
-                | CellFault::IncorrectRead => Some((coord.address, None)),
-                CellFault::Coupling { aggressor, .. } => {
-                    let victim_row = coord.address;
-                    let aggressor_row = aggressor.address;
-                    if victim_row == aggressor_row {
-                        // Intra-word coupling degenerates to one row.
-                        Some((victim_row, None))
-                    } else {
-                        Some((victim_row.min(aggressor_row), Some(victim_row.max(aggressor_row))))
-                    }
-                }
-                _ => None,
-            },
-            MemoryFault::Decoder(decoder_fault) => Some(decoder_fault.deviation_rows()),
-        }
-    }
-
     /// Simulates one fault on a reusable memory: resets it to the
     /// pristine background, injects the fault and runs the borrowed
     /// schedule — restricted to the faulty row when the fault qualifies
@@ -267,7 +216,7 @@ impl FaultSimulator {
             .inject_into(sram)
             .expect("fault universe must match the simulator geometry");
         let runner = MarchRunner::new();
-        let run = match Self::prunable_rows(fault).filter(|_| prep.golden_passed) {
+        let run = match fault.deviation_rows().filter(|_| prep.golden_passed) {
             Some((row, second)) => {
                 let pair = [row, second.unwrap_or(row)];
                 let rows = if second.is_some() { &pair[..] } else { &pair[..1] };
@@ -330,10 +279,11 @@ impl FaultSimulator {
                     continue;
                 }
             };
-            if let CellFault::Coupling { aggressor, .. } = cell_fault {
-                let mut rows = vec![coord.address, aggressor.address];
-                rows.sort_unstable();
-                rows.dedup();
+            if cell_fault.is_coupling() {
+                let (first, second) = cell_fault
+                    .deviation_rows(*coord)
+                    .expect("a coupling fault deviates on its victim and aggressor rows");
+                let rows: Vec<Address> = std::iter::once(first).chain(second).collect();
                 let slot = coupling.iter_mut().find(|(batch, batch_rows)| {
                     batch.lanes.len() < 64 && rows.iter().all(|row| !batch_rows.contains(row))
                 });
@@ -552,7 +502,7 @@ impl FaultSimulator {
         if !golden_passed {
             return full_sweep;
         }
-        match Self::prunable_rows(fault) {
+        match fault.deviation_rows() {
             Some((_, None)) => 1,
             Some((_, Some(_))) => 2,
             None => full_sweep,
@@ -661,14 +611,6 @@ fn sorted_distinct(mut rows: Vec<Address>) -> Vec<Address> {
     rows
 }
 
-/// Replays a schedule once on a lane memory, restricted to `rows` —
-/// the lane-parallel mirror of the engine's restricted sweep
-/// ([`MarchRunner::run_schedule_rows`]): ascending elements visit the
-/// rows ascending, descending elements descending, retention pauses
-/// apply once per element before its sweep. Returns each lane's
-/// failure records (detection order, identical to what a per-fault
-/// restricted run over that lane's own rows would record) and the
-/// accrued pause time (identical for every lane).
 /// One deviating read of a lane-batch replay: enough context to
 /// rebuild, per lane, the exact failure record the lane's own per-fault
 /// run would have produced. Replay appends these to a flat log instead
@@ -703,6 +645,14 @@ struct LaneScratch {
     lane_events: Vec<Vec<u32>>,
 }
 
+/// Replays a schedule once on a lane memory, restricted to `rows` —
+/// the lane-parallel mirror of the engine's restricted sweep
+/// ([`MarchRunner::run_schedule_rows`]): ascending elements visit the
+/// rows ascending, descending elements descending, retention pauses
+/// apply once per element before its sweep. Returns each lane's
+/// failure records (detection order, identical to what a per-fault
+/// restricted run over that lane's own rows would record) and the
+/// accrued pause time (identical for every lane).
 fn run_schedule_lanes(
     planes: &mut LanePlanes,
     schedule: &MarchSchedule,
@@ -833,6 +783,7 @@ mod tests {
     use super::*;
     use crate::algorithms;
     use fault_models::{FaultClass, FaultUniverse};
+    use sram_model::CellFault;
 
     fn config() -> MemConfig {
         MemConfig::new(8, 4).unwrap()

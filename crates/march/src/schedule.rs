@@ -152,11 +152,6 @@ impl SchedulePatterns {
     pub fn phase(&self, index: usize) -> &BackgroundPatterns {
         &self.phases[index]
     }
-
-    /// Number of phases the patterns were built for.
-    pub fn phase_count(&self) -> usize {
-        self.phases.len()
-    }
 }
 
 impl fmt::Display for MarchSchedule {

@@ -14,6 +14,7 @@
 //! bug: both fault-sim kernels share the pruned row sets, so kernel
 //! equivalence alone would not.
 
+use esram_exec::even_ranges;
 use fault_models::{DefectProfile, FaultClass, FaultInjector, FaultList, FaultUniverse, MemoryFault};
 use march::{
     algorithms, AddressOrder, CoverageReport, DataBackground, FaultSimKernel, FaultSimulator, MarchElement,
@@ -161,8 +162,8 @@ fn per_shard_coverage_reports_fold_into_the_sequential_report() {
         // reports built from chunked fault-list views.
         let plan = ShardPlan::with_threads(threads);
         let mut merged = CoverageReport::new(schedule.name());
-        for shard in universe.chunks(plan.chunk_size(universe.len())) {
-            let shard_universe: FaultList = shard.iter().copied().collect();
+        for range in even_ranges(universe.len(), plan.threads()) {
+            let shard_universe: FaultList = universe.as_slice()[range].iter().copied().collect();
             let report = sim.coverage_schedule_with(ShardPlan::sequential(), &schedule, &shard_universe);
             merged.merge(&report);
         }

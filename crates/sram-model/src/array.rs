@@ -293,38 +293,35 @@ impl Sram {
     /// [`AccessProfile`]): which local rows must actually be stepped to
     /// observe every behavioural deviation.
     ///
-    /// * A stuck-open cell echoes the sense amplifier's last value —
-    ///   which any read of any row updates — so it makes the whole
-    ///   memory [`AccessProfile::Opaque`].
+    /// * A cell fault deviates on its [`CellFault::deviation_rows`]; a
+    ///   stuck-open cell has none (it echoes the sense amplifier, which
+    ///   any read of any row updates), so it makes the whole memory
+    ///   [`AccessProfile::Opaque`].
     /// * Decoder faults are address-local despite touching several
     ///   physical rows: the corrupted address plus the redirected/extra
     ///   row it reads or writes ([`crate::decoder::AddressDecoder::deviation_rows`])
     ///   bound every deviation, and accesses to all other addresses
     ///   decode to exactly their own untouched row. A no-access read
     ///   returns the precharged all-ones word independent of history.
-    /// * Otherwise deviation is confined to the rows holding overlay
-    ///   (faulted) cells, the rows holding coupling *aggressors* (their
-    ///   write transitions drive victims elsewhere, and state coupling
-    ///   reads the aggressor's current stored value), and any row whose
-    ///   stored contents are non-zero (an ideal model expecting the
-    ///   power-on state would mispredict a read there).
+    /// * Otherwise deviation is confined to those rows, the rows of any
+    ///   other overlay cells, and any row whose stored contents are
+    ///   non-zero (an ideal model expecting the power-on state would
+    ///   mispredict a read there).
     /// * No such rows at all is exactly [`Sram::is_pristine`], reported
     ///   as [`AccessProfile::PristineUniform`].
     pub fn access_profile(&self) -> AccessProfile {
         let mut rows: BTreeSet<u64> = BTreeSet::new();
         rows.extend(self.decoder.deviation_rows());
-        for (&(row, _bit), cell) in &self.overlay {
-            match cell.fault() {
-                Some(CellFault::StuckOpen) => return AccessProfile::Opaque,
-                Some(fault) => {
-                    rows.insert(row);
-                    if let Some(aggressor) = fault.aggressor() {
-                        rows.insert(aggressor.address.index());
-                    }
+        for (&(row, bit), cell) in &self.overlay {
+            let Some(fault) = cell.fault() else {
+                rows.insert(row);
+                continue;
+            };
+            match fault.deviation_rows(CellCoord::new(Address::new(row), bit)) {
+                Some((first, second)) => {
+                    rows.extend(std::iter::once(first).chain(second).map(Address::index))
                 }
-                None => {
-                    rows.insert(row);
-                }
+                None => return AccessProfile::Opaque,
             }
         }
         rows.extend(self.planes.nonzero_rows());

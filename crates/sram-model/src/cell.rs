@@ -161,21 +161,36 @@ pub enum CellFault {
 }
 
 impl CellFault {
-    /// True if the fault is a data-retention fault.
-    pub fn is_data_retention(&self) -> bool {
-        matches!(self, CellFault::DataRetention { .. })
-    }
-
     /// True if the fault is any coupling fault.
     pub fn is_coupling(&self) -> bool {
         matches!(self, CellFault::Coupling { .. })
     }
 
-    /// The aggressor coordinate if this is a coupling fault.
-    pub fn aggressor(&self) -> Option<CellCoord> {
+    /// The rows this fault, placed on the cell at `coord`, can make
+    /// deviate: the first row and, for a two-row fault, the second
+    /// (strictly greater) row. `None` means the whole memory.
+    ///
+    /// * Single-cell faults (stuck-at, transition, retention,
+    ///   read-disturb) deviate only on `coord`'s row.
+    /// * A coupling fault involves exactly its victim and aggressor. The
+    ///   aggressor changes state only on writes to its own row, and the
+    ///   victim's deviation shows only on its own row, so an
+    ///   order-preserving sweep of the two rows replays the same relative
+    ///   operation sequence on both cells as a full sweep. An intra-word
+    ///   coupling fault is one row.
+    /// * A stuck-open cell echoes the sense amplifier's last value, which
+    ///   a read of any row updates, so it yields `None`.
+    ///
+    /// [`DecoderFault::deviation_rows`](crate::DecoderFault::deviation_rows)
+    /// is the decoder-fault counterpart.
+    pub fn deviation_rows(&self, coord: CellCoord) -> Option<(Address, Option<Address>)> {
         match self {
-            CellFault::Coupling { aggressor, .. } => Some(*aggressor),
-            _ => None,
+            CellFault::StuckOpen => None,
+            CellFault::Coupling { aggressor, .. } if aggressor.address != coord.address => Some((
+                coord.address.min(aggressor.address),
+                Some(coord.address.max(aggressor.address)),
+            )),
+            _ => Some((coord.address, None)),
         }
     }
 
@@ -558,7 +573,33 @@ mod tests {
         };
         assert_eq!(cf.mnemonic(), "CFin<↑>");
         assert!(cf.is_coupling());
-        assert_eq!(cf.aggressor(), Some(CellCoord::new(Address::new(3), 1)));
+    }
+
+    #[test]
+    fn deviation_rows_per_fault_class() {
+        let victim = CellCoord::new(Address::new(5), 2);
+        let coupling = |aggressor| CellFault::Coupling {
+            aggressor,
+            kind: CouplingKind::Inversion {
+                aggressor_rises: true,
+            },
+        };
+        assert_eq!(
+            CellFault::StuckAt(true).deviation_rows(victim),
+            Some((Address::new(5), None))
+        );
+        // Intra-word coupling: aggressor in the victim's own row.
+        assert_eq!(
+            coupling(CellCoord::new(Address::new(5), 0)).deviation_rows(victim),
+            Some((Address::new(5), None))
+        );
+        // Cross-row coupling with the aggressor below the victim: rows
+        // come back ascending.
+        assert_eq!(
+            coupling(CellCoord::new(Address::new(1), 7)).deviation_rows(victim),
+            Some((Address::new(1), Some(Address::new(5))))
+        );
+        assert_eq!(CellFault::StuckOpen.deviation_rows(victim), None);
     }
 
     #[test]

@@ -274,11 +274,6 @@ impl LanePlanes {
         self.config
     }
 
-    /// Mask of lanes carrying a registered fault.
-    pub fn active_lanes(&self) -> u64 {
-        self.active
-    }
-
     /// Registers `fault` at `coord` in lane `lane` (0..64). Each lane
     /// must carry exactly one fault per batch; the caller's batcher
     /// guarantees coupling row-disjointness across lanes.

@@ -103,24 +103,6 @@ impl BitPlanes {
         }
     }
 
-    /// Copies the stored word at `row` into `out` without constructing
-    /// a fresh [`DataWord`] (the sense-amp state update on the packed
-    /// read fast path).
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if the widths differ.
-    #[inline]
-    pub fn copy_row_into(&self, row: u64, out: &mut DataWord) {
-        debug_assert_eq!(out.width(), self.width, "plane copy width mismatch");
-        let base = self.base(row);
-        match self.limbs_per_word {
-            1 => out.set_inline_limbs([self.limbs[base], 0]),
-            2 => out.set_inline_limbs([self.limbs[base], self.limbs[base + 1]]),
-            _ => out.copy_limbs_from(&self.limbs[base..base + self.limbs_per_word]),
-        }
-    }
-
     /// True if the stored word at `row` equals `word` (a limb compare —
     /// no `DataWord` is constructed).
     #[inline]
