@@ -133,8 +133,14 @@ fn run(args: &Args) -> Result<bool, String> {
         .map(|(_, report)| report.regressions(args.max_ratio).len())
         .sum();
     let missing: usize = groups.iter().map(|(_, r)| r.missing_entries.len()).sum();
-    let stale = args.strict && missing > 0;
-    if stale {
+    let passed = groups.iter().all(|(_, report)| {
+        if args.strict {
+            report.passes_strict(args.max_ratio)
+        } else {
+            report.passes(args.max_ratio)
+        }
+    });
+    if args.strict && missing > 0 {
         println!(
             "perf gate FAILED (--strict): {missing} committed ledger entr{} the fresh run did not produce",
             if missing == 1 { "y" } else { "ies" }
@@ -147,17 +153,15 @@ fn run(args: &Args) -> Result<bool, String> {
             groups.len()
         );
     }
-    if regressed == 0 && !stale {
+    if passed {
         println!(
             "perf gate passed ({} group(s), {} benchmark(s) within {:.2}x)",
             groups.len(),
             groups.iter().map(|(_, r)| r.compared.len()).sum::<usize>(),
             args.max_ratio
         );
-        Ok(true)
-    } else {
-        Ok(false)
     }
+    Ok(passed)
 }
 
 fn main() -> ExitCode {

@@ -91,11 +91,6 @@ impl HuangScheme {
     pub fn clock_period_ns(&self) -> f64 {
         self.clock_period_ns
     }
-
-    /// True if the pause-based DRF extension is enabled.
-    pub fn diagnoses_drf(&self) -> bool {
-        self.retention_pause_ms.is_some()
-    }
 }
 
 impl DiagnosisScheme for HuangScheme {
@@ -522,10 +517,8 @@ mod tests {
     #[test]
     fn accessors_and_display() {
         let scheme = HuangScheme::new(10.0).with_retention_pause(100);
-        assert!(scheme.diagnoses_drf());
         assert_eq!(scheme.clock_period_ns(), 10.0);
         assert!(scheme.to_string().contains("bi-directional"));
-        assert!(!HuangScheme::new(10.0).diagnoses_drf());
     }
 
     #[test]

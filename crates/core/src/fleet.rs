@@ -57,10 +57,10 @@
 //! [`FleetError`] naming the [`FleetPhase`], while every *other* job's
 //! outcome stays byte-identical to its solo run at any worker count ×
 //! kernel — which the chaos suite asserts by poisoning
-//! one job at a time. Only fleet-global conditions (a cancelled
-//! [`RunToken`], an expired deadline) fail the whole call. The
-//! instrumented failpoint sites are `soc.build` (qualified by `job` and
-//! `member`) and `diag.segment` (qualified by `job`).
+//! one job at a time. Only a fleet-global condition (a cancelled
+//! [`RunToken`]) fails the whole call. The instrumented failpoint
+//! sites are `soc.build` (qualified by `job` and `member`) and
+//! `diag.segment` (qualified by `job`).
 
 use crate::soc::Soc;
 use crate::SocBuilder;
@@ -197,8 +197,8 @@ impl fmt::Display for FleetPhase {
     }
 }
 
-/// Why a job (or, for [`FleetError::Cancelled`] / [`FleetError::Deadline`],
-/// the whole fleet run) failed.
+/// Why a job (or, for [`FleetError::Cancelled`], the whole fleet run)
+/// failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum FleetError {
@@ -223,9 +223,6 @@ pub enum FleetError {
     /// The runner's [`RunToken`] was cancelled — a fleet-global
     /// failure, reported through [`FleetRunner::run`]'s outer `Result`.
     Cancelled,
-    /// The runner's [`RunToken`] deadline passed — fleet-global, like
-    /// [`FleetError::Cancelled`].
-    Deadline,
 }
 
 impl fmt::Display for FleetError {
@@ -239,7 +236,6 @@ impl fmt::Display for FleetError {
                 write!(f, "injected failure during {phase} at {site}")
             }
             FleetError::Cancelled => write!(f, "fleet run cancelled"),
-            FleetError::Deadline => write!(f, "fleet run deadline exceeded"),
         }
     }
 }
@@ -260,7 +256,6 @@ impl FleetError {
     fn from_exec(phase: FleetPhase, error: ExecError) -> FleetError {
         match error {
             ExecError::Cancelled => FleetError::Cancelled,
-            ExecError::Deadline => FleetError::Deadline,
             ExecError::WorkerPanic { payload, .. } => FleetError::Panicked { phase, payload },
             // ExecError is non_exhaustive; render any future variant.
             other => FleetError::Panicked {
@@ -328,8 +323,8 @@ impl FleetRunner {
 
     /// Replaces the runner's cancellation token: every phase checks it
     /// at job/item/segment boundaries and fails fleet-globally
-    /// with [`FleetError::Cancelled`] / [`FleetError::Deadline`] — with
-    /// clean teardown, so the jobs can be re-run with a fresh token.
+    /// with [`FleetError::Cancelled`] — with clean teardown, so the
+    /// jobs can be re-run with a fresh token.
     pub fn with_token(mut self, token: RunToken) -> Self {
         self.token = token;
         self
@@ -357,9 +352,9 @@ impl FleetRunner {
     ///
     /// # Errors
     ///
-    /// [`FleetError::Cancelled`] / [`FleetError::Deadline`] when the
-    /// token stopped the run; [`FleetError::Panicked`] if a panic
-    /// escaped the per-job containment (a bug, not a job fault).
+    /// [`FleetError::Cancelled`] when the token stopped the run;
+    /// [`FleetError::Panicked`] if a panic escaped the per-job
+    /// containment (a bug, not a job fault).
     pub fn run(&self, jobs: &[FleetJob]) -> Result<Vec<JobOutcome>, FleetError> {
         let mut errors = vec![None; jobs.len()];
         let populations = self.plan_jobs(jobs, &mut errors)?;
@@ -389,7 +384,7 @@ impl FleetRunner {
     /// # Errors
     ///
     /// The first per-job [`FleetError`], or a fleet-global
-    /// [`FleetError::Cancelled`] / [`FleetError::Deadline`].
+    /// [`FleetError::Cancelled`].
     pub fn run_all(&self, jobs: &[FleetJob]) -> Result<Vec<FleetOutcome>, FleetError> {
         self.run(jobs)?.into_iter().collect()
     }
@@ -403,7 +398,7 @@ impl FleetRunner {
     /// The first failing job's [`FleetError`] in job order — e.g. the
     /// `InvalidConfig` a solo [`SocBuilder::build`] reports for a job
     /// holding no memories — or a fleet-global
-    /// [`FleetError::Cancelled`] / [`FleetError::Deadline`].
+    /// [`FleetError::Cancelled`].
     pub fn plan(&self, jobs: &[FleetJob]) -> Result<FleetPlan, FleetError> {
         let mut errors = vec![None; jobs.len()];
         let populations = self.plan_jobs(jobs, &mut errors)?;
@@ -425,7 +420,7 @@ impl FleetRunner {
     ///
     /// The first failing job's [`FleetError`] in job order (injection
     /// failure, contained panic, armed `soc.build` failpoint), or a
-    /// fleet-global [`FleetError::Cancelled`] / [`FleetError::Deadline`].
+    /// fleet-global [`FleetError::Cancelled`].
     pub fn build(&self, plan: &FleetPlan) -> Result<Vec<Soc>, FleetError> {
         let mut errors = vec![None; plan.jobs.len()];
         let socs = self.build_jobs(&plan.jobs, &mut errors)?;
@@ -441,7 +436,7 @@ impl FleetRunner {
     /// The first failing job's [`FleetError`] in job order (contained
     /// panic, armed `diag.segment` failpoint, or a memory-model
     /// validation failure, which indicates a bug in the scheme), or a
-    /// fleet-global [`FleetError::Cancelled`] / [`FleetError::Deadline`].
+    /// fleet-global [`FleetError::Cancelled`].
     ///
     /// # Panics
     ///

@@ -12,8 +12,7 @@
 //! * [`ExecError`] is the run-level verdict: the whole call failed —
 //!   a worker panicked ([`ExecError::WorkerPanic`]), the caller's
 //!   [`RunToken`](crate::RunToken) was cancelled
-//!   ([`ExecError::Cancelled`]) or its deadline passed
-//!   ([`ExecError::Deadline`]).
+//!   ([`ExecError::Cancelled`]).
 //! * [`ItemFault`] is the item-level verdict used by the isolated
 //!   mapper: one slot's work errored or panicked while every other
 //!   slot's result survives, byte-identical to the sequential map.
@@ -47,9 +46,6 @@ pub enum ExecError {
     /// The caller's [`RunToken`](crate::RunToken) was cancelled before
     /// the run completed.
     Cancelled,
-    /// The caller's [`RunToken`](crate::RunToken) deadline passed
-    /// before the run completed.
-    Deadline,
 }
 
 impl fmt::Display for ExecError {
@@ -59,7 +55,6 @@ impl fmt::Display for ExecError {
                 write!(f, "worker panicked in shard {shard}: {payload}")
             }
             ExecError::Cancelled => write!(f, "run cancelled"),
-            ExecError::Deadline => write!(f, "run deadline exceeded"),
         }
     }
 }
@@ -130,7 +125,6 @@ mod tests {
         assert!(error.to_string().contains("shard 3"));
         assert!(error.to_string().contains("boom"));
         assert_eq!(ExecError::Cancelled.to_string(), "run cancelled");
-        assert!(ExecError::Deadline.to_string().contains("deadline"));
         let fault: ItemFault<String> = ItemFault::Panic {
             payload: "ouch".into(),
         };

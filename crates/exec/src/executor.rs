@@ -49,14 +49,12 @@ enum RawFailure {
         payload: Box<dyn Any + Send>,
     },
     Cancelled,
-    Deadline,
 }
 
 impl RawFailure {
     fn from_exec(error: ExecError) -> RawFailure {
         match error {
             ExecError::Cancelled => RawFailure::Cancelled,
-            ExecError::Deadline => RawFailure::Deadline,
             ExecError::WorkerPanic { shard, payload } => RawFailure::Panic {
                 shard,
                 payload: Box::new(payload),
@@ -71,17 +69,15 @@ impl RawFailure {
                 payload: panic_payload(payload.as_ref()),
             },
             RawFailure::Cancelled => ExecError::Cancelled,
-            RawFailure::Deadline => ExecError::Deadline,
         }
     }
 
     /// Deterministic severity order: panics first (by ascending shard),
-    /// then cancellation, then deadline expiry.
+    /// then cancellation.
     fn rank(&self) -> (u8, usize) {
         match self {
             RawFailure::Panic { shard, .. } => (0, *shard),
             RawFailure::Cancelled => (1, 0),
-            RawFailure::Deadline => (2, 0),
         }
     }
 }
@@ -133,8 +129,8 @@ impl ShardPlan {
 
     /// Fallible [`ShardPlan::map_slots`]: worker panics are contained
     /// and surfaced as [`ExecError::WorkerPanic`], and `token` is
-    /// checked at every item boundary so cancellation and deadlines
-    /// stop the run with a deterministic error and clean teardown (all
+    /// checked at every item boundary so cancellation stops the run
+    /// with a deterministic error and clean teardown (all
     /// workers joined, no poisoned state).
     fn try_map_slots<T, S, R>(
         &self,
@@ -154,8 +150,8 @@ impl ShardPlan {
 
     /// Per-item fault isolation: like [`ShardPlan::map_slots`], but a
     /// panicking or erroring item fails only its own slot, and `token`
-    /// is checked at every item boundary so cancellation and deadlines
-    /// stop the run with a deterministic error and clean teardown.
+    /// is checked at every item boundary so cancellation stops the run
+    /// with a deterministic error and clean teardown.
     ///
     /// `work` returns `Result<R, E>`; each item runs under its own
     /// `catch_unwind`, so a slot comes back as `Ok(R)`, or
@@ -168,9 +164,8 @@ impl ShardPlan {
     ///
     /// # Errors
     ///
-    /// Only run-level failures: [`ExecError::Cancelled`] /
-    /// [`ExecError::Deadline`] from the token. Item failures never fail
-    /// the run.
+    /// Only run-level failures: [`ExecError::Cancelled`] from the token.
+    /// Item failures never fail the run.
     pub fn map_slots_isolated<T, S, R, E>(
         &self,
         token: &RunToken,
@@ -313,18 +308,17 @@ impl ShardPlan {
 
     /// Fallible [`ShardPlan::run_segments`]: worker panics are
     /// contained and surfaced as [`ExecError::WorkerPanic`], and
-    /// `token` is checked at every segment boundary so
-    /// cancellation and deadlines stop the run with a deterministic
-    /// error and clean teardown. Items already processed by completed
-    /// segments keep their mutations (cooperative cancellation is a
-    /// boundary, not a rollback); the caller's slice is never poisoned
-    /// and can be reset and reused.
+    /// `token` is checked at every segment boundary so cancellation
+    /// stops the run with a deterministic error and clean teardown.
+    /// Items already processed by completed segments keep their
+    /// mutations (cooperative cancellation is a boundary, not a
+    /// rollback); the caller's slice is never poisoned and can be reset
+    /// and reused.
     ///
     /// # Errors
     ///
     /// [`ExecError::WorkerPanic`] when any segment's work panicked;
-    /// [`ExecError::Cancelled`] / [`ExecError::Deadline`] when the
-    /// token stopped the run first.
+    /// [`ExecError::Cancelled`] when the token stopped the run first.
     pub fn try_run_segments<T, R>(
         &self,
         token: &RunToken,
@@ -571,17 +565,6 @@ mod tests {
             plan.try_map_slots(&token, &empty, |_, _| 1, || (), |_, _, &v| v),
             Ok(Vec::new())
         );
-    }
-
-    #[test]
-    fn expired_deadline_reports_deadline_on_every_strategy() {
-        use std::time::{Duration, Instant};
-        let items: Vec<u64> = (0..16).collect();
-        let token = RunToken::with_deadline(Instant::now() - Duration::from_millis(1));
-        for plan in plans() {
-            let mapped = plan.try_map_slots(&token, &items, |_, _| 1, || (), |_, _, &v| v);
-            assert_eq!(mapped, Err(ExecError::Deadline), "map under {plan}");
-        }
     }
 
     #[test]

@@ -30,8 +30,8 @@
 //! ([`ShardPlan::try_run_segments`], [`ShardPlan::map_slots_isolated`])
 //! surface failures as a structured [`ExecError`] / [`ItemFault`]
 //! taxonomy, and a [`RunToken`] gives
-//! callers cooperative cancellation and deadlines checked at item and
-//! segment boundaries with clean teardown.
+//! callers cooperative cancellation checked at item and segment
+//! boundaries with clean teardown.
 //!
 //! Three supporting modules round out the crate:
 //!

@@ -1,13 +1,12 @@
-//! Cooperative cancellation and deadlines for executor runs.
+//! Cooperative cancellation for executor runs.
 //!
 //! A [`RunToken`] is a cheap, cloneable handle the caller keeps while
-//! the executor runs: cancelling it (or letting its deadline pass)
-//! makes every fallible executor entry point stop at the next item,
-//! segment or block boundary and return a deterministic
-//! [`ExecError::Cancelled`] / [`ExecError::Deadline`] — with clean
-//! teardown: all workers are joined, no shared state is poisoned, and
-//! the caller's items are exactly as the last completed boundary left
-//! them (resettable and reusable for a fresh run).
+//! the executor runs: cancelling it makes every fallible executor entry
+//! point stop at the next item or segment boundary and return a
+//! deterministic [`ExecError::Cancelled`] — with clean teardown: all
+//! workers are joined, no shared state is poisoned, and the caller's
+//! items are exactly as the last completed boundary left them
+//! (resettable and reusable for a fresh run).
 //!
 //! Cancellation is *cooperative*: a worker inside one item's work is
 //! never interrupted mid-item, so items stay atomic and the memory
@@ -16,81 +15,42 @@
 use crate::error::ExecError;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-#[derive(Debug)]
-struct TokenInner {
-    cancelled: AtomicBool,
-    deadline: Option<Instant>,
-}
-
-/// Shared cancellation/deadline handle for executor runs.
+/// Shared cancellation handle for executor runs.
 ///
 /// Clones share one flag: cancelling any clone cancels them all. The
 /// default token never cancels — the infallible executor entry points
 /// run under one, so the fallible core is the only implementation.
 #[derive(Debug, Clone)]
 pub struct RunToken {
-    inner: Arc<TokenInner>,
+    cancelled: Arc<AtomicBool>,
 }
 
 impl RunToken {
-    /// A token that never cancels (no deadline, cancel flag clear until
-    /// [`RunToken::cancel`] is called).
+    /// A token whose cancel flag stays clear until [`RunToken::cancel`]
+    /// is called.
     pub fn new() -> Self {
         RunToken {
-            inner: Arc::new(TokenInner {
-                cancelled: AtomicBool::new(false),
-                deadline: None,
-            }),
+            cancelled: Arc::new(AtomicBool::new(false)),
         }
-    }
-
-    /// A token that reports [`ExecError::Deadline`] at every boundary
-    /// check once `deadline` has passed.
-    pub fn with_deadline(deadline: Instant) -> Self {
-        RunToken {
-            inner: Arc::new(TokenInner {
-                cancelled: AtomicBool::new(false),
-                deadline: Some(deadline),
-            }),
-        }
-    }
-
-    /// A token whose deadline is `timeout` from now.
-    pub fn with_timeout(timeout: Duration) -> Self {
-        Self::with_deadline(Instant::now() + timeout)
     }
 
     /// Requests cancellation: every boundary check from now on reports
     /// [`ExecError::Cancelled`]. Idempotent, callable from any thread.
     pub fn cancel(&self) {
-        self.inner.cancelled.store(true, Ordering::Relaxed);
+        self.cancelled.store(true, Ordering::Relaxed);
     }
 
-    /// Whether cancellation has been requested (deadline expiry is not
-    /// reflected here — it is evaluated at [`RunToken::check`] time).
-    pub fn is_cancelled(&self) -> bool {
-        self.inner.cancelled.load(Ordering::Relaxed)
-    }
-
-    /// The boundary check the executors run between items, segments and
-    /// blocks: explicit cancellation wins over deadline expiry, and
-    /// both are sticky — once reported, every later check reports the
-    /// same error.
+    /// The boundary check the executors run between items and
+    /// segments. Cancellation is sticky: once reported, every later
+    /// check reports it again.
     ///
     /// # Errors
     ///
-    /// [`ExecError::Cancelled`] once [`RunToken::cancel`] was called;
-    /// [`ExecError::Deadline`] once the deadline (if any) has passed.
+    /// [`ExecError::Cancelled`] once [`RunToken::cancel`] was called.
     pub fn check(&self) -> Result<(), ExecError> {
-        if self.inner.cancelled.load(Ordering::Relaxed) {
+        if self.cancelled.load(Ordering::Relaxed) {
             return Err(ExecError::Cancelled);
-        }
-        if let Some(deadline) = self.inner.deadline {
-            if Instant::now() >= deadline {
-                return Err(ExecError::Deadline);
-            }
         }
         Ok(())
     }
@@ -109,7 +69,6 @@ mod tests {
     #[test]
     fn fresh_token_passes_checks() {
         let token = RunToken::new();
-        assert!(!token.is_cancelled());
         assert_eq!(token.check(), Ok(()));
     }
 
@@ -118,23 +77,7 @@ mod tests {
         let token = RunToken::new();
         let clone = token.clone();
         clone.cancel();
-        assert!(token.is_cancelled());
         assert_eq!(token.check(), Err(ExecError::Cancelled));
         assert_eq!(token.check(), Err(ExecError::Cancelled));
-    }
-
-    #[test]
-    fn expired_deadline_reports_deadline() {
-        let token = RunToken::with_deadline(Instant::now() - Duration::from_millis(1));
-        assert_eq!(token.check(), Err(ExecError::Deadline));
-        // Explicit cancellation outranks the deadline.
-        token.cancel();
-        assert_eq!(token.check(), Err(ExecError::Cancelled));
-    }
-
-    #[test]
-    fn future_deadline_passes_until_it_arrives() {
-        let token = RunToken::with_timeout(Duration::from_secs(3600));
-        assert_eq!(token.check(), Ok(()));
     }
 }

@@ -164,12 +164,6 @@ impl MemoryFault {
         }
     }
 
-    /// True for data-retention faults: these are only observable after a
-    /// retention pause or under NWRTM, which is the crux of the paper.
-    pub fn requires_retention_or_nwrtm(&self) -> bool {
-        self.class() == FaultClass::DataRetention
-    }
-
     /// Injects this fault into a memory (any [`FaultTarget`], i.e. the
     /// packed [`Sram`](sram_model::Sram) or the dense reference model).
     ///
@@ -331,13 +325,6 @@ mod tests {
         assert_eq!(classes.len(), 4);
         assert!(!classes.contains(&FaultClass::DataRetention));
         assert!(FaultClass::all().contains(&FaultClass::DataRetention));
-    }
-
-    #[test]
-    fn only_drf_requires_retention_or_nwrtm() {
-        assert!(MemoryFault::data_retention_a(coord(0, 0)).requires_retention_or_nwrtm());
-        assert!(MemoryFault::data_retention_b(coord(0, 0)).requires_retention_or_nwrtm());
-        assert!(!MemoryFault::stuck_at_0(coord(0, 0)).requires_retention_or_nwrtm());
     }
 
     #[test]

@@ -74,14 +74,6 @@ impl DefectProfile {
         }
     }
 
-    /// Expected number of defective cells for a memory of the given
-    /// geometry (the paper rounds 512 x 100 x 1 % / 2 = 256 "maximum
-    /// number of total faults"; we expose the raw expectation and leave
-    /// interpretation to callers).
-    pub fn expected_defects(&self, config: MemConfig) -> f64 {
-        config.cells() as f64 * self.defect_rate
-    }
-
     fn total_weight(&self) -> f64 {
         self.class_weights.iter().map(|(_, w)| w).sum()
     }
@@ -297,14 +289,6 @@ mod tests {
     #[should_panic(expected = "defect rate")]
     fn out_of_range_defect_rate_panics() {
         let _ = DefectProfile::date2005(1.5);
-    }
-
-    #[test]
-    fn expected_defects_matches_case_study_scale() {
-        // 512 words x 100 bits x 1 % = 512 defective cells.
-        let config = MemConfig::date2005_benchmark();
-        let profile = DefectProfile::date2005(0.01);
-        assert!((profile.expected_defects(config) - 512.0).abs() < 1e-9);
     }
 
     #[test]

@@ -48,19 +48,6 @@ impl FaultList {
         &self.faults
     }
 
-    /// Borrowed contiguous chunks of at most `chunk_size` faults, in
-    /// universe order — the shard views `march::FaultSimulator` hands to
-    /// its worker threads. Concatenating the chunks in iteration order
-    /// reproduces the list exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_size` is zero.
-    pub fn chunks(&self, chunk_size: usize) -> impl Iterator<Item = &[MemoryFault]> {
-        assert!(chunk_size > 0, "chunk size must be non-zero");
-        self.faults.chunks(chunk_size)
-    }
-
     /// Number of faults per class, in class order.
     pub fn count_by_class(&self) -> BTreeMap<FaultClass, usize> {
         let mut counts = BTreeMap::new();
@@ -78,19 +65,6 @@ impl FaultList {
                 .iter()
                 .copied()
                 .filter(|f| f.class() == class)
-                .collect(),
-        }
-    }
-
-    /// Faults that are *not* data-retention faults (the subset the
-    /// baseline scheme of \[7,8\] can diagnose at all).
-    pub fn without_data_retention(&self) -> FaultList {
-        FaultList {
-            faults: self
-                .faults
-                .iter()
-                .copied()
-                .filter(|f| f.class() != FaultClass::DataRetention)
                 .collect(),
         }
     }
@@ -202,32 +176,9 @@ mod tests {
     }
 
     #[test]
-    fn of_class_and_without_data_retention_filter() {
+    fn of_class_filters_to_one_class() {
         let list = sample_list();
         assert_eq!(list.of_class(FaultClass::StuckAt).len(), 2);
-        assert_eq!(list.without_data_retention().len(), 3);
-        assert!(list
-            .without_data_retention()
-            .iter()
-            .all(|f| f.class() != FaultClass::DataRetention));
-    }
-
-    #[test]
-    fn chunks_partition_the_list_in_order() {
-        let list = sample_list();
-        let chunks: Vec<&[MemoryFault]> = list.chunks(3).collect();
-        assert_eq!(chunks.len(), 2);
-        assert_eq!(chunks[0].len(), 3);
-        assert_eq!(chunks[1].len(), 1);
-        let rejoined: Vec<MemoryFault> = chunks.into_iter().flatten().copied().collect();
-        assert_eq!(rejoined, list.as_slice());
-        assert_eq!(list.chunks(100).count(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-zero")]
-    fn zero_chunk_size_panics() {
-        let _ = sample_list().chunks(0).count();
     }
 
     #[test]

@@ -17,7 +17,6 @@ pub struct PatternDeliveryBus {
     widest: usize,
     order: ShiftOrder,
     spcs: Vec<SerialToParallelConverter>,
-    broadcast_cycles: u64,
 }
 
 impl PatternDeliveryBus {
@@ -47,32 +46,7 @@ impl PatternDeliveryBus {
             .iter()
             .map(|&w| SerialToParallelConverter::new(w))
             .collect();
-        PatternDeliveryBus {
-            widest,
-            order,
-            spcs,
-            broadcast_cycles: 0,
-        }
-    }
-
-    /// IO width of the widest memory on the bus.
-    pub fn widest_width(&self) -> usize {
-        self.widest
-    }
-
-    /// Delivery order in use.
-    pub fn order(&self) -> ShiftOrder {
-        self.order
-    }
-
-    /// Number of memories served by the bus.
-    pub fn memory_count(&self) -> usize {
-        self.spcs.len()
-    }
-
-    /// Total broadcast cycles spent so far.
-    pub fn broadcast_cycles(&self) -> u64 {
-        self.broadcast_cycles
+        PatternDeliveryBus { widest, order, spcs }
     }
 
     /// Broadcasts one pattern (of the widest memory's width) to every
@@ -96,9 +70,7 @@ impl PatternDeliveryBus {
                 spc.shift_in(*bit);
             }
         }
-        let cycles = bits.len() as u64;
-        self.broadcast_cycles += cycles;
-        cycles
+        bits.len() as u64
     }
 
     /// The word currently presented to memory `index` by its SPC.
@@ -109,14 +81,6 @@ impl PatternDeliveryBus {
     pub fn pattern_at(&self, index: usize) -> DataWord {
         self.spcs[index].parallel_out()
     }
-
-    /// Resets every SPC and the cycle counter.
-    pub fn reset(&mut self) {
-        for spc in &mut self.spcs {
-            spc.reset();
-        }
-        self.broadcast_cycles = 0;
-    }
 }
 
 #[cfg(test)]
@@ -126,15 +90,12 @@ mod tests {
     #[test]
     fn broadcast_serves_every_width_in_one_pass_msb_first() {
         let mut bus = PatternDeliveryBus::new(&[4, 3, 2]);
-        assert_eq!(bus.widest_width(), 4);
-        assert_eq!(bus.memory_count(), 3);
         let pattern = DataWord::from_u64(0b0111, 4);
         let cycles = bus.broadcast(&pattern);
         assert_eq!(cycles, 4);
         assert_eq!(bus.pattern_at(0), pattern);
         assert_eq!(bus.pattern_at(1), pattern.truncated_lsb(3));
         assert_eq!(bus.pattern_at(2), pattern.truncated_lsb(2));
-        assert_eq!(bus.broadcast_cycles(), 4);
     }
 
     #[test]
@@ -143,7 +104,6 @@ mod tests {
         let pattern = DataWord::from_u64(0b0111, 4);
         bus.broadcast(&pattern);
         assert_ne!(bus.pattern_at(1), pattern.truncated_lsb(3));
-        assert_eq!(bus.order(), ShiftOrder::LsbFirst);
     }
 
     #[test]
@@ -153,7 +113,6 @@ mod tests {
         bus.broadcast(&DataWord::zero(4));
         assert_eq!(bus.pattern_at(0), DataWord::zero(4));
         assert_eq!(bus.pattern_at(1), DataWord::zero(2));
-        assert_eq!(bus.broadcast_cycles(), 8);
     }
 
     #[test]
@@ -167,15 +126,6 @@ mod tests {
     #[should_panic(expected = "at least one memory")]
     fn empty_bus_panics() {
         let _ = PatternDeliveryBus::new(&[]);
-    }
-
-    #[test]
-    fn reset_clears_spcs_and_counter() {
-        let mut bus = PatternDeliveryBus::new(&[4]);
-        bus.broadcast(&DataWord::splat(true, 4));
-        bus.reset();
-        assert_eq!(bus.pattern_at(0), DataWord::zero(4));
-        assert_eq!(bus.broadcast_cycles(), 0);
     }
 
     #[test]

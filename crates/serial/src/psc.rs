@@ -15,9 +15,6 @@ use sram_model::DataWord;
 pub struct ParallelToSerialConverter {
     width: usize,
     register: Vec<bool>,
-    scan_en: bool,
-    capture_cycles: u64,
-    shift_cycles: u64,
 }
 
 impl ParallelToSerialConverter {
@@ -31,35 +28,12 @@ impl ParallelToSerialConverter {
         ParallelToSerialConverter {
             width,
             register: vec![false; width],
-            scan_en: false,
-            capture_cycles: 0,
-            shift_cycles: 0,
         }
     }
 
     /// Width of the converter (the memory's IO width).
     pub fn width(&self) -> usize {
         self.width
-    }
-
-    /// Current state of the scan-enable control signal.
-    pub fn scan_en(&self) -> bool {
-        self.scan_en
-    }
-
-    /// Drives the scan-enable signal (`false` = capture, `true` = shift).
-    pub fn set_scan_en(&mut self, scan_en: bool) {
-        self.scan_en = scan_en;
-    }
-
-    /// Clock cycles spent capturing since construction or reset.
-    pub fn capture_cycles(&self) -> u64 {
-        self.capture_cycles
-    }
-
-    /// Clock cycles spent shifting since construction or reset.
-    pub fn shift_cycles(&self) -> u64 {
-        self.shift_cycles
     }
 
     /// Captures the memory response in parallel (one clock cycle with
@@ -70,24 +44,20 @@ impl ParallelToSerialConverter {
     /// Panics if the response width does not match the converter width.
     pub fn capture(&mut self, response: &DataWord) {
         assert_eq!(response.width(), self.width, "psc capture width mismatch");
-        self.scan_en = false;
         for bit in 0..self.width {
             self.register[bit] = response.bit(bit);
         }
-        self.capture_cycles += 1;
     }
 
     /// Shifts one bit out towards the BISD controller (one clock cycle
     /// with `scan_en` high); the LSB leaves first and a `0` enters at
     /// the MSB end.
     pub fn shift_out(&mut self) -> bool {
-        self.scan_en = true;
         let out = self.register[0];
         for bit in 0..self.width - 1 {
             self.register[bit] = self.register[bit + 1];
         }
         self.register[self.width - 1] = false;
-        self.shift_cycles += 1;
         out
     }
 
@@ -121,14 +91,6 @@ impl ParallelToSerialConverter {
         let word = DataWord::from_bits_lsb_first((0..width).map(|_| self.shift_out()));
         (word, 1 + width as u64)
     }
-
-    /// Clears the register, control signal and counters.
-    pub fn reset(&mut self) {
-        self.register = vec![false; self.width];
-        self.scan_en = false;
-        self.capture_cycles = 0;
-        self.shift_cycles = 0;
-    }
 }
 
 #[cfg(test)]
@@ -139,12 +101,8 @@ mod tests {
     fn capture_then_shift_returns_lsb_first() {
         let mut psc = ParallelToSerialConverter::new(4);
         psc.capture(&DataWord::from_u64(0b1010, 4));
-        assert!(!psc.scan_en());
         let bits: Vec<bool> = (0..4).map(|_| psc.shift_out()).collect();
-        assert!(psc.scan_en());
         assert_eq!(bits, vec![false, true, false, true]);
-        assert_eq!(psc.capture_cycles(), 1);
-        assert_eq!(psc.shift_cycles(), 4);
     }
 
     #[test]
@@ -160,8 +118,6 @@ mod tests {
             let (word, word_cycles) = direct.serialize_word(&response);
             assert_eq!(word, ParallelToSerialConverter::word_from_serial(&bits));
             assert_eq!(word_cycles, bit_cycles);
-            assert_eq!(direct.capture_cycles(), via_bits.capture_cycles());
-            assert_eq!(direct.shift_cycles(), via_bits.shift_cycles());
         }
     }
 
@@ -201,17 +157,6 @@ mod tests {
     fn capture_rejects_wrong_width() {
         let mut psc = ParallelToSerialConverter::new(3);
         psc.capture(&DataWord::zero(4));
-    }
-
-    #[test]
-    fn reset_clears_counters_and_register() {
-        let mut psc = ParallelToSerialConverter::new(3);
-        psc.serialize(&DataWord::splat(true, 3));
-        psc.reset();
-        assert_eq!(psc.capture_cycles(), 0);
-        assert_eq!(psc.shift_cycles(), 0);
-        assert!(!psc.scan_en());
-        assert!(!psc.shift_out());
     }
 
     #[test]

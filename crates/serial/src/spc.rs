@@ -39,7 +39,6 @@ impl fmt::Display for ShiftOrder {
 pub struct SerialToParallelConverter {
     width: usize,
     register: VecDeque<bool>,
-    shifts: u64,
 }
 
 impl SerialToParallelConverter {
@@ -53,7 +52,6 @@ impl SerialToParallelConverter {
         SerialToParallelConverter {
             width,
             register: VecDeque::from(vec![false; width]),
-            shifts: 0,
         }
     }
 
@@ -62,18 +60,12 @@ impl SerialToParallelConverter {
         self.width
     }
 
-    /// Total shift cycles performed since construction or reset.
-    pub fn shift_cycles(&self) -> u64 {
-        self.shifts
-    }
-
     /// Shifts one bit into the converter (one clock cycle).
     pub fn shift_in(&mut self, bit: bool) {
         self.register.push_back(bit);
         if self.register.len() > self.width {
             self.register.pop_front();
         }
-        self.shifts += 1;
     }
 
     /// Delivers a full pattern over the serial line in the given order,
@@ -103,12 +95,6 @@ impl SerialToParallelConverter {
         }
         word
     }
-
-    /// Clears the register and the cycle counter.
-    pub fn reset(&mut self) {
-        self.register = VecDeque::from(vec![false; self.width]);
-        self.shifts = 0;
-    }
 }
 
 #[cfg(test)]
@@ -123,7 +109,6 @@ mod tests {
         let cycles = spc.deliver(&pattern, ShiftOrder::MsbFirst);
         assert_eq!(cycles, 4);
         assert_eq!(spc.parallel_out(), pattern);
-        assert_eq!(spc.shift_cycles(), 4);
     }
 
     #[test]
@@ -167,16 +152,6 @@ mod tests {
         spc.deliver(&DataWord::from_u64(0b1111, 4), ShiftOrder::MsbFirst);
         spc.deliver(&DataWord::from_u64(0b0010, 4), ShiftOrder::MsbFirst);
         assert_eq!(spc.parallel_out(), DataWord::from_u64(0b0010, 4));
-        assert_eq!(spc.shift_cycles(), 8);
-    }
-
-    #[test]
-    fn reset_clears_state_and_counters() {
-        let mut spc = SerialToParallelConverter::new(4);
-        spc.deliver(&DataWord::from_u64(0b1111, 4), ShiftOrder::MsbFirst);
-        spc.reset();
-        assert_eq!(spc.parallel_out(), DataWord::zero(4));
-        assert_eq!(spc.shift_cycles(), 0);
     }
 
     #[test]

@@ -207,6 +207,39 @@ fn shift_direction_selects_which_fault_in_a_word_is_located_first() {
     assert_eq!(left.located, Some((site_high.address, site_high.bit)));
 }
 
+/// One M1 pass through the bi-directional interface costs exactly the
+/// per-iteration term of Eq. (1): `complexity_per_address() · n · c`,
+/// the `17·n·c` the baseline scheme charges for each of its `k`
+/// iterations. Pristine memories, so no element stops early.
+#[test]
+fn m1_pass_through_the_baseline_interface_costs_the_eq1_iteration_term() {
+    let m1 = algorithms::diag_rs_march_m1();
+    assert_eq!(m1.complexity_per_address(), 17);
+    for (words, width) in [(1u64, 1usize), (8, 1), (16, 4), (33, 65), (512, 100)] {
+        let config = MemConfig::new(words, width).unwrap();
+        let interface = BidirectionalSerialInterface::new(width);
+        for direction in [ShiftDirection::Right, ShiftDirection::Left] {
+            let mut sram = Sram::new(config);
+            let known = BTreeSet::new();
+            let cycles: u64 = m1
+                .elements()
+                .iter()
+                .map(|element| {
+                    interface
+                        .run_element(&mut sram, element, DataBackground::Solid, direction, &known)
+                        .unwrap()
+                        .cycles
+                })
+                .sum();
+            assert_eq!(
+                cycles,
+                m1.complexity_per_address() as u64 * words * width as u64,
+                "{words}x{width}, shift {direction}"
+            );
+        }
+    }
+}
+
 /// The single-directional interface masks every fault downstream of the
 /// first faulty chain position — the failure mode that motivated the
 /// bi-directional baseline in the first place.

@@ -8,14 +8,13 @@ use crate::error::MemError;
 use crate::planes::BitPlanes;
 use crate::port::AccessProfile;
 use crate::retention::RetentionModel;
-use crate::trace::{MemOp, OperationTrace};
 use crate::word::DataWord;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A behavioural small embedded SRAM.
 ///
 /// The memory is word-organised (`words x width` bit cells), fronted by
-/// an [`AddressDecoder`] and instrumented with an [`OperationTrace`].
+/// an [`AddressDecoder`].
 /// Faults are injected per bit cell ([`CellFault`]) or per address
 /// ([`DecoderFault`]); port operations then exhibit the corresponding
 /// faulty behaviour, which is what the March engine and the BISD
@@ -62,7 +61,6 @@ pub struct Sram {
     /// per-operation fast-path test is O(1) instead of a tree probe.
     overlay_rows: Vec<u64>,
     decoder: AddressDecoder,
-    trace: OperationTrace,
     retention: RetentionModel,
     /// Last value seen by the sense amplifiers; returned when a
     /// no-access decoder fault leaves the bitlines floating.
@@ -95,7 +93,6 @@ impl Sram {
             overlay: BTreeMap::new(),
             overlay_rows: vec![0u64; (config.words() as usize).div_ceil(64)],
             decoder: AddressDecoder::new(config),
-            trace: OperationTrace::new(),
             retention,
             last_sense: DataWord::zero(config.width()),
             coupling_index: BTreeMap::new(),
@@ -110,17 +107,6 @@ impl Sram {
     /// Retention model in effect.
     pub fn retention(&self) -> RetentionModel {
         self.retention
-    }
-
-    /// Operation trace (cycles, pauses and optionally every operation).
-    pub fn trace(&self) -> &OperationTrace {
-        &self.trace
-    }
-
-    /// Mutable access to the operation trace (to enable recording or
-    /// reset accounting between diagnosis phases).
-    pub fn trace_mut(&mut self) -> &mut OperationTrace {
-        &mut self.trace
     }
 
     fn check_coord(&self, coord: CellCoord) -> Result<(), MemError> {
@@ -185,39 +171,6 @@ impl Sram {
         Ok(())
     }
 
-    /// Removes the fault (if any) injected at `coord`, preserving the
-    /// cell's stored value. The inverse of [`Sram::inject_cell_fault`],
-    /// used for incremental fault swaps during batched simulation.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the coordinate is outside the memory.
-    pub fn remove_cell_fault(&mut self, coord: CellCoord) -> Result<(), MemError> {
-        self.check_coord(coord)?;
-        let key = (coord.address.index(), coord.bit);
-        if let Some(cell) = self.overlay.remove(&key) {
-            self.planes.set_bit(key.0, key.1, cell.stored());
-            if self
-                .overlay
-                .range((key.0, 0)..=(key.0, usize::MAX))
-                .next()
-                .is_none()
-            {
-                self.mark_overlay_row(key.0, false);
-            }
-            if let Some(CellFault::Coupling { aggressor, .. }) = cell.fault() {
-                let aggressor_key = (aggressor.address.index(), aggressor.bit);
-                if let Some(victims) = self.coupling_index.get_mut(&aggressor_key) {
-                    victims.retain(|victim| *victim != coord);
-                    if victims.is_empty() {
-                        self.coupling_index.remove(&aggressor_key);
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Injects an address-decoder fault.
     ///
     /// # Errors
@@ -240,13 +193,12 @@ impl Sram {
     }
 
     /// Restores the memory to its pristine power-on state — all-zero
-    /// contents, no faults, fresh trace accounting — without
-    /// reallocating the packed planes.
+    /// contents, no faults — without reallocating the packed planes.
     ///
     /// This is the enabling primitive for batched fault simulation:
     /// `march::FaultSimulator` reuses one memory across a whole fault
     /// list (`reset` + inject per fault) instead of constructing a fresh
-    /// `Sram` per fault. The trace's recording flag is preserved.
+    /// `Sram` per fault.
     ///
     /// Cost is O(rows touched since the previous reset), not O(cells):
     /// the packed planes track dirty rows, so resetting between pruned
@@ -257,7 +209,6 @@ impl Sram {
         self.overlay_rows.fill(0);
         self.coupling_index.clear();
         self.decoder.clear_faults();
-        self.trace.reset();
         self.last_sense = DataWord::zero(self.config.width());
     }
 
@@ -346,7 +297,6 @@ impl Sram {
     pub fn write(&mut self, address: Address, data: &DataWord) -> Result<(), MemError> {
         self.config.check_address(address)?;
         self.config.check_width(data.width())?;
-        self.trace.record_clocked(|| MemOp::write(address, data.clone()));
         self.apply_write(address, data, false);
         Ok(())
     }
@@ -361,8 +311,6 @@ impl Sram {
     pub fn write_nwrc(&mut self, address: Address, data: &DataWord) -> Result<(), MemError> {
         self.config.check_address(address)?;
         self.config.check_width(data.width())?;
-        self.trace
-            .record_clocked(|| MemOp::nwrc_write(address, data.clone()));
         self.apply_write(address, data, true);
         Ok(())
     }
@@ -519,12 +467,7 @@ impl Sram {
     #[inline]
     pub fn read(&mut self, address: Address) -> Result<DataWord, MemError> {
         self.config.check_address(address)?;
-        let observed = self.observe(address);
-        {
-            let trace = &mut self.trace;
-            trace.record_clocked(|| MemOp::read(address, observed.clone()));
-        }
-        Ok(observed)
+        Ok(self.observe(address))
     }
 
     #[inline]
@@ -638,41 +581,15 @@ impl Sram {
             let matches = self
                 .planes
                 .compare_and_copy_row(r, expected, &mut self.last_sense);
-            let planes = &self.planes;
-            self.trace.record_clocked(|| MemOp::read(address, planes.word(r)));
             Ok(if matches { None } else { Some(self.planes.word(r)) })
         } else {
             let observed = self.observe(address);
-            self.trace
-                .record_clocked(|| MemOp::read(address, observed.clone()));
             Ok(if &observed == expected {
                 None
             } else {
                 Some(observed)
             })
         }
-    }
-
-    /// Read cycle whose data is discarded.
-    ///
-    /// The paper places memories without an idle mode into read mode
-    /// (with read data ignored) while the PSC shifts responses back to
-    /// the controller; the read still exercises the cell array so
-    /// read-disturb faults can still be sensitised.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the address is out of range.
-    pub fn read_ignored(&mut self, address: Address) -> Result<(), MemError> {
-        self.config.check_address(address)?;
-        let _ = self.observe(address);
-        self.trace.record_clocked(|| MemOp::read_ignored(address));
-        Ok(())
-    }
-
-    /// Idle / no-op cycle: the memory is not accessed.
-    pub fn no_op(&mut self) {
-        self.trace.record_clocked(MemOp::no_op);
     }
 
     /// Retention pause of `pause_ms` milliseconds.
@@ -689,7 +606,6 @@ impl Sram {
                 planes.set_bit(row, bit, cell.stored());
             }
         }
-        self.trace.record(MemOp::retention_pause(pause_ms));
     }
 
     // ----------------------------------------------------------------
@@ -697,7 +613,7 @@ impl Sram {
     // ----------------------------------------------------------------
 
     /// Returns the stored word at `address` without performing a port
-    /// read (no read-fault side effects, no trace entry).
+    /// read (no read-fault side effects).
     ///
     /// # Errors
     ///
@@ -762,7 +678,6 @@ mod tests {
             let data = DataWord::from_u64(a ^ 0b1010, 4);
             assert_eq!(sram.read(Address::new(a)).unwrap(), data);
         }
-        assert_eq!(sram.trace().clock_cycles(), 16);
     }
 
     #[test]
@@ -922,7 +837,6 @@ mod tests {
         assert!(sram.read(Address::new(4)).unwrap().bit(0)); // at-speed pass
         sram.elapse_retention(100.0);
         assert!(!sram.read(Address::new(4)).unwrap().bit(0)); // decayed
-        assert!((sram.trace().pause_ms() - 100.0).abs() < 1e-9);
     }
 
     #[test]
@@ -981,22 +895,11 @@ mod tests {
     }
 
     #[test]
-    fn no_op_and_read_ignored_consume_cycles_without_data() {
-        let mut sram = small();
-        sram.trace_mut().set_recording(true);
-        sram.no_op();
-        sram.read_ignored(Address::new(0)).unwrap();
-        assert_eq!(sram.trace().clock_cycles(), 2);
-        assert_eq!(sram.trace().ops().len(), 2);
-    }
-
-    #[test]
-    fn peek_and_force_do_not_touch_trace() {
+    fn force_word_is_visible_to_peek() {
         let mut sram = small();
         sram.force_word(Address::new(3), &DataWord::splat(true, 4))
             .unwrap();
         assert_eq!(sram.peek(Address::new(3)).unwrap(), DataWord::splat(true, 4));
-        assert_eq!(sram.trace().clock_cycles(), 0);
     }
 
     #[test]
@@ -1042,56 +945,12 @@ mod tests {
         sram.write(Address::new(0), &DataWord::splat(true, 4)).unwrap();
         sram.reset();
         assert!(!sram.is_faulty());
-        assert_eq!(sram.trace().clock_cycles(), 0);
         for a in 0..8u64 {
             assert_eq!(sram.peek(Address::new(a)).unwrap(), DataWord::zero(4));
         }
         // After a reset the memory behaves exactly like a fresh one.
         sram.write(Address::new(2), &DataWord::splat(true, 4)).unwrap();
         assert_eq!(sram.read(Address::new(2)).unwrap(), DataWord::splat(true, 4));
-    }
-
-    #[test]
-    fn remove_cell_fault_keeps_stored_value_and_restores_behaviour() {
-        let mut sram = small();
-        let coord = CellCoord::new(Address::new(3), 2);
-        sram.inject_cell_fault(coord, CellFault::StuckAt(true)).unwrap();
-        assert!(sram.is_faulty());
-        sram.remove_cell_fault(coord).unwrap();
-        assert!(!sram.is_faulty());
-        // The stuck value survives removal, but writes work again.
-        assert!(sram.peek_cell(coord).unwrap());
-        sram.write(Address::new(3), &DataWord::zero(4)).unwrap();
-        assert!(!sram.read(Address::new(3)).unwrap().bit(2));
-        // Removing a fault from a fault-free cell is a no-op.
-        sram.remove_cell_fault(CellCoord::new(Address::new(0), 0))
-            .unwrap();
-        assert!(sram
-            .remove_cell_fault(CellCoord::new(Address::new(9), 0))
-            .is_err());
-    }
-
-    #[test]
-    fn remove_cell_fault_unregisters_coupling_victims() {
-        let mut sram = small();
-        let aggressor = CellCoord::new(Address::new(1), 0);
-        let victim = CellCoord::new(Address::new(6), 2);
-        sram.inject_cell_fault(
-            victim,
-            CellFault::Coupling {
-                aggressor,
-                kind: CouplingKind::Idempotent {
-                    aggressor_rises: true,
-                    forced_value: true,
-                },
-            },
-        )
-        .unwrap();
-        sram.remove_cell_fault(victim).unwrap();
-        // The aggressor transition no longer disturbs the victim.
-        sram.write(Address::new(1), &DataWord::from_u64(0b0001, 4))
-            .unwrap();
-        assert!(!sram.peek_cell(victim).unwrap());
     }
 
     #[test]

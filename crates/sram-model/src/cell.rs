@@ -272,12 +272,6 @@ impl Cell {
         self.fault = Some(fault);
     }
 
-    /// Removes any fault from the cell.
-    pub fn clear_fault(&mut self) {
-        self.fault = None;
-        self.decayed = false;
-    }
-
     /// Current stored value (as a fault-free observer would see it).
     pub fn stored(&self) -> bool {
         self.value
@@ -603,11 +597,10 @@ mod tests {
     }
 
     #[test]
-    fn set_and_clear_fault() {
+    fn set_fault_stuck_at_forces_the_stored_value() {
         let mut cell = Cell::new();
         cell.set_fault(CellFault::StuckAt(true));
         assert!(cell.stored());
-        cell.clear_fault();
-        assert!(cell.fault().is_none());
+        assert_eq!(cell.fault(), Some(CellFault::StuckAt(true)));
     }
 }

@@ -136,15 +136,6 @@ impl MemConfig {
         self.words * self.width as u64
     }
 
-    /// Number of address bits needed to address every word.
-    pub fn address_bits(&self) -> u32 {
-        if self.words <= 1 {
-            1
-        } else {
-            64 - (self.words - 1).leading_zeros()
-        }
-    }
-
     /// Returns `true` if `address` is inside this memory.
     #[inline]
     pub fn contains(&self, address: Address) -> bool {
@@ -241,18 +232,6 @@ mod tests {
         assert_eq!(c.words(), 512);
         assert_eq!(c.width(), 100);
         assert_eq!(c.cells(), 51_200);
-        assert_eq!(c.address_bits(), 9);
-    }
-
-    #[test]
-    fn address_bits_covers_powers_of_two_and_odd_sizes() {
-        assert_eq!(MemConfig::new(1, 1).unwrap().address_bits(), 1);
-        assert_eq!(MemConfig::new(2, 1).unwrap().address_bits(), 1);
-        assert_eq!(MemConfig::new(3, 1).unwrap().address_bits(), 2);
-        assert_eq!(MemConfig::new(4, 1).unwrap().address_bits(), 2);
-        assert_eq!(MemConfig::new(5, 1).unwrap().address_bits(), 3);
-        assert_eq!(MemConfig::new(1024, 1).unwrap().address_bits(), 10);
-        assert_eq!(MemConfig::new(1025, 1).unwrap().address_bits(), 11);
     }
 
     #[test]

@@ -22,9 +22,8 @@
 //!   broadcast row operations — the substrate of the march fault
 //!   simulator's lane kernel;
 //! * an address decoder with the classical address-decoder fault classes;
-//! * port operations (read, write, no-op and the *No Write Recovery
-//!   Cycle* of the NWRTM DFT technique) with an operation trace and
-//!   cycle accounting;
+//! * port operations (read, write and the *No Write Recovery Cycle* of
+//!   the NWRTM DFT technique);
 //! * retention-time elapse so that data-retention faults only become
 //!   observable after a configurable pause (or immediately under NWRTM);
 //! * a backup (spare-word) memory used for repair after diagnosis.
@@ -62,7 +61,6 @@ pub mod planes;
 pub mod port;
 pub mod reference;
 pub mod retention;
-pub mod trace;
 pub mod word;
 
 pub use array::Sram;
@@ -76,5 +74,4 @@ pub use planes::BitPlanes;
 pub use port::{AccessProfile, FaultTarget, MemoryPort};
 pub use reference::ReferenceSram;
 pub use retention::RetentionModel;
-pub use trace::{MemOp, OpKind, OperationTrace};
 pub use word::{DataWord, FailingBits};

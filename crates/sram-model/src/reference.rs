@@ -22,7 +22,6 @@ use crate::config::{Address, MemConfig};
 use crate::decoder::{AddressDecoder, DecoderFault};
 use crate::error::MemError;
 use crate::retention::RetentionModel;
-use crate::trace::{MemOp, OperationTrace};
 use crate::word::DataWord;
 use std::collections::BTreeMap;
 
@@ -32,7 +31,6 @@ pub struct ReferenceSram {
     config: MemConfig,
     cells: Vec<Cell>,
     decoder: AddressDecoder,
-    trace: OperationTrace,
     retention: RetentionModel,
     last_sense: DataWord,
     coupling_index: BTreeMap<(u64, usize), Vec<CellCoord>>,
@@ -52,7 +50,6 @@ impl ReferenceSram {
             config,
             cells,
             decoder: AddressDecoder::new(config),
-            trace: OperationTrace::new(),
             retention,
             last_sense: DataWord::zero(config.width()),
             coupling_index: BTreeMap::new(),
@@ -62,16 +59,6 @@ impl ReferenceSram {
     /// Geometry of the memory.
     pub fn config(&self) -> MemConfig {
         self.config
-    }
-
-    /// Operation trace (cycles, pauses and optionally every operation).
-    pub fn trace(&self) -> &OperationTrace {
-        &self.trace
-    }
-
-    /// Mutable access to the operation trace.
-    pub fn trace_mut(&mut self) -> &mut OperationTrace {
-        &mut self.trace
     }
 
     fn cell_index(&self, coord: CellCoord) -> usize {
@@ -128,7 +115,6 @@ impl ReferenceSram {
     pub fn write(&mut self, address: Address, data: &DataWord) -> Result<(), MemError> {
         self.config.check_address(address)?;
         self.config.check_width(data.width())?;
-        self.trace.record(MemOp::write(address, data.clone()));
         self.apply_write(address, data, false);
         Ok(())
     }
@@ -142,7 +128,6 @@ impl ReferenceSram {
     pub fn write_nwrc(&mut self, address: Address, data: &DataWord) -> Result<(), MemError> {
         self.config.check_address(address)?;
         self.config.check_width(data.width())?;
-        self.trace.record(MemOp::nwrc_write(address, data.clone()));
         self.apply_write(address, data, true);
         Ok(())
     }
@@ -222,9 +207,7 @@ impl ReferenceSram {
     /// Returns an error if the address is out of range.
     pub fn read(&mut self, address: Address) -> Result<DataWord, MemError> {
         self.config.check_address(address)?;
-        let observed = self.observe(address);
-        self.trace.record(MemOp::read(address, observed.clone()));
-        Ok(observed)
+        Ok(self.observe(address))
     }
 
     fn observe(&mut self, address: Address) -> DataWord {
@@ -257,25 +240,12 @@ impl ReferenceSram {
         observed
     }
 
-    /// Read cycle whose data is discarded.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the address is out of range.
-    pub fn read_ignored(&mut self, address: Address) -> Result<(), MemError> {
-        self.config.check_address(address)?;
-        let _ = self.observe(address);
-        self.trace.record(MemOp::read_ignored(address));
-        Ok(())
-    }
-
     /// Retention pause of `pause_ms` milliseconds (walks every cell).
     pub fn elapse_retention(&mut self, pause_ms: f64) {
         let threshold = self.retention.decay_threshold_ms;
         for cell in &mut self.cells {
             cell.elapse_retention(pause_ms, threshold);
         }
-        self.trace.record(MemOp::retention_pause(pause_ms));
     }
 
     /// Returns the stored word at `address` without a port read.
@@ -308,7 +278,6 @@ mod tests {
         sram.write(Address::new(2), &DataWord::zero(4)).unwrap();
         let observed = sram.read(Address::new(2)).unwrap();
         assert_eq!(observed.mismatches(&DataWord::zero(4)), vec![3]);
-        assert_eq!(sram.trace().clock_cycles(), 2);
         assert_eq!(sram.config().words(), 8);
     }
 
@@ -320,8 +289,5 @@ mod tests {
         sram.write(Address::new(1), &DataWord::zero(4)).unwrap();
         assert_eq!(sram.read(Address::new(1)).unwrap(), DataWord::splat(true, 4));
         assert_eq!(sram.peek(Address::new(1)).unwrap(), DataWord::zero(4));
-        sram.read_ignored(Address::new(0)).unwrap();
-        sram.elapse_retention(100.0);
-        assert_eq!(sram.trace_mut().clock_cycles(), 3);
     }
 }

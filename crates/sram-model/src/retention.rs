@@ -51,12 +51,6 @@ impl RetentionModel {
     pub fn pause_exposes_drf(&self) -> bool {
         self.pause_ms >= self.decay_threshold_ms
     }
-
-    /// Total pause time (milliseconds) for a test that checks both
-    /// retention states (all-zero and all-one backgrounds).
-    pub fn total_pause_ms(&self) -> f64 {
-        2.0 * self.pause_ms
-    }
 }
 
 impl Default for RetentionModel {
@@ -84,7 +78,6 @@ mod tests {
         let model = RetentionModel::date2005();
         assert_eq!(model.pause_ms, 100.0);
         assert_eq!(model.decay_threshold_ms, 100.0);
-        assert_eq!(model.total_pause_ms(), 200.0);
         assert!(model.pause_exposes_drf());
         assert_eq!(RetentionModel::default(), model);
     }
