@@ -1,57 +1,14 @@
-//! E6: Sec. 4.3 area-overhead estimation (transistor counts in 6T-cell
-//! equivalents and global-wire accounting).
+//! E6: times the Sec. 4.3 area-overhead model (transistor counts in
+//! 6T-cell equivalents and global-wire accounting). The area results
+//! themselves are the E6 rows of `examples/goldens/paper_results.md`.
 
-use bench::print_section;
 use criterion::{criterion_group, criterion_main, Criterion};
 use esram_diag::area::AreaModel;
 use esram_diag::MemConfig;
 use std::hint::black_box;
 use std::time::Duration;
 
-fn print_area_tables() {
-    let model = AreaModel::date2005();
-    print_section("E6: Sec. 4.3 area overhead");
-    println!(
-        "per IO bit: baseline interface {:.1} cells, proposed SPC+PSC {:.1} cells, extra {:.1} cells (paper: 3)",
-        model.baseline_interface_per_bit(),
-        model.proposed_interface_per_bit(),
-        model.extra_per_bit()
-    );
-
-    println!(
-        "\n{:<14} {:>12} {:>14} {:>14} {:>12} {:>10}",
-        "memory", "array cells", "baseline %", "proposed %", "extra %", "wires"
-    );
-    let geometries = [
-        MemConfig::date2005_benchmark(),
-        MemConfig::new(1024, 64).expect("valid"),
-        MemConfig::new(256, 32).expect("valid"),
-        MemConfig::new(64, 16).expect("valid"),
-        MemConfig::new(16, 8).expect("valid"),
-    ];
-    for config in geometries {
-        let report = model.report(config);
-        println!(
-            "{:<14} {:>12.0} {:>13.2}% {:>13.2}% {:>11.2}% {:>7}+{}",
-            config.to_string(),
-            report.array_cells,
-            report.baseline_overhead_ratio() * 100.0,
-            report.proposed_overhead_ratio() * 100.0,
-            report.extra_overhead_ratio() * 100.0,
-            report.baseline_global_wires,
-            report.extra_global_wires()
-        );
-    }
-
-    let population: Vec<MemConfig> = std::iter::repeat_n(MemConfig::date2005_benchmark(), 8).collect();
-    let report = model.report_for_population(&population);
-    println!("\npopulation of 8 benchmark e-SRAMs: {report}");
-    println!("paper: ~1.8 % total overhead, +1 global wire, +3 cells per IO bit (see EXPERIMENTS.md)");
-}
-
 fn bench_area(c: &mut Criterion) {
-    print_area_tables();
-
     let mut group = c.benchmark_group("area_overhead");
     group.sample_size(10).measurement_time(Duration::from_secs(1));
     let configs: Vec<MemConfig> = (0..64)

@@ -1,45 +1,14 @@
-//! E5: Sec. 4.1 coverage comparison by exhaustive single-fault
-//! simulation of both complete schemes.
+//! E5: times Sec. 4.1 coverage evaluation by exhaustive single-fault
+//! simulation. The coverage results are the E5 rows of
+//! `examples/goldens/paper_results.md`.
 
-use bench::print_section;
 use criterion::{criterion_group, criterion_main, Criterion};
-use esram_diag::{
-    algorithms, scheme_coverage, DataBackground, DrfMode, FastScheme, FaultUniverse, HuangScheme, MemConfig,
-};
+use esram_diag::{algorithms, scheme_coverage, DataBackground, FastScheme, FaultUniverse, MemConfig};
 use march::FaultSimulator;
 use std::hint::black_box;
 use std::time::Duration;
 
-fn print_coverage_tables() {
-    let config = MemConfig::new(8, 4).expect("valid geometry");
-    let universe = FaultUniverse::new(config).date2005_full();
-    print_section(&format!(
-        "E5: Sec. 4.1 coverage over an exhaustive universe ({} faults, {} memory)",
-        universe.len(),
-        config
-    ));
-
-    let baseline = scheme_coverage(&HuangScheme::new(10.0), config, &universe);
-    println!("{}", baseline.to_table());
-    let proposed_no_drf = scheme_coverage(
-        &FastScheme::new(10.0).with_drf_mode(DrfMode::None),
-        config,
-        &universe,
-    );
-    println!("{}", proposed_no_drf.to_table());
-    let proposed = scheme_coverage(&FastScheme::new(10.0), config, &universe);
-    println!("{}", proposed.to_table());
-
-    println!(
-        "paper claim: proposed coverage = baseline coverage + DRFs; measured detection {:.1}% -> {:.1}%",
-        baseline.detection_coverage() * 100.0,
-        proposed.detection_coverage() * 100.0
-    );
-}
-
 fn bench_coverage(c: &mut Criterion) {
-    print_coverage_tables();
-
     let mut group = c.benchmark_group("coverage");
     group.sample_size(10).measurement_time(Duration::from_secs(2));
 

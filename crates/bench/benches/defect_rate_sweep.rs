@@ -1,56 +1,14 @@
-//! S1: defect-rate sweep of the reduction factor R — analytic for the
-//! benchmark geometry, simulated for a scaled-down population.
+//! S1: times the defect-rate sweep of the reduction factor R — analytic
+//! for the benchmark geometry, simulated for a scaled-down population.
+//! The sweep's results are the S1 rows of `examples/goldens/paper_results.md`.
 
-use bench::{print_section, small_population};
+use bench::small_population;
 use criterion::{criterion_group, criterion_main, Criterion};
-use esram_diag::{defect_rate_sweep, AnalyticModel, DiagnosisScheme, DrfMode, FastScheme, HuangScheme};
+use esram_diag::{defect_rate_sweep, AnalyticModel, DiagnosisScheme, HuangScheme};
 use std::hint::black_box;
 use std::time::Duration;
 
-fn print_sweep() {
-    print_section("S1: defect-rate sweep, analytic (benchmark geometry n = 512, c = 100, t = 10 ns)");
-    println!(
-        "{:>7} {:>8} {:>6} {:>12} {:>12} {:>8} {:>8}",
-        "rate", "faults", "k", "T[7,8] ms", "T_prop ms", "R", "R+DRF"
-    );
-    let model = AnalyticModel::date2005_benchmark();
-    for point in defect_rate_sweep(&model, &[0.001, 0.0025, 0.005, 0.01, 0.02, 0.05, 0.1]) {
-        println!("{point}");
-    }
-
-    print_section("S1 (simulated): scaled-down population (4 x 64x16 e-SRAMs)");
-    println!(
-        "{:>7} {:>10} {:>14} {:>14} {:>8}",
-        "rate", "faults", "baseline ms", "proposed ms", "R"
-    );
-    for rate in [0.0025, 0.005, 0.01, 0.02, 0.04] {
-        let mut baseline_soc = small_population(4, 64, 16, rate, 11);
-        let faults = baseline_soc.injected_faults();
-        let baseline = HuangScheme::new(10.0)
-            .diagnose(baseline_soc.memories_mut())
-            .expect("baseline");
-        let mut fast_soc = small_population(4, 64, 16, rate, 11);
-        let fast = FastScheme::new(10.0)
-            .with_drf_mode(DrfMode::None)
-            .diagnose(fast_soc.memories_mut())
-            .expect("fast");
-        println!(
-            "{:>6.2}% {:>10} {:>14.4} {:>14.4} {:>8.1}",
-            rate * 100.0,
-            faults,
-            baseline.time_ms(),
-            fast.time_ms(),
-            fast.speedup_versus(&baseline)
-        );
-    }
-    println!(
-        "\nshape check: R grows with the defect rate (the baseline iterates more), proposed time is flat"
-    );
-}
-
 fn bench_sweep(c: &mut Criterion) {
-    print_sweep();
-
     let mut group = c.benchmark_group("defect_rate_sweep");
     group.sample_size(10).measurement_time(Duration::from_secs(2));
     group.bench_function("analytic_sweep_7_points", |b| {

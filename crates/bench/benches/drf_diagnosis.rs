@@ -1,73 +1,14 @@
-//! F6 and the DRF half of E4: NWRTM versus pause-based data-retention
-//! diagnosis — same coverage, three orders of magnitude apart in time.
+//! F6 and the DRF half of E4: times NWRTM diagnosis of a population with
+//! data-retention defects against diagnosis without it. The coverage
+//! and pause comparison is the F6 rows of `examples/goldens/paper_results.md`.
 
-use bench::{drf_population, print_section};
+use bench::drf_population;
 use criterion::{criterion_group, criterion_main, Criterion};
-use esram_diag::{DiagnosisScheme, DrfMode, FastScheme, FaultClass, HuangScheme};
+use esram_diag::{DiagnosisScheme, DrfMode, FastScheme};
 use std::hint::black_box;
 use std::time::Duration;
 
-fn print_drf_comparison() {
-    print_section("F6 / E4: data-retention fault diagnosis — NWRTM vs retention pauses");
-    println!(
-        "{:<46} {:>12} {:>12} {:>10} {:>10}",
-        "configuration", "time (ms)", "pause (ms)", "DRF cov", "located"
-    );
-
-    let mut rows = Vec::new();
-    {
-        let mut soc = drf_population(2, 64, 16, 0.02, 7);
-        let result = HuangScheme::new(10.0)
-            .diagnose(soc.memories_mut())
-            .expect("baseline");
-        let score = soc.score(&result);
-        rows.push(("baseline [7,8] (no DRF diagnosis)", result, score));
-    }
-    {
-        let mut soc = drf_population(2, 64, 16, 0.02, 7);
-        let result = HuangScheme::new(10.0)
-            .with_retention_pause(100)
-            .diagnose(soc.memories_mut())
-            .expect("baseline+pause");
-        let score = soc.score(&result);
-        rows.push(("baseline [7,8] + 2x100 ms pauses", result, score));
-    }
-    {
-        let mut soc = drf_population(2, 64, 16, 0.02, 7);
-        let result = FastScheme::new(10.0)
-            .with_drf_mode(DrfMode::RetentionPause(100))
-            .diagnose(soc.memories_mut())
-            .expect("fast+pause");
-        let score = soc.score(&result);
-        rows.push(("proposed + 2x100 ms pauses", result, score));
-    }
-    {
-        let mut soc = drf_population(2, 64, 16, 0.02, 7);
-        let result = FastScheme::new(10.0)
-            .diagnose(soc.memories_mut())
-            .expect("fast+nwrtm");
-        let score = soc.score(&result);
-        rows.push(("proposed + NWRTM (paper)", result, score));
-    }
-
-    for (label, result, score) in &rows {
-        println!(
-            "{:<46} {:>12.3} {:>12.1} {:>9.0}% {:>10}",
-            label,
-            result.time_ms(),
-            result.pause_ms,
-            score.class_coverage(FaultClass::DataRetention) * 100.0,
-            result.located_count()
-        );
-    }
-    println!(
-        "\npaper claim: NWRTM reaches full DRF coverage with ~2 extra operations per address and no pause"
-    );
-}
-
 fn bench_drf(c: &mut Criterion) {
-    print_drf_comparison();
-
     let mut group = c.benchmark_group("drf_diagnosis");
     group.sample_size(10).measurement_time(Duration::from_secs(2));
 

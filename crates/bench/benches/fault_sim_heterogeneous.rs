@@ -30,7 +30,6 @@
 //! gate (`perf_gate --prefix fault_sim_heterogeneous/`) keeps every
 //! entry within 2x of it.
 
-use bench::print_section;
 use criterion::{criterion_group, criterion_main, Criterion};
 use esram_exec::{cost_ranges, even_ranges};
 use fault_models::{FaultList, FaultUniverse, MemoryFault};
@@ -121,25 +120,10 @@ fn bench_heterogeneous(c: &mut Criterion) {
     let even = bottleneck_contiguous(&costs, even_ranges(universe.len(), MODEL_WORKERS));
     let cost = bottleneck_contiguous(&costs, cost_ranges(&costs, MODEL_WORKERS));
     let (even_cost, cost_cost) = (modeled_cost(&costs, &even), modeled_cost(&costs, &cost));
-    let total: u128 = costs.iter().map(|&c| u128::from(c)).sum();
-    let full_sweeps = costs.iter().filter(|&&c| c == config.words()).count();
     assert!(
         cost_cost < even_cost,
         "the cost-weighted bottleneck ({cost_cost}) must beat even chunking ({even_cost}) on the \
          clustered universe"
-    );
-
-    print_section("P4: heterogeneous-universe scheduling — modeled 8-worker critical paths");
-    println!(
-        "universe: {} faults ({} pruned + {full_sweeps} full-sweep), total modeled cost {total} \
-         row-sweeps (ideal critical path {})",
-        universe.len(),
-        universe.len() - full_sweeps,
-        total / MODEL_WORKERS as u128
-    );
-    println!(
-        "modeled bottleneck cost: even {even_cost}, cost-weighted {cost_cost} ({:.1}x better)",
-        even_cost as f64 / cost_cost as f64
     );
 
     // Both partitions must agree on what the universe contains.

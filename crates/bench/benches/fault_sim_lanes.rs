@@ -13,21 +13,20 @@
 //!   sharding, pruning and golden-run gating, differing only in the
 //!   kernel.
 //!
-//! Both kernels must agree on detections; the printed table reports the
-//! speedups (acceptance bar: >= 4x at benchmark scale, single thread).
+//! Both kernels must agree on detections (asserted before timing); the
+//! committed ledger pair records the speedup (acceptance bar: >= 4x at
+//! benchmark scale, single thread).
 //! These entries feed the CI perf gate (`perf_gate --strict --prefix
 //! fault_sim_lanes/`). When refreshing the committed ledger, run with
 //! `ESRAM_DIAG_THREADS=1` (as CI's gate run does) so the entries do not
 //! encode the recording machine's core count.
 
-use bench::print_section;
 use criterion::{criterion_group, criterion_main, Criterion};
 use esram_exec::THREADS_ENV;
 use fault_models::{DefectProfile, FaultInjector, FaultList, FaultUniverse};
 use march::{algorithms, FaultSimKernel, FaultSimulator, MarchSchedule, ShardPlan};
 use sram_model::MemConfig;
 use std::hint::black_box;
-use std::time::Instant;
 use testutil::{benchmark_geometry, SEEDS};
 
 /// Detections under the given kernel, on the plan `ESRAM_DIAG_THREADS`
@@ -67,59 +66,7 @@ fn defect_rate_point(config: MemConfig) -> FaultList {
     FaultInjector::with_seed(SEEDS[2]).generate(config, &DefectProfile::date2005(0.01))
 }
 
-/// Wall-clock of one run (minimum of five — the same statistic the
-/// perf-gate ledger compares), for the printed table.
-fn time_ms(mut run: impl FnMut() -> usize) -> (usize, f64) {
-    let mut best = f64::MAX;
-    let mut result = 0;
-    for _ in 0..5 {
-        let start = Instant::now();
-        result = black_box(run());
-        best = best.min(start.elapsed().as_secs_f64() * 1e3);
-    }
-    (result, best)
-}
-
-fn print_lanes_table() {
-    print_section("P2: lane-parallel fault simulation — 64-lane kernel vs frozen per-memory kernel");
-
-    let config = benchmark_geometry();
-    let schedule = algorithms::march_cw(config.width());
-    let universe = coverage_slice(config, 8192);
-    let lanes = kernel_sim(config, FaultSimKernel::Lanes);
-    let permem = kernel_sim(config, FaultSimKernel::PerMemory);
-
-    let (lanes_detected, lanes_ms) = time_ms(|| simulate(&lanes, &schedule, &universe));
-    let (permem_detected, permem_ms) = time_ms(|| simulate(&permem, &schedule, &universe));
-    assert_eq!(
-        lanes_detected, permem_detected,
-        "lane and per-memory kernels must agree on detections"
-    );
-    println!(
-        "benchmark scale ({config}, {} faults, March CW): lanes {lanes_ms:.3} ms, \
-         per-memory {permem_ms:.3} ms, speedup {:.1}x (acceptance bar >= 4x at 1 thread)",
-        universe.len(),
-        permem_ms / lanes_ms
-    );
-
-    let sweep_universe = defect_rate_point(config);
-    let (sweep_lanes_detected, sweep_lanes_ms) = time_ms(|| simulate(&lanes, &schedule, &sweep_universe));
-    let (sweep_permem_detected, sweep_permem_ms) = time_ms(|| simulate(&permem, &schedule, &sweep_universe));
-    assert_eq!(
-        sweep_lanes_detected, sweep_permem_detected,
-        "kernels must agree on the defect-rate sweep point"
-    );
-    println!(
-        "defect-rate point ({config}, 1% date2005 profile, {} faults): lanes {sweep_lanes_ms:.3} ms, \
-         per-memory {sweep_permem_ms:.3} ms, speedup {:.1}x",
-        sweep_universe.len(),
-        sweep_permem_ms / sweep_lanes_ms
-    );
-}
-
 fn bench_lanes(c: &mut Criterion) {
-    print_lanes_table();
-
     let mut group = c.benchmark_group("fault_sim_lanes");
     group.sample_size(10);
 
@@ -128,6 +75,12 @@ fn bench_lanes(c: &mut Criterion) {
     let universe = coverage_slice(config, 8192);
     let lanes = kernel_sim(config, FaultSimKernel::Lanes);
     let permem = kernel_sim(config, FaultSimKernel::PerMemory);
+    let lanes_detected = simulate(&lanes, &schedule, &universe);
+    let permem_detected = simulate(&permem, &schedule, &universe);
+    assert_eq!(
+        lanes_detected, permem_detected,
+        "lane and per-memory kernels must agree on detections"
+    );
     group.bench_function("benchmark_scale_lanes", |b| {
         b.iter(|| black_box(simulate(&lanes, &schedule, &universe)))
     });
@@ -136,6 +89,12 @@ fn bench_lanes(c: &mut Criterion) {
     });
 
     let sweep_universe = defect_rate_point(config);
+    let sweep_lanes_detected = simulate(&lanes, &schedule, &sweep_universe);
+    let sweep_permem_detected = simulate(&permem, &schedule, &sweep_universe);
+    assert_eq!(
+        sweep_lanes_detected, sweep_permem_detected,
+        "kernels must agree on the defect-rate sweep point"
+    );
     group.bench_function("defect_rate_point_lanes", |b| {
         b.iter(|| black_box(simulate(&lanes, &schedule, &sweep_universe)))
     });

@@ -11,14 +11,12 @@
 //! does) so the `*_sharded` baselines do not encode the recording
 //! machine's core count.
 
-use bench::print_section;
 use criterion::{criterion_group, criterion_main, Criterion};
 use esram_exec::THREADS_ENV;
 use fault_models::FaultList;
 use march::{algorithms, FaultSimulator, MarchSchedule, ShardPlan};
 use sram_model::MemConfig;
 use std::hint::black_box;
-use std::time::Instant;
 use testutil::{stuck_at_population, SEEDS};
 
 /// S1 scaled-down geometry (as used by the simulated defect-rate sweep).
@@ -44,42 +42,7 @@ fn simulate_sharded(sim: &FaultSimulator, schedule: &MarchSchedule, universe: &F
         .count()
 }
 
-/// Wall-clock of one run (median of three), for the printed table.
-fn time_ms(mut run: impl FnMut() -> usize) -> (usize, f64) {
-    let mut times = Vec::new();
-    let mut result = 0;
-    for _ in 0..3 {
-        let start = Instant::now();
-        result = black_box(run());
-        times.push(start.elapsed().as_secs_f64() * 1e3);
-    }
-    times.sort_by(f64::total_cmp);
-    (result, times[1])
-}
-
-fn print_throughput_table() {
-    print_section("P1: fault-simulation throughput — sharded + pruned library path");
-    println!("shard plan: {} (ESRAM_DIAG_THREADS overrides)", shard_plan());
-    for (label, config, seed) in [
-        ("S1 scaled population", s1_config(), SEEDS[0]),
-        ("benchmark scale", benchmark_config(), SEEDS[1]),
-    ] {
-        let universe = stuck_at_population(config, 64, seed);
-        let schedule = algorithms::march_cw(config.width());
-        let sim = FaultSimulator::new(config);
-        let (detected, ms) = time_ms(|| simulate_sharded(&sim, &schedule, &universe));
-        println!(
-            "{label} ({config}, {} faults, March CW): {detected} detected in {ms:.3} ms \
-             ({:.0} fault-programmes/s)",
-            universe.len(),
-            universe.len() as f64 / (ms / 1e3)
-        );
-    }
-}
-
 fn bench_throughput(c: &mut Criterion) {
-    print_throughput_table();
-
     let mut group = c.benchmark_group("fault_sim_throughput");
     group.sample_size(10);
 

@@ -13,8 +13,8 @@
 //! the wall-clock of the most loaded worker under a modeled
 //! `MODEL_WORKERS`-worker partition, obtained by *executing* exactly
 //! that worker's member share sequentially. The partitions come from
-//! the same pure functions the executor uses ([`even_ranges`],
-//! [`cost_ranges`]), fed by the fleet plan's own calibrated costs
+//! the same pure function the executor uses ([`cost_ranges`]), fed by
+//! the fleet plan's own calibrated costs
 //! ([`FleetPlan::member_costs`]):
 //!
 //! * `serial_jobs_critical_path_8w` — jobs dispatched one at a time,
@@ -34,10 +34,9 @@
 //! wall-clock. The CI perf gate (`perf_gate --strict --prefix fleet`)
 //! keeps every entry within 2× of the committed ledger.
 
-use bench::print_section;
 use criterion::{criterion_group, criterion_main, Criterion};
 use esram_diag::{DiagnosisResult, FastScheme, FleetJob, FleetPlan, FleetRunner, Soc};
-use esram_exec::{cost_ranges, even_ranges};
+use esram_exec::cost_ranges;
 use march::ShardPlan;
 use sram_model::{MemoryId, Sram};
 use std::hint::black_box;
@@ -165,27 +164,13 @@ fn bench_fleet(c: &mut Criterion) {
     }
 
     // Batched dispatch: one global partition over every member.
-    let even = bottleneck_contiguous(&costs, even_ranges(costs.len(), MODEL_WORKERS));
     let cost = bottleneck_contiguous(&costs, cost_ranges(&costs, MODEL_WORKERS));
-    let (even_modeled, cost_modeled) = (modeled_cost(&costs, &even), modeled_cost(&costs, &cost));
-    let total: u128 = costs.iter().map(|&c| u128::from(c)).sum();
+    let cost_modeled = modeled_cost(&costs, &cost);
     let cost_speedup = serial_modeled as f64 / cost_modeled as f64;
     assert!(
         cost_speedup >= REQUIRED_SPEEDUP,
         "batched dispatch must model a >= {REQUIRED_SPEEDUP}x win over serial job dispatch \
          (cost {cost_speedup:.2}x, serial bottleneck {serial_modeled})"
-    );
-
-    print_section("P7: fleet batching — modeled 8-worker critical paths over 32 SoC jobs");
-    println!(
-        "fleet: {} jobs, {} members, total modeled cost {total} (ideal critical path {})",
-        plan.job_count(),
-        plan.member_count(),
-        total / MODEL_WORKERS as u128
-    );
-    println!(
-        "modeled bottleneck cost: serial-jobs {serial_modeled}, batched even {even_modeled}, \
-         batched cost {cost_modeled} ({cost_speedup:.1}x over serial)"
     );
 
     // The batched pipeline must be byte-identical to per-job serial

@@ -1,88 +1,20 @@
-//! F2/F4/F5: serial access fabrics — cycle cost and behaviour of the
-//! bi-directional serial interface versus the SPC/PSC pair, including
-//! the MSB-first vs LSB-first delivery ablation of Sec. 3.2.
+//! F2/F4/F5: times the serial access fabrics — the bi-directional serial
+//! interface and the SPC/PSC pair. Their cycle costs and the Sec. 3.2
+//! MSB-first vs LSB-first delivery ablation are rows of
+//! `examples/goldens/paper_results.md`.
 
-use bench::print_section;
 use criterion::{criterion_group, criterion_main, Criterion};
-use esram_diag::{DataWord, DiagnosisScheme, DrfMode, FastScheme, MemConfig};
+use esram_diag::{DataWord, MemConfig};
 use serial::{
-    BidirectionalSerialInterface, ParallelToSerialConverter, PatternDeliveryBus, SerialToParallelConverter,
-    ShiftDirection, ShiftOrder,
+    BidirectionalSerialInterface, ParallelToSerialConverter, SerialToParallelConverter, ShiftDirection,
+    ShiftOrder,
 };
 use sram_model::Sram;
 use std::collections::BTreeSet;
 use std::hint::black_box;
 use std::time::Duration;
 
-fn print_interface_comparison() {
-    print_section("F2/F4/F5: per-operation cycle cost of the serial access fabrics (c = 100)");
-    let c = 100u64;
-    println!("{:<44} {:>18}", "operation", "cycles");
-    println!("{:<44} {:>18}", "bi-directional interface, one write", c);
-    println!("{:<44} {:>18}", "bi-directional interface, one read", c);
-    println!("{:<44} {:>18}", "SPC pattern delivery (once per element)", c);
-    println!("{:<44} {:>18}", "proposed scheme, one write (parallel)", 1);
-    println!("{:<44} {:>18}", "proposed scheme, one read (+ PSC shift)", 1 + c);
-    println!(
-        "\nfor March C- (5 writes + 5 reads per address) on n = 512:\n  baseline: {} cycles   proposed: {} cycles",
-        10 * 512 * c,
-        5 * 512 + 5 * c + 5 * 512 * (c + 1)
-    );
-
-    print_section("Sec. 3.2 ablation: MSB-first vs LSB-first pattern delivery");
-    let wide = DataWord::from_u64(0b0111, 4);
-    let mut msb_bus = PatternDeliveryBus::with_order(&[4, 3], ShiftOrder::MsbFirst);
-    msb_bus.broadcast(&wide);
-    let mut lsb_bus = PatternDeliveryBus::with_order(&[4, 3], ShiftOrder::LsbFirst);
-    lsb_bus.broadcast(&wide);
-    println!(
-        "pattern DP[3:0] = {wide}; narrow memory (c' = 3) expects {}",
-        wide.truncated_lsb(3)
-    );
-    println!(
-        "  MSB-first delivery -> narrow memory receives {}",
-        msb_bus.pattern_at(1)
-    );
-    println!(
-        "  LSB-first delivery -> narrow memory receives {}",
-        lsb_bus.pattern_at(1)
-    );
-
-    // End-to-end effect: a pristine heterogeneous population diagnosed
-    // with the wrong delivery order raises spurious mismatches.
-    let mut msb_soc = esram_diag::Soc::builder()
-        .memory(32, 8)
-        .expect("geometry")
-        .memory(16, 5)
-        .expect("geometry")
-        .build()
-        .expect("population");
-    let msb_result = FastScheme::new(10.0)
-        .with_drf_mode(DrfMode::None)
-        .diagnose(msb_soc.memories_mut())
-        .expect("msb run");
-    let mut lsb_soc = esram_diag::Soc::builder()
-        .memory(32, 8)
-        .expect("geometry")
-        .memory(16, 5)
-        .expect("geometry")
-        .build()
-        .expect("population");
-    let lsb_result = FastScheme::new(10.0)
-        .with_drf_mode(DrfMode::None)
-        .with_shift_order(ShiftOrder::LsbFirst)
-        .diagnose(lsb_soc.memories_mut())
-        .expect("lsb run");
-    println!(
-        "pristine heterogeneous SoC: {} spurious fault sites with MSB-first, {} with LSB-first",
-        msb_result.located_count(),
-        lsb_result.located_count()
-    );
-}
-
 fn bench_interfaces(c: &mut Criterion) {
-    print_interface_comparison();
-
     let mut group = c.benchmark_group("interface_cycles");
     group.sample_size(10).measurement_time(Duration::from_secs(2));
 

@@ -1,72 +1,12 @@
-//! S2: memory-geometry sweep of diagnosis time and reduction factor —
-//! analytic across the full range, simulated for a subset.
+//! S2: times diagnosis across memory geometries. The reduction factor
+//! across geometries is the S2 rows of `examples/goldens/paper_results.md`.
 
-use bench::print_section;
 use criterion::{criterion_group, criterion_main, Criterion};
-use esram_diag::{size_sweep, DiagnosisScheme, DrfMode, FastScheme, HuangScheme, Soc};
+use esram_diag::{DiagnosisScheme, DrfMode, FastScheme, Soc};
 use std::hint::black_box;
 use std::time::Duration;
 
-fn print_sweep() {
-    print_section("S2: geometry sweep, analytic (1 % defects, 10 ns clock)");
-    println!(
-        "{:>11} {:>6} {:>12} {:>12} {:>8}",
-        "geometry", "k", "T[7,8] ms", "T_prop ms", "R"
-    );
-    let geometries = [
-        (64, 8),
-        (128, 8),
-        (128, 16),
-        (256, 32),
-        (512, 64),
-        (512, 100),
-        (1024, 100),
-        (2048, 128),
-        (4096, 128),
-    ];
-    for point in size_sweep(&geometries, 10.0, 0.01) {
-        println!("{point}");
-    }
-
-    print_section("S2 (simulated): single-memory populations, 1 % defects");
-    println!(
-        "{:>11} {:>14} {:>14} {:>8}",
-        "geometry", "baseline ms", "proposed ms", "R"
-    );
-    for (words, width) in [(32u64, 8usize), (64, 16), (128, 16)] {
-        let build = || {
-            Soc::builder()
-                .memory(words, width)
-                .expect("geometry")
-                .defect_rate(0.01)
-                .seed(21)
-                .build()
-                .expect("population")
-        };
-        let mut baseline_soc = build();
-        let baseline = HuangScheme::new(10.0)
-            .diagnose(baseline_soc.memories_mut())
-            .expect("baseline");
-        let mut fast_soc = build();
-        let fast = FastScheme::new(10.0)
-            .with_drf_mode(DrfMode::None)
-            .diagnose(fast_soc.memories_mut())
-            .expect("fast");
-        println!(
-            "{:>7}x{:<3} {:>14.4} {:>14.4} {:>8.1}",
-            words,
-            width,
-            baseline.time_ms(),
-            fast.time_ms(),
-            fast.speedup_versus(&baseline)
-        );
-    }
-    println!("\nshape check: R grows with the IO width (the baseline serialises every operation by c)");
-}
-
 fn bench_size(c: &mut Criterion) {
-    print_sweep();
-
     let mut group = c.benchmark_group("size_sweep");
     group.sample_size(10).measurement_time(Duration::from_secs(2));
     for (words, width) in [(32u64, 8usize), (128, 16)] {

@@ -1,6 +1,7 @@
-//! E1–E4: diagnosis-time models (Eq. 1–4) and the Sec. 4.2 case study,
-//! plus a cycle-accurate simulated comparison of both schemes and the
-//! 512-memory population measurement points:
+//! E1–E4: times the diagnosis-time models (Eq. 1–4), both simulated
+//! schemes, and the 512-memory population measurement points (the
+//! case-study numbers are the E1–E4 rows of
+//! `examples/goldens/paper_results.md`):
 //!
 //! * `population_golden_soa_512mem` — the golden-state maintenance of
 //!   the shared SoA [`GoldenStore`] alone, driven by the fast scheme's
@@ -12,11 +13,11 @@
 //! * `score_case_study_4x512x100` — scoring the Sec. 4.2 case study's
 //!   bit-parallel diagnosis against its injected faults.
 
-use bench::{print_section, small_population};
+use bench::small_population;
 use criterion::{criterion_group, criterion_main, Criterion};
 use esram_diag::{
-    AnalyticModel, CaseStudy, DataBackground, DataBackgroundGenerator, DiagnosisKernel, DiagnosisScheme,
-    DrfMode, FastScheme, FaultClass, GoldenStore, HuangScheme, MarchSchedule, MemConfig, ShardPlan, Soc,
+    CaseStudy, DataBackground, DataBackgroundGenerator, DiagnosisKernel, DiagnosisScheme, DrfMode,
+    FastScheme, FaultClass, GoldenStore, HuangScheme, MarchSchedule, MemConfig, ShardPlan, Soc,
 };
 use esram_exec::THREADS_ENV;
 use sram_model::Address;
@@ -71,69 +72,7 @@ fn golden_soa_stream(configs: &[MemConfig], schedule: &MarchSchedule) -> usize {
     checksum
 }
 
-fn print_case_study() {
-    print_section("E1-E4: Sec. 4.2 case study (n = 512, c = 100, t = 10 ns, 1 % defects)");
-    let report = CaseStudy::date2005().evaluate();
-    print!("{}", report.to_table());
-    println!("paper: R >= 84 without DRFs, R >= 145 with DRFs");
-
-    let model = AnalyticModel::date2005_benchmark();
-    println!(
-        "\nEq. (1) baseline cycles (k = 96): {}\nEq. (2) proposed cycles:          {}",
-        model.baseline_cycles(96),
-        model.proposed_cycles()
-    );
-}
-
-fn print_simulated_comparison() {
-    print_section("E1-E4 (simulated): cycle-accurate comparison on a shared defect population");
-    println!(
-        "{:<34} {:>14} {:>12} {:>10} {:>8}",
-        "scheme", "cycles", "time (ms)", "located", "iters"
-    );
-    let mut rows = Vec::new();
-    for (label, rate) in [
-        ("0.5 % defects", 0.005),
-        ("1 % defects", 0.01),
-        ("2 % defects", 0.02),
-    ] {
-        let mut baseline_soc = small_population(4, 64, 16, rate, 42);
-        let baseline = HuangScheme::new(10.0)
-            .diagnose(baseline_soc.memories_mut())
-            .expect("baseline run");
-        let mut fast_soc = small_population(4, 64, 16, rate, 42);
-        let fast = FastScheme::new(10.0)
-            .with_drf_mode(DrfMode::None)
-            .diagnose(fast_soc.memories_mut())
-            .expect("fast run");
-        println!(
-            "{:<34} {:>14} {:>12.4} {:>10} {:>8}",
-            format!("baseline [7,8], {label}"),
-            baseline.cycles,
-            baseline.time_ms(),
-            baseline.located_count(),
-            baseline.iterations
-        );
-        println!(
-            "{:<34} {:>14} {:>12.4} {:>10} {:>8}",
-            format!("proposed,       {label}"),
-            fast.cycles,
-            fast.time_ms(),
-            fast.located_count(),
-            fast.iterations
-        );
-        rows.push((label, fast.speedup_versus(&baseline)));
-    }
-    println!();
-    for (label, reduction) in rows {
-        println!("simulated reduction factor R at {label}: {reduction:.1}");
-    }
-}
-
 fn bench_time_models(c: &mut Criterion) {
-    print_case_study();
-    print_simulated_comparison();
-
     let mut group = c.benchmark_group("time_models");
     group.sample_size(10).measurement_time(Duration::from_secs(2));
 

@@ -1,21 +1,14 @@
 //! Shared helpers for the benchmark harnesses.
 //!
-//! Every bench target in `benches/` regenerates one of the paper's
-//! evaluation artefacts (see `DESIGN.md`, experiment index): it first
-//! prints the corresponding table to stdout and then lets Criterion
-//! measure a representative kernel so regressions in the simulation
-//! speed itself are visible too.
+//! Every bench target in `benches/` times the kernel behind one of the
+//! paper's evaluation artefacts (see `DESIGN.md`, experiment index) and
+//! prints nothing: the artefacts themselves are asserted by
+//! `crates/core/tests/paper_results.rs` and committed as
+//! `examples/goldens/paper_results.md`.
 
 use esram_diag::Soc;
 
 pub mod ledger;
-
-/// Prints a section header for a regenerated table.
-pub fn print_section(title: &str) {
-    println!("\n================================================================");
-    println!("{title}");
-    println!("================================================================");
-}
 
 /// Builds a reproducible small defective population used by several
 /// benches: `memories` e-SRAMs of `words x width` at the given defect

@@ -244,6 +244,7 @@ fn malformed_specs_fail_with_span_bearing_errors() {
         "invalid/trailing_garbage.toml",
         "invalid/unknown_faultsim_kernel.toml",
         "invalid/huge_count.toml",
+        "invalid/deep_nesting.toml",
     ] {
         let output = esram(&["compile", example(spec).to_str().unwrap()], &[]);
         assert_eq!(output.status.code(), Some(1), "{spec} must exit 1: {output:?}");
@@ -271,6 +272,37 @@ fn oversized_spec_is_rejected_before_anything_is_allocated() {
         stderr.contains("line 9, column 9") && stderr.contains("'count'"),
         "the rejection must point at the count: {stderr}"
     );
+}
+
+#[test]
+fn deeply_nested_input_is_rejected_instead_of_overflowing_the_stack() {
+    let dir = out_dir("deep-nesting");
+    std::fs::create_dir_all(&dir).unwrap();
+    let nested = format!("{}{}", "[".repeat(200_000), "]".repeat(200_000));
+    let spec = dir.join("deep.toml");
+    std::fs::write(
+        &spec,
+        format!(
+            "[scenario]\nname = \"deep\"\n\n[[memory]]\nwords = 64\nwidth = 8\n\n[sweep]\nseeds = {nested}\n"
+        ),
+    )
+    .unwrap();
+    let report = dir.join("report.json");
+    std::fs::write(&report, &nested).unwrap();
+
+    let spec = spec.to_str().unwrap();
+    let out = dir.join("out");
+    for args in [
+        vec!["compile", spec],
+        vec!["run", spec, "--out", out.to_str().unwrap()],
+        vec!["report", report.to_str().unwrap()],
+    ] {
+        let output = esram(&args, &[]);
+        assert_eq!(output.status.code(), Some(1), "{args:?} must exit 1: {output:?}");
+        let stderr = String::from_utf8(output.stderr).unwrap();
+        assert!(stderr.contains("nested more than"), "{args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

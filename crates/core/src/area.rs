@@ -17,9 +17,11 @@
 //! The module reports the per-memory and population-wide overheads
 //! relative to the memory cell array. For the benchmark population the
 //! paper quotes ≈ 1.8 % total; our itemised accounting (interface cells
-//! only, no control routing) yields ≈ 1.0 % total and exactly the
-//! 3-cells-per-bit *extra*, which is the claim the architecture depends
-//! on; the difference is noted in `EXPERIMENTS.md`.
+//! only, no control routing) yields ≈ 1.0 % total. Charging a 2:1
+//! multiplexer half a cell makes the *extra* 2.5 cells per bit; charging
+//! each multiplexer a full cell, as the paper does, makes it exactly 3.
+//! Both differences are DESIGN.md's "Modelling substitutions" 5 and the
+//! E6 rows of `examples/goldens/paper_results.md`.
 
 use sram_model::MemConfig;
 use std::fmt;

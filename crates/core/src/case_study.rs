@@ -84,8 +84,8 @@ pub struct CaseStudyReport {
 }
 
 impl CaseStudyReport {
-    /// Renders the report as the two-row comparison table printed by the
-    /// benchmark harness.
+    /// Renders the report as a two-row comparison table (without and
+    /// with DRF diagnosis).
     pub fn to_table(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(

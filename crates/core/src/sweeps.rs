@@ -1,8 +1,9 @@
 //! Parameter sweeps over defect rate and memory geometry.
 //!
-//! These extend the paper's single-point case study into the curves the
-//! benchmark harness prints: how the reduction factor `R` behaves as the
-//! defect rate, capacity and width of the benchmark memory change.
+//! These extend the paper's single-point case study into curves: how the
+//! reduction factor `R` behaves as the defect rate, capacity and width
+//! of the benchmark memory change (the S1/S2 rows of
+//! `examples/goldens/paper_results.md`).
 
 use crate::analytic::AnalyticModel;
 use std::fmt;

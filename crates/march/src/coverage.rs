@@ -131,7 +131,7 @@ impl CoverageReport {
     }
 
     /// Renders the report as a fixed-width text table (one row per
-    /// class plus a totals row), as printed by the coverage benches.
+    /// class plus a totals row), headed by the report's name.
     pub fn to_table(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("coverage of {}\n", self.name));

@@ -59,6 +59,8 @@ pub enum SpecErrorKind {
     DuplicateKey(String),
     /// The same `[section]` header opened twice.
     DuplicateSection(String),
+    /// Arrays nested deeper than [`MAX_NESTING`](crate::MAX_NESTING).
+    NestingTooDeep,
 
     // ---- schema validation -------------------------------------------
     /// A key before the first `[section]` header.
@@ -138,6 +140,9 @@ impl fmt::Display for SpecErrorKind {
             SpecErrorKind::TrailingGarbage => write!(f, "trailing garbage after the value"),
             SpecErrorKind::DuplicateKey(key) => write!(f, "key '{key}' is assigned twice"),
             SpecErrorKind::DuplicateSection(name) => write!(f, "section [{name}] appears twice"),
+            SpecErrorKind::NestingTooDeep => {
+                write!(f, "arrays nested more than {} deep", crate::MAX_NESTING)
+            }
             SpecErrorKind::RootKey(key) => {
                 write!(f, "key '{key}' appears before any section header")
             }

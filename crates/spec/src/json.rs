@@ -8,6 +8,7 @@
 //! exists for the `esram report` subcommand and for tests that want to
 //! read fields back out of a written report.
 
+use crate::MAX_NESTING;
 use std::fmt;
 
 /// A JSON value. Objects preserve insertion order — no sorting, no
@@ -143,6 +144,7 @@ impl Json {
         let mut parser = Parser {
             bytes: source.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         parser.skip_whitespace();
         let value = parser.value()?;
@@ -201,6 +203,8 @@ fn write_string(out: &mut String, raw: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects enclosing the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -219,7 +223,27 @@ impl Parser<'_> {
         }
     }
 
+    /// Parses the value at `pos`, rejecting arrays and objects nested
+    /// deeper than [`MAX_NESTING`] before they can exhaust the stack.
     fn value(&mut self) -> Result<Json, String> {
+        if !matches!(self.bytes.get(self.pos), Some(b'[' | b'{')) {
+            return self.unnested_value();
+        }
+        if self.depth == MAX_NESTING {
+            return Err(format!(
+                "arrays and objects nested more than {MAX_NESTING} deep at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = self.unnested_value();
+        self.depth -= 1;
+        value
+    }
+
+    /// Parses the value at `pos`; the values inside an array or object
+    /// go back through [`Parser::value`].
+    fn unnested_value(&mut self) -> Result<Json, String> {
         match self.bytes.get(self.pos) {
             None => Err("unexpected end of input".to_string()),
             Some(b'n') => self.literal("null", Json::Null),
@@ -424,6 +448,22 @@ mod tests {
         assert!(Json::parse("\"open").is_err());
         assert!(Json::parse("{} trailing").is_err());
         assert!(Json::parse("nul").is_err());
+    }
+
+    #[test]
+    fn arrays_and_objects_nest_up_to_the_cap_and_no_deeper() {
+        let nested = |depth: usize| {
+            (0..depth).fold("1".to_string(), |inner, level| {
+                if level % 2 == 0 {
+                    format!("[{inner}]")
+                } else {
+                    format!("{{\"a\":{inner}}}")
+                }
+            })
+        };
+        assert!(Json::parse(&nested(MAX_NESTING)).is_ok());
+        let error = Json::parse(&nested(MAX_NESTING + 1)).unwrap_err();
+        assert!(error.contains("nested more than"), "{error}");
     }
 
     #[test]

@@ -41,3 +41,9 @@ pub use spec::{
     SweepSpec, DEFAULT_SEED, MAX_CELLS,
 };
 pub use toml::Span;
+
+/// Deepest nesting of arrays (and, in reports, objects) the spec and
+/// report parsers accept. Both parsers recurse once per level, so
+/// deeper input is rejected with an error instead of overflowing the
+/// stack.
+pub const MAX_NESTING: usize = 32;

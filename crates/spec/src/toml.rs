@@ -15,6 +15,8 @@
 //!   exponent), booleans, and single-line arrays,
 //! * `#` comments and blank lines.
 //!
+//! Arrays nest at most [`MAX_NESTING`] levels deep.
+//!
 //! Anything outside the subset — multi-line strings, dotted keys,
 //! inline tables, dates — is rejected with a span instead of silently
 //! misparsed. Duplicate keys and duplicate `[section]` headers are
@@ -22,6 +24,7 @@
 //! the `[[memory]]` groups work.
 
 use crate::error::{SpecError, SpecErrorKind};
+use crate::MAX_NESTING;
 use std::fmt;
 
 /// A 1-based (line, column) position in the spec source, carried by
@@ -173,7 +176,7 @@ pub fn parse(source: &str) -> Result<TomlDocument, SpecError> {
         }
         cursor.advance();
         cursor.skip_whitespace();
-        let value = parse_value(&mut cursor)?;
+        let value = parse_value(&mut cursor, 0)?;
         cursor.skip_whitespace();
         if !cursor.at_end_or_comment() {
             return Err(SpecError::new(SpecErrorKind::TrailingGarbage, cursor.span()));
@@ -257,12 +260,18 @@ fn parse_key(cursor: &mut Cursor<'_>) -> Result<Spanned<String>, SpecError> {
     Ok(Spanned { value: key, span })
 }
 
-fn parse_value(cursor: &mut Cursor<'_>) -> Result<Spanned<TomlValue>, SpecError> {
+/// Parses one value; `depth` counts the arrays enclosing it, so nesting
+/// deeper than [`MAX_NESTING`] is rejected before it can exhaust the
+/// stack.
+fn parse_value(cursor: &mut Cursor<'_>, depth: usize) -> Result<Spanned<TomlValue>, SpecError> {
     let span = cursor.span();
     let value = match cursor.peek() {
         None => return Err(SpecError::new(SpecErrorKind::ExpectedValue, span)),
         Some('"') => TomlValue::String(parse_basic_string(cursor)?),
         Some('[') => {
+            if depth == MAX_NESTING {
+                return Err(SpecError::new(SpecErrorKind::NestingTooDeep, span));
+            }
             cursor.advance();
             let mut items = Vec::new();
             loop {
@@ -284,9 +293,9 @@ fn parse_value(cursor: &mut Cursor<'_>) -> Result<Spanned<TomlValue>, SpecError>
                             cursor.advance();
                             break;
                         }
-                        items.push(parse_value(cursor)?);
+                        items.push(parse_value(cursor, depth + 1)?);
                     }
-                    Some(_) if items.is_empty() => items.push(parse_value(cursor)?),
+                    Some(_) if items.is_empty() => items.push(parse_value(cursor, depth + 1)?),
                     Some(_) => {
                         return Err(SpecError::new(SpecErrorKind::TrailingGarbage, cursor.span()));
                     }

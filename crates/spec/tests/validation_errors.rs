@@ -2,7 +2,7 @@
 //! rejected produces the right kind, anchored at a real span, and a
 //! `Display` line the CI negative rows can grep (`line N, column M`).
 
-use esram_spec::{ScenarioSpec, SpecError, SpecErrorKind, MAX_CELLS};
+use esram_spec::{ScenarioSpec, SpecError, SpecErrorKind, MAX_CELLS, MAX_NESTING};
 
 /// A minimal valid spec the mutations below build on.
 const VALID: &str = concat!(
@@ -109,6 +109,25 @@ fn duplicate_key() {
 fn duplicate_section() {
     let source = format!("{VALID}[defects]\n[defects]\n");
     assert!(matches!(reject(&source).kind, SpecErrorKind::DuplicateSection(name) if name == "defects"));
+}
+
+#[test]
+fn nesting_too_deep() {
+    let nested = |depth: usize| {
+        format!(
+            "{VALID}\n[sweep]\nseeds = {}{}\n",
+            "[".repeat(depth),
+            "]".repeat(depth)
+        )
+    };
+    // At the cap the arrays parse and the schema rejects their type.
+    assert!(matches!(
+        reject(&nested(MAX_NESTING)).kind,
+        SpecErrorKind::WrongType { .. }
+    ));
+    let error = reject(&nested(MAX_NESTING + 1));
+    assert!(matches!(error.kind, SpecErrorKind::NestingTooDeep));
+    assert_eq!((error.span.line, error.span.col), (9, 9 + MAX_NESTING));
 }
 
 // ---- schema validation ---------------------------------------------
