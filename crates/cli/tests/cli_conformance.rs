@@ -96,7 +96,11 @@ fn run_spec(spec: &str, tag: &str, knobs: &[(&str, &str)]) -> (Output, String) {
 
 #[test]
 fn compile_accepts_the_checked_in_examples() {
-    for spec in ["case_study_512x100.toml", "defect_rate_sweep.toml"] {
+    for spec in [
+        "case_study_512x100.toml",
+        "defect_rate_sweep.toml",
+        "baseline_comparison.toml",
+    ] {
         let output = esram(&["compile", example(spec).to_str().unwrap()], &[]);
         assert!(output.status.success(), "compile {spec} failed: {output:?}");
         let stdout = String::from_utf8(output.stdout).unwrap();
@@ -153,19 +157,41 @@ fn sweep_example_reproduces_the_committed_golden() {
 }
 
 #[test]
+fn baseline_example_reproduces_the_committed_golden() {
+    let (output, report) = run_spec("baseline_comparison.toml", "baseline", &[]);
+    assert!(output.status.success(), "run failed: {output:?}");
+    let committed = std::fs::read_to_string(golden("baseline_comparison")).unwrap();
+    assert_eq!(
+        report, committed,
+        "baseline report drifted from the committed golden"
+    );
+    // The spec exists to exercise the baseline's repeated M1 iterations.
+    let document = Json::parse(&report).unwrap();
+    let jobs = document.get("jobs").and_then(Json::as_array).unwrap();
+    assert!(
+        jobs.iter()
+            .all(|job| job.get("iterations").and_then(Json::as_int) >= Some(2)),
+        "every baseline job must need k >= 2 M1 iterations"
+    );
+}
+
+#[test]
 fn reports_are_byte_identical_across_threads() {
-    let baseline = std::fs::read_to_string(golden("case_study_512x100")).unwrap();
-    for threads in ["1", "2", "7", "32"] {
+    for (name, threads) in ["case_study_512x100", "baseline_comparison"]
+        .into_iter()
+        .flat_map(|name| ["1", "2", "7", "32"].map(|threads| (name, threads)))
+    {
+        let committed = std::fs::read_to_string(golden(name)).unwrap();
         let (output, report, timing) = run_spec_path(
-            &example("case_study_512x100.toml"),
-            &format!("det-{threads}"),
+            &example(&format!("{name}.toml")),
+            &format!("det-{name}-{threads}"),
             &[("ESRAM_DIAG_THREADS", threads)],
         );
         assert!(
             output.status.success(),
-            "run ({threads} threads) failed: {output:?}"
+            "{name} run ({threads} threads) failed: {output:?}"
         );
-        assert_eq!(report, baseline, "report bytes differ at {threads} threads");
+        assert_eq!(report, committed, "{name} report bytes differ at {threads} threads");
         // The knob must take effect: the plan the run used is recorded.
         let timing = Json::parse(&timing).unwrap();
         assert_eq!(
@@ -181,7 +207,7 @@ fn per_memory_kernel_reproduces_the_committed_goldens() {
     // The end-to-end differential check of the dense oracle: the same
     // specs pinned to `kernel = "per-memory"` must give the golden
     // bytes, apart from the echoed kernel name.
-    for name in ["case_study_512x100", "defect_rate_sweep"] {
+    for name in ["case_study_512x100", "defect_rate_sweep", "baseline_comparison"] {
         let source = std::fs::read_to_string(example(&format!("{name}.toml"))).unwrap();
         let dir = out_dir(&format!("permem-spec-{name}"));
         std::fs::create_dir_all(&dir).unwrap();
