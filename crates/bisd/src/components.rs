@@ -247,7 +247,8 @@ impl StepIndex {
 ///
 /// Each memory's serialised response is compared bit by bit against the
 /// expected value; mismatches become [`DiagnosisRecord`]s in the run's
-/// [`DiagnosisLog`].
+/// [`DiagnosisLog`]. A record keeps the failing bit positions, not the
+/// two words: both follow from the record (see [`DiagnosisRecord`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ComparatorArray {
     log: DiagnosisLog,
@@ -268,7 +269,6 @@ impl ComparatorArray {
     /// # Panics
     ///
     /// Panics if the expected and observed widths differ.
-    #[allow(clippy::too_many_arguments)]
     pub fn compare(
         &mut self,
         memory: MemoryId,
@@ -285,8 +285,6 @@ impl ComparatorArray {
                 address,
                 background,
                 element: element.to_string(),
-                expected: expected.clone(),
-                observed: observed.clone(),
                 failing_bits: failing.clone(),
             });
         }

@@ -491,7 +491,6 @@ impl PopulationPlan {
             log
         };
         DiagnosisResult {
-            scheme: DiagnosisScheme::name(&self.scheme).to_string(),
             log,
             cycles: self.cycles,
             pause_ms: self.pause_ms,

@@ -214,7 +214,6 @@ impl HuangScheme {
         }
 
         Ok(DiagnosisResult {
-            scheme: self.name().to_string(),
             log,
             cycles,
             pause_ms,
@@ -328,8 +327,7 @@ fn run_group_serially(
     known: &mut BTreeSet<(Address, usize)>,
     per_direction_budget: usize,
 ) -> Result<usize, MemError> {
-    let width = memory.config().width();
-    let interface = BidirectionalSerialInterface::new(width);
+    let interface = BidirectionalSerialInterface::new(memory.config().width());
     let mut found = 0usize;
     let mut found_right = 0usize;
     let mut found_left = 0usize;
@@ -351,7 +349,7 @@ fn run_group_serially(
             if *budget_used < per_direction_budget && known.insert((address, bit)) {
                 *budget_used += 1;
                 found += 1;
-                log.push(located_record(memory.id, element, address, bit, width));
+                log.push(located_record(memory.id, element, address, bit));
             }
         }
     }
@@ -359,26 +357,15 @@ fn run_group_serially(
 }
 
 /// Builds the diagnosis record the baseline controller registers for one
-/// located cell: the failing address, bit and data background (the
-/// serial interface does not hand back the full word, so expected and
-/// observed are reconstructed from the background and the failing bit).
-fn located_record(
-    memory: MemoryId,
-    element: &MarchElement,
-    address: Address,
-    bit: usize,
-    width: usize,
-) -> DiagnosisRecord {
-    let expected = DataBackground::Solid.pattern(width, address.index());
-    let mut observed = expected.clone();
-    observed.set(bit, !observed.bit(bit));
+/// located cell: the failing address, bit and data background. The
+/// serial interface hands back only the failing bit position, not the
+/// word.
+fn located_record(memory: MemoryId, element: &MarchElement, address: Address, bit: usize) -> DiagnosisRecord {
     DiagnosisRecord {
         memory,
         address,
         background: DataBackground::Solid,
         element: element.label.clone().unwrap_or_else(|| "M1".to_string()),
-        expected,
-        observed,
         failing_bits: vec![bit].into(),
     }
 }

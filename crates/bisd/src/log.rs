@@ -2,7 +2,7 @@
 
 use fault_models::MemoryFault;
 use march::DataBackground;
-use sram_model::{Address, DataWord, FailingBits, MemoryId};
+use sram_model::{Address, FailingBits, MemoryId};
 use std::fmt;
 
 /// A located faulty bit cell: memory, word address and bit position.
@@ -31,8 +31,19 @@ impl fmt::Display for FaultSite {
 
 /// One comparator-array mismatch, i.e. the diagnosis information the
 /// paper says is "registered for on-chip repair or shifted out for
-/// off-line analysis": the failing address, the applied data background,
-/// the expected and observed data and the failing bit positions.
+/// off-line analysis": the failing address, the applied data background
+/// and the failing bit positions.
+///
+/// The expected and observed words are not stored. In the fast scheme
+/// the expected word is the controller's golden word for the record's
+/// memory and address at the detecting element (see
+/// [`GoldenStore`](crate::GoldenStore)): the pattern last written
+/// there, as the memory's SPC received it. That is the record's
+/// background at the element's read value, except on a smaller memory's
+/// wrapped-around revisit of a word the element already rewrote. The
+/// observed word is the expected word with every bit of `failing_bits`
+/// flipped. The baseline's bi-directional interface shifts out only the
+/// failing bit position, so its records fix no word.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DiagnosisRecord {
     /// Memory in which the mismatch was observed.
@@ -43,10 +54,6 @@ pub struct DiagnosisRecord {
     pub background: DataBackground,
     /// Label of the March element that detected the mismatch.
     pub element: String,
-    /// Expected read data.
-    pub expected: DataWord,
-    /// Observed read data.
-    pub observed: DataWord,
     /// Failing bit positions.
     pub failing_bits: FailingBits,
 }
@@ -64,8 +71,8 @@ impl fmt::Display for DiagnosisRecord {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} {} [{}]: expected {} observed {} (bits {:?})",
-            self.memory, self.address, self.element, self.expected, self.observed, self.failing_bits
+            "{} {} [{}] under {}: bits {:?}",
+            self.memory, self.address, self.element, self.background, self.failing_bits
         )
     }
 }
@@ -241,8 +248,6 @@ mod tests {
             address: Address::new(address),
             background: DataBackground::Solid,
             element: "M1".to_string(),
-            expected: DataWord::zero(4),
-            observed: DataWord::splat(true, 4),
             failing_bits: bits.into(),
         }
     }

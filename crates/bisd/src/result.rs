@@ -8,8 +8,6 @@ use std::fmt;
 /// The outcome of one end-to-end diagnosis run over a memory population.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiagnosisResult {
-    /// Name of the scheme that produced the result.
-    pub scheme: String,
     /// Every comparator mismatch observed during the run.
     pub log: DiagnosisLog,
     /// Total controller clock cycles consumed by the run.
@@ -82,8 +80,7 @@ impl fmt::Display for DiagnosisResult {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}: {} faults located in {} cycles ({:.3} ms, {} iterations)",
-            self.scheme,
+            "{} faults located in {} cycles ({:.3} ms, {} iterations)",
             self.located_count(),
             self.cycles,
             self.time_ms(),
@@ -97,11 +94,9 @@ mod tests {
     use super::*;
     use crate::log::DiagnosisRecord;
     use march::DataBackground;
-    use sram_model::DataWord;
 
     fn result_with(cycles: u64, pause_ms: f64, t: f64) -> DiagnosisResult {
         DiagnosisResult {
-            scheme: "test".to_string(),
             log: DiagnosisLog::new(),
             cycles,
             pause_ms,
@@ -134,12 +129,9 @@ mod tests {
             address: Address::new(7),
             background: DataBackground::Solid,
             element: "M2".to_string(),
-            expected: DataWord::zero(4),
-            observed: DataWord::from_u64(0b1000, 4),
             failing_bits: vec![3].into(),
         });
         let result = DiagnosisResult {
-            scheme: "demo".to_string(),
             log,
             cycles: 10,
             pause_ms: 0.0,
@@ -154,7 +146,7 @@ mod tests {
             result.failing_addresses(MemoryId::new(1)),
             BTreeSet::from([Address::new(7)])
         );
-        assert!(result.to_string().contains("demo"));
+        assert!(result.to_string().contains("1 faults located"));
         assert!(result.to_string().contains("2 iterations"));
     }
 }

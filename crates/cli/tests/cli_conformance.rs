@@ -191,7 +191,10 @@ fn reports_are_byte_identical_across_threads() {
             output.status.success(),
             "{name} run ({threads} threads) failed: {output:?}"
         );
-        assert_eq!(report, committed, "{name} report bytes differ at {threads} threads");
+        assert_eq!(
+            report, committed,
+            "{name} report bytes differ at {threads} threads"
+        );
         // The knob must take effect: the plan the run used is recorded.
         let timing = Json::parse(&timing).unwrap();
         assert_eq!(

@@ -104,7 +104,7 @@ mod tests {
     use fault_models::{FaultList, MemoryFault};
     use march::DataBackground;
     use sram_model::cell::CellCoord;
-    use sram_model::{Address, DataWord, DecoderFault, DecoderFaultKind, MemConfig, MemoryId};
+    use sram_model::{Address, DecoderFault, DecoderFaultKind, MemConfig, MemoryId};
 
     fn memory_with(faults: Vec<MemoryFault>) -> MemoryUnderDiagnosis {
         let config = MemConfig::new(16, 4).unwrap();
@@ -175,12 +175,9 @@ mod tests {
             address: Address::new(6),
             background: DataBackground::Solid,
             element: "M1".to_string(),
-            expected: DataWord::zero(4),
-            observed: DataWord::splat(true, 4),
             failing_bits: vec![0, 1, 2, 3].into(),
         });
         let result = DiagnosisResult {
-            scheme: "hand-built".to_string(),
             log,
             cycles: 0,
             pause_ms: 0.0,

@@ -6,7 +6,6 @@
 //! `examples/goldens/paper_results.md`).
 
 use crate::analytic::AnalyticModel;
-use std::fmt;
 
 /// One row of the defect-rate sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -25,22 +24,6 @@ pub struct DefectRatePoint {
     pub reduction_without_drf: f64,
     /// Reduction factor with DRF diagnosis (Eq. 4).
     pub reduction_with_drf: f64,
-}
-
-impl fmt::Display for DefectRatePoint {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{:>6.2}% {:>8} {:>6} {:>12.3} {:>12.3} {:>8.1} {:>8.1}",
-            self.defect_rate * 100.0,
-            self.faults,
-            self.iterations,
-            self.baseline_ms,
-            self.proposed_ms,
-            self.reduction_without_drf,
-            self.reduction_with_drf
-        )
-    }
 }
 
 /// Sweeps the defect rate at fixed geometry (the paper's benchmark by
@@ -79,21 +62,6 @@ pub struct SizePoint {
     pub proposed_ms: f64,
     /// Reduction factor without DRF diagnosis.
     pub reduction_without_drf: f64,
-}
-
-impl fmt::Display for SizePoint {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{:>6}x{:<4} {:>6} {:>12.3} {:>12.3} {:>8.1}",
-            self.words,
-            self.width,
-            self.iterations,
-            self.baseline_ms,
-            self.proposed_ms,
-            self.reduction_without_drf
-        )
-    }
 }
 
 /// Sweeps memory geometry at a fixed defect rate and clock period.
@@ -150,14 +118,5 @@ mod tests {
         // only pays c per read shift-out, so R grows with the width.
         let points = size_sweep(&[(512, 8), (512, 32), (512, 100)], 10.0, 0.01);
         assert!(points[2].reduction_without_drf > points[0].reduction_without_drf);
-    }
-
-    #[test]
-    fn rows_render_for_the_bench_tables() {
-        let model = AnalyticModel::date2005_benchmark();
-        let text = defect_rate_sweep(&model, &[0.01])[0].to_string();
-        assert!(text.contains("96"));
-        let text = size_sweep(&[(512, 100)], 10.0, 0.01)[0].to_string();
-        assert!(text.contains("512x100"));
     }
 }

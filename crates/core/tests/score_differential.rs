@@ -9,8 +9,8 @@
 
 use bisd::{DiagnosisLog, DiagnosisRecord, FaultSite};
 use esram_diag::{
-    Address, DataBackground, DataWord, DiagnosisResult, DiagnosisScheme, DiagnosisScore, FastScheme,
-    FaultClass, FaultList, HuangScheme, MemConfig, MemoryFault, MemoryId, MemoryUnderDiagnosis, Soc,
+    Address, DataBackground, DiagnosisResult, DiagnosisScheme, DiagnosisScore, FastScheme, FaultClass,
+    FaultList, HuangScheme, MemConfig, MemoryFault, MemoryId, MemoryUnderDiagnosis, Soc,
 };
 use proptest::prelude::*;
 use sram_model::cell::CellCoord;
@@ -95,8 +95,6 @@ fn record(memory: u32, address: u64, bits: Vec<usize>) -> DiagnosisRecord {
         address: Address::new(address),
         background: DataBackground::Solid,
         element: "M1".to_string(),
-        expected: DataWord::zero(WIDTH),
-        observed: DataWord::splat(true, WIDTH),
         failing_bits: bits.into(),
     }
 }
@@ -105,7 +103,6 @@ fn result_of(records: Vec<DiagnosisRecord>) -> DiagnosisResult {
     let mut log = DiagnosisLog::new();
     log.extend(records);
     DiagnosisResult {
-        scheme: "hand-built".to_string(),
         log,
         cycles: 0,
         pause_ms: 0.0,

@@ -129,38 +129,6 @@ impl CoverageReport {
             self.located() as f64 / self.total() as f64
         }
     }
-
-    /// Renders the report as a fixed-width text table (one row per
-    /// class plus a totals row), headed by the report's name.
-    pub fn to_table(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("coverage of {}\n", self.name));
-        out.push_str(&format!(
-            "{:<6} {:>8} {:>10} {:>10} {:>10} {:>10}\n",
-            "class", "faults", "detected", "det %", "located", "loc %"
-        ));
-        for (class, coverage) in self.classes() {
-            out.push_str(&format!(
-                "{:<6} {:>8} {:>10} {:>9.1}% {:>10} {:>9.1}%\n",
-                class.name(),
-                coverage.total,
-                coverage.detected,
-                coverage.detection() * 100.0,
-                coverage.located,
-                coverage.location() * 100.0
-            ));
-        }
-        out.push_str(&format!(
-            "{:<6} {:>8} {:>10} {:>9.1}% {:>10} {:>9.1}%\n",
-            "all",
-            self.total(),
-            self.detected(),
-            self.detection_coverage() * 100.0,
-            self.located(),
-            self.location_coverage() * 100.0
-        ));
-        out
-    }
 }
 
 impl fmt::Display for CoverageReport {
@@ -248,14 +216,10 @@ mod tests {
     }
 
     #[test]
-    fn table_and_display_render_all_classes() {
+    fn display_names_the_report_and_counts_faults() {
         let mut report = CoverageReport::new("March CW + NWRTM");
         report.record(FaultClass::StuckAt, true, true);
         report.record(FaultClass::DataRetention, true, true);
-        let table = report.to_table();
-        assert!(table.contains("SAF"));
-        assert!(table.contains("DRF"));
-        assert!(table.contains("100.0%"));
         assert!(report.to_string().contains("March CW + NWRTM"));
         assert!(report.to_string().contains("2 faults"));
     }

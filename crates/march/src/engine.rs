@@ -10,9 +10,18 @@
 use crate::background::{BackgroundPatterns, DataBackground};
 use crate::ops::{AddressOrder, MarchOp, MarchTest};
 use crate::schedule::{MarchSchedule, SchedulePatterns};
-use sram_model::{Address, DataWord, FailingBits, MemError, MemoryPort};
+use sram_model::{Address, FailingBits, MemError, MemoryPort};
+use std::collections::HashSet;
 
 /// One observed read mismatch.
+///
+/// The record keeps only what the schedule cannot rebuild. Given the
+/// [`MarchSchedule`] that produced it, the data background is
+/// `schedule.phases()[phase].background`; the expected word is that
+/// phase's pattern ([`SchedulePatterns::phase`]) for the value `v` of
+/// the read `MarchOp::Read(v)` at `elements()[element].ops[op]`, at
+/// `address`; and the observed word is the expected word with every
+/// bit of `failing_bits` flipped.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FailureRecord {
     /// Index of the schedule phase (0 for single-test runs).
@@ -23,25 +32,18 @@ pub struct FailureRecord {
     pub op: usize,
     /// Address at which the mismatch was observed.
     pub address: Address,
-    /// Expected read data.
-    pub expected: DataWord,
-    /// Observed read data.
-    pub observed: DataWord,
-    /// Bit positions that mismatch.
+    /// Bit positions that mismatch, ascending.
     pub failing_bits: FailingBits,
-    /// Data background active when the mismatch was observed.
-    pub background: DataBackground,
 }
 
-/// Result of running a March test or schedule.
+/// Result of running a March test or schedule. The operation count and
+/// the retention-pause time are not recorded here: they depend only on
+/// the programme and are given in closed form by
+/// [`MarchSchedule::operation_count`] and [`MarchSchedule::pause_ms`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunOutcome {
     /// Every read mismatch, in detection order.
     pub failures: Vec<FailureRecord>,
-    /// Number of memory operations performed (reads + writes + NWRCs).
-    pub operations: u64,
-    /// Total retention-pause time in milliseconds.
-    pub pause_ms: f64,
 }
 
 impl RunOutcome {
@@ -52,35 +54,22 @@ impl RunOutcome {
 
     /// Distinct failing word addresses, in first-detection order.
     pub fn failing_addresses(&self) -> Vec<Address> {
-        let mut seen = Vec::new();
-        for failure in &self.failures {
-            if !seen.contains(&failure.address) {
-                seen.push(failure.address);
-            }
-        }
-        seen
+        let mut seen = HashSet::new();
+        self.failures
+            .iter()
+            .map(|failure| failure.address)
+            .filter(|&address| seen.insert(address))
+            .collect()
     }
 
     /// Distinct failing (address, bit) sites, in first-detection order.
     pub fn failing_cells(&self) -> Vec<(Address, usize)> {
-        let mut seen = Vec::new();
-        for failure in &self.failures {
-            for &bit in &failure.failing_bits {
-                let site = (failure.address, bit);
-                if !seen.contains(&site) {
-                    seen.push(site);
-                }
-            }
-        }
-        seen
-    }
-
-    /// Merges another outcome into this one (used when a scheme runs
-    /// several phases and accumulates results).
-    pub fn merge(&mut self, other: RunOutcome) {
-        self.failures.extend(other.failures);
-        self.operations += other.operations;
-        self.pause_ms += other.pause_ms;
+        let mut seen = HashSet::new();
+        self.failures
+            .iter()
+            .flat_map(|failure| failure.failing_bits.iter().map(|&bit| (failure.address, bit)))
+            .filter(|&site| seen.insert(site))
+            .collect()
     }
 }
 
@@ -118,7 +107,9 @@ impl MarchRunner {
         // Patterns depend only on (value, row parity); precompute them
         // once so the per-operation loop is allocation-free.
         let patterns = background.patterns(sram.config().width());
-        self.run_test_phase(sram, test, background, 0, &patterns, None)
+        let mut failures = Vec::new();
+        self.run_test_phase(sram, test, 0, &patterns, None, &mut failures)?;
+        Ok(RunOutcome { failures })
     }
 
     /// Runs a multi-background schedule phase by phase.
@@ -162,10 +153,10 @@ impl MarchRunner {
     /// This is the engine half of the simulator's fault-locality
     /// pruning: a fault confined to one row, or a coupling fault's
     /// victim and aggressor rows, is observed on a memory whose
-    /// fault-free run passes exactly as in the full run. The returned
-    /// outcome's `operations` count covers only the visited rows;
-    /// callers accounting for a whole memory substitute the closed form
-    /// `schedule.operation_count(words)`.
+    /// fault-free run passes exactly as in the full run. The operation
+    /// count of the whole memory's run is still the closed form
+    /// [`MarchSchedule::operation_count`]; the restricted sweep performs
+    /// only the visited rows' share of it.
     ///
     /// # Errors
     ///
@@ -191,45 +182,36 @@ impl MarchRunner {
         patterns: &SchedulePatterns,
         restrict: Option<&[Address]>,
     ) -> Result<RunOutcome, MemError> {
-        let mut outcome = RunOutcome {
-            failures: Vec::new(),
-            operations: 0,
-            pause_ms: 0.0,
-        };
+        let mut failures = Vec::new();
         for (phase_index, phase) in schedule.phases().iter().enumerate() {
-            let phase_outcome = self.run_test_phase(
+            self.run_test_phase(
                 sram,
                 &phase.test,
-                phase.background,
                 phase_index,
                 patterns.phase(phase_index),
                 restrict,
+                &mut failures,
             )?;
-            outcome.merge(phase_outcome);
         }
-        Ok(outcome)
+        Ok(RunOutcome { failures })
     }
 
+    /// Runs one phase, appending its mismatches to `failures`.
     fn run_test_phase<M: MemoryPort>(
         &self,
         sram: &mut M,
         test: &MarchTest,
-        background: DataBackground,
         phase: usize,
         patterns: &BackgroundPatterns,
         restrict: Option<&[Address]>,
-    ) -> Result<RunOutcome, MemError> {
+        failures: &mut Vec<FailureRecord>,
+    ) -> Result<(), MemError> {
         let config = sram.config();
-        let mut failures = Vec::new();
-        let mut operations: u64 = 0;
-        let mut pause_ms = 0.0;
-
         for (element_index, element) in test.elements().iter().enumerate() {
             // Pauses apply once per element, before its address sweep.
             for op in &element.ops {
                 if let MarchOp::Pause(ms) = op {
                     sram.elapse_retention(f64::from(*ms));
-                    pause_ms += f64::from(*ms);
                 }
             }
 
@@ -245,17 +227,10 @@ impl MarchRunner {
                 for (op_index, op) in element.ops.iter().enumerate() {
                     match op {
                         MarchOp::Pause(_) => {}
-                        MarchOp::Write(value) => {
-                            sram.write(address, patterns.word(*value, row))?;
-                            operations += 1;
-                        }
-                        MarchOp::NwrcWrite(value) => {
-                            sram.write_nwrc(address, patterns.word(*value, row))?;
-                            operations += 1;
-                        }
+                        MarchOp::Write(value) => sram.write(address, patterns.word(*value, row))?,
+                        MarchOp::NwrcWrite(value) => sram.write_nwrc(address, patterns.word(*value, row))?,
                         MarchOp::Read(value) => {
                             let expected = patterns.word(*value, row);
-                            operations += 1;
                             if let Some(observed) = sram.read_expect(address, expected)? {
                                 failures.push(FailureRecord {
                                     phase,
@@ -263,9 +238,6 @@ impl MarchRunner {
                                     op: op_index,
                                     address,
                                     failing_bits: expected.mismatches(&observed),
-                                    expected: expected.clone(),
-                                    observed,
-                                    background,
                                 });
                             }
                         }
@@ -273,12 +245,7 @@ impl MarchRunner {
                 }
             }
         }
-
-        Ok(RunOutcome {
-            failures,
-            operations,
-            pause_ms,
-        })
+        Ok(())
     }
 }
 
@@ -297,12 +264,17 @@ mod tests {
     #[test]
     fn fault_free_memory_passes_march_c_minus() {
         let mut sram = memory();
-        let outcome = MarchRunner::new()
+        let runner = MarchRunner::new();
+        let outcome = runner
             .run_test(&mut sram, &algorithms::march_c_minus(), DataBackground::Solid)
             .unwrap();
         assert!(outcome.passed());
-        assert_eq!(outcome.operations, 10 * 16);
-        assert_eq!(outcome.pause_ms, 0.0);
+        // The whole March CW schedule, phase by phase, passes too.
+        let mut sram = memory();
+        assert!(runner
+            .run_schedule(&mut sram, &algorithms::march_cw(4))
+            .unwrap()
+            .passed());
     }
 
     #[test]
@@ -310,16 +282,17 @@ mod tests {
         let mut sram = memory();
         let site = CellCoord::new(Address::new(5), 2);
         MemoryFault::stuck_at_1(site).inject_into(&mut sram).unwrap();
+        let test = algorithms::march_c_minus();
         let outcome = MarchRunner::new()
-            .run_test(&mut sram, &algorithms::march_c_minus(), DataBackground::Solid)
+            .run_test(&mut sram, &test, DataBackground::Solid)
             .unwrap();
         assert!(!outcome.passed());
         assert_eq!(outcome.failing_addresses(), vec![Address::new(5)]);
         assert_eq!(outcome.failing_cells(), vec![(Address::new(5), 2)]);
         // The first detection happens in an r0 operation (the cell reads 1).
         let first = &outcome.failures[0];
-        assert!(!first.expected.bit(2));
-        assert!(first.observed.bit(2));
+        assert_eq!(test.elements()[first.element].ops[first.op], MarchOp::Read(false));
+        assert_eq!(first.failing_bits, vec![2]);
     }
 
     #[test]
@@ -362,10 +335,7 @@ mod tests {
             .unwrap();
         assert!(!outcome.passed());
         assert_eq!(outcome.failing_cells(), vec![(Address::new(7), 1)]);
-        assert_eq!(
-            outcome.pause_ms, 0.0,
-            "NWRTM must not require any retention pause"
-        );
+        assert_eq!(test.pause_ms(), 0, "NWRTM must not require any retention pause");
     }
 
     #[test]
@@ -393,7 +363,7 @@ mod tests {
             .run_test(&mut sram, &test, DataBackground::Solid)
             .unwrap();
         assert!(!outcome.passed());
-        assert_eq!(outcome.pause_ms, 200.0);
+        assert_eq!(test.pause_ms(), 200);
     }
 
     #[test]
@@ -428,28 +398,38 @@ mod tests {
     }
 
     #[test]
-    fn schedule_outcome_accumulates_operations_across_phases() {
-        let mut sram = memory();
-        let schedule = algorithms::march_cw(4);
-        let outcome = MarchRunner::new().run_schedule(&mut sram, &schedule).unwrap();
-        assert!(outcome.passed());
-        assert_eq!(outcome.operations, schedule.operation_count(16));
-    }
-
-    #[test]
-    fn merge_combines_failures_and_counters() {
-        let mut a = RunOutcome {
-            failures: Vec::new(),
-            operations: 10,
-            pause_ms: 1.0,
+    fn failing_sites_deduplicate_in_first_detection_order() {
+        let record = |address: u64, bits: Vec<usize>| FailureRecord {
+            phase: 0,
+            element: 1,
+            op: 0,
+            address: Address::new(address),
+            failing_bits: bits.into(),
         };
-        let b = RunOutcome {
-            failures: Vec::new(),
-            operations: 5,
-            pause_ms: 2.0,
+        let outcome = RunOutcome {
+            failures: vec![
+                record(9, vec![3]),
+                record(2, vec![0, 1]),
+                record(9, vec![0, 3]),
+                record(5, vec![]),
+                record(2, vec![1]),
+                record(0, vec![2]),
+            ],
         };
-        a.merge(b);
-        assert_eq!(a.operations, 15);
-        assert_eq!(a.pause_ms, 3.0);
+        let address = Address::new;
+        assert_eq!(
+            outcome.failing_addresses(),
+            vec![address(9), address(2), address(5), address(0)]
+        );
+        assert_eq!(
+            outcome.failing_cells(),
+            vec![
+                (address(9), 3),
+                (address(2), 0),
+                (address(2), 1),
+                (address(9), 0),
+                (address(0), 2)
+            ]
+        );
     }
 }

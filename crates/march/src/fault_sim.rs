@@ -22,8 +22,9 @@
 //!   transition, retention, read-disturb) only needs that row swept:
 //!   if a golden fault-free run of the schedule passes, reads of every
 //!   other row match by construction, so the simulator restricts the
-//!   address sweeps to the faulty row ([`MarchRunner::run_schedule_rows`])
-//!   and substitutes the closed-form operation count. A coupling fault
+//!   address sweeps to the faulty row ([`MarchRunner::run_schedule_rows`]).
+//!   An outcome records only mismatches, so the pruned outcome equals
+//!   the full run's as it stands. A coupling fault
 //!   involves exactly two rows (victim and aggressor), so it takes an
 //!   order-preserving two-row restricted sweep
 //!   ([`MarchRunner::run_schedule_rows`]) instead of the full fallback,
@@ -67,7 +68,7 @@ use crate::ops::{AddressOrder, MarchOp, MarchTest};
 use crate::schedule::{MarchSchedule, SchedulePatterns, SchedulePhase};
 use esram_exec::{CostCalibration, CostDomain, ShardPlan};
 use fault_models::{FaultList, MemoryFault};
-use sram_model::{Address, FailingBits, LanePlanes, MemConfig, Sram};
+use sram_model::{Address, LanePlanes, MemConfig, Sram};
 
 /// Outcome of simulating one fault instance against one programme.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,7 +79,10 @@ pub struct FaultSimOutcome {
     pub detected: bool,
     /// True if the failing sites include the fault's own site.
     pub located: bool,
-    /// The raw run outcome (failures, operation count, pause time).
+    /// The raw run outcome: every failure record, in detection order.
+    /// The operation count and pause time are the schedule's closed
+    /// forms, [`MarchSchedule::operation_count`] and
+    /// [`MarchSchedule::pause_ms`].
     pub run: RunOutcome,
 }
 
@@ -129,9 +133,6 @@ struct UniversePrep<'a> {
     /// under which reads of fault-free rows are guaranteed to match and
     /// single-row faults may skip every other row's sweep.
     golden_passed: bool,
-    /// Operation count of a full run (closed form, identical for every
-    /// fault), substituted into pruned outcomes.
-    full_operations: u64,
 }
 
 impl FaultSimulator {
@@ -196,7 +197,6 @@ impl FaultSimulator {
             schedule,
             patterns,
             golden_passed: golden.passed(),
-            full_operations: golden.operations,
         }
     }
 
@@ -220,14 +220,9 @@ impl FaultSimulator {
             Some((row, second)) => {
                 let pair = [row, second.unwrap_or(row)];
                 let rows = if second.is_some() { &pair[..] } else { &pair[..1] };
-                let mut run = runner
+                runner
                     .run_schedule_rows(sram, prep.schedule, &prep.patterns, rows)
-                    .expect("march programme must match the simulator geometry");
-                // The restricted sweep performed only the visited rows'
-                // share of the operations; report the whole memory's
-                // count, as the full run would.
-                run.operations = prep.full_operations;
-                run
+                    .expect("march programme must match the simulator geometry")
             }
             None => runner
                 .run_schedule_with(sram, prep.schedule, &prep.patterns)
@@ -355,7 +350,7 @@ impl FaultSimulator {
             }
         }
         planes.freeze();
-        let (lane_failures, pause_ms) = run_schedule_lanes(
+        let lane_failures = run_schedule_lanes(
             &mut planes,
             prep.schedule,
             &prep.patterns,
@@ -368,16 +363,7 @@ impl FaultSimulator {
             .lanes
             .iter()
             .zip(lane_failures)
-            .map(|(&index, failures)| {
-                let run = RunOutcome {
-                    failures,
-                    // As in the per-fault pruned path, report the whole
-                    // memory's closed-form operation count.
-                    operations: prep.full_operations,
-                    pause_ms,
-                };
-                self.classify(&universe.as_slice()[index], run)
-            })
+            .map(|(&index, failures)| self.classify(&universe.as_slice()[index], RunOutcome { failures }))
             .collect()
     }
 
@@ -611,18 +597,15 @@ fn sorted_distinct(mut rows: Vec<Address>) -> Vec<Address> {
     rows
 }
 
-/// One deviating read of a lane-batch replay: enough context to
-/// rebuild, per lane, the exact failure record the lane's own per-fault
-/// run would have produced. Replay appends these to a flat log instead
-/// of materialising records inline — see [`run_schedule_lanes`].
+/// One deviating read of a lane-batch replay: the read's position in
+/// the schedule and its address, which every lane's record shares, plus
+/// the slice of `(bit, lane-mask)` pairs that gives each lane its own
+/// failing bits. Replay appends these to a flat log instead of
+/// materialising records inline — see [`run_schedule_lanes`].
 struct ReadEvent {
     phase: u32,
     element: u32,
     op: u32,
-    /// The read's logical value (`r0` / `r1`); the expected word is
-    /// re-derived from the phase's background patterns in the
-    /// post-pass, keeping the event small and free of borrows.
-    value: bool,
     address: Address,
     /// Union of the lanes that deviated on this read.
     lanes: u64,
@@ -651,8 +634,7 @@ struct LaneScratch {
 /// rows ascending, descending elements descending, retention pauses
 /// apply once per element before its sweep. Returns each lane's
 /// failure records (detection order, identical to what a per-fault
-/// restricted run over that lane's own rows would record) and the
-/// accrued pause time (identical for every lane).
+/// restricted run over that lane's own rows would record).
 fn run_schedule_lanes(
     planes: &mut LanePlanes,
     schedule: &MarchSchedule,
@@ -660,7 +642,7 @@ fn run_schedule_lanes(
     rows: &[Address],
     lane_count: usize,
     scratch: &mut LaneScratch,
-) -> (Vec<Vec<FailureRecord>>, f64) {
+) -> Vec<Vec<FailureRecord>> {
     debug_assert!(
         rows.windows(2).all(|pair| pair[0] < pair[1]),
         "restricted rows must be ascending and distinct"
@@ -673,7 +655,6 @@ fn run_schedule_lanes(
     // straight-line `Vec<FailureRecord>` fill cost.
     scratch.events.clear();
     scratch.pairs.clear();
-    let mut pause_ms = 0.0;
     for (phase_index, phase) in schedule.phases().iter().enumerate() {
         let phase_patterns = patterns.phase(phase_index);
         for (element_index, element) in phase.test.elements().iter().enumerate() {
@@ -681,7 +662,6 @@ fn run_schedule_lanes(
             for op in &element.ops {
                 if let MarchOp::Pause(ms) = op {
                     planes.elapse_retention(f64::from(*ms));
-                    pause_ms += f64::from(*ms);
                 }
             }
             let descending = matches!(element.order, AddressOrder::Descending);
@@ -712,7 +692,6 @@ fn run_schedule_lanes(
                                     phase: phase_index as u32,
                                     element: element_index as u32,
                                     op: op_index as u32,
-                                    value: *value,
                                     address,
                                     lanes,
                                     pairs_start,
@@ -739,9 +718,8 @@ fn run_schedule_lanes(
         }
     }
     // Post-pass: unpack the log into the exact failure records each
-    // lane's own per-fault run would produce. The observed word is the
-    // expected word with the lane's deviating bits flipped; bits are
-    // logged ascending per read, matching `DataWord::mismatches` order.
+    // lane's own per-fault run would produce. Bits are logged ascending
+    // per read, matching `DataWord::mismatches` order.
     let mut failures: Vec<Vec<FailureRecord>> = scratch.lane_events[..lane_count]
         .iter()
         .map(|events| Vec::with_capacity(events.len()))
@@ -750,32 +728,21 @@ fn run_schedule_lanes(
         let lane_bit = 1u64 << lane;
         for &event_index in &scratch.lane_events[lane] {
             let event = &scratch.events[event_index as usize];
-            let phase_index = event.phase as usize;
-            let expected = patterns
-                .phase(phase_index)
-                .word(event.value, event.address.index());
             let event_pairs = &scratch.pairs[event.pairs_start as usize..event.pairs_end as usize];
-            let mut failing_bits = FailingBits::new();
-            let mut observed = expected.clone();
-            for &(bit, mask) in event_pairs {
-                if mask & lane_bit != 0 {
-                    failing_bits.push(bit);
-                    observed.set(bit, !expected.bit(bit));
-                }
-            }
             sink.push(FailureRecord {
-                phase: phase_index,
+                phase: event.phase as usize,
                 element: event.element as usize,
                 op: event.op as usize,
                 address: event.address,
-                failing_bits,
-                expected: expected.clone(),
-                observed,
-                background: schedule.phases()[phase_index].background,
+                failing_bits: event_pairs
+                    .iter()
+                    .filter(|&&(_, mask)| mask & lane_bit != 0)
+                    .map(|&(bit, _)| bit)
+                    .collect(),
             });
         }
     }
-    (failures, pause_ms)
+    failures
 }
 
 #[cfg(test)]

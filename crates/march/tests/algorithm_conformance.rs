@@ -92,7 +92,6 @@ fn fault_free_memories_pass_every_algorithm_on_the_grid() {
                     "{} under {background:?} on {config} must pass fault-free",
                     test.name()
                 );
-                assert_eq!(outcome.operations, test.operation_count(config.words()));
             }
         }
     }
