@@ -127,13 +127,19 @@ impl BidirectionalSerialInterface {
         let mut mismatches = 0usize;
         let mut cycles = 0u64;
 
+        // Pauses apply once per element, before its address sweep, as in
+        // `march::MarchRunner` and the classical `del` notation.
+        for op in &element.ops {
+            if let MarchOp::Pause(ms) = op {
+                sram.elapse_retention(f64::from(*ms));
+            }
+        }
+
         for address in addresses {
             let row = address.index();
             for op in &element.ops {
                 match op {
-                    MarchOp::Pause(ms) => {
-                        sram.elapse_retention(f64::from(*ms));
-                    }
+                    MarchOp::Pause(_) => {}
                     MarchOp::Write(value) => {
                         sram.write(address, patterns.word(*value, row))?;
                         cycles += width as u64;
@@ -324,6 +330,34 @@ mod tests {
             }
         }
         assert_eq!(known.len(), sites.len());
+    }
+
+    #[test]
+    fn a_pause_applies_once_before_the_address_sweep() {
+        // A node-A retention fault loses a stored 1 on any pause that
+        // reaches the decay threshold. Were the pause applied at every
+        // visited address, the addresses after row 3 would decay the 1
+        // the sweep had just written there, wherever the pause sits in
+        // the element's operation list.
+        let site = CellCoord::new(Address::new(3), 2);
+        let interface = BidirectionalSerialInterface::new(4);
+        for ops in [
+            vec![MarchOp::Pause(100), MarchOp::Write(true)],
+            vec![MarchOp::Write(true), MarchOp::Pause(100)],
+        ] {
+            let mut sram = memory_with_faults(&[MemoryFault::data_retention_a(site)]);
+            let element = MarchElement::new(march::AddressOrder::Ascending, ops);
+            interface
+                .run_element(
+                    &mut sram,
+                    &element,
+                    DataBackground::Solid,
+                    ShiftDirection::Right,
+                    &BTreeSet::new(),
+                )
+                .unwrap();
+            assert_eq!(sram.peek_cell(site), Ok(true), "{element}");
+        }
     }
 
     #[test]
