@@ -3,7 +3,7 @@
 
 use crate::log::{DiagnosisLog, DiagnosisRecord};
 use march::DataBackground;
-use sram_model::{AccessProfile, Address, DataWord, FailingBits, MemConfig, MemoryId};
+use sram_model::{AccessProfile, Address, DataWord, MemConfig, MemoryId};
 use std::collections::BTreeMap;
 
 /// The global address trigger of the shared controller.
@@ -263,8 +263,8 @@ impl ComparatorArray {
     }
 
     /// Compares one response against its expected value and records a
-    /// diagnosis record if they differ. Returns the failing bit
-    /// positions (empty when the response matches).
+    /// diagnosis record if they differ. Returns whether a record was
+    /// logged (false when the response matches).
     ///
     /// # Panics
     ///
@@ -277,18 +277,19 @@ impl ComparatorArray {
         element: &str,
         expected: &DataWord,
         observed: &DataWord,
-    ) -> FailingBits {
-        let failing = expected.mismatches(observed);
-        if !failing.is_empty() {
-            self.log.push(DiagnosisRecord {
-                memory,
-                address,
-                background,
-                element: element.to_string(),
-                failing_bits: failing.clone(),
-            });
+    ) -> bool {
+        let failing_bits = expected.mismatches(observed);
+        if failing_bits.is_empty() {
+            return false;
         }
-        failing
+        self.log.push(DiagnosisRecord {
+            memory,
+            address,
+            background,
+            element: element.to_string(),
+            failing_bits,
+        });
+        true
     }
 
     /// The accumulated diagnosis log.
@@ -395,27 +396,25 @@ mod tests {
         let expected = DataWord::zero(4);
         let good = DataWord::zero(4);
         let bad = DataWord::from_u64(0b0100, 4);
-        assert!(comparator
-            .compare(
-                MemoryId::new(0),
-                Address::new(1),
-                DataBackground::Solid,
-                "M1",
-                &expected,
-                &good
-            )
-            .is_empty());
-        let failing = comparator.compare(
+        assert!(!comparator.compare(
+            MemoryId::new(0),
+            Address::new(1),
+            DataBackground::Solid,
+            "M1",
+            &expected,
+            &good
+        ));
+        assert!(comparator.compare(
             MemoryId::new(0),
             Address::new(2),
             DataBackground::Solid,
             "M2",
             &expected,
             &bad,
-        );
-        assert_eq!(failing, vec![2]);
+        ));
         assert_eq!(comparator.log().len(), 1);
         let log = comparator.into_log();
         assert_eq!(log.records()[0].element, "M2");
+        assert_eq!(log.records()[0].failing_bits, vec![2]);
     }
 }

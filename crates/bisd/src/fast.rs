@@ -590,7 +590,7 @@ impl PopulationPlan {
                                 // the memory idles.
                                 let (received, _) = pscs[index].serialize_word(&observed);
                                 let expected = golden.expected_at(index, local);
-                                let failing = comparator.compare(
+                                let logged = comparator.compare(
                                     *id,
                                     local,
                                     plan.background,
@@ -598,7 +598,7 @@ impl PopulationPlan {
                                     expected,
                                     &received,
                                 );
-                                if !failing.is_empty() {
+                                if logged {
                                     sequences.push(op_seq);
                                 }
                             }
@@ -739,7 +739,7 @@ impl PopulationPlan {
                                 // comparator would see *is* the word
                                 // the port observed.
                                 if let Some(observed) = memories[member].1.read_expect(local, expected)? {
-                                    let failing = comparator.compare(
+                                    let logged = comparator.compare(
                                         memories[member].0,
                                         local,
                                         plan.background,
@@ -747,7 +747,7 @@ impl PopulationPlan {
                                         expected,
                                         &observed,
                                     );
-                                    debug_assert!(!failing.is_empty(), "read_expect reported a match");
+                                    debug_assert!(logged, "read_expect reported a match");
                                     sequences.push(op_seq);
                                 }
                             }

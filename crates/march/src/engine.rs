@@ -8,7 +8,7 @@
 //! must agree with what a direct word-wide run observes.
 
 use crate::background::{BackgroundPatterns, DataBackground};
-use crate::ops::{AddressOrder, MarchOp, MarchTest};
+use crate::ops::{MarchOp, MarchTest};
 use crate::schedule::{MarchSchedule, SchedulePatterns};
 use sram_model::{Address, FailingBits, MemError, MemoryPort};
 use std::collections::HashSet;
@@ -215,14 +215,7 @@ impl MarchRunner {
                 }
             }
 
-            let addresses: Vec<Address> = match (restrict, element.order) {
-                (Some(rows), AddressOrder::Ascending | AddressOrder::Either) => rows.to_vec(),
-                (Some(rows), AddressOrder::Descending) => rows.iter().rev().copied().collect(),
-                (None, AddressOrder::Ascending | AddressOrder::Either) => config.addresses().collect(),
-                (None, AddressOrder::Descending) => config.addresses_descending().collect(),
-            };
-
-            for address in addresses {
+            element.order.sweep(config.words(), restrict, |address| {
                 let row = address.index();
                 for (op_index, op) in element.ops.iter().enumerate() {
                     match op {
@@ -243,7 +236,8 @@ impl MarchRunner {
                         }
                     }
                 }
-            }
+                Ok(())
+            })?;
         }
         Ok(())
     }

@@ -1,5 +1,6 @@
 //! March test notation: operations, elements and complete tests.
 
+use sram_model::Address;
 use std::fmt;
 
 /// One operation inside a March element.
@@ -82,6 +83,25 @@ impl AddressOrder {
             AddressOrder::Ascending => "⇑",
             AddressOrder::Descending => "⇓",
             AddressOrder::Either => "⇕",
+        }
+    }
+
+    /// Visits the addresses of one element sweep in this order, without
+    /// allocating: every address of a `words`-word memory, or only
+    /// `rows` (ascending and distinct) when given. `Either` runs
+    /// ascending. Stops at, and returns, the first error `visit` returns.
+    pub fn sweep<E>(
+        self,
+        words: u64,
+        rows: Option<&[Address]>,
+        mut visit: impl FnMut(Address) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let descending = self == AddressOrder::Descending;
+        match rows {
+            Some(rows) if descending => rows.iter().rev().try_for_each(|&address| visit(address)),
+            Some(rows) => rows.iter().try_for_each(|&address| visit(address)),
+            None if descending => (0..words).rev().try_for_each(|row| visit(Address::new(row))),
+            None => (0..words).try_for_each(|row| visit(Address::new(row))),
         }
     }
 }
@@ -290,6 +310,38 @@ mod tests {
             AddressOrder::Ascending,
             vec![MarchOp::Read(false), MarchOp::Write(true)],
         )
+    }
+
+    #[test]
+    fn sweeps_visit_the_memory_or_the_given_rows_in_element_order() {
+        let walk = |order: AddressOrder, rows: Option<&[Address]>| {
+            let mut seen = Vec::new();
+            order
+                .sweep(4, rows, |address| {
+                    seen.push(address.index());
+                    Ok::<(), ()>(())
+                })
+                .unwrap();
+            seen
+        };
+        assert_eq!(walk(AddressOrder::Ascending, None), vec![0, 1, 2, 3]);
+        assert_eq!(walk(AddressOrder::Either, None), vec![0, 1, 2, 3]);
+        assert_eq!(walk(AddressOrder::Descending, None), vec![3, 2, 1, 0]);
+        let rows = [Address::new(1), Address::new(3)];
+        assert_eq!(walk(AddressOrder::Either, Some(&rows)), vec![1, 3]);
+        assert_eq!(walk(AddressOrder::Descending, Some(&rows)), vec![3, 1]);
+        assert!(walk(AddressOrder::Descending, Some(&[])).is_empty());
+        // The first error ends the sweep.
+        let mut visited = 0;
+        let stopped = AddressOrder::Ascending.sweep(4, None, |address| {
+            visited += 1;
+            if address.index() == 1 {
+                Err(address)
+            } else {
+                Ok(())
+            }
+        });
+        assert_eq!((stopped, visited), (Err(Address::new(1)), 2));
     }
 
     #[test]

@@ -118,10 +118,6 @@ impl BidirectionalSerialInterface {
         let config = sram.config();
         let width = config.width();
         debug_assert_eq!(width, self.width);
-        let addresses: Vec<Address> = match element.order {
-            march::AddressOrder::Ascending | march::AddressOrder::Either => config.addresses().collect(),
-            march::AddressOrder::Descending => config.addresses_descending().collect(),
-        };
 
         let mut located: Option<(Address, usize)> = None;
         let mut mismatches = 0usize;
@@ -135,7 +131,7 @@ impl BidirectionalSerialInterface {
             }
         }
 
-        for address in addresses {
+        element.order.sweep(config.words(), None, |address| {
             let row = address.index();
             for op in &element.ops {
                 match op {
@@ -169,7 +165,8 @@ impl BidirectionalSerialInterface {
                     _ => cycles += width as u64,
                 }
             }
-        }
+            Ok(())
+        })?;
 
         Ok(SerialElementOutcome {
             located,

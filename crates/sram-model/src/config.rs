@@ -182,11 +182,6 @@ impl MemConfig {
     pub fn addresses(&self) -> impl Iterator<Item = Address> {
         (0..self.words).map(Address)
     }
-
-    /// Iterator over every word address in descending order.
-    pub fn addresses_descending(&self) -> impl Iterator<Item = Address> {
-        (0..self.words).rev().map(Address)
-    }
 }
 
 impl fmt::Display for MemConfig {
@@ -274,9 +269,7 @@ mod tests {
     fn address_iterators_cover_full_space_in_order() {
         let c = MemConfig::new(4, 2).unwrap();
         let up: Vec<u64> = c.addresses().map(Address::index).collect();
-        let down: Vec<u64> = c.addresses_descending().map(Address::index).collect();
         assert_eq!(up, vec![0, 1, 2, 3]);
-        assert_eq!(down, vec![3, 2, 1, 0]);
     }
 
     #[test]
