@@ -1,6 +1,7 @@
-//! CLI end-to-end time for the checked-in case-study spec: the full
-//! `esram run` pipeline as a library call — read the spec file, parse
-//! and validate, compile to a plan, execute through the fleet stack and
+//! CLI end-to-end time for the checked-in case-study and baseline
+//! comparison specs: the full `esram run` pipeline as a library call —
+//! read the spec file, parse and validate, compile to a plan, execute
+//! through the fleet stack (the Huang baseline for the second spec) and
 //! render the report JSON. This is the latency a user pays per
 //! invocation (minus process spawn and file writes), recorded in the
 //! committed ledger and gated by `perf_gate --strict` like every other
@@ -13,20 +14,31 @@ use esram_spec::{compile_str, execute_plan};
 use std::hint::black_box;
 use std::path::Path;
 
-/// The spec the CI conformance job runs; benched from the same bytes.
-fn case_study_source() -> String {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/case_study_512x100.toml");
-    std::fs::read_to_string(path).expect("case-study spec is checked in")
+/// An example spec the CI conformance job runs; benched from the same
+/// bytes.
+fn example_source(file: &str) -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../examples")
+        .join(file);
+    std::fs::read_to_string(path).expect("example spec is checked in")
 }
 
 fn bench_cli(c: &mut Criterion) {
-    let source = case_study_source();
+    let source = example_source("case_study_512x100.toml");
     let plan = compile_str(&source).expect("case-study spec compiles");
+    let baseline_source = example_source("baseline_comparison.toml");
+    let baseline_plan = compile_str(&baseline_source).expect("baseline spec compiles");
     let shard = ShardPlan::from_env_values(std::env::var(THREADS_ENV).ok().as_deref()).0;
 
-    // Sanity: the benched pipeline is the conformance contract.
+    // Sanity: the benched pipelines are the conformance contracts.
     let run = execute_plan(&plan, &shard).expect("case-study runs");
     assert!(run.all_faults_located, "case study must locate every fault");
+    let baseline_run = execute_plan(&baseline_plan, &shard).expect("baseline comparison runs");
+    assert_eq!(
+        (baseline_run.jobs, baseline_run.failed),
+        (4, 0),
+        "baseline comparison must run all four jobs"
+    );
 
     let mut group = c.benchmark_group("cli_end_to_end");
     group.sample_size(10);
@@ -36,6 +48,12 @@ fn bench_cli(c: &mut Criterion) {
     group.bench_function("run_case_study", |b| {
         b.iter(|| {
             let plan = compile_str(&source).unwrap();
+            black_box(execute_plan(&plan, &shard).unwrap().report.render().len())
+        })
+    });
+    group.bench_function("run_baseline_comparison", |b| {
+        b.iter(|| {
+            let plan = compile_str(&baseline_source).unwrap();
             black_box(execute_plan(&plan, &shard).unwrap().report.render().len())
         })
     });

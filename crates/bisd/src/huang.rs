@@ -1,5 +1,14 @@
 //! The baseline diagnosis architecture of \[7,8\] (Fig. 1): shared BISD
 //! controller plus a bi-directional serial interface per memory.
+//!
+//! Under the default [`DiagnosisKernel::BitParallel`] each pass steps
+//! only the rows an installed fault can make deviate
+//! ([`sram_model::Sram::fault_rows`]), worked out once per memory before
+//! the first pass; a fault-free memory is skipped and a memory with a
+//! stuck-open cell is swept whole. [`DiagnosisKernel::PerMemory`] sweeps
+//! every row of every memory and is the dense oracle the row-restricted
+//! walk is checked against. Cycles are the Eq. (1) closed form under
+//! both.
 
 use crate::components::MemorySizeTable;
 use crate::kernel::DiagnosisKernel;
@@ -12,9 +21,18 @@ use sram_model::{Address, MemError, MemoryId};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Per-memory set of already-located `(address, bit)` sites, carried
-/// across iterations (indexed like the population slice so contiguous
-/// segments of memories and known-sets shard together).
+/// across iterations.
 type KnownSites = BTreeSet<(Address, usize)>;
+
+/// What the passes carry for one memory besides the memory itself,
+/// indexed like the population slice so contiguous segments of memories
+/// and their progress shard together.
+struct MemoryProgress {
+    known: KnownSites,
+    /// The rows a pass steps: `None` sweeps every row, `Some` only the
+    /// listed ones (ascending), and an empty list skips the memory.
+    rows: Option<Vec<Address>>,
+}
 
 /// The baseline scheme of \[7,8\].
 ///
@@ -56,11 +74,16 @@ impl HuangScheme {
 
     /// Selects the population-stepping kernel, replacing the
     /// bit-parallel default [`HuangScheme::new`] picks.
-    /// For the baseline the bit-parallel kernel only skips memories
-    /// that are provably pristine (fault-free, power-on contents) for
-    /// the duration of a pass — the bi-directional serial interface
-    /// cannot locate anything in them, so the log, the verdicts and
-    /// the Eq. (1) iteration count are unchanged.
+    ///
+    /// For the baseline the bit-parallel kernel steps, in every pass,
+    /// only each memory's [`sram_model::Sram::fault_rows`], computed
+    /// once before the first pass: it skips fault-free memories and
+    /// sweeps a memory with a stuck-open cell whole. Every baseline
+    /// test opens with a full write element, so a fault-free row is
+    /// only read after being written in the same pass and never
+    /// mismatches; the log, the verdicts and the Eq. (1) iteration
+    /// count are those of [`DiagnosisKernel::PerMemory`], the dense
+    /// oracle that sweeps every row of every memory.
     pub fn with_kernel(mut self, kernel: DiagnosisKernel) -> Self {
         self.kernel = kernel;
         self
@@ -131,14 +154,20 @@ impl HuangScheme {
         let c_max = table.max_width() as u64;
 
         let mut log = DiagnosisLog::new();
-        let mut known: Vec<KnownSites> = vec![KnownSites::new(); memories.len()];
         let mut cycles: u64 = 0;
         let mut pause_ms: f64 = 0.0;
-        let skip_pristine = self.kernel == DiagnosisKernel::BitParallel;
-        let pass = |per_direction_budget| PassOptions {
-            per_direction_budget,
-            skip_pristine,
-        };
+        // The installed faults do not change during diagnosis, so each
+        // memory's fault rows are worked out once, here.
+        let mut progress: Vec<MemoryProgress> = memories
+            .iter()
+            .map(|memory| MemoryProgress {
+                known: KnownSites::new(),
+                rows: match self.kernel {
+                    DiagnosisKernel::BitParallel => memory.sram.fault_rows(),
+                    DiagnosisKernel::PerMemory => None,
+                },
+            })
+            .collect();
 
         // The solid-background pattern words depend only on a memory's
         // IO width, so one set per distinct width serves every memory of
@@ -161,15 +190,8 @@ impl HuangScheme {
         loop {
             iterations += 1;
             cycles += m1.complexity_per_address() as u64 * n_max * c_max;
-            let found_new = run_population_pass(
-                plan,
-                memories,
-                &mut known,
-                &m1,
-                &width_patterns,
-                &mut log,
-                pass(2),
-            )?;
+            let found_new =
+                run_population_pass(plan, memories, &mut progress, &m1, &width_patterns, &mut log, 2)?;
             if !found_new || iterations >= self.max_iterations {
                 break;
             }
@@ -182,11 +204,11 @@ impl HuangScheme {
         run_population_pass(
             plan,
             memories,
-            &mut known,
+            &mut progress,
             &base,
             &width_patterns,
             &mut log,
-            pass(usize::MAX),
+            usize::MAX,
         )?;
 
         // Optional pause-based data-retention extension: 8·k extra units
@@ -200,11 +222,11 @@ impl HuangScheme {
                 let found_new = run_population_pass(
                     plan,
                     memories,
-                    &mut known,
+                    &mut progress,
                     &drf_test,
                     &width_patterns,
                     &mut log,
-                    pass(2),
+                    2,
                 )?;
                 if !found_new || drf_iterations >= self.max_iterations {
                     break;
@@ -223,42 +245,40 @@ impl HuangScheme {
     }
 }
 
-/// Per-pass stepping options shared by every segment of a population
-/// pass: the per-shift-direction location budget of the pass, and
-/// whether provably pristine members may be skipped (the bit-parallel
-/// kernel's fast path).
-#[derive(Clone, Copy)]
-struct PassOptions {
-    per_direction_budget: usize,
-    skip_pristine: bool,
-}
-
 /// Runs one element-group pass over the whole population under a shard
-/// plan, appending located-fault records to `log` in memory order, and
-/// returns whether any memory located something new.
+/// plan, locating at most `per_direction_budget` new faults per memory
+/// and shift direction, appending located-fault records to `log` in
+/// memory order, and returns whether any memory located something new.
 ///
-/// The population (zipped with its per-memory known-site sets) runs on
+/// The population (zipped with its per-memory progress) runs on
 /// the deterministic executor over contiguous mutable segments; the
-/// baseline's bit-serial cost is `words × width` cycles per memory, so
-/// the cost-balanced partition weights each memory by its cell count. The
+/// work of a pass is the cells it steps, so the cost-balanced partition
+/// weights each memory by its stepped rows times its width. The
 /// per-segment logs concatenate in memory order and the found-anything
 /// verdicts OR-reduce — both associative over adjacent segments, so the
 /// merged pass equals the sequential walk for every plan.
 fn run_population_pass(
     plan: ShardPlan,
     memories: &mut [MemoryUnderDiagnosis],
-    known: &mut [KnownSites],
+    progress: &mut [MemoryProgress],
     test: &MarchTest,
     width_patterns: &BTreeMap<usize, BackgroundPatterns>,
     log: &mut DiagnosisLog,
-    options: PassOptions,
+    per_direction_budget: usize,
 ) -> Result<bool, MemError> {
-    let mut pairs: Vec<(&mut MemoryUnderDiagnosis, &mut KnownSites)> =
-        memories.iter_mut().zip(known.iter_mut()).collect();
+    let mut pairs: Vec<(&mut MemoryUnderDiagnosis, &mut MemoryProgress)> =
+        memories.iter_mut().zip(progress.iter_mut()).collect();
     let worker_results: Vec<Result<(bool, DiagnosisLog), MemError>> = plan.run_segments(
         &mut pairs,
-        |_, (memory, _)| memory.config().cells(),
-        |_, segment| run_segment_pass(segment, test, width_patterns, options),
+        |_, (memory, progress)| {
+            let config = memory.config();
+            let rows = progress
+                .rows
+                .as_ref()
+                .map_or(config.words(), |rows| rows.len() as u64);
+            rows * config.width() as u64
+        },
+        |_, segment| run_segment_pass(segment, test, width_patterns, per_direction_budget),
     );
     let mut found_new = false;
     for result in worker_results {
@@ -273,24 +293,16 @@ fn run_population_pass(
 /// returning the segment's located-fault records (in memory order) and
 /// whether anything new was located.
 fn run_segment_pass(
-    segment: &mut [(&mut MemoryUnderDiagnosis, &mut KnownSites)],
+    segment: &mut [(&mut MemoryUnderDiagnosis, &mut MemoryProgress)],
     test: &MarchTest,
     width_patterns: &BTreeMap<usize, BackgroundPatterns>,
-    options: PassOptions,
+    per_direction_budget: usize,
 ) -> Result<(bool, DiagnosisLog), MemError> {
     let mut log = DiagnosisLog::new();
     let mut found_new = false;
-    for (memory, known_sites) in segment.iter_mut() {
-        // Under the bit-parallel kernel, memories that are provably
-        // pristine (no installed faults, power-on contents) are skipped
-        // wholesale: the bi-directional interface cannot locate anything
-        // in them, every element of the baseline's tests is
-        // solid-background (reads expect what the preceding writes of
-        // the same pass delivered), and a skipped memory's contents stay
-        // at power-on — so the skip remains valid on every later pass
-        // and the log, verdicts and Eq. (1) iteration count match the
-        // per-memory oracle exactly.
-        if options.skip_pristine && memory.sram.is_pristine() {
+    for (memory, progress) in segment.iter_mut() {
+        // No fault rows: the memory cannot mismatch, so it is skipped.
+        if progress.rows.as_ref().is_some_and(Vec::is_empty) {
             continue;
         }
         let patterns = &width_patterns[&memory.config().width()];
@@ -299,8 +311,9 @@ fn run_segment_pass(
             test,
             patterns,
             &mut log,
-            known_sites,
-            options.per_direction_budget,
+            &mut progress.known,
+            progress.rows.as_deref(),
+            per_direction_budget,
         )?;
         found_new |= found > 0;
     }
@@ -314,17 +327,18 @@ fn retention_identification_test(pause_ms: u32) -> MarchTest {
 }
 
 /// Runs the elements of `test` through the bi-directional serial
-/// interface of one memory, locating at most `per_direction_budget` new
-/// faults per shift direction, and returns how many new faults were
-/// located. Located faults are appended to `known` and to the global log.
-/// `patterns` is the population-shared pattern set for this memory's
-/// width.
+/// interface of one memory, over every row or only `rows`, locating at
+/// most `per_direction_budget` new faults per shift direction, and
+/// returns how many new faults were located. Located faults are
+/// appended to `known` and to the global log. `patterns` is the
+/// population-shared pattern set for this memory's width.
 fn run_group_serially(
     memory: &mut MemoryUnderDiagnosis,
     test: &MarchTest,
     patterns: &BackgroundPatterns,
     log: &mut DiagnosisLog,
-    known: &mut BTreeSet<(Address, usize)>,
+    known: &mut KnownSites,
+    rows: Option<&[Address]>,
     per_direction_budget: usize,
 ) -> Result<usize, MemError> {
     let interface = BidirectionalSerialInterface::new(memory.config().width());
@@ -340,7 +354,8 @@ fn run_group_serially(
         } else {
             ShiftDirection::Left
         };
-        let outcome = interface.run_element_with(&mut memory.sram, element, patterns, direction, known)?;
+        let outcome =
+            interface.run_element_with(&mut memory.sram, element, patterns, direction, known, rows)?;
         if let Some((address, bit)) = outcome.located {
             let budget_used = match direction {
                 ShiftDirection::Right => &mut found_right,

@@ -18,11 +18,15 @@
 //!   and the decoder faults whose deviation spans two rows;
 //! * every DRF mode of the fast scheme and the baseline's pause-based
 //!   extension, plus the LSB-first delivery ablation, where the kernel
-//!   must fall back to the oracle wholesale.
+//!   must fall back to the oracle wholesale;
+//! * random small baseline populations mixing every fault class with
+//!   one stuck-open member, which the baseline's row-restricted walk
+//!   must sweep whole.
 
 use bisd::{DiagnosisKernel, DrfMode, FastScheme, HuangScheme, MemoryUnderDiagnosis};
 use fault_models::{DefectProfile, FaultInjector, FaultList, MemoryFault};
 use march::ShardPlan;
+use proptest::prelude::*;
 use sram_model::cell::CellCoord;
 use sram_model::decoder::DecoderFaultKind;
 use sram_model::{Address, CellFault, DecoderFault, MemConfig, MemoryId};
@@ -242,6 +246,171 @@ fn huang_scheme_kernels_agree_on_every_fault_class_exhaustive() {
         assert_eq!(skipping, oracle, "baseline kernels diverged for {scheme:?}");
         assert_eq!(skipping.log.records(), oracle.log.records());
         assert_eq!(skipping.iterations, oracle.iterations);
+    }
+}
+
+#[test]
+fn huang_scheme_sweeps_a_memory_with_a_stuck_open_cell_whole() {
+    // The stuck-open bit echoes the sense amplifier, which the dense
+    // sweep's read of row 2 leaves at all ones, so the first left-shift
+    // element sees bits 0 and 3 of row 3 fail and locates bit 3 first.
+    // Stepping only row 3 would leave the power-on zeros there instead,
+    // hide bit 3 and locate bit 0.
+    let build = || {
+        let config = MemConfig::new(8, 4).expect("valid geometry");
+        let mut memory = MemoryUnderDiagnosis::pristine(MemoryId::new(0), config);
+        for fault in [
+            MemoryFault::stuck_at_1(coord(3, 0)),
+            MemoryFault::cell(coord(3, 3), CellFault::StuckOpen),
+        ] {
+            fault
+                .inject_into(&mut memory.sram)
+                .expect("fault fits the geometry");
+        }
+        vec![memory]
+    };
+    let oracle = HuangScheme::new(10.0)
+        .with_kernel(DiagnosisKernel::PerMemory)
+        .diagnose_with(ShardPlan::sequential(), &mut build())
+        .expect("oracle run");
+    let first = &oracle.log.records()[0];
+    assert_eq!(
+        (first.address, first.failing_bits.to_vec()),
+        (Address::new(3), vec![3])
+    );
+    let kernel = HuangScheme::new(10.0)
+        .diagnose_with(ShardPlan::sequential(), &mut build())
+        .expect("bit-parallel run");
+    assert_eq!(kernel, oracle);
+}
+
+/// SplitMix64, the generator behind [`mixed_population`], so a failing
+/// proptest case rebuilds from its printed seed alone.
+struct Stream(u64);
+
+impl Stream {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, bound: u64) -> u64 {
+        self.next() % bound
+    }
+
+    fn coin(&mut self) -> bool {
+        self.next() & 1 == 1
+    }
+}
+
+/// One random fault of any class but stuck-open. Coupling aggressors
+/// and decoder targets sit in another row than the fault's own.
+fn random_fault(stream: &mut Stream, config: MemConfig) -> MemoryFault {
+    let words = config.words();
+    let site = coord(stream.below(words), stream.below(config.width() as u64) as usize);
+    let other_row = (site.address.index() + 1 + stream.below(words - 1)) % words;
+    let aggressor = coord(other_row, stream.below(config.width() as u64) as usize);
+    match stream.below(15) {
+        0 => MemoryFault::stuck_at_0(site),
+        1 => MemoryFault::stuck_at_1(site),
+        2 => MemoryFault::transition_up(site),
+        3 => MemoryFault::transition_down(site),
+        4 => MemoryFault::cell(site, CellFault::ReadDestructive),
+        5 => MemoryFault::cell(site, CellFault::DeceptiveReadDestructive),
+        6 => MemoryFault::cell(site, CellFault::IncorrectRead),
+        7 => MemoryFault::coupling_idempotent(site, aggressor, stream.coin(), stream.coin()),
+        8 => MemoryFault::coupling_inversion(site, aggressor, stream.coin()),
+        9 => MemoryFault::coupling_state(site, aggressor, stream.coin(), stream.coin()),
+        10 => MemoryFault::decoder(DecoderFault::new(site.address, DecoderFaultKind::NoAccess)),
+        11 => MemoryFault::decoder(DecoderFault::new(
+            site.address,
+            DecoderFaultKind::MapsTo(aggressor.address),
+        )),
+        12 => MemoryFault::decoder(DecoderFault::new(
+            site.address,
+            DecoderFaultKind::AlsoAccesses(aggressor.address),
+        )),
+        13 => MemoryFault::data_retention_a(site),
+        _ => MemoryFault::data_retention_b(site),
+    }
+}
+
+/// A random baseline population of two to five small memories: each
+/// holds up to five random faults (none makes a pristine member), the
+/// first also a stuck-at-1 cell, so every run locates something, and one
+/// a stuck-open cell.
+fn mixed_population(seed: u64) -> Vec<MemoryUnderDiagnosis> {
+    let mut stream = Stream(seed);
+    let members = 2 + stream.below(4);
+    let stuck_open_member = stream.below(members);
+    (0..members)
+        .map(|index| {
+            let words = [8u64, 12, 16][stream.below(3) as usize];
+            let width = [4usize, 8, 63][stream.below(3) as usize];
+            let config = MemConfig::new(words, width).expect("valid geometry");
+            let mut memory = MemoryUnderDiagnosis::pristine(MemoryId::new(index as u32), config);
+            let mut faults: Vec<MemoryFault> = (0..stream.below(6))
+                .map(|_| random_fault(&mut stream, config))
+                .collect();
+            if index == 0 {
+                faults.push(MemoryFault::stuck_at_1(coord(stream.below(words), 0)));
+            }
+            if index == stuck_open_member {
+                let row = stream.below(words);
+                let bit = stream.below(width as u64) as usize;
+                faults.push(MemoryFault::cell(coord(row, bit), CellFault::StuckOpen));
+            }
+            for fault in &faults {
+                fault
+                    .inject_into(&mut memory.sram)
+                    .expect("fault fits the geometry");
+            }
+            memory
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Property: on a random mixed population the row-restricted
+    /// bit-parallel baseline returns the per-memory oracle's whole
+    /// result (log order, iterations, cycles, pause), with and without
+    /// the retention extension and under an iteration cap.
+    #[test]
+    fn huang_scheme_kernels_agree_on_random_mixed_populations(
+        seed in any::<u64>(),
+        retention in any::<bool>(),
+        cap in 1u64..5,
+    ) {
+        let base = if retention {
+            HuangScheme::new(10.0).with_retention_pause(100)
+        } else {
+            HuangScheme::new(10.0)
+        };
+        for scheme in [base, base.with_max_iterations(cap)] {
+            let mut oracle_population = mixed_population(seed);
+            let oracle = scheme
+                .with_kernel(DiagnosisKernel::PerMemory)
+                .diagnose_with(ShardPlan::sequential(), &mut oracle_population)
+                .expect("oracle run");
+            let mut kernel_population = mixed_population(seed);
+            let restricted = scheme
+                .with_kernel(DiagnosisKernel::BitParallel)
+                .diagnose_with(ShardPlan::sequential(), &mut kernel_population)
+                .expect("row-restricted run");
+            prop_assert!(!oracle.log.records().is_empty(), "seed {seed:#x}: nothing located");
+            prop_assert_eq!(
+                restricted,
+                oracle,
+                "baseline kernels diverged for seed {:#x} under {:?}",
+                seed,
+                scheme
+            );
+        }
     }
 }
 

@@ -45,7 +45,9 @@ pub struct SerialElementOutcome {
     /// Number of mismatching bits observed during the element (including
     /// ones that could not be attributed to a new cell).
     pub mismatches: usize,
-    /// Clock cycles consumed (every operation costs one cycle per bit).
+    /// Modelled bit-serial cost of the whole element: every non-pause
+    /// operation at every word of the memory costs one clock per bit,
+    /// `words × ops × width`, however many rows were actually stepped.
     pub cycles: u64,
 }
 
@@ -91,11 +93,11 @@ impl BidirectionalSerialInterface {
         // Patterns depend only on (value, row parity): precompute once
         // so the bit-serial walk stays allocation-free per operation.
         let patterns = background.patterns(sram.config().width());
-        self.run_element_with(sram, element, &patterns, direction, known_faults)
+        self.run_element_with(sram, element, &patterns, direction, known_faults, None)
     }
 
     /// Executes one March element bit-serially with pattern words
-    /// precomputed by the caller.
+    /// precomputed by the caller, over every row or only `rows`.
     ///
     /// The patterns of a background depend only on the memory's IO
     /// width, so a diagnosis controller iterating an element group over
@@ -103,6 +105,16 @@ impl BidirectionalSerialInterface {
     /// width and shares it across every memory of that width and every
     /// iteration — instead of reassembling four pattern words per
     /// element per memory per iteration.
+    ///
+    /// `rows: None` sweeps every address of the memory. `Some(rows)`
+    /// (ascending, distinct) steps only those rows, in the element's
+    /// address order, so each one sees the operation sequence of the
+    /// full sweep. That gives the full sweep's outcome when no other row
+    /// can mismatch and no access to another row changes these rows,
+    /// which holds for the [`Sram::fault_rows`] of a memory whose
+    /// every read of a fault-free row follows a write of it in the same
+    /// test. [`SerialElementOutcome::cycles`] is the full sweep's cost
+    /// either way. Retention pauses apply once, before the sweep.
     ///
     /// # Errors
     ///
@@ -114,6 +126,7 @@ impl BidirectionalSerialInterface {
         patterns: &BackgroundPatterns,
         direction: ShiftDirection,
         known_faults: &BTreeSet<(Address, usize)>,
+        rows: Option<&[Address]>,
     ) -> Result<SerialElementOutcome, MemError> {
         let config = sram.config();
         let width = config.width();
@@ -121,7 +134,6 @@ impl BidirectionalSerialInterface {
 
         let mut located: Option<(Address, usize)> = None;
         let mut mismatches = 0usize;
-        let mut cycles = 0u64;
 
         // Pauses apply once per element, before its address sweep, as in
         // `march::MarchRunner` and the classical `del` notation.
@@ -131,23 +143,17 @@ impl BidirectionalSerialInterface {
             }
         }
 
-        element.order.sweep(config.words(), None, |address| {
+        element.order.sweep(config.words(), rows, |address| {
             let row = address.index();
             for op in &element.ops {
                 match op {
-                    MarchOp::Pause(_) => {}
-                    MarchOp::Write(value) => {
-                        sram.write(address, patterns.word(*value, row))?;
-                        cycles += width as u64;
-                    }
-                    MarchOp::NwrcWrite(value) => {
-                        sram.write_nwrc(address, patterns.word(*value, row))?;
-                        cycles += width as u64;
-                    }
+                    MarchOp::Write(value) => sram.write(address, patterns.word(*value, row))?,
+                    MarchOp::NwrcWrite(value) => sram.write_nwrc(address, patterns.word(*value, row))?,
                     MarchOp::Read(value) => {
                         let expected = patterns.word(*value, row);
-                        let observed = sram.read(address)?;
-                        cycles += width as u64;
+                        let Some(observed) = sram.read_expect(address, expected)? else {
+                            continue;
+                        };
                         let mut failing = expected.mismatches(&observed);
                         if direction == ShiftDirection::Left {
                             failing.reverse();
@@ -160,14 +166,16 @@ impl BidirectionalSerialInterface {
                             }
                         }
                     }
-                    // `MarchOp` is non-exhaustive; unknown future
-                    // operations consume a serial slot but do nothing.
-                    _ => cycles += width as u64,
+                    // Pauses ran before the sweep. `MarchOp` is
+                    // non-exhaustive; unknown future operations consume
+                    // a serial slot but do nothing.
+                    _ => {}
                 }
             }
             Ok(())
         })?;
 
+        let cycles = config.words() * element.ops_per_address() as u64 * width as u64;
         Ok(SerialElementOutcome {
             located,
             mismatches,
@@ -214,6 +222,38 @@ mod tests {
         assert_eq!(outcome.cycles, 2 * 8 * 4);
         assert!(outcome.located.is_none());
         assert_eq!(outcome.mismatches, 0);
+    }
+
+    #[test]
+    fn a_row_restricted_sweep_reports_the_full_sweep_outcome_and_cost() {
+        let faults = [
+            MemoryFault::stuck_at_1(CellCoord::new(Address::new(5), 2)),
+            MemoryFault::stuck_at_1(CellCoord::new(Address::new(2), 0)),
+        ];
+        let interface = BidirectionalSerialInterface::new(4);
+        let patterns = DataBackground::Solid.patterns(4);
+        let element = detecting_element();
+        let run = |rows: Option<&[Address]>| {
+            let mut sram = memory_with_faults(&faults);
+            interface
+                .run_element_with(
+                    &mut sram,
+                    &element,
+                    &patterns,
+                    ShiftDirection::Right,
+                    &BTreeSet::new(),
+                    rows,
+                )
+                .unwrap()
+        };
+        let full = run(None);
+        assert_eq!(full.located, Some((Address::new(2), 0)));
+        assert_eq!(run(Some(&[Address::new(2), Address::new(5)])), full);
+        // Stepping one row still costs the whole element: 2 ops per
+        // address, 8 addresses, 4 bits per op.
+        let one_row = run(Some(&[Address::new(5)]));
+        assert_eq!(one_row.cycles, 2 * 8 * 4);
+        assert_eq!(one_row.located, Some((Address::new(5), 2)));
     }
 
     #[test]

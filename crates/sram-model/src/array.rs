@@ -233,48 +233,53 @@ impl Sram {
         self.decoder.is_faulty() || !self.overlay.is_empty()
     }
 
-    /// True if the memory is fault-free and every cell still holds its
-    /// power-on zero — i.e. it behaves exactly like the controller's
-    /// ideal model. O(rows touched), via the planes' dirty tracking.
-    pub fn is_pristine(&self) -> bool {
-        !self.is_faulty() && self.planes.all_zero()
-    }
-
-    /// Classifies the memory for batched controllers (see
-    /// [`AccessProfile`]): which local rows must actually be stepped to
-    /// observe every behavioural deviation.
+    /// The rows on which an installed fault can make an access deviate
+    /// from the fault-free memory, ascending, or `None` when no row set
+    /// bounds the faults' influence.
     ///
-    /// * A cell fault deviates on its [`CellFault::deviation_rows`]; a
+    /// * A cell fault deviates on its [`CellFault::deviation_rows`]: its
+    ///   own row and, for a coupling fault, the aggressor's row, whose
+    ///   write transitions and stored value drive the victim. A
     ///   stuck-open cell has none (it echoes the sense amplifier, which
-    ///   any read of any row updates), so it makes the whole memory
-    ///   [`AccessProfile::Opaque`].
+    ///   any read of any row updates), so it gives `None`.
     /// * Decoder faults are address-local despite touching several
     ///   physical rows: the corrupted address plus the redirected/extra
     ///   row it reads or writes ([`crate::decoder::AddressDecoder::deviation_rows`])
     ///   bound every deviation, and accesses to all other addresses
     ///   decode to exactly their own untouched row. A no-access read
     ///   returns the precharged all-ones word independent of history.
-    /// * Otherwise deviation is confined to those rows, the rows of any
-    ///   other overlay cells, and any row whose stored contents are
-    ///   non-zero (an ideal model expecting the power-on state would
-    ///   mispredict a read there).
-    /// * No such rows at all is exactly [`Sram::is_pristine`], reported
-    ///   as [`AccessProfile::PristineUniform`].
-    pub fn access_profile(&self) -> AccessProfile {
-        let mut rows: BTreeSet<u64> = BTreeSet::new();
-        rows.extend(self.decoder.deviation_rows());
+    ///
+    /// Stored contents play no part: a fault-free row read back after
+    /// being written behaves ideally whatever it held before. A
+    /// fault-free memory gives `Some` of an empty list.
+    pub fn fault_rows(&self) -> Option<Vec<Address>> {
+        let mut rows: BTreeSet<u64> = self.decoder.deviation_rows().into_iter().collect();
         for (&(row, bit), cell) in &self.overlay {
             let Some(fault) = cell.fault() else {
                 rows.insert(row);
                 continue;
             };
-            match fault.deviation_rows(CellCoord::new(Address::new(row), bit)) {
-                Some((first, second)) => {
-                    rows.extend(std::iter::once(first).chain(second).map(Address::index))
-                }
-                None => return AccessProfile::Opaque,
-            }
+            let (first, second) = fault.deviation_rows(CellCoord::new(Address::new(row), bit))?;
+            rows.extend(std::iter::once(first).chain(second).map(Address::index));
         }
+        Some(rows.into_iter().map(Address::new).collect())
+    }
+
+    /// Classifies the memory for batched controllers (see
+    /// [`AccessProfile`]): which local rows must actually be stepped to
+    /// observe every behavioural deviation from an ideal model that
+    /// expects the power-on contents.
+    ///
+    /// These are the [`Sram::fault_rows`] plus every row whose stored
+    /// contents are non-zero (the ideal model would mispredict a read
+    /// there). No fault row set makes the memory
+    /// [`AccessProfile::Opaque`]; no rows at all, a fault-free memory
+    /// at its power-on contents, is [`AccessProfile::PristineUniform`].
+    pub fn access_profile(&self) -> AccessProfile {
+        let Some(fault_rows) = self.fault_rows() else {
+            return AccessProfile::Opaque;
+        };
+        let mut rows: BTreeSet<u64> = fault_rows.into_iter().map(Address::index).collect();
         rows.extend(self.planes.nonzero_rows());
         if rows.is_empty() {
             AccessProfile::PristineUniform
@@ -971,14 +976,12 @@ mod tests {
     fn access_profile_classifies_pristine_row_local_and_opaque() {
         let config = MemConfig::new(16, 4).unwrap();
         let mut sram = Sram::new(config);
-        assert!(sram.is_pristine());
         assert_eq!(sram.access_profile(), AccessProfile::PristineUniform);
 
         // Written (non-zero) contents demote the profile to row-local
         // even without faults: an ideal model expecting power-on zeros
         // would mispredict a read of row 5.
         sram.write(Address::new(5), &DataWord::splat(true, 4)).unwrap();
-        assert!(!sram.is_pristine());
         assert_eq!(sram.access_profile(), AccessProfile::RowLocal(vec![5]));
         // Writing the row back to zero restores pristineness.
         sram.write(Address::new(5), &DataWord::zero(4)).unwrap();
@@ -987,7 +990,6 @@ mod tests {
         // Plain cell faults confine deviation to their own rows.
         sram.inject_cell_fault(CellCoord::new(Address::new(9), 2), CellFault::TransitionUp)
             .unwrap();
-        assert!(!sram.is_pristine());
         assert_eq!(sram.access_profile(), AccessProfile::RowLocal(vec![9]));
 
         // A coupling victim drags its aggressor's row in as well: the
@@ -1005,6 +1007,57 @@ mod tests {
         )
         .unwrap();
         assert_eq!(sram.access_profile(), AccessProfile::RowLocal(vec![2, 9, 12]));
+    }
+
+    #[test]
+    fn fault_rows_bound_each_fault_and_ignore_stored_contents() {
+        let config = MemConfig::new(16, 4).unwrap();
+        let rows = |list: &[u64]| Some(list.iter().copied().map(Address::new).collect::<Vec<_>>());
+
+        // Dirty contents in fault-free rows are not fault rows, unlike
+        // in the access profile.
+        let mut sram = Sram::new(config);
+        sram.write(Address::new(5), &DataWord::splat(true, 4)).unwrap();
+        assert_eq!(sram.fault_rows(), rows(&[]));
+        assert_eq!(sram.access_profile(), AccessProfile::RowLocal(vec![5]));
+        sram.inject_cell_fault(CellCoord::new(Address::new(9), 1), CellFault::StuckAt(true))
+            .unwrap();
+        assert_eq!(sram.fault_rows(), rows(&[9]));
+        assert_eq!(sram.access_profile(), AccessProfile::RowLocal(vec![5, 9]));
+
+        // An inter-row coupling fault gives its victim and aggressor rows.
+        let mut coupled = Sram::new(config);
+        coupled
+            .inject_cell_fault(
+                CellCoord::new(Address::new(11), 0),
+                CellFault::Coupling {
+                    aggressor: CellCoord::new(Address::new(4), 3),
+                    kind: CouplingKind::Inversion {
+                        aggressor_rises: true,
+                    },
+                },
+            )
+            .unwrap();
+        assert_eq!(coupled.fault_rows(), rows(&[4, 11]));
+
+        // A maps-to or also-accesses decoder fault gives the corrupted
+        // address and the row it drags in.
+        for kind in [
+            crate::decoder::DecoderFaultKind::MapsTo(Address::new(2)),
+            crate::decoder::DecoderFaultKind::AlsoAccesses(Address::new(2)),
+        ] {
+            let mut decoder = Sram::new(config);
+            decoder
+                .inject_decoder_fault(DecoderFault::new(Address::new(13), kind))
+                .unwrap();
+            assert_eq!(decoder.fault_rows(), rows(&[2, 13]), "{kind}");
+        }
+
+        // A stuck-open cell echoes the sense amplifier, which every
+        // row's read updates: no row set bounds it.
+        sram.inject_cell_fault(CellCoord::new(Address::new(3), 0), CellFault::StuckOpen)
+            .unwrap();
+        assert_eq!(sram.fault_rows(), None);
     }
 
     #[test]
