@@ -21,7 +21,9 @@ use std::fmt;
 pub enum DiagnosisKernel {
     /// Step only memories (and rows) whose behaviour can deviate from
     /// the golden expectation, as declared by each memory's
-    /// [`AccessProfile`](sram_model::AccessProfile).
+    /// [`AccessProfile`](sram_model::AccessProfile) for the proposed
+    /// scheme and by its [`fault_rows`](sram_model::Sram::fault_rows)
+    /// for the baseline.
     #[default]
     BitParallel,
     /// Step every operation of every memory through its serial

@@ -113,7 +113,7 @@ fn random_population(seed: u64) -> Vec<MemoryUnderDiagnosis> {
 /// oracle makes the full-width class population prohibitively slow to
 /// replay per kernel: randomly injected members over a narrow and a
 /// limb-edge width, sixteen words each, plus one pristine member per
-/// width (the only members the skipping kernel elides).
+/// width (the only members the row-restricted kernel skips whole).
 fn huang_population(seed: u64) -> Vec<MemoryUnderDiagnosis> {
     let profile = DefectProfile::with_data_retention(0.08);
     [8usize, 63]
@@ -212,13 +212,13 @@ fn huang_scheme_kernels_agree_with_and_without_retention() {
             .diagnose_with(ShardPlan::sequential(), &mut oracle_population)
             .expect("oracle run");
         let mut kernel_population = huang_population(21);
-        let skipping = scheme
+        let restricted = scheme
             .with_kernel(DiagnosisKernel::BitParallel)
             .diagnose_with(ShardPlan::sequential(), &mut kernel_population)
-            .expect("pristine-skipping run");
-        assert_eq!(skipping, oracle, "baseline kernels diverged for {scheme:?}");
-        assert_eq!(skipping.log.records(), oracle.log.records());
-        assert_eq!(skipping.iterations, oracle.iterations);
+            .expect("row-restricted run");
+        assert_eq!(restricted, oracle, "baseline kernels diverged for {scheme:?}");
+        assert_eq!(restricted.log.records(), oracle.log.records());
+        assert_eq!(restricted.iterations, oracle.iterations);
     }
 }
 
@@ -239,13 +239,13 @@ fn huang_scheme_kernels_agree_on_every_fault_class_exhaustive() {
             .diagnose_with(ShardPlan::sequential(), &mut oracle_population)
             .expect("oracle run");
         let mut kernel_population = class_population();
-        let skipping = scheme
+        let restricted = scheme
             .with_kernel(DiagnosisKernel::BitParallel)
             .diagnose_with(ShardPlan::sequential(), &mut kernel_population)
-            .expect("pristine-skipping run");
-        assert_eq!(skipping, oracle, "baseline kernels diverged for {scheme:?}");
-        assert_eq!(skipping.log.records(), oracle.log.records());
-        assert_eq!(skipping.iterations, oracle.iterations);
+            .expect("row-restricted run");
+        assert_eq!(restricted, oracle, "baseline kernels diverged for {scheme:?}");
+        assert_eq!(restricted.log.records(), oracle.log.records());
+        assert_eq!(restricted.iterations, oracle.iterations);
     }
 }
 
