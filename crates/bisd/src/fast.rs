@@ -8,9 +8,9 @@ use crate::population::GoldenStore;
 use crate::result::DiagnosisResult;
 use crate::scheme::{DiagnosisScheme, MemoryUnderDiagnosis};
 use esram_exec::{failpoint, CostCalibration, CostDomain, ShardPlan};
-use march::{algorithms, AddressOrder, DataBackground, MarchElement, MarchOp, MarchSchedule};
+use march::{algorithms, DataBackground, MarchElement, MarchOp, MarchSchedule};
 use serial::{ParallelToSerialConverter, PatternDeliveryBus, ShiftOrder};
-use sram_model::{Address, DataWord, MemConfig, MemError, MemoryId, MemoryPort, Sram};
+use sram_model::{DataWord, MemConfig, MemError, MemoryId, MemoryPort, Sram};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -519,7 +519,7 @@ impl PopulationPlan {
     ) -> Result<SegmentOutcome, MemError> {
         let trigger = self.trigger;
         let mut golden = GoldenStore::new(configs, &self.generator, &self.backgrounds);
-        let class_widths: Vec<usize> = golden.class_widths().to_vec();
+        let delivery = self.segment_delivery(golden.class_widths());
         let mut pscs: Vec<ParallelToSerialConverter> = configs
             .iter()
             .map(|config| ParallelToSerialConverter::new(config.width()))
@@ -528,7 +528,7 @@ impl PopulationPlan {
         let mut sequences: Vec<u64> = Vec::new();
         let mut op_seq: u64 = 0;
 
-        for plan in &self.plans {
+        for (plan, delivered) in self.plans.iter().zip(&delivery) {
             let element = &self.schedule.phases()[plan.phase_index].test.elements()[plan.element_index];
 
             // Retention pauses apply once per element, to every memory.
@@ -538,25 +538,7 @@ impl PopulationPlan {
                 }
             }
 
-            // Materialise the width-keyed delivery for this segment's
-            // width classes, once per element.
-            let per_class: BTreeMap<bool, Vec<DataWord>> = plan
-                .delivered
-                .iter()
-                .map(|(&value, by_width)| {
-                    (
-                        value,
-                        class_widths.iter().map(|width| by_width[width].clone()).collect(),
-                    )
-                })
-                .collect();
-
-            let addresses: Vec<Address> = match element.order {
-                AddressOrder::Ascending | AddressOrder::Either => trigger.ascending().collect(),
-                AddressOrder::Descending => trigger.descending().collect(),
-            };
-
-            for global in addresses {
+            element.order.sweep(trigger.max_words(), None, |global| {
                 for op in &element.ops {
                     // Every worker advances the sequence identically
                     // (the schedule walk is segment-independent), so
@@ -564,13 +546,12 @@ impl PopulationPlan {
                     // same population-wide operation".
                     op_seq += 1;
                     match op {
-                        MarchOp::Pause(_) => {}
                         MarchOp::Write(value) | MarchOp::NwrcWrite(value) => {
                             let nwrc = op.is_nwrc();
                             // NWRC writes succeed on good cells, so the
                             // expectation matches a normal write.
                             golden.record_write(plan.phase_index, global, *value);
-                            let words = &per_class[value];
+                            let words = &delivered[usize::from(*value)];
                             for (index, (_, memory)) in memories.iter_mut().enumerate() {
                                 let local = trigger.local_address(global, golden.member_words(index));
                                 let data = &words[golden.member_width_class(index)];
@@ -603,15 +584,33 @@ impl PopulationPlan {
                                 }
                             }
                         }
+                        // Pauses applied once, before the sweep.
                         _ => {}
                     }
                 }
-            }
+                Ok::<(), MemError>(())
+            })?;
         }
         Ok(SegmentOutcome {
             sequences,
             log: comparator.into_log(),
         })
+    }
+
+    /// Resolves every element's width-keyed delivery onto a segment's
+    /// width classes once per segment: `[element][value][width class]`.
+    /// A value the element never writes resolves to no words.
+    fn segment_delivery(&self, class_widths: &[usize]) -> Vec<[Vec<DataWord>; 2]> {
+        self.plans
+            .iter()
+            .map(|plan| {
+                [false, true].map(|value| {
+                    plan.delivered.get(&value).map_or_else(Vec::new, |by_width| {
+                        class_widths.iter().map(|width| by_width[width].clone()).collect()
+                    })
+                })
+            })
+            .collect()
     }
 
     /// Replays the planned schedule over one contiguous population
@@ -655,7 +654,7 @@ impl PopulationPlan {
     ) -> Result<SegmentOutcome, MemError> {
         let trigger = self.trigger;
         let mut golden = GoldenStore::new(configs, &self.generator, &self.backgrounds);
-        let class_widths: Vec<usize> = golden.class_widths().to_vec();
+        let delivery = self.segment_delivery(golden.class_widths());
         let mut comparator = ComparatorArray::new();
         let mut sequences: Vec<u64> = Vec::new();
         let mut op_seq: u64 = 0;
@@ -669,7 +668,7 @@ impl PopulationPlan {
         let member_words: Vec<u64> = (0..memories.len()).map(|m| golden.member_words(m)).collect();
         let steps = StepIndex::new(&profiles, &member_words, trigger.max_words());
 
-        for plan in &self.plans {
+        for (plan, delivered) in self.plans.iter().zip(&delivery) {
             let element = &self.schedule.phases()[plan.phase_index].test.elements()[plan.element_index];
 
             // Retention pauses reach every stepped memory; a skipped
@@ -683,39 +682,22 @@ impl PopulationPlan {
                 }
             }
 
-            let per_class: BTreeMap<bool, Vec<DataWord>> = plan
-                .delivered
-                .iter()
-                .map(|(&value, by_width)| {
-                    (
-                        value,
-                        class_widths.iter().map(|width| by_width[width].clone()).collect(),
-                    )
-                })
-                .collect();
-
-            let addresses: Vec<Address> = match element.order {
-                AddressOrder::Ascending | AddressOrder::Either => trigger.ascending().collect(),
-                AddressOrder::Descending => trigger.descending().collect(),
-            };
-
-            for global in addresses {
+            element.order.sweep(trigger.max_words(), None, |global| {
                 let active = steps.members_at(global);
+                if active.is_empty() {
+                    // Activity is `words`-periodic, so no member reads
+                    // any local row this address maps to: its golden
+                    // writes are unobservable and skipped with it.
+                    op_seq += element.ops.len() as u64;
+                    return Ok(());
+                }
                 for op in &element.ops {
                     op_seq += 1;
                     match op {
-                        MarchOp::Pause(_) => {}
                         MarchOp::Write(value) | MarchOp::NwrcWrite(value) => {
                             let nwrc = op.is_nwrc();
-                            // The golden model tracks the *whole* write
-                            // stream — skipped members' expectations
-                            // must stay current for later stepped rows
-                            // of the same value class.
                             golden.record_write(plan.phase_index, global, *value);
-                            if active.is_empty() {
-                                continue;
-                            }
-                            let words = &per_class[value];
+                            let words = &delivered[usize::from(*value)];
                             for &member in active {
                                 let member = member as usize;
                                 let local = trigger.local_address(global, golden.member_words(member));
@@ -752,10 +734,12 @@ impl PopulationPlan {
                                 }
                             }
                         }
+                        // Pauses applied once, before the sweep.
                         _ => {}
                     }
                 }
-            }
+                Ok::<(), MemError>(())
+            })?;
         }
         Ok(SegmentOutcome {
             sequences,
@@ -769,7 +753,7 @@ mod tests {
     use super::*;
     use fault_models::{FaultList, MemoryFault};
     use sram_model::cell::CellCoord;
-    use sram_model::{MemConfig, MemoryId};
+    use sram_model::{Address, MemConfig, MemoryId};
 
     fn population() -> Vec<MemoryUnderDiagnosis> {
         vec![
