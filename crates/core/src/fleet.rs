@@ -72,6 +72,7 @@ use fault_models::DefectProfile;
 use sram_model::{MemError, MemoryId, Sram};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 /// One independent diagnosis job: a population to build and the scheme
 /// to diagnose it with.
@@ -99,8 +100,9 @@ impl FleetJob {
 }
 
 /// Everything the fleet computes *before* any memory is touched: each
-/// job's [`PopulationPlan`] plus the flattened global work list with
-/// its calibrated per-item costs.
+/// job's [`PopulationPlan`] (one per distinct scheme and member
+/// geometry list, shared by every job that has them) plus the flattened
+/// global work list with its calibrated per-item costs.
 ///
 /// Built by [`FleetRunner::plan`]; the cost accessors let the
 /// throughput benchmark model the executor's critical path without
@@ -108,7 +110,7 @@ impl FleetJob {
 #[derive(Debug)]
 pub struct FleetPlan {
     jobs: Vec<FleetJob>,
-    populations: Vec<PopulationPlan>,
+    populations: Vec<Arc<PopulationPlan>>,
     /// Flattened `(job, member)` pairs, job-major, member order.
     members: Vec<(usize, usize)>,
 }
@@ -139,7 +141,8 @@ impl FleetPlan {
             .collect()
     }
 
-    /// Job `job`'s population plan.
+    /// Job `job`'s population plan (the same plan for every job with the
+    /// same scheme and member geometries).
     pub fn population_plan(&self, job: usize) -> &PopulationPlan {
         &self.populations[job]
     }
@@ -362,7 +365,7 @@ impl FleetRunner {
         let pairs = populations
             .iter()
             .zip(&mut socs)
-            .map(|(population, soc)| population.as_ref().zip(soc.as_mut()));
+            .map(|(population, soc)| population.as_deref().zip(soc.as_mut()));
         let results = self.diagnose_jobs(pairs, &mut errors)?;
         let outcomes = socs
             .into_iter()
@@ -458,35 +461,56 @@ impl FleetRunner {
             );
         }
         let mut errors = vec![None; plan.jobs.len()];
-        let pairs = plan.populations.iter().zip(socs).map(Some);
+        let pairs = plan
+            .populations
+            .iter()
+            .map(|population| &**population)
+            .zip(socs)
+            .map(Some);
         let results = self.diagnose_jobs(pairs, &mut errors)?;
         job_results(errors, results).into_iter().collect()
     }
 
-    /// The plan phase: each job's controller work under its own
-    /// containment. An empty population is the per-job equivalent of
-    /// the solo builder's `InvalidConfig` rejection. A failed job's
-    /// error lands in its `errors` slot and its plan is `None`.
+    /// The plan phase: the controller work of each distinct (scheme,
+    /// member geometries) pair, once, under its own containment. A plan
+    /// is a pure function of that pair, so jobs that differ only in seed
+    /// or defect rate share it; a failure fails every job sharing it with
+    /// the same error, as each solo run would. An empty population is
+    /// the per-job equivalent of the solo builder's `InvalidConfig`
+    /// rejection. A failed job's error lands in its `errors` slot and its
+    /// plan is `None`.
     fn plan_jobs(
         &self,
         jobs: &[FleetJob],
         errors: &mut [Option<FleetError>],
-    ) -> Result<Vec<Option<PopulationPlan>>, FleetError> {
+    ) -> Result<Vec<Option<Arc<PopulationPlan>>>, FleetError> {
+        // (first job with the pair, its planning outcome)
+        let mut distinct: Vec<(usize, Result<Arc<PopulationPlan>, FleetError>)> = Vec::new();
         let mut populations = Vec::with_capacity(jobs.len());
         for (job, fleet_job) in jobs.iter().enumerate() {
             self.token
                 .check()
                 .map_err(|error| FleetError::from_exec(FleetPhase::Plan, error))?;
             let configs = fleet_job.builder.member_configs();
-            let planned = if configs.is_empty() {
-                Err(FleetError::Memory(MemError::InvalidConfig { words: 0, width: 0 }))
-            } else {
-                catch_unwind(AssertUnwindSafe(|| fleet_job.scheme.plan_population(configs))).map_err(
-                    |payload| FleetError::Panicked {
-                        phase: FleetPhase::Plan,
-                        payload: panic_payload(payload.as_ref()),
-                    },
-                )
+            let shared = distinct.iter().find(|&&(first, _)| {
+                jobs[first].scheme == fleet_job.scheme && jobs[first].builder.member_configs() == configs
+            });
+            let planned = match shared {
+                Some((_, planned)) => planned.clone(),
+                None => {
+                    let planned = if configs.is_empty() {
+                        Err(FleetError::Memory(MemError::InvalidConfig { words: 0, width: 0 }))
+                    } else {
+                        catch_unwind(AssertUnwindSafe(|| fleet_job.scheme.plan_population(configs)))
+                            .map(Arc::new)
+                            .map_err(|payload| FleetError::Panicked {
+                                phase: FleetPhase::Plan,
+                                payload: panic_payload(payload.as_ref()),
+                            })
+                    };
+                    distinct.push((job, planned.clone()));
+                    planned
+                }
             };
             populations.push(planned.map_err(|error| errors[job] = Some(error)).ok());
         }
@@ -804,6 +828,25 @@ mod tests {
                 assert_eq!(outcome.result(), result, "{threads} threads");
                 assert_eq!(outcome.soc().injected_faults(), soc.injected_faults());
             }
+        }
+    }
+
+    #[test]
+    fn sweep_jobs_share_one_plan_and_keep_their_results() {
+        let jobs = mixed_jobs();
+        let plan = FleetRunner::default().plan(&jobs).unwrap();
+        // Jobs 0-2 are one seed sweep over the same memories and scheme;
+        // job 3 has other memories.
+        for job in 1..3 {
+            assert!(std::ptr::eq(plan.population_plan(0), plan.population_plan(job)));
+        }
+        assert!(!std::ptr::eq(plan.population_plan(0), plan.population_plan(3)));
+        let baseline = serial_baseline(&jobs);
+        let runner = FleetRunner::new(ShardPlan::with_threads(2));
+        let mut socs = runner.build(&plan).unwrap();
+        let results = runner.diagnose(&plan, &mut socs).unwrap();
+        for (result, (_, expected)) in results.iter().zip(&baseline) {
+            assert_eq!(result, expected);
         }
     }
 
