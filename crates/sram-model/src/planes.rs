@@ -184,38 +184,13 @@ impl BitPlanes {
         self.mark_dirty(row);
     }
 
-    /// True if every stored cell is zero.
-    ///
-    /// Only the rows marked dirty are scanned (non-zero rows are a
-    /// subset of the dirty rows), so a pristine or sparsely written
-    /// plane answers in O(rows touched) — this is what lets a diagnosis
-    /// controller prove "this memory still holds its power-on state"
-    /// without walking every limb.
-    pub fn all_zero(&self) -> bool {
-        let limbs_per_word = self.limbs_per_word;
-        for (limb_index, &dirty_limb) in self.dirty.iter().enumerate() {
-            let mut pending = dirty_limb;
-            while pending != 0 {
-                let row = limb_index * 64 + pending.trailing_zeros() as usize;
-                pending &= pending - 1;
-                let base = row * limbs_per_word;
-                if self.limbs[base..base + limbs_per_word]
-                    .iter()
-                    .any(|&limb| limb != 0)
-                {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
     /// The rows currently holding at least one non-zero bit, ascending.
     ///
-    /// Like [`BitPlanes::all_zero`] this scans only the dirty rows, so
-    /// the cost is O(rows touched since the last clear) — the plane-level
-    /// helper behind the diagnosis fast path's "which rows can deviate
-    /// from the golden expectation" question.
+    /// Only the rows marked dirty are scanned (non-zero rows are a
+    /// subset of the dirty rows), so the cost is O(rows touched since
+    /// the last clear) — the plane-level helper behind the diagnosis
+    /// fast path's "which rows can deviate from the golden expectation"
+    /// question.
     pub fn nonzero_rows(&self) -> Vec<u64> {
         let limbs_per_word = self.limbs_per_word;
         let mut rows = Vec::new();
@@ -337,20 +312,17 @@ mod tests {
     }
 
     #[test]
-    fn all_zero_and_nonzero_rows_track_contents_not_bookkeeping() {
+    fn nonzero_rows_track_contents_not_bookkeeping() {
         let mut p = planes(200, 100);
-        assert!(p.all_zero());
         assert!(p.nonzero_rows().is_empty());
         p.set_word(7, &DataWord::splat(true, 100));
         p.set_bit(150, 99, true);
         // A dirty row written back to zero must not count as non-zero.
         p.set_word(42, &DataWord::splat(true, 100));
         p.set_word(42, &DataWord::zero(100));
-        assert!(!p.all_zero());
         assert_eq!(p.nonzero_rows(), vec![7, 150]);
         assert_eq!(p.dirty_row_count(), 3);
         p.clear();
-        assert!(p.all_zero());
         assert!(p.nonzero_rows().is_empty());
     }
 
