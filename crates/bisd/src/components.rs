@@ -5,6 +5,7 @@ use crate::log::{DiagnosisLog, DiagnosisRecord};
 use march::DataBackground;
 use sram_model::{AccessProfile, Address, DataWord, MemConfig, MemoryId};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// The global address trigger of the shared controller.
 ///
@@ -167,7 +168,8 @@ impl FromIterator<(MemoryId, MemConfig)> for MemorySizeTable {
 /// appears nowhere (it behaves exactly as the golden model predicts,
 /// so stepping it cannot produce a record), a
 /// [`AccessProfile::RowLocal`] member appears at every global address
-/// whose wrapped local row is one of its deviation rows, and a
+/// whose wrapped local row is one of its deviation rows (and nowhere
+/// when it lists none), and a
 /// [`AccessProfile::Opaque`] member appears everywhere. Within one
 /// address the member indices are ascending — the same order the
 /// per-memory walk visits them — so records emitted from this index
@@ -207,7 +209,7 @@ impl StepIndex {
                     }
                 }
                 AccessProfile::RowLocal(rows) => {
-                    stepped.push(true);
+                    stepped.push(!rows.is_empty());
                     let mut local_rows = vec![false; words as usize];
                     for &row in rows {
                         assert!(row < words, "deviation row outside the member");
@@ -274,7 +276,7 @@ impl ComparatorArray {
         memory: MemoryId,
         address: Address,
         background: DataBackground,
-        element: &str,
+        element: &Arc<str>,
         expected: &DataWord,
         observed: &DataWord,
     ) -> bool {
@@ -286,7 +288,7 @@ impl ComparatorArray {
             memory,
             address,
             background,
-            element: element.to_string(),
+            element: Arc::clone(element),
             failing_bits,
         });
         true
@@ -400,7 +402,7 @@ mod tests {
             MemoryId::new(0),
             Address::new(1),
             DataBackground::Solid,
-            "M1",
+            &"M1".into(),
             &expected,
             &good
         ));
@@ -408,13 +410,13 @@ mod tests {
             MemoryId::new(0),
             Address::new(2),
             DataBackground::Solid,
-            "M2",
+            &"M2".into(),
             &expected,
             &bad,
         ));
         assert_eq!(comparator.log().len(), 1);
         let log = comparator.into_log();
-        assert_eq!(log.records()[0].element, "M2");
+        assert_eq!(&*log.records()[0].element, "M2");
         assert_eq!(log.records()[0].failing_bits, vec![2]);
     }
 }

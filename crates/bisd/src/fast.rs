@@ -8,11 +8,16 @@ use crate::population::GoldenStore;
 use crate::result::DiagnosisResult;
 use crate::scheme::{DiagnosisScheme, MemoryUnderDiagnosis};
 use esram_exec::{failpoint, CostCalibration, CostDomain, ShardPlan};
-use march::{algorithms, DataBackground, MarchElement, MarchOp, MarchSchedule};
+use march::{algorithms, AddressOrder, DataBackground, MarchElement, MarchOp, MarchSchedule};
 use serial::{ParallelToSerialConverter, PatternDeliveryBus, ShiftOrder};
-use sram_model::{DataWord, MemConfig, MemError, MemoryId, MemoryPort, Sram};
+use sram_model::cell::CellCoord;
+use sram_model::{
+    AccessProfile, Address, CellFault, DataWord, FailingBits, LanePlanes, MemConfig, MemError, MemoryId,
+    MemoryPort, RetentionModel, Sram,
+};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// How the scheme handles data-retention faults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -161,7 +166,8 @@ struct ElementPlan {
     phase_index: usize,
     element_index: usize,
     background: DataBackground,
-    label: String,
+    /// Built once per plan and shared by every record of the element.
+    label: Arc<str>,
     pause_ms: u64,
     /// `delivered[value][width]` — the word an SPC of `width` presents
     /// after the broadcast for logical `value`.
@@ -268,10 +274,10 @@ impl FastScheme {
         let mut plans: Vec<ElementPlan> = Vec::new();
         for (phase_index, phase) in schedule.phases().iter().enumerate() {
             for (element_index, element) in phase.test.elements().iter().enumerate() {
-                let label = element
-                    .label
-                    .clone()
-                    .unwrap_or_else(|| format!("{}#{}", phase.test.name(), element_index));
+                let label: Arc<str> = match &element.label {
+                    Some(label) => label.as_str().into(),
+                    None => format!("{}#{}", phase.test.name(), element_index).into(),
+                };
                 pause_ms += element.pause_ms() as f64;
                 let delivered =
                     self.deliver_patterns(element, phase.background, &generator, &widths, &mut cycles);
@@ -383,6 +389,34 @@ pub struct SegmentOutcome {
     log: DiagnosisLog,
 }
 
+/// A mismatch record keyed for the segment log: (global operation
+/// sequence, segment member index).
+type KeyedRecord = ((u64, u32), DiagnosisRecord);
+
+/// One faulty row replayed in a lane instead of being stepped.
+#[derive(Debug)]
+struct LaneRow {
+    /// Segment member index.
+    member: u32,
+    id: MemoryId,
+    /// Local row within the member.
+    row: u64,
+    faults: Vec<(usize, CellFault)>,
+}
+
+/// Lane rows that replay together: one geometry, one retention model
+/// and one visit count per element (a wrapped member's local row `r`
+/// is visited at every global address `g < n_max` with
+/// `g mod words = r`).
+#[derive(Debug)]
+struct LaneGroup {
+    words: u64,
+    width: usize,
+    retention: RetentionModel,
+    visits: u64,
+    rows: Vec<LaneRow>,
+}
+
 /// The controller's population-global planning for one diagnosis run,
 /// built once by [`FastScheme::plan_population`]: the schedule, the
 /// per-element serially delivered pattern words, the closed-form
@@ -396,7 +430,14 @@ pub struct SegmentOutcome {
 /// [`PopulationPlan::merge`] reassembles per-segment outcomes into the
 /// exact sequential-order [`DiagnosisResult`] no matter how the
 /// population was split. This is what lets the fleet runner interleave
-/// segments of *different* populations in one executor run.
+/// segments of *different* populations in one executor run, and share
+/// one plan among the jobs of a sweep.
+///
+/// Under the bit-parallel kernel a segment steps only the rows that can
+/// deviate, and replays most of the faulty rows of its row-local members
+/// 64 at a time in the lanes of a [`LanePlanes`]; each segment's log is
+/// in (operation sequence, member) order, as the per-memory walk emits
+/// it.
 #[derive(Debug)]
 pub struct PopulationPlan {
     scheme: FastScheme,
@@ -439,8 +480,9 @@ impl PopulationPlan {
 
     /// Replays the planned schedule over one contiguous population
     /// segment starting at member `base`, dispatching to the planned
-    /// kernel (bit-parallel, or the per-memory oracle when the kernel
-    /// choice or a non-ideal delivery demands it).
+    /// kernel (bit-parallel with lane replay, or the per-memory oracle
+    /// when the kernel choice or a non-ideal delivery demands it). Both
+    /// leave the segment's memories in the same state.
     ///
     /// # Errors
     ///
@@ -617,10 +659,12 @@ impl PopulationPlan {
     /// segment through the bit-parallel kernel: instead of stepping
     /// every operation of every memory through its SPC/PSC pair, only
     /// the sparse set of (memory, row) pairs whose behaviour can
-    /// deviate from the golden expectation is stepped at all.
+    /// deviate from the golden expectation is replayed at all, and most
+    /// of those 64 rows at a time in the lanes of one [`LanePlanes`].
     ///
-    /// Soundness rests on three facts, each declared by the memory
-    /// itself through [`sram_model::AccessProfile`]:
+    /// Soundness rests on four facts, each declared by the memory
+    /// itself through [`sram_model::AccessProfile`] and
+    /// [`MemoryPort::lane_rows`]:
     ///
     /// * With ideal delivery (checked by the caller; otherwise the
     ///   per-memory oracle runs), the word a fault-free pristine row
@@ -637,12 +681,24 @@ impl PopulationPlan {
     ///   read, the (lossless) PSC shift-back and the comparison into
     ///   one limb pass. Coupling aggressor rows are part of the stepped
     ///   set, so victim-driving write transitions replay exactly.
+    /// * A lane row (single-cell faults only, no coupling or decoder
+    ///   fault touching it, reset contents) depends only on the ops
+    ///   addressed to it, and every SPC of one width receives the same
+    ///   word at every address of an element. So all lane rows of one
+    ///   [`LaneGroup`] see one op stream: the schedule's ops, repeated
+    ///   once per visit. One replay of that stream serves 64 rows, and
+    ///   the last word it wrote is the golden expectation of every lane
+    ///   (what [`LanePlanes::read_row`] debug-asserts). Each lane then
+    ///   writes its final word back, leaving the memory as the stepped
+    ///   walk would.
     /// * The global operation sequence counter advances identically to
     ///   the per-memory walk (the schedule walk is population-global),
-    ///   and within one operation members are visited in ascending
-    ///   index order — so mismatch records carry identical sequence
-    ///   numbers in identical order, and sharded logs stay
-    ///   byte-identical to the oracle's.
+    ///   and a lane's sequence numbers follow from its global address:
+    ///   op `k` at sweep position `p` of element `e` is
+    ///   `B_e + p · ops_len(e) + k + 1`, with `B_e` the ops of all
+    ///   earlier elements over `n_max` addresses. Records are ordered by
+    ///   (sequence, member index) — the order the per-memory walk emits
+    ///   — so sharded logs stay byte-identical to the oracle's.
     ///
     /// Cycle accounting never enters this function: Eq. (2) is computed
     /// in closed form during planning, so skipping behavioural steps
@@ -656,23 +712,31 @@ impl PopulationPlan {
         let mut golden = GoldenStore::new(configs, &self.generator, &self.backgrounds);
         let delivery = self.segment_delivery(golden.class_widths());
         let mut comparator = ComparatorArray::new();
-        let mut sequences: Vec<u64> = Vec::new();
+        let mut keys: Vec<(u64, u32)> = Vec::new();
         let mut op_seq: u64 = 0;
 
         // Classify once per segment: faults are installed before diagnosis
         // and the stepped rows of a row-local member are a static
         // superset of where mismatches can appear (prior mismatches
         // happen *at* faulted rows, and every stepped row is replayed
-        // in full, so no dynamic re-classification is needed).
-        let profiles: Vec<_> = memories.iter().map(|(_, m)| m.access_profile()).collect();
+        // in full, so no dynamic re-classification is needed). Lane rows
+        // leave the stepped set.
+        let mut profiles: Vec<AccessProfile> = memories.iter().map(|(_, m)| m.access_profile()).collect();
+        let groups = self.lane_groups(memories, configs, &mut profiles);
         let member_words: Vec<u64> = (0..memories.len()).map(|m| golden.member_words(m)).collect();
         let steps = StepIndex::new(&profiles, &member_words, trigger.max_words());
 
+        // The stepped walk runs before the lane replays: its pauses reach
+        // every overlay cell of a stepped memory, lane rows included, and
+        // the lanes' write-back must come after them.
         for (plan, delivered) in self.plans.iter().zip(&delivery) {
+            if steps.stepped_count() == 0 {
+                break;
+            }
             let element = &self.schedule.phases()[plan.phase_index].test.elements()[plan.element_index];
 
             // Retention pauses reach every stepped memory; a skipped
-            // (pristine) memory holds no retention-faulted cells, so
+            // memory holds no stepped retention-faulted cells, so
             // elapsing its clock would be a behavioural no-op anyway.
             if plan.pause_ms > 0 {
                 for (index, (_, memory)) in memories.iter_mut().enumerate() {
@@ -712,17 +776,17 @@ impl PopulationPlan {
                         }
                         MarchOp::Read(_) => {
                             for &member in active {
-                                let member = member as usize;
-                                let (local, expected) = golden.expected_at_global(member, global);
+                                let index = member as usize;
+                                let (local, expected) = golden.expected_at_global(index, global);
                                 // One fused limb pass replaces read +
                                 // PSC shift-back + compare: the PSC
                                 // serialisation is lossless (capture
                                 // then reconstruct), so the word the
                                 // comparator would see *is* the word
                                 // the port observed.
-                                if let Some(observed) = memories[member].1.read_expect(local, expected)? {
+                                if let Some(observed) = memories[index].1.read_expect(local, expected)? {
                                     let logged = comparator.compare(
-                                        memories[member].0,
+                                        memories[index].0,
                                         local,
                                         plan.background,
                                         &plan.label,
@@ -730,7 +794,7 @@ impl PopulationPlan {
                                         &observed,
                                     );
                                     debug_assert!(logged, "read_expect reported a match");
-                                    sequences.push(op_seq);
+                                    keys.push((op_seq, member));
                                 }
                             }
                         }
@@ -741,10 +805,174 @@ impl PopulationPlan {
                 Ok::<(), MemError>(())
             })?;
         }
-        Ok(SegmentOutcome {
-            sequences,
-            log: comparator.into_log(),
-        })
+
+        let mut records: Vec<KeyedRecord> = keys
+            .into_iter()
+            .zip(comparator.into_log().into_records())
+            .collect();
+        for group in &groups {
+            let class = golden.member_width_class(group.rows[0].member as usize);
+            let mut lanes = LanePlanes::with_retention(MemConfig::new(1, group.width)?, group.retention);
+            for batch in group.rows.chunks(64) {
+                lanes.reset();
+                for (lane, row) in batch.iter().enumerate() {
+                    for (bit, fault) in &row.faults {
+                        lanes.add_lane_fault(lane, CellCoord::new(Address::new(0), *bit), fault);
+                    }
+                }
+                lanes.freeze();
+                self.replay_lanes(&mut lanes, group, batch, &delivery, class, &mut records);
+                for (lane, row) in batch.iter().enumerate() {
+                    let word = lanes.lane_word(lane, Address::new(0));
+                    memories[row.member as usize]
+                        .1
+                        .write(Address::new(row.row), &word)?;
+                }
+            }
+        }
+        if !groups.is_empty() {
+            // The stepped records are already in key order; the stable
+            // sort merges the lane records into them.
+            records.sort_by_key(|&(key, _)| key);
+        }
+        let mut log = DiagnosisLog::new();
+        let mut sequences = Vec::with_capacity(records.len());
+        log.extend(records.into_iter().map(|((sequence, _), record)| {
+            sequences.push(sequence);
+            record
+        }));
+        Ok(SegmentOutcome { sequences, log })
+    }
+
+    /// Collects the segment's lane rows into replay groups and removes
+    /// them from their members' stepped rows in `profiles`. Only
+    /// row-local members offer lane rows; opaque members step whole.
+    fn lane_groups<M: MemoryPort>(
+        &self,
+        memories: &[(MemoryId, M)],
+        configs: &[MemConfig],
+        profiles: &mut [AccessProfile],
+    ) -> Vec<LaneGroup> {
+        let n_max = self.trigger.max_words();
+        let mut groups: Vec<LaneGroup> = Vec::new();
+        for (member, ((id, memory), profile)) in memories.iter().zip(profiles.iter_mut()).enumerate() {
+            let AccessProfile::RowLocal(stepped) = profile else {
+                continue;
+            };
+            let Some(lane_rows) = memory.lane_rows() else {
+                continue;
+            };
+            let (words, width) = (configs[member].words(), configs[member].width());
+            stepped.retain(|row| {
+                lane_rows
+                    .rows
+                    .binary_search_by_key(row, |(address, _)| address.index())
+                    .is_err()
+            });
+            for (address, faults) in lane_rows.rows {
+                let row = address.index();
+                let visits = (n_max - 1 - row) / words + 1;
+                let position = groups.iter().position(|group| {
+                    (group.words, group.width, group.retention, group.visits)
+                        == (words, width, lane_rows.retention, visits)
+                });
+                let index = position.unwrap_or_else(|| {
+                    groups.push(LaneGroup {
+                        words,
+                        width,
+                        retention: lane_rows.retention,
+                        visits,
+                        rows: Vec::new(),
+                    });
+                    groups.len() - 1
+                });
+                groups[index].rows.push(LaneRow {
+                    member: member as u32,
+                    id: *id,
+                    row,
+                    faults,
+                });
+            }
+        }
+        groups
+    }
+
+    /// Replays the whole schedule once over one frozen lane batch of
+    /// `group` (lane `i` is `batch[i]`, at lane row 0) and appends each
+    /// lane's mismatch records with their rebuilt global sequence
+    /// numbers. `class` is the group's width class in `delivery`.
+    fn replay_lanes(
+        &self,
+        lanes: &mut LanePlanes,
+        group: &LaneGroup,
+        batch: &[LaneRow],
+        delivery: &[[Vec<DataWord>; 2]],
+        class: usize,
+        records: &mut Vec<KeyedRecord>,
+    ) {
+        let n_max = self.trigger.max_words();
+        let lane_row = Address::new(0);
+        let power_on = DataWord::zero(group.width);
+        // The broadcast plane holds the last word written, which is the
+        // golden expectation of every lane.
+        let mut expected = &power_on;
+        let mut deviations: Vec<(usize, u64)> = Vec::new();
+        // `B_e`: operations of all earlier elements over `n_max` addresses.
+        let mut base: u64 = 0;
+        for (plan, delivered) in self.plans.iter().zip(delivery) {
+            let element = &self.schedule.phases()[plan.phase_index].test.elements()[plan.element_index];
+            let ops_len = element.ops.len() as u64;
+            let descending = element.order == AddressOrder::Descending;
+            if plan.pause_ms > 0 {
+                lanes.elapse_retention(plan.pause_ms as f64);
+            }
+            for visit in 0..group.visits {
+                // The wrap count of this visit's global address, in sweep order.
+                let wrap = if descending {
+                    group.visits - 1 - visit
+                } else {
+                    visit
+                };
+                for (k, op) in (1u64..).zip(&element.ops) {
+                    match op {
+                        MarchOp::Write(value) | MarchOp::NwrcWrite(value) => {
+                            expected = &delivered[usize::from(*value)][class];
+                            lanes.write_row(lane_row, expected, op.is_nwrc());
+                        }
+                        MarchOp::Read(_) => {
+                            deviations.clear();
+                            let mut pending = lanes.read_row(lane_row, expected, &mut deviations);
+                            while pending != 0 {
+                                let lane = pending.trailing_zeros() as usize;
+                                pending &= pending - 1;
+                                let row = &batch[lane];
+                                let global = row.row + wrap * group.words;
+                                let position = if descending { n_max - 1 - global } else { global };
+                                let mut failing_bits = FailingBits::new();
+                                for &(bit, mask) in &deviations {
+                                    if (mask >> lane) & 1 == 1 {
+                                        failing_bits.push(bit);
+                                    }
+                                }
+                                records.push((
+                                    (base + position * ops_len + k, row.member),
+                                    DiagnosisRecord {
+                                        memory: row.id,
+                                        address: Address::new(row.row),
+                                        background: plan.background,
+                                        element: Arc::clone(&plan.label),
+                                        failing_bits,
+                                    },
+                                ));
+                            }
+                        }
+                        // Pauses applied once, before the visits.
+                        _ => {}
+                    }
+                }
+            }
+            base += n_max * ops_len;
+        }
     }
 }
 
@@ -752,8 +980,7 @@ impl PopulationPlan {
 mod tests {
     use super::*;
     use fault_models::{FaultList, MemoryFault};
-    use sram_model::cell::CellCoord;
-    use sram_model::{Address, MemConfig, MemoryId};
+    use sram_model::{MemConfig, MemoryId};
 
     fn population() -> Vec<MemoryUnderDiagnosis> {
         vec![

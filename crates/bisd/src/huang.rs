@@ -380,7 +380,7 @@ fn located_record(memory: MemoryId, element: &MarchElement, address: Address, bi
         memory,
         address,
         background: DataBackground::Solid,
-        element: element.label.clone().unwrap_or_else(|| "M1".to_string()),
+        element: element.label.as_deref().unwrap_or("M1").into(),
         failing_bits: vec![bit].into(),
     }
 }

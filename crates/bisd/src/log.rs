@@ -4,6 +4,7 @@ use fault_models::MemoryFault;
 use march::DataBackground;
 use sram_model::{Address, FailingBits, MemoryId};
 use std::fmt;
+use std::sync::Arc;
 
 /// A located faulty bit cell: memory, word address and bit position.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -52,8 +53,9 @@ pub struct DiagnosisRecord {
     pub address: Address,
     /// Data background active when the mismatch was observed.
     pub background: DataBackground,
-    /// Label of the March element that detected the mismatch.
-    pub element: String,
+    /// Label of the March element that detected the mismatch, shared by
+    /// every record of that element (cloning it does not allocate).
+    pub element: Arc<str>,
     /// Failing bit positions.
     pub failing_bits: FailingBits,
 }
@@ -247,7 +249,7 @@ mod tests {
             memory: MemoryId::new(memory),
             address: Address::new(address),
             background: DataBackground::Solid,
-            element: "M1".to_string(),
+            element: "M1".into(),
             failing_bits: bits.into(),
         }
     }

@@ -128,7 +128,7 @@ mod tests {
             memory: MemoryId::new(1),
             address: Address::new(7),
             background: DataBackground::Solid,
-            element: "M2".to_string(),
+            element: "M2".into(),
             failing_bits: vec![3].into(),
         });
         let result = DiagnosisResult {

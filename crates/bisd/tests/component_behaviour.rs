@@ -98,7 +98,7 @@ fn comparator_array_records_only_mismatches() {
         MemoryId::new(0),
         Address::new(3),
         DataBackground::Solid,
-        "M1",
+        &"M1".into(),
         &expected,
         &matching,
     );
@@ -108,7 +108,7 @@ fn comparator_array_records_only_mismatches() {
         MemoryId::new(1),
         Address::new(5),
         DataBackground::Solid,
-        "M2",
+        &"M2".into(),
         &expected,
         &off_by_two,
     );

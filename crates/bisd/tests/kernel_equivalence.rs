@@ -21,7 +21,13 @@
 //!   must fall back to the oracle wholesale;
 //! * random small baseline populations mixing every fault class with
 //!   one stuck-open member, which the baseline's row-restricted walk
-//!   must sweep whole.
+//!   must sweep whole;
+//! * random populations built for the fast scheme's lane replay: more
+//!   than 64 lane rows of one geometry, wrapped members whose word count
+//!   does not divide the largest, rows with two faults, rows of several
+//!   members that mismatch at the same operation, fallback members with
+//!   coupling, decoder and stuck-open faults, every DRF mode, several
+//!   worker counts, and a second diagnosis of the same memories.
 
 use bisd::{DiagnosisKernel, DrfMode, FastScheme, HuangScheme, MemoryUnderDiagnosis};
 use fault_models::{DefectProfile, FaultInjector, FaultList, MemoryFault};
@@ -409,6 +415,158 @@ proptest! {
                 "baseline kernels diverged for seed {:#x} under {:?}",
                 seed,
                 scheme
+            );
+        }
+    }
+}
+
+/// One random single-cell fault a lane can carry.
+fn random_lane_fault(stream: &mut Stream, site: CellCoord) -> MemoryFault {
+    match stream.below(9) {
+        0 => MemoryFault::stuck_at_0(site),
+        1 => MemoryFault::stuck_at_1(site),
+        2 => MemoryFault::transition_up(site),
+        3 => MemoryFault::transition_down(site),
+        4 => MemoryFault::cell(site, CellFault::ReadDestructive),
+        5 => MemoryFault::cell(site, CellFault::DeceptiveReadDestructive),
+        6 => MemoryFault::cell(site, CellFault::IncorrectRead),
+        7 => MemoryFault::data_retention_a(site),
+        _ => MemoryFault::data_retention_b(site),
+    }
+}
+
+/// A random population for the fast scheme's lane replay, under a
+/// 128-word trigger:
+///
+/// * member 0 (128×8) carries single-cell faults on most of its rows,
+///   so its lane rows spill past one 64-lane batch;
+/// * member 1 (48×8) wraps, and 48 does not divide 128, so its rows are
+///   visited twice or three times per element; one of its rows holds
+///   two faults;
+/// * members 2 (128×8) and 3 (48×8) repeat some faults of members 0 and
+///   1 at the same cells, so rows of several members mismatch at the
+///   same operation;
+/// * members 4, 5 and 6 add a coupling, a decoder and a stuck-open
+///   fault to lane faults, so their rows fall back to stepping (member 6
+///   whole);
+/// * member 7 is pristine.
+fn lane_population(seed: u64) -> Vec<MemoryUnderDiagnosis> {
+    let mut stream = Stream(seed);
+    let mut faults: Vec<Vec<MemoryFault>> = vec![Vec::new(); 8];
+    for row in 0..128 {
+        if stream.below(4) != 0 {
+            let site = coord(row, stream.below(8) as usize);
+            faults[0].push(random_lane_fault(&mut stream, site));
+        }
+    }
+    for _ in 0..1 + stream.below(6) {
+        let site = coord(stream.below(48), stream.below(8) as usize);
+        faults[1].push(random_lane_fault(&mut stream, site));
+    }
+    let row = stream.below(48);
+    let bit = stream.below(7) as usize;
+    faults[1].push(random_lane_fault(&mut stream, coord(row, bit)));
+    faults[1].push(random_lane_fault(&mut stream, coord(row, bit + 1)));
+    for (source, copy) in [(0, 2), (1, 3)] {
+        let shared: Vec<MemoryFault> = faults[source]
+            .iter()
+            .filter(|_| stream.below(3) == 0)
+            .copied()
+            .collect();
+        faults[copy].extend(shared);
+    }
+    let geometries: [(u64, usize); 8] = [
+        (128, 8),
+        (48, 8),
+        (128, 8),
+        (48, 8),
+        (32, 12),
+        (16, 4),
+        (48, 16),
+        (64, 8),
+    ];
+    for member in 4..7 {
+        let (words, width) = geometries[member];
+        for _ in 0..1 + stream.below(4) {
+            let site = coord(stream.below(words), stream.below(width as u64) as usize);
+            faults[member].push(random_lane_fault(&mut stream, site));
+        }
+    }
+    let victim = coord(stream.below(32), stream.below(12) as usize);
+    let aggressor = coord(stream.below(32), stream.below(12) as usize);
+    faults[4].push(MemoryFault::coupling_inversion(victim, aggressor, stream.coin()));
+    faults[5].push(MemoryFault::decoder(DecoderFault::new(
+        Address::new(stream.below(16)),
+        DecoderFaultKind::MapsTo(Address::new(stream.below(16))),
+    )));
+    faults[6].push(MemoryFault::cell(
+        coord(stream.below(48), stream.below(16) as usize),
+        CellFault::StuckOpen,
+    ));
+    geometries
+        .iter()
+        .zip(&faults)
+        .enumerate()
+        .map(|(index, (&(words, width), faults))| {
+            let config = MemConfig::new(words, width).expect("valid geometry");
+            let mut memory = MemoryUnderDiagnosis::pristine(MemoryId::new(index as u32), config);
+            for fault in faults {
+                fault
+                    .inject_into(&mut memory.sram)
+                    .expect("fault fits the geometry");
+            }
+            memory
+        })
+        .collect()
+}
+
+/// Diagnoses `population` twice in a row with `scheme` under `plan`: the
+/// second run starts from the contents the first one left.
+fn diagnose_twice(
+    scheme: FastScheme,
+    plan: ShardPlan,
+    mut population: Vec<MemoryUnderDiagnosis>,
+) -> [bisd::DiagnosisResult; 2] {
+    [(); 2].map(|_| {
+        scheme
+            .diagnose_with(plan, &mut population)
+            .expect("diagnosis run")
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Property: on a random lane population the bit-parallel fast
+    /// scheme returns the per-memory oracle's whole result at every
+    /// worker count, in every DRF mode, and again when the same
+    /// memories are diagnosed a second time.
+    #[test]
+    fn fast_scheme_lane_replay_agrees_with_the_oracle(seed in any::<u64>(), mode in 0usize..3) {
+        let mode = [DrfMode::None, DrfMode::Nwrtm, DrfMode::RetentionPause(100)][mode];
+        let population = lane_population(seed);
+        let lane_rows = population[0].sram.lane_rows().expect("no stuck-open cell").rows.len();
+        prop_assert!(lane_rows > 64, "seed {:#x}: only {} lane rows in member 0", seed, lane_rows);
+        let scheme = FastScheme::new(10.0).with_drf_mode(mode);
+        let oracle = diagnose_twice(
+            scheme.with_kernel(DiagnosisKernel::PerMemory),
+            ShardPlan::sequential(),
+            population,
+        );
+        prop_assert!(!oracle[0].log.records().is_empty(), "seed {:#x}: nothing located", seed);
+        for threads in [1, 2, 7, 32] {
+            let kernel = diagnose_twice(
+                scheme.with_kernel(DiagnosisKernel::BitParallel),
+                ShardPlan::with_threads(threads),
+                lane_population(seed),
+            );
+            prop_assert_eq!(
+                &kernel,
+                &oracle,
+                "fast kernels diverged for seed {:#x} under {:?} at {} threads",
+                seed,
+                mode,
+                threads
             );
         }
     }

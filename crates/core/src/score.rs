@@ -174,7 +174,7 @@ mod tests {
             memory: MemoryId::new(0),
             address: Address::new(6),
             background: DataBackground::Solid,
-            element: "M1".to_string(),
+            element: "M1".into(),
             failing_bits: vec![0, 1, 2, 3].into(),
         });
         let result = DiagnosisResult {

@@ -94,7 +94,7 @@ fn record(memory: u32, address: u64, bits: Vec<usize>) -> DiagnosisRecord {
         memory: MemoryId::new(memory),
         address: Address::new(address),
         background: DataBackground::Solid,
-        element: "M1".to_string(),
+        element: "M1".into(),
         failing_bits: bits.into(),
     }
 }

@@ -5,8 +5,9 @@ use crate::cell::{Cell, CellCoord, CellFault, CouplingKind};
 use crate::config::{Address, MemConfig};
 use crate::decoder::{AddressDecoder, DecoderFault};
 use crate::error::MemError;
+use crate::lanes::LanePlanes;
 use crate::planes::BitPlanes;
-use crate::port::AccessProfile;
+use crate::port::{AccessProfile, LaneRows};
 use crate::retention::RetentionModel;
 use crate::word::DataWord;
 use std::collections::{BTreeMap, BTreeSet};
@@ -265,6 +266,46 @@ impl Sram {
         Some(rows.into_iter().map(Address::new).collect())
     }
 
+    /// The rows a lane-parallel controller may replay apart from this
+    /// memory (see [`LaneRows`]), or `None` when a stuck-open cell makes
+    /// every read depend on the rows read before it.
+    ///
+    /// A row is listed when every overlay cell in it carries a
+    /// [`LanePlanes::supports`] fault other than coupling, no coupling
+    /// aggressor or decoder fault touches it, and it holds the lane reset
+    /// state: all zero, stuck-at-1 cells at 1.
+    pub fn lane_rows(&self) -> Option<LaneRows> {
+        let mut excluded: BTreeSet<u64> = self.decoder.deviation_rows().into_iter().collect();
+        excluded.extend(self.coupling_index.keys().map(|&(row, _)| row));
+        let mut rows = Vec::new();
+        let mut cells = self.overlay.iter().peekable();
+        while let Some((&(row, _), _)) = cells.peek() {
+            let mut eligible = !excluded.contains(&row);
+            let mut faults = Vec::new();
+            let mut reset = DataWord::zero(self.config.width());
+            while let Some((&(_, bit), cell)) = cells.next_if(|((r, _), _)| *r == row) {
+                match cell.fault() {
+                    Some(CellFault::StuckOpen) => return None,
+                    Some(fault)
+                        if !fault.is_coupling()
+                            && LanePlanes::supports(CellCoord::new(Address::new(row), bit), &fault) =>
+                    {
+                        reset.set(bit, fault == CellFault::StuckAt(true));
+                        faults.push((bit, fault));
+                    }
+                    _ => eligible = false,
+                }
+            }
+            if eligible && self.planes.word_equals(row, &reset) {
+                rows.push((Address::new(row), faults));
+            }
+        }
+        Some(LaneRows {
+            retention: self.retention,
+            rows,
+        })
+    }
+
     /// Classifies the memory for batched controllers (see
     /// [`AccessProfile`]): which local rows must actually be stepped to
     /// observe every behavioural deviation from an ideal model that
@@ -445,25 +486,6 @@ impl Sram {
         }
     }
 
-    /// Applies state-coupling forcing onto a victim cell just before it
-    /// is observed.
-    fn apply_state_coupling(&mut self, coord: CellCoord) {
-        let key = (coord.address.index(), coord.bit);
-        if let Some(CellFault::Coupling {
-            aggressor,
-            kind:
-                CouplingKind::State {
-                    aggressor_value,
-                    forced_value,
-                },
-        }) = self.overlay.get(&key).and_then(Cell::fault)
-        {
-            if self.planes.bit(aggressor.address.index(), aggressor.bit) == aggressor_value {
-                self.force_cell(coord, forced_value);
-            }
-        }
-    }
-
     /// Normal read cycle; returns the word observed at the port.
     ///
     /// # Errors
@@ -518,32 +540,42 @@ impl Sram {
         self.observe_row_slow(r)
     }
 
-    /// Faulty-row observation. Outlined so the fault-free fast path
-    /// stays small enough to inline into the port `read`.
+    /// Faulty-row observation: walks the row's overlay cells in bit
+    /// order, applying state coupling then read-fault semantics to each.
+    /// Outlined so the fault-free fast path stays small enough to
+    /// inline into the port `read`.
     #[cold]
     fn observe_row_slow(&mut self, r: u64) -> DataWord {
         let mut word = self.planes.word(r);
-        let faulty_bits: Vec<usize> = self
-            .overlay
-            .range((r, 0)..=(r, usize::MAX))
-            .map(|(&(_, bit), _)| bit)
-            .collect();
-        for bit in faulty_bits {
-            let coord = CellCoord::new(Address::new(r), bit);
-            self.apply_state_coupling(coord);
-            let key = (r, bit);
-            let observed_bit = if matches!(
-                self.overlay.get(&key).and_then(Cell::fault),
-                Some(CellFault::StuckOpen)
-            ) {
-                // Stuck-open cell: sense amplifier keeps its previous
-                // value for this bit.
-                self.last_sense.bit(bit)
-            } else {
-                let cell = self.overlay.get_mut(&key).expect("overlay cell exists");
-                let outcome = cell.read();
-                self.planes.set_bit(r, bit, outcome.stored_after);
-                outcome.observed
+        // `overlay`, `planes` and `last_sense` are disjoint fields, so
+        // the planes mirror updates while the row's cells are walked.
+        let planes = &mut self.planes;
+        for (&(_, bit), cell) in self.overlay.range_mut((r, 0)..=(r, usize::MAX)) {
+            let observed_bit = match cell.fault() {
+                // Stuck-open cell: the sense amplifier keeps its
+                // previous value for this bit.
+                Some(CellFault::StuckOpen) => self.last_sense.bit(bit),
+                fault => {
+                    // State coupling forces the victim just before it
+                    // is observed.
+                    if let Some(CellFault::Coupling {
+                        aggressor,
+                        kind:
+                            CouplingKind::State {
+                                aggressor_value,
+                                forced_value,
+                            },
+                    }) = fault
+                    {
+                        if planes.bit(aggressor.address.index(), aggressor.bit) == aggressor_value {
+                            cell.force(forced_value);
+                            planes.set_bit(r, bit, cell.stored());
+                        }
+                    }
+                    let outcome = cell.read();
+                    planes.set_bit(r, bit, outcome.stored_after);
+                    outcome.observed
+                }
             };
             word.set(bit, observed_bit);
         }

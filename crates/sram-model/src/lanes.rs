@@ -30,7 +30,7 @@
 //!
 //! The equivalence contract — each lane's observable behaviour is
 //! bit-identical to a dedicated [`crate::Sram`] carrying only that
-//! lane's fault — is property-tested against the per-fault oracle in
+//! lane's faults — is property-tested against the per-fault oracle in
 //! `march`'s `lane_kernel_equivalence` suite. It holds only on
 //! schedules whose fault-free (golden) run passes: the broadcast plane
 //! then always equals the golden memory state, which is what lets
@@ -46,9 +46,9 @@ use crate::word::DataWord;
 /// Bit-parallel state of one overlay cell across 64 lanes.
 ///
 /// `stored` holds the cell's value in each lane; the remaining fields
-/// are per-fault-class lane masks. A lane carries at most one fault in
-/// a batch, so at any given cell the masks are pairwise lane-disjoint
-/// and the application order of the class rules never matters.
+/// are per-fault-class lane masks. A lane carries at most one fault per
+/// cell, so at any given cell the masks are pairwise lane-disjoint and
+/// the application order of the class rules never matters.
 #[derive(Debug, Clone, Copy, Default)]
 struct LaneCell {
     /// Per-lane stored value.
@@ -202,8 +202,8 @@ struct OverlayEntry {
 /// Lane-parallel memory state for up to 64 independently-faulty copies
 /// of one memory, driven by broadcast row operations.
 ///
-/// Construction protocol: [`LanePlanes::new`], then one
-/// [`LanePlanes::add_lane_fault`] per lane, then [`LanePlanes::freeze`]
+/// Construction protocol: [`LanePlanes::new`], then
+/// [`LanePlanes::add_lane_fault`] for each fault of each lane, then [`LanePlanes::freeze`]
 /// before the first row operation. All lanes then start from the
 /// all-zero reset state (stuck-at-1 lanes start at their pinned value,
 /// exactly as `Sram` fault injection leaves a freshly reset memory).
@@ -274,8 +274,8 @@ impl LanePlanes {
         self.config
     }
 
-    /// Registers `fault` at `coord` in lane `lane` (0..64). Each lane
-    /// must carry exactly one fault per batch; the caller's batcher
+    /// Registers `fault` at `coord` in lane `lane` (0..64). A lane may
+    /// carry several faults, at most one per cell; the caller's batcher
     /// guarantees coupling row-disjointness across lanes.
     ///
     /// # Panics
@@ -469,6 +469,22 @@ impl LanePlanes {
             }
         }
         union
+    }
+
+    /// The word lane `lane` stores at `address`: the broadcast word with
+    /// the lane's own value at each overlay cell of the row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lane or address is out of range.
+    pub fn lane_word(&self, lane: usize, address: Address) -> DataWord {
+        assert!(lane < 64, "lane index {lane} out of range");
+        let row = address.index();
+        let mut word = self.broadcast.word(row);
+        for entry in &self.overlay[self.row_range(row)] {
+            word.set(entry.bit, (entry.cell.stored >> lane) & 1 == 1);
+        }
+        word
     }
 
     /// Applies a retention pause to every lane: overlay cells decay iff
@@ -697,6 +713,61 @@ mod tests {
         // Aggressor holds the sensitising 1: victim forced at observe.
         lanes.write_row(Address::new(1), &one, false);
         assert_eq!(lanes.read_row(Address::new(7), &zero, &mut deviations), 1 << 4);
+    }
+
+    #[test]
+    fn a_lane_with_two_faults_matches_an_sram_holding_both() {
+        use crate::Sram;
+        let faults = [
+            (1, CellFault::TransitionDown),
+            (3, CellFault::DataRetention { node: CellNode::B }),
+        ];
+        let mut lanes = LanePlanes::new(MemConfig::new(1, 4).unwrap());
+        let mut sram = Sram::new(MemConfig::new(1, 4).unwrap());
+        for (bit, fault) in faults {
+            lanes.add_lane_fault(2, coord(0, bit), &fault);
+            sram.inject_cell_fault(coord(0, bit), fault).unwrap();
+        }
+        // Lane 5 carries a different fault at one of the same cells.
+        lanes.add_lane_fault(5, coord(0, 1), &CellFault::StuckAt(true));
+        lanes.freeze();
+        let row = Address::new(0);
+        let mut expected = DataWord::zero(4);
+        let mut deviations = Vec::new();
+        let ops: [(Option<bool>, bool); 6] = [
+            (Some(true), false),
+            (None, false),
+            (Some(false), true),
+            (None, false),
+            (Some(false), false),
+            (None, true),
+        ];
+        for (write, pause) in ops {
+            if pause {
+                lanes.elapse_retention(100.0);
+                sram.elapse_retention(100.0);
+            }
+            match write {
+                Some(value) => {
+                    expected = splat_word(value);
+                    lanes.write_row(row, &expected, false);
+                    sram.write(row, &expected).unwrap();
+                }
+                None => {
+                    deviations.clear();
+                    let union = lanes.read_row(row, &expected, &mut deviations);
+                    let observed = sram.read(row).unwrap();
+                    let lane_bits: Vec<usize> = deviations
+                        .iter()
+                        .filter(|&&(_, lanes)| lanes & (1 << 2) != 0)
+                        .map(|&(bit, _)| bit)
+                        .collect();
+                    assert_eq!(lane_bits, expected.mismatches(&observed).to_vec());
+                    assert_eq!(union & (1 << 2) != 0, observed != expected);
+                }
+            }
+            assert_eq!(lanes.lane_word(2, row), sram.peek(row).unwrap());
+        }
     }
 
     #[test]

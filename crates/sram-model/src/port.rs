@@ -12,6 +12,7 @@ use crate::config::{Address, MemConfig};
 use crate::decoder::DecoderFault;
 use crate::error::MemError;
 use crate::reference::ReferenceSram;
+use crate::retention::RetentionModel;
 use crate::word::DataWord;
 
 /// A memory's declaration of how much of it a batched controller must
@@ -44,6 +45,24 @@ pub enum AccessProfile {
     /// Every operation must be performed. This is the conservative
     /// default for implementations that do not classify themselves.
     Opaque,
+}
+
+/// The rows of a memory that a lane-parallel controller may replay
+/// apart from the memory itself, one row per lane of a
+/// [`crate::LanePlanes`] (see [`MemoryPort::lane_rows`]).
+///
+/// Each listed row behaves, under any sequence of operations addressed
+/// to it, exactly as a one-row lane memory holding the listed faults and
+/// starting from the lane reset state (all zero, stuck-at-1 cells at 1);
+/// and no access to any other row influences it or is influenced by it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LaneRows {
+    /// The memory's retention model: lanes replayed together must
+    /// decay alike.
+    pub retention: RetentionModel,
+    /// Each eligible row, ascending, with its faulty cells as
+    /// `(bit, fault)` in ascending bit order.
+    pub rows: Vec<(Address, Vec<(usize, CellFault)>)>,
 }
 
 /// The port surface a March programme needs from a memory.
@@ -104,6 +123,24 @@ pub trait MemoryPort {
     fn access_profile(&self) -> AccessProfile {
         AccessProfile::Opaque
     }
+
+    /// The rows a lane-parallel controller may replay in lanes instead
+    /// of stepping this memory (see [`LaneRows`]), or `None` to decline.
+    ///
+    /// A controller that replays a row in lanes must leave the row as
+    /// the replay left it, through one normal [`MemoryPort::write`] of
+    /// the lane's final word. The row is not addressed meanwhile, so its
+    /// cells hold their reset values, bar retention cells a pause
+    /// decayed, and that write stores exactly the word: retention and
+    /// read-disturb cells write normally, stuck-at bits already hold
+    /// their pinned value in it, a TF↑ cell never leaves 0 and a TF↓
+    /// cell only rises.
+    ///
+    /// The default declines, so a controller steps every row of a port
+    /// that does not classify its faults.
+    fn lane_rows(&self) -> Option<LaneRows> {
+        None
+    }
 }
 
 /// The injection surface faults need from a memory.
@@ -160,6 +197,10 @@ impl<M: MemoryPort + ?Sized> MemoryPort for &mut M {
     fn access_profile(&self) -> AccessProfile {
         (**self).access_profile()
     }
+
+    fn lane_rows(&self) -> Option<LaneRows> {
+        (**self).lane_rows()
+    }
 }
 
 impl MemoryPort for Sram {
@@ -190,6 +231,10 @@ impl MemoryPort for Sram {
 
     fn access_profile(&self) -> AccessProfile {
         Sram::access_profile(self)
+    }
+
+    fn lane_rows(&self) -> Option<LaneRows> {
+        Sram::lane_rows(self)
     }
 }
 
