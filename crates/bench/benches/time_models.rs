@@ -10,6 +10,9 @@
 //!   diagnosis of a 512-memory SoC under the per-memory oracle kernel
 //!   and under the default kernel and the `ESRAM_DIAG_THREADS` plan;
 //! * `soc_build_512mem_sharded` — SoC construction at population scale;
+//! * `fast_scheme_diagnose_case_study_4x512x100` — the bit-parallel
+//!   diagnosis of the Sec. 4.2 case study (dense: every member faulty,
+//!   so nearly all of it is lane replay of faulty rows);
 //! * `score_case_study_4x512x100` — scoring the Sec. 4.2 case study's
 //!   bit-parallel diagnosis against its injected faults.
 
@@ -161,10 +164,10 @@ fn bench_time_models(c: &mut Criterion) {
         })
     });
 
-    // Scoring alone, on the case-study population (4 x 512 x 100 at
-    // 1 %, stuck-at and transition faults, as in the checked-in spec)
-    // and its bit-parallel diagnosis.
-    let mut case_study = Soc::builder()
+    // The case-study population (4 x 512 x 100 at 1 %, stuck-at and
+    // transition faults, as in the checked-in spec): its diagnosis from
+    // the freshly built state, then scoring alone.
+    let built = Soc::builder()
         .memories(4, 512, 100)
         .expect("valid geometry")
         .defect_rate(0.01)
@@ -172,6 +175,20 @@ fn bench_time_models(c: &mut Criterion) {
         .seed(42)
         .build()
         .expect("population builds");
+    group.bench_function("fast_scheme_diagnose_case_study_4x512x100", |b| {
+        b.iter_batched(
+            || built.clone(),
+            |mut soc| {
+                let result = FastScheme::new(10.0)
+                    .with_drf_mode(DrfMode::None)
+                    .diagnose_with(shard_plan(), soc.memories_mut())
+                    .expect("fast run");
+                black_box(result.log.len())
+            },
+            criterion::BatchSize::SmallInput,
+        )
+    });
+    let mut case_study = built;
     let case_study_result = FastScheme::new(10.0)
         .with_drf_mode(DrfMode::None)
         .diagnose(case_study.memories_mut())

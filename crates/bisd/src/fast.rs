@@ -389,9 +389,40 @@ pub struct SegmentOutcome {
     log: DiagnosisLog,
 }
 
-/// A mismatch record keyed for the segment log: (global operation
-/// sequence, segment member index).
-type KeyedRecord = ((u64, u32), DiagnosisRecord);
+/// A bit-parallel segment's mismatch records, each with its merge key:
+/// (global operation sequence, segment member index). Keys are unique —
+/// one operation reads one row of a member.
+#[derive(Debug, Default)]
+struct KeyedLog {
+    keys: Vec<(u64, u32)>,
+    records: Vec<DiagnosisRecord>,
+}
+
+impl KeyedLog {
+    /// The segment outcome, records in key order (the order the
+    /// per-memory walk emits them). `sorted` says the keys already
+    /// ascend.
+    fn into_outcome(self, sorted: bool) -> SegmentOutcome {
+        let KeyedLog { keys, records } = self;
+        let mut log = DiagnosisLog::new();
+        if sorted {
+            log.extend(records);
+            let sequences = keys.into_iter().map(|(sequence, _)| sequence).collect();
+            return SegmentOutcome { sequences, log };
+        }
+        // Sort compact indices instead of moving whole records around.
+        let mut order: Vec<u32> = (0..keys.len() as u32).collect();
+        order.sort_unstable_by_key(|&index| keys[index as usize]);
+        let mut slots: Vec<Option<DiagnosisRecord>> = records.into_iter().map(Some).collect();
+        log.extend(
+            order
+                .iter()
+                .map(|&index| slots[index as usize].take().expect("each record is placed once")),
+        );
+        let sequences = order.iter().map(|&index| keys[index as usize].0).collect();
+        SegmentOutcome { sequences, log }
+    }
+}
 
 /// One faulty row replayed in a lane instead of being stepped.
 #[derive(Debug)]
@@ -806,10 +837,10 @@ impl PopulationPlan {
             })?;
         }
 
-        let mut records: Vec<KeyedRecord> = keys
-            .into_iter()
-            .zip(comparator.into_log().into_records())
-            .collect();
+        let mut keyed = KeyedLog {
+            keys,
+            records: comparator.into_log().into_records(),
+        };
         for group in &groups {
             let class = golden.member_width_class(group.rows[0].member as usize);
             let mut lanes = LanePlanes::with_retention(MemConfig::new(1, group.width)?, group.retention);
@@ -821,7 +852,7 @@ impl PopulationPlan {
                     }
                 }
                 lanes.freeze();
-                self.replay_lanes(&mut lanes, group, batch, &delivery, class, &mut records);
+                self.replay_lanes(&mut lanes, group, batch, &delivery, class, &mut keyed);
                 for (lane, row) in batch.iter().enumerate() {
                     let word = lanes.lane_word(lane, Address::new(0));
                     memories[row.member as usize]
@@ -830,18 +861,9 @@ impl PopulationPlan {
                 }
             }
         }
-        if !groups.is_empty() {
-            // The stepped records are already in key order; the stable
-            // sort merges the lane records into them.
-            records.sort_by_key(|&(key, _)| key);
-        }
-        let mut log = DiagnosisLog::new();
-        let mut sequences = Vec::with_capacity(records.len());
-        log.extend(records.into_iter().map(|((sequence, _), record)| {
-            sequences.push(sequence);
-            record
-        }));
-        Ok(SegmentOutcome { sequences, log })
+        // The stepped walk alone emits in key order; lane records are
+        // appended batch by batch.
+        Ok(keyed.into_outcome(groups.is_empty()))
     }
 
     /// Collects the segment's lane rows into replay groups and removes
@@ -908,7 +930,7 @@ impl PopulationPlan {
         batch: &[LaneRow],
         delivery: &[[Vec<DataWord>; 2]],
         class: usize,
-        records: &mut Vec<KeyedRecord>,
+        keyed: &mut KeyedLog,
     ) {
         let n_max = self.trigger.max_words();
         let lane_row = Address::new(0);
@@ -917,6 +939,7 @@ impl PopulationPlan {
         // golden expectation of every lane.
         let mut expected = &power_on;
         let mut deviations: Vec<(usize, u64)> = Vec::new();
+        let mut lane_bits: [FailingBits; 64] = std::array::from_fn(|_| FailingBits::new());
         // `B_e`: operations of all earlier elements over `n_max` addresses.
         let mut base: u64 = 0;
         for (plan, delivered) in self.plans.iter().zip(delivery) {
@@ -942,28 +965,28 @@ impl PopulationPlan {
                         MarchOp::Read(_) => {
                             deviations.clear();
                             let mut pending = lanes.read_row(lane_row, expected, &mut deviations);
+                            // Deviations come in ascending bit order, so
+                            // each lane's failing bits do too.
+                            for &(bit, mut mask) in &deviations {
+                                while mask != 0 {
+                                    lane_bits[mask.trailing_zeros() as usize].push(bit);
+                                    mask &= mask - 1;
+                                }
+                            }
                             while pending != 0 {
                                 let lane = pending.trailing_zeros() as usize;
                                 pending &= pending - 1;
                                 let row = &batch[lane];
                                 let global = row.row + wrap * group.words;
                                 let position = if descending { n_max - 1 - global } else { global };
-                                let mut failing_bits = FailingBits::new();
-                                for &(bit, mask) in &deviations {
-                                    if (mask >> lane) & 1 == 1 {
-                                        failing_bits.push(bit);
-                                    }
-                                }
-                                records.push((
-                                    (base + position * ops_len + k, row.member),
-                                    DiagnosisRecord {
-                                        memory: row.id,
-                                        address: Address::new(row.row),
-                                        background: plan.background,
-                                        element: Arc::clone(&plan.label),
-                                        failing_bits,
-                                    },
-                                ));
+                                keyed.keys.push((base + position * ops_len + k, row.member));
+                                keyed.records.push(DiagnosisRecord {
+                                    memory: row.id,
+                                    address: Address::new(row.row),
+                                    background: plan.background,
+                                    element: Arc::clone(&plan.label),
+                                    failing_bits: std::mem::take(&mut lane_bits[lane]),
+                                });
                             }
                         }
                         // Pauses applied once, before the visits.
