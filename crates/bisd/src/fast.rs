@@ -403,24 +403,36 @@ impl KeyedLog {
     /// per-memory walk emits them). `sorted` says the keys already
     /// ascend.
     fn into_outcome(self, sorted: bool) -> SegmentOutcome {
-        let KeyedLog { keys, records } = self;
-        let mut log = DiagnosisLog::new();
+        let KeyedLog { keys, mut records } = self;
         if sorted {
-            log.extend(records);
             let sequences = keys.into_iter().map(|(sequence, _)| sequence).collect();
-            return SegmentOutcome { sequences, log };
+            return SegmentOutcome {
+                sequences,
+                log: records.into(),
+            };
         }
-        // Sort compact indices instead of moving whole records around.
+        // Sort compact indices, then move each record once, in place,
+        // along the cycles of the permutation: no second record buffer.
         let mut order: Vec<u32> = (0..keys.len() as u32).collect();
         order.sort_unstable_by_key(|&index| keys[index as usize]);
-        let mut slots: Vec<Option<DiagnosisRecord>> = records.into_iter().map(Some).collect();
-        log.extend(
-            order
-                .iter()
-                .map(|&index| slots[index as usize].take().expect("each record is placed once")),
-        );
         let sequences = order.iter().map(|&index| keys[index as usize].0).collect();
-        SegmentOutcome { sequences, log }
+        let mut placed = vec![false; order.len()];
+        for start in 0..order.len() {
+            let mut slot = start;
+            while !placed[slot] {
+                placed[slot] = true;
+                let source = order[slot] as usize;
+                if source == start {
+                    break;
+                }
+                records.swap(slot, source);
+                slot = source;
+            }
+        }
+        SegmentOutcome {
+            sequences,
+            log: records.into(),
+        }
     }
 }
 

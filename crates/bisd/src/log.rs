@@ -130,6 +130,14 @@ impl DiagnosisLog {
     }
 }
 
+/// A log of the given records, in the given order (the inverse of
+/// [`DiagnosisLog::into_records`]).
+impl From<Vec<DiagnosisRecord>> for DiagnosisLog {
+    fn from(records: Vec<DiagnosisRecord>) -> Self {
+        DiagnosisLog { records }
+    }
+}
+
 impl Extend<DiagnosisRecord> for DiagnosisLog {
     fn extend<T: IntoIterator<Item = DiagnosisRecord>>(&mut self, iter: T) {
         self.records.extend(iter);
