@@ -1042,6 +1042,49 @@ mod tests {
     }
 
     #[test]
+    fn lane_rows_hold_single_cell_faults_at_reset_contents() {
+        let config = MemConfig::new(16, 4).unwrap();
+        let cell = |row: u64, bit: usize| CellCoord::new(Address::new(row), bit);
+        let mut sram = Sram::new(config);
+        // Row 1: two lane faults, stuck-at-1 at its pinned reset value.
+        sram.inject_cell_fault(cell(1, 0), CellFault::StuckAt(true))
+            .unwrap();
+        sram.inject_cell_fault(cell(1, 2), CellFault::TransitionDown)
+            .unwrap();
+        // Row 3: a lane fault in a row holding written contents.
+        sram.inject_cell_fault(cell(3, 1), CellFault::ReadDestructive)
+            .unwrap();
+        sram.write(Address::new(3), &DataWord::splat(true, 4)).unwrap();
+        // Rows 5 and 6: a coupling victim and its aggressor.
+        let coupling = CellFault::Coupling {
+            aggressor: cell(6, 3),
+            kind: CouplingKind::Inversion {
+                aggressor_rises: true,
+            },
+        };
+        sram.inject_cell_fault(cell(5, 0), coupling).unwrap();
+        sram.inject_cell_fault(cell(6, 1), CellFault::StuckAt(false))
+            .unwrap();
+        // Row 8: a lane fault in a decoder fault's row.
+        sram.inject_cell_fault(cell(8, 2), CellFault::IncorrectRead)
+            .unwrap();
+        sram.inject_decoder_fault(DecoderFault::new(Address::new(8), DecoderFaultKind::NoAccess))
+            .unwrap();
+        let lane_rows = sram.lane_rows().expect("no stuck-open cell");
+        assert_eq!(lane_rows.retention, sram.retention());
+        assert_eq!(
+            lane_rows.rows,
+            vec![(
+                Address::new(1),
+                vec![(0, CellFault::StuckAt(true)), (2, CellFault::TransitionDown)]
+            )]
+        );
+        // A stuck-open cell anywhere declines every row.
+        sram.inject_cell_fault(cell(12, 0), CellFault::StuckOpen).unwrap();
+        assert_eq!(sram.lane_rows(), None);
+    }
+
+    #[test]
     fn fault_rows_bound_each_fault_and_ignore_stored_contents() {
         let config = MemConfig::new(16, 4).unwrap();
         let rows = |list: &[u64]| Some(list.iter().copied().map(Address::new).collect::<Vec<_>>());
