@@ -400,37 +400,35 @@ struct KeyedLog {
 
 impl KeyedLog {
     /// The segment outcome, records in key order (the order the
-    /// per-memory walk emits them). `sorted` says the keys already
-    /// ascend.
-    fn into_outcome(self, sorted: bool) -> SegmentOutcome {
-        let KeyedLog { keys, mut records } = self;
-        if sorted {
-            let sequences = keys.into_iter().map(|(sequence, _)| sequence).collect();
-            return SegmentOutcome {
-                sequences,
-                log: records.into(),
-            };
-        }
-        // Sort compact indices, then move each record once, in place,
-        // along the cycles of the permutation: no second record buffer.
-        let mut order: Vec<u32> = (0..keys.len() as u32).collect();
-        order.sort_unstable_by_key(|&index| keys[index as usize]);
-        let sequences = order.iter().map(|&index| keys[index as usize].0).collect();
-        let mut placed = vec![false; order.len()];
-        for start in 0..order.len() {
-            let mut slot = start;
-            while !placed[slot] {
-                placed[slot] = true;
-                let source = order[slot] as usize;
-                if source == start {
-                    break;
+    /// per-memory walk emits them).
+    fn into_outcome(self) -> SegmentOutcome {
+        let KeyedLog {
+            mut keys,
+            mut records,
+        } = self;
+        if !keys.is_sorted() {
+            // Sort compact indices, then move each record once, in
+            // place, along the cycles of the permutation: no second
+            // record buffer.
+            let mut order: Vec<u32> = (0..keys.len() as u32).collect();
+            order.sort_unstable_by_key(|&index| keys[index as usize]);
+            let mut placed = vec![false; order.len()];
+            for start in 0..order.len() {
+                let mut slot = start;
+                while !placed[slot] {
+                    placed[slot] = true;
+                    let source = order[slot] as usize;
+                    if source == start {
+                        break;
+                    }
+                    records.swap(slot, source);
+                    slot = source;
                 }
-                records.swap(slot, source);
-                slot = source;
             }
+            keys = order.iter().map(|&index| keys[index as usize]).collect();
         }
         SegmentOutcome {
-            sequences,
+            sequences: keys.into_iter().map(|(sequence, _)| sequence).collect(),
             log: records.into(),
         }
     }
@@ -873,9 +871,7 @@ impl PopulationPlan {
                 }
             }
         }
-        // The stepped walk alone emits in key order; lane records are
-        // appended batch by batch.
-        Ok(keyed.into_outcome(groups.is_empty()))
+        Ok(keyed.into_outcome())
     }
 
     /// Collects the segment's lane rows into replay groups and removes
