@@ -3,7 +3,7 @@
 
 use crate::log::{DiagnosisLog, DiagnosisRecord};
 use march::DataBackground;
-use sram_model::{AccessProfile, Address, DataWord, MemConfig, MemoryId};
+use sram_model::{Address, DataWord, MemConfig, MemoryId};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -163,14 +163,10 @@ impl FromIterator<(MemoryId, MemConfig)> for MemorySizeTable {
 /// of a population segment must actually be stepped at each *global*
 /// trigger address.
 ///
-/// Built once per segment from the members'
-/// [`AccessProfile`]s: a [`AccessProfile::PristineUniform`] member
-/// appears nowhere (it behaves exactly as the golden model predicts,
-/// so stepping it cannot produce a record), a
-/// [`AccessProfile::RowLocal`] member appears at every global address
-/// whose wrapped local row is one of its deviation rows (and nowhere
-/// when it lists none), and a
-/// [`AccessProfile::Opaque`] member appears everywhere. Within one
+/// Built once per segment from each member's stepped rows: a member
+/// appears at every global address whose wrapped local row is one of
+/// them, and nowhere when it has none (it behaves exactly as the golden
+/// model predicts, so stepping it cannot produce a record). Within one
 /// address the member indices are ascending — the same order the
 /// per-memory walk visits them — so records emitted from this index
 /// interleave identically to the oracle's.
@@ -184,42 +180,29 @@ pub struct StepIndex {
 }
 
 impl StepIndex {
-    /// Builds the index for a segment of members with the given access
-    /// profiles and word counts, under a global trigger of `max_words`
-    /// addresses (local address generators wrap, so one deviation row
+    /// Builds the index for a segment of members with the given stepped
+    /// rows and word counts, under a global trigger of `max_words`
+    /// addresses (local address generators wrap, so one stepped row
     /// aliases onto every `words`-periodic global address).
     ///
     /// # Panics
     ///
-    /// Panics if the profile and word-count slices differ in length, or
-    /// if a profile lists a row outside its member's address space.
-    pub fn new(profiles: &[AccessProfile], member_words: &[u64], max_words: u64) -> Self {
-        assert_eq!(profiles.len(), member_words.len(), "one profile per member");
+    /// Panics if the row-list and word-count slices differ in length, or
+    /// if a list holds a row outside its member's address space.
+    pub fn new(stepped_rows: &[Vec<Address>], member_words: &[u64], max_words: u64) -> Self {
+        assert_eq!(stepped_rows.len(), member_words.len(), "one row list per member");
         let mut active: Vec<Vec<u32>> = vec![Vec::new(); max_words as usize];
-        let mut stepped = Vec::with_capacity(profiles.len());
-        for (index, (profile, &words)) in profiles.iter().zip(member_words).enumerate() {
-            match profile {
-                AccessProfile::PristineUniform => {
-                    stepped.push(false);
-                }
-                AccessProfile::Opaque => {
-                    stepped.push(true);
-                    for slot in &mut active {
-                        slot.push(index as u32);
-                    }
-                }
-                AccessProfile::RowLocal(rows) => {
-                    stepped.push(!rows.is_empty());
-                    let mut local_rows = vec![false; words as usize];
-                    for &row in rows {
-                        assert!(row < words, "deviation row outside the member");
-                        local_rows[row as usize] = true;
-                    }
-                    for (global, slot) in active.iter_mut().enumerate() {
-                        if local_rows[global % words as usize] {
-                            slot.push(index as u32);
-                        }
-                    }
+        let mut stepped = Vec::with_capacity(stepped_rows.len());
+        for (index, (rows, &words)) in stepped_rows.iter().zip(member_words).enumerate() {
+            stepped.push(!rows.is_empty());
+            let mut local_rows = vec![false; words as usize];
+            for row in rows {
+                assert!(row.index() < words, "stepped row outside the member");
+                local_rows[row.index() as usize] = true;
+            }
+            for (global, slot) in active.iter_mut().enumerate() {
+                if local_rows[global % words as usize] {
+                    slot.push(index as u32);
                 }
             }
         }
@@ -354,18 +337,19 @@ mod tests {
         assert_eq!(MemorySizeTable::new().max_words(), 0);
     }
 
+    fn rows(list: &[u64]) -> Vec<Address> {
+        list.iter().copied().map(Address::new).collect()
+    }
+
     #[test]
     fn step_index_aliases_rows_through_the_wrap_and_orders_members() {
-        // Member 0: opaque, 8 words. Member 1: row-local {3}, 8 words —
-        // aliases onto globals 3, 11, 19, 27. Member 2: pristine.
-        // Member 3: row-local {0}, 4 words — aliases onto every 4th.
-        let profiles = [
-            AccessProfile::Opaque,
-            AccessProfile::RowLocal(vec![3]),
-            AccessProfile::PristineUniform,
-            AccessProfile::RowLocal(vec![0]),
-        ];
-        let index = StepIndex::new(&profiles, &[32, 8, 16, 4], 32);
+        // Member 0: every row stepped (a memory that declines to
+        // classify), 32 words. Member 1: row {3}, 8 words — aliases onto
+        // globals 3, 11, 19, 27. Member 2: pristine. Member 3: row {0},
+        // 4 words — aliases onto every 4th.
+        let every_row: Vec<u64> = (0..32).collect();
+        let stepped = [rows(&every_row), rows(&[3]), rows(&[]), rows(&[0])];
+        let index = StepIndex::new(&stepped, &[32, 8, 16, 4], 32);
         assert_eq!(index.members_at(Address::new(3)), &[0, 1]);
         assert_eq!(index.members_at(Address::new(11)), &[0, 1]);
         assert_eq!(index.members_at(Address::new(4)), &[0, 3]);
@@ -378,8 +362,7 @@ mod tests {
 
     #[test]
     fn all_pristine_step_index_is_empty_everywhere() {
-        let profiles = [AccessProfile::PristineUniform, AccessProfile::PristineUniform];
-        let index = StepIndex::new(&profiles, &[8, 4], 8);
+        let index = StepIndex::new(&[rows(&[]), rows(&[])], &[8, 4], 8);
         for global in 0..8 {
             assert!(index.members_at(Address::new(global)).is_empty());
         }
@@ -387,9 +370,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "deviation row outside")]
+    #[should_panic(expected = "stepped row outside")]
     fn step_index_rejects_out_of_range_rows() {
-        let _ = StepIndex::new(&[AccessProfile::RowLocal(vec![9])], &[8], 16);
+        let _ = StepIndex::new(&[rows(&[9])], &[8], 16);
     }
 
     #[test]

@@ -12,8 +12,8 @@ use march::{algorithms, AddressOrder, DataBackground, MarchElement, MarchOp, Mar
 use serial::{ParallelToSerialConverter, PatternDeliveryBus, ShiftOrder};
 use sram_model::cell::CellCoord;
 use sram_model::{
-    AccessProfile, Address, CellFault, DataWord, FailingBits, LanePlanes, MemConfig, MemError, MemoryId,
-    MemoryPort, RetentionModel, Sram,
+    Address, CellFault, DataWord, FailingBits, LanePlanes, MemConfig, MemError, MemoryId, MemoryPort,
+    RetentionModel, Sram,
 };
 use std::collections::BTreeMap;
 use std::fmt;
@@ -704,24 +704,25 @@ impl PopulationPlan {
     /// of those 64 rows at a time in the lanes of one [`LanePlanes`].
     ///
     /// Soundness rests on four facts, each declared by the memory
-    /// itself through [`sram_model::AccessProfile`] and
-    /// [`MemoryPort::lane_rows`]:
+    /// itself through [`MemoryPort::row_classes`]:
     ///
     /// * With ideal delivery (checked by the caller; otherwise the
     ///   per-memory oracle runs), the word a fault-free pristine row
     ///   observes is exactly the golden expectation — equal limb
     ///   planes by construction, since both sides are the same pattern
-    ///   word of the phase that last wrote the row. Skipped reads are
-    ///   therefore guaranteed matches and skipped writes store exactly
-    ///   what the golden model already tracks.
-    /// * Deviation is row-confined for every overlay fault class except
-    ///   stuck-open (which echoes the sense amplifier across rows) and
-    ///   decoder faults (which remap rows); those memories report
-    ///   [`sram_model::AccessProfile::Opaque`] and are stepped densely
-    ///   — but through [`MemoryPort::read_expect`], which fuses the
-    ///   read, the (lossless) PSC shift-back and the comparison into
-    ///   one limb pass. Coupling aggressor rows are part of the stepped
-    ///   set, so victim-driving write transitions replay exactly.
+    ///   word of the phase that last wrote the row. Rows in no class
+    ///   are therefore skipped: their reads are guaranteed matches and
+    ///   their writes store exactly what the golden model already
+    ///   tracks.
+    /// * The stepped and non-reset rows are stepped, and deviation stays
+    ///   inside them: coupling aggressor rows and the rows a decoder
+    ///   fault touches are stepped rows, so victim-driving write
+    ///   transitions and remapped accesses replay exactly. A memory
+    ///   that declines to classify (a stuck-open cell echoes the sense
+    ///   amplifier across rows) is stepped at every row — but through
+    ///   [`MemoryPort::read_expect`], which fuses the read, the
+    ///   (lossless) PSC shift-back and the comparison into one limb
+    ///   pass.
     /// * A lane row (single-cell faults only, no coupling or decoder
     ///   fault touching it, reset contents) depends only on the ops
     ///   addressed to it, and every SPC of one width receives the same
@@ -757,15 +758,13 @@ impl PopulationPlan {
         let mut op_seq: u64 = 0;
 
         // Classify once per segment: faults are installed before diagnosis
-        // and the stepped rows of a row-local member are a static
-        // superset of where mismatches can appear (prior mismatches
-        // happen *at* faulted rows, and every stepped row is replayed
-        // in full, so no dynamic re-classification is needed). Lane rows
-        // leave the stepped set.
-        let mut profiles: Vec<AccessProfile> = memories.iter().map(|(_, m)| m.access_profile()).collect();
-        let groups = self.lane_groups(memories, configs, &mut profiles);
+        // and a member's stepped rows are a static superset of where
+        // mismatches can appear outside its lane rows (prior mismatches
+        // happen *at* faulted rows, and every stepped row is replayed in
+        // full, so no dynamic re-classification is needed).
+        let (groups, stepped_rows) = self.classify(memories, configs);
         let member_words: Vec<u64> = (0..memories.len()).map(|m| golden.member_words(m)).collect();
-        let steps = StepIndex::new(&profiles, &member_words, trigger.max_words());
+        let steps = StepIndex::new(&stepped_rows, &member_words, trigger.max_words());
 
         // The stepped walk runs before the lane replays: its pauses reach
         // every overlay cell of a stepped memory, lane rows included, and
@@ -874,43 +873,37 @@ impl PopulationPlan {
         Ok(keyed.into_outcome())
     }
 
-    /// Collects the segment's lane rows into replay groups and removes
-    /// them from their members' stepped rows in `profiles`. Only
-    /// row-local members offer lane rows; opaque members step whole.
-    fn lane_groups<M: MemoryPort>(
+    /// Classifies the segment's members once: collects their lane rows
+    /// into replay groups and returns each member's stepped rows, its
+    /// stepped and non-reset rows, or every row when it declines to
+    /// classify itself.
+    fn classify<M: MemoryPort>(
         &self,
         memories: &[(MemoryId, M)],
         configs: &[MemConfig],
-        profiles: &mut [AccessProfile],
-    ) -> Vec<LaneGroup> {
+    ) -> (Vec<LaneGroup>, Vec<Vec<Address>>) {
         let n_max = self.trigger.max_words();
         let mut groups: Vec<LaneGroup> = Vec::new();
-        for (member, ((id, memory), profile)) in memories.iter().zip(profiles.iter_mut()).enumerate() {
-            let AccessProfile::RowLocal(stepped) = profile else {
+        let mut stepped_rows = Vec::with_capacity(memories.len());
+        for (member, ((id, memory), config)) in memories.iter().zip(configs).enumerate() {
+            let (words, width) = (config.words(), config.width());
+            let Some(classes) = memory.row_classes() else {
+                stepped_rows.push((0..words).map(Address::new).collect());
                 continue;
             };
-            let Some(lane_rows) = memory.lane_rows() else {
-                continue;
-            };
-            let (words, width) = (configs[member].words(), configs[member].width());
-            stepped.retain(|row| {
-                lane_rows
-                    .rows
-                    .binary_search_by_key(row, |(address, _)| address.index())
-                    .is_err()
-            });
-            for (address, faults) in lane_rows.rows {
+            stepped_rows.push([classes.stepped, classes.non_reset].concat());
+            for (address, faults) in classes.lane {
                 let row = address.index();
                 let visits = (n_max - 1 - row) / words + 1;
                 let position = groups.iter().position(|group| {
                     (group.words, group.width, group.retention, group.visits)
-                        == (words, width, lane_rows.retention, visits)
+                        == (words, width, classes.retention, visits)
                 });
                 let index = position.unwrap_or_else(|| {
                     groups.push(LaneGroup {
                         words,
                         width,
-                        retention: lane_rows.retention,
+                        retention: classes.retention,
                         visits,
                         rows: Vec::new(),
                     });
@@ -924,7 +917,7 @@ impl PopulationPlan {
                 });
             }
         }
-        groups
+        (groups, stepped_rows)
     }
 
     /// Replays the whole schedule once over one frozen lane batch of

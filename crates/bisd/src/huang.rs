@@ -2,10 +2,10 @@
 //! controller plus a bi-directional serial interface per memory.
 //!
 //! Under the default [`DiagnosisKernel::BitParallel`] each pass steps
-//! only the rows an installed fault can make deviate
-//! ([`sram_model::Sram::fault_rows`]), worked out once per memory before
-//! the first pass; a fault-free memory is skipped and a memory with a
-//! stuck-open cell is swept whole. [`DiagnosisKernel::PerMemory`] sweeps
+//! only the rows an installed fault can make deviate, the lane and
+//! stepped rows of [`sram_model::Sram::row_classes`], worked out once per
+//! memory before the first pass; a fault-free memory is skipped and a
+//! memory with a stuck-open cell is swept whole. [`DiagnosisKernel::PerMemory`] sweeps
 //! every row of every memory and is the dense oracle the row-restricted
 //! walk is checked against. Cycles are the Eq. (1) closed form under
 //! both.
@@ -76,8 +76,9 @@ impl HuangScheme {
     /// bit-parallel default [`HuangScheme::new`] picks.
     ///
     /// For the baseline the bit-parallel kernel steps, in every pass,
-    /// only each memory's [`sram_model::Sram::fault_rows`], computed
-    /// once before the first pass: it skips fault-free memories and
+    /// only each memory's fault rows (the lane and stepped rows of
+    /// [`sram_model::Sram::row_classes`]), computed once before the
+    /// first pass: it skips fault-free memories and
     /// sweeps a memory with a stuck-open cell whole. Every baseline
     /// test opens with a full write element, so a fault-free row is
     /// only read after being written in the same pass and never
@@ -163,7 +164,14 @@ impl HuangScheme {
             .map(|memory| MemoryProgress {
                 known: KnownSites::new(),
                 rows: match self.kernel {
-                    DiagnosisKernel::BitParallel => memory.sram.fault_rows(),
+                    // Contents play no part: every baseline test opens
+                    // with a full write element.
+                    DiagnosisKernel::BitParallel => memory.sram.row_classes().map(|classes| {
+                        let mut rows: Vec<Address> = classes.lane.into_iter().map(|(row, _)| row).collect();
+                        rows.extend(classes.stepped);
+                        rows.sort_unstable();
+                        rows
+                    }),
                     DiagnosisKernel::PerMemory => None,
                 },
             })

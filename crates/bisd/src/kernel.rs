@@ -21,9 +21,10 @@ use std::fmt;
 pub enum DiagnosisKernel {
     /// Step only memories (and rows) whose behaviour can deviate from
     /// the golden expectation, as declared by each memory's
-    /// [`AccessProfile`](sram_model::AccessProfile) for the proposed
-    /// scheme and by its [`fault_rows`](sram_model::Sram::fault_rows)
-    /// for the baseline.
+    /// [`row_classes`](sram_model::MemoryPort::row_classes): the
+    /// proposed scheme steps the stepped and non-reset rows and replays
+    /// the lane rows 64 at a time, and the baseline steps the lane and
+    /// stepped rows.
     #[default]
     BitParallel,
     /// Step every operation of every memory through its serial

@@ -545,8 +545,8 @@ proptest! {
     fn fast_scheme_lane_replay_agrees_with_the_oracle(seed in any::<u64>(), mode in 0usize..3) {
         let mode = [DrfMode::None, DrfMode::Nwrtm, DrfMode::RetentionPause(100)][mode];
         let population = lane_population(seed);
-        let lane_rows = population[0].sram.lane_rows().expect("no stuck-open cell").rows.len();
-        prop_assert!(lane_rows > 64, "seed {:#x}: only {} lane rows in member 0", seed, lane_rows);
+        let lanes = population[0].sram.row_classes().expect("no stuck-open cell").lane.len();
+        prop_assert!(lanes > 64, "seed {:#x}: only {} lane rows in member 0", seed, lanes);
         let scheme = FastScheme::new(10.0).with_drf_mode(mode);
         let oracle = diagnose_twice(
             scheme.with_kernel(DiagnosisKernel::PerMemory),

@@ -111,7 +111,8 @@ impl BidirectionalSerialInterface {
     /// address order, so each one sees the operation sequence of the
     /// full sweep. That gives the full sweep's outcome when no other row
     /// can mismatch and no access to another row changes these rows,
-    /// which holds for the [`Sram::fault_rows`] of a memory whose
+    /// which holds for the fault rows of [`Sram::row_classes`] (its lane
+    /// and stepped rows) of a memory whose
     /// every read of a fault-free row follows a write of it in the same
     /// test. [`SerialElementOutcome::cycles`] is the full sweep's cost
     /// either way. Retention pauses apply once, before the sweep.

@@ -7,10 +7,10 @@ use crate::decoder::{AddressDecoder, DecoderFault};
 use crate::error::MemError;
 use crate::lanes::LanePlanes;
 use crate::planes::BitPlanes;
-use crate::port::{AccessProfile, LaneRows};
+use crate::port::RowClasses;
 use crate::retention::RetentionModel;
 use crate::word::DataWord;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// A behavioural small embedded SRAM.
 ///
@@ -234,98 +234,84 @@ impl Sram {
         self.decoder.is_faulty() || !self.overlay.is_empty()
     }
 
-    /// The rows on which an installed fault can make an access deviate
-    /// from the fault-free memory, ascending, or `None` when no row set
-    /// bounds the faults' influence.
+    /// Classifies the rows a batched controller must replay (see
+    /// [`RowClasses`]) in one ascending walk of the fault overlay, or
+    /// `None` when a stuck-open cell makes every read depend on the rows
+    /// read before it: it echoes the sense amplifier, which a read of
+    /// any row updates.
     ///
-    /// * A cell fault deviates on its [`CellFault::deviation_rows`]: its
-    ///   own row and, for a coupling fault, the aggressor's row, whose
-    ///   write transitions and stored value drive the victim. A
-    ///   stuck-open cell has none (it echoes the sense amplifier, which
-    ///   any read of any row updates), so it gives `None`.
-    /// * Decoder faults are address-local despite touching several
-    ///   physical rows: the corrupted address plus the redirected/extra
-    ///   row it reads or writes ([`crate::decoder::AddressDecoder::deviation_rows`])
+    /// * The fault rows, `lane` and `stepped` together, are where an
+    ///   installed fault can make an access deviate. A cell fault
+    ///   deviates on its [`CellFault::deviation_rows`]: its own row and,
+    ///   for a coupling fault, the aggressor's row, whose write
+    ///   transitions and stored value drive the victim. Decoder faults
+    ///   are address-local despite touching several physical rows: the
+    ///   corrupted address plus the redirected/extra row it reads or
+    ///   writes ([`crate::decoder::AddressDecoder::deviation_rows`])
     ///   bound every deviation, and accesses to all other addresses
-    ///   decode to exactly their own untouched row. A no-access read
-    ///   returns the precharged all-ones word independent of history.
-    ///
-    /// Stored contents play no part: a fault-free row read back after
-    /// being written behaves ideally whatever it held before. A
-    /// fault-free memory gives `Some` of an empty list.
-    pub fn fault_rows(&self) -> Option<Vec<Address>> {
-        let mut rows: BTreeSet<u64> = self.decoder.deviation_rows().into_iter().collect();
-        for (&(row, bit), cell) in &self.overlay {
-            let Some(fault) = cell.fault() else {
-                rows.insert(row);
-                continue;
-            };
-            let (first, second) = fault.deviation_rows(CellCoord::new(Address::new(row), bit))?;
-            rows.extend(std::iter::once(first).chain(second).map(Address::index));
-        }
-        Some(rows.into_iter().map(Address::new).collect())
-    }
-
-    /// The rows a lane-parallel controller may replay apart from this
-    /// memory (see [`LaneRows`]), or `None` when a stuck-open cell makes
-    /// every read depend on the rows read before it.
-    ///
-    /// A row is listed when every overlay cell in it carries a
-    /// [`LanePlanes::supports`] fault other than coupling, no coupling
-    /// aggressor or decoder fault touches it, and it holds the lane reset
-    /// state: all zero, stuck-at-1 cells at 1.
-    pub fn lane_rows(&self) -> Option<LaneRows> {
-        let mut excluded: BTreeSet<u64> = self.decoder.deviation_rows().into_iter().collect();
-        excluded.extend(self.coupling_index.keys().map(|&(row, _)| row));
-        let mut rows = Vec::new();
+    ///   decode to exactly their own untouched row.
+    /// * A fault row is a lane row when every overlay cell in it carries
+    ///   a [`LanePlanes::supports`] fault other than coupling, no
+    ///   coupling aggressor or decoder fault touches it, and it holds the
+    ///   lane reset state: all zero, stuck-at-1 cells at 1. Any other
+    ///   fault row is stepped.
+    /// * Every other row with non-zero contents is `non_reset`.
+    pub fn row_classes(&self) -> Option<RowClasses> {
+        // Rows a fault reaches from outside their own cells, ascending.
+        let mut reached = self.decoder.deviation_rows();
+        reached.extend(self.coupling_index.keys().map(|&(row, _)| row));
+        reached.sort_unstable();
+        reached.dedup();
+        let mut reached = reached.into_iter().peekable();
+        let mut nonzero = self.planes.nonzero_rows().into_iter().peekable();
         let mut cells = self.overlay.iter().peekable();
-        while let Some((&(row, _), _)) = cells.peek() {
-            let mut eligible = !excluded.contains(&row);
+        let mut classes = RowClasses {
+            retention: self.retention,
+            lane: Vec::new(),
+            stepped: Vec::new(),
+            non_reset: Vec::new(),
+        };
+        loop {
+            let cell_row = cells.peek().map(|(&(row, _), _)| row);
+            let Some(row) = [reached.peek().copied(), cell_row, nonzero.peek().copied()]
+                .into_iter()
+                .flatten()
+                .min()
+            else {
+                return Some(classes);
+            };
+            let address = Address::new(row);
+            let is_reached = reached.next_if_eq(&row).is_some();
+            nonzero.next_if_eq(&row);
+            if cell_row != Some(row) {
+                if is_reached {
+                    classes.stepped.push(address);
+                } else {
+                    classes.non_reset.push(address);
+                }
+                continue;
+            }
+            let mut lane = !is_reached;
             let mut faults = Vec::new();
             let mut reset = DataWord::zero(self.config.width());
-            while let Some((&(_, bit), cell)) = cells.next_if(|((r, _), _)| *r == row) {
+            while let Some((&(_, bit), cell)) = cells.next_if(|&(&(r, _), _)| r == row) {
                 match cell.fault() {
                     Some(CellFault::StuckOpen) => return None,
                     Some(fault)
                         if !fault.is_coupling()
-                            && LanePlanes::supports(CellCoord::new(Address::new(row), bit), &fault) =>
+                            && LanePlanes::supports(CellCoord::new(address, bit), &fault) =>
                     {
                         reset.set(bit, fault == CellFault::StuckAt(true));
                         faults.push((bit, fault));
                     }
-                    _ => eligible = false,
+                    _ => lane = false,
                 }
             }
-            if eligible && self.planes.word_equals(row, &reset) {
-                rows.push((Address::new(row), faults));
+            if lane && self.planes.word_equals(row, &reset) {
+                classes.lane.push((address, faults));
+            } else {
+                classes.stepped.push(address);
             }
-        }
-        Some(LaneRows {
-            retention: self.retention,
-            rows,
-        })
-    }
-
-    /// Classifies the memory for batched controllers (see
-    /// [`AccessProfile`]): which local rows must actually be stepped to
-    /// observe every behavioural deviation from an ideal model that
-    /// expects the power-on contents.
-    ///
-    /// These are the [`Sram::fault_rows`] plus every row whose stored
-    /// contents are non-zero (the ideal model would mispredict a read
-    /// there). No fault row set makes the memory
-    /// [`AccessProfile::Opaque`]; no rows at all, a fault-free memory
-    /// at its power-on contents, is [`AccessProfile::PristineUniform`].
-    pub fn access_profile(&self) -> AccessProfile {
-        let Some(fault_rows) = self.fault_rows() else {
-            return AccessProfile::Opaque;
-        };
-        let mut rows: BTreeSet<u64> = fault_rows.into_iter().map(Address::index).collect();
-        rows.extend(self.planes.nonzero_rows());
-        if rows.is_empty() {
-            AccessProfile::PristineUniform
-        } else {
-            AccessProfile::RowLocal(rows.into_iter().collect())
         }
     }
 
@@ -1004,25 +990,46 @@ mod tests {
         assert_eq!(sram.read(Address::new(0)).unwrap(), DataWord::zero(100));
     }
 
+    /// The `[lane, stepped, non_reset]` rows of `sram`'s classes, as
+    /// row numbers.
+    fn class_rows(sram: &Sram) -> Option<[Vec<u64>; 3]> {
+        let classes = sram.row_classes()?;
+        let indices = |rows: &[Address]| rows.iter().map(|row| row.index()).collect();
+        let lane: Vec<Address> = classes.lane.iter().map(|(row, _)| *row).collect();
+        Some([
+            indices(&lane),
+            indices(&classes.stepped),
+            indices(&classes.non_reset),
+        ])
+    }
+
+    /// The fault rows of `sram`, lane and stepped rows together, ascending.
+    fn fault_row_numbers(sram: &Sram) -> Option<Vec<u64>> {
+        let [lane, stepped, _] = class_rows(sram)?;
+        let mut rows = [lane, stepped].concat();
+        rows.sort_unstable();
+        Some(rows)
+    }
+
     #[test]
-    fn access_profile_classifies_pristine_row_local_and_opaque() {
+    fn row_classes_split_pristine_non_reset_lane_and_coupling_rows() {
         let config = MemConfig::new(16, 4).unwrap();
         let mut sram = Sram::new(config);
-        assert_eq!(sram.access_profile(), AccessProfile::PristineUniform);
+        assert_eq!(class_rows(&sram), Some([vec![], vec![], vec![]]));
 
-        // Written (non-zero) contents demote the profile to row-local
-        // even without faults: an ideal model expecting power-on zeros
-        // would mispredict a read of row 5.
+        // Written (non-zero) contents make a fault-free row non-reset:
+        // an ideal model expecting power-on zeros would mispredict a read
+        // of row 5.
         sram.write(Address::new(5), &DataWord::splat(true, 4)).unwrap();
-        assert_eq!(sram.access_profile(), AccessProfile::RowLocal(vec![5]));
+        assert_eq!(class_rows(&sram), Some([vec![], vec![], vec![5]]));
         // Writing the row back to zero restores pristineness.
         sram.write(Address::new(5), &DataWord::zero(4)).unwrap();
-        assert_eq!(sram.access_profile(), AccessProfile::PristineUniform);
+        assert_eq!(class_rows(&sram), Some([vec![], vec![], vec![]]));
 
         // Plain cell faults confine deviation to their own rows.
         sram.inject_cell_fault(CellCoord::new(Address::new(9), 2), CellFault::TransitionUp)
             .unwrap();
-        assert_eq!(sram.access_profile(), AccessProfile::RowLocal(vec![9]));
+        assert_eq!(class_rows(&sram), Some([vec![9], vec![], vec![]]));
 
         // A coupling victim drags its aggressor's row in as well: the
         // aggressor's write transitions (and, for state coupling, its
@@ -1038,11 +1045,11 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(sram.access_profile(), AccessProfile::RowLocal(vec![2, 9, 12]));
+        assert_eq!(class_rows(&sram), Some([vec![9], vec![2, 12], vec![]]));
     }
 
     #[test]
-    fn lane_rows_hold_single_cell_faults_at_reset_contents() {
+    fn lane_class_holds_single_cell_faults_at_reset_contents() {
         let config = MemConfig::new(16, 4).unwrap();
         let cell = |row: u64, bit: usize| CellCoord::new(Address::new(row), bit);
         let mut sram = Sram::new(config);
@@ -1070,35 +1077,35 @@ mod tests {
             .unwrap();
         sram.inject_decoder_fault(DecoderFault::new(Address::new(8), DecoderFaultKind::NoAccess))
             .unwrap();
-        let lane_rows = sram.lane_rows().expect("no stuck-open cell");
-        assert_eq!(lane_rows.retention, sram.retention());
+        let classes = sram.row_classes().expect("no stuck-open cell");
+        assert_eq!(classes.retention, sram.retention());
         assert_eq!(
-            lane_rows.rows,
+            classes.lane,
             vec![(
                 Address::new(1),
                 vec![(0, CellFault::StuckAt(true)), (2, CellFault::TransitionDown)]
             )]
         );
+        assert_eq!(class_rows(&sram), Some([vec![1], vec![3, 5, 6, 8], vec![]]));
         // A stuck-open cell anywhere declines every row.
         sram.inject_cell_fault(cell(12, 0), CellFault::StuckOpen).unwrap();
-        assert_eq!(sram.lane_rows(), None);
+        assert_eq!(sram.row_classes(), None);
     }
 
     #[test]
-    fn fault_rows_bound_each_fault_and_ignore_stored_contents() {
+    fn fault_classes_bound_each_fault_and_ignore_stored_contents() {
         let config = MemConfig::new(16, 4).unwrap();
-        let rows = |list: &[u64]| Some(list.iter().copied().map(Address::new).collect::<Vec<_>>());
 
-        // Dirty contents in fault-free rows are not fault rows, unlike
-        // in the access profile.
+        // Dirty contents in fault-free rows are not fault rows; they are
+        // the non-reset class.
         let mut sram = Sram::new(config);
         sram.write(Address::new(5), &DataWord::splat(true, 4)).unwrap();
-        assert_eq!(sram.fault_rows(), rows(&[]));
-        assert_eq!(sram.access_profile(), AccessProfile::RowLocal(vec![5]));
+        assert_eq!(fault_row_numbers(&sram), Some(vec![]));
+        assert_eq!(class_rows(&sram), Some([vec![], vec![], vec![5]]));
         sram.inject_cell_fault(CellCoord::new(Address::new(9), 1), CellFault::StuckAt(true))
             .unwrap();
-        assert_eq!(sram.fault_rows(), rows(&[9]));
-        assert_eq!(sram.access_profile(), AccessProfile::RowLocal(vec![5, 9]));
+        assert_eq!(fault_row_numbers(&sram), Some(vec![9]));
+        assert_eq!(class_rows(&sram), Some([vec![9], vec![], vec![5]]));
 
         // An inter-row coupling fault gives its victim and aggressor rows.
         let mut coupled = Sram::new(config);
@@ -1113,7 +1120,7 @@ mod tests {
                 },
             )
             .unwrap();
-        assert_eq!(coupled.fault_rows(), rows(&[4, 11]));
+        assert_eq!(fault_row_numbers(&coupled), Some(vec![4, 11]));
 
         // A maps-to or also-accesses decoder fault gives the corrupted
         // address and the row it drags in.
@@ -1125,14 +1132,14 @@ mod tests {
             decoder
                 .inject_decoder_fault(DecoderFault::new(Address::new(13), kind))
                 .unwrap();
-            assert_eq!(decoder.fault_rows(), rows(&[2, 13]), "{kind}");
+            assert_eq!(fault_row_numbers(&decoder), Some(vec![2, 13]), "{kind}");
         }
 
         // A stuck-open cell echoes the sense amplifier, which every
         // row's read updates: no row set bounds it.
         sram.inject_cell_fault(CellCoord::new(Address::new(3), 0), CellFault::StuckOpen)
             .unwrap();
-        assert_eq!(sram.fault_rows(), None);
+        assert_eq!(fault_row_numbers(&sram), None);
     }
 
     #[test]
@@ -1144,7 +1151,7 @@ mod tests {
         stuck_open
             .inject_cell_fault(CellCoord::new(Address::new(3), 1), CellFault::StuckOpen)
             .unwrap();
-        assert_eq!(stuck_open.access_profile(), AccessProfile::Opaque);
+        assert_eq!(stuck_open.row_classes(), None);
     }
 
     #[test]
@@ -1160,7 +1167,7 @@ mod tests {
                 crate::decoder::DecoderFaultKind::NoAccess,
             ))
             .unwrap();
-        assert_eq!(no_access.access_profile(), AccessProfile::RowLocal(vec![7]));
+        assert_eq!(class_rows(&no_access), Some([vec![], vec![7], vec![]]));
 
         // Maps-to: the corrupted address reads/writes the target row,
         // so the target's contents can deviate too — both are stepped.
@@ -1171,7 +1178,7 @@ mod tests {
                 crate::decoder::DecoderFaultKind::MapsTo(Address::new(9)),
             ))
             .unwrap();
-        assert_eq!(maps_to.access_profile(), AccessProfile::RowLocal(vec![3, 9]));
+        assert_eq!(class_rows(&maps_to), Some([vec![], vec![3, 9], vec![]]));
 
         // Also-accesses: wired-AND reads and double writes involve the
         // corrupted address and the extra row, nothing else.
@@ -1181,6 +1188,6 @@ mod tests {
             crate::decoder::DecoderFaultKind::AlsoAccesses(Address::new(5)),
         ))
         .unwrap();
-        assert_eq!(also.access_profile(), AccessProfile::RowLocal(vec![2, 5]));
+        assert_eq!(class_rows(&also), Some([vec![], vec![2, 5], vec![]]));
     }
 }

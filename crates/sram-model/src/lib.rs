@@ -71,7 +71,7 @@ pub use decoder::{DecoderFault, DecoderFaultKind};
 pub use error::MemError;
 pub use lanes::LanePlanes;
 pub use planes::BitPlanes;
-pub use port::{AccessProfile, FaultTarget, LaneRows, MemoryPort};
+pub use port::{FaultTarget, MemoryPort, RowClasses};
 pub use reference::ReferenceSram;
 pub use retention::RetentionModel;
 pub use word::{DataWord, FailingBits};

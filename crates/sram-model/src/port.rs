@@ -15,54 +15,35 @@ use crate::reference::ReferenceSram;
 use crate::retention::RetentionModel;
 use crate::word::DataWord;
 
-/// A memory's declaration of how much of it a batched controller must
-/// actually step to observe every behavioural deviation.
-///
-/// The bit-parallel diagnosis kernel asks each memory for its profile
-/// once per run and then skips the operations the profile proves are
-/// unobservable: an ideal (pristine, fault-free) memory behaves exactly
-/// as the controller's golden model predicts, so stepping it cannot
-/// produce a mismatch record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AccessProfile {
-    /// No installed faults and every cell holds its power-on zero: all
-    /// operations behave ideally (writes store exactly, reads return
-    /// the stored word) and have no side effects a later operation
-    /// could observe. A controller whose expectations track the write
-    /// stream may skip this memory entirely.
-    PristineUniform,
-    /// Fault behaviour is confined to the given local rows (sorted
-    /// ascending, deduplicated): accesses to any *other* row behave
-    /// ideally and neither influence nor depend on the listed rows.
-    /// A controller may skip operations addressed outside the listed
-    /// rows, provided it still performs every access *to* them (the
-    /// listed rows include coupling aggressors, whose write transitions
-    /// drive victim cells elsewhere).
-    RowLocal(Vec<u64>),
-    /// No structural guarantee — e.g. address-decoder faults (one
-    /// access can touch several rows) or stuck-open cells (reads echo
-    /// the sense amplifier's previous value, whatever row it served).
-    /// Every operation must be performed. This is the conservative
-    /// default for implementations that do not classify themselves.
-    Opaque,
-}
-
-/// The rows of a memory that a lane-parallel controller may replay
-/// apart from the memory itself, one row per lane of a
-/// [`crate::LanePlanes`] (see [`MemoryPort::lane_rows`]).
-///
-/// Each listed row behaves, under any sequence of operations addressed
-/// to it, exactly as a one-row lane memory holding the listed faults and
-/// starting from the lane reset state (all zero, stuck-at-1 cells at 1);
-/// and no access to any other row influences it or is influenced by it.
+/// A memory's row classification for batched controllers (see
+/// [`MemoryPort::row_classes`]): every row an ideal model expecting the
+/// power-on contents could mispredict, each in exactly one class, all
+/// lists ascending. A row in no list behaves ideally, and no access to
+/// it influences a listed row.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LaneRows {
+pub struct RowClasses {
     /// The memory's retention model: lanes replayed together must
     /// decay alike.
     pub retention: RetentionModel,
-    /// Each eligible row, ascending, with its faulty cells as
-    /// `(bit, fault)` in ascending bit order.
-    pub rows: Vec<(Address, Vec<(usize, CellFault)>)>,
+    /// Rows a lane-parallel controller may replay apart from the
+    /// memory, one row per lane of a [`crate::LanePlanes`], each with
+    /// its faulty cells as `(bit, fault)` in ascending bit order. Such a
+    /// row behaves, under any sequence of operations addressed to it,
+    /// exactly as a one-row lane memory holding the listed faults and
+    /// starting from the lane reset state (all zero, stuck-at-1 cells
+    /// at 1); no access to any other row influences it or is influenced
+    /// by it.
+    pub lane: Vec<(Address, Vec<(usize, CellFault)>)>,
+    /// The other rows a fault can make deviate, which a controller must
+    /// step: coupling victims and aggressors (an aggressor's write
+    /// transitions drive its victims), the rows a decoder fault touches,
+    /// and rows whose faults no lane expresses or whose contents are not
+    /// at the lane reset state.
+    pub stepped: Vec<Address>,
+    /// Fault-free rows whose contents are not all zero: an ideal model
+    /// expecting the power-on contents would mispredict a read there
+    /// until the row is written.
+    pub non_reset: Vec<Address>,
 }
 
 /// The port surface a March programme needs from a memory.
@@ -113,32 +94,23 @@ pub trait MemoryPort {
     /// Retention pause of `pause_ms` milliseconds.
     fn elapse_retention(&mut self, pause_ms: f64);
 
-    /// How much of this memory a batched controller must step to
-    /// observe every behavioural deviation (see [`AccessProfile`]).
+    /// Which rows a batched controller must replay to observe every
+    /// behavioural deviation from an ideal model (see [`RowClasses`]),
+    /// or `None` to have it step every row.
     ///
-    /// The default is [`AccessProfile::Opaque`] — always sound, never
-    /// fast. Implementations that can prove row locality (the packed
-    /// [`Sram`] inspects its fault overlay and bit planes) override
-    /// this to unlock the bit-parallel diagnosis fast path.
-    fn access_profile(&self) -> AccessProfile {
-        AccessProfile::Opaque
-    }
-
-    /// The rows a lane-parallel controller may replay in lanes instead
-    /// of stepping this memory (see [`LaneRows`]), or `None` to decline.
-    ///
-    /// A controller that replays a row in lanes must leave the row as
-    /// the replay left it, through one normal [`MemoryPort::write`] of
-    /// the lane's final word. The row is not addressed meanwhile, so its
+    /// A controller that replays a lane row must leave the row as the
+    /// replay left it, through one normal [`MemoryPort::write`] of the
+    /// lane's final word. The row is not addressed meanwhile, so its
     /// cells hold their reset values, bar retention cells a pause
     /// decayed, and that write stores exactly the word: retention and
     /// read-disturb cells write normally, stuck-at bits already hold
     /// their pinned value in it, a TF↑ cell never leaves 0 and a TF↓
     /// cell only rises.
     ///
-    /// The default declines, so a controller steps every row of a port
-    /// that does not classify its faults.
-    fn lane_rows(&self) -> Option<LaneRows> {
+    /// The default is `None`, always sound, never fast: a port that
+    /// does not classify itself is stepped whole. The packed [`Sram`]
+    /// classifies its fault overlay and bit planes.
+    fn row_classes(&self) -> Option<RowClasses> {
         None
     }
 }
@@ -192,14 +164,10 @@ impl<M: MemoryPort + ?Sized> MemoryPort for &mut M {
     }
 
     // Forwarded explicitly: populations are routinely assembled from
-    // `&mut Sram` borrows, and falling back to the Opaque default here
+    // `&mut Sram` borrows, and falling back to the stepping default here
     // would silently disable the fast path for exactly those callers.
-    fn access_profile(&self) -> AccessProfile {
-        (**self).access_profile()
-    }
-
-    fn lane_rows(&self) -> Option<LaneRows> {
-        (**self).lane_rows()
+    fn row_classes(&self) -> Option<RowClasses> {
+        (**self).row_classes()
     }
 }
 
@@ -229,12 +197,8 @@ impl MemoryPort for Sram {
         Sram::elapse_retention(self, pause_ms);
     }
 
-    fn access_profile(&self) -> AccessProfile {
-        Sram::access_profile(self)
-    }
-
-    fn lane_rows(&self) -> Option<LaneRows> {
-        Sram::lane_rows(self)
+    fn row_classes(&self) -> Option<RowClasses> {
+        Sram::row_classes(self)
     }
 }
 
@@ -301,28 +265,34 @@ mod tests {
     }
 
     #[test]
-    fn access_profiles_default_to_opaque_and_forward_through_borrows() {
+    fn row_classes_default_to_stepping_and_forward_through_borrows() {
         let config = MemConfig::new(4, 9).unwrap();
         // The dense reference model does not classify itself.
         let dense = ReferenceSram::new(config);
-        assert_eq!(MemoryPort::access_profile(&dense), AccessProfile::Opaque);
+        assert_eq!(MemoryPort::row_classes(&dense), None);
         // The packed model does, and the `&mut M` forwarding impl must
         // hand through the real classification, not the default.
         let mut packed = Sram::new(config);
+        let classes = |lane| RowClasses {
+            retention: RetentionModel::default(),
+            lane,
+            stepped: Vec::new(),
+            non_reset: Vec::new(),
+        };
         {
             let borrowed: &mut Sram = &mut packed;
-            assert_eq!(
-                MemoryPort::access_profile(&borrowed),
-                AccessProfile::PristineUniform
-            );
+            assert_eq!(MemoryPort::row_classes(&borrowed), Some(classes(Vec::new())));
         }
         packed
             .inject_cell_fault(CellCoord::new(Address::new(2), 1), CellFault::StuckAt(true))
             .unwrap();
         let borrowed: &mut Sram = &mut packed;
         assert_eq!(
-            MemoryPort::access_profile(&borrowed),
-            AccessProfile::RowLocal(vec![2])
+            MemoryPort::row_classes(&borrowed),
+            Some(classes(vec![(
+                Address::new(2),
+                vec![(1, CellFault::StuckAt(true))]
+            )]))
         );
     }
 
