@@ -214,7 +214,7 @@ pub struct LanePlanes {
     active: u64,
     /// Fault-free (golden) state, shared by all lanes.
     broadcast: BitPlanes,
-    /// Faulty cells, sorted by (row, bit) once frozen.
+    /// Faulty cells, sorted by (row, bit).
     overlay: Vec<OverlayEntry>,
     write_watchers: Vec<WriteWatcher>,
     state_watchers: Vec<StateWatcher>,
@@ -357,10 +357,9 @@ impl LanePlanes {
         }
     }
 
-    /// Finishes fault registration: sorts the overlay for row-range
-    /// binary search. Must be called before the first row operation.
+    /// Finishes fault registration. Must be called before the first row
+    /// operation.
     pub fn freeze(&mut self) {
-        self.overlay.sort_by_key(|entry| (entry.row, entry.bit));
         self.frozen = true;
     }
 
@@ -499,7 +498,7 @@ impl LanePlanes {
         }
     }
 
-    /// Index range of overlay cells in `row` (overlay sorted at freeze).
+    /// Index range of overlay cells in `row`.
     fn row_range(&self, row: u64) -> std::ops::Range<usize> {
         let start = self.overlay.partition_point(|entry| entry.row < row);
         let end = self.overlay.partition_point(|entry| entry.row <= row);
@@ -517,24 +516,26 @@ impl LanePlanes {
         &mut self.overlay[index].cell
     }
 
-    /// The overlay cell at `coord`, created zeroed if absent. Only
-    /// valid before freeze (linear scan of the unsorted overlay).
+    /// The overlay cell at `coord`, inserted zeroed in `(row, bit)`
+    /// order if absent.
     fn ensure_cell(&mut self, coord: CellCoord) -> &mut LaneCell {
         let key = (coord.address.index(), coord.bit);
-        if let Some(index) = self
+        let index = self
             .overlay
-            .iter()
-            .position(|entry| (entry.row, entry.bit) == key)
-        {
-            return &mut self.overlay[index].cell;
-        }
-        self.overlay.push(OverlayEntry {
-            row: key.0,
-            bit: key.1,
-            cell: LaneCell::default(),
-        });
-        let last = self.overlay.len() - 1;
-        &mut self.overlay[last].cell
+            .binary_search_by_key(&key, |entry| (entry.row, entry.bit))
+            .unwrap_or_else(|index| {
+                let cell = LaneCell::default();
+                self.overlay.insert(
+                    index,
+                    OverlayEntry {
+                        row: key.0,
+                        bit: key.1,
+                        cell,
+                    },
+                );
+                index
+            });
+        &mut self.overlay[index].cell
     }
 }
 
