@@ -57,17 +57,15 @@
 //! [`FleetError`] naming the [`FleetPhase`], while every *other* job's
 //! outcome stays byte-identical to its solo run at any worker count ×
 //! kernel — which the chaos suite asserts by poisoning
-//! one job at a time. Only a fleet-global condition (a cancelled
-//! [`RunToken`]) fails the whole call. The instrumented failpoint
+//! one job at a time. Only a panic that escapes the per-job containment
+//! fails the whole call. The instrumented failpoint
 //! sites are `soc.build` (qualified by `job` and `member`) and
 //! `diag.segment` (qualified by `job`).
 
 use crate::soc::Soc;
 use crate::SocBuilder;
 use bisd::{DiagnosisResult, FastScheme, MemoryUnderDiagnosis, PopulationPlan, SegmentOutcome};
-use esram_exec::{
-    failpoint, panic_payload, CostCalibration, CostDomain, ExecError, ItemFault, RunToken, ShardPlan,
-};
+use esram_exec::{failpoint, panic_payload, CostCalibration, CostDomain, ExecError, ItemFault, ShardPlan};
 use fault_models::DefectProfile;
 use sram_model::{MemError, MemoryId, Sram};
 use std::fmt;
@@ -200,8 +198,8 @@ impl fmt::Display for FleetPhase {
     }
 }
 
-/// Why a job (or, for [`FleetError::Cancelled`], the whole fleet run)
-/// failed.
+/// Why a job (or, when a panic escapes the per-job containment, the
+/// whole fleet run) failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum FleetError {
@@ -223,9 +221,6 @@ pub enum FleetError {
         /// The failpoint site that fired.
         site: String,
     },
-    /// The runner's [`RunToken`] was cancelled — a fleet-global
-    /// failure, reported through [`FleetRunner::run`]'s outer `Result`.
-    Cancelled,
 }
 
 impl fmt::Display for FleetError {
@@ -238,7 +233,6 @@ impl fmt::Display for FleetError {
             FleetError::Injected { phase, site } => {
                 write!(f, "injected failure during {phase} at {site}")
             }
-            FleetError::Cancelled => write!(f, "fleet run cancelled"),
         }
     }
 }
@@ -258,7 +252,6 @@ impl FleetError {
     /// reported as a fleet-global [`FleetError::Panicked`].
     fn from_exec(phase: FleetPhase, error: ExecError) -> FleetError {
         match error {
-            ExecError::Cancelled => FleetError::Cancelled,
             ExecError::WorkerPanic { payload, .. } => FleetError::Panicked { phase, payload },
             // ExecError is non_exhaustive; render any future variant.
             other => FleetError::Panicked {
@@ -304,33 +297,17 @@ struct MemberSlot<'a> {
 /// Batched runner for N independent jobs under one [`ShardPlan`].
 ///
 /// See the [module documentation](self) for the three-phase pipeline,
-/// the determinism argument and the per-job fault domains. Cloning the
-/// runner shares its [`RunToken`]: cancelling the token given to
-/// [`FleetRunner::with_token`] stops every clone.
+/// the determinism argument and the per-job fault domains.
 #[derive(Debug, Clone, Default)]
 pub struct FleetRunner {
     shard: ShardPlan,
-    token: RunToken,
 }
 
 impl FleetRunner {
     /// A runner executing under the given shard plan (its worker count
-    /// applies to the *combined* work list of all jobs),
-    /// with a fresh never-cancelling [`RunToken`].
+    /// applies to the *combined* work list of all jobs).
     pub fn new(shard: ShardPlan) -> Self {
-        FleetRunner {
-            shard,
-            token: RunToken::new(),
-        }
-    }
-
-    /// Replaces the runner's cancellation token: every phase checks it
-    /// at job/item/segment boundaries and fails fleet-globally
-    /// with [`FleetError::Cancelled`] — with clean teardown, so the
-    /// jobs can be re-run with a fresh token.
-    pub fn with_token(mut self, token: RunToken) -> Self {
-        self.token = token;
-        self
+        FleetRunner { shard }
     }
 
     /// Plans, builds and diagnoses every job in one batched pipeline
@@ -342,9 +319,8 @@ impl FleetRunner {
     /// `Err(`[`FleetError`]`)` in its slot and is excluded from later
     /// phases; every **other** job's outcome is byte-identical to its
     /// solo run at any worker count and kernel. The outer
-    /// `Result` fails only on fleet-global conditions: the runner's
-    /// [`RunToken`] was cancelled or timed out, or a panic escaped the
-    /// per-job containment.
+    /// `Result` fails only when a panic escaped the per-job
+    /// containment.
     ///
     /// Degenerate inputs are well-defined, not special-cased
     /// downstream: **zero jobs** returns an empty vector, and **one job
@@ -355,13 +331,12 @@ impl FleetRunner {
     ///
     /// # Errors
     ///
-    /// [`FleetError::Cancelled`] when the token stopped the run;
     /// [`FleetError::Panicked`] if a panic escaped the per-job
     /// containment (a bug, not a job fault).
     pub fn run(&self, jobs: &[FleetJob]) -> Result<Vec<JobOutcome>, FleetError> {
         let mut errors = vec![None; jobs.len()];
-        let populations = self.plan_jobs(jobs, &mut errors)?;
-        let mut socs = self.build_jobs(jobs, &mut errors)?;
+        let populations = plan_jobs(jobs, &mut errors);
+        let mut socs = self.build_jobs(jobs, &mut errors);
         let pairs = populations
             .iter()
             .zip(&mut socs)
@@ -387,7 +362,7 @@ impl FleetRunner {
     /// # Errors
     ///
     /// The first per-job [`FleetError`], or a fleet-global
-    /// [`FleetError::Cancelled`].
+    /// [`FleetError::Panicked`].
     pub fn run_all(&self, jobs: &[FleetJob]) -> Result<Vec<FleetOutcome>, FleetError> {
         self.run(jobs)?.into_iter().collect()
     }
@@ -400,11 +375,10 @@ impl FleetRunner {
     ///
     /// The first failing job's [`FleetError`] in job order — e.g. the
     /// `InvalidConfig` a solo [`SocBuilder::build`] reports for a job
-    /// holding no memories — or a fleet-global
-    /// [`FleetError::Cancelled`].
+    /// holding no memories.
     pub fn plan(&self, jobs: &[FleetJob]) -> Result<FleetPlan, FleetError> {
         let mut errors = vec![None; jobs.len()];
-        let populations = self.plan_jobs(jobs, &mut errors)?;
+        let populations = plan_jobs(jobs, &mut errors);
         Ok(FleetPlan {
             jobs: jobs.to_vec(),
             members: members(jobs, &errors),
@@ -422,11 +396,10 @@ impl FleetRunner {
     /// # Errors
     ///
     /// The first failing job's [`FleetError`] in job order (injection
-    /// failure, contained panic, armed `soc.build` failpoint), or a
-    /// fleet-global [`FleetError::Cancelled`].
+    /// failure, contained panic, armed `soc.build` failpoint).
     pub fn build(&self, plan: &FleetPlan) -> Result<Vec<Soc>, FleetError> {
         let mut errors = vec![None; plan.jobs.len()];
-        let socs = self.build_jobs(&plan.jobs, &mut errors)?;
+        let socs = self.build_jobs(&plan.jobs, &mut errors);
         job_results(errors, socs).into_iter().collect()
     }
 
@@ -439,7 +412,7 @@ impl FleetRunner {
     /// The first failing job's [`FleetError`] in job order (contained
     /// panic, armed `diag.segment` failpoint, or a memory-model
     /// validation failure, which indicates a bug in the scheme), or a
-    /// fleet-global [`FleetError::Cancelled`].
+    /// fleet-global [`FleetError::Panicked`].
     ///
     /// # Panics
     ///
@@ -471,87 +444,33 @@ impl FleetRunner {
         job_results(errors, results).into_iter().collect()
     }
 
-    /// The plan phase: the controller work of each distinct (scheme,
-    /// member geometries) pair, once, under its own containment. A plan
-    /// is a pure function of that pair, so jobs that differ only in seed
-    /// or defect rate share it; a failure fails every job sharing it with
-    /// the same error, as each solo run would. An empty population is
-    /// the per-job equivalent of the solo builder's `InvalidConfig`
-    /// rejection. A failed job's error lands in its `errors` slot and its
-    /// plan is `None`.
-    fn plan_jobs(
-        &self,
-        jobs: &[FleetJob],
-        errors: &mut [Option<FleetError>],
-    ) -> Result<Vec<Option<Arc<PopulationPlan>>>, FleetError> {
-        // (first job with the pair, its planning outcome)
-        let mut distinct: Vec<(usize, Result<Arc<PopulationPlan>, FleetError>)> = Vec::new();
-        let mut populations = Vec::with_capacity(jobs.len());
-        for (job, fleet_job) in jobs.iter().enumerate() {
-            self.token
-                .check()
-                .map_err(|error| FleetError::from_exec(FleetPhase::Plan, error))?;
-            let configs = fleet_job.builder.member_configs();
-            let shared = distinct.iter().find(|&&(first, _)| {
-                jobs[first].scheme == fleet_job.scheme && jobs[first].builder.member_configs() == configs
-            });
-            let planned = match shared {
-                Some((_, planned)) => planned.clone(),
-                None => {
-                    let planned = if configs.is_empty() {
-                        Err(FleetError::Memory(MemError::InvalidConfig { words: 0, width: 0 }))
-                    } else {
-                        catch_unwind(AssertUnwindSafe(|| fleet_job.scheme.plan_population(configs)))
-                            .map(Arc::new)
-                            .map_err(|payload| FleetError::Panicked {
-                                phase: FleetPhase::Plan,
-                                payload: panic_payload(payload.as_ref()),
-                            })
-                    };
-                    distinct.push((job, planned.clone()));
-                    planned
-                }
-            };
-            populations.push(planned.map_err(|error| errors[job] = Some(error)).ok());
-        }
-        Ok(populations)
-    }
-
     /// The build phase: every still-healthy job's members in one
     /// isolated executor run, so a panicking or erroring member fails
     /// only its own job (the first fault in member order wins). A
     /// failed job's population is `None`.
-    fn build_jobs(
-        &self,
-        jobs: &[FleetJob],
-        errors: &mut [Option<FleetError>],
-    ) -> Result<Vec<Option<Soc>>, FleetError> {
+    fn build_jobs(&self, jobs: &[FleetJob], errors: &mut [Option<FleetError>]) -> Vec<Option<Soc>> {
         let profiles: Vec<DefectProfile> = jobs
             .iter()
             .map(|fleet_job| fleet_job.builder.defect_profile())
             .collect();
         let members = members(jobs, errors);
         let calibration = CostCalibration::current();
-        let built = self
-            .shard
-            .map_slots_isolated(
-                &self.token,
-                &members,
-                |_, &(job, member)| {
-                    let cells = jobs[job].builder.member_configs()[member].cells();
-                    calibration.cost(CostDomain::SocBuild, cells)
-                },
-                || (),
-                |_, _, &(job, member)| {
-                    failpoint::fire("soc.build", &[("job", job as u64), ("member", member as u64)])
-                        .map_err(|injected| JobFault::Injected(injected.site))?;
-                    let builder = jobs[job].builder();
-                    builder
-                        .build_member(&profiles[job], member, builder.member_configs()[member])
-                        .map_err(JobFault::Memory)
-                },
-            )
-            .map_err(|error| FleetError::from_exec(FleetPhase::Build, error))?;
+        let built = self.shard.map_slots_isolated(
+            &members,
+            |_, &(job, member)| {
+                let cells = jobs[job].builder.member_configs()[member].cells();
+                calibration.cost(CostDomain::SocBuild, cells)
+            },
+            || (),
+            |_, _, &(job, member)| {
+                failpoint::fire("soc.build", &[("job", job as u64), ("member", member as u64)])
+                    .map_err(|injected| JobFault::Injected(injected.site))?;
+                let builder = jobs[job].builder();
+                builder
+                    .build_member(&profiles[job], member, builder.member_configs()[member])
+                    .map_err(JobFault::Memory)
+            },
+        );
         let mut built_members: Vec<Vec<MemoryUnderDiagnosis>> = jobs.iter().map(|_| Vec::new()).collect();
         for (&(job, _), slot) in members.iter().zip(built) {
             if errors[job].is_some() {
@@ -567,11 +486,11 @@ impl FleetRunner {
                 }
             }
         }
-        Ok(built_members
+        built_members
             .into_iter()
             .zip(errors.iter())
             .map(|(members, error)| error.is_none().then(|| Soc::from_memories(members)))
-            .collect())
+            .collect()
     }
 
     /// The diagnose phase: every member of every `Some` (plan,
@@ -606,7 +525,6 @@ impl FleetRunner {
         let groups: Vec<Vec<(usize, Result<SegmentOutcome, JobFault>)>> = self
             .shard
             .try_run_segments(
-                &self.token,
                 &mut slots,
                 |_, slot| population(slot.job).member_cost(slot.member),
                 |_, segment| {
@@ -655,6 +573,45 @@ impl FleetRunner {
             .map(|(job, outcomes)| errors[job].is_none().then(|| population(job).merge(outcomes)))
             .collect())
     }
+}
+
+/// The plan phase: the controller work of each distinct (scheme,
+/// member geometries) pair, once, under its own containment. A plan
+/// is a pure function of that pair, so jobs that differ only in seed
+/// or defect rate share it; a failure fails every job sharing it with
+/// the same error, as each solo run would. An empty population is
+/// the per-job equivalent of the solo builder's `InvalidConfig`
+/// rejection. A failed job's error lands in its `errors` slot and its
+/// plan is `None`.
+fn plan_jobs(jobs: &[FleetJob], errors: &mut [Option<FleetError>]) -> Vec<Option<Arc<PopulationPlan>>> {
+    // (first job with the pair, its planning outcome)
+    let mut distinct: Vec<(usize, Result<Arc<PopulationPlan>, FleetError>)> = Vec::new();
+    let mut populations = Vec::with_capacity(jobs.len());
+    for (job, fleet_job) in jobs.iter().enumerate() {
+        let configs = fleet_job.builder.member_configs();
+        let shared = distinct.iter().find(|&&(first, _)| {
+            jobs[first].scheme == fleet_job.scheme && jobs[first].builder.member_configs() == configs
+        });
+        let planned = match shared {
+            Some((_, planned)) => planned.clone(),
+            None => {
+                let planned = if configs.is_empty() {
+                    Err(FleetError::Memory(MemError::InvalidConfig { words: 0, width: 0 }))
+                } else {
+                    catch_unwind(AssertUnwindSafe(|| fleet_job.scheme.plan_population(configs)))
+                        .map(Arc::new)
+                        .map_err(|payload| FleetError::Panicked {
+                            phase: FleetPhase::Plan,
+                            payload: panic_payload(payload.as_ref()),
+                        })
+                };
+                distinct.push((job, planned.clone()));
+                planned
+            }
+        };
+        populations.push(planned.map_err(|error| errors[job] = Some(error)).ok());
+    }
+    populations
 }
 
 /// The flattened `(job, member)` build work list of every job whose
@@ -781,18 +738,6 @@ mod tests {
         {
             assert_eq!(outcome.as_ref().unwrap().result(), result);
         }
-    }
-
-    #[test]
-    fn cancelled_runner_fails_fleet_globally() {
-        let jobs = mixed_jobs();
-        let token = RunToken::new();
-        token.cancel();
-        let runner = FleetRunner::new(ShardPlan::with_threads(7)).with_token(token);
-        assert_eq!(runner.run(&jobs).unwrap_err(), FleetError::Cancelled);
-        // Clean teardown: the same jobs re-run fine under a fresh token.
-        let fresh = FleetRunner::new(ShardPlan::with_threads(7));
-        assert_eq!(fresh.run_all(&jobs).unwrap().len(), jobs.len());
     }
 
     #[test]

@@ -9,10 +9,8 @@
 //! instead catch every worker's unwind, join **all** workers, and
 //! report the failure as a value:
 //!
-//! * [`ExecError`] is the run-level verdict: the whole call failed —
-//!   a worker panicked ([`ExecError::WorkerPanic`]), the caller's
-//!   [`RunToken`](crate::RunToken) was cancelled
-//!   ([`ExecError::Cancelled`]).
+//! * [`ExecError`] is the run-level verdict: the whole call failed
+//!   because a worker panicked ([`ExecError::WorkerPanic`]).
 //! * [`ItemFault`] is the item-level verdict used by the isolated
 //!   mapper: one slot's work errored or panicked while every other
 //!   slot's result survives, byte-identical to the sequential map.
@@ -27,10 +25,9 @@ use std::fmt;
 
 /// A fallible executor run failed as a whole.
 ///
-/// Reported by the `try_*` entry points; the winning failure is chosen
-/// deterministically when several workers fail in one run: a panic
-/// beats a cancellation, and among panics the lowest-indexed failed
-/// shard is reported.
+/// Reported by [`ShardPlan::try_run_segments`](crate::ShardPlan::try_run_segments);
+/// when several workers fail in one run the lowest-indexed failed
+/// shard is reported, deterministically.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ExecError {
@@ -43,9 +40,6 @@ pub enum ExecError {
         /// payloads verbatim; anything else a placeholder).
         payload: String,
     },
-    /// The caller's [`RunToken`](crate::RunToken) was cancelled before
-    /// the run completed.
-    Cancelled,
 }
 
 impl fmt::Display for ExecError {
@@ -54,7 +48,6 @@ impl fmt::Display for ExecError {
             ExecError::WorkerPanic { shard, payload } => {
                 write!(f, "worker panicked in shard {shard}: {payload}")
             }
-            ExecError::Cancelled => write!(f, "run cancelled"),
         }
     }
 }
@@ -124,7 +117,6 @@ mod tests {
         };
         assert!(error.to_string().contains("shard 3"));
         assert!(error.to_string().contains("boom"));
-        assert_eq!(ExecError::Cancelled.to_string(), "run cancelled");
         let fault: ItemFault<String> = ItemFault::Panic {
             payload: "ouch".into(),
         };

@@ -17,15 +17,14 @@
 //! # Fault containment
 //!
 //! Every entry point runs on one fallible core: each worker's work is
-//! wrapped in `catch_unwind`, **all** workers are joined even when some
-//! panicked (two shards panicking simultaneously can no longer
-//! escalate into a process-killing double panic), and the caller's
-//! [`RunToken`] is checked at item and segment boundaries. The
-//! `try_*` variants surface failures as a structured [`ExecError`]; the
-//! infallible classics keep their contract by re-raising the original
-//! panic payload *after* teardown completed. When several workers fail
-//! in one run the reported failure is deterministic: a panic outranks a
-//! cancellation, and among panics the lowest-indexed failed shard wins.
+//! wrapped in `catch_unwind`, and **all** workers are joined even when
+//! some panicked (two shards panicking simultaneously can no longer
+//! escalate into a process-killing double panic).
+//! [`ShardPlan::try_run_segments`] surfaces a panic as a structured
+//! [`ExecError`]; the infallible classics keep their contract by
+//! re-raising the original panic payload *after* teardown completed.
+//! When several workers panic in one run the lowest-indexed failed
+//! shard is reported.
 //!
 //! [`ShardPlan::map_slots_isolated`] narrows the fault domain to a
 //! single item: a panicking or erroring item fails only its own slot
@@ -34,60 +33,25 @@
 
 use crate::error::{panic_payload, ExecError, ItemFault};
 use crate::plan::{cost_ranges, ShardPlan};
-use crate::token::RunToken;
 use std::any::Any;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
-/// Internal failure currency of the fallible core: panics keep their
-/// original boxed payload so the infallible wrappers can re-raise it
-/// unchanged (`resume_unwind`), while the `try_*` wrappers render it
+/// A worker panic caught by the fallible core. It keeps the original
+/// boxed payload so the infallible wrappers can re-raise it unchanged
+/// (`resume_unwind`), while [`ShardPlan::try_run_segments`] renders it
 /// into the string-carrying [`ExecError`].
-enum RawFailure {
-    Panic {
-        shard: usize,
-        payload: Box<dyn Any + Send>,
-    },
-    Cancelled,
+struct CaughtPanic {
+    shard: usize,
+    payload: Box<dyn Any + Send>,
 }
 
-impl RawFailure {
-    fn from_exec(error: ExecError) -> RawFailure {
-        match error {
-            ExecError::Cancelled => RawFailure::Cancelled,
-            ExecError::WorkerPanic { shard, payload } => RawFailure::Panic {
-                shard,
-                payload: Box::new(payload),
-            },
-        }
-    }
-
+impl CaughtPanic {
     fn into_exec(self) -> ExecError {
-        match self {
-            RawFailure::Panic { shard, payload } => ExecError::WorkerPanic {
-                shard,
-                payload: panic_payload(payload.as_ref()),
-            },
-            RawFailure::Cancelled => ExecError::Cancelled,
+        ExecError::WorkerPanic {
+            shard: self.shard,
+            payload: panic_payload(self.payload.as_ref()),
         }
-    }
-
-    /// Deterministic severity order: panics first (by ascending shard),
-    /// then cancellation.
-    fn rank(&self) -> (u8, usize) {
-        match self {
-            RawFailure::Panic { shard, .. } => (0, *shard),
-            RawFailure::Cancelled => (1, 0),
-        }
-    }
-}
-
-/// Keeps the highest-severity (lowest-rank) failure seen so far.
-fn keep_worst(slot: &mut Option<RawFailure>, candidate: RawFailure) {
-    match slot {
-        None => *slot = Some(candidate),
-        Some(current) if candidate.rank() < current.rank() => *slot = Some(candidate),
-        Some(_) => {}
     }
 }
 
@@ -120,38 +84,12 @@ impl ShardPlan {
         T: Sync,
         R: Send,
     {
-        match self.map_slots_raw(&RunToken::new(), items, cost, init, work) {
-            Ok(results) => results,
-            Err(RawFailure::Panic { payload, .. }) => resume_unwind(payload),
-            Err(_) => unreachable!("a fresh never-cancelled token cannot cancel"),
-        }
-    }
-
-    /// Fallible [`ShardPlan::map_slots`]: worker panics are contained
-    /// and surfaced as [`ExecError::WorkerPanic`], and `token` is
-    /// checked at every item boundary so cancellation stops the run
-    /// with a deterministic error and clean teardown (all
-    /// workers joined, no poisoned state).
-    fn try_map_slots<T, S, R>(
-        &self,
-        token: &RunToken,
-        items: &[T],
-        cost: impl Fn(usize, &T) -> u64 + Sync,
-        init: impl Fn() -> S + Sync,
-        work: impl Fn(&mut S, usize, &T) -> R + Sync,
-    ) -> Result<Vec<R>, ExecError>
-    where
-        T: Sync,
-        R: Send,
-    {
-        self.map_slots_raw(token, items, cost, init, work)
-            .map_err(RawFailure::into_exec)
+        self.map_slots_raw(items, cost, init, work)
+            .unwrap_or_else(|caught| resume_unwind(caught.payload))
     }
 
     /// Per-item fault isolation: like [`ShardPlan::map_slots`], but a
-    /// panicking or erroring item fails only its own slot, and `token`
-    /// is checked at every item boundary so cancellation stops the run
-    /// with a deterministic error and clean teardown.
+    /// panicking or erroring item fails only its own slot.
     ///
     /// `work` returns `Result<R, E>`; each item runs under its own
     /// `catch_unwind`, so a slot comes back as `Ok(R)`, or
@@ -162,18 +100,17 @@ impl ShardPlan {
     /// the sequential map at every worker count — the chaos proptest
     /// asserts exactly this.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Only run-level failures: [`ExecError::Cancelled`] from the token.
-    /// Item failures never fail the run.
+    /// Only a panic outside the items' work (in `cost` or `init`) is
+    /// re-raised, as by [`ShardPlan::map_slots`].
     pub fn map_slots_isolated<T, S, R, E>(
         &self,
-        token: &RunToken,
         items: &[T],
         cost: impl Fn(usize, &T) -> u64 + Sync,
         init: impl Fn() -> S + Sync,
         work: impl Fn(&mut S, usize, &T) -> Result<R, E> + Sync,
-    ) -> Result<Vec<Result<R, ItemFault<E>>>, ExecError>
+    ) -> Vec<Result<R, ItemFault<E>>>
     where
         T: Sync,
         R: Send,
@@ -181,12 +118,8 @@ impl ShardPlan {
     {
         let init = &init;
         let work = &work;
-        self.try_map_slots(
-            token,
-            items,
-            cost,
-            init,
-            move |state, index, item| match catch_unwind(AssertUnwindSafe(|| work(state, index, item))) {
+        self.map_slots(items, cost, init, move |state, index, item| {
+            match catch_unwind(AssertUnwindSafe(|| work(state, index, item))) {
                 Ok(Ok(value)) => Ok(value),
                 Ok(Err(error)) => Err(ItemFault::Error(error)),
                 Err(payload) => {
@@ -195,19 +128,18 @@ impl ShardPlan {
                         payload: panic_payload(payload.as_ref()),
                     })
                 }
-            },
-        )
+            }
+        })
     }
 
     /// The fallible core behind every `map_slots` flavour.
     fn map_slots_raw<T, S, R>(
         &self,
-        token: &RunToken,
         items: &[T],
         cost: impl Fn(usize, &T) -> u64 + Sync,
         init: impl Fn() -> S + Sync,
         work: impl Fn(&mut S, usize, &T) -> R + Sync,
-    ) -> Result<Vec<R>, RawFailure>
+    ) -> Result<Vec<R>, CaughtPanic>
     where
         T: Sync,
         R: Send,
@@ -216,21 +148,15 @@ impl ShardPlan {
             return Ok(Vec::new());
         }
         // One shard's contained run: panics are caught and tagged with
-        // the shard index; the token is checked per item.
-        let run_range = |shard: usize, range: Range<usize>| -> Result<Vec<R>, RawFailure> {
-            let caught = catch_unwind(AssertUnwindSafe(|| -> Result<Vec<R>, RawFailure> {
+        // the shard index.
+        let run_range = |shard: usize, range: Range<usize>| -> Result<Vec<R>, CaughtPanic> {
+            catch_unwind(AssertUnwindSafe(|| {
                 let mut state = init();
-                let mut results = Vec::with_capacity(range.len());
-                for index in range.clone() {
-                    token.check().map_err(RawFailure::from_exec)?;
-                    results.push(work(&mut state, index, &items[index]));
-                }
-                Ok(results)
-            }));
-            match caught {
-                Ok(result) => result,
-                Err(payload) => Err(RawFailure::Panic { shard, payload }),
-            }
+                range
+                    .map(|index| work(&mut state, index, &items[index]))
+                    .collect()
+            }))
+            .map_err(|payload| CaughtPanic { shard, payload })
         };
         if self.shard_count(items.len()) <= 1 {
             return run_range(0, 0..items.len());
@@ -250,23 +176,25 @@ impl ShardPlan {
                 .collect();
             // Join ALL workers before reporting anything: a second
             // simultaneous panic lands here as a value, not as a
-            // double-panic abort.
+            // double-panic abort. Shards join in ascending order, so the
+            // first failure kept is the lowest-indexed one.
             let mut merged = Vec::with_capacity(items.len());
-            let mut failure: Option<RawFailure> = None;
+            let mut failure: Option<CaughtPanic> = None;
             for (shard, worker) in workers.into_iter().enumerate() {
                 match worker.join() {
                     Ok(Ok(results)) => merged.extend(results),
-                    Ok(Err(raw)) => keep_worst(&mut failure, raw),
+                    Ok(Err(caught)) => {
+                        failure.get_or_insert(caught);
+                    }
                     // The worker closure is fully caught; a join error
                     // would mean the spawn machinery itself panicked —
                     // still contained, still reported.
-                    Err(payload) => keep_worst(&mut failure, RawFailure::Panic { shard, payload }),
+                    Err(payload) => {
+                        failure.get_or_insert(CaughtPanic { shard, payload });
+                    }
                 }
             }
-            match failure {
-                None => Ok(merged),
-                Some(raw) => Err(raw),
-            }
+            failure.map_or(Ok(merged), Err)
         })
     }
 
@@ -299,29 +227,20 @@ impl ShardPlan {
         T: Send,
         R: Send,
     {
-        match self.run_segments_raw(&RunToken::new(), items, cost, work) {
-            Ok(results) => results,
-            Err(RawFailure::Panic { payload, .. }) => resume_unwind(payload),
-            Err(_) => unreachable!("a fresh never-cancelled token cannot cancel"),
-        }
+        self.run_segments_raw(items, cost, work)
+            .unwrap_or_else(|caught| resume_unwind(caught.payload))
     }
 
     /// Fallible [`ShardPlan::run_segments`]: worker panics are
-    /// contained and surfaced as [`ExecError::WorkerPanic`], and
-    /// `token` is checked at every segment boundary so cancellation
-    /// stops the run with a deterministic error and clean teardown.
-    /// Items already processed by completed segments keep their
-    /// mutations (cooperative cancellation is a boundary, not a
-    /// rollback); the caller's slice is never poisoned and can be reset
-    /// and reused.
+    /// contained and surfaced as [`ExecError::WorkerPanic`]. Items
+    /// already processed by other segments keep their mutations; the
+    /// caller's slice is never poisoned and can be reset and reused.
     ///
     /// # Errors
     ///
-    /// [`ExecError::WorkerPanic`] when any segment's work panicked;
-    /// [`ExecError::Cancelled`] when the token stopped the run first.
+    /// [`ExecError::WorkerPanic`] when any segment's work panicked.
     pub fn try_run_segments<T, R>(
         &self,
-        token: &RunToken,
         items: &mut [T],
         cost: impl Fn(usize, &T) -> u64 + Sync,
         work: impl Fn(usize, &mut [T]) -> R + Sync,
@@ -330,18 +249,17 @@ impl ShardPlan {
         T: Send,
         R: Send,
     {
-        self.run_segments_raw(token, items, cost, work)
-            .map_err(RawFailure::into_exec)
+        self.run_segments_raw(items, cost, work)
+            .map_err(CaughtPanic::into_exec)
     }
 
     /// The fallible core behind both `run_segments` flavours.
     fn run_segments_raw<T, R>(
         &self,
-        token: &RunToken,
         items: &mut [T],
         cost: impl Fn(usize, &T) -> u64 + Sync,
         work: impl Fn(usize, &mut [T]) -> R + Sync,
-    ) -> Result<Vec<R>, RawFailure>
+    ) -> Result<Vec<R>, CaughtPanic>
     where
         T: Send,
         R: Send,
@@ -349,12 +267,10 @@ impl ShardPlan {
         if items.is_empty() {
             return Ok(Vec::new());
         }
-        // One segment's contained run: the token gates entry, the work
-        // itself runs under catch_unwind.
-        let run_segment = |shard: usize, base: usize, segment: &mut [T]| -> Result<R, RawFailure> {
-            token.check().map_err(RawFailure::from_exec)?;
+        // One segment's contained run.
+        let run_segment = |shard: usize, base: usize, segment: &mut [T]| -> Result<R, CaughtPanic> {
             catch_unwind(AssertUnwindSafe(|| work(base, segment)))
-                .map_err(|payload| RawFailure::Panic { shard, payload })
+                .map_err(|payload| CaughtPanic { shard, payload })
         };
         if self.shard_count(items.len()) <= 1 {
             return Ok(vec![run_segment(0, 0, items)?]);
@@ -380,18 +296,19 @@ impl ShardPlan {
                 })
                 .collect();
             let mut merged = Vec::with_capacity(workers.len());
-            let mut failure: Option<RawFailure> = None;
+            let mut failure: Option<CaughtPanic> = None;
             for (shard, worker) in workers.into_iter().enumerate() {
                 match worker.join() {
                     Ok(Ok(result)) => merged.push(result),
-                    Ok(Err(raw)) => keep_worst(&mut failure, raw),
-                    Err(payload) => keep_worst(&mut failure, RawFailure::Panic { shard, payload }),
+                    Ok(Err(caught)) => {
+                        failure.get_or_insert(caught);
+                    }
+                    Err(payload) => {
+                        failure.get_or_insert(CaughtPanic { shard, payload });
+                    }
                 }
             }
-            match failure {
-                None => Ok(merged),
-                Some(raw) => Err(raw),
-            }
+            failure.map_or(Ok(merged), Err)
         })
     }
 
@@ -488,15 +405,13 @@ mod tests {
         // lowest shard is reported as a value.
         let items: Vec<u64> = (0..8).collect();
         let plan = ShardPlan::with_threads(2);
-        let token = RunToken::new();
-        let result = plan.try_map_slots(
-            &token,
+        let result = plan.map_slots_raw(
             &items,
             |_, _| 1,
             || (),
             |_, index, _| -> u64 { panic!("{QUIET_MARKER} shard item {index} exploded") },
         );
-        match result {
+        match result.map_err(CaughtPanic::into_exec) {
             Err(ExecError::WorkerPanic { shard, payload }) => {
                 assert_eq!(shard, 0, "the lowest failed shard must win");
                 assert!(payload.contains("exploded"), "{payload}");
@@ -506,7 +421,6 @@ mod tests {
         // Segments variant: both segment closures panic simultaneously.
         let mut working: Vec<u64> = (0..8).collect();
         let result = plan.try_run_segments(
-            &token,
             &mut working,
             |_, _| 1,
             |base, _| -> u64 { panic!("{QUIET_MARKER} segment {base} exploded") },
@@ -544,89 +458,25 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_token_stops_every_strategy_deterministically() {
-        let items: Vec<u64> = (0..64).collect();
-        let token = RunToken::new();
-        token.cancel();
-        for plan in plans() {
-            let mapped = plan.try_map_slots(&token, &items, |_, _| 1, || (), |_, _, &v| v);
-            assert_eq!(mapped, Err(ExecError::Cancelled), "map under {plan}");
-            let mut working = items.clone();
-            let segments = plan.try_run_segments(&token, &mut working, |_, _| 1, |_, s| s.len());
-            assert_eq!(segments, Err(ExecError::Cancelled), "segments under {plan}");
-            let isolated =
-                plan.map_slots_isolated(&token, &items, |_, _| 1, || (), |_, _, &v| Ok::<_, ()>(v));
-            assert_eq!(isolated, Err(ExecError::Cancelled), "isolated under {plan}");
-        }
-        // Empty input short-circuits before the token is consulted.
-        let empty: [u64; 0] = [];
-        let plan = ShardPlan::with_threads(4);
-        assert_eq!(
-            plan.try_map_slots(&token, &empty, |_, _| 1, || (), |_, _, &v| v),
-            Ok(Vec::new())
-        );
-    }
-
-    #[test]
-    fn cancellation_leaves_items_resettable_not_poisoned() {
-        let token = RunToken::new();
-        token.cancel();
-        let mut items: Vec<u64> = (0..32).collect();
-        let plan = ShardPlan::with_threads(4);
-        let result = plan.try_run_segments(
-            &token,
-            &mut items,
-            |_, _| 1,
-            |_, segment| {
-                for value in segment.iter_mut() {
-                    *value += 1000;
-                }
-            },
-        );
-        assert_eq!(result, Err(ExecError::Cancelled));
-        // Clean teardown: the slice is untouched (cancellation beat
-        // every segment) and immediately reusable with a fresh token.
-        assert_eq!(items, (0..32).collect::<Vec<u64>>());
-        let fresh = RunToken::new();
-        let segments = plan.try_run_segments(
-            &fresh,
-            &mut items,
-            |_, _| 1,
-            |_, segment| {
-                for value in segment.iter_mut() {
-                    *value += 1;
-                }
-                segment.len()
-            },
-        );
-        assert!(segments.is_ok());
-        assert_eq!(items, (1..33).collect::<Vec<u64>>());
-    }
-
-    #[test]
     fn isolated_map_confines_faults_to_their_own_slots() {
         install_quiet_panic_hook();
         let items: Vec<u64> = (0..50).collect();
-        let token = RunToken::new();
         for plan in plans() {
-            let slots = plan
-                .map_slots_isolated(
-                    &token,
-                    &items,
-                    |_, _| 1,
-                    || 0u64,
-                    |scratch, _, &v| {
-                        *scratch = scratch.wrapping_add(v);
-                        if v % 10 == 3 {
-                            panic!("{QUIET_MARKER} item {v} panicked");
-                        }
-                        if v % 10 == 7 {
-                            return Err(v);
-                        }
-                        Ok(v * 2)
-                    },
-                )
-                .expect("item faults must not fail the run");
+            let slots = plan.map_slots_isolated(
+                &items,
+                |_, _| 1,
+                || 0u64,
+                |scratch, _, &v| {
+                    *scratch = scratch.wrapping_add(v);
+                    if v % 10 == 3 {
+                        panic!("{QUIET_MARKER} item {v} panicked");
+                    }
+                    if v % 10 == 7 {
+                        return Err(v);
+                    }
+                    Ok(v * 2)
+                },
+            );
             assert_eq!(slots.len(), items.len());
             for (&v, slot) in items.iter().zip(&slots) {
                 match (v % 10, slot) {

@@ -29,9 +29,7 @@
 //! process abort. The fallible entry points
 //! ([`ShardPlan::try_run_segments`], [`ShardPlan::map_slots_isolated`])
 //! surface failures as a structured [`ExecError`] / [`ItemFault`]
-//! taxonomy, and a [`RunToken`] gives
-//! callers cooperative cancellation checked at item and segment
-//! boundaries with clean teardown.
+//! taxonomy.
 //!
 //! Three supporting modules round out the crate:
 //!
@@ -57,11 +55,9 @@ pub mod error;
 pub mod executor;
 pub mod failpoint;
 pub mod plan;
-pub mod token;
 
 pub use calibrate::{CalibrationMode, CostCalibration, CostDomain, DomainWeights, CALIB_ENV};
 pub use env::EnvFallback;
 pub use error::{panic_payload, ExecError, ItemFault};
 pub use failpoint::{FailpointGuard, InjectedFailure};
 pub use plan::{cost_ranges, even_ranges, ShardPlan, ShardStrategy, THREADS_ENV};
-pub use token::RunToken;

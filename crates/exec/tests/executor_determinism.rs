@@ -5,7 +5,7 @@
 //! once, in order, under every partition.
 
 use esram_exec::failpoint::{install_quiet_panic_hook, QUIET_MARKER};
-use esram_exec::{cost_ranges, even_ranges, ItemFault, RunToken, ShardPlan};
+use esram_exec::{cost_ranges, even_ranges, ItemFault, ShardPlan};
 use proptest::collection;
 use proptest::prelude::*;
 
@@ -157,7 +157,6 @@ proptest! {
     ) {
         install_quiet_panic_hook();
         let threads = WORKER_COUNTS[workers_index];
-        let token = RunToken::new();
         // The sequential classification the surviving slots must match.
         let classify = |value: u64| -> Option<Result<u64, u64>> {
             if value.is_multiple_of(panic_mod) {
@@ -171,7 +170,6 @@ proptest! {
         let plan = ShardPlan::with_threads(threads);
         let slots = plan
             .map_slots_isolated(
-                &token,
                 &items,
                 |index, value| value % 5 + (index as u64 & 1),
                 || 0u64,
@@ -187,8 +185,7 @@ proptest! {
                         Some(Ok(result)) => Ok(result),
                     }
                 },
-            )
-            .expect("item faults must never fail the run");
+            );
         prop_assert_eq!(slots.len(), items.len());
         for (index, (&value, slot)) in items.iter().zip(&slots).enumerate() {
             match (classify(value), slot) {

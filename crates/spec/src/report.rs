@@ -41,9 +41,9 @@ pub struct RunReport {
 ///
 /// # Errors
 ///
-/// Returns a message for whole-run failures (cancellation, or a
-/// geometry the builder rejects — the latter cannot happen for plans
-/// produced by spec validation). Per-job failures do **not** error:
+/// Returns a message for whole-run failures (a panic that escaped the
+/// per-job containment, or a geometry the builder rejects — the latter
+/// cannot happen for plans produced by spec validation). Per-job failures do **not** error:
 /// they land in the report as `"status": "failed"` rows.
 pub fn execute_plan(plan: &DiagnosisPlan, shard: &ShardPlan) -> Result<RunReport, String> {
     let rows = match &plan.scheme {
