@@ -3,11 +3,11 @@
 //!
 //! Under the default [`DiagnosisKernel::BitParallel`] each pass steps
 //! only the rows an installed fault can make deviate, the lane and
-//! stepped rows of [`sram_model::Sram::row_classes`], worked out once per
-//! memory before the first pass; a fault-free memory is skipped and a
-//! memory with a stuck-open cell is swept whole. [`DiagnosisKernel::PerMemory`] sweeps
-//! every row of every memory and is the dense oracle the row-restricted
-//! walk is checked against. Cycles are the Eq. (1) closed form under
+//! stepped rows of [`sram_model::Sram::row_classes`], worked out once
+//! per memory before the first pass; a fault-free memory is skipped and
+//! a memory with a stuck-open cell is swept whole.
+//! [`DiagnosisKernel::PerMemory`] sweeps every row of every memory and
+//! is the dense oracle the row-restricted walk is checked against. Cycles are the Eq. (1) closed form under
 //! both.
 
 use crate::components::MemorySizeTable;
