@@ -13,8 +13,8 @@
 //! of the most loaded worker under a modeled `MODEL_WORKERS`-worker
 //! partition, obtained by *executing* exactly that worker's fault share
 //! sequentially. The partitions come from the same pure functions the
-//! executor uses ([`even_ranges`], [`cost_ranges`]), fed by the
-//! simulator's own cost model ([`FaultSimulator::fault_cost`]), so the
+//! executor uses ([`even_ranges`], [`cost_ranges`]), fed by the row
+//! units the simulator prices each fault with ([`rows_swept`]), so the
 //! measured entries are the per-partition parallel wall-clock a
 //! `MODEL_WORKERS`-core machine would see:
 //!
@@ -76,6 +76,17 @@ fn heterogeneous_universe(config: MemConfig) -> FaultList {
     universe
 }
 
+/// Rows one fault's sweep visits after a passing golden run: its one or
+/// two deviation rows, or the whole address space for a fault without
+/// any (stuck-open). The simulator prices its shards in these units.
+fn rows_swept(config: MemConfig, fault: &MemoryFault) -> u64 {
+    match fault.deviation_rows() {
+        Some((_, None)) => 1,
+        Some((_, Some(_))) => 2,
+        None => config.words(),
+    }
+}
+
 /// Extracts the faults of one index set into a standalone universe.
 fn sub_universe(universe: &FaultList, ranges: &[Range<usize>]) -> FaultList {
     let faults = universe.as_slice();
@@ -115,7 +126,7 @@ fn bench_heterogeneous(c: &mut Criterion) {
     let sim = FaultSimulator::new(config);
     let schedule = algorithms::march_cw(config.width());
     let universe = heterogeneous_universe(config);
-    let costs: Vec<u64> = universe.iter().map(|fault| sim.fault_cost(true, fault)).collect();
+    let costs: Vec<u64> = universe.iter().map(|fault| rows_swept(config, fault)).collect();
 
     let even = bottleneck_contiguous(&costs, even_ranges(universe.len(), MODEL_WORKERS));
     let cost = bottleneck_contiguous(&costs, cost_ranges(&costs, MODEL_WORKERS));

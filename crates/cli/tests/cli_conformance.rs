@@ -177,7 +177,7 @@ fn baseline_example_reproduces_the_committed_golden() {
 
 #[test]
 fn reports_are_byte_identical_across_threads() {
-    for (name, threads) in ["case_study_512x100", "baseline_comparison"]
+    for (name, threads) in ["case_study_512x100", "defect_rate_sweep", "baseline_comparison"]
         .into_iter()
         .flat_map(|name| ["1", "2", "7", "32"].map(|threads| (name, threads)))
     {

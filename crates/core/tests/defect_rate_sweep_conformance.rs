@@ -129,8 +129,8 @@ fn benchmark_scale_defect_rate_sweep_tracks_the_paper_k_estimate() {
 }
 
 /// The sweep's March-level fault simulation under the default lane
-/// kernel must be indistinguishable — outcome for outcome, failure
-/// record for failure record — from the frozen per-memory oracle at
+/// kernel must be indistinguishable — outcome for outcome, verdicts
+/// and failing sites — from the frozen per-memory oracle at
 /// every rate of the grid. This is the defect-rate-sweep edge of the
 /// lane-kernel equivalence contract: the property suite proves it on
 /// random universes, this test pins it on the exact benchmark-scale

@@ -1,8 +1,8 @@
 //! Word-oriented March execution engine.
 //!
 //! The engine applies a [`MarchTest`] (or a multi-background
-//! [`MarchSchedule`]) to one behavioural memory and reports every
-//! mismatch between expected and observed read data. It is the
+//! [`MarchSchedule`]) to one behavioural memory and records every read
+//! mismatch as a [`FailureRecord`]. It is the
 //! functional reference the BISD schemes are checked against: whatever
 //! fault information a scheme extracts through its serial access fabric
 //! must agree with what a direct word-wide run observes.
@@ -10,8 +10,8 @@
 use crate::background::{BackgroundPatterns, DataBackground};
 use crate::ops::{MarchOp, MarchTest};
 use crate::schedule::{MarchSchedule, SchedulePatterns};
+use sram_model::cell::CellCoord;
 use sram_model::{Address, FailingBits, MemError, MemoryPort};
-use std::collections::HashSet;
 
 /// One observed read mismatch.
 ///
@@ -52,24 +52,31 @@ impl RunOutcome {
         self.failures.is_empty()
     }
 
-    /// Distinct failing word addresses, in first-detection order.
-    pub fn failing_addresses(&self) -> Vec<Address> {
-        let mut seen = HashSet::new();
-        self.failures
-            .iter()
-            .map(|failure| failure.address)
-            .filter(|&address| seen.insert(address))
-            .collect()
-    }
-
-    /// Distinct failing (address, bit) sites, in first-detection order.
-    pub fn failing_cells(&self) -> Vec<(Address, usize)> {
-        let mut seen = HashSet::new();
-        self.failures
-            .iter()
-            .flat_map(|failure| failure.failing_bits.iter().map(|&bit| (failure.address, bit)))
-            .filter(|&site| seen.insert(site))
-            .collect()
+    /// Distinct failing `(address, bit)` cells, ascending.
+    pub fn sites(&self) -> Vec<CellCoord> {
+        // Reads fail the same cells again and again (a decoder fault
+        // fails whole words), so each address's bits are marked in a
+        // mask rather than every `(address, bit)` pair being sorted.
+        let mut failures: Vec<&FailureRecord> = self.failures.iter().collect();
+        failures.sort_by_key(|failure| failure.address);
+        let mut sites = Vec::new();
+        let mut failing: Vec<bool> = Vec::new();
+        for group in failures.chunk_by(|a, b| a.address == b.address) {
+            failing.clear();
+            for &bit in group.iter().flat_map(|failure| failure.failing_bits.iter()) {
+                if bit >= failing.len() {
+                    failing.resize(bit + 1, false);
+                }
+                failing[bit] = true;
+            }
+            let address = group[0].address;
+            sites.extend(
+                (0..failing.len())
+                    .filter(|&bit| failing[bit])
+                    .map(|bit| CellCoord::new(address, bit)),
+            );
+        }
+        sites
     }
 }
 
@@ -281,8 +288,7 @@ mod tests {
             .run_test(&mut sram, &test, DataBackground::Solid)
             .unwrap();
         assert!(!outcome.passed());
-        assert_eq!(outcome.failing_addresses(), vec![Address::new(5)]);
-        assert_eq!(outcome.failing_cells(), vec![(Address::new(5), 2)]);
+        assert_eq!(outcome.sites(), vec![site]);
         // The first detection happens in an r0 operation (the cell reads 1).
         let first = &outcome.failures[0];
         assert_eq!(test.elements()[first.element].ops[first.op], MarchOp::Read(false));
@@ -328,14 +334,15 @@ mod tests {
             .run_test(&mut sram, &test, DataBackground::Solid)
             .unwrap();
         assert!(!outcome.passed());
-        assert_eq!(outcome.failing_cells(), vec![(Address::new(7), 1)]);
+        assert_eq!(outcome.sites(), vec![site]);
         assert_eq!(test.pause_ms(), 0, "NWRTM must not require any retention pause");
     }
 
     #[test]
     fn drf_on_node_b_detected_by_nwrtm_as_well() {
         let mut sram = memory();
-        MemoryFault::data_retention_b(CellCoord::new(Address::new(2), 3))
+        let site = CellCoord::new(Address::new(2), 3);
+        MemoryFault::data_retention_b(site)
             .inject_into(&mut sram)
             .unwrap();
         let test = algorithms::with_nwrtm(&algorithms::march_c_minus());
@@ -343,7 +350,7 @@ mod tests {
             .run_test(&mut sram, &test, DataBackground::Solid)
             .unwrap();
         assert!(!outcome.passed());
-        assert_eq!(outcome.failing_cells(), vec![(Address::new(2), 3)]);
+        assert_eq!(outcome.sites(), vec![site]);
     }
 
     #[test]
@@ -392,7 +399,7 @@ mod tests {
     }
 
     #[test]
-    fn failing_sites_deduplicate_in_first_detection_order() {
+    fn sites_are_distinct_and_ascending() {
         let record = |address: u64, bits: Vec<usize>| FailureRecord {
             phase: 0,
             element: 1,
@@ -410,20 +417,10 @@ mod tests {
                 record(0, vec![2]),
             ],
         };
-        let address = Address::new;
+        let site = |address: u64, bit: usize| CellCoord::new(Address::new(address), bit);
         assert_eq!(
-            outcome.failing_addresses(),
-            vec![address(9), address(2), address(5), address(0)]
-        );
-        assert_eq!(
-            outcome.failing_cells(),
-            vec![
-                (address(9), 3),
-                (address(2), 0),
-                (address(2), 1),
-                (address(9), 0),
-                (address(0), 2)
-            ]
+            outcome.sites(),
+            vec![site(0, 2), site(2, 0), site(2, 1), site(9, 0), site(9, 3)]
         );
     }
 }

@@ -23,8 +23,8 @@
 //!   if a golden fault-free run of the schedule passes, reads of every
 //!   other row match by construction, so the simulator restricts the
 //!   address sweeps to the faulty row ([`MarchRunner::run_schedule_rows`]).
-//!   An outcome records only mismatches, so the pruned outcome equals
-//!   the full run's as it stands. A coupling fault
+//!   An outcome keeps only the distinct failing cells, so the pruned
+//!   outcome equals the full run's as it stands. A coupling fault
 //!   involves exactly two rows (victim and aggressor), so it takes an
 //!   order-preserving two-row restricted sweep
 //!   ([`MarchRunner::run_schedule_rows`]) instead of the full fallback,
@@ -41,7 +41,8 @@
 //!   fault becomes a bit lane of a [`LanePlanes`] memory and the
 //!   schedule is replayed once over the union of the lanes' pruned
 //!   rows, with a nonzero XOR limb flagging exactly the deviating
-//!   lanes. Single-row cell classes chunk freely; coupling faults batch
+//!   lanes, whose failing cells go straight into per-lane site lists.
+//!   Single-row cell classes chunk freely; coupling faults batch
 //!   only with pairwise-disjoint victim+aggressor row sets (so every
 //!   aggressor stays broadcast); stuck-open, decoder and failing-golden
 //!   faults fall back to the per-fault path, which
@@ -62,12 +63,13 @@
 
 use crate::background::DataBackground;
 use crate::coverage::CoverageReport;
-use crate::engine::{FailureRecord, MarchRunner, RunOutcome};
+use crate::engine::MarchRunner;
 use crate::kernel::FaultSimKernel;
 use crate::ops::{AddressOrder, MarchOp, MarchTest};
 use crate::schedule::{MarchSchedule, SchedulePatterns, SchedulePhase};
 use esram_exec::{CostCalibration, CostDomain, ShardPlan};
 use fault_models::{FaultList, MemoryFault};
+use sram_model::cell::CellCoord;
 use sram_model::{Address, LanePlanes, MemConfig, Sram};
 
 /// Outcome of simulating one fault instance against one programme.
@@ -77,13 +79,12 @@ pub struct FaultSimOutcome {
     pub fault: MemoryFault,
     /// True if the programme produced at least one read mismatch.
     pub detected: bool,
-    /// True if the failing sites include the fault's own site.
+    /// True if `sites` includes the fault's own cell, or for a decoder
+    /// fault its address.
     pub located: bool,
-    /// The raw run outcome: every failure record, in detection order.
-    /// The operation count and pause time are the schedule's closed
-    /// forms, [`MarchSchedule::operation_count`] and
-    /// [`MarchSchedule::pause_ms`].
-    pub run: RunOutcome,
+    /// The distinct `(address, bit)` cells some read found failing,
+    /// ascending; empty exactly when the fault escaped detection.
+    pub sites: Vec<CellCoord>,
 }
 
 /// Fault simulator bound to one memory geometry.
@@ -182,7 +183,7 @@ impl FaultSimulator {
         let run = MarchRunner::new()
             .run_schedule_with(&mut sram, schedule, &patterns)
             .expect("march programme must match the simulator geometry");
-        self.classify(fault, run)
+        self.classify(fault, run.sites())
     }
 
     /// Builds the per-universe shared state: the precomputed pattern
@@ -228,7 +229,7 @@ impl FaultSimulator {
                 .run_schedule_with(sram, prep.schedule, &prep.patterns)
                 .expect("march programme must match the simulator geometry"),
         };
-        self.classify(fault, run)
+        self.classify(fault, run.sites())
     }
 
     /// The lane batcher: partitions a universe into ≤64-lane batches
@@ -350,7 +351,7 @@ impl FaultSimulator {
             }
         }
         planes.freeze();
-        let lane_failures = run_schedule_lanes(
+        let lane_sites = run_schedule_lanes(
             &mut planes,
             prep.schedule,
             &prep.patterns,
@@ -362,8 +363,8 @@ impl FaultSimulator {
         batch
             .lanes
             .iter()
-            .zip(lane_failures)
-            .map(|(&index, failures)| self.classify(&universe.as_slice()[index], RunOutcome { failures }))
+            .zip(lane_sites)
+            .map(|(&index, sites)| self.classify(&universe.as_slice()[index], sites))
             .collect()
     }
 
@@ -383,14 +384,19 @@ impl FaultSimulator {
         }
     }
 
-    fn classify(&self, fault: &MemoryFault, run: RunOutcome) -> FaultSimOutcome {
-        let detected = !run.passed();
-        let located = detected && self.locates(fault, &run);
+    /// Classifies a fault from its ascending failing sites.
+    fn classify(&self, fault: &MemoryFault, sites: Vec<CellCoord>) -> FaultSimOutcome {
+        let located = match fault {
+            MemoryFault::Cell { coord, .. } => sites.binary_search(coord).is_ok(),
+            MemoryFault::Decoder(decoder_fault) => {
+                sites.iter().any(|site| site.address == decoder_fault.address)
+            }
+        };
         FaultSimOutcome {
             fault: *fault,
-            detected,
+            detected: !sites.is_empty(),
             located,
-            run,
+            sites,
         }
     }
 
@@ -409,10 +415,9 @@ impl FaultSimulator {
     /// the fallback singles, and batch outcomes are scattered back into
     /// universe-order slots. Either way the result is byte-identical to
     /// the sequential (1-thread) run for every kernel and worker count.
-    /// The cost-balanced partition is steered by
-    /// [`FaultSimulator::fault_cost`] / the batch's union row count —
-    /// the rows each item's (possibly pruned) replay will actually
-    /// sweep.
+    /// The cost-balanced partition is steered by the rows each item's
+    /// (possibly pruned) replay will actually sweep: a fault's pruned
+    /// row count, or a batch's union row count.
     pub fn simulate_universe_with(
         &self,
         plan: ShardPlan,
@@ -483,7 +488,7 @@ impl FaultSimulator {
     /// [`CostCalibration`] (`FaultSim` domain) to steer the cost-weighted
     /// partition; neither the units nor the calibration ever change
     /// outcomes, only the partition.
-    pub fn fault_cost(&self, golden_passed: bool, fault: &MemoryFault) -> u64 {
+    fn fault_cost(&self, golden_passed: bool, fault: &MemoryFault) -> u64 {
         let full_sweep = self.config.words();
         if !golden_passed {
             return full_sweep;
@@ -492,23 +497,6 @@ impl FaultSimulator {
             Some((_, None)) => 1,
             Some((_, Some(_))) => 2,
             None => full_sweep,
-        }
-    }
-
-    fn locates(&self, fault: &MemoryFault, run: &RunOutcome) -> bool {
-        // Membership checks against the first-detection-order site lists
-        // short-circuit over the raw records instead of materialising
-        // `failing_cells()` / `failing_addresses()`: a site is in the
-        // deduplicated list exactly when some record carries it.
-        match fault {
-            MemoryFault::Cell { coord, .. } => run
-                .failures
-                .iter()
-                .any(|failure| failure.address == coord.address && failure.failing_bits.contains(&coord.bit)),
-            MemoryFault::Decoder(decoder_fault) => run
-                .failures
-                .iter()
-                .any(|failure| failure.address == decoder_fault.address),
         }
     }
 
@@ -597,35 +585,14 @@ fn sorted_distinct(mut rows: Vec<Address>) -> Vec<Address> {
     rows
 }
 
-/// One deviating read of a lane-batch replay: the read's position in
-/// the schedule and its address, which every lane's record shares, plus
-/// the slice of `(bit, lane-mask)` pairs that gives each lane its own
-/// failing bits. Replay appends these to a flat log instead of
-/// materialising records inline — see [`run_schedule_lanes`].
-struct ReadEvent {
-    phase: u32,
-    element: u32,
-    op: u32,
-    address: Address,
-    /// Union of the lanes that deviated on this read.
-    lanes: u64,
-    /// This read's slice of the deviating `(bit, lane-mask)` pairs.
-    pairs_start: u32,
-    pairs_end: u32,
-}
-
-/// Per-worker scratch reused across lane batches so the replay log and
-/// its unpack buffers are allocated once per worker, not once per
-/// batch.
+/// Per-worker scratch reused across lane batches.
 #[derive(Default)]
 struct LaneScratch {
     /// The reusable lane memory (rebuilt when the geometry changes,
     /// reset otherwise).
     planes: Option<LanePlanes>,
-    events: Vec<ReadEvent>,
-    pairs: Vec<(usize, u64)>,
+    /// One read's deviating `(bit, lane-mask)` pairs.
     deviations: Vec<(usize, u64)>,
-    lane_events: Vec<Vec<u32>>,
 }
 
 /// Replays a schedule once on a lane memory, restricted to `rows` —
@@ -633,8 +600,9 @@ struct LaneScratch {
 /// ([`MarchRunner::run_schedule_rows`]): ascending elements visit the
 /// rows ascending, descending elements descending, retention pauses
 /// apply once per element before its sweep. Returns each lane's
-/// failure records (detection order, identical to what a per-fault
-/// restricted run over that lane's own rows would record).
+/// distinct failing cells, ascending — what
+/// [`RunOutcome::sites`](crate::RunOutcome::sites) gives for a per-fault
+/// restricted run over that lane's own rows.
 fn run_schedule_lanes(
     planes: &mut LanePlanes,
     schedule: &MarchSchedule,
@@ -642,22 +610,15 @@ fn run_schedule_lanes(
     rows: &[Address],
     lane_count: usize,
     scratch: &mut LaneScratch,
-) -> Vec<Vec<FailureRecord>> {
+) -> Vec<Vec<CellCoord>> {
     debug_assert!(
         rows.windows(2).all(|pair| pair[0] < pair[1]),
         "restricted rows must be ascending and distinct"
     );
-    // Replay records nothing: deviating reads are appended to a flat
-    // log, and the failure records are materialised in a per-lane
-    // post-pass below. Building each lane's records contiguously
-    // instead of scattering pushes across up to 64 sinks inside the
-    // replay loop keeps the lane kernel's record cost near the
-    // straight-line `Vec<FailureRecord>` fill cost.
-    scratch.events.clear();
-    scratch.pairs.clear();
+    let mut sites: Vec<Vec<CellCoord>> = vec![Vec::new(); lane_count];
     for (phase_index, phase) in schedule.phases().iter().enumerate() {
         let phase_patterns = patterns.phase(phase_index);
-        for (element_index, element) in phase.test.elements().iter().enumerate() {
+        for element in phase.test.elements() {
             // Pauses apply once per element, before its address sweep.
             for op in &element.ops {
                 if let MarchOp::Pause(ms) = op {
@@ -672,7 +633,7 @@ fn run_schedule_lanes(
                     rows[position]
                 };
                 let row = address.index();
-                for (op_index, op) in element.ops.iter().enumerate() {
+                for op in &element.ops {
                     match op {
                         MarchOp::Pause(_) => {}
                         MarchOp::Write(value) => {
@@ -684,19 +645,18 @@ fn run_schedule_lanes(
                         MarchOp::Read(value) => {
                             let expected = phase_patterns.word(*value, row);
                             scratch.deviations.clear();
-                            let lanes = planes.read_row(address, expected, &mut scratch.deviations);
-                            if lanes != 0 {
-                                let pairs_start = scratch.pairs.len() as u32;
-                                scratch.pairs.extend_from_slice(&scratch.deviations);
-                                scratch.events.push(ReadEvent {
-                                    phase: phase_index as u32,
-                                    element: element_index as u32,
-                                    op: op_index as u32,
-                                    address,
-                                    lanes,
-                                    pairs_start,
-                                    pairs_end: scratch.pairs.len() as u32,
-                                });
+                            planes.read_row(address, expected, &mut scratch.deviations);
+                            for &(bit, mut lanes) in &scratch.deviations {
+                                let site = CellCoord::new(address, bit);
+                                while lanes != 0 {
+                                    let lane_sites = &mut sites[lanes.trailing_zeros() as usize];
+                                    // A cell that keeps failing read after
+                                    // read is pushed once per run of reads.
+                                    if lane_sites.last() != Some(&site) {
+                                        lane_sites.push(site);
+                                    }
+                                    lanes &= lanes - 1;
+                                }
                             }
                         }
                     }
@@ -704,45 +664,11 @@ fn run_schedule_lanes(
             }
         }
     }
-    // Bucket event indices by lane so each lane's build walks only its
-    // own events, not the whole log.
-    scratch.lane_events.iter_mut().for_each(Vec::clear);
-    scratch
-        .lane_events
-        .resize_with(lane_count.max(scratch.lane_events.len()), Vec::new);
-    for (index, event) in scratch.events.iter().enumerate() {
-        let mut lanes = event.lanes;
-        while lanes != 0 {
-            scratch.lane_events[lanes.trailing_zeros() as usize].push(index as u32);
-            lanes &= lanes - 1;
-        }
+    for lane_sites in &mut sites {
+        lane_sites.sort_unstable();
+        lane_sites.dedup();
     }
-    // Post-pass: unpack the log into the exact failure records each
-    // lane's own per-fault run would produce. Bits are logged ascending
-    // per read, matching `DataWord::mismatches` order.
-    let mut failures: Vec<Vec<FailureRecord>> = scratch.lane_events[..lane_count]
-        .iter()
-        .map(|events| Vec::with_capacity(events.len()))
-        .collect();
-    for (lane, sink) in failures.iter_mut().enumerate() {
-        let lane_bit = 1u64 << lane;
-        for &event_index in &scratch.lane_events[lane] {
-            let event = &scratch.events[event_index as usize];
-            let event_pairs = &scratch.pairs[event.pairs_start as usize..event.pairs_end as usize];
-            sink.push(FailureRecord {
-                phase: event.phase as usize,
-                element: event.element as usize,
-                op: event.op as usize,
-                address: event.address,
-                failing_bits: event_pairs
-                    .iter()
-                    .filter(|&&(_, mask)| mask & lane_bit != 0)
-                    .map(|&(bit, _)| bit)
-                    .collect(),
-            });
-        }
-    }
-    failures
+    sites
 }
 
 #[cfg(test)]
@@ -983,7 +909,7 @@ mod tests {
         let outcome = sim.simulate_fault_schedule(&schedule, &MemoryFault::stuck_at_0(site));
         assert!(outcome.detected);
         assert!(outcome.located);
-        assert!(!outcome.run.failures.is_empty());
+        assert_eq!(outcome.sites, vec![site]);
         assert_eq!(outcome.fault, MemoryFault::stuck_at_0(site));
     }
 }

@@ -13,12 +13,14 @@
 //!   scheme), the RSMarch/DiagRSMarch family used by the baseline
 //!   architecture of \[7,8\], and NWRTM / retention-pause DRF variants;
 //! * a word-oriented execution engine ([`MarchRunner`]) that applies a
-//!   test to a behavioural [`sram_model::Sram`] and reports failures
-//!   (address, bit, expected vs observed, detecting operation);
-//! * a RAMSES-style fault simulator ([`FaultSimulator`]) that measures
-//!   detection and location coverage of a March test over a fault
-//!   universe, reproducing the coverage comparison of the paper's
-//!   Sec. 4.1.
+//!   test to a behavioural [`sram_model::Sram`] and records each read
+//!   mismatch ([`FailureRecord`]) by its detecting operation, address
+//!   and failing bits, from which the schedule rebuilds the expected
+//!   and observed words;
+//! * a RAMSES-style fault simulator ([`FaultSimulator`]) that returns
+//!   each fault's distinct failing cells and measures detection and
+//!   location coverage of a March test over a fault universe,
+//!   reproducing the coverage comparison of the paper's Sec. 4.1.
 //!
 //! # Example
 //!

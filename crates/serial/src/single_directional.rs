@@ -14,8 +14,8 @@
 
 use march::MarchRunner;
 use march::{DataBackground, MarchTest};
+use sram_model::cell::CellCoord;
 use sram_model::{Address, MemError, Sram};
-use std::collections::BTreeSet;
 
 /// Outcome of diagnosing one memory through the single-directional
 /// serial interface.
@@ -86,31 +86,19 @@ impl SingleDirectionalSerialInterface {
         background: DataBackground,
     ) -> Result<MaskingOutcome, MemError> {
         let outcome = MarchRunner::new().run_test(sram, test, background)?;
-        let width = self.width;
-        let chain_position = |address: Address, bit: usize| address.index() * width as u64 + bit as u64;
-
-        let mut failing: Vec<(Address, usize)> = outcome.failing_cells();
-        failing.sort_by_key(|(address, bit)| chain_position(*address, *bit));
-
-        let mut identified = Vec::new();
-        let mut masked = Vec::new();
-        let mut first_faulty_position: Option<u64> = None;
-        let mut seen: BTreeSet<(u64, usize)> = BTreeSet::new();
-        for (address, bit) in failing {
-            if !seen.insert((address.index(), bit)) {
-                continue;
-            }
-            let position = chain_position(address, bit);
-            match first_faulty_position {
-                None => {
-                    first_faulty_position = Some(position);
-                    identified.push((address, bit));
-                }
-                Some(first) if position <= first => identified.push((address, bit)),
-                Some(_) => masked.push((address, bit)),
-            }
-        }
-        Ok(MaskingOutcome { identified, masked })
+        let width = self.width as u64;
+        let chain_position = |site: &CellCoord| site.address.index() * width + site.bit as u64;
+        let mut failing = outcome.sites();
+        failing.sort_by_key(chain_position);
+        let first = failing.first().map(chain_position);
+        let (identified, masked): (Vec<CellCoord>, Vec<CellCoord>) = failing
+            .into_iter()
+            .partition(|site| Some(chain_position(site)) <= first);
+        let cells = |sites: Vec<CellCoord>| sites.into_iter().map(|site| (site.address, site.bit)).collect();
+        Ok(MaskingOutcome {
+            identified: cells(identified),
+            masked: cells(masked),
+        })
     }
 }
 

@@ -466,11 +466,11 @@ impl FromIterator<bool> for DataWord {
 
 /// A failing-bit list with inline storage for short lists.
 ///
-/// Fault simulation materialises one of these per
-/// [failure record](crate::Sram) — tens of thousands per universe at
-/// benchmark scale — and nearly every real record flags only one or two
-/// bit positions (a cell fault corrupts one cell, so a single read
-/// mismatches in exactly one bit). Storing up to [`FailingBits::INLINE`]
+/// The March engine materialises one of these per failure record
+/// (one per mismatching read, tens of thousands per universe when the
+/// per-fault path simulates at benchmark scale), and nearly every real
+/// record flags only one or two bit positions (a cell fault corrupts
+/// one cell, so a single read mismatches in exactly one bit). Storing up to [`FailingBits::INLINE`]
 /// positions inline removes the per-record heap allocation that
 /// otherwise dominates record materialisation once enough records are
 /// live to pressure the allocator; longer lists (e.g. decoder faults
