@@ -1,11 +1,10 @@
 //! Shared BISD controller building blocks: address trigger, data
 //! background generator, memory-size table and comparator array.
 
-use crate::log::{DiagnosisLog, DiagnosisRecord};
+use crate::log::{DiagnosisLog, FaultSite, LocatedSites};
 use march::DataBackground;
-use sram_model::{Address, DataWord, MemConfig, MemoryId};
+use sram_model::{Address, DataWord, FailingBits, MemConfig, MemoryId};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// The global address trigger of the shared controller.
 ///
@@ -166,10 +165,9 @@ impl FromIterator<(MemoryId, MemConfig)> for MemorySizeTable {
 /// Built once per segment from each member's stepped rows: a member
 /// appears at every global address whose wrapped local row is one of
 /// them, and nowhere when it has none (it behaves exactly as the golden
-/// model predicts, so stepping it cannot produce a record). Within one
-/// address the member indices are ascending — the same order the
-/// per-memory walk visits them — so records emitted from this index
-/// interleave identically to the oracle's.
+/// model predicts, so stepping it cannot mismatch). Within one address
+/// the member indices are ascending, the order the per-memory walk
+/// visits them in.
 #[derive(Debug, Clone)]
 pub struct StepIndex {
     /// `active[global]` — member indices to step, ascending.
@@ -228,63 +226,100 @@ impl StepIndex {
     }
 }
 
-/// The comparator array of the BISD controller.
+/// The comparator array of the BISD controller: one comparator per
+/// memory of a population segment.
 ///
 /// Each memory's serialised response is compared bit by bit against the
-/// expected value; mismatches become [`DiagnosisRecord`]s in the run's
-/// [`DiagnosisLog`]. A record keeps the failing bit positions, not the
-/// two words: both follow from the record (see [`DiagnosisRecord`]).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// expected value, and every failing bit registers its `(address, bit)`
+/// site in that memory's buffer. [`ComparatorArray::into_log`] sorts and
+/// deduplicates each buffer, so the array hands over the distinct
+/// located sites and the number of mismatching reads, not a record per
+/// read.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ComparatorArray {
-    log: DiagnosisLog,
+    ids: Vec<MemoryId>,
+    /// Per member: `address << 32 | bit` keys of its failing cells, in
+    /// registration order.
+    failing: Vec<Vec<u64>>,
+    mismatches: usize,
 }
 
 impl ComparatorArray {
-    /// Creates a comparator array with an empty log.
-    pub fn new() -> Self {
+    /// Creates one comparator per memory, in member order.
+    pub fn new(ids: impl IntoIterator<Item = MemoryId>) -> Self {
+        let ids: Vec<MemoryId> = ids.into_iter().collect();
         ComparatorArray {
-            log: DiagnosisLog::new(),
+            failing: vec![Vec::new(); ids.len()],
+            ids,
+            mismatches: 0,
         }
     }
 
-    /// Compares one response against its expected value and records a
-    /// diagnosis record if they differ. Returns whether a record was
-    /// logged (false when the response matches).
+    /// Compares member `member`'s response at `address` against its
+    /// expected value, registers every failing bit and returns them
+    /// (empty when the response matches).
     ///
     /// # Panics
     ///
     /// Panics if the expected and observed widths differ.
     pub fn compare(
         &mut self,
-        memory: MemoryId,
+        member: usize,
         address: Address,
-        background: DataBackground,
-        element: &Arc<str>,
         expected: &DataWord,
         observed: &DataWord,
-    ) -> bool {
+    ) -> FailingBits {
         let failing_bits = expected.mismatches(observed);
-        if failing_bits.is_empty() {
-            return false;
+        if !failing_bits.is_empty() {
+            self.mismatches += 1;
+            for &bit in failing_bits.iter() {
+                self.register(member, address, bit);
+            }
         }
-        self.log.push(DiagnosisRecord {
-            memory,
-            address,
-            background,
-            element: Arc::clone(element),
-            failing_bits,
-        });
-        true
+        failing_bits
     }
 
-    /// The accumulated diagnosis log.
-    pub fn log(&self) -> &DiagnosisLog {
-        &self.log
+    /// Registers one failing cell of member `member`, as a comparator
+    /// does for each failing bit of a mismatching read. A repeat of the
+    /// member's last registration is skipped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the address or bit does not fit in 32 bits (no memory
+    /// holds more than 2^30 cells).
+    pub(crate) fn register(&mut self, member: usize, address: Address, bit: usize) {
+        let (address, bit) = (address.index(), bit as u64);
+        assert!(
+            address >> 32 == 0 && bit >> 32 == 0,
+            "site outside the 32-bit key range"
+        );
+        let key = (address << 32) | bit;
+        let buffer = &mut self.failing[member];
+        if buffer.last() != Some(&key) {
+            buffer.push(key);
+        }
     }
 
-    /// Consumes the comparator and returns its log.
+    /// Counts `reads` mismatching reads whose bits were registered one
+    /// by one through [`ComparatorArray::register`].
+    pub(crate) fn count_mismatches(&mut self, reads: usize) {
+        self.mismatches += reads;
+    }
+
+    /// The distinct registered sites, each member's sorted and
+    /// deduplicated and the members concatenated in order (sorted again
+    /// only if member ids do not ascend), with the mismatch count.
     pub fn into_log(self) -> DiagnosisLog {
-        self.log
+        let mut sites = Vec::new();
+        for (id, mut keys) in self.ids.into_iter().zip(self.failing) {
+            keys.sort_unstable();
+            keys.dedup();
+            sites.extend(
+                keys.into_iter()
+                    .map(|key| FaultSite::new(id, Address::new(key >> 32), key as u32 as usize)),
+            );
+        }
+        DiagnosisLog::new(LocatedSites::new(sites), self.mismatches)
     }
 }
 
@@ -377,29 +412,26 @@ mod tests {
 
     #[test]
     fn comparator_records_only_mismatches() {
-        let mut comparator = ComparatorArray::new();
+        let mut comparator = ComparatorArray::new([MemoryId::new(4), MemoryId::new(6)]);
         let expected = DataWord::zero(4);
         let good = DataWord::zero(4);
-        let bad = DataWord::from_u64(0b0100, 4);
-        assert!(!comparator.compare(
-            MemoryId::new(0),
-            Address::new(1),
-            DataBackground::Solid,
-            &"M1".into(),
-            &expected,
-            &good
-        ));
-        assert!(comparator.compare(
-            MemoryId::new(0),
-            Address::new(2),
-            DataBackground::Solid,
-            &"M2".into(),
-            &expected,
-            &bad,
-        ));
-        assert_eq!(comparator.log().len(), 1);
+        let bad = DataWord::from_u64(0b0110, 4);
+        assert!(comparator
+            .compare(1, Address::new(1), &expected, &good)
+            .is_empty());
+        assert_eq!(
+            comparator.compare(1, Address::new(2), &expected, &bad),
+            vec![1, 2]
+        );
+        assert_eq!(
+            comparator.compare(1, Address::new(2), &expected, &bad),
+            vec![1, 2]
+        );
+        comparator.register(0, Address::new(9), 3);
+        comparator.count_mismatches(1);
         let log = comparator.into_log();
-        assert_eq!(&*log.records()[0].element, "M2");
-        assert_eq!(log.records()[0].failing_bits, vec![2]);
+        assert_eq!(log.len(), 3);
+        let site = |memory, address, bit| FaultSite::new(MemoryId::new(memory), Address::new(address), bit);
+        assert_eq!(log.sites().all(), &[site(4, 9, 3), site(6, 2, 1), site(6, 2, 2)]);
     }
 }

@@ -3,21 +3,19 @@
 
 use crate::components::{AddressTrigger, ComparatorArray, DataBackgroundGenerator, StepIndex};
 use crate::kernel::DiagnosisKernel;
-use crate::log::{DiagnosisLog, DiagnosisRecord};
+use crate::log::DiagnosisLog;
 use crate::population::GoldenStore;
 use crate::result::DiagnosisResult;
 use crate::scheme::{DiagnosisScheme, MemoryUnderDiagnosis};
 use esram_exec::{failpoint, CostCalibration, CostDomain, ShardPlan};
-use march::{algorithms, AddressOrder, DataBackground, MarchElement, MarchOp, MarchSchedule};
+use march::{algorithms, DataBackground, MarchElement, MarchOp, MarchSchedule};
 use serial::{ParallelToSerialConverter, PatternDeliveryBus, ShiftOrder};
 use sram_model::cell::CellCoord;
 use sram_model::{
-    Address, CellFault, DataWord, FailingBits, LanePlanes, MemConfig, MemError, MemoryId, MemoryPort,
-    RetentionModel, Sram,
+    Address, CellFault, DataWord, LanePlanes, MemConfig, MemError, MemoryId, MemoryPort, RetentionModel, Sram,
 };
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
 
 /// How the scheme handles data-retention faults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -155,8 +153,8 @@ impl DiagnosisScheme for FastScheme {
 }
 
 /// One March element of the schedule as planned by the controller before
-/// any memory is touched: its position in the schedule, the comparator
-/// label, the per-element retention pause and the serially delivered
+/// any memory is touched: its position in the schedule, its background,
+/// the per-element retention pause and the serially delivered
 /// pattern words, keyed by logical write value and distinct IO width
 /// (all SPCs of one width capture identical bits, so a width-keyed
 /// delivery serves every shard segment regardless of how the population
@@ -166,8 +164,6 @@ struct ElementPlan {
     phase_index: usize,
     element_index: usize,
     background: DataBackground,
-    /// Built once per plan and shared by every record of the element.
-    label: Arc<str>,
     pause_ms: u64,
     /// `delivered[value][width]` — the word an SPC of `width` presents
     /// after the broadcast for logical `value`.
@@ -201,11 +197,12 @@ impl FastScheme {
     ///
     /// The population is split into contiguous segments by the
     /// deterministic executor into calibrated cost-weighted per-worker
-    /// chunks; memories are independent given the shared write stream. Each segment replays the planned schedule with its own
-    /// [`GoldenStore`] segment view, PSCs and comparator, and the
-    /// per-segment logs are merged back in exact population order — the
-    /// result is byte-identical to the sequential (1-thread) walk for
-    /// every plan, which the population-shard determinism suite asserts.
+    /// chunks; memories are independent given the shared write stream.
+    /// Each segment replays the planned schedule with its own
+    /// [`GoldenStore`] segment view, PSCs and comparator array, and the
+    /// per-segment sites are concatenated in member order — the result
+    /// is byte-identical to the sequential (1-thread) walk for every
+    /// plan, which the population-shard determinism suite asserts.
     ///
     /// # Errors
     ///
@@ -238,7 +235,7 @@ impl FastScheme {
     /// kernel decision. The returned [`PopulationPlan`] can then replay
     /// any contiguous segment of the population independently
     /// ([`PopulationPlan::run_segment`]) and merge the segment outcomes
-    /// back into the sequential-order result
+    /// back into the whole population's result
     /// ([`PopulationPlan::merge`]).
     ///
     /// [`FastScheme::diagnose_ports_with`] is exactly this plus the
@@ -274,10 +271,6 @@ impl FastScheme {
         let mut plans: Vec<ElementPlan> = Vec::new();
         for (phase_index, phase) in schedule.phases().iter().enumerate() {
             for (element_index, element) in phase.test.elements().iter().enumerate() {
-                let label: Arc<str> = match &element.label {
-                    Some(label) => label.as_str().into(),
-                    None => format!("{}#{}", phase.test.name(), element_index).into(),
-                };
                 pause_ms += element.pause_ms() as f64;
                 let delivered =
                     self.deliver_patterns(element, phase.background, &generator, &widths, &mut cycles);
@@ -286,7 +279,6 @@ impl FastScheme {
                     phase_index,
                     element_index,
                     background: phase.background,
-                    label,
                     pause_ms: element.pause_ms(),
                     delivered,
                 });
@@ -378,60 +370,14 @@ impl FastScheme {
     }
 }
 
-/// One population segment's replay output: the segment's diagnosis log
-/// plus, per record, the global operation sequence number it was
-/// observed at (the merge key). Opaque — produced by
-/// [`PopulationPlan::run_segment`], consumed by
+/// One population segment's replay output: the distinct sites its
+/// members located, sorted and deduplicated per member and concatenated
+/// in member order, and its number of mismatching reads. Opaque —
+/// produced by [`PopulationPlan::run_segment`], consumed by
 /// [`PopulationPlan::merge`].
 #[derive(Debug)]
 pub struct SegmentOutcome {
-    sequences: Vec<u64>,
     log: DiagnosisLog,
-}
-
-/// A bit-parallel segment's mismatch records, each with its merge key:
-/// (global operation sequence, segment member index). Keys are unique —
-/// one operation reads one row of a member.
-#[derive(Debug, Default)]
-struct KeyedLog {
-    keys: Vec<(u64, u32)>,
-    records: Vec<DiagnosisRecord>,
-}
-
-impl KeyedLog {
-    /// The segment outcome, records in key order (the order the
-    /// per-memory walk emits them).
-    fn into_outcome(self) -> SegmentOutcome {
-        let KeyedLog {
-            mut keys,
-            mut records,
-        } = self;
-        if !keys.is_sorted() {
-            // Sort compact indices, then move each record once, in
-            // place, along the cycles of the permutation: no second
-            // record buffer.
-            let mut order: Vec<u32> = (0..keys.len() as u32).collect();
-            order.sort_unstable_by_key(|&index| keys[index as usize]);
-            let mut placed = vec![false; order.len()];
-            for start in 0..order.len() {
-                let mut slot = start;
-                while !placed[slot] {
-                    placed[slot] = true;
-                    let source = order[slot] as usize;
-                    if source == start {
-                        break;
-                    }
-                    records.swap(slot, source);
-                    slot = source;
-                }
-            }
-            keys = order.iter().map(|&index| keys[index as usize]).collect();
-        }
-        SegmentOutcome {
-            sequences: keys.into_iter().map(|(sequence, _)| sequence).collect(),
-            log: records.into(),
-        }
-    }
 }
 
 /// One faulty row replayed in a lane instead of being stepped.
@@ -439,7 +385,6 @@ impl KeyedLog {
 struct LaneRow {
     /// Segment member index.
     member: u32,
-    id: MemoryId,
     /// Local row within the member.
     row: u64,
     faults: Vec<(usize, CellFault)>,
@@ -468,17 +413,17 @@ struct LaneGroup {
 /// replays through [`PopulationPlan::run_segment`] (each segment builds
 /// its own [`GoldenStore`] view — a member's golden word depends only
 /// on the shared write stream and its own geometry), and
-/// [`PopulationPlan::merge`] reassembles per-segment outcomes into the
-/// exact sequential-order [`DiagnosisResult`] no matter how the
+/// [`PopulationPlan::merge`] concatenates per-segment outcomes into the
+/// population's [`DiagnosisResult`], identical no matter how the
 /// population was split. This is what lets the fleet runner interleave
 /// segments of *different* populations in one executor run, and share
 /// one plan among the jobs of a sweep.
 ///
 /// Under the bit-parallel kernel a segment steps only the rows that can
 /// deviate, and replays most of the faulty rows of its row-local members
-/// 64 at a time in the lanes of a [`LanePlanes`]; each segment's log is
-/// in (operation sequence, member) order, as the per-memory walk emits
-/// it.
+/// 64 at a time in the lanes of a [`LanePlanes`]. Either kernel's
+/// segment registers each member's failing `(address, bit)` sites and
+/// hands them over sorted and deduplicated.
 #[derive(Debug)]
 pub struct PopulationPlan {
     scheme: FastScheme,
@@ -552,29 +497,14 @@ impl PopulationPlan {
         }
     }
 
-    /// Reassembles per-segment outcomes (in segment = member order)
-    /// into the sequential-order [`DiagnosisResult`]: the global
-    /// operation sequence number is the primary key and segment order
-    /// breaks ties (per-segment sequences are nondecreasing), so a
-    /// stable sort over the segment-ordered concatenation reproduces
-    /// the 1-thread walk byte for byte. A single segment (the
-    /// sequential path) *is* that walk, so its log passes through
-    /// untouched.
+    /// Concatenates per-segment outcomes, given in member order, into
+    /// the population's [`DiagnosisResult`]. Segments are contiguous
+    /// member ranges and each hands over its sites per member in order,
+    /// so the concatenation is already ascending whenever member ids
+    /// ascend; only a population whose ids do not is sorted.
     pub fn merge(&self, outcomes: Vec<SegmentOutcome>) -> DiagnosisResult {
-        let log = if outcomes.len() == 1 {
-            outcomes.into_iter().next().expect("one segment").log
-        } else {
-            let mut tagged: Vec<(u64, DiagnosisRecord)> = Vec::new();
-            for outcome in outcomes {
-                tagged.extend(outcome.sequences.into_iter().zip(outcome.log.into_records()));
-            }
-            tagged.sort_by_key(|&(sequence, _)| sequence);
-            let mut log = DiagnosisLog::new();
-            log.extend(tagged.into_iter().map(|(_, record)| record));
-            log
-        };
         DiagnosisResult {
-            log,
+            log: DiagnosisLog::concat(outcomes.into_iter().map(|outcome| outcome.log)),
             cycles: self.cycles,
             pause_ms: self.pause_ms,
             iterations: 1,
@@ -583,9 +513,8 @@ impl PopulationPlan {
     }
 
     /// Replays the planned schedule over one contiguous population
-    /// segment and returns the segment's diagnosis log, each record
-    /// tagged with the global operation sequence number it was observed
-    /// at (the shard-merge key).
+    /// segment, stepping every operation of every member, and returns
+    /// the sites the segment's comparator array registered.
     ///
     /// The segment owns its own [`GoldenStore`] view: a memory's golden
     /// word depends only on the shared write stream and the memory's own
@@ -607,9 +536,7 @@ impl PopulationPlan {
             .iter()
             .map(|config| ParallelToSerialConverter::new(config.width()))
             .collect();
-        let mut comparator = ComparatorArray::new();
-        let mut sequences: Vec<u64> = Vec::new();
-        let mut op_seq: u64 = 0;
+        let mut comparator = ComparatorArray::new(memories.iter().map(|(id, _)| *id));
 
         for (plan, delivered) in self.plans.iter().zip(&delivery) {
             let element = &self.schedule.phases()[plan.phase_index].test.elements()[plan.element_index];
@@ -623,11 +550,6 @@ impl PopulationPlan {
 
             element.order.sweep(trigger.max_words(), None, |global| {
                 for op in &element.ops {
-                    // Every worker advances the sequence identically
-                    // (the schedule walk is segment-independent), so
-                    // equal sequence numbers across segments mean "the
-                    // same population-wide operation".
-                    op_seq += 1;
                     match op {
                         MarchOp::Write(value) | MarchOp::NwrcWrite(value) => {
                             let nwrc = op.is_nwrc();
@@ -646,25 +568,14 @@ impl PopulationPlan {
                             }
                         }
                         MarchOp::Read(_) => {
-                            for (index, (id, memory)) in memories.iter_mut().enumerate() {
+                            for (index, (_, memory)) in memories.iter_mut().enumerate() {
                                 let local = trigger.local_address(global, golden.member_words(index));
                                 let observed = memory.read(local)?;
                                 // Capture into the PSC and shift the
                                 // response back to the controller while
                                 // the memory idles.
                                 let (received, _) = pscs[index].serialize_word(&observed);
-                                let expected = golden.expected_at(index, local);
-                                let logged = comparator.compare(
-                                    *id,
-                                    local,
-                                    plan.background,
-                                    &plan.label,
-                                    expected,
-                                    &received,
-                                );
-                                if logged {
-                                    sequences.push(op_seq);
-                                }
+                                comparator.compare(index, local, golden.expected_at(index, local), &received);
                             }
                         }
                         // Pauses applied once, before the sweep.
@@ -675,7 +586,6 @@ impl PopulationPlan {
             })?;
         }
         Ok(SegmentOutcome {
-            sequences,
             log: comparator.into_log(),
         })
     }
@@ -733,14 +643,12 @@ impl PopulationPlan {
     ///   (what [`LanePlanes::read_row`] debug-asserts). Each lane then
     ///   writes its final word back, leaving the memory as the stepped
     ///   walk would.
-    /// * The global operation sequence counter advances identically to
-    ///   the per-memory walk (the schedule walk is population-global),
-    ///   and a lane's sequence numbers follow from its global address:
-    ///   op `k` at sweep position `p` of element `e` is
-    ///   `B_e + p · ops_len(e) + k + 1`, with `B_e` the ops of all
-    ///   earlier elements over `n_max` addresses. Records are ordered by
-    ///   (sequence, member index) — the order the per-memory walk emits
-    ///   — so sharded logs stay byte-identical to the oracle's.
+    /// * Every mismatching read registers its failing `(address, bit)`
+    ///   sites with its member's comparator, whether it was stepped or
+    ///   replayed in a lane, and the segment's sites are sorted and
+    ///   deduplicated per member. Detection order is not kept, so the
+    ///   sites and the mismatch count are the per-memory walk's however
+    ///   the reads were interleaved.
     ///
     /// Cycle accounting never enters this function: Eq. (2) is computed
     /// in closed form during planning, so skipping behavioural steps
@@ -753,9 +661,7 @@ impl PopulationPlan {
         let trigger = self.trigger;
         let mut golden = GoldenStore::new(configs, &self.generator, &self.backgrounds);
         let delivery = self.segment_delivery(golden.class_widths());
-        let mut comparator = ComparatorArray::new();
-        let mut keys: Vec<(u64, u32)> = Vec::new();
-        let mut op_seq: u64 = 0;
+        let mut comparator = ComparatorArray::new(memories.iter().map(|(id, _)| *id));
 
         // Classify once per segment: faults are installed before diagnosis
         // and a member's stepped rows are a static superset of where
@@ -792,11 +698,9 @@ impl PopulationPlan {
                     // Activity is `words`-periodic, so no member reads
                     // any local row this address maps to: its golden
                     // writes are unobservable and skipped with it.
-                    op_seq += element.ops.len() as u64;
                     return Ok(());
                 }
                 for op in &element.ops {
-                    op_seq += 1;
                     match op {
                         MarchOp::Write(value) | MarchOp::NwrcWrite(value) => {
                             let nwrc = op.is_nwrc();
@@ -825,16 +729,8 @@ impl PopulationPlan {
                                 // comparator would see *is* the word
                                 // the port observed.
                                 if let Some(observed) = memories[index].1.read_expect(local, expected)? {
-                                    let logged = comparator.compare(
-                                        memories[index].0,
-                                        local,
-                                        plan.background,
-                                        &plan.label,
-                                        expected,
-                                        &observed,
-                                    );
-                                    debug_assert!(logged, "read_expect reported a match");
-                                    keys.push((op_seq, member));
+                                    let failing = comparator.compare(index, local, expected, &observed);
+                                    debug_assert!(!failing.is_empty(), "read_expect reported a match");
                                 }
                             }
                         }
@@ -846,10 +742,6 @@ impl PopulationPlan {
             })?;
         }
 
-        let mut keyed = KeyedLog {
-            keys,
-            records: comparator.into_log().into_records(),
-        };
         for group in &groups {
             let class = golden.member_width_class(group.rows[0].member as usize);
             let mut lanes = LanePlanes::with_retention(MemConfig::new(1, group.width)?, group.retention);
@@ -861,7 +753,7 @@ impl PopulationPlan {
                     }
                 }
                 lanes.freeze();
-                self.replay_lanes(&mut lanes, group, batch, &delivery, class, &mut keyed);
+                self.replay_lanes(&mut lanes, group, batch, &delivery, class, &mut comparator);
                 for (lane, row) in batch.iter().enumerate() {
                     let word = lanes.lane_word(lane, Address::new(0));
                     memories[row.member as usize]
@@ -870,7 +762,9 @@ impl PopulationPlan {
                 }
             }
         }
-        Ok(keyed.into_outcome())
+        Ok(SegmentOutcome {
+            log: comparator.into_log(),
+        })
     }
 
     /// Classifies the segment's members once: collects their lane rows
@@ -885,7 +779,7 @@ impl PopulationPlan {
         let n_max = self.trigger.max_words();
         let mut groups: Vec<LaneGroup> = Vec::new();
         let mut stepped_rows = Vec::with_capacity(memories.len());
-        for (member, ((id, memory), config)) in memories.iter().zip(configs).enumerate() {
+        for (member, ((_, memory), config)) in memories.iter().zip(configs).enumerate() {
             let (words, width) = (config.words(), config.width());
             let Some(classes) = memory.row_classes() else {
                 stepped_rows.push((0..words).map(Address::new).collect());
@@ -911,7 +805,6 @@ impl PopulationPlan {
                 });
                 groups[index].rows.push(LaneRow {
                     member: member as u32,
-                    id: *id,
                     row,
                     faults,
                 });
@@ -921,9 +814,9 @@ impl PopulationPlan {
     }
 
     /// Replays the whole schedule once over one frozen lane batch of
-    /// `group` (lane `i` is `batch[i]`, at lane row 0) and appends each
-    /// lane's mismatch records with their rebuilt global sequence
-    /// numbers. `class` is the group's width class in `delivery`.
+    /// `group` (lane `i` is `batch[i]`, at lane row 0) and registers each
+    /// lane's failing cells with its member's comparator. `class` is the
+    /// group's width class in `delivery`.
     fn replay_lanes(
         &self,
         lanes: &mut LanePlanes,
@@ -931,33 +824,23 @@ impl PopulationPlan {
         batch: &[LaneRow],
         delivery: &[[Vec<DataWord>; 2]],
         class: usize,
-        keyed: &mut KeyedLog,
+        comparator: &mut ComparatorArray,
     ) {
-        let n_max = self.trigger.max_words();
         let lane_row = Address::new(0);
         let power_on = DataWord::zero(group.width);
         // The broadcast plane holds the last word written, which is the
         // golden expectation of every lane.
         let mut expected = &power_on;
         let mut deviations: Vec<(usize, u64)> = Vec::new();
-        let mut lane_bits: [FailingBits; 64] = std::array::from_fn(|_| FailingBits::new());
-        // `B_e`: operations of all earlier elements over `n_max` addresses.
-        let mut base: u64 = 0;
+        // `failing[bit]`: the lanes whose `bit` deviated on some read.
+        let mut failing = vec![0u64; group.width];
         for (plan, delivered) in self.plans.iter().zip(delivery) {
             let element = &self.schedule.phases()[plan.phase_index].test.elements()[plan.element_index];
-            let ops_len = element.ops.len() as u64;
-            let descending = element.order == AddressOrder::Descending;
             if plan.pause_ms > 0 {
                 lanes.elapse_retention(plan.pause_ms as f64);
             }
-            for visit in 0..group.visits {
-                // The wrap count of this visit's global address, in sweep order.
-                let wrap = if descending {
-                    group.visits - 1 - visit
-                } else {
-                    visit
-                };
-                for (k, op) in (1u64..).zip(&element.ops) {
+            for _ in 0..group.visits {
+                for op in &element.ops {
                     match op {
                         MarchOp::Write(value) | MarchOp::NwrcWrite(value) => {
                             expected = &delivered[usize::from(*value)][class];
@@ -965,29 +848,10 @@ impl PopulationPlan {
                         }
                         MarchOp::Read(_) => {
                             deviations.clear();
-                            let mut pending = lanes.read_row(lane_row, expected, &mut deviations);
-                            // Deviations come in ascending bit order, so
-                            // each lane's failing bits do too.
-                            for &(bit, mut mask) in &deviations {
-                                while mask != 0 {
-                                    lane_bits[mask.trailing_zeros() as usize].push(bit);
-                                    mask &= mask - 1;
-                                }
-                            }
-                            while pending != 0 {
-                                let lane = pending.trailing_zeros() as usize;
-                                pending &= pending - 1;
-                                let row = &batch[lane];
-                                let global = row.row + wrap * group.words;
-                                let position = if descending { n_max - 1 - global } else { global };
-                                keyed.keys.push((base + position * ops_len + k, row.member));
-                                keyed.records.push(DiagnosisRecord {
-                                    memory: row.id,
-                                    address: Address::new(row.row),
-                                    background: plan.background,
-                                    element: Arc::clone(&plan.label),
-                                    failing_bits: std::mem::take(&mut lane_bits[lane]),
-                                });
+                            let pending = lanes.read_row(lane_row, expected, &mut deviations);
+                            comparator.count_mismatches(pending.count_ones() as usize);
+                            for &(bit, mask) in &deviations {
+                                failing[bit] |= mask;
                             }
                         }
                         // Pauses applied once, before the visits.
@@ -995,7 +859,13 @@ impl PopulationPlan {
                     }
                 }
             }
-            base += n_max * ops_len;
+        }
+        for (bit, mut mask) in failing.into_iter().enumerate() {
+            while mask != 0 {
+                let row = &batch[mask.trailing_zeros() as usize];
+                mask &= mask - 1;
+                comparator.register(row.member as usize, Address::new(row.row), bit);
+            }
         }
     }
 }

@@ -12,16 +12,17 @@
 
 use crate::components::MemorySizeTable;
 use crate::kernel::DiagnosisKernel;
-use crate::log::{DiagnosisLog, DiagnosisRecord};
+use crate::log::{DiagnosisLog, FaultSite};
 use crate::result::DiagnosisResult;
 use crate::scheme::{DiagnosisScheme, MemoryUnderDiagnosis};
-use march::{algorithms, BackgroundPatterns, DataBackground, MarchElement, MarchTest, ShardPlan};
+use march::{algorithms, BackgroundPatterns, DataBackground, MarchTest, ShardPlan};
 use serial::{BidirectionalSerialInterface, ShiftDirection};
-use sram_model::{Address, MemError, MemoryId};
+use sram_model::{Address, MemError};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Per-memory set of already-located `(address, bit)` sites, carried
-/// across iterations.
+/// across iterations; at the end of the run they are the memory's
+/// located sites.
 type KnownSites = BTreeSet<(Address, usize)>;
 
 /// What the passes carry for one memory besides the memory itself,
@@ -82,9 +83,9 @@ impl HuangScheme {
     /// sweeps a memory with a stuck-open cell whole. Every baseline
     /// test opens with a full write element, so a fault-free row is
     /// only read after being written in the same pass and never
-    /// mismatches; the log, the verdicts and the Eq. (1) iteration
-    /// count are those of [`DiagnosisKernel::PerMemory`], the dense
-    /// oracle that sweeps every row of every memory.
+    /// mismatches; the located sites, the verdicts and the Eq. (1)
+    /// iteration count are those of [`DiagnosisKernel::PerMemory`], the
+    /// dense oracle that sweeps every row of every memory.
     pub fn with_kernel(mut self, kernel: DiagnosisKernel) -> Self {
         self.kernel = kernel;
         self
@@ -134,10 +135,12 @@ impl HuangScheme {
     /// pass, and the pass count is what Eq. (1) charges), so sharding
     /// happens *inside* each pass: the population is split into
     /// contiguous per-worker segments, each worker runs the pass over
-    /// its memories, and the per-segment logs concatenate back in
-    /// memory order — byte-identical to the sequential walk for every
-    /// plan, while the found-anything verdicts OR-reduce across
-    /// segments to drive the global iteration.
+    /// its memories and adds what they locate to their known sites, and
+    /// the found-anything verdicts OR-reduce across segments to drive
+    /// the global iteration. Each memory's known sites are its own, so
+    /// the result is byte-identical to the sequential walk for every
+    /// plan. The mismatch count is one per located site: the serial
+    /// interface shifts out only a newly located cell.
     ///
     /// # Errors
     ///
@@ -154,7 +157,6 @@ impl HuangScheme {
         let n_max = table.max_words();
         let c_max = table.max_width() as u64;
 
-        let mut log = DiagnosisLog::new();
         let mut cycles: u64 = 0;
         let mut pause_ms: f64 = 0.0;
         // The installed faults do not change during diagnosis, so each
@@ -198,8 +200,7 @@ impl HuangScheme {
         loop {
             iterations += 1;
             cycles += m1.complexity_per_address() as u64 * n_max * c_max;
-            let found_new =
-                run_population_pass(plan, memories, &mut progress, &m1, &width_patterns, &mut log, 2)?;
+            let found_new = run_population_pass(plan, memories, &mut progress, &m1, &width_patterns, 2)?;
             if !found_new || iterations >= self.max_iterations {
                 break;
             }
@@ -209,15 +210,7 @@ impl HuangScheme {
         // address, still bit-serial).
         let base = algorithms::diag_rs_march_base();
         cycles += base.complexity_per_address() as u64 * n_max * c_max;
-        run_population_pass(
-            plan,
-            memories,
-            &mut progress,
-            &base,
-            &width_patterns,
-            &mut log,
-            usize::MAX,
-        )?;
+        run_population_pass(plan, memories, &mut progress, &base, &width_patterns, usize::MAX)?;
 
         // Optional pause-based data-retention extension: 8·k extra units
         // of serialised complexity plus the retention pauses.
@@ -227,15 +220,8 @@ impl HuangScheme {
             loop {
                 drf_iterations += 1;
                 cycles += 8 * n_max * c_max;
-                let found_new = run_population_pass(
-                    plan,
-                    memories,
-                    &mut progress,
-                    &drf_test,
-                    &width_patterns,
-                    &mut log,
-                    2,
-                )?;
+                let found_new =
+                    run_population_pass(plan, memories, &mut progress, &drf_test, &width_patterns, 2)?;
                 if !found_new || drf_iterations >= self.max_iterations {
                     break;
                 }
@@ -243,8 +229,15 @@ impl HuangScheme {
             pause_ms += 2.0 * f64::from(retention);
         }
 
+        let mismatches = progress.iter().map(|progress| progress.known.len()).sum();
+        let sites = memories.iter().zip(&progress).flat_map(|(memory, progress)| {
+            progress
+                .known
+                .iter()
+                .map(|&(address, bit)| FaultSite::new(memory.id, address, bit))
+        });
         Ok(DiagnosisResult {
-            log,
+            log: DiagnosisLog::new(sites.collect(), mismatches),
             cycles,
             pause_ms,
             iterations,
@@ -255,28 +248,27 @@ impl HuangScheme {
 
 /// Runs one element-group pass over the whole population under a shard
 /// plan, locating at most `per_direction_budget` new faults per memory
-/// and shift direction, appending located-fault records to `log` in
-/// memory order, and returns whether any memory located something new.
+/// and shift direction, and returns whether any memory located
+/// something new.
 ///
 /// The population (zipped with its per-memory progress) runs on
 /// the deterministic executor over contiguous mutable segments; the
 /// work of a pass is the cells it steps, so the cost-balanced partition
 /// weights each memory by its stepped rows times its width. The
-/// per-segment logs concatenate in memory order and the found-anything
-/// verdicts OR-reduce — both associative over adjacent segments, so the
-/// merged pass equals the sequential walk for every plan.
+/// found-anything verdicts OR-reduce, which is associative over
+/// adjacent segments, so the merged pass equals the sequential walk for
+/// every plan.
 fn run_population_pass(
     plan: ShardPlan,
     memories: &mut [MemoryUnderDiagnosis],
     progress: &mut [MemoryProgress],
     test: &MarchTest,
     width_patterns: &BTreeMap<usize, BackgroundPatterns>,
-    log: &mut DiagnosisLog,
     per_direction_budget: usize,
 ) -> Result<bool, MemError> {
     let mut pairs: Vec<(&mut MemoryUnderDiagnosis, &mut MemoryProgress)> =
         memories.iter_mut().zip(progress.iter_mut()).collect();
-    let worker_results: Vec<Result<(bool, DiagnosisLog), MemError>> = plan.run_segments(
+    let worker_results: Vec<Result<bool, MemError>> = plan.run_segments(
         &mut pairs,
         |_, (memory, progress)| {
             let config = memory.config();
@@ -290,23 +282,19 @@ fn run_population_pass(
     );
     let mut found_new = false;
     for result in worker_results {
-        let (segment_found, segment_log) = result?;
-        found_new |= segment_found;
-        log.merge(segment_log);
+        found_new |= result?;
     }
     Ok(found_new)
 }
 
 /// Runs one element-group pass over a contiguous population segment,
-/// returning the segment's located-fault records (in memory order) and
-/// whether anything new was located.
+/// returning whether anything new was located.
 fn run_segment_pass(
     segment: &mut [(&mut MemoryUnderDiagnosis, &mut MemoryProgress)],
     test: &MarchTest,
     width_patterns: &BTreeMap<usize, BackgroundPatterns>,
     per_direction_budget: usize,
-) -> Result<(bool, DiagnosisLog), MemError> {
-    let mut log = DiagnosisLog::new();
+) -> Result<bool, MemError> {
     let mut found_new = false;
     for (memory, progress) in segment.iter_mut() {
         // No fault rows: the memory cannot mismatch, so it is skipped.
@@ -318,14 +306,13 @@ fn run_segment_pass(
             memory,
             test,
             patterns,
-            &mut log,
             &mut progress.known,
             progress.rows.as_deref(),
             per_direction_budget,
         )?;
         found_new |= found > 0;
     }
-    Ok((found_new, log))
+    Ok(found_new)
 }
 
 /// The pause-based DRF identification pass used by the baseline when the
@@ -337,14 +324,13 @@ fn retention_identification_test(pause_ms: u32) -> MarchTest {
 /// Runs the elements of `test` through the bi-directional serial
 /// interface of one memory, over every row or only `rows`, locating at
 /// most `per_direction_budget` new faults per shift direction, and
-/// returns how many new faults were located. Located faults are
-/// appended to `known` and to the global log. `patterns` is the
-/// population-shared pattern set for this memory's width.
+/// returns how many new faults were located. Located faults are added
+/// to `known`. `patterns` is the population-shared pattern set for this
+/// memory's width.
 fn run_group_serially(
     memory: &mut MemoryUnderDiagnosis,
     test: &MarchTest,
     patterns: &BackgroundPatterns,
-    log: &mut DiagnosisLog,
     known: &mut KnownSites,
     rows: Option<&[Address]>,
     per_direction_budget: usize,
@@ -372,25 +358,10 @@ fn run_group_serially(
             if *budget_used < per_direction_budget && known.insert((address, bit)) {
                 *budget_used += 1;
                 found += 1;
-                log.push(located_record(memory.id, element, address, bit));
             }
         }
     }
     Ok(found)
-}
-
-/// Builds the diagnosis record the baseline controller registers for one
-/// located cell: the failing address, bit and data background. The
-/// serial interface hands back only the failing bit position, not the
-/// word.
-fn located_record(memory: MemoryId, element: &MarchElement, address: Address, bit: usize) -> DiagnosisRecord {
-    DiagnosisRecord {
-        memory,
-        address,
-        background: DataBackground::Solid,
-        element: element.label.as_deref().unwrap_or("M1").into(),
-        failing_bits: vec![bit].into(),
-    }
 }
 
 impl std::fmt::Display for HuangScheme {
@@ -404,7 +375,7 @@ mod tests {
     use super::*;
     use fault_models::MemoryFault;
     use sram_model::cell::CellCoord;
-    use sram_model::MemConfig;
+    use sram_model::{MemConfig, MemoryId};
 
     fn population() -> Vec<MemoryUnderDiagnosis> {
         vec![

@@ -13,9 +13,9 @@ use std::fmt;
 
 /// Which stepping kernel a scheme uses over the population.
 ///
-/// Both kernels are byte-identical in output (verdicts, mismatch
-/// records and their order, cycle counts); they differ only in how much
-/// work they skip. Cycle accounting is closed-form in the planning
+/// Both kernels are byte-identical in output (located sites, mismatch
+/// counts, iterations, cycle counts); they differ only in how much work
+/// they skip. Cycle accounting is closed-form in the planning
 /// stage either way, so Eq. (2) is untouched by the choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DiagnosisKernel {

@@ -57,7 +57,7 @@ pub use components::{AddressTrigger, ComparatorArray, DataBackgroundGenerator, M
 pub use fast::{DrfMode, FastScheme, PopulationPlan, SegmentOutcome};
 pub use huang::HuangScheme;
 pub use kernel::DiagnosisKernel;
-pub use log::{DiagnosisLog, DiagnosisRecord, FaultSite, LocatedSites};
+pub use log::{DiagnosisLog, FaultSite, LocatedSites};
 pub use population::GoldenStore;
 pub use result::DiagnosisResult;
 pub use scheme::{DiagnosisScheme, MemoryUnderDiagnosis};

@@ -2,13 +2,13 @@
 
 use crate::log::{DiagnosisLog, FaultSite, LocatedSites};
 use sram_model::{Address, MemoryId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// The outcome of one end-to-end diagnosis run over a memory population.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiagnosisResult {
-    /// Every comparator mismatch observed during the run.
+    /// The located sites and the number of mismatching reads.
     pub log: DiagnosisLog,
     /// Total controller clock cycles consumed by the run.
     pub cycles: u64,
@@ -37,19 +37,9 @@ impl DiagnosisResult {
         self.log.is_empty()
     }
 
-    /// The located-site index of the run's log. Consumers that query
-    /// several memories or faults build it once and reuse it.
-    pub fn located_sites(&self) -> LocatedSites {
-        self.log.located_sites()
-    }
-
-    /// Distinct located fault sites per memory.
-    pub fn sites_by_memory(&self) -> BTreeMap<MemoryId, BTreeSet<FaultSite>> {
-        let mut map: BTreeMap<MemoryId, BTreeSet<FaultSite>> = BTreeMap::new();
-        for site in self.located_sites().all() {
-            map.entry(site.memory).or_default().insert(*site);
-        }
-        map
+    /// The run's located-site index.
+    pub fn located_sites(&self) -> &LocatedSites {
+        self.log.sites()
     }
 
     /// Distinct located fault sites of one memory.
@@ -92,12 +82,10 @@ impl fmt::Display for DiagnosisResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::log::DiagnosisRecord;
-    use march::DataBackground;
 
     fn result_with(cycles: u64, pause_ms: f64, t: f64) -> DiagnosisResult {
         DiagnosisResult {
-            log: DiagnosisLog::new(),
+            log: DiagnosisLog::default(),
             cycles,
             pause_ms,
             iterations: 1,
@@ -123,14 +111,8 @@ mod tests {
 
     #[test]
     fn located_sites_flow_through_from_the_log() {
-        let mut log = DiagnosisLog::new();
-        log.push(DiagnosisRecord {
-            memory: MemoryId::new(1),
-            address: Address::new(7),
-            background: DataBackground::Solid,
-            element: "M2".into(),
-            failing_bits: vec![3].into(),
-        });
+        let site = FaultSite::new(MemoryId::new(1), Address::new(7), 3);
+        let log = DiagnosisLog::new(LocatedSites::new(vec![site]), 2);
         let result = DiagnosisResult {
             log,
             cycles: 10,

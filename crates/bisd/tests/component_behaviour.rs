@@ -89,37 +89,31 @@ fn size_table_tracks_extremes_across_different_memories() {
 /// memory, and stays silent on matches.
 #[test]
 fn comparator_array_records_only_mismatches() {
-    let mut comparator = ComparatorArray::new();
+    let mut comparator = ComparatorArray::new([MemoryId::new(0), MemoryId::new(1)]);
     let expected = DataWord::from_u64(0b1010, 4);
     let matching = expected.clone();
     let off_by_two = DataWord::from_u64(0b0011, 4);
 
-    comparator.compare(
-        MemoryId::new(0),
-        Address::new(3),
-        DataBackground::Solid,
-        &"M1".into(),
-        &expected,
-        &matching,
+    assert!(
+        comparator
+            .compare(0, Address::new(3), &expected, &matching)
+            .is_empty(),
+        "a matching response records nothing"
     );
-    assert!(comparator.log().is_empty(), "a matching response records nothing");
 
-    comparator.compare(
-        MemoryId::new(1),
-        Address::new(5),
-        DataBackground::Solid,
-        &"M2".into(),
-        &expected,
-        &off_by_two,
-    );
+    let failing = comparator.compare(1, Address::new(5), &expected, &off_by_two);
+    assert_eq!(failing, expected.mismatches(&off_by_two));
     let log = comparator.into_log();
     assert_eq!(log.len(), 1);
-    let record = &log.records()[0];
-    assert_eq!(record.memory, MemoryId::new(1));
-    assert_eq!(record.address, Address::new(5));
-    assert_eq!(record.failing_bits, expected.mismatches(&off_by_two));
-    let sites = log.located_sites();
+    let sites = log.sites();
     assert_eq!(sites.len(), 2, "two failing bits are two fault sites");
+    assert!(sites.of(MemoryId::new(0)).is_empty());
+    for (site, &bit) in sites.all().iter().zip(failing.iter()) {
+        assert_eq!(
+            (site.memory, site.address, site.bit),
+            (MemoryId::new(1), Address::new(5), bit)
+        );
+    }
 }
 
 /// The scheme's programme reflects its DRF mode: NWRTM merges NWRC

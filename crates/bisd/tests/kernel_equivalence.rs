@@ -1,8 +1,7 @@
 //! The bit-parallel diagnosis kernel must be *byte-identical* to the
-//! per-memory oracle it replaces: identical verdicts, identical
-//! mismatch logs (exact record order included), identical cycle and
-//! pause accounting — the kernel is a pure execution strategy, never an
-//! observable behaviour change.
+//! per-memory oracle it replaces: identical located sites, mismatch
+//! counts, iterations, cycle and pause accounting — the kernel is a
+//! pure execution strategy, never an observable behaviour change.
 //!
 //! The sweep covers the cases where the fast/slow split could plausibly
 //! diverge:
@@ -29,7 +28,7 @@
 //!   coupling, decoder and stuck-open faults, every DRF mode, several
 //!   worker counts, and a second diagnosis of the same memories.
 
-use bisd::{DiagnosisKernel, DrfMode, FastScheme, HuangScheme, MemoryUnderDiagnosis};
+use bisd::{DiagnosisKernel, DrfMode, FastScheme, FaultSite, HuangScheme, MemoryUnderDiagnosis};
 use fault_models::{DefectProfile, FaultInjector, FaultList, MemoryFault};
 use march::ShardPlan;
 use proptest::prelude::*;
@@ -152,8 +151,8 @@ fn assert_fast_kernels_agree(scheme: FastScheme, build: &dyn Fn() -> Vec<MemoryU
         .diagnose_with(ShardPlan::sequential(), &mut kernel_population)
         .expect("bit-parallel run");
     assert_eq!(bit_parallel, oracle, "kernels diverged for {scheme:?}");
-    // Byte-identical includes exact record order, not just sets.
-    assert_eq!(bit_parallel.log.records(), oracle.log.records());
+    assert_eq!(bit_parallel.located_sites(), oracle.located_sites());
+    assert_eq!(bit_parallel.log.len(), oracle.log.len());
     assert_eq!(bit_parallel.cycles, oracle.cycles);
     assert_eq!(bit_parallel.pause_ms, oracle.pause_ms);
 }
@@ -223,7 +222,7 @@ fn huang_scheme_kernels_agree_with_and_without_retention() {
             .diagnose_with(ShardPlan::sequential(), &mut kernel_population)
             .expect("row-restricted run");
         assert_eq!(restricted, oracle, "baseline kernels diverged for {scheme:?}");
-        assert_eq!(restricted.log.records(), oracle.log.records());
+        assert_eq!(restricted.located_sites(), oracle.located_sites());
         assert_eq!(restricted.iterations, oracle.iterations);
     }
 }
@@ -250,7 +249,7 @@ fn huang_scheme_kernels_agree_on_every_fault_class_exhaustive() {
             .diagnose_with(ShardPlan::sequential(), &mut kernel_population)
             .expect("row-restricted run");
         assert_eq!(restricted, oracle, "baseline kernels diverged for {scheme:?}");
-        assert_eq!(restricted.log.records(), oracle.log.records());
+        assert_eq!(restricted.located_sites(), oracle.located_sites());
         assert_eq!(restricted.iterations, oracle.iterations);
     }
 }
@@ -260,8 +259,12 @@ fn huang_scheme_sweeps_a_memory_with_a_stuck_open_cell_whole() {
     // The stuck-open bit echoes the sense amplifier, which the dense
     // sweep's read of row 2 leaves at all ones, so the first left-shift
     // element sees bits 0 and 3 of row 3 fail and locates bit 3 first.
-    // Stepping only row 3 would leave the power-on zeros there instead,
-    // hide bit 3 and locate bit 0.
+    // Stepping only row 3 would leave the power-on zeros there instead
+    // and locate bit 0 first. A result keeps no detection order, and
+    // here both walks end with the same sites and iterations, so this
+    // test pins the oracle's result; the random mixed-population
+    // property test below is the one that fails when stuck-open
+    // memories are not swept whole.
     let build = || {
         let config = MemConfig::new(8, 4).expect("valid geometry");
         let mut memory = MemoryUnderDiagnosis::pristine(MemoryId::new(0), config);
@@ -279,11 +282,9 @@ fn huang_scheme_sweeps_a_memory_with_a_stuck_open_cell_whole() {
         .with_kernel(DiagnosisKernel::PerMemory)
         .diagnose_with(ShardPlan::sequential(), &mut build())
         .expect("oracle run");
-    let first = &oracle.log.records()[0];
-    assert_eq!(
-        (first.address, first.failing_bits.to_vec()),
-        (Address::new(3), vec![3])
-    );
+    let site = |bit| FaultSite::new(MemoryId::new(0), Address::new(3), bit);
+    assert_eq!(oracle.located_sites().all(), &[site(0), site(3)]);
+    assert_eq!((oracle.iterations, oracle.log.len()), (2, 2));
     let kernel = HuangScheme::new(10.0)
         .diagnose_with(ShardPlan::sequential(), &mut build())
         .expect("bit-parallel run");
@@ -384,8 +385,8 @@ proptest! {
 
     /// Property: on a random mixed population the row-restricted
     /// bit-parallel baseline returns the per-memory oracle's whole
-    /// result (log order, iterations, cycles, pause), with and without
-    /// the retention extension and under an iteration cap.
+    /// result (sites, mismatch count, iterations, cycles, pause), with
+    /// and without the retention extension and under an iteration cap.
     #[test]
     fn huang_scheme_kernels_agree_on_random_mixed_populations(
         seed in any::<u64>(),
@@ -408,7 +409,7 @@ proptest! {
                 .with_kernel(DiagnosisKernel::BitParallel)
                 .diagnose_with(ShardPlan::sequential(), &mut kernel_population)
                 .expect("row-restricted run");
-            prop_assert!(!oracle.log.records().is_empty(), "seed {seed:#x}: nothing located");
+            prop_assert!(!oracle.is_clean(), "seed {seed:#x}: nothing located");
             prop_assert_eq!(
                 restricted,
                 oracle,
@@ -553,7 +554,7 @@ proptest! {
             ShardPlan::sequential(),
             population,
         );
-        prop_assert!(!oracle[0].log.records().is_empty(), "seed {:#x}: nothing located", seed);
+        prop_assert!(!oracle[0].is_clean(), "seed {:#x}: nothing located", seed);
         for threads in [1, 2, 7, 32] {
             let kernel = diagnose_twice(
                 scheme.with_kernel(DiagnosisKernel::BitParallel),

@@ -2,11 +2,12 @@
 //! sequential walk:
 //!
 //! * `FastScheme::diagnose_ports_with` returns the identical
-//!   [`bisd::DiagnosisResult`] — comparator log in exact record order,
-//!   cycles, pause accounting — for every worker count, under both
-//!   kernels, equal to the per-memory oracle's sequential walk;
+//!   [`bisd::DiagnosisResult`] — located sites, mismatch count, cycles,
+//!   pause accounting — for every worker count, under both kernels,
+//!   equal to the per-memory oracle's sequential walk, also when member
+//!   ids descend and the merge has to sort;
 //! * `HuangScheme::diagnose_with` iterates globally with sharded
-//!   passes, and its log/iteration/cycle accounting never depends on
+//!   passes, and its site/iteration/cycle accounting never depends on
 //!   the plan or the kernel;
 //! * the default plan (one worker per core) used by the
 //!   [`DiagnosisScheme::diagnose`] entry points equals the explicit
@@ -73,8 +74,8 @@ fn fast_scheme_output_is_byte_identical_for_every_thread_count() {
                 sharded, sequential,
                 "fast-scheme output diverged from sequential at {threads} threads (seed {seed})"
             );
-            // Byte-identical includes exact record order, not just sets.
-            assert_eq!(sharded.log.records(), sequential.log.records());
+            assert_eq!(sharded.located_sites(), sequential.located_sites());
+            assert_eq!(sharded.log.len(), sequential.log.len());
         }
     }
 }
@@ -141,7 +142,7 @@ fn huang_scheme_output_is_byte_identical_for_every_thread_count() {
                 "baseline output diverged from sequential at {threads} threads"
             );
             assert_eq!(sharded.iterations, sequential.iterations);
-            assert_eq!(sharded.log.records(), sequential.log.records());
+            assert_eq!(sharded.located_sites(), sequential.located_sites());
         }
     }
 }
@@ -271,5 +272,39 @@ fn both_kernels_shard_identically_under_every_strategy() {
                 "kernel {kernel} diverged from the sequential oracle under {plan}"
             );
         }
+    }
+}
+
+#[test]
+fn descending_member_ids_merge_into_ascending_sites() {
+    // Ids descend in member order, so every segment's sites and their
+    // concatenation come out descending by memory and the merge must
+    // fall back to sorting.
+    let descending = || {
+        let mut members = population(23, 0.04);
+        let count = members.len() as u32;
+        for (index, member) in members.iter_mut().enumerate() {
+            member.id = MemoryId::new(count - 1 - index as u32);
+        }
+        members
+    };
+    let oracle = FastScheme::new(10.0)
+        .with_kernel(DiagnosisKernel::PerMemory)
+        .diagnose_with(ShardPlan::sequential(), &mut descending())
+        .expect("sequential oracle run");
+    assert!(!oracle.located_sites().of(MemoryId::new(0)).is_empty());
+    assert!(!oracle.located_sites().of(MemoryId::new(10)).is_empty());
+    for threads in THREAD_COUNTS {
+        let plan = ShardPlan::with_threads(threads);
+        let sharded = FastScheme::new(10.0)
+            .with_kernel(DiagnosisKernel::BitParallel)
+            .diagnose_with(plan, &mut descending())
+            .expect("sharded run");
+        assert_eq!(sharded, oracle, "descending ids diverged under {plan}");
+        let sites = sharded.located_sites().all();
+        assert!(
+            sites.windows(2).all(|pair| pair[0] < pair[1]),
+            "sites not strictly ascending under {plan}"
+        );
     }
 }

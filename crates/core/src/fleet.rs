@@ -40,12 +40,12 @@
 //! per-job containment, and fail with the first failing job's error.
 //!
 //! Determinism is inherited, not re-proved: the executor returns
-//! results in exact item order at every worker count,
-//! and `merge` reassembles segment outcomes by global operation
-//! sequence number regardless of where segment boundaries fell — so
-//! each job's [`DiagnosisResult`] is byte-identical to what
-//! [`FastScheme::diagnose_with`] produces for that job alone, under
-//! any plan. Calibration (measured or hand-tuned) moves only
+//! results in exact item order at every worker count, each segment
+//! hands over its members' located sites per member, and `merge`
+//! concatenates a job's segments in member order regardless of where
+//! segment boundaries fell — so each job's [`DiagnosisResult`] is
+//! byte-identical to what [`FastScheme::diagnose_with`] produces for
+//! that job alone, under any plan. Calibration (measured or hand-tuned) moves only
 //! the shard *boundaries*, never the results. The fleet determinism
 //! suite asserts both properties across worker counts and kernels.
 //!
@@ -556,7 +556,7 @@ impl FleetRunner {
             .map_err(|error| FleetError::from_exec(FleetPhase::Diagnose, error))?;
         // Segments come back in item order and chunks within a segment
         // preserve it too, so each job's outcomes land in member order
-        // — exactly what `merge`'s stable sequence sort expects.
+        // — the order `merge` concatenates them in.
         let mut per_job: Vec<Vec<SegmentOutcome>> = populations.iter().map(|_| Vec::new()).collect();
         for (job, outcome) in groups.into_iter().flatten() {
             if errors[job].is_some() {

@@ -1,6 +1,6 @@
 //! Scoring of a diagnosis result against the injected ground truth.
 
-use bisd::{DiagnosisResult, LocatedSites, MemoryUnderDiagnosis};
+use bisd::{DiagnosisResult, MemoryUnderDiagnosis};
 use fault_models::FaultClass;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -28,12 +28,7 @@ impl DiagnosisScore {
     /// Computes the score of `result` against the ground truth carried
     /// by `memories`.
     pub fn evaluate(memories: &[MemoryUnderDiagnosis], result: &DiagnosisResult) -> Self {
-        Self::evaluate_sites(memories, &result.located_sites())
-    }
-
-    /// [`DiagnosisScore::evaluate`] against a located-site index that
-    /// the caller already built.
-    pub fn evaluate_sites(memories: &[MemoryUnderDiagnosis], located: &LocatedSites) -> Self {
+        let located = result.located_sites();
         let mut score = DiagnosisScore::default();
         let mut matched_sites = 0usize;
         let mut total_sites = 0usize;
@@ -100,9 +95,8 @@ impl fmt::Display for DiagnosisScore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bisd::{DiagnosisLog, DiagnosisRecord, DiagnosisScheme, FastScheme};
+    use bisd::{DiagnosisLog, DiagnosisScheme, FastScheme, FaultSite, LocatedSites};
     use fault_models::{FaultList, MemoryFault};
-    use march::DataBackground;
     use sram_model::cell::CellCoord;
     use sram_model::{Address, DecoderFault, DecoderFaultKind, MemConfig, MemoryId};
 
@@ -169,16 +163,11 @@ mod tests {
             injected: std::iter::once(fault).collect(),
             ..MemoryUnderDiagnosis::pristine(MemoryId::new(0), MemConfig::new(16, 4).unwrap())
         };
-        let mut log = DiagnosisLog::new();
-        log.push(DiagnosisRecord {
-            memory: MemoryId::new(0),
-            address: Address::new(6),
-            background: DataBackground::Solid,
-            element: "M1".into(),
-            failing_bits: vec![0, 1, 2, 3].into(),
-        });
+        let sites: LocatedSites = (0..4)
+            .map(|bit| FaultSite::new(MemoryId::new(0), Address::new(6), bit))
+            .collect();
         let result = DiagnosisResult {
-            log,
+            log: DiagnosisLog::new(sites, 1),
             cycles: 0,
             pause_ms: 0.0,
             iterations: 1,

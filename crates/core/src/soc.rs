@@ -288,7 +288,7 @@ impl Soc {
         let located = result.located_sites();
         self.memories
             .iter_mut()
-            .map(|m| m.repair_from(&located).unrepaired.len())
+            .map(|m| m.repair_from(located).unrepaired.len())
             .sum()
     }
 }

@@ -1,34 +1,37 @@
 //! Differential tests of scoring: `DiagnosisScore::evaluate`, which
-//! reads the log through its located-site index, must equal the
-//! nested-loop scoring it replaced, kept here as the oracle. Inputs are
-//! diagnosed random populations and hand-built logs covering the edge
-//! cases the index must preserve: duplicate records, records with no
-//! failing bit, records of memories outside the population, sparse and
-//! out-of-order memory ids, several injected faults at one site, and
-//! decoder faults with and without a record at their address.
+//! reads the result through its located-site index, must equal the
+//! nested-loop scoring it replaced, kept here as the oracle over a
+//! naive set of the located sites. Inputs are diagnosed random
+//! populations and hand-built site lists covering the edge cases the
+//! index must preserve: duplicate sites, sites of memories outside the
+//! population, sparse and out-of-order memory ids, several injected
+//! faults at one site, and decoder faults with and without a site at
+//! their address.
 
-use bisd::{DiagnosisLog, DiagnosisRecord, FaultSite};
+use bisd::{DiagnosisLog, FaultSite, LocatedSites};
 use esram_diag::{
-    Address, DataBackground, DiagnosisResult, DiagnosisScheme, DiagnosisScore, FastScheme, FaultClass,
-    FaultList, HuangScheme, MemConfig, MemoryFault, MemoryId, MemoryUnderDiagnosis, Soc,
+    Address, DiagnosisResult, DiagnosisScheme, DiagnosisScore, FastScheme, FaultClass, FaultList,
+    HuangScheme, MemConfig, MemoryFault, MemoryId, MemoryUnderDiagnosis, Soc,
 };
 use proptest::prelude::*;
 use sram_model::cell::CellCoord;
 use sram_model::{DecoderFault, DecoderFaultKind};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use testutil::FixtureRng;
 
-/// The scoring rule as a nested loop over the raw log: per memory, the
-/// set of that memory's located sites, then a scan of the set for each
-/// injected cell fault and a scan of the log for each decoder fault.
-fn oracle_evaluate(memories: &[MemoryUnderDiagnosis], result: &DiagnosisResult) -> DiagnosisScore {
+/// The scoring rule as a nested loop over a naive site set: per memory,
+/// the set of that memory's located cells, then a scan of the set for
+/// each injected fault (a decoder fault is hit by any cell at its
+/// address).
+fn oracle_evaluate(memories: &[MemoryUnderDiagnosis], sites: &BTreeSet<FaultSite>) -> DiagnosisScore {
     let mut score = DiagnosisScore::default();
     let mut matched_sites = 0usize;
     let mut total_sites = 0usize;
     for memory in memories {
-        let records = || result.log.records().iter().filter(|r| r.memory == memory.id);
-        let located: BTreeSet<(Address, usize)> = records()
-            .flat_map(|r| r.failing_bits.iter().map(move |&bit| (r.address, bit)))
+        let located: BTreeSet<(Address, usize)> = sites
+            .iter()
+            .filter(|site| site.memory == memory.id)
+            .map(|site| (site.address, site.bit))
             .collect();
         total_sites += located.len();
         for fault in memory.injected.iter() {
@@ -37,7 +40,9 @@ fn oracle_evaluate(memories: &[MemoryUnderDiagnosis], result: &DiagnosisResult) 
                 MemoryFault::Cell { coord, .. } => located
                     .iter()
                     .any(|&(address, bit)| address == coord.address && bit == coord.bit),
-                MemoryFault::Decoder(decoder_fault) => records().any(|r| r.address == decoder_fault.address),
+                MemoryFault::Decoder(decoder_fault) => located
+                    .iter()
+                    .any(|&(address, _)| address == decoder_fault.address),
             };
             if hit {
                 *score.located_by_class.entry(fault.class()).or_insert(0) += 1;
@@ -49,66 +54,52 @@ fn oracle_evaluate(memories: &[MemoryUnderDiagnosis], result: &DiagnosisResult) 
     score
 }
 
-/// Every distinct site of the log, grouped per memory, from the raw
-/// records.
-fn oracle_sites_by_memory(result: &DiagnosisResult) -> BTreeMap<MemoryId, BTreeSet<FaultSite>> {
-    let mut map: BTreeMap<MemoryId, BTreeSet<FaultSite>> = BTreeMap::new();
-    for record in result.log.records() {
-        for site in record.sites() {
-            map.entry(site.memory).or_default().insert(site);
-        }
-    }
-    map
-}
-
-/// Asserts that the index-backed score and site views equal the oracle.
-fn assert_matches_oracle(memories: &[MemoryUnderDiagnosis], result: &DiagnosisResult) {
+/// Asserts that the index-backed score and site views equal the oracle
+/// over `sites`, the naive set of every site pushed into the result.
+fn assert_matches_oracle(
+    memories: &[MemoryUnderDiagnosis],
+    result: &DiagnosisResult,
+    sites: &BTreeSet<FaultSite>,
+) {
     assert_eq!(
         DiagnosisScore::evaluate(memories, result),
-        oracle_evaluate(memories, result)
+        oracle_evaluate(memories, sites)
     );
-    let by_memory = oracle_sites_by_memory(result);
-    assert_eq!(result.sites_by_memory(), by_memory);
-    assert_eq!(
-        result.located_count(),
-        by_memory.values().map(BTreeSet::len).sum::<usize>()
-    );
+    let all: Vec<FaultSite> = sites.iter().copied().collect();
+    assert_eq!(result.located_sites().all(), all.as_slice());
+    assert_eq!(result.located_count(), sites.len());
     for memory in memories {
-        let failing: BTreeSet<Address> = result
-            .log
-            .records()
+        let of_memory: BTreeSet<FaultSite> = sites
             .iter()
-            .filter(|r| r.memory == memory.id)
-            .map(|r| r.address)
+            .filter(|site| site.memory == memory.id)
+            .copied()
             .collect();
+        let failing: BTreeSet<Address> = of_memory.iter().map(|site| site.address).collect();
         assert_eq!(result.failing_addresses(memory.id), failing);
-        assert_eq!(
-            result.sites(memory.id),
-            by_memory.get(&memory.id).cloned().unwrap_or_default()
-        );
+        assert_eq!(result.sites(memory.id), of_memory);
     }
 }
 
-fn record(memory: u32, address: u64, bits: Vec<usize>) -> DiagnosisRecord {
-    DiagnosisRecord {
-        memory: MemoryId::new(memory),
-        address: Address::new(address),
-        background: DataBackground::Solid,
-        element: "M1".into(),
-        failing_bits: bits.into(),
-    }
+fn site(memory: u32, address: u64, bit: usize) -> FaultSite {
+    FaultSite::new(MemoryId::new(memory), Address::new(address), bit)
 }
 
-fn result_of(records: Vec<DiagnosisRecord>) -> DiagnosisResult {
-    let mut log = DiagnosisLog::new();
-    log.extend(records);
+/// A result located by pushing `pushes` in the given order, duplicates
+/// included, one mismatching read per push.
+fn result_of(pushes: &[FaultSite]) -> DiagnosisResult {
+    let sites: LocatedSites = pushes.iter().copied().collect();
     DiagnosisResult {
-        log,
+        log: DiagnosisLog::new(sites, pushes.len()),
         cycles: 0,
         pause_ms: 0.0,
         iterations: 1,
         clock_period_ns: 10.0,
     }
+}
+
+/// [`result_of`] with the naive set of its pushes.
+fn pushed(pushes: &[FaultSite]) -> (DiagnosisResult, BTreeSet<FaultSite>) {
+    (result_of(pushes), pushes.iter().copied().collect())
 }
 
 const WORDS: u64 = 8;
@@ -135,9 +126,10 @@ fn decoder(address: u64) -> MemoryFault {
     ))
 }
 
-/// A random hand-built population and log over a small address space,
-/// so sites collide often.
-fn hand_built(seed: u64) -> (Vec<MemoryUnderDiagnosis>, DiagnosisResult) {
+/// A random hand-built population and random `(memory, address, bit)`
+/// pushes over a small address space, in any memory order, so sites
+/// collide often.
+fn hand_built(seed: u64) -> (Vec<MemoryUnderDiagnosis>, Vec<FaultSite>) {
     let mut rng = FixtureRng::new(seed);
     // Sparse ids in shuffled order.
     let mut ids: Vec<u32> = (0..12).filter(|_| rng.below(3) == 0).collect();
@@ -163,29 +155,31 @@ fn hand_built(seed: u64) -> (Vec<MemoryUnderDiagnosis>, DiagnosisResult) {
             memory(id, faults)
         })
         .collect();
-    let mut records: Vec<DiagnosisRecord> = Vec::new();
-    for _ in 0..rng.below(24) {
-        if !records.is_empty() && rng.below(4) == 0 {
-            let copy = records[rng.below(records.len() as u64) as usize].clone();
-            records.push(copy);
+    let mut pushes: Vec<FaultSite> = Vec::new();
+    for _ in 0..rng.below(48) {
+        if !pushes.is_empty() && rng.below(4) == 0 {
+            let copy = pushes[rng.below(pushes.len() as u64) as usize];
+            pushes.push(copy);
             continue;
         }
         // Ids 0..14 reach past the population's largest id.
         let memory = rng.below(14) as u32;
-        let bits = (0..WIDTH).filter(|_| rng.below(3) == 0).collect();
-        records.push(record(memory, rng.below(WORDS), bits));
+        pushes.push(site(memory, rng.below(WORDS), rng.below(WIDTH as u64) as usize));
     }
-    (memories, result_of(records))
+    (memories, pushes)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Hand-built logs score exactly as the nested-loop oracle does.
+    /// Hand-built site pushes score exactly as the nested-loop oracle
+    /// does.
     #[test]
     fn hand_built_logs_score_as_the_oracle(seed in any::<u64>()) {
-        let (memories, result) = hand_built(seed);
-        assert_matches_oracle(&memories, &result);
+        let (memories, pushes) = hand_built(seed);
+        let (result, sites) = pushed(&pushes);
+        assert_matches_oracle(&memories, &result, &sites);
+        prop_assert_eq!(result.log.len(), pushes.len());
     }
 }
 
@@ -217,8 +211,9 @@ proptest! {
         } else {
             HuangScheme::new(10.0).diagnose(soc.memories_mut()).unwrap()
         };
-        assert_matches_oracle(soc.memories(), &result);
-        prop_assert_eq!(soc.score(&result), oracle_evaluate(soc.memories(), &result));
+        let sites: BTreeSet<FaultSite> = result.located_sites().all().iter().copied().collect();
+        assert_matches_oracle(soc.memories(), &result, &sites);
+        prop_assert_eq!(soc.score(&result), oracle_evaluate(soc.memories(), &sites));
     }
 }
 
@@ -229,33 +224,36 @@ fn edge_cases_score_as_the_oracle_and_as_pinned() {
         memory(7, vec![stuck_at(1, 0), stuck_at(1, 0), decoder(4)]),
         memory(2, vec![decoder(5), stuck_at(3, 3)]),
     ];
-    let result = result_of(vec![
-        record(7, 1, vec![0, 2]),
-        record(7, 1, vec![0, 2]), // duplicate record
-        record(7, 4, vec![]),     // no failing bit, but fails word 4
-        record(2, 3, vec![1]),    // wrong bit: the stuck-at at bit 3 is missed
-        record(9, 0, vec![0, 1]), // memory outside the population
+    let (result, sites) = pushed(&[
+        site(9, 0, 1), // memory outside the population, pushed first
+        site(7, 1, 2),
+        site(7, 1, 0),
+        site(7, 1, 0), // duplicate push
+        site(7, 4, 3), // fails word 4
+        site(2, 3, 1), // wrong bit: the stuck-at at bit 3 is missed
+        site(9, 0, 0),
     ]);
-    assert_matches_oracle(&memories, &result);
+    assert_matches_oracle(&memories, &result, &sites);
     let score = DiagnosisScore::evaluate(&memories, &result);
     assert_eq!(score.injected(), 5);
     // Both stuck-ats at 7:@1[0] count, the decoder at 7:@4 is hit
-    // through its bitless record, the decoder at 2:@5 has no record.
+    // through the site at its word, the decoder at 2:@5 has none.
     assert_eq!(score.located(), 3);
     assert_eq!(score.located_by_class[&FaultClass::StuckAt], 2);
     assert_eq!(score.located_by_class[&FaultClass::AddressDecoder], 1);
-    // Sites of 7 and 2: {1[0], 1[2], 3[1]} = 3; minus 3 hits = 0.
-    assert_eq!(score.additional_sites, 0);
-    assert_eq!(result.located_count(), 5);
+    // Sites of 7 and 2: {1[0], 1[2], 4[3], 3[1]} = 4; minus 3 hits = 1.
+    assert_eq!(score.additional_sites, 1);
+    assert_eq!(result.located_count(), 6);
+    assert_eq!(result.log.len(), 7);
 }
 
 #[test]
 fn hits_beyond_the_located_sites_floor_additional_sites_at_zero() {
-    // Two faults at one site plus a decoder hit by a bitless record:
-    // three hits against one located site.
+    // Two faults at one site plus a decoder hit through a site at its
+    // word: three hits against two located sites.
     let memories = vec![memory(0, vec![stuck_at(2, 1), stuck_at(2, 1), decoder(6)])];
-    let result = result_of(vec![record(0, 2, vec![1]), record(0, 6, vec![])]);
-    assert_matches_oracle(&memories, &result);
+    let (result, sites) = pushed(&[site(0, 6, 0), site(0, 2, 1)]);
+    assert_matches_oracle(&memories, &result, &sites);
     let score = DiagnosisScore::evaluate(&memories, &result);
     assert_eq!(score.located(), 3);
     assert_eq!(score.additional_sites, 0);

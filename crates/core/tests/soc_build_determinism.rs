@@ -112,7 +112,7 @@ fn default_plan_build_equals_sequential_build() {
 #[test]
 fn sharded_and_sequential_builds_diagnose_identically() {
     // End-to-end corroboration: identical construction implies
-    // identical diagnosis, including the comparator log order.
+    // identical diagnosis: sites, mismatch count and cycles.
     for kernel in DiagnosisKernel::all() {
         let mut sequential = build(12, 32, 8, 0.05, 7, true, ShardPlan::sequential());
         let mut sharded = build(12, 32, 8, 0.05, 7, true, ShardPlan::with_threads(7));

@@ -307,7 +307,7 @@ fn healthy_row(
     expected_cycles: Option<u64>,
 ) -> Row {
     let located = result.located_sites();
-    let score = DiagnosisScore::evaluate_sites(soc.memories(), &located);
+    let score = DiagnosisScore::evaluate(soc.memories(), result);
     let model = population_model(plan);
     let faults = model.max_faults_for_defect_rate(job.defect_rate);
     let eq1_k = AnalyticModel::iterations_for_faults(faults);
@@ -353,7 +353,7 @@ fn healthy_row(
         ),
     ];
     if plan.report.sites {
-        fields.push(("sites", sites_json(&located)));
+        fields.push(("sites", sites_json(located)));
     }
     Row {
         json: Json::object(fields),
