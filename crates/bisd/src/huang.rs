@@ -5,10 +5,16 @@
 //! only the rows an installed fault can make deviate, the lane and
 //! stepped rows of [`sram_model::Sram::row_classes`], worked out once
 //! per memory before the first pass; a fault-free memory is skipped and
-//! a memory with a stuck-open cell is swept whole.
-//! [`DiagnosisKernel::PerMemory`] sweeps every row of every memory and
-//! is the dense oracle the row-restricted walk is checked against. Cycles are the Eq. (1) closed form under
-//! both.
+//! a memory with a stuck-open cell is swept whole. A memory whose pass
+//! of the `M1` loop or the DRF loop locates nothing and ends in the
+//! state it started in has reached a fixed point, and the rest of that
+//! loop skips it. This is sound because a pass is a deterministic
+//! function of the memory's state, its known sites and the test, and a
+//! pass that locates nothing leaves the known sites as they were: every
+//! later pass of the loop would repeat it exactly.
+//! [`DiagnosisKernel::PerMemory`] sweeps every row of every memory in
+//! every pass and is the dense oracle the row-restricted walk is checked
+//! against. Cycles are the Eq. (1) closed form under both.
 
 use crate::components::MemorySizeTable;
 use crate::kernel::DiagnosisKernel;
@@ -17,7 +23,7 @@ use crate::result::DiagnosisResult;
 use crate::scheme::{DiagnosisScheme, MemoryUnderDiagnosis};
 use march::{algorithms, BackgroundPatterns, DataBackground, MarchTest, ShardPlan};
 use serial::{BidirectionalSerialInterface, ShiftDirection};
-use sram_model::{Address, MemError};
+use sram_model::{Address, MemError, RowState};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Per-memory set of already-located `(address, bit)` sites, carried
@@ -33,6 +39,26 @@ struct MemoryProgress {
     /// The rows a pass steps: `None` sweeps every row, `Some` only the
     /// listed ones (ascending), and an empty list skips the memory.
     rows: Option<Vec<Address>>,
+    /// Set when a pass of the running test located nothing and left
+    /// the listed rows as it found them, so every later pass of the
+    /// same test would repeat it; the rest of the loop skips the memory.
+    fixed: bool,
+}
+
+impl MemoryProgress {
+    /// Whether the next pass must run the memory: it has fault rows (or
+    /// is swept whole) and has not reached a fixed point.
+    fn runs(&self) -> bool {
+        !self.fixed && self.rows.as_ref().is_none_or(|rows| !rows.is_empty())
+    }
+}
+
+/// Clears every fixed-point flag before a new test starts: a memory
+/// fixed under one test may still locate something under another.
+fn start_test(progress: &mut [MemoryProgress]) {
+    for progress in progress {
+        progress.fixed = false;
+    }
 }
 
 /// The baseline scheme of \[7,8\].
@@ -85,7 +111,21 @@ impl HuangScheme {
     /// only read after being written in the same pass and never
     /// mismatches; the located sites, the verdicts and the Eq. (1)
     /// iteration count are those of [`DiagnosisKernel::PerMemory`], the
-    /// dense oracle that sweeps every row of every memory.
+    /// dense oracle that sweeps every row of every memory in every pass.
+    ///
+    /// Within the `M1` loop and the DRF loop the bit-parallel kernel
+    /// also skips a memory once a pass of it locates nothing and ends in
+    /// the exact state it started in: the stored words and overlay cells
+    /// of its fault rows, decay included, and the last sensed word
+    /// ([`sram_model::Sram::capture_rows`]). A pass is a deterministic
+    /// function of that state, the memory's known sites and the test,
+    /// and a pass that locates nothing leaves the known sites as they
+    /// were, so every later pass of the loop would repeat it, locate
+    /// nothing and leave the memory as it is. Skipping it changes no
+    /// site, no verdict of the loop and no state a later test starts
+    /// from. The flags are cleared before each loop and before the base
+    /// pass, since another test may find what this one cannot. A memory
+    /// swept whole is never skipped.
     pub fn with_kernel(mut self, kernel: DiagnosisKernel) -> Self {
         self.kernel = kernel;
         self
@@ -131,13 +171,13 @@ impl DiagnosisScheme for HuangScheme {
 impl HuangScheme {
     /// Diagnoses a population under an explicit [`ShardPlan`].
     ///
-    /// The baseline iterates globally (every memory runs every `M1`
-    /// pass, and the pass count is what Eq. (1) charges), so sharding
-    /// happens *inside* each pass: the population is split into
-    /// contiguous per-worker segments, each worker runs the pass over
-    /// its memories and adds what they locate to their known sites, and
-    /// the found-anything verdicts OR-reduce across segments to drive
-    /// the global iteration. Each memory's known sites are its own, so
+    /// The baseline iterates globally (every memory takes part in every
+    /// `M1` pass, and the pass count is what Eq. (1) charges), so
+    /// sharding happens *inside* each pass: the memories the pass runs
+    /// are split into contiguous per-worker segments, each worker runs
+    /// the pass over its memories and adds what they locate to their
+    /// known sites, and the found-anything verdicts OR-reduce across
+    /// segments to drive the global iteration. Each memory's known sites are its own, so
     /// the result is byte-identical to the sequential walk for every
     /// plan. The mismatch count is one per located site: the serial
     /// interface shifts out only a newly located cell.
@@ -176,6 +216,7 @@ impl HuangScheme {
                     }),
                     DiagnosisKernel::PerMemory => None,
                 },
+                fixed: false,
             })
             .collect();
 
@@ -197,6 +238,7 @@ impl HuangScheme {
         // continues until a full pass finds nothing new anywhere.
         let m1 = algorithms::diag_rs_march_m1();
         let mut iterations: u64 = 0;
+        start_test(&mut progress);
         loop {
             iterations += 1;
             cycles += m1.complexity_per_address() as u64 * n_max * c_max;
@@ -210,6 +252,7 @@ impl HuangScheme {
         // address, still bit-serial).
         let base = algorithms::diag_rs_march_base();
         cycles += base.complexity_per_address() as u64 * n_max * c_max;
+        start_test(&mut progress);
         run_population_pass(plan, memories, &mut progress, &base, &width_patterns, usize::MAX)?;
 
         // Optional pause-based data-retention extension: 8·k extra units
@@ -217,6 +260,7 @@ impl HuangScheme {
         if let Some(retention) = self.retention_pause_ms {
             let drf_test = retention_identification_test(retention);
             let mut drf_iterations: u64 = 0;
+            start_test(&mut progress);
             loop {
                 drf_iterations += 1;
                 cycles += 8 * n_max * c_max;
@@ -251,13 +295,13 @@ impl HuangScheme {
 /// and shift direction, and returns whether any memory located
 /// something new.
 ///
-/// The population (zipped with its per-memory progress) runs on
-/// the deterministic executor over contiguous mutable segments; the
-/// work of a pass is the cells it steps, so the cost-balanced partition
-/// weights each memory by its stepped rows times its width. The
-/// found-anything verdicts OR-reduce, which is associative over
-/// adjacent segments, so the merged pass equals the sequential walk for
-/// every plan.
+/// The memories the pass runs (zipped with their progress; fault-free
+/// and fixed memories would locate nothing and are left out) go to the
+/// deterministic executor in contiguous mutable segments. The work of a
+/// pass is the cells it steps, so the cost-balanced partition weights
+/// each memory by its stepped rows times its width. The found-anything
+/// verdicts OR-reduce, which is associative over adjacent segments, so
+/// the merged pass equals the sequential walk for every plan.
 fn run_population_pass(
     plan: ShardPlan,
     memories: &mut [MemoryUnderDiagnosis],
@@ -266,8 +310,11 @@ fn run_population_pass(
     width_patterns: &BTreeMap<usize, BackgroundPatterns>,
     per_direction_budget: usize,
 ) -> Result<bool, MemError> {
-    let mut pairs: Vec<(&mut MemoryUnderDiagnosis, &mut MemoryProgress)> =
-        memories.iter_mut().zip(progress.iter_mut()).collect();
+    let mut pairs: Vec<(&mut MemoryUnderDiagnosis, &mut MemoryProgress)> = memories
+        .iter_mut()
+        .zip(progress.iter_mut())
+        .filter(|(_, progress)| progress.runs())
+        .collect();
     let worker_results: Vec<Result<bool, MemError>> = plan.run_segments(
         &mut pairs,
         |_, (memory, progress)| {
@@ -288,7 +335,9 @@ fn run_population_pass(
 }
 
 /// Runs one element-group pass over a contiguous population segment,
-/// returning whether anything new was located.
+/// returning whether anything new was located, and marks each
+/// row-restricted memory that located nothing and ended where it started
+/// as fixed.
 fn run_segment_pass(
     segment: &mut [(&mut MemoryUnderDiagnosis, &mut MemoryProgress)],
     test: &MarchTest,
@@ -296,10 +345,10 @@ fn run_segment_pass(
     per_direction_budget: usize,
 ) -> Result<bool, MemError> {
     let mut found_new = false;
+    let (mut start, mut end) = (RowState::default(), RowState::default());
     for (memory, progress) in segment.iter_mut() {
-        // No fault rows: the memory cannot mismatch, so it is skipped.
-        if progress.rows.as_ref().is_some_and(Vec::is_empty) {
-            continue;
+        if let Some(rows) = &progress.rows {
+            memory.sram.capture_rows(rows, &mut start);
         }
         let patterns = &width_patterns[&memory.config().width()];
         let found = run_group_serially(
@@ -310,7 +359,12 @@ fn run_segment_pass(
             progress.rows.as_deref(),
             per_direction_budget,
         )?;
-        found_new |= found > 0;
+        if found > 0 {
+            found_new = true;
+        } else if let Some(rows) = &progress.rows {
+            memory.sram.capture_rows(rows, &mut end);
+            progress.fixed = start == end;
+        }
     }
     Ok(found_new)
 }

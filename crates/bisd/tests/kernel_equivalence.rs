@@ -20,7 +20,11 @@
 //!   must fall back to the oracle wholesale;
 //! * random small baseline populations mixing every fault class with
 //!   one stuck-open member, which the baseline's row-restricted walk
-//!   must sweep whole;
+//!   must sweep whole, and pinned baseline populations where a walk of
+//!   the stuck-open memory's fault rows alone, skipping a memory after a
+//!   pass that located nothing but moved its state, or carrying a
+//!   fixed-point flag from the base pass into the DRF loop each end with
+//!   other sites than the oracle;
 //! * random populations built for the fast scheme's lane replay: more
 //!   than 64 lane rows of one geometry, wrapped members whose word count
 //!   does not divide the largest, rows with two faults, rows of several
@@ -28,7 +32,7 @@
 //!   coupling, decoder and stuck-open faults, every DRF mode, several
 //!   worker counts, and a second diagnosis of the same memories.
 
-use bisd::{DiagnosisKernel, DrfMode, FastScheme, FaultSite, HuangScheme, MemoryUnderDiagnosis};
+use bisd::{DiagnosisKernel, DiagnosisResult, DrfMode, FastScheme, HuangScheme, MemoryUnderDiagnosis};
 use fault_models::{DefectProfile, FaultInjector, FaultList, MemoryFault};
 use march::ShardPlan;
 use proptest::prelude::*;
@@ -157,6 +161,52 @@ fn assert_fast_kernels_agree(scheme: FastScheme, build: &dyn Fn() -> Vec<MemoryU
     assert_eq!(bit_parallel.pause_ms, oracle.pause_ms);
 }
 
+/// Builds a population from `(words, width, faults)` per member.
+fn population_of(members: &[(u64, usize, Vec<MemoryFault>)]) -> Vec<MemoryUnderDiagnosis> {
+    members
+        .iter()
+        .enumerate()
+        .map(|(index, (words, width, faults))| {
+            let config = MemConfig::new(*words, *width).expect("valid geometry");
+            let mut memory = MemoryUnderDiagnosis::pristine(MemoryId::new(index as u32), config);
+            for fault in faults {
+                fault
+                    .inject_into(&mut memory.sram)
+                    .expect("fault fits the geometry");
+            }
+            memory
+        })
+        .collect()
+}
+
+/// Runs `scheme` under both kernels on fresh populations from `build`,
+/// asserts that the whole results (sites, mismatch count, iterations,
+/// cycles, pause) agree and returns the oracle's.
+fn assert_huang_kernels_agree(
+    scheme: HuangScheme,
+    build: &dyn Fn() -> Vec<MemoryUnderDiagnosis>,
+) -> DiagnosisResult {
+    let oracle = scheme
+        .with_kernel(DiagnosisKernel::PerMemory)
+        .diagnose_with(ShardPlan::sequential(), &mut build())
+        .expect("oracle run");
+    let restricted = scheme
+        .with_kernel(DiagnosisKernel::BitParallel)
+        .diagnose_with(ShardPlan::sequential(), &mut build())
+        .expect("row-restricted run");
+    assert_eq!(restricted, oracle, "baseline kernels diverged for {scheme:?}");
+    oracle
+}
+
+fn sites_of(result: &DiagnosisResult) -> Vec<(u32, u64, usize)> {
+    result
+        .located_sites()
+        .all()
+        .iter()
+        .map(|site| (site.memory.index(), site.address.index(), site.bit))
+        .collect()
+}
+
 #[test]
 fn fast_scheme_kernels_agree_on_every_fault_class() {
     // NWRTM is the default and richest mode (NWRC writes on top of the
@@ -211,19 +261,7 @@ fn huang_scheme_kernels_agree_with_and_without_retention() {
         HuangScheme::new(10.0).with_retention_pause(100),
         HuangScheme::new(10.0).with_max_iterations(3),
     ] {
-        let mut oracle_population = huang_population(21);
-        let oracle = scheme
-            .with_kernel(DiagnosisKernel::PerMemory)
-            .diagnose_with(ShardPlan::sequential(), &mut oracle_population)
-            .expect("oracle run");
-        let mut kernel_population = huang_population(21);
-        let restricted = scheme
-            .with_kernel(DiagnosisKernel::BitParallel)
-            .diagnose_with(ShardPlan::sequential(), &mut kernel_population)
-            .expect("row-restricted run");
-        assert_eq!(restricted, oracle, "baseline kernels diverged for {scheme:?}");
-        assert_eq!(restricted.located_sites(), oracle.located_sites());
-        assert_eq!(restricted.iterations, oracle.iterations);
+        assert_huang_kernels_agree(scheme, &|| huang_population(21));
     }
 }
 
@@ -238,57 +276,97 @@ fn huang_scheme_kernels_agree_on_every_fault_class_exhaustive() {
         HuangScheme::new(10.0),
         HuangScheme::new(10.0).with_retention_pause(100),
     ] {
-        let mut oracle_population = class_population();
-        let oracle = scheme
-            .with_kernel(DiagnosisKernel::PerMemory)
-            .diagnose_with(ShardPlan::sequential(), &mut oracle_population)
-            .expect("oracle run");
-        let mut kernel_population = class_population();
-        let restricted = scheme
-            .with_kernel(DiagnosisKernel::BitParallel)
-            .diagnose_with(ShardPlan::sequential(), &mut kernel_population)
-            .expect("row-restricted run");
-        assert_eq!(restricted, oracle, "baseline kernels diverged for {scheme:?}");
-        assert_eq!(restricted.located_sites(), oracle.located_sites());
-        assert_eq!(restricted.iterations, oracle.iterations);
+        assert_huang_kernels_agree(scheme, &class_population);
     }
 }
 
 #[test]
 fn huang_scheme_sweeps_a_memory_with_a_stuck_open_cell_whole() {
-    // The stuck-open bit echoes the sense amplifier, which the dense
-    // sweep's read of row 2 leaves at all ones, so the first left-shift
-    // element sees bits 0 and 3 of row 3 fail and locates bit 3 first.
-    // Stepping only row 3 would leave the power-on zeros there instead
-    // and locate bit 0 first. A result keeps no detection order, and
-    // here both walks end with the same sites and iterations, so this
-    // test pins the oracle's result; the random mixed-population
-    // property test below is the one that fails when stuck-open
-    // memories are not swept whole.
-    let build = || {
-        let config = MemConfig::new(8, 4).expect("valid geometry");
-        let mut memory = MemoryUnderDiagnosis::pristine(MemoryId::new(0), config);
-        for fault in [
-            MemoryFault::stuck_at_1(coord(3, 0)),
-            MemoryFault::cell(coord(3, 3), CellFault::StuckOpen),
-        ] {
-            fault
-                .inject_into(&mut memory.sram)
-                .expect("fault fits the geometry");
-        }
-        vec![memory]
-    };
-    let oracle = HuangScheme::new(10.0)
-        .with_kernel(DiagnosisKernel::PerMemory)
-        .diagnose_with(ShardPlan::sequential(), &mut build())
-        .expect("oracle run");
-    let site = |bit| FaultSite::new(MemoryId::new(0), Address::new(3), bit);
-    assert_eq!(oracle.located_sites().all(), &[site(0), site(3)]);
-    assert_eq!((oracle.iterations, oracle.log.len()), (2, 2));
-    let kernel = HuangScheme::new(10.0)
-        .diagnose_with(ShardPlan::sequential(), &mut build())
-        .expect("bit-parallel run");
-    assert_eq!(kernel, oracle);
+    // The stuck-open bit (3, 3) echoes the sense amplifiers. Capped at
+    // one iteration, `M1` locates (1, 0), (5, 3), (1, 3) and (4, 0), one
+    // per element, and leaves row 3's three sites to the base elements.
+    // The dense sweep's ⇑(r0,w1,r1) reads row 3 right after row 2's r1
+    // left ones on the bitlines, so its r0 fails at bits 0 and 3 and the
+    // left shift locates bit 3; ⇓(r1,w0,r0) then locates bit 2 and
+    // ⇕(r0,w0) bit 0. A walk of the fault rows alone reads row 3 after
+    // row 1, whose stuck-at-0 bit 3 leaves a zero there: ⇑(r0,w1,r1)
+    // locates bit 0 first, and no later base element sees bit 3 fail, so
+    // that walk ends without site (3, 3).
+    let faults = vec![
+        MemoryFault::stuck_at_1(coord(3, 0)),
+        MemoryFault::cell(coord(3, 3), CellFault::StuckOpen),
+        MemoryFault::stuck_at_0(coord(3, 2)),
+        MemoryFault::stuck_at_0(coord(1, 3)),
+        MemoryFault::stuck_at_1(coord(1, 0)),
+        MemoryFault::stuck_at_0(coord(4, 0)),
+        MemoryFault::stuck_at_1(coord(5, 3)),
+    ];
+    let members = [(8, 4, faults)];
+    let oracle = assert_huang_kernels_agree(HuangScheme::new(10.0).with_max_iterations(1), &|| {
+        population_of(&members)
+    });
+    assert_eq!(
+        sites_of(&oracle),
+        [
+            (0, 1, 0),
+            (0, 1, 3),
+            (0, 3, 0),
+            (0, 3, 2),
+            (0, 3, 3),
+            (0, 4, 0),
+            (0, 5, 3)
+        ]
+    );
+    assert_eq!((oracle.iterations, oracle.log.len()), (1, 7));
+}
+
+#[test]
+fn huang_scheme_replays_a_quiet_memory_whose_pass_moved_its_state() {
+    // Member 1's victim (0, 3) inverts whenever its aggressor (1, 1)
+    // falls. Each `M1` element inverts it twice, after its read and
+    // before it, so `M1` never sees it, and in the one base element that
+    // does, the deceptive read-destructive cell (0, 0) fails at a lower
+    // bit and is located instead. Member 0's retention fault keeps the
+    // DRF loop going for a second pass. Member 1's first DRF pass
+    // locates nothing but leaves its cells at one where it found them at
+    // zero, so the second pass's ⇕(w0) makes the aggressor fall after
+    // the victim was written, and ⇕(r0,w1) reads the inverted victim. A
+    // kernel that skipped member 1 after its quiet pass would not locate
+    // (0, 3).
+    let members = [
+        (4, 4, vec![MemoryFault::data_retention_a(coord(3, 3))]),
+        (
+            2,
+            4,
+            vec![
+                MemoryFault::cell(coord(0, 0), CellFault::DeceptiveReadDestructive),
+                MemoryFault::coupling_inversion(coord(0, 3), coord(1, 1), false),
+            ],
+        ),
+    ];
+    let oracle = assert_huang_kernels_agree(HuangScheme::new(10.0).with_retention_pause(100), &|| {
+        population_of(&members)
+    });
+    assert_eq!(sites_of(&oracle), [(0, 3, 3), (1, 0, 0), (1, 0, 3)]);
+}
+
+#[test]
+fn huang_scheme_runs_the_drf_loop_for_a_memory_fixed_by_the_base_pass() {
+    // `M1` locates the stuck-at-0 cell (0, 0). The base pass locates
+    // nothing and ends in the state it started in: its cells at zero and
+    // the sense amplifiers at zero, since `M1`'s last read (r1 of row 0)
+    // and the base pass's last read (an r0) both leave a zero. So the
+    // base pass marks the memory fixed; the DRF test is another test,
+    // must run it anyway, and locates the retention fault (2, 0).
+    let faults = vec![
+        MemoryFault::stuck_at_0(coord(0, 0)),
+        MemoryFault::data_retention_a(coord(2, 0)),
+    ];
+    let members = [(4, 1, faults)];
+    let oracle = assert_huang_kernels_agree(HuangScheme::new(10.0).with_retention_pause(100), &|| {
+        population_of(&members)
+    });
+    assert_eq!(sites_of(&oracle), [(0, 0, 0), (0, 2, 0)]);
 }
 
 /// SplitMix64, the generator behind [`mixed_population`], so a failing

@@ -70,6 +70,19 @@ pub struct Sram {
     coupling_index: BTreeMap<(u64, usize), Vec<CellCoord>>,
 }
 
+/// The state of a memory that a walk of some of its rows reads and
+/// changes, captured by [`Sram::capture_rows`] into a buffer the caller
+/// reuses. Two captures of the same rows compare equal exactly when
+/// every stored word, every overlay cell (decay included) and the sense
+/// amplifiers' last value agree.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RowState {
+    /// The rows' stored words in list order, then the last sensed word.
+    words: Vec<DataWord>,
+    /// The rows' overlay cells in list order, each row's in bit order.
+    cells: Vec<Cell>,
+}
+
 // `march::FaultSimulator` shards fault universes over `std::thread::scope`
 // workers, each owning one reusable `Sram` as its shard handle; this
 // assertion keeps the array `Send` so a field gaining interior
@@ -313,6 +326,28 @@ impl Sram {
                 classes.stepped.push(address);
             }
         }
+    }
+
+    /// Captures into `state`, replacing what it held, the stored words of
+    /// `rows`, their overlay cells and the last sensed word. When `rows`
+    /// holds every row with an overlay cell and every row an access to
+    /// them activates (the fault rows of [`Sram::row_classes`]), that is
+    /// everything a walk of those rows reads or changes.
+    pub fn capture_rows(&self, rows: &[Address], state: &mut RowState) {
+        state.words.clear();
+        state.cells.clear();
+        for row in rows {
+            let r = row.index();
+            state.words.push(self.planes.word(r));
+            if self.overlay_in_row(r) {
+                state.cells.extend(
+                    self.overlay
+                        .range((r, 0)..=(r, usize::MAX))
+                        .map(|(_, cell)| *cell),
+                );
+            }
+        }
+        state.words.push(self.last_sense.clone());
     }
 
     // ----------------------------------------------------------------
@@ -956,6 +991,41 @@ mod tests {
         assert_eq!(from_packed, from_dense);
         assert!(from_packed.bit(2), "bit 2 must repeat the stale sensed one");
         assert!(!from_packed.bit(0));
+    }
+
+    #[test]
+    fn captured_rows_track_their_words_cells_and_the_sensed_word() {
+        let mut sram = small();
+        let drf = CellCoord::new(Address::new(2), 1);
+        sram.inject_cell_fault(drf, CellFault::DataRetention { node: CellNode::A })
+            .unwrap();
+        let rows = [Address::new(2), Address::new(5)];
+        let capture = |sram: &Sram| {
+            let mut state = RowState::default();
+            sram.capture_rows(&rows, &mut state);
+            state
+        };
+        let start = capture(&sram);
+        let (zeros, ones) = (DataWord::zero(4), DataWord::splat(true, 4));
+        // An unlisted row plays no part.
+        sram.force_word(Address::new(0), &ones).unwrap();
+        assert_eq!(capture(&sram), start);
+        // A listed row's word does.
+        sram.write(Address::new(5), &ones).unwrap();
+        assert_ne!(capture(&sram), start);
+        sram.write(Address::new(5), &zeros).unwrap();
+        assert_eq!(capture(&sram), start);
+        // So does the sensed word, which any read latches.
+        sram.read(Address::new(0)).unwrap();
+        assert_ne!(capture(&sram), start);
+        sram.read(Address::new(5)).unwrap();
+        assert_eq!(capture(&sram), start);
+        // A decayed cell differs even where its stored value is back.
+        sram.write(Address::new(2), &DataWord::from_u64(0b0010, 4))
+            .unwrap();
+        sram.elapse_retention(100.0);
+        assert_eq!(sram.peek(Address::new(2)).unwrap(), zeros);
+        assert_ne!(capture(&sram), start);
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub mod reference;
 pub mod retention;
 pub mod word;
 
-pub use array::Sram;
+pub use array::{RowState, Sram};
 pub use backup::{BackupMemory, RepairOutcome};
 pub use cell::{Cell, CellFault, CellNode, CouplingKind};
 pub use config::{Address, MemConfig, MemoryId};
