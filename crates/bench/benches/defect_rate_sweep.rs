@@ -4,9 +4,17 @@
 
 use bench::small_population;
 use criterion::{criterion_group, criterion_main, Criterion};
-use esram_diag::{defect_rate_sweep, AnalyticModel, DiagnosisScheme, HuangScheme};
+use esram_diag::{defect_rate_sweep, AnalyticModel, HuangScheme, ShardPlan};
+use esram_exec::THREADS_ENV;
 use std::hint::black_box;
 use std::time::Duration;
+
+/// The plan the simulated point runs under, read from
+/// `ESRAM_DIAG_THREADS` (CI pins it to 1 so the perf gate compares like
+/// with like).
+fn shard_plan() -> ShardPlan {
+    ShardPlan::from_env_values(std::env::var(THREADS_ENV).ok().as_deref()).0
+}
 
 fn bench_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("defect_rate_sweep");
@@ -17,12 +25,13 @@ fn bench_sweep(c: &mut Criterion) {
         b.iter(|| black_box(defect_rate_sweep(&model, &rates)))
     });
     group.bench_function("simulated_point_1pct", |b| {
+        let plan = shard_plan();
         b.iter_batched(
             || small_population(4, 64, 16, 0.01, 11),
             |mut soc| {
                 black_box(
                     HuangScheme::new(10.0)
-                        .diagnose(soc.memories_mut())
+                        .diagnose_with(plan, soc.memories_mut())
                         .expect("run")
                         .cycles,
                 )

@@ -14,7 +14,7 @@
 //! `MODEL_WORKERS`-worker partition, obtained by *executing* exactly
 //! that worker's member share sequentially. The partitions come from
 //! the same pure function the executor uses ([`cost_ranges`]), fed by
-//! the fleet plan's own calibrated costs
+//! the fleet plan's own member costs
 //! ([`FleetPlan::member_costs`]):
 //!
 //! * `serial_jobs_critical_path_8w` — jobs dispatched one at a time,
@@ -29,7 +29,7 @@
 //!
 //! The batched bottleneck must beat serial dispatch by at least
 //! [`REQUIRED_SPEEDUP`]× in modeled cost — asserted deterministically
-//! from the cost table, so the claim cannot silently rot on a noisy
+//! from those member costs, so the claim cannot silently rot on a noisy
 //! host — and the measured entries record what that means in
 //! wall-clock. The CI perf gate (`perf_gate --strict --prefix fleet`)
 //! keeps every entry within 2× of the committed ledger.

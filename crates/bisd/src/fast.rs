@@ -7,7 +7,7 @@ use crate::log::DiagnosisLog;
 use crate::population::GoldenStore;
 use crate::result::DiagnosisResult;
 use crate::scheme::{DiagnosisScheme, MemoryUnderDiagnosis};
-use esram_exec::{failpoint, CostCalibration, CostDomain, ShardPlan};
+use esram_exec::{failpoint, ShardPlan};
 use march::{algorithms, DataBackground, MarchElement, MarchOp, MarchSchedule};
 use serial::{ParallelToSerialConverter, PatternDeliveryBus, ShiftOrder};
 use sram_model::cell::CellCoord;
@@ -16,6 +16,15 @@ use sram_model::{
 };
 use std::collections::BTreeMap;
 use std::fmt;
+
+/// Per-member diagnosis cost, in picoseconds: the 1-thread ledger's
+/// per-memory diagnosis mean (512 × 100) minus the width's share. It
+/// dominates the per-bit term: a 100-bit member costs far less than 100
+/// 1-bit ones.
+const MEMBER_FIXED_PS: u64 = 6_821_638;
+/// Diagnosis cost per IO-width bit, in picoseconds: the ledger's
+/// 100-bit PSC serialisation divided by its width.
+const MEMBER_BIT_PS: u64 = 9_170;
 
 /// How the scheme handles data-retention faults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -195,9 +204,10 @@ impl FastScheme {
     /// dense-vs-packed equivalence suite drives it with
     /// [`sram_model::ReferenceSram`] populations.
     ///
-    /// The population is split into contiguous segments by the
-    /// deterministic executor into calibrated cost-weighted per-worker
-    /// chunks; memories are independent given the shared write stream.
+    /// The population is split by the deterministic executor into
+    /// contiguous per-worker segments weighted by
+    /// [`PopulationPlan::member_cost`]; memories are independent given
+    /// the shared write stream.
     /// Each segment replays the planned schedule with its own
     /// [`GoldenStore`] segment view, PSCs and comparator array, and the
     /// per-segment sites are concatenated in member order — the result
@@ -314,7 +324,6 @@ impl FastScheme {
             bit_parallel,
             cycles,
             pause_ms,
-            calibration: CostCalibration::current(),
         }
     }
 
@@ -406,8 +415,7 @@ struct LaneGroup {
 /// The controller's population-global planning for one diagnosis run,
 /// built once by [`FastScheme::plan_population`]: the schedule, the
 /// per-element serially delivered pattern words, the closed-form
-/// Eq. (2) cycle/pause accounting, the kernel decision and the active
-/// cost calibration.
+/// Eq. (2) cycle/pause accounting and the kernel decision.
 ///
 /// The plan is segment-agnostic: any contiguous slice of the population
 /// replays through [`PopulationPlan::run_segment`] (each segment builds
@@ -436,7 +444,6 @@ pub struct PopulationPlan {
     bit_parallel: bool,
     cycles: u64,
     pause_ms: f64,
-    calibration: CostCalibration,
 }
 
 impl PopulationPlan {
@@ -455,13 +462,12 @@ impl PopulationPlan {
         self.pause_ms
     }
 
-    /// Calibrated cost estimate for diagnosing member `index`
-    /// (diagnosis-domain pricing of the member's IO width). Used by the
-    /// executor's cost-weighted partition; influences shard boundaries
-    /// only, never results.
+    /// Cost estimate for diagnosing member `index`, in picoseconds: a
+    /// fixed per-member cost plus a cost per bit of the member's IO
+    /// width. Used by the executor's cost-weighted partition; influences
+    /// shard boundaries only, never results.
     pub fn member_cost(&self, index: usize) -> u64 {
-        self.calibration
-            .cost(CostDomain::Diagnosis, self.configs[index].width() as u64)
+        MEMBER_FIXED_PS + MEMBER_BIT_PS * self.configs[index].width() as u64
     }
 
     /// Replays the planned schedule over one contiguous population
@@ -1040,5 +1046,31 @@ mod tests {
         assert_eq!(DrfMode::None.to_string(), "no DRF diagnosis");
         assert_eq!(DrfMode::RetentionPause(100).to_string(), "retention pause 100 ms");
         assert_eq!(DrfMode::default(), DrfMode::Nwrtm);
+    }
+
+    fn width_plan() -> PopulationPlan {
+        let configs: Vec<MemConfig> = [1, 16, 100]
+            .iter()
+            .map(|&width| MemConfig::new(32, width).unwrap())
+            .collect();
+        FastScheme::new(10.0).plan_population(&configs)
+    }
+
+    #[test]
+    fn member_cost_pins_the_measured_weights() {
+        // Shard boundaries follow these prices; a changed constant moves
+        // them and must be a deliberate, visible edit.
+        let plan = width_plan();
+        let costs: Vec<u64> = (0..plan.member_count())
+            .map(|index| plan.member_cost(index))
+            .collect();
+        assert_eq!(costs, [6_830_808, 6_968_358, 7_738_638]);
+    }
+
+    #[test]
+    fn member_cost_is_dominated_by_its_fixed_term() {
+        // A 100-bit member is nowhere near 100 times a 1-bit one.
+        let plan = width_plan();
+        assert!(plan.member_cost(2) < 100 * plan.member_cost(0));
     }
 }

@@ -13,8 +13,8 @@
 //!   summary of a previously written report.
 //!
 //! The CLI is the entry point that turns the environment into
-//! configuration; the libraries it drives read none of it, except
-//! `ESRAM_COST_CALIB`. `run` reads two variables itself:
+//! configuration; the libraries it drives read none of it. `run`
+//! reads two variables:
 //!
 //! * `ESRAM_DIAG_THREADS` — the worker count (default: available
 //!   cores). The report bytes are identical at every count; the count
@@ -33,7 +33,7 @@
 //! Exit codes: 0 success, 1 spec/run failure (including any failed job
 //! in the report), 2 usage error.
 
-use esram_exec::{env, ShardPlan, CALIB_ENV, THREADS_ENV};
+use esram_exec::{env, ShardPlan, THREADS_ENV};
 use esram_spec::{execute_plan, summarize, Json, ScenarioSpec};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -43,9 +43,9 @@ use std::time::Instant;
 /// documentation for the precedence).
 const SPEC_OUT_ENV: &str = "ESRAM_SPEC_OUT";
 
-/// Every `ESRAM_*` variable a run reads: two here, one inside the
-/// libraries. A set variable outside this list draws a warning.
-const READ_VARIABLES: [&str; 3] = [THREADS_ENV, SPEC_OUT_ENV, CALIB_ENV];
+/// Every `ESRAM_*` variable a run reads. A set variable outside this
+/// list draws a warning.
+const READ_VARIABLES: [&str; 2] = [THREADS_ENV, SPEC_OUT_ENV];
 
 const USAGE: &str = "usage: esram <command> [args]
 

@@ -243,6 +243,7 @@ fn unread_esram_variables_warn_and_change_nothing() {
         ("ESRAM_DIAG_KERNEL", "permem"),
         ("ESRAM_FAULTSIM_KERNEL", "permem"),
         ("ESRAM_FAILPOINTS", "diag.segment:panic"),
+        ("ESRAM_COST_CALIB", "hand-tuned"),
     ] {
         let (output, report) = run_spec(
             "case_study_512x100.toml",

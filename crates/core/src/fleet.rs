@@ -17,22 +17,20 @@
 //!
 //! 1. **Plan** — each job's [`FastScheme`] plans its population once
 //!    ([`FastScheme::plan_population`]): schedule, delivered patterns,
-//!    Eq. (2) cycle accounting, kernel decision, calibration snapshot.
+//!    Eq. (2) cycle accounting, kernel decision.
 //!    Planning is controller work, independent of sharding.
 //! 2. **Build** — every `(job, member)` pair becomes one item of a
 //!    single [`ShardPlan::map_slots_isolated`] run, weighted by the
-//!    calibrated build cost of the member's cell count. A member's
-//!    defects are a pure function of `(job seed, member index,
-//!    geometry)`, so the batched build is bit-identical to each job
-//!    building alone.
+//!    member's cell count. A member's defects are a pure function of
+//!    `(job seed, member index, geometry)`, so the batched build is
+//!    bit-identical to each job building alone.
 //! 3. **Diagnose** — every memory of every job becomes one item of a
 //!    single [`try_run_segments`](ShardPlan::try_run_segments) run,
-//!    weighted by its job's calibrated
-//!    [`member_cost`](PopulationPlan::member_cost). A segment may span
-//!    jobs; the worker replays each job-contiguous chunk through that
-//!    job's [`PopulationPlan::run_segment`] and the outcomes are
-//!    demultiplexed back per job and merged ([`PopulationPlan::merge`])
-//!    in member order.
+//!    weighted by its job's [`member_cost`](PopulationPlan::member_cost).
+//!    A segment may span jobs; the worker replays each job-contiguous
+//!    chunk through that job's [`PopulationPlan::run_segment`] and the
+//!    outcomes are demultiplexed back per job and merged
+//!    ([`PopulationPlan::merge`]) in member order.
 //!
 //! Each phase has one implementation. [`FleetRunner::run`] chains the
 //! three; [`FleetRunner::plan`], [`FleetRunner::build`] and
@@ -45,8 +43,8 @@
 //! concatenates a job's segments in member order regardless of where
 //! segment boundaries fell — so each job's [`DiagnosisResult`] is
 //! byte-identical to what [`FastScheme::diagnose_with`] produces for
-//! that job alone, under any plan. Calibration (measured or hand-tuned) moves only
-//! the shard *boundaries*, never the results. The fleet determinism
+//! that job alone, under any plan. The per-item costs move only the
+//! shard *boundaries*, never the results. The fleet determinism
 //! suite asserts both properties across worker counts and kernels.
 //!
 //! # Fault domains
@@ -65,7 +63,7 @@
 use crate::soc::Soc;
 use crate::SocBuilder;
 use bisd::{DiagnosisResult, FastScheme, MemoryUnderDiagnosis, PopulationPlan, SegmentOutcome};
-use esram_exec::{failpoint, panic_payload, CostCalibration, CostDomain, ExecError, ItemFault, ShardPlan};
+use esram_exec::{failpoint, panic_payload, ExecError, ItemFault, ShardPlan};
 use fault_models::DefectProfile;
 use sram_model::{MemError, MemoryId, Sram};
 use std::fmt;
@@ -100,7 +98,7 @@ impl FleetJob {
 /// Everything the fleet computes *before* any memory is touched: each
 /// job's [`PopulationPlan`] (one per distinct scheme and member
 /// geometry list, shared by every job that has them) plus the flattened
-/// global work list with its calibrated per-item costs.
+/// global work list with its per-item costs.
 ///
 /// Built by [`FleetRunner::plan`]; the cost accessors let the
 /// throughput benchmark model the executor's critical path without
@@ -129,9 +127,9 @@ impl FleetPlan {
         self.members.iter().map(|&(job, _)| job).collect()
     }
 
-    /// Calibrated diagnosis cost of every flattened member, in global
-    /// item order — exactly the weights the diagnose phase hands the
-    /// executor's cost-balanced partition.
+    /// Diagnosis cost of every flattened member, in global item order —
+    /// exactly the weights the diagnose phase hands the executor's
+    /// cost-balanced partition.
     pub fn member_costs(&self) -> Vec<u64> {
         self.members
             .iter()
@@ -454,13 +452,9 @@ impl FleetRunner {
             .map(|fleet_job| fleet_job.builder.defect_profile())
             .collect();
         let members = members(jobs, errors);
-        let calibration = CostCalibration::current();
         let built = self.shard.map_slots_isolated(
             &members,
-            |_, &(job, member)| {
-                let cells = jobs[job].builder.member_configs()[member].cells();
-                calibration.cost(CostDomain::SocBuild, cells)
-            },
+            |_, &(job, member)| jobs[job].builder.member_configs()[member].cells(),
             || (),
             |_, _, &(job, member)| {
                 failpoint::fire("soc.build", &[("job", job as u64), ("member", member as u64)])

@@ -2,7 +2,7 @@
 
 use crate::score::DiagnosisScore;
 use bisd::{DiagnosisResult, MemoryUnderDiagnosis};
-use esram_exec::{CostCalibration, CostDomain, ShardPlan};
+use esram_exec::ShardPlan;
 use fault_models::{DefectProfile, FaultClass, FaultInjector};
 use sram_model::{MemConfig, MemError, MemoryId};
 use std::fmt;
@@ -137,7 +137,7 @@ impl SocBuilder {
     /// Builds the population under an explicit [`ShardPlan`].
     ///
     /// Defect injection runs on the deterministic executor, with each
-    /// memory weighted by the calibrated build cost of its cell count
+    /// memory weighted by its cell count (construction is cell-dominated)
     /// so heterogeneous populations (a few big e-SRAMs among many small
     /// buffers) split evenly under the cost-balanced partition. Memory
     /// `i` always draws from RNG stream `i` of the builder seed
@@ -154,10 +154,9 @@ impl SocBuilder {
             return Err(MemError::InvalidConfig { words: 0, width: 0 });
         }
         let profile = self.defect_profile();
-        let calibration = CostCalibration::current();
         let built: Vec<Result<MemoryUnderDiagnosis, MemError>> = plan.map_slots(
             &self.configs,
-            |_, config| calibration.cost(CostDomain::SocBuild, config.cells()),
+            |_, config| config.cells(),
             || (),
             |_, index, &config| self.build_member(&profile, index, config),
         );

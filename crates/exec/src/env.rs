@@ -3,9 +3,7 @@
 //!
 //! Libraries do not read the environment. An entry point (the CLI, a
 //! bench harness or a test) reads a variable itself and hands the raw
-//! value to the knob's parser; the one reader still inside a library
-//! ([`crate::calibrate::CALIB_ENV`]) does the same at its one read
-//! site.
+//! value to the knob's parser.
 //!
 //! Every knob follows one discipline: a value that is *unset* silently
 //! takes the default; a value that is *set but malformed* takes the

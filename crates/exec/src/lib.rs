@@ -14,7 +14,9 @@
 //!   balanced: callers supply a per-item cost closure and the chunk
 //!   boundaries are computed once from prefix sums ([`cost_ranges`]) —
 //!   the partition is a pure function of the item costs and the shard
-//!   count.
+//!   count. Each call site prices its own items (cells to build, rows
+//!   to sweep, a member's IO width); a price moves shard *boundaries*
+//!   only, never results.
 //!
 //! **Determinism argument.** The output order is the item order:
 //! contiguous chunks concatenate in chunk order. The only requirement
@@ -31,16 +33,11 @@
 //! surface failures as a structured [`ExecError`] / [`ItemFault`]
 //! taxonomy.
 //!
-//! Three supporting modules round out the crate:
+//! Two supporting modules round out the crate:
 //!
 //! * [`env`](mod@env) centralises the `ESRAM_*` knob parsing
 //!   (warn-once fallback on malformed values) so every knob shares one
 //!   discipline; it reads no variable itself.
-//! * [`calibrate`] prices work items: one committed [`CostCalibration`]
-//!   table maps each [`CostDomain`] (fault sim, diagnosis, SoC build)
-//!   to `fixed + unit · units` picosecond weights derived once from
-//!   benchmark timings. Calibration moves shard *boundaries* only —
-//!   results are byte-identical under any table.
 //! * [`failpoint`] deterministically injects panics/errors/delays at
 //!   named sites, armed only by a test's [`FailpointGuard`] (e.g.
 //!   `diag.segment@job=3:panic`) and zero-cost otherwise — the
@@ -49,15 +46,13 @@
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
-pub mod calibrate;
 pub mod env;
 pub mod error;
 pub mod executor;
 pub mod failpoint;
 pub mod plan;
 
-pub use calibrate::{CalibrationMode, CostCalibration, CostDomain, DomainWeights, CALIB_ENV};
 pub use env::EnvFallback;
 pub use error::{panic_payload, ExecError, ItemFault};
 pub use failpoint::{FailpointGuard, InjectedFailure};
-pub use plan::{cost_ranges, even_ranges, ShardPlan, ShardStrategy, THREADS_ENV};
+pub use plan::{cost_ranges, even_ranges, CalibrationMode, ShardPlan, ShardStrategy, THREADS_ENV};

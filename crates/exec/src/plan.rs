@@ -39,6 +39,22 @@ impl fmt::Display for ShardStrategy {
     }
 }
 
+/// The executor's one cost model: each call site prices its own work
+/// with committed constants. The type exists only because the benchmark
+/// in `perfbench/` still echoes [`CalibrationMode::from_env`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CalibrationMode {
+    /// The committed per-call-site costs.
+    Measured,
+}
+
+impl CalibrationMode {
+    /// Always [`CalibrationMode::Measured`]; reads no variable.
+    pub fn from_env() -> Self {
+        CalibrationMode::Measured
+    }
+}
+
 /// How a work list is split across worker threads.
 ///
 /// `threads == 1` is the sequential case: the executor runs the whole

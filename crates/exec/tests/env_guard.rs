@@ -5,7 +5,7 @@
 //! something else; this test turns that into a loud failure. CI runs
 //! it before the suites that inherit the knobs.
 
-use esram_exec::{CalibrationMode, ShardPlan, CALIB_ENV, THREADS_ENV};
+use esram_exec::{ShardPlan, THREADS_ENV};
 
 #[test]
 fn ambient_executor_knobs_are_well_formed() {
@@ -16,19 +16,4 @@ fn ambient_executor_knobs_are_well_formed() {
         "malformed executor knob in the environment: {fallback:?} \
          (the run would silently fall back to {plan})"
     );
-}
-
-#[test]
-fn ambient_calibration_knob_is_well_formed() {
-    // Same guard for the cost-calibration mode: a matrix entry naming a
-    // retired mode like `ESRAM_COST_CALIB=online` must fail this test
-    // loudly instead of silently running the measured default.
-    if let Ok(raw) = std::env::var(CALIB_ENV) {
-        assert!(
-            CalibrationMode::parse(&raw).is_some(),
-            "malformed {CALIB_ENV}='{raw}' in the environment \
-             (the run would silently fall back to {:?})",
-            CalibrationMode::default()
-        );
-    }
 }

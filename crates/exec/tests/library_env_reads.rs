@@ -1,19 +1,15 @@
 //! Libraries do not read the environment: configuration is built at an
 //! entry point and passed down. This test scans every crate's `src/`
 //! for `env::var` (which also catches `std::env::var_os` and
-//! `std::env::vars`) and fails on any hit outside the places allowed to
-//! read a variable:
-//!
-//! * `crates/cli` — the entry point;
-//! * `exec/src/calibrate.rs` — `ESRAM_COST_CALIB`, kept until the
-//!   benchmark stops printing `CalibrationMode::from_env`.
+//! `std::env::vars`) and fails on any hit outside `crates/cli`, the
+//! entry point.
 //!
 //! Bench harnesses (`crates/bench/benches`) and tests are entry points
 //! too, and are not scanned.
 
 use std::path::{Path, PathBuf};
 
-const ALLOWED: [&str; 2] = ["cli/", "exec/src/calibrate.rs"];
+const ALLOWED: [&str; 1] = ["cli/"];
 
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     for entry in std::fs::read_dir(dir).expect("readable source directory") {

@@ -67,10 +67,18 @@ use crate::engine::MarchRunner;
 use crate::kernel::FaultSimKernel;
 use crate::ops::{AddressOrder, MarchOp, MarchTest};
 use crate::schedule::{MarchSchedule, SchedulePatterns, SchedulePhase};
-use esram_exec::{CostCalibration, CostDomain, ShardPlan};
+use esram_exec::ShardPlan;
 use fault_models::{FaultList, MemoryFault};
 use sram_model::cell::CellCoord;
 use sram_model::{Address, LanePlanes, MemConfig, Sram};
+
+/// Setup cost of one fault-simulation work item, in picoseconds: the
+/// 1-thread ledger's per-fault mean at benchmark scale (512 × 100)
+/// minus one row's [`SWEEP_ROW_PS`].
+const SWEEP_FIXED_PS: u64 = 389_807;
+/// Cost of one row swept, in picoseconds: the ledger's heterogeneous
+/// universe sweep divided by its rows swept.
+const SWEEP_ROW_PS: u64 = 1_194_837;
 
 /// Outcome of simulating one fault instance against one programme.
 #[derive(Debug, Clone, PartialEq)]
@@ -439,10 +447,9 @@ impl FaultSimulator {
         prep: &UniversePrep<'_>,
         universe: &FaultList,
     ) -> Vec<FaultSimOutcome> {
-        let calibration = CostCalibration::current();
         plan.map_slots(
             universe.as_slice(),
-            |_, fault| calibration.cost(CostDomain::FaultSim, self.fault_cost(prep.golden_passed, fault)),
+            |_, fault| Self::sweep_cost(self.fault_cost(prep.golden_passed, fault)),
             || Sram::new(self.config),
             |sram, _, fault| self.simulate_fault_batched(sram, prep, fault),
         )
@@ -457,15 +464,9 @@ impl FaultSimulator {
         universe: &FaultList,
     ) -> Vec<FaultSimOutcome> {
         let lane_plan = self.lane_plan(prep.golden_passed, universe);
-        let calibration = CostCalibration::current();
         let item_outcomes = plan.map_slots(
             &lane_plan.work,
-            |_, &work| {
-                calibration.cost(
-                    CostDomain::FaultSim,
-                    self.work_cost(&lane_plan, prep.golden_passed, universe, work),
-                )
-            },
+            |_, &work| Self::sweep_cost(self.work_cost(&lane_plan, prep.golden_passed, universe, work)),
             || (Sram::new(self.config), LaneScratch::default()),
             |(sram, scratch), _, &work| match work {
                 LaneWork::Batch(batch) => {
@@ -484,10 +485,9 @@ impl FaultSimulator {
     /// sweep one row, coupling and decoder faults one or two; stuck-open
     /// faults — and every fault when the golden run failed
     /// (`golden_passed == false`) — sweep the whole address space. The
-    /// batched entry points price these row units through the active
-    /// [`CostCalibration`] (`FaultSim` domain) to steer the cost-weighted
-    /// partition; neither the units nor the calibration ever change
-    /// outcomes, only the partition.
+    /// batched entry points price these rows with `sweep_cost` to steer
+    /// the cost-weighted partition; the price never changes outcomes,
+    /// only the partition.
     fn fault_cost(&self, golden_passed: bool, fault: &MemoryFault) -> u64 {
         let full_sweep = self.config.words();
         if !golden_passed {
@@ -498,6 +498,11 @@ impl FaultSimulator {
             Some((_, Some(_))) => 2,
             None => full_sweep,
         }
+    }
+
+    /// Prices a run that sweeps `rows` rows, in picoseconds.
+    fn sweep_cost(rows: u64) -> u64 {
+        SWEEP_FIXED_PS + SWEEP_ROW_PS * rows
     }
 
     /// Coverage of a single-background March test over a fault universe,
@@ -871,6 +876,13 @@ mod tests {
             assert_eq!(sim.fault_cost(true, &fault), rows, "{fault}");
             assert_eq!(sim.fault_cost(false, &fault), config().words(), "{fault}");
         }
+    }
+
+    #[test]
+    fn a_full_sweep_costs_far_more_than_a_pruned_one() {
+        // A 512-row fault must still dwarf a single-row one, or the
+        // partition stops isolating full sweeps.
+        assert!(FaultSimulator::sweep_cost(512) > 20 * FaultSimulator::sweep_cost(1));
     }
 
     #[test]

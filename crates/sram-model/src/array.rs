@@ -63,11 +63,38 @@ pub struct Sram {
     overlay_rows: Vec<u64>,
     decoder: AddressDecoder,
     retention: RetentionModel,
-    /// Last value seen by the sense amplifiers; returned when a
-    /// no-access decoder fault leaves the bitlines floating.
+    /// Last value seen by the sense amplifiers; a stuck-open cell reads
+    /// its bit of it, because the cell cannot drive its bitline.
     last_sense: DataWord,
     /// Victim index: aggressor coordinate -> victims coupled to it.
+    /// Each victim is listed once, under its current aggressor only.
     coupling_index: BTreeMap<(u64, usize), Vec<CellCoord>>,
+}
+
+/// Moves `victim` in a coupling index from the aggressor of its
+/// `previous` fault to that of its new `fault`, where each is a coupling
+/// fault; an aggressor left without victims drops out of the index.
+pub(crate) fn relist_victim(
+    index: &mut BTreeMap<(u64, usize), Vec<CellCoord>>,
+    victim: CellCoord,
+    previous: Option<CellFault>,
+    fault: CellFault,
+) {
+    if let Some(CellFault::Coupling { aggressor, .. }) = previous {
+        let key = (aggressor.address.index(), aggressor.bit);
+        if let Some(victims) = index.get_mut(&key) {
+            victims.retain(|&listed| listed != victim);
+            if victims.is_empty() {
+                index.remove(&key);
+            }
+        }
+    }
+    if let CellFault::Coupling { aggressor, .. } = fault {
+        index
+            .entry((aggressor.address.index(), aggressor.bit))
+            .or_default()
+            .push(victim);
+    }
 }
 
 /// The state of a memory that a walk of some of its rows reads and
@@ -167,12 +194,10 @@ impl Sram {
         self.check_coord(coord)?;
         if let CellFault::Coupling { aggressor, .. } = fault {
             self.check_coord(aggressor)?;
-            self.coupling_index
-                .entry((aggressor.address.index(), aggressor.bit))
-                .or_default()
-                .push(coord);
         }
         let key = (coord.address.index(), coord.bit);
+        let previous = self.overlay.get(&key).and_then(Cell::fault);
+        relist_victim(&mut self.coupling_index, coord, previous, fault);
         let current = self.planes.bit(key.0, key.1);
         let cell = self.overlay.entry(key).or_insert_with(|| {
             let mut cell = Cell::new();

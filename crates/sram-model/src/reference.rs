@@ -17,6 +17,7 @@
 //! behaviour, fix both (the equivalence property test will catch a
 //! one-sided change).
 
+use crate::array::relist_victim;
 use crate::cell::{Cell, CellCoord, CellFault, CouplingKind};
 use crate::config::{Address, MemConfig};
 use crate::decoder::{AddressDecoder, DecoderFault};
@@ -86,12 +87,9 @@ impl ReferenceSram {
         self.check_coord(coord)?;
         if let CellFault::Coupling { aggressor, .. } = fault {
             self.check_coord(aggressor)?;
-            self.coupling_index
-                .entry((aggressor.address.index(), aggressor.bit))
-                .or_default()
-                .push(coord);
         }
         let index = self.cell_index(coord);
+        relist_victim(&mut self.coupling_index, coord, self.cells[index].fault(), fault);
         self.cells[index].set_fault(fault);
         Ok(())
     }
