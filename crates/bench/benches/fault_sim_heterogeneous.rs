@@ -13,15 +13,19 @@
 //! of the most loaded worker under a modeled `MODEL_WORKERS`-worker
 //! partition, obtained by *executing* exactly that worker's fault share
 //! sequentially. The partitions come from the same pure functions the
-//! executor uses ([`even_ranges`], [`cost_ranges`]), fed by the row
-//! units the simulator prices each fault with ([`rows_swept`]), so the
-//! measured entries are the per-partition parallel wall-clock a
-//! `MODEL_WORKERS`-core machine would see:
+//! executor uses ([`even_ranges`], [`cost_ranges`]), but they are a
+//! model of the executor's, not its own: they partition the raw
+//! [`rows_swept`] of each fault of the uncollapsed universe, while the
+//! executor under the default lane kernel partitions lane batches and
+//! per-fault singles over the collapsed universe (one representative per
+//! equivalent single-cell fault), priced by `sweep_cost`. The measured
+//! entries are the wall-clock of each modeled partition's bottleneck
+//! share, which the simulator runs through its full pipeline:
 //!
 //! * `critical_path_even_8w` — equal-count chunks (the pre-executor
 //!   partition): the tail chunk holds every full-sweep fault.
 //! * `critical_path_cost_8w` — cost-weighted chunk boundaries from
-//!   prefix sums of the per-fault cost, as the executor runs them.
+//!   prefix sums of each fault's raw row count.
 //! * `whole_universe_sequential` — the total work, for reference (the
 //!   ideal critical path is total/8).
 //!
@@ -78,7 +82,8 @@ fn heterogeneous_universe(config: MemConfig) -> FaultList {
 
 /// Rows one fault's sweep visits after a passing golden run: its one or
 /// two deviation rows, or the whole address space for a fault without
-/// any (stuck-open). The simulator prices its shards in these units.
+/// any (stuck-open). The bench partitions faults in these units; the
+/// simulator prices its own work items with `sweep_cost` of their rows.
 fn rows_swept(config: MemConfig, fault: &MemoryFault) -> u64 {
     match fault.deviation_rows() {
         Some((_, None)) => 1,

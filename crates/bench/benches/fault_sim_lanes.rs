@@ -4,14 +4,15 @@
 //! Comparator roles:
 //!
 //! * `*_lanes` — the current library path: [`FaultSimKernel::Lanes`],
-//!   which packs up to 64 compatible faults into the bit lanes of a
+//!   which simulates one representative per equivalent single-cell
+//!   fault, packs up to 64 compatible faults into the bit lanes of a
 //!   `u64` and replays each march schedule once per batch over the
 //!   union of the batch's pruned rows.
 //! * `*_permem` — the earlier architecture, kept as the
 //!   [`FaultSimKernel::PerMemory`] kernel: one pruned `Sram` replay per
 //!   fault. This is the equivalence oracle, not a strawman — identical
-//!   sharding, pruning and golden-run gating, differing only in the
-//!   kernel.
+//!   sharding, pruning and golden-run gating, differing in the kernel
+//!   and in simulating every fault rather than representatives.
 //!
 //! Both kernels must agree on detections (asserted before timing); the
 //! committed ledger pair records the speedup (acceptance bar: >= 4x at
@@ -46,9 +47,10 @@ fn kernel_sim(config: MemConfig, kernel: FaultSimKernel) -> FaultSimulator {
 /// The benchmark-scale workload: the leading slice of the exhaustive
 /// stuck-at universe at the paper's 512 × 100 geometry. This is the
 /// shape the Sec. 4.1 coverage evaluation simulates — row-major, 200
-/// faults per row — so consecutive 64-lane batches collapse onto one or
-/// two distinct rows and the per-memory kernel's per-fault reset and
-/// replay are amortised 64 ways.
+/// faults per row. The lane kernel simulates only 400 representatives
+/// (two values × two row phases × 100 bits) in seven lane batches and
+/// expands their verdicts to the other faults, while the per-memory
+/// kernel resets and replays a memory per fault.
 fn coverage_slice(config: MemConfig, count: usize) -> FaultList {
     FaultUniverse::new(config)
         .stuck_at()

@@ -72,42 +72,51 @@ impl DataBackground {
         (0..count).map(DataBackground::Binary).collect()
     }
 
-    /// Precomputes the four patterns this background can produce for a
+    /// Precomputes the patterns this background can produce for a
     /// given width, so hot simulation loops can borrow them instead of
     /// rebuilding a [`DataWord`] bit by bit on every operation.
     ///
-    /// Every background modelled by this crate depends on the row only
-    /// through its parity (checkerboard and row-stripe alternate per
-    /// row; solid, column-stripe and binary backgrounds are
-    /// row-independent), so `(value, row & 1)` fully indexes the
-    /// pattern. A future row-dependent background must extend
-    /// [`BackgroundPatterns`] accordingly.
+    /// Every background modelled by this crate repeats every
+    /// [`BackgroundPatterns::ROW_PERIOD`] rows (checkerboard and
+    /// row-stripe alternate per row; solid, column-stripe and binary
+    /// backgrounds are row-independent), so `(value, row phase)` fully
+    /// indexes the pattern. A background with a longer period must
+    /// raise that constant.
     pub fn patterns(&self, width: usize) -> BackgroundPatterns {
+        let row_patterns = |value| std::array::from_fn(|phase| self.pattern_for(value, width, phase as u64));
         BackgroundPatterns {
-            patterns: [
-                [
-                    self.pattern_for(false, width, 0),
-                    self.pattern_for(false, width, 1),
-                ],
-                [self.pattern_for(true, width, 0), self.pattern_for(true, width, 1)],
-            ],
+            patterns: [row_patterns(false), row_patterns(true)],
         }
     }
 }
 
 /// The patterns of one [`DataBackground`] at one width, precomputed per
-/// logical value and row parity (see [`DataBackground::patterns`]).
+/// logical value and row phase (see [`DataBackground::patterns`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BackgroundPatterns {
-    /// `patterns[value][row & 1]`.
-    patterns: [[DataWord; 2]; 2],
+    /// `patterns[value][row phase]`.
+    patterns: [[DataWord; BackgroundPatterns::ROW_PERIOD as usize]; 2],
 }
 
 impl BackgroundPatterns {
+    /// Rows whose indices agree modulo this period receive the same
+    /// pattern from every [`DataBackground`]. On a fault-free memory such
+    /// rows therefore see identical reads and writes under any March
+    /// schedule, which is what lets the fault simulator run its golden
+    /// check on one period of rows and merge single-cell faults that
+    /// differ only in their row's index beyond its phase.
+    pub const ROW_PERIOD: u64 = 2;
+
+    /// The phase of `row` within [`BackgroundPatterns::ROW_PERIOD`]: the
+    /// only thing about a row its patterns depend on.
+    pub fn row_phase(row: u64) -> usize {
+        (row % Self::ROW_PERIOD) as usize
+    }
+
     /// The pattern a March operation of logical value `value` uses at
     /// `row` (borrow — no allocation).
     pub fn word(&self, value: bool, row: u64) -> &DataWord {
-        &self.patterns[usize::from(value)][(row & 1) as usize]
+        &self.patterns[usize::from(value)][Self::row_phase(row)]
     }
 }
 

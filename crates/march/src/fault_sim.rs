@@ -10,8 +10,8 @@
 //! fault classes, and only the NWRTM-merged variant reaches
 //! data-retention faults.
 //!
-//! Whole-universe simulation is *batched*, *pruned*, *lane-parallel*
-//! and *sharded*:
+//! Whole-universe simulation is *batched*, *pruned*, *collapsed*,
+//! *lane-parallel* and *sharded*:
 //!
 //! * **Batched** — one reusable packed memory is `reset` and
 //!   re-injected per fault, the schedule's pattern words are built once
@@ -35,7 +35,24 @@
 //!   by other rows) and schedules whose golden run fails take the full
 //!   sweep, so outcomes are observationally identical either way —
 //!   which the one-off [`FaultSimulator::simulate_fault_schedule`]
-//!   oracle and the sharded-determinism suite assert.
+//!   oracle and the sharded-determinism suite assert. The golden run
+//!   itself sweeps one [`BackgroundPatterns::ROW_PERIOD`] of rows: a
+//!   pristine memory's rows evolve independently and rows of one phase
+//!   receive the same patterns, so the other rows repeat its verdict.
+//! * **Collapsed** — under the lane kernel, after a passing golden run,
+//!   a single-cell lane-expressible fault (stuck-at, transition,
+//!   read-disturb, retention) has an outcome that depends only on its
+//!   [`CellFault`], its bit and the pattern sequence its row receives.
+//!   Every row gets the same element operations, pauses are global,
+//!   the other rows are fault-free, and a row's patterns depend on it
+//!   only through its phase ([`BackgroundPatterns::row_phase`]). So
+//!   its sites are always `[]` or its own cell. The universe is
+//!   collapsed to one representative per `(cell fault, row phase,
+//!   bit)` before batching, only the representatives are simulated,
+//!   and each fault takes its representative's verdict with the site
+//!   rewritten to its own cell. The 32 768-fault benchmark stuck-at
+//!   slice simulates 400 faults. The per-memory oracle kernel never
+//!   collapses.
 //! * **Lane-parallel** — under the default [`FaultSimKernel::Lanes`]
 //!   kernel, up to 64 compatible faults share one schedule replay: each
 //!   fault becomes a bit lane of a [`LanePlanes`] memory and the
@@ -47,9 +64,10 @@
 //!   aggressor stays broadcast); stuck-open, decoder and failing-golden
 //!   faults fall back to the per-fault path, which
 //!   [`FaultSimKernel::PerMemory`] retains wholesale as the equivalence
-//!   oracle ([`FaultSimulator::with_kernel`]). Outcomes are unpacked
+//!   oracle ([`FaultSimulator::with_kernel`]). Outcomes are expanded
 //!   back into exact universe order, so the kernels are byte-identical — the
-//!   `lane_kernel_equivalence` suite proves it per fault class.
+//!   `lane_kernel_equivalence` suite proves it per fault class and on
+//!   random programmes, backgrounds and same-class universes.
 //! * **Sharded** — the universe runs on the deterministic executor
 //!   ([`ShardPlan::map_slots`]): the shardable items are the lane
 //!   batches plus the per-fault singles (or every fault alone under
@@ -61,7 +79,7 @@
 //!   exact universe order at every worker count; per-shard
 //!   [`CoverageReport`]s fold associatively.
 
-use crate::background::DataBackground;
+use crate::background::{BackgroundPatterns, DataBackground};
 use crate::coverage::CoverageReport;
 use crate::engine::MarchRunner;
 use crate::kernel::FaultSimKernel;
@@ -70,7 +88,7 @@ use crate::schedule::{MarchSchedule, SchedulePatterns, SchedulePhase};
 use esram_exec::ShardPlan;
 use fault_models::{FaultList, MemoryFault};
 use sram_model::cell::CellCoord;
-use sram_model::{Address, LanePlanes, MemConfig, Sram};
+use sram_model::{Address, CellFault, CellNode, LanePlanes, MemConfig, Sram};
 
 /// Setup cost of one fault-simulation work item, in picoseconds: the
 /// 1-thread ledger's per-fault mean at benchmark scale (512 × 100)
@@ -195,18 +213,30 @@ impl FaultSimulator {
     }
 
     /// Builds the per-universe shared state: the precomputed pattern
-    /// words and the golden fault-free run that gates pruning.
+    /// words and the golden fault-free verdict that gates pruning.
     fn prepare<'a>(&self, schedule: &'a MarchSchedule) -> UniversePrep<'a> {
         let patterns = SchedulePatterns::new(schedule, self.config.width());
-        let mut pristine = Sram::new(self.config);
-        let golden = MarchRunner::new()
-            .run_schedule_with(&mut pristine, schedule, &patterns)
-            .expect("march programme must match the simulator geometry");
+        let golden_passed = self.golden_passes(schedule, &patterns);
         UniversePrep {
             schedule,
             patterns,
-            golden_passed: golden.passed(),
+            golden_passed,
         }
+    }
+
+    /// The golden verdict: whether a pristine memory passes the
+    /// schedule. Its rows evolve independently and rows of one phase
+    /// receive the same patterns, so sweeping the first
+    /// [`BackgroundPatterns::ROW_PERIOD`] rows gives the whole memory's
+    /// verdict.
+    fn golden_passes(&self, schedule: &MarchSchedule, patterns: &SchedulePatterns) -> bool {
+        let rows: Vec<Address> = (0..BackgroundPatterns::ROW_PERIOD.min(self.config.words()))
+            .map(Address::new)
+            .collect();
+        MarchRunner::new()
+            .run_schedule_rows(&mut Sram::new(self.config), schedule, patterns, &rows)
+            .expect("march programme must match the simulator geometry")
+            .passed()
     }
 
     /// Simulates one fault on a reusable memory: resets it to the
@@ -257,8 +287,7 @@ impl FaultSimulator {
     /// The work list orders batches first (construction order), then
     /// singles in universe order; the scatter back into universe-order
     /// slots makes the partition order unobservable in the output.
-    fn lane_plan(&self, golden_passed: bool, universe: &FaultList) -> LanePlan {
-        let faults = universe.as_slice();
+    fn lane_plan(&self, golden_passed: bool, faults: &[MemoryFault]) -> LanePlan {
         if self.kernel == FaultSimKernel::PerMemory || !golden_passed {
             return LanePlan {
                 batches: Vec::new(),
@@ -341,7 +370,7 @@ impl FaultSimulator {
     fn simulate_lane_batch(
         &self,
         prep: &UniversePrep<'_>,
-        universe: &FaultList,
+        faults: &[MemoryFault],
         batch: &LaneBatch,
         scratch: &mut LaneScratch,
     ) -> Vec<FaultSimOutcome> {
@@ -353,7 +382,7 @@ impl FaultSimulator {
             _ => LanePlanes::new(self.config),
         };
         for (lane, &index) in batch.lanes.iter().enumerate() {
-            match &universe.as_slice()[index] {
+            match &faults[index] {
                 MemoryFault::Cell { coord, fault } => planes.add_lane_fault(lane, *coord, fault),
                 MemoryFault::Decoder(_) => unreachable!("batcher routes decoder faults to singles"),
             }
@@ -372,7 +401,7 @@ impl FaultSimulator {
             .lanes
             .iter()
             .zip(lane_sites)
-            .map(|(&index, sites)| self.classify(&universe.as_slice()[index], sites))
+            .map(|(&index, sites)| self.classify(&faults[index], sites))
             .collect()
     }
 
@@ -383,12 +412,12 @@ impl FaultSimulator {
         &self,
         lane_plan: &LanePlan,
         golden_passed: bool,
-        universe: &FaultList,
+        faults: &[MemoryFault],
         work: LaneWork,
     ) -> u64 {
         match work {
             LaneWork::Batch(batch) => lane_plan.batches[batch].rows.len() as u64,
-            LaneWork::Single(index) => self.fault_cost(golden_passed, &universe.as_slice()[index]),
+            LaneWork::Single(index) => self.fault_cost(golden_passed, &faults[index]),
         }
     }
 
@@ -420,9 +449,10 @@ impl FaultSimulator {
     /// The universe runs on the deterministic executor. Under the
     /// per-memory kernel every fault is its own work item; under the
     /// lane kernel the work items are the batcher's lane batches plus
-    /// the fallback singles, and batch outcomes are scattered back into
-    /// universe-order slots. Either way the result is byte-identical to
-    /// the sequential (1-thread) run for every kernel and worker count.
+    /// the fallback singles over the collapsed universe, and their
+    /// outcomes are expanded back into universe order. Either way the
+    /// result is byte-identical to the sequential (1-thread) run for
+    /// every kernel and worker count.
     /// The cost-balanced partition is steered by the rows each item's
     /// (possibly pruned) replay will actually sweep: a fault's pruned
     /// row count, or a batch's union row count.
@@ -455,29 +485,39 @@ impl FaultSimulator {
         )
     }
 
-    /// The lane kernel's universe run: shard the batcher's work items,
-    /// then scatter batch outcomes back into exact universe order.
+    /// The lane kernel's universe run: collapse the universe after a
+    /// passing golden run, shard the batcher's work items over the
+    /// simulated faults, then expand their outcomes into exact universe
+    /// order.
     fn simulate_universe_lanes(
         &self,
         plan: ShardPlan,
         prep: &UniversePrep<'_>,
         universe: &FaultList,
     ) -> Vec<FaultSimOutcome> {
-        let lane_plan = self.lane_plan(prep.golden_passed, universe);
+        let collapsed = prep
+            .golden_passed
+            .then(|| Collapsed::new(self.config, universe.as_slice()));
+        let faults = collapsed
+            .as_ref()
+            .map_or(universe.as_slice(), |collapsed| &collapsed.faults[..]);
+        let lane_plan = self.lane_plan(prep.golden_passed, faults);
         let item_outcomes = plan.map_slots(
             &lane_plan.work,
-            |_, &work| Self::sweep_cost(self.work_cost(&lane_plan, prep.golden_passed, universe, work)),
+            |_, &work| Self::sweep_cost(self.work_cost(&lane_plan, prep.golden_passed, faults, work)),
             || (Sram::new(self.config), LaneScratch::default()),
             |(sram, scratch), _, &work| match work {
                 LaneWork::Batch(batch) => {
-                    self.simulate_lane_batch(prep, universe, &lane_plan.batches[batch], scratch)
+                    self.simulate_lane_batch(prep, faults, &lane_plan.batches[batch], scratch)
                 }
-                LaneWork::Single(index) => {
-                    vec![self.simulate_fault_batched(sram, prep, &universe.as_slice()[index])]
-                }
+                LaneWork::Single(index) => vec![self.simulate_fault_batched(sram, prep, &faults[index])],
             },
         );
-        scatter_lane_outcomes(&lane_plan, universe.len(), item_outcomes)
+        let outcomes = scatter_lane_outcomes(&lane_plan, faults.len(), item_outcomes);
+        match collapsed {
+            Some(collapsed) => collapsed.expand(self, universe.as_slice(), outcomes),
+            None => outcomes,
+        }
     }
 
     /// Physical size of one fault's run: the number of rows its
@@ -550,9 +590,119 @@ impl FaultSimulator {
     }
 }
 
+/// A universe with its equivalent single-cell faults merged (see the
+/// module docs' "Collapsed"): the faults to simulate, and for each
+/// universe fault the simulated fault whose outcome it takes.
+#[derive(Debug)]
+struct Collapsed {
+    /// The geometry the keys were computed for.
+    config: MemConfig,
+    /// The first fault of each collapse key, and every fault without a
+    /// key as itself, in universe order.
+    faults: Vec<MemoryFault>,
+    /// `source[i]` is the index in `faults` of the fault whose outcome
+    /// universe fault `i` takes.
+    source: Vec<usize>,
+}
+
+impl Collapsed {
+    /// Collapses `universe` on a `config` memory in one pass over a
+    /// dense key table.
+    fn new(config: MemConfig, universe: &[MemoryFault]) -> Self {
+        let mut table: Vec<Option<usize>> =
+            vec![None; COLLAPSE_CLASSES * BackgroundPatterns::ROW_PERIOD as usize * config.width()];
+        let mut faults = Vec::new();
+        let mut push = |fault: &MemoryFault| {
+            faults.push(*fault);
+            faults.len() - 1
+        };
+        let source = universe
+            .iter()
+            .map(|fault| match collapse_key(config, fault) {
+                Some(key) => *table[key].get_or_insert_with(|| push(fault)),
+                None => push(fault),
+            })
+            .collect();
+        Collapsed {
+            config,
+            faults,
+            source,
+        }
+    }
+
+    /// Expands the outcomes of [`Collapsed::faults`] (parallel to it)
+    /// into universe order: a merged fault takes its representative's
+    /// verdict with the site rewritten to its own cell; any other fault
+    /// takes its own outcome.
+    fn expand(
+        &self,
+        simulator: &FaultSimulator,
+        universe: &[MemoryFault],
+        outcomes: Vec<FaultSimOutcome>,
+    ) -> Vec<FaultSimOutcome> {
+        let mut outcomes: Vec<Option<FaultSimOutcome>> = outcomes.into_iter().map(Some).collect();
+        universe
+            .iter()
+            .zip(&self.source)
+            .map(|(fault, &source)| match fault {
+                MemoryFault::Cell { coord, .. } if collapse_key(self.config, fault).is_some() => {
+                    let representative = outcomes[source]
+                        .as_ref()
+                        .expect("a representative's outcome is never moved out");
+                    debug_assert!(
+                        representative.sites.len() <= 1 && representative.located == representative.detected,
+                        "a single-cell fault can fail only on its own cell"
+                    );
+                    let sites = if representative.detected {
+                        vec![*coord]
+                    } else {
+                        Vec::new()
+                    };
+                    simulator.classify(fault, sites)
+                }
+                _ => outcomes[source]
+                    .take()
+                    .expect("a fault without a collapse key is its own representative"),
+            })
+            .collect()
+    }
+}
+
+/// Number of [`CellFault`]s [`collapse_key`] merges.
+const COLLAPSE_CLASSES: usize = 9;
+
+/// A fault's index in [`Collapsed`]'s dense key table — its `(cell
+/// fault, row phase, bit)` — or `None` for a fault the collapse keeps
+/// as itself: decoder, coupling and stuck-open faults, whose outcomes
+/// depend on other rows, and cells outside the geometry, which must
+/// still be injected to be rejected.
+fn collapse_key(config: MemConfig, fault: &MemoryFault) -> Option<usize> {
+    let MemoryFault::Cell { coord, fault } = fault else {
+        return None;
+    };
+    if coord.address.index() >= config.words() || coord.bit >= config.width() {
+        return None;
+    }
+    let class = match fault {
+        CellFault::StuckAt(false) => 0,
+        CellFault::StuckAt(true) => 1,
+        CellFault::TransitionUp => 2,
+        CellFault::TransitionDown => 3,
+        CellFault::ReadDestructive => 4,
+        CellFault::DeceptiveReadDestructive => 5,
+        CellFault::IncorrectRead => 6,
+        CellFault::DataRetention { node: CellNode::A } => 7,
+        CellFault::DataRetention { node: CellNode::B } => 8,
+        _ => return None,
+    };
+    let phase = BackgroundPatterns::row_phase(coord.address.index());
+    Some((class * BackgroundPatterns::ROW_PERIOD as usize + phase) * config.width() + coord.bit)
+}
+
 /// Scatters per-item outcome vectors (one per [`LanePlan`] work item,
-/// in work order) back into exact universe order. Panics if the plan
-/// does not cover every fault exactly once — a batcher invariant.
+/// in work order) back into the order of the faults the plan was built
+/// over. Panics if the plan does not cover every fault exactly once — a
+/// batcher invariant.
 fn scatter_lane_outcomes(
     lane_plan: &LanePlan,
     universe_len: usize,
@@ -824,7 +974,7 @@ mod tests {
     fn lane_plan_batches_singles_and_coupling_per_the_rules() {
         let sim = FaultSimulator::new(config()).with_kernel(FaultSimKernel::Lanes);
         let universe = universe().date2005_full();
-        let lane_plan = sim.lane_plan(true, &universe);
+        let lane_plan = sim.lane_plan(true, universe.as_slice());
         // Every fault is covered exactly once across batches + singles.
         let mut covered = vec![0usize; universe.len()];
         for work in &lane_plan.work {
@@ -855,7 +1005,7 @@ mod tests {
             }
         }
         // A failing golden run forces everything to singles.
-        let unpruned = sim.lane_plan(false, &universe);
+        let unpruned = sim.lane_plan(false, universe.as_slice());
         assert!(unpruned.batches.is_empty());
         assert_eq!(unpruned.work.len(), universe.len());
     }
@@ -879,6 +1029,102 @@ mod tests {
     }
 
     #[test]
+    fn golden_verdict_over_one_row_period_equals_the_full_sweep() {
+        use crate::ops::MarchElement;
+        let backgrounds = [
+            DataBackground::Solid,
+            DataBackground::Checkerboard,
+            DataBackground::ColumnStripe,
+            DataBackground::RowStripe,
+            DataBackground::Binary(0),
+            DataBackground::Binary(1),
+            DataBackground::Binary(2),
+        ];
+        let single_element = |name: &str, ops: Vec<MarchOp>| {
+            MarchTest::new(name, vec![MarchElement::new(AddressOrder::Either, ops)])
+        };
+        let tests = [
+            algorithms::mats_plus(),
+            algorithms::march_c_minus(),
+            algorithms::diag_rs_march_m1(),
+            algorithms::diag_rs_march_base(),
+            algorithms::with_nwrtm(&algorithms::march_c_minus()),
+            algorithms::with_retention_pauses(&algorithms::march_c_minus(), 100),
+            // Fails on every row: reads 1 before any write.
+            single_element(
+                "read-before-write",
+                vec![MarchOp::Read(true), MarchOp::Write(true)],
+            ),
+            // Passes on even rows only under row-phase backgrounds,
+            // which a one-row golden run would miss.
+            single_element("read-reset-contents", vec![MarchOp::Read(false)]),
+        ];
+        let mut verdicts = [0usize; 2];
+        for (words, width) in [(1, 4), (2, 4), (5, 4), (7, 1)] {
+            let sim = FaultSimulator::new(MemConfig::new(words, width).unwrap());
+            let mut schedules = vec![algorithms::march_cw(width)];
+            for background in backgrounds {
+                schedules.extend(
+                    tests
+                        .iter()
+                        .map(|test| MarchSchedule::single(test.clone(), background)),
+                );
+            }
+            for schedule in &schedules {
+                let patterns = SchedulePatterns::new(schedule, width);
+                let full = MarchRunner::new()
+                    .run_schedule_with(&mut Sram::new(sim.config()), schedule, &patterns)
+                    .unwrap()
+                    .passed();
+                assert_eq!(
+                    sim.golden_passes(schedule, &patterns),
+                    full,
+                    "{schedule} at {words}x{width}"
+                );
+                verdicts[usize::from(full)] += 1;
+            }
+        }
+        // Both verdicts occur, so the check is not vacuous.
+        assert!(verdicts.iter().all(|&count| count > 0), "{verdicts:?}");
+    }
+
+    #[test]
+    fn benchmark_stuck_at_slice_collapses_to_400_representatives() {
+        // The 32 768-fault leading slice of the 512 x 100 stuck-at
+        // universe: two values x two row phases x 100 bits.
+        let config = MemConfig::new(512, 100).unwrap();
+        let slice: Vec<MemoryFault> = FaultUniverse::new(config)
+            .stuck_at()
+            .iter()
+            .take(32_768)
+            .copied()
+            .collect();
+        let collapsed = Collapsed::new(config, &slice);
+        assert_eq!(collapsed.faults.len(), 400);
+        assert_eq!(collapsed.source.len(), slice.len());
+        for (fault, &source) in slice.iter().zip(&collapsed.source) {
+            assert_eq!(
+                collapse_key(config, fault),
+                collapse_key(config, &collapsed.faults[source])
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside")]
+    fn a_fault_outside_the_geometry_is_injected_and_rejected_not_collapsed() {
+        // Bit 4 of a 4-bit row would share row 1's bit-0 key in the dense
+        // table; it must reach injection and fail there instead.
+        let sim = FaultSimulator::new(config()).with_kernel(FaultSimKernel::Lanes);
+        let site = |row, bit| CellCoord::new(Address::new(row), bit);
+        let universe: FaultList = [site(1, 0), site(0, 4)]
+            .into_iter()
+            .map(MemoryFault::stuck_at_0)
+            .collect();
+        sim.simulate_universe_with(ShardPlan::sequential(), &algorithms::march_cw(4), &universe);
+    }
+
+    #[test]
     fn a_full_sweep_costs_far_more_than_a_pruned_one() {
         // A 512-row fault must still dwarf a single-row one, or the
         // partition stops isolating full sweeps.
@@ -889,7 +1135,7 @@ mod tests {
     fn coupling_batches_have_pairwise_disjoint_row_sets() {
         let sim = FaultSimulator::new(config()).with_kernel(FaultSimKernel::Lanes);
         let coupling = universe().coupling();
-        let lane_plan = sim.lane_plan(true, &coupling);
+        let lane_plan = sim.lane_plan(true, coupling.as_slice());
         for batch in &lane_plan.batches {
             let mut seen_rows = Vec::new();
             for &index in &batch.lanes {

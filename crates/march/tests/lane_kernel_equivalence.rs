@@ -13,13 +13,22 @@
 //! * universes larger than 64 lane-eligible faults (forcing multiple
 //!   batches), faults sharing rows inside one batch, and coupling
 //!   faults whose shared aggressor rows force batch splits all agree
-//!   with the per-fault oracle.
+//!   with the per-fault oracle;
+//! * random short programmes (incomplete ones, pauses and NWRC writes
+//!   included) under random backgrounds, over universes that put one
+//!   single-cell fault class on one bit of many rows, agree with the
+//!   oracle at several worker counts — the check that the lane kernel's
+//!   collapse of equivalent single-cell faults keys on both the row
+//!   phase and the bit.
 
 use fault_models::{FaultList, FaultUniverse, MemoryFault};
-use march::{algorithms, FaultSimKernel, FaultSimulator, MarchSchedule, ShardPlan};
+use march::{
+    algorithms, AddressOrder, DataBackground, FaultSimKernel, FaultSimulator, MarchElement, MarchOp,
+    MarchSchedule, MarchTest, SchedulePhase, ShardPlan,
+};
 use proptest::prelude::*;
 use sram_model::cell::CellCoord;
-use sram_model::{Address, CellFault, CouplingKind, MemConfig};
+use sram_model::{Address, CellFault, CellNode, CouplingKind, MemConfig};
 
 /// The widths the suite sweeps: one under, at and over the `u64` limb
 /// boundary, plus the DATE 2005 benchmark IO width.
@@ -208,7 +217,6 @@ fn failing_golden_runs_fall_back_identically() {
     // A programme whose golden run fails disables lane batching
     // entirely (the batcher sends everything down the per-fault path);
     // both kernels must return the same full-sweep outcomes.
-    use march::{AddressOrder, DataBackground, MarchElement, MarchOp, MarchTest};
     let pathological = MarchTest::new(
         "read-before-write",
         vec![MarchElement::new(
@@ -222,6 +230,79 @@ fn failing_golden_runs_fall_back_identically() {
     let fast = lanes(config).simulate_universe(&schedule, &universe);
     let oracle = permem(config).simulate_universe(&schedule, &universe);
     assert_eq!(fast, oracle);
+}
+
+/// Every single-cell fault the lane kernel may simulate by
+/// representative.
+const SINGLE_CELL_FAULTS: [CellFault; 9] = [
+    CellFault::StuckAt(false),
+    CellFault::StuckAt(true),
+    CellFault::TransitionUp,
+    CellFault::TransitionDown,
+    CellFault::ReadDestructive,
+    CellFault::DeceptiveReadDestructive,
+    CellFault::IncorrectRead,
+    CellFault::DataRetention { node: CellNode::A },
+    CellFault::DataRetention { node: CellNode::B },
+];
+
+/// Decodes random genes into a short March test. The first gene decides
+/// whether the test opens with an initialising `⇕(w0)`; without it,
+/// reads see the reset contents (an incomplete test). Each further gene
+/// is one element: an address order and one to three operations drawn
+/// from reads of the value the cells hold, reads of its complement,
+/// writes, NWRC writes and 100 ms retention pauses. Most reads expect
+/// what the cells hold, so most programmes pass on a fault-free memory
+/// and the collapse is exercised.
+fn random_test(genes: &[u64]) -> MarchTest {
+    let mut elements = Vec::new();
+    let mut held = None;
+    if !genes[0].is_multiple_of(4) {
+        elements.push(MarchElement::new(
+            AddressOrder::Either,
+            vec![MarchOp::Write(false)],
+        ));
+        held = Some(false);
+    }
+    for &gene in &genes[1..] {
+        let order = [
+            AddressOrder::Ascending,
+            AddressOrder::Descending,
+            AddressOrder::Either,
+        ][(gene % 3) as usize];
+        let mut codes = gene / 9;
+        let mut ops = Vec::new();
+        for _ in 0..=(gene / 3) % 3 {
+            let value = held.unwrap_or(false);
+            let op = match codes % 8 {
+                0..=2 => MarchOp::Read(value),
+                3 => MarchOp::Read(!value),
+                4 => MarchOp::Write(false),
+                5 => MarchOp::Write(true),
+                6 => MarchOp::NwrcWrite(!value),
+                _ => MarchOp::Pause(100),
+            };
+            if let MarchOp::Write(written) | MarchOp::NwrcWrite(written) = op {
+                held = Some(written);
+            }
+            ops.push(op);
+            codes /= 8;
+        }
+        elements.push(MarchElement::new(order, ops));
+    }
+    MarchTest::new("random", elements)
+}
+
+/// The background a random gene picks at `width`: checkerboard, row
+/// stripe, column stripe or one of the binary backgrounds.
+fn random_background(gene: u64, width: usize) -> DataBackground {
+    let binary = DataBackground::march_cw_set(width);
+    match gene % (3 + binary.len() as u64) {
+        0 => DataBackground::Checkerboard,
+        1 => DataBackground::RowStripe,
+        2 => DataBackground::ColumnStripe,
+        j => binary[(j - 3) as usize],
+    }
 }
 
 proptest! {
@@ -246,5 +327,54 @@ proptest! {
             .simulate_universe_with(ShardPlan::with_threads(threads), &schedule, &universe);
         let oracle = permem(config).simulate_universe_with(ShardPlan::sequential(), &schedule, &universe);
         prop_assert_eq!(fast, oracle);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Property: random programmes under random backgrounds, over
+    /// universes that place one single-cell fault class on one bit of
+    /// every row (so faults sharing a row phase and bit, and faults
+    /// differing only in one of them, both occur), mixed with random
+    /// faults of every class, simulate identically under the lane
+    /// kernel at 1, 2 and 7 workers and the per-memory oracle.
+    #[test]
+    fn random_programmes_over_same_class_universes_agree_with_the_oracle(
+        width_index in 0usize..3,
+        test_genes in proptest::collection::vec(any::<u64>(), 2..6),
+        background_genes in proptest::collection::vec(any::<u64>(), 1..3),
+        columns in proptest::collection::vec(any::<u64>(), 2..6),
+        mixed in proptest::collection::vec(0usize..5000, 0..24),
+    ) {
+        let width = [4, 9, 65][width_index];
+        let config = cfg(7, width);
+        let test = random_test(&test_genes);
+        let phases = background_genes
+            .iter()
+            .map(|&gene| SchedulePhase::new(random_background(gene, width), test.clone()))
+            .collect();
+        let schedule = MarchSchedule::new("random", phases);
+        let pool = every_class_universe(config, 1);
+        let mut universe = FaultList::new();
+        for &column in &columns {
+            let fault = SINGLE_CELL_FAULTS[(column % 9) as usize];
+            let bit = (column / 9) as usize % width;
+            for row in 0..config.words() {
+                universe.push(MemoryFault::cell(CellCoord::new(Address::new(row), bit), fault));
+            }
+        }
+        for index in mixed {
+            universe.push(pool.as_slice()[index % pool.len()]);
+        }
+        let oracle = permem(config).simulate_universe_with(ShardPlan::sequential(), &schedule, &universe);
+        for threads in [1, 2, 7] {
+            let fast = lanes(config)
+                .simulate_universe_with(ShardPlan::with_threads(threads), &schedule, &universe);
+            prop_assert_eq!(fast.len(), oracle.len());
+            for (fast, oracle) in fast.iter().zip(&oracle) {
+                prop_assert_eq!(fast, oracle, "{} under {} at {} workers", oracle.fault, schedule, threads);
+            }
+        }
     }
 }
