@@ -158,74 +158,6 @@ impl FromIterator<(MemoryId, MemConfig)> for MemorySizeTable {
     }
 }
 
-/// The bit-parallel kernel's precomputed stepping index: which members
-/// of a population segment must actually be stepped at each *global*
-/// trigger address.
-///
-/// Built once per segment from each member's stepped rows: a member
-/// appears at every global address whose wrapped local row is one of
-/// them, and nowhere when it has none (it behaves exactly as the golden
-/// model predicts, so stepping it cannot mismatch). Within one address
-/// the member indices are ascending, the order the per-memory walk
-/// visits them in.
-#[derive(Debug, Clone)]
-pub struct StepIndex {
-    /// `active[global]` — member indices to step, ascending.
-    active: Vec<Vec<u32>>,
-    /// Per member: false iff the member is skipped everywhere (the
-    /// pristine fast path; such members see no operations at all).
-    stepped: Vec<bool>,
-}
-
-impl StepIndex {
-    /// Builds the index for a segment of members with the given stepped
-    /// rows and word counts, under a global trigger of `max_words`
-    /// addresses (local address generators wrap, so one stepped row
-    /// aliases onto every `words`-periodic global address).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row-list and word-count slices differ in length, or
-    /// if a list holds a row outside its member's address space.
-    pub fn new(stepped_rows: &[Vec<Address>], member_words: &[u64], max_words: u64) -> Self {
-        assert_eq!(stepped_rows.len(), member_words.len(), "one row list per member");
-        let mut active: Vec<Vec<u32>> = vec![Vec::new(); max_words as usize];
-        let mut stepped = Vec::with_capacity(stepped_rows.len());
-        for (index, (rows, &words)) in stepped_rows.iter().zip(member_words).enumerate() {
-            stepped.push(!rows.is_empty());
-            let mut local_rows = vec![false; words as usize];
-            for row in rows {
-                assert!(row.index() < words, "stepped row outside the member");
-                local_rows[row.index() as usize] = true;
-            }
-            for (global, slot) in active.iter_mut().enumerate() {
-                if local_rows[global % words as usize] {
-                    slot.push(index as u32);
-                }
-            }
-        }
-        StepIndex { active, stepped }
-    }
-
-    /// The members to step at `global`, ascending by member index.
-    #[inline]
-    pub fn members_at(&self, global: Address) -> &[u32] {
-        &self.active[global.index() as usize]
-    }
-
-    /// True if the member is stepped at any address (false = the member
-    /// is skipped entirely, retention pauses included — a pristine
-    /// member holds no retention-faulted cells to decay).
-    pub fn is_stepped(&self, member: usize) -> bool {
-        self.stepped[member]
-    }
-
-    /// Number of members stepped at one or more addresses.
-    pub fn stepped_count(&self) -> usize {
-        self.stepped.iter().filter(|&&stepped| stepped).count()
-    }
-}
-
 /// The comparator array of the BISD controller: one comparator per
 /// memory of a population segment.
 ///
@@ -370,44 +302,6 @@ mod tests {
         assert!(table.config(MemoryId::new(9)).is_none());
         assert_eq!(table.iter().count(), 2);
         assert_eq!(MemorySizeTable::new().max_words(), 0);
-    }
-
-    fn rows(list: &[u64]) -> Vec<Address> {
-        list.iter().copied().map(Address::new).collect()
-    }
-
-    #[test]
-    fn step_index_aliases_rows_through_the_wrap_and_orders_members() {
-        // Member 0: every row stepped (a memory that declines to
-        // classify), 32 words. Member 1: row {3}, 8 words — aliases onto
-        // globals 3, 11, 19, 27. Member 2: pristine. Member 3: row {0},
-        // 4 words — aliases onto every 4th.
-        let every_row: Vec<u64> = (0..32).collect();
-        let stepped = [rows(&every_row), rows(&[3]), rows(&[]), rows(&[0])];
-        let index = StepIndex::new(&stepped, &[32, 8, 16, 4], 32);
-        assert_eq!(index.members_at(Address::new(3)), &[0, 1]);
-        assert_eq!(index.members_at(Address::new(11)), &[0, 1]);
-        assert_eq!(index.members_at(Address::new(4)), &[0, 3]);
-        assert_eq!(index.members_at(Address::new(0)), &[0, 3]);
-        assert_eq!(index.members_at(Address::new(1)), &[0]);
-        assert!(index.is_stepped(0) && index.is_stepped(1) && index.is_stepped(3));
-        assert!(!index.is_stepped(2));
-        assert_eq!(index.stepped_count(), 3);
-    }
-
-    #[test]
-    fn all_pristine_step_index_is_empty_everywhere() {
-        let index = StepIndex::new(&[rows(&[]), rows(&[])], &[8, 4], 8);
-        for global in 0..8 {
-            assert!(index.members_at(Address::new(global)).is_empty());
-        }
-        assert_eq!(index.stepped_count(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "stepped row outside")]
-    fn step_index_rejects_out_of_range_rows() {
-        let _ = StepIndex::new(&[rows(&[9])], &[8], 16);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The proposed fast diagnosis scheme (Fig. 3): SPC/PSC converters,
 //! March CW and NWRTM-based data-retention diagnosis.
 
-use crate::components::{AddressTrigger, ComparatorArray, DataBackgroundGenerator, StepIndex};
+use crate::components::{AddressTrigger, ComparatorArray, DataBackgroundGenerator};
 use crate::kernel::DiagnosisKernel;
 use crate::log::DiagnosisLog;
 use crate::population::GoldenStore;
@@ -14,7 +14,6 @@ use sram_model::cell::CellCoord;
 use sram_model::{
     Address, CellFault, DataWord, LanePlanes, MemConfig, MemError, MemoryId, MemoryPort, RetentionModel, Sram,
 };
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Per-member diagnosis cost, in picoseconds: the 1-thread ledger's
@@ -164,19 +163,19 @@ impl DiagnosisScheme for FastScheme {
 /// One March element of the schedule as planned by the controller before
 /// any memory is touched: its position in the schedule, its background,
 /// the per-element retention pause and the serially delivered
-/// pattern words, keyed by logical write value and distinct IO width
-/// (all SPCs of one width capture identical bits, so a width-keyed
-/// delivery serves every shard segment regardless of how the population
-/// is split).
+/// pattern words, indexed by logical write value and width class (all
+/// SPCs of one IO width capture identical bits, so one word per class
+/// serves every member of the population and every shard segment).
 #[derive(Debug)]
 struct ElementPlan {
     phase_index: usize,
     element_index: usize,
     background: DataBackground,
     pause_ms: u64,
-    /// `delivered[value][width]` — the word an SPC of `width` presents
-    /// after the broadcast for logical `value`.
-    delivered: BTreeMap<bool, BTreeMap<usize, DataWord>>,
+    /// `delivered[value][class]` — the word the SPCs of width class
+    /// `class` present after the broadcast for logical `value`; empty
+    /// for a value the element never writes.
+    delivered: [Vec<DataWord>; 2],
 }
 
 impl FastScheme {
@@ -209,10 +208,11 @@ impl FastScheme {
     /// [`PopulationPlan::member_cost`]; memories are independent given
     /// the shared write stream.
     /// Each segment replays the planned schedule with its own
-    /// [`GoldenStore`] segment view, PSCs and comparator array, and the
-    /// per-segment sites are concatenated in member order — the result
-    /// is byte-identical to the sequential (1-thread) walk for every
-    /// plan, which the population-shard determinism suite asserts.
+    /// comparator array (and, under the per-memory oracle, its own
+    /// [`GoldenStore`] view and PSCs), and the per-segment sites are
+    /// concatenated in member order — the result is byte-identical to
+    /// the sequential (1-thread) walk for every plan, which the
+    /// population-shard determinism suite asserts.
     ///
     /// # Errors
     ///
@@ -265,7 +265,17 @@ impl FastScheme {
             .max()
             .expect("non-empty");
         let generator = DataBackgroundGenerator::new(c_max);
-        let widths: Vec<usize> = configs.iter().map(|config| config.width()).collect();
+        let mut class_widths: Vec<usize> = Vec::new();
+        let width_classes: Vec<usize> = configs
+            .iter()
+            .map(|config| {
+                let width = config.width();
+                class_widths.iter().position(|&w| w == width).unwrap_or_else(|| {
+                    class_widths.push(width);
+                    class_widths.len() - 1
+                })
+            })
+            .collect();
         let schedule = self.schedule(c_max);
         let backgrounds: Vec<DataBackground> =
             schedule.phases().iter().map(|phase| phase.background).collect();
@@ -283,7 +293,7 @@ impl FastScheme {
             for (element_index, element) in phase.test.elements().iter().enumerate() {
                 pause_ms += element.pause_ms() as f64;
                 let delivered =
-                    self.deliver_patterns(element, phase.background, &generator, &widths, &mut cycles);
+                    self.deliver_patterns(element, phase.background, &generator, &class_widths, &mut cycles);
                 cycles += Self::element_cycles(element, n_max, c_max);
                 plans.push(ElementPlan {
                     phase_index,
@@ -305,10 +315,11 @@ impl FastScheme {
         // to the per-memory oracle, which steps everything and observes
         // the corruption exactly as the real hardware would.
         let ideal_delivery = plans.iter().all(|plan| {
-            plan.delivered.iter().all(|(&value, by_width)| {
-                by_width
+            [false, true].into_iter().all(|value| {
+                plan.delivered[usize::from(value)]
                     .iter()
-                    .all(|(&width, word)| *word == generator.pattern_for_width(plan.background, value, width))
+                    .zip(&class_widths)
+                    .all(|(word, &width)| *word == generator.pattern_for_width(plan.background, value, width))
             })
         });
         let bit_parallel = self.kernel == DiagnosisKernel::BitParallel && ideal_delivery;
@@ -316,6 +327,7 @@ impl FastScheme {
         PopulationPlan {
             scheme: *self,
             configs: configs.to_vec(),
+            width_classes,
             schedule,
             plans,
             generator,
@@ -328,38 +340,30 @@ impl FastScheme {
     }
 
     /// Broadcasts the patterns an element needs and returns, per logical
-    /// write value, the word the SPCs of each distinct IO *width*
-    /// present after the broadcast (all SPCs of one width capture
-    /// identical bits, so one materialisation per distinct width serves
-    /// the whole population and every shard segment of it).
+    /// write value, the word the SPCs of each width class present after
+    /// the broadcast. All SPCs of one width capture identical bits, so
+    /// the bus carries one SPC per distinct width: the broadcast still
+    /// lasts as many cycles as the widest memory has bits.
     fn deliver_patterns(
         &self,
         element: &MarchElement,
         background: DataBackground,
         generator: &DataBackgroundGenerator,
-        widths: &[usize],
+        class_widths: &[usize],
         cycles: &mut u64,
-    ) -> BTreeMap<bool, BTreeMap<usize, DataWord>> {
-        let mut delivered = BTreeMap::new();
-        let mut values: Vec<bool> = Vec::new();
+    ) -> [Vec<DataWord>; 2] {
+        let mut delivered = [Vec::new(), Vec::new()];
         for op in &element.ops {
-            if op.is_write() {
-                if let Some(value) = op.value() {
-                    if !values.contains(&value) {
-                        values.push(value);
-                    }
+            if let MarchOp::Write(value) | MarchOp::NwrcWrite(value) = *op {
+                let words = &mut delivered[usize::from(value)];
+                if words.is_empty() {
+                    let mut bus = PatternDeliveryBus::with_order(class_widths, self.shift_order);
+                    *cycles += bus.broadcast(&generator.pattern(background, value));
+                    *words = (0..class_widths.len())
+                        .map(|class| bus.pattern_at(class))
+                        .collect();
                 }
             }
-        }
-        for value in values {
-            let mut bus = PatternDeliveryBus::with_order(widths, self.shift_order);
-            let pattern = generator.pattern(background, value);
-            *cycles += bus.broadcast(&pattern);
-            let mut per_width: BTreeMap<usize, DataWord> = BTreeMap::new();
-            for (member, &width) in widths.iter().enumerate() {
-                per_width.entry(width).or_insert_with(|| bus.pattern_at(member));
-            }
-            delivered.insert(value, per_width);
         }
         delivered
     }
@@ -418,24 +422,29 @@ struct LaneGroup {
 /// Eq. (2) cycle/pause accounting and the kernel decision.
 ///
 /// The plan is segment-agnostic: any contiguous slice of the population
-/// replays through [`PopulationPlan::run_segment`] (each segment builds
-/// its own [`GoldenStore`] view — a member's golden word depends only
-/// on the shared write stream and its own geometry), and
-/// [`PopulationPlan::merge`] concatenates per-segment outcomes into the
-/// population's [`DiagnosisResult`], identical no matter how the
-/// population was split. This is what lets the fleet runner interleave
-/// segments of *different* populations in one executor run, and share
-/// one plan among the jobs of a sweep.
+/// replays through [`PopulationPlan::run_segment`] (a member's golden
+/// word depends only on the shared write stream and its own geometry,
+/// and the delivered words are resolved once per plan, per width
+/// class), and [`PopulationPlan::merge`] concatenates per-segment
+/// outcomes into the population's [`DiagnosisResult`], identical no
+/// matter how the population was split. This is what lets the fleet
+/// runner interleave segments of *different* populations in one
+/// executor run, and share one plan among the jobs of a sweep.
 ///
-/// Under the bit-parallel kernel a segment steps only the rows that can
-/// deviate, and replays most of the faulty rows of its row-local members
-/// 64 at a time in the lanes of a [`LanePlanes`]. Either kernel's
-/// segment registers each member's failing `(address, bit)` sites and
-/// hands them over sorted and deduplicated.
+/// Under the bit-parallel kernel a segment walks each member over only
+/// the global addresses that alias its rows that can deviate, and
+/// replays most of the faulty rows of its row-local members 64 at a
+/// time in the lanes of a [`LanePlanes`]. The per-memory oracle steps
+/// every member at every address against a [`GoldenStore`]. Either
+/// kernel's segment registers each member's failing `(address, bit)`
+/// sites and hands them over sorted and deduplicated.
 #[derive(Debug)]
 pub struct PopulationPlan {
     scheme: FastScheme,
     configs: Vec<MemConfig>,
+    /// Per member: its width class, the index into every
+    /// [`ElementPlan::delivered`] word list.
+    width_classes: Vec<usize>,
     schedule: MarchSchedule,
     plans: Vec<ElementPlan>,
     generator: DataBackgroundGenerator,
@@ -495,11 +504,12 @@ impl PopulationPlan {
         // segment; the fleet runner layers its own job-qualified hits
         // on top of this one.
         failpoint::trip("diag.segment", &[("base", base as u64)]);
-        let configs = &self.configs[base..base + memories.len()];
+        let members = base..base + memories.len();
+        let (configs, classes) = (&self.configs[members.clone()], &self.width_classes[members]);
         if self.bit_parallel {
-            self.run_segment_bitparallel(memories, configs)
+            self.run_segment_bitparallel(memories, configs, classes)
         } else {
-            self.run_segment_permem(memories, configs)
+            self.run_segment_permem(memories, configs, classes)
         }
     }
 
@@ -518,6 +528,11 @@ impl PopulationPlan {
         }
     }
 
+    /// The March element `plan` was planned from.
+    fn element(&self, plan: &ElementPlan) -> &MarchElement {
+        &self.schedule.phases()[plan.phase_index].test.elements()[plan.element_index]
+    }
+
     /// Replays the planned schedule over one contiguous population
     /// segment, stepping every operation of every member, and returns
     /// the sites the segment's comparator array registered.
@@ -534,18 +549,18 @@ impl PopulationPlan {
         &self,
         memories: &mut [(MemoryId, M)],
         configs: &[MemConfig],
+        classes: &[usize],
     ) -> Result<SegmentOutcome, MemError> {
         let trigger = self.trigger;
         let mut golden = GoldenStore::new(configs, &self.generator, &self.backgrounds);
-        let delivery = self.segment_delivery(golden.class_widths());
         let mut pscs: Vec<ParallelToSerialConverter> = configs
             .iter()
             .map(|config| ParallelToSerialConverter::new(config.width()))
             .collect();
         let mut comparator = ComparatorArray::new(memories.iter().map(|(id, _)| *id));
 
-        for (plan, delivered) in self.plans.iter().zip(&delivery) {
-            let element = &self.schedule.phases()[plan.phase_index].test.elements()[plan.element_index];
+        for plan in &self.plans {
+            let element = self.element(plan);
 
             // Retention pauses apply once per element, to every memory.
             if plan.pause_ms > 0 {
@@ -562,10 +577,10 @@ impl PopulationPlan {
                             // NWRC writes succeed on good cells, so the
                             // expectation matches a normal write.
                             golden.record_write(plan.phase_index, global, *value);
-                            let words = &delivered[usize::from(*value)];
+                            let words = &plan.delivered[usize::from(*value)];
                             for (index, (_, memory)) in memories.iter_mut().enumerate() {
                                 let local = trigger.local_address(global, golden.member_words(index));
-                                let data = &words[golden.member_width_class(index)];
+                                let data = &words[classes[index]];
                                 if nwrc {
                                     memory.write_nwrc(local, data)?;
                                 } else {
@@ -596,22 +611,6 @@ impl PopulationPlan {
         })
     }
 
-    /// Resolves every element's width-keyed delivery onto a segment's
-    /// width classes once per segment: `[element][value][width class]`.
-    /// A value the element never writes resolves to no words.
-    fn segment_delivery(&self, class_widths: &[usize]) -> Vec<[Vec<DataWord>; 2]> {
-        self.plans
-            .iter()
-            .map(|plan| {
-                [false, true].map(|value| {
-                    plan.delivered.get(&value).map_or_else(Vec::new, |by_width| {
-                        class_widths.iter().map(|width| by_width[width].clone()).collect()
-                    })
-                })
-            })
-            .collect()
-    }
-
     /// Replays the planned schedule over one contiguous population
     /// segment through the bit-parallel kernel: instead of stepping
     /// every operation of every memory through its SPC/PSC pair, only
@@ -619,17 +618,22 @@ impl PopulationPlan {
     /// deviate from the golden expectation is replayed at all, and most
     /// of those 64 rows at a time in the lanes of one [`LanePlanes`].
     ///
+    /// A member with stepped rows is walked on its own, as its local
+    /// address generator sees the run: for each element, over the
+    /// global trigger addresses that alias those rows, in the element's
+    /// order. Its expectation at a row is the last word delivered there
+    /// (the power-on zero word until the row is written). Members are
+    /// independent, so walking them one after another leaves the sites,
+    /// the mismatch count and every memory as the lockstep walk would.
+    ///
     /// Soundness rests on four facts, each declared by the memory
     /// itself through [`MemoryPort::row_classes`]:
     ///
     /// * With ideal delivery (checked by the caller; otherwise the
     ///   per-memory oracle runs), the word a fault-free pristine row
-    ///   observes is exactly the golden expectation — equal limb
-    ///   planes by construction, since both sides are the same pattern
-    ///   word of the phase that last wrote the row. Rows in no class
-    ///   are therefore skipped: their reads are guaranteed matches and
-    ///   their writes store exactly what the golden model already
-    ///   tracks.
+    ///   observes is exactly the last word delivered to it. Rows in no
+    ///   class are therefore skipped: their reads are guaranteed
+    ///   matches, and their writes store only what the walk expects.
     /// * The stepped and non-reset rows are stepped, and deviation stays
     ///   inside them: coupling aggressor rows and the rows a decoder
     ///   fault touches are stepped rows, so victim-driving write
@@ -663,10 +667,9 @@ impl PopulationPlan {
         &self,
         memories: &mut [(MemoryId, M)],
         configs: &[MemConfig],
+        classes: &[usize],
     ) -> Result<SegmentOutcome, MemError> {
         let trigger = self.trigger;
-        let mut golden = GoldenStore::new(configs, &self.generator, &self.backgrounds);
-        let delivery = self.segment_delivery(golden.class_widths());
         let mut comparator = ComparatorArray::new(memories.iter().map(|(id, _)| *id));
 
         // Classify once per segment: faults are installed before diagnosis
@@ -674,82 +677,63 @@ impl PopulationPlan {
         // mismatches can appear outside its lane rows (prior mismatches
         // happen *at* faulted rows, and every stepped row is replayed in
         // full, so no dynamic re-classification is needed).
-        let (groups, stepped_rows) = self.classify(memories, configs);
-        let member_words: Vec<u64> = (0..memories.len()).map(|m| golden.member_words(m)).collect();
-        let steps = StepIndex::new(&stepped_rows, &member_words, trigger.max_words());
+        let (groups, aliases) = self.classify(memories, configs);
 
         // The stepped walk runs before the lane replays: its pauses reach
         // every overlay cell of a stepped memory, lane rows included, and
         // the lanes' write-back must come after them.
-        for (plan, delivered) in self.plans.iter().zip(&delivery) {
-            if steps.stepped_count() == 0 {
-                break;
+        for (member, (_, memory)) in memories.iter_mut().enumerate() {
+            let aliases = &aliases[member];
+            if aliases.is_empty() {
+                continue;
             }
-            let element = &self.schedule.phases()[plan.phase_index].test.elements()[plan.element_index];
-
-            // Retention pauses reach every stepped memory; a skipped
-            // memory holds no stepped retention-faulted cells, so
-            // elapsing its clock would be a behavioural no-op anyway.
-            if plan.pause_ms > 0 {
-                for (index, (_, memory)) in memories.iter_mut().enumerate() {
-                    if steps.is_stepped(index) {
-                        memory.elapse_retention(plan.pause_ms as f64);
-                    }
+            let (words, class) = (configs[member].words(), classes[member]);
+            let power_on = DataWord::zero(configs[member].width());
+            // `expected[row]`: the last word delivered to local `row`.
+            let mut expected: Vec<&DataWord> = vec![&power_on; words as usize];
+            for plan in &self.plans {
+                let element = self.element(plan);
+                if plan.pause_ms > 0 {
+                    memory.elapse_retention(plan.pause_ms as f64);
                 }
-            }
-
-            element.order.sweep(trigger.max_words(), None, |global| {
-                let active = steps.members_at(global);
-                if active.is_empty() {
-                    // Activity is `words`-periodic, so no member reads
-                    // any local row this address maps to: its golden
-                    // writes are unobservable and skipped with it.
-                    return Ok(());
-                }
-                for op in &element.ops {
-                    match op {
-                        MarchOp::Write(value) | MarchOp::NwrcWrite(value) => {
-                            let nwrc = op.is_nwrc();
-                            golden.record_write(plan.phase_index, global, *value);
-                            let words = &delivered[usize::from(*value)];
-                            for &member in active {
-                                let member = member as usize;
-                                let local = trigger.local_address(global, golden.member_words(member));
-                                let data = &words[golden.member_width_class(member)];
-                                let memory = &mut memories[member].1;
-                                if nwrc {
-                                    memory.write_nwrc(local, data)?;
-                                } else {
-                                    memory.write(local, data)?;
+                element
+                    .order
+                    .sweep(trigger.max_words(), Some(aliases), |global| {
+                        let local = trigger.local_address(global, words);
+                        let word = &mut expected[local.index() as usize];
+                        for op in &element.ops {
+                            match op {
+                                MarchOp::Write(value) | MarchOp::NwrcWrite(value) => {
+                                    *word = &plan.delivered[usize::from(*value)][class];
+                                    if op.is_nwrc() {
+                                        memory.write_nwrc(local, word)?;
+                                    } else {
+                                        memory.write(local, word)?;
+                                    }
                                 }
+                                MarchOp::Read(_) => {
+                                    // One fused limb pass replaces read +
+                                    // PSC shift-back + compare: the PSC
+                                    // serialisation is lossless (capture
+                                    // then reconstruct), so the word the
+                                    // comparator would see *is* the word
+                                    // the port observed.
+                                    if let Some(observed) = memory.read_expect(local, word)? {
+                                        let failing = comparator.compare(member, local, word, &observed);
+                                        debug_assert!(!failing.is_empty(), "read_expect reported a match");
+                                    }
+                                }
+                                // Pauses applied once, before the sweep.
+                                _ => {}
                             }
                         }
-                        MarchOp::Read(_) => {
-                            for &member in active {
-                                let index = member as usize;
-                                let (local, expected) = golden.expected_at_global(index, global);
-                                // One fused limb pass replaces read +
-                                // PSC shift-back + compare: the PSC
-                                // serialisation is lossless (capture
-                                // then reconstruct), so the word the
-                                // comparator would see *is* the word
-                                // the port observed.
-                                if let Some(observed) = memories[index].1.read_expect(local, expected)? {
-                                    let failing = comparator.compare(index, local, expected, &observed);
-                                    debug_assert!(!failing.is_empty(), "read_expect reported a match");
-                                }
-                            }
-                        }
-                        // Pauses applied once, before the sweep.
-                        _ => {}
-                    }
-                }
-                Ok::<(), MemError>(())
-            })?;
+                        Ok::<(), MemError>(())
+                    })?;
+            }
         }
 
         for group in &groups {
-            let class = golden.member_width_class(group.rows[0].member as usize);
+            let class = classes[group.rows[0].member as usize];
             let mut lanes = LanePlanes::with_retention(MemConfig::new(1, group.width)?, group.retention);
             for batch in group.rows.chunks(64) {
                 lanes.reset();
@@ -759,7 +743,7 @@ impl PopulationPlan {
                     }
                 }
                 lanes.freeze();
-                self.replay_lanes(&mut lanes, group, batch, &delivery, class, &mut comparator);
+                self.replay_lanes(&mut lanes, group, batch, class, &mut comparator);
                 for (lane, row) in batch.iter().enumerate() {
                     let word = lanes.lane_word(lane, Address::new(0));
                     memories[row.member as usize]
@@ -774,9 +758,9 @@ impl PopulationPlan {
     }
 
     /// Classifies the segment's members once: collects their lane rows
-    /// into replay groups and returns each member's stepped rows, its
-    /// stepped and non-reset rows, or every row when it declines to
-    /// classify itself.
+    /// into replay groups and returns, per member, the global addresses
+    /// that alias its stepped and non-reset rows, or every row when it
+    /// declines to classify itself.
     fn classify<M: MemoryPort>(
         &self,
         memories: &[(MemoryId, M)],
@@ -784,14 +768,18 @@ impl PopulationPlan {
     ) -> (Vec<LaneGroup>, Vec<Vec<Address>>) {
         let n_max = self.trigger.max_words();
         let mut groups: Vec<LaneGroup> = Vec::new();
-        let mut stepped_rows = Vec::with_capacity(memories.len());
+        let mut stepped = Vec::with_capacity(memories.len());
         for (member, ((_, memory), config)) in memories.iter().zip(configs).enumerate() {
             let (words, width) = (config.words(), config.width());
             let Some(classes) = memory.row_classes() else {
-                stepped_rows.push((0..words).map(Address::new).collect());
+                stepped.push(aliases(None, words, n_max));
                 continue;
             };
-            stepped_rows.push([classes.stepped, classes.non_reset].concat());
+            stepped.push(aliases(
+                Some([classes.stepped, classes.non_reset].concat()),
+                words,
+                n_max,
+            ));
             for (address, faults) in classes.lane {
                 let row = address.index();
                 let visits = (n_max - 1 - row) / words + 1;
@@ -816,19 +804,18 @@ impl PopulationPlan {
                 });
             }
         }
-        (groups, stepped_rows)
+        (groups, stepped)
     }
 
     /// Replays the whole schedule once over one frozen lane batch of
     /// `group` (lane `i` is `batch[i]`, at lane row 0) and registers each
     /// lane's failing cells with its member's comparator. `class` is the
-    /// group's width class in `delivery`.
+    /// group's width class.
     fn replay_lanes(
         &self,
         lanes: &mut LanePlanes,
         group: &LaneGroup,
         batch: &[LaneRow],
-        delivery: &[[Vec<DataWord>; 2]],
         class: usize,
         comparator: &mut ComparatorArray,
     ) {
@@ -840,8 +827,8 @@ impl PopulationPlan {
         let mut deviations: Vec<(usize, u64)> = Vec::new();
         // `failing[bit]`: the lanes whose `bit` deviated on some read.
         let mut failing = vec![0u64; group.width];
-        for (plan, delivered) in self.plans.iter().zip(delivery) {
-            let element = &self.schedule.phases()[plan.phase_index].test.elements()[plan.element_index];
+        for plan in &self.plans {
+            let element = self.element(plan);
             if plan.pause_ms > 0 {
                 lanes.elapse_retention(plan.pause_ms as f64);
             }
@@ -849,7 +836,7 @@ impl PopulationPlan {
                 for op in &element.ops {
                     match op {
                         MarchOp::Write(value) | MarchOp::NwrcWrite(value) => {
-                            expected = &delivered[usize::from(*value)][class];
+                            expected = &plan.delivered[usize::from(*value)][class];
                             lanes.write_row(lane_row, expected, op.is_nwrc());
                         }
                         MarchOp::Read(_) => {
@@ -874,6 +861,29 @@ impl PopulationPlan {
             }
         }
     }
+}
+
+/// The global trigger addresses below `n_max` that alias a
+/// `words`-word member's `rows`, ascending: local address generators
+/// wrap, so row `r` is visited at `r`, `r + words`, …. `None` (a member
+/// that declines to classify its rows) stands for every row, and so
+/// aliases every global address.
+fn aliases(rows: Option<Vec<Address>>, words: u64, n_max: u64) -> Vec<Address> {
+    let Some(mut rows) = rows else {
+        return (0..n_max).map(Address::new).collect();
+    };
+    rows.sort_unstable();
+    rows.dedup();
+    debug_assert!(
+        rows.last().is_none_or(|row| row.index() < words),
+        "row outside the member"
+    );
+    (0..n_max)
+        .step_by(words as usize)
+        .flat_map(|base| rows.iter().map(move |row| base + row.index()))
+        .take_while(|&global| global < n_max)
+        .map(Address::new)
+        .collect()
 }
 
 #[cfg(test)]
@@ -1046,6 +1056,24 @@ mod tests {
         assert_eq!(DrfMode::None.to_string(), "no DRF diagnosis");
         assert_eq!(DrfMode::RetentionPause(100).to_string(), "retention pause 100 ms");
         assert_eq!(DrfMode::default(), DrfMode::Nwrtm);
+    }
+
+    #[test]
+    fn aliases_follow_each_row_through_the_wrap_in_global_order() {
+        let globals = |rows, words, n_max| -> Vec<u64> {
+            aliases(rows, words, n_max)
+                .into_iter()
+                .map(Address::index)
+                .collect()
+        };
+        let rows = |list: &[u64]| Some(list.iter().copied().map(Address::new).collect());
+        assert_eq!(globals(rows(&[3]), 8, 32), [3, 11, 19, 27]);
+        // Unsorted rows still alias in ascending global order, and the
+        // last wrap stops short of `n_max`.
+        assert_eq!(globals(rows(&[3, 1]), 4, 10), [1, 3, 5, 7, 9]);
+        // A member that declines to classify is walked everywhere.
+        assert_eq!(globals(None, 8, 32), (0..32).collect::<Vec<_>>());
+        assert!(globals(rows(&[]), 8, 32).is_empty());
     }
 
     fn width_plan() -> PopulationPlan {

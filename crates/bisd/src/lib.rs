@@ -53,7 +53,7 @@ pub mod population;
 pub mod result;
 pub mod scheme;
 
-pub use components::{AddressTrigger, ComparatorArray, DataBackgroundGenerator, MemorySizeTable, StepIndex};
+pub use components::{AddressTrigger, ComparatorArray, DataBackgroundGenerator, MemorySizeTable};
 pub use fast::{DrfMode, FastScheme, PopulationPlan, SegmentOutcome};
 pub use huang::HuangScheme;
 pub use kernel::DiagnosisKernel;

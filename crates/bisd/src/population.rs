@@ -1,11 +1,12 @@
-//! Structure-of-arrays golden state for whole-population diagnosis.
+//! Structure-of-arrays golden state for the per-memory diagnosis oracle.
 //!
-//! The fast scheme's controller tracks the *expected* (golden) contents
-//! of every memory so wrapped-around operations on smaller memories are
-//! tolerated. Holding that state as one `Vec<DataWord>` per memory —
-//! the pre-SoA layout — made every write operation clone a pattern word
-//! into each memory's golden vector: `O(population × width)` work and a
-//! cache-hostile walk over thousands of heap words per operation.
+//! The fast scheme's per-memory kernel steps every member at every
+//! global trigger address, so its controller tracks the *expected*
+//! (golden) contents of every memory to tolerate the wrapped-around
+//! operations on smaller memories. Holding that state as one
+//! `Vec<DataWord>` per memory would make every write clone a pattern
+//! word into each memory's golden vector: `O(population × width)` work
+//! per operation.
 //!
 //! [`GoldenStore`] restructures the state around what actually varies.
 //! All memories see the same logical write stream (the same value at
@@ -20,6 +21,10 @@
 //! * one **pattern set per background** (phase), not per memory: a
 //!   `[phase][distinct width][value]` matrix of pattern words built
 //!   once per run, borrowed on every read comparison.
+//!
+//! The bit-parallel kernel needs none of this: it walks each stepped
+//! member on its own and remembers the last word delivered to each of
+//! that member's rows.
 
 use crate::components::DataBackgroundGenerator;
 use march::DataBackground;
@@ -53,7 +58,6 @@ struct ValueClass {
 pub struct GoldenStore {
     members: Vec<Member>,
     classes: Vec<ValueClass>,
-    widths: Vec<usize>,
     /// `phase_patterns[phase][width_class][logical value]`.
     phase_patterns: Vec<Vec<[DataWord; 2]>>,
     /// Power-on (all-zero) golden word per width class.
@@ -130,44 +134,14 @@ impl GoldenStore {
         GoldenStore {
             members,
             classes,
-            widths,
             phase_patterns,
             pristine,
         }
     }
 
-    /// Number of memories the store tracks.
-    pub fn member_count(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Number of distinct word counts (value classes) in the population.
-    pub fn value_class_count(&self) -> usize {
-        self.classes.len()
-    }
-
-    /// Number of distinct IO widths (pattern sets per background).
-    pub fn width_class_count(&self) -> usize {
-        self.widths.len()
-    }
-
     /// Word count of one member.
     pub fn member_words(&self, member: usize) -> u64 {
         self.members[member].words
-    }
-
-    /// Width-class index of one member (e.g. to share serially
-    /// delivered pattern words across same-width memories).
-    pub fn member_width_class(&self, member: usize) -> usize {
-        self.members[member].width_class
-    }
-
-    /// The distinct IO widths of the population, indexed by width class
-    /// (what [`GoldenStore::member_width_class`] indexes into) — shard
-    /// workers use this to materialise per-class pattern words from a
-    /// population-wide width-keyed delivery.
-    pub fn class_widths(&self) -> &[usize] {
-        &self.widths
     }
 
     /// Records a write of logical `value` broadcast at `global` during
@@ -200,18 +174,6 @@ impl GoldenStore {
             &self.phase_patterns[epoch as usize][info.width_class][usize::from(value)]
         }
     }
-
-    /// The golden word of `member` for a *global* trigger address,
-    /// returned together with the wrapped local address it lives at —
-    /// one member lookup instead of the two a
-    /// [`GoldenStore::member_words`] + [`GoldenStore::expected_at`]
-    /// pair costs. This is the bit-parallel kernel's read-side lookup:
-    /// its stepping index hands out global addresses, and every stepped
-    /// read needs exactly this (local, expected) pair.
-    pub fn expected_at_global(&self, member: usize, global: Address) -> (Address, &DataWord) {
-        let local = global.wrapped(self.members[member].words);
-        (local, self.expected_at(member, local))
-    }
 }
 
 #[cfg(test)]
@@ -238,12 +200,12 @@ mod tests {
     #[test]
     fn classes_deduplicate_word_counts_and_widths() {
         let s = store();
-        assert_eq!(s.member_count(), 3);
-        assert_eq!(s.value_class_count(), 2);
-        assert_eq!(s.width_class_count(), 2);
+        assert_eq!(s.members.len(), 3);
+        assert_eq!(s.classes.len(), 2);
         assert_eq!(s.member_words(1), 16);
-        assert_eq!(s.member_width_class(0), s.member_width_class(2));
-        assert_eq!(s.class_widths(), &[8, 4]);
+        assert_eq!(s.members[0].width_class, s.members[2].width_class);
+        let class_widths: Vec<usize> = s.pristine.iter().map(DataWord::width).collect();
+        assert_eq!(class_widths, [8, 4]);
     }
 
     #[test]
@@ -280,19 +242,6 @@ mod tests {
         // ...and adopts the new background only once rewritten.
         s.record_write(1, Address::new(3), false);
         assert_eq!(s.expected_at(0, Address::new(3)), &binary0);
-    }
-
-    #[test]
-    fn global_lookup_wraps_and_matches_the_local_lookup() {
-        let mut s = store();
-        s.record_write(1, Address::new(20), true);
-        for member in 0..3 {
-            let (local, expected) = s.expected_at_global(member, Address::new(20));
-            assert_eq!(local, Address::new(20).wrapped(s.member_words(member)));
-            assert_eq!(expected, s.expected_at(member, local));
-        }
-        // Member 1 (16 words) sees global 20 at local 4.
-        assert_eq!(s.expected_at_global(1, Address::new(20)).0, Address::new(4));
     }
 
     #[test]

@@ -112,11 +112,6 @@ pub struct FleetPlan {
 }
 
 impl FleetPlan {
-    /// Number of jobs in the fleet.
-    pub fn job_count(&self) -> usize {
-        self.jobs.len()
-    }
-
     /// Total number of memories across all jobs.
     pub fn member_count(&self) -> usize {
         self.members.len()
@@ -685,7 +680,7 @@ mod tests {
         assert!(runner.run(&[]).unwrap().is_empty());
         assert!(runner.run_all(&[]).unwrap().is_empty());
         let plan = runner.plan(&[]).unwrap();
-        assert_eq!(plan.job_count(), 0);
+        assert_eq!(plan.jobs.len(), 0);
         assert_eq!(plan.member_count(), 0);
         assert!(runner.build(&plan).unwrap().is_empty());
         assert!(runner.diagnose(&plan, &mut []).unwrap().is_empty());
@@ -793,7 +788,7 @@ mod tests {
     fn plan_exposes_the_flattened_cost_model() {
         let jobs = mixed_jobs();
         let plan = FleetRunner::default().plan(&jobs).unwrap();
-        assert_eq!(plan.job_count(), jobs.len());
+        assert_eq!(plan.jobs.len(), jobs.len());
         assert_eq!(plan.member_count(), 3 * 3 + 4);
         let member_jobs = plan.member_jobs();
         assert_eq!(member_jobs.len(), plan.member_count());

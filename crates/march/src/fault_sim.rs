@@ -281,14 +281,14 @@ impl FaultSimulator {
     ///   row sets are pairwise disjoint across lanes, which keeps every
     ///   aggressor cell broadcast (fault-free in all lanes).
     /// * Everything else — stuck-open, decoder, self-coupled cells —
-    ///   and *every* fault when the golden run failed or the kernel is
-    ///   [`FaultSimKernel::PerMemory`] stays a per-fault single.
+    ///   and *every* fault when the golden run failed stays a per-fault
+    ///   single.
     ///
     /// The work list orders batches first (construction order), then
     /// singles in universe order; the scatter back into universe-order
     /// slots makes the partition order unobservable in the output.
     fn lane_plan(&self, golden_passed: bool, faults: &[MemoryFault]) -> LanePlan {
-        if self.kernel == FaultSimKernel::PerMemory || !golden_passed {
+        if !golden_passed {
             return LanePlan {
                 batches: Vec::new(),
                 work: (0..faults.len()).map(LaneWork::Single).collect(),

@@ -391,11 +391,6 @@ impl Cell {
             _ => false,
         }
     }
-
-    /// True if the cell lost its value through a retention decay.
-    pub fn has_decayed(&self) -> bool {
-        self.decayed
-    }
 }
 
 impl Default for Cell {
@@ -492,7 +487,7 @@ mod tests {
         // Long pause: node A discharges, the 1 is lost.
         assert!(drf.elapse_retention(100.0, 100.0));
         assert!(!drf.read().observed);
-        assert!(drf.has_decayed());
+        assert!(drf.decayed);
     }
 
     #[test]

@@ -18,7 +18,8 @@ use std::fmt;
 #[non_exhaustive]
 pub enum DecoderFaultKind {
     /// AF1: the address activates no word line; writes are lost and reads
-    /// return the sense amplifier's previous value.
+    /// return all ones, because no cell discharges the precharged
+    /// bitlines.
     NoAccess,
     /// AF2: the address activates a different row instead of its own.
     MapsTo(Address),

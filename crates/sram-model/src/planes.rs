@@ -11,7 +11,7 @@
 //! by the array.
 
 use crate::config::MemConfig;
-use crate::word::{top_limb_mask, DataWord};
+use crate::word::DataWord;
 
 /// Packed storage for the stored values of every cell of a memory.
 ///
@@ -30,7 +30,6 @@ use crate::word::{top_limb_mask, DataWord};
 pub struct BitPlanes {
     width: usize,
     limbs_per_word: usize,
-    top_mask: u64,
     limbs: Vec<u64>,
     /// Bitset over rows mutated since the last [`BitPlanes::clear`].
     dirty: Vec<u64>,
@@ -53,7 +52,6 @@ impl BitPlanes {
         BitPlanes {
             width,
             limbs_per_word,
-            top_mask: top_limb_mask(width),
             limbs: vec![0u64; limbs_per_word * config.words() as usize],
             dirty: vec![0u64; (config.words() as usize).div_ceil(64)],
         }
@@ -65,8 +63,9 @@ impl BitPlanes {
         self.dirty[(row / 64) as usize] |= 1u64 << (row % 64);
     }
 
-    /// Number of rows mutated since the last clear (diagnostics/tests).
-    pub fn dirty_row_count(&self) -> usize {
+    /// Number of rows mutated since the last clear.
+    #[cfg(test)]
+    fn dirty_row_count(&self) -> usize {
         self.dirty.iter().map(|limb| limb.count_ones() as usize).sum()
     }
 
@@ -231,17 +230,15 @@ impl BitPlanes {
         }
     }
 
-    /// True if the top-limb mask invariant holds for every word (used by
-    /// debug assertions and tests).
-    pub fn invariant_holds(&self) -> bool {
-        if self.top_mask == u64::MAX {
-            return true;
-        }
+    /// True if the top-limb mask invariant holds for every word.
+    #[cfg(test)]
+    fn invariant_holds(&self) -> bool {
+        let top_mask = crate::word::top_limb_mask(self.width);
         self.limbs
             .iter()
             .skip(self.limbs_per_word - 1)
             .step_by(self.limbs_per_word)
-            .all(|&top| top & !self.top_mask == 0)
+            .all(|&top| top & !top_mask == 0)
     }
 }
 
