@@ -5,14 +5,14 @@
 //! only the rows an installed fault can make deviate, the lane and
 //! stepped rows of [`sram_model::Sram::row_classes`], worked out once
 //! per memory before the first pass; a fault-free memory is skipped and
-//! a memory with a stuck-open cell is swept whole. A memory whose pass
-//! of the `M1` loop or the DRF loop locates nothing and ends in the
-//! state it started in has reached a fixed point, and the rest of that
-//! loop skips it. This is sound because a pass is a deterministic
-//! function of the memory's state, its known sites and the test, and a
-//! pass that locates nothing leaves the known sites as they were: every
-//! later pass of the loop would repeat it exactly.
-//! [`DiagnosisKernel::PerMemory`] sweeps every row of every memory in
+//! a memory with a stuck-open cell is swept whole. The operations a pass
+//! applies to a memory do not depend on its known sites, which only pick
+//! the located sites out of each element's failing sites. So once a pass
+//! of the `M1` loop or the DRF loop ends in the state it started in,
+//! every later pass of that loop sees the same failing sites: the rest
+//! of the loop replays the recorded per-element streams instead of
+//! stepping the memory, and skips the memory once a pass locates
+//! nothing. [`DiagnosisKernel::PerMemory`] sweeps every row of every memory in
 //! every pass and is the dense oracle the row-restricted walk is checked
 //! against. Cycles are the Eq. (1) closed form under both.
 
@@ -22,14 +22,32 @@ use crate::log::{DiagnosisLog, FaultSite};
 use crate::result::DiagnosisResult;
 use crate::scheme::{DiagnosisScheme, MemoryUnderDiagnosis};
 use march::{algorithms, BackgroundPatterns, DataBackground, MarchTest, ShardPlan};
-use serial::{BidirectionalSerialInterface, ShiftDirection};
+use serial::{first_unknown, BidirectionalSerialInterface, ShiftDirection};
 use sram_model::{Address, MemError, RowState};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Per-memory set of already-located `(address, bit)` sites, carried
-/// across iterations; at the end of the run they are the memory's
-/// located sites.
-type KnownSites = BTreeSet<(Address, usize)>;
+/// A failing `(address, bit)` site, as the serial interface shifts it out.
+type Site = (Address, usize);
+
+/// Per-memory set of already-located sites, carried across iterations;
+/// at the end of the run they are the memory's located sites.
+type KnownSites = BTreeSet<Site>;
+
+/// How the next pass of the running test treats a memory.
+#[derive(Debug, PartialEq, Eq)]
+enum PassMode {
+    /// Step the memory through the pass.
+    Step,
+    /// A stepped pass ended in the state it started in and located
+    /// something, so every later pass of the test sees its recorded
+    /// streams again and is computed from them. Every site before
+    /// `cursors[e]` in element `e`'s stream is known.
+    Replay { cursors: Vec<usize> },
+    /// A stepped pass that ended in the state it started in, or a
+    /// replayed pass, located nothing, so every later pass of the test
+    /// would locate nothing; the memory is skipped.
+    Fixed,
+}
 
 /// What the passes carry for one memory besides the memory itself,
 /// indexed like the population slice so contiguous segments of memories
@@ -39,25 +57,27 @@ struct MemoryProgress {
     /// The rows a pass steps: `None` sweeps every row, `Some` only the
     /// listed ones (ascending), and an empty list skips the memory.
     rows: Option<Vec<Address>>,
-    /// Set when a pass of the running test located nothing and left
-    /// the listed rows as it found them, so every later pass of the
-    /// same test would repeat it; the rest of the loop skips the memory.
-    fixed: bool,
+    /// The failing sites of each element of the last stepped pass, in
+    /// shift order.
+    streams: Vec<Vec<Site>>,
+    mode: PassMode,
 }
 
 impl MemoryProgress {
     /// Whether the next pass must run the memory: it has fault rows (or
     /// is swept whole) and has not reached a fixed point.
     fn runs(&self) -> bool {
-        !self.fixed && self.rows.as_ref().is_none_or(|rows| !rows.is_empty())
+        self.mode != PassMode::Fixed && self.rows.as_ref().is_none_or(|rows| !rows.is_empty())
     }
 }
 
-/// Clears every fixed-point flag before a new test starts: a memory
-/// fixed under one test may still locate something under another.
+/// Returns every memory to stepping before a new test starts and drops
+/// its streams: a memory replayed or fixed under one test may fail
+/// differently under another.
 fn start_test(progress: &mut [MemoryProgress]) {
     for progress in progress {
-        progress.fixed = false;
+        progress.mode = PassMode::Step;
+        progress.streams.clear();
     }
 }
 
@@ -114,18 +134,22 @@ impl HuangScheme {
     /// dense oracle that sweeps every row of every memory in every pass.
     ///
     /// Within the `M1` loop and the DRF loop the bit-parallel kernel
-    /// also skips a memory once a pass of it locates nothing and ends in
-    /// the exact state it started in: the stored words and overlay cells
-    /// of its fault rows, decay included, and the last sensed word
-    /// ([`sram_model::Sram::capture_rows`]). A pass is a deterministic
-    /// function of that state, the memory's known sites and the test,
-    /// and a pass that locates nothing leaves the known sites as they
-    /// were, so every later pass of the loop would repeat it, locate
-    /// nothing and leave the memory as it is. Skipping it changes no
-    /// site, no verdict of the loop and no state a later test starts
-    /// from. The flags are cleared before each loop and before the base
-    /// pass, since another test may find what this one cannot. A memory
-    /// swept whole is never skipped.
+    /// also stops stepping a memory once a pass of it ends in the exact
+    /// state it started in: the stored words and overlay cells of its
+    /// fault rows, decay included, and the last sensed word
+    /// ([`sram_model::Sram::capture_rows`]). The operations a pass
+    /// applies do not depend on the memory's known sites, so every later
+    /// pass of the loop starts in that state too and shifts out the same
+    /// failing sites in the same order. The kernel keeps that pass's
+    /// per-element streams and computes each later pass from them: every
+    /// element locates the first site of its stream that is not yet
+    /// known, within the same per-direction budget as a stepped pass.
+    /// Once such a pass locates nothing, the memory is skipped for the
+    /// rest of the loop. None of this changes a site, a verdict of the
+    /// loop or the state a later test starts from. Every memory steps
+    /// again, with its streams dropped, at the start of each loop and of
+    /// the base pass, since another test fails differently. A memory
+    /// swept whole is always stepped.
     pub fn with_kernel(mut self, kernel: DiagnosisKernel) -> Self {
         self.kernel = kernel;
         self
@@ -171,8 +195,9 @@ impl DiagnosisScheme for HuangScheme {
 impl HuangScheme {
     /// Diagnoses a population under an explicit [`ShardPlan`].
     ///
-    /// The baseline iterates globally (every memory takes part in every
-    /// `M1` pass, and the pass count is what Eq. (1) charges), so
+    /// The baseline iterates globally (every memory that can still
+    /// locate something takes part in every `M1` pass, and the pass count
+    /// is what Eq. (1) charges), so
     /// sharding happens *inside* each pass: the memories the pass runs
     /// are split into contiguous per-worker segments, each worker runs
     /// the pass over its memories and adds what they locate to their
@@ -216,7 +241,8 @@ impl HuangScheme {
                     }),
                     DiagnosisKernel::PerMemory => None,
                 },
-                fixed: false,
+                streams: Vec::new(),
+                mode: PassMode::Step,
             })
             .collect();
 
@@ -298,8 +324,9 @@ impl HuangScheme {
 /// The memories the pass runs (zipped with their progress; fault-free
 /// and fixed memories would locate nothing and are left out) go to the
 /// deterministic executor in contiguous mutable segments. The work of a
-/// pass is the cells it steps, so the cost-balanced partition weights
-/// each memory by its stepped rows times its width. The found-anything
+/// pass is the cells it steps or the failing sites it replays, so the
+/// cost-balanced partition weights a stepped memory by its stepped rows
+/// times its width and a replayed one by its streams' length. The found-anything
 /// verdicts OR-reduce, which is associative over adjacent segments, so
 /// the merged pass equals the sequential walk for every plan.
 fn run_population_pass(
@@ -310,6 +337,8 @@ fn run_population_pass(
     width_patterns: &BTreeMap<usize, BackgroundPatterns>,
     per_direction_budget: usize,
 ) -> Result<bool, MemError> {
+    #[cfg(test)]
+    tests::tally(memories, progress);
     let mut pairs: Vec<(&mut MemoryUnderDiagnosis, &mut MemoryProgress)> = memories
         .iter_mut()
         .zip(progress.iter_mut())
@@ -317,13 +346,16 @@ fn run_population_pass(
         .collect();
     let worker_results: Vec<Result<bool, MemError>> = plan.run_segments(
         &mut pairs,
-        |_, (memory, progress)| {
-            let config = memory.config();
-            let rows = progress
-                .rows
-                .as_ref()
-                .map_or(config.words(), |rows| rows.len() as u64);
-            rows * config.width() as u64
+        |_, (memory, progress)| match progress.mode {
+            PassMode::Replay { .. } => progress.streams.iter().map(|stream| stream.len() as u64).sum(),
+            _ => {
+                let config = memory.config();
+                let rows = progress
+                    .rows
+                    .as_ref()
+                    .map_or(config.words(), |rows| rows.len() as u64);
+                rows * config.width() as u64
+            }
         },
         |_, segment| run_segment_pass(segment, test, width_patterns, per_direction_budget),
     );
@@ -335,9 +367,8 @@ fn run_population_pass(
 }
 
 /// Runs one element-group pass over a contiguous population segment,
-/// returning whether anything new was located, and marks each
-/// row-restricted memory that located nothing and ended where it started
-/// as fixed.
+/// stepping or replaying each memory, and returns whether anything new
+/// was located.
 fn run_segment_pass(
     segment: &mut [(&mut MemoryUnderDiagnosis, &mut MemoryProgress)],
     test: &MarchTest,
@@ -347,24 +378,39 @@ fn run_segment_pass(
     let mut found_new = false;
     let (mut start, mut end) = (RowState::default(), RowState::default());
     for (memory, progress) in segment.iter_mut() {
-        if let Some(rows) = &progress.rows {
-            memory.sram.capture_rows(rows, &mut start);
-        }
-        let patterns = &width_patterns[&memory.config().width()];
-        let found = run_group_serially(
-            memory,
-            test,
-            patterns,
-            &mut progress.known,
-            progress.rows.as_deref(),
-            per_direction_budget,
-        )?;
-        if found > 0 {
-            found_new = true;
-        } else if let Some(rows) = &progress.rows {
-            memory.sram.capture_rows(rows, &mut end);
-            progress.fixed = start == end;
-        }
+        let MemoryProgress {
+            known,
+            rows,
+            streams,
+            mode,
+        } = &mut **progress;
+        let found = if let PassMode::Replay { cursors } = mode {
+            let found = locate(streams, cursors, known, per_direction_budget);
+            if !found {
+                *mode = PassMode::Fixed;
+            }
+            found
+        } else {
+            if let Some(rows) = rows {
+                memory.sram.capture_rows(rows, &mut start);
+            }
+            let patterns = &width_patterns[&memory.config().width()];
+            step_group_serially(memory, test, patterns, rows.as_deref(), streams)?;
+            let mut cursors = vec![0; streams.len()];
+            let found = locate(streams, &mut cursors, known, per_direction_budget);
+            if let Some(rows) = rows {
+                memory.sram.capture_rows(rows, &mut end);
+                if start == end {
+                    *mode = if found {
+                        PassMode::Replay { cursors }
+                    } else {
+                        PassMode::Fixed
+                    };
+                }
+            }
+            found
+        };
+        found_new |= found;
     }
     Ok(found_new)
 }
@@ -375,47 +421,73 @@ fn retention_identification_test(pause_ms: u32) -> MarchTest {
     algorithms::with_retention_pauses(&MarchTest::new("DRF identification", Vec::new()), pause_ms)
 }
 
+/// Shift direction of element `index` of a pass: directions alternate
+/// across elements, as DiagRSMarch alternates right- and left-shift
+/// operations.
+fn direction(index: usize) -> ShiftDirection {
+    if index.is_multiple_of(2) {
+        ShiftDirection::Right
+    } else {
+        ShiftDirection::Left
+    }
+}
+
 /// Runs the elements of `test` through the bi-directional serial
-/// interface of one memory, over every row or only `rows`, locating at
-/// most `per_direction_budget` new faults per shift direction, and
-/// returns how many new faults were located. Located faults are added
-/// to `known`. `patterns` is the population-shared pattern set for this
-/// memory's width.
-fn run_group_serially(
+/// interface of one memory, over every row or only `rows`, and records
+/// each element's failing sites, in shift order, as `streams[element]`.
+/// `patterns` is the population-shared pattern set for this memory's
+/// width.
+fn step_group_serially(
     memory: &mut MemoryUnderDiagnosis,
     test: &MarchTest,
     patterns: &BackgroundPatterns,
-    known: &mut KnownSites,
     rows: Option<&[Address]>,
-    per_direction_budget: usize,
-) -> Result<usize, MemError> {
+    streams: &mut Vec<Vec<Site>>,
+) -> Result<(), MemError> {
     let interface = BidirectionalSerialInterface::new(memory.config().width());
-    let mut found = 0usize;
-    let mut found_right = 0usize;
-    let mut found_left = 0usize;
+    streams.resize_with(test.elements().len(), Vec::new);
+    for (index, (element, stream)) in test.elements().iter().zip(streams.iter_mut()).enumerate() {
+        stream.clear();
+        interface.run_element_with(
+            &mut memory.sram,
+            element,
+            patterns,
+            direction(index),
+            rows,
+            stream,
+        )?;
+    }
+    Ok(())
+}
 
-    for (index, element) in test.elements().iter().enumerate() {
-        // Alternate shift directions across read-bearing elements, as
-        // DiagRSMarch alternates right- and left-shift operations.
-        let direction = if index % 2 == 0 {
-            ShiftDirection::Right
-        } else {
-            ShiftDirection::Left
+/// Locates the faults of one pass from its per-element failing-site
+/// streams, and returns whether it located any. Element by element, the
+/// located site is the first site of the stream at or after the
+/// element's cursor that is not in `known`; the cursor moves to it, and
+/// it joins `known` while its shift direction has located fewer than
+/// `per_direction_budget` sites in this pass. Every site before a cursor
+/// is known, and `known` only grows, so a cursor kept across the passes
+/// of a loop stays valid.
+fn locate(
+    streams: &[Vec<Site>],
+    cursors: &mut [usize],
+    known: &mut KnownSites,
+    per_direction_budget: usize,
+) -> bool {
+    let mut found = [0usize; 2];
+    for (index, (stream, cursor)) in streams.iter().zip(cursors).enumerate() {
+        let Some(skipped) = first_unknown(&stream[*cursor..], known) else {
+            *cursor = stream.len();
+            continue;
         };
-        let outcome =
-            interface.run_element_with(&mut memory.sram, element, patterns, direction, known, rows)?;
-        if let Some((address, bit)) = outcome.located {
-            let budget_used = match direction {
-                ShiftDirection::Right => &mut found_right,
-                ShiftDirection::Left => &mut found_left,
-            };
-            if *budget_used < per_direction_budget && known.insert((address, bit)) {
-                *budget_used += 1;
-                found += 1;
-            }
+        *cursor += skipped;
+        let budget_used = &mut found[usize::from(direction(index) == ShiftDirection::Left)];
+        if *budget_used < per_direction_budget {
+            known.insert(stream[*cursor]);
+            *budget_used += 1;
         }
     }
-    Ok(found)
+    found != [0, 0]
 }
 
 impl std::fmt::Display for HuangScheme {
@@ -430,6 +502,43 @@ mod tests {
     use fault_models::MemoryFault;
     use sram_model::cell::CellCoord;
     use sram_model::{MemConfig, MemoryId};
+    use std::cell::Cell;
+
+    /// Memory passes stepped, replayed and skipped at a fixed point, and
+    /// the rows the stepped ones step, summed over every pass a
+    /// diagnosis runs on this thread.
+    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+    struct PassWork {
+        stepped: u64,
+        replayed: u64,
+        skipped: u64,
+        rows_stepped: u64,
+    }
+
+    thread_local! {
+        static PASS_WORK: Cell<PassWork> = Cell::new(PassWork::default());
+    }
+
+    /// Adds the memories of the pass about to run to this thread's
+    /// [`PassWork`].
+    pub(super) fn tally(memories: &[MemoryUnderDiagnosis], progress: &[MemoryProgress]) {
+        let mut work = PASS_WORK.get();
+        for (memory, progress) in memories.iter().zip(progress) {
+            match progress.mode {
+                PassMode::Fixed => work.skipped += 1,
+                PassMode::Replay { .. } => work.replayed += 1,
+                PassMode::Step if progress.runs() => {
+                    work.stepped += 1;
+                    work.rows_stepped += progress
+                        .rows
+                        .as_ref()
+                        .map_or(memory.config().words(), |rows| rows.len() as u64);
+                }
+                PassMode::Step => {}
+            }
+        }
+        PASS_WORK.set(work);
+    }
 
     fn population() -> Vec<MemoryUnderDiagnosis> {
         vec![
@@ -470,6 +579,57 @@ mod tests {
         );
         assert_eq!(result.sites(MemoryId::new(0)).len(), sites.len());
         assert_eq!(result.cycles, (17 * result.iterations + 9) * 32 * 8);
+    }
+
+    #[test]
+    fn replay_and_fixed_points_cut_the_passes_stepped() {
+        // Memory 0 holds the five stuck-at-1 cells of the test above
+        // (five rows), memory 1 three retention faults (three rows).
+        // - `M1`: memory 0 locates four sites, then one. Its first pass
+        //   starts from power-on, so only the second ends where it
+        //   started; the third is replayed, locates nothing and fixes
+        //   it. Memory 1 locates nothing, and its second pass fixes it.
+        // - Base pass: both memories step.
+        // - DRF loop: memory 1 locates one cell per pass. Its first
+        //   pass ends with its cells at one, its second ends where it
+        //   started, and the third and fourth are replayed. Memory 0
+        //   locates nothing and is fixed after the second pass.
+        // Stepping every pass that is not skipped would step 13 passes
+        // and 51 rows.
+        let sites = [
+            CellCoord::new(Address::new(1), 0),
+            CellCoord::new(Address::new(3), 2),
+            CellCoord::new(Address::new(9), 5),
+            CellCoord::new(Address::new(20), 7),
+            CellCoord::new(Address::new(30), 1),
+        ];
+        let mut memories = population();
+        for site in sites {
+            MemoryFault::stuck_at_1(site)
+                .inject_into(&mut memories[0].sram)
+                .unwrap();
+        }
+        for (row, bit) in [(5, 2), (9, 0), (12, 3)] {
+            MemoryFault::data_retention_a(CellCoord::new(Address::new(row), bit))
+                .inject_into(&mut memories[1].sram)
+                .unwrap();
+        }
+        PASS_WORK.set(PassWork::default());
+        let result = HuangScheme::new(10.0)
+            .with_retention_pause(100)
+            .diagnose(&mut memories)
+            .unwrap();
+        assert_eq!(result.iterations, 3);
+        assert_eq!(result.log.len(), 8);
+        assert_eq!(
+            PASS_WORK.get(),
+            PassWork {
+                stepped: 10,
+                replayed: 3,
+                skipped: 3,
+                rows_stepped: 40,
+            }
+        );
     }
 
     #[test]

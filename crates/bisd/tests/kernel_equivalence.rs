@@ -24,7 +24,10 @@
 //!   the stuck-open memory's fault rows alone, skipping a memory after a
 //!   pass that located nothing but moved its state, or carrying a
 //!   fixed-point flag from the base pass into the DRF loop each end with
-//!   other sites than the oracle;
+//!   other sites than the oracle, and pinned replay cases where a replay
+//!   that ignores the per-direction budget, one started before the
+//!   memory's state repeats, or one carried into a later test ends with
+//!   other iterations or sites;
 //! * random populations built for the fast scheme's lane replay: more
 //!   than 64 lane rows of one geometry, wrapped members whose word count
 //!   does not divide the largest, rows with two faults, rows of several
@@ -367,6 +370,79 @@ fn huang_scheme_runs_the_drf_loop_for_a_memory_fixed_by_the_base_pass() {
         population_of(&members)
     });
     assert_eq!(sites_of(&oracle), [(0, 0, 0), (0, 2, 0)]);
+}
+
+#[test]
+fn huang_scheme_replays_a_memory_that_locates_for_several_passes() {
+    // Fourteen stuck-at cells, each failing every `M1` read element.
+    // Each pass locates one site per read element, two per shift
+    // direction: four, four, four, two, then none. The first pass
+    // starts from power-on and the second ends where it started, so the
+    // third and fourth passes are replayed under the same budget. A
+    // replay that located every remaining site at once would end after
+    // four passes, and one that shared a budget of two between the
+    // directions after six.
+    let faults = (0..7)
+        .flat_map(|row| {
+            [
+                MemoryFault::stuck_at_1(coord(row, 0)),
+                MemoryFault::stuck_at_0(coord(row, 1)),
+            ]
+        })
+        .collect();
+    let members = [(8, 2, faults)];
+    let oracle = assert_huang_kernels_agree(HuangScheme::new(10.0), &|| population_of(&members));
+    assert_eq!((oracle.iterations, oracle.log.len()), (5, 14));
+}
+
+#[test]
+fn huang_scheme_replays_the_drf_loop_only_from_its_second_pass() {
+    // The memory of the test above, plus the retention cell (1, 2). The
+    // base pass locates (0, 0) and leaves every cell at zero. The first
+    // DRF pass locates (1, 2) and ends with the cells at one, so its
+    // ⇕(w0) never makes the aggressor (1, 1) fall, but the second
+    // pass's does: only from the second pass on does ⇕(r0,w1) read the
+    // inverted victim (0, 3). The second pass locates it and ends where
+    // it started, and the third is replayed and locates nothing. A
+    // replay of the first pass's streams would never locate (0, 3).
+    let members = [(
+        2,
+        4,
+        vec![
+            MemoryFault::cell(coord(0, 0), CellFault::DeceptiveReadDestructive),
+            MemoryFault::coupling_inversion(coord(0, 3), coord(1, 1), false),
+            MemoryFault::data_retention_a(coord(1, 2)),
+        ],
+    )];
+    let oracle = assert_huang_kernels_agree(HuangScheme::new(10.0).with_retention_pause(100), &|| {
+        population_of(&members)
+    });
+    assert_eq!(sites_of(&oracle), [(0, 0, 0), (0, 0, 3), (0, 1, 2)]);
+}
+
+#[test]
+fn huang_scheme_steps_a_replayed_memory_again_in_later_tests() {
+    // Nine stuck-at cells take `M1` three passes to locate and a fourth
+    // to find nothing, the last two replayed. The deceptive
+    // read-destructive cell (6, 2) fails only in the base pass, whose
+    // ⇓(r1,w0,r0) reads it after ⇑(r0,w1,r1) has flipped it, and the
+    // retention cell (7, 3) only in the DRF loop. Both must step the
+    // memory again: a replay or a skip carried over from `M1` would miss
+    // them.
+    let mut faults: Vec<MemoryFault> = (0..5).map(|row| MemoryFault::stuck_at_1(coord(row, 0))).collect();
+    faults.extend((0..4).map(|row| MemoryFault::stuck_at_0(coord(row, 1))));
+    faults.push(MemoryFault::cell(
+        coord(6, 2),
+        CellFault::DeceptiveReadDestructive,
+    ));
+    faults.push(MemoryFault::data_retention_a(coord(7, 3)));
+    let members = [(8, 4, faults)];
+    let oracle = assert_huang_kernels_agree(HuangScheme::new(10.0).with_retention_pause(100), &|| {
+        population_of(&members)
+    });
+    assert_eq!((oracle.iterations, oracle.log.len()), (4, 11));
+    let sites = sites_of(&oracle);
+    assert!(sites.contains(&(0, 6, 2)) && sites.contains(&(0, 7, 3)));
 }
 
 /// SplitMix64, the generator behind [`mixed_population`], so a failing

@@ -93,11 +93,22 @@ impl BidirectionalSerialInterface {
         // Patterns depend only on (value, row parity): precompute once
         // so the bit-serial walk stays allocation-free per operation.
         let patterns = background.patterns(sram.config().width());
-        self.run_element_with(sram, element, &patterns, direction, known_faults, None)
+        let mut failing = Vec::new();
+        let cycles = self.run_element_with(sram, element, &patterns, direction, None, &mut failing)?;
+        Ok(SerialElementOutcome {
+            located: first_unknown(&failing, known_faults).map(|index| failing[index]),
+            mismatches: failing.len(),
+            cycles,
+        })
     }
 
     /// Executes one March element bit-serially with pattern words
-    /// precomputed by the caller, over every row or only `rows`.
+    /// precomputed by the caller, over every row or only `rows`, and
+    /// appends every failing `(address, bit)` to `failing` in the order
+    /// the interface shifts it out: reads in sweep order, and the bits
+    /// of a read from the low bit up for a right shift and from the high
+    /// bit down for a left shift. Returns the modelled bit-serial cost of
+    /// the whole element, `words × ops × width`.
     ///
     /// The patterns of a background depend only on the memory's IO
     /// width, so a diagnosis controller iterating an element group over
@@ -109,13 +120,17 @@ impl BidirectionalSerialInterface {
     /// `rows: None` sweeps every address of the memory. `Some(rows)`
     /// (ascending, distinct) steps only those rows, in the element's
     /// address order, so each one sees the operation sequence of the
-    /// full sweep. That gives the full sweep's outcome when no other row
-    /// can mismatch and no access to another row changes these rows,
-    /// which holds for the fault rows of [`Sram::row_classes`] (its lane
-    /// and stepped rows) of a memory whose
-    /// every read of a fault-free row follows a write of it in the same
-    /// test. [`SerialElementOutcome::cycles`] is the full sweep's cost
-    /// either way. Retention pauses apply once, before the sweep.
+    /// full sweep. That gives the full sweep's failing sites when no
+    /// other row can mismatch and no access to another row changes these
+    /// rows, which holds for the fault rows of [`Sram::row_classes`] (its
+    /// lane and stepped rows) of a memory whose every read of a
+    /// fault-free row follows a write of it in the same test. The cost
+    /// is the full sweep's either way. Retention pauses apply once,
+    /// before the sweep.
+    ///
+    /// The operations applied to the memory do not depend on which sites
+    /// are already known; [`first_unknown`] picks the located site from
+    /// the failing sites afterwards.
     ///
     /// # Errors
     ///
@@ -126,15 +141,12 @@ impl BidirectionalSerialInterface {
         element: &MarchElement,
         patterns: &BackgroundPatterns,
         direction: ShiftDirection,
-        known_faults: &BTreeSet<(Address, usize)>,
         rows: Option<&[Address]>,
-    ) -> Result<SerialElementOutcome, MemError> {
+        failing: &mut Vec<(Address, usize)>,
+    ) -> Result<u64, MemError> {
         let config = sram.config();
         let width = config.width();
         debug_assert_eq!(width, self.width);
-
-        let mut located: Option<(Address, usize)> = None;
-        let mut mismatches = 0usize;
 
         // Pauses apply once per element, before its address sweep, as in
         // `march::MarchRunner` and the classical `del` notation.
@@ -155,17 +167,11 @@ impl BidirectionalSerialInterface {
                         let Some(observed) = sram.read_expect(address, expected)? else {
                             continue;
                         };
-                        let mut failing = expected.mismatches(&observed);
+                        let mut bits = expected.mismatches(&observed);
                         if direction == ShiftDirection::Left {
-                            failing.reverse();
+                            bits.reverse();
                         }
-                        for &bit in failing.iter() {
-                            mismatches += 1;
-                            let site = (address, bit);
-                            if located.is_none() && !known_faults.contains(&site) {
-                                located = Some(site);
-                            }
-                        }
+                        failing.extend(bits.iter().map(|&bit| (address, bit)));
                     }
                     // Pauses ran before the sweep. `MarchOp` is
                     // non-exhaustive; unknown future operations consume
@@ -176,13 +182,16 @@ impl BidirectionalSerialInterface {
             Ok(())
         })?;
 
-        let cycles = config.words() * element.ops_per_address() as u64 * width as u64;
-        Ok(SerialElementOutcome {
-            located,
-            mismatches,
-            cycles,
-        })
+        Ok(config.words() * element.ops_per_address() as u64 * width as u64)
     }
+}
+
+/// The position in `failing` of the site an element locates: the first
+/// failing site not in `known`. Once a mismatch of an unknown cell has
+/// been shifted out, the rest of the element's serial stream carries no
+/// attributable information, so every later failing site is dropped.
+pub fn first_unknown(failing: &[(Address, usize)], known: &BTreeSet<(Address, usize)>) -> Option<usize> {
+    failing.iter().position(|site| !known.contains(site))
 }
 
 #[cfg(test)]
@@ -236,25 +245,26 @@ mod tests {
         let element = detecting_element();
         let run = |rows: Option<&[Address]>| {
             let mut sram = memory_with_faults(&faults);
-            interface
+            let mut failing = Vec::new();
+            let cycles = interface
                 .run_element_with(
                     &mut sram,
                     &element,
                     &patterns,
                     ShiftDirection::Right,
-                    &BTreeSet::new(),
                     rows,
+                    &mut failing,
                 )
-                .unwrap()
+                .unwrap();
+            (failing, cycles)
         };
         let full = run(None);
-        assert_eq!(full.located, Some((Address::new(2), 0)));
+        assert_eq!(full.0, [(Address::new(2), 0), (Address::new(5), 2)]);
         assert_eq!(run(Some(&[Address::new(2), Address::new(5)])), full);
         // Stepping one row still costs the whole element: 2 ops per
         // address, 8 addresses, 4 bits per op.
         let one_row = run(Some(&[Address::new(5)]));
-        assert_eq!(one_row.cycles, 2 * 8 * 4);
-        assert_eq!(one_row.located, Some((Address::new(5), 2)));
+        assert_eq!(one_row, (vec![(Address::new(5), 2)], 2 * 8 * 4));
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub mod psc;
 pub mod single_directional;
 pub mod spc;
 
-pub use bidirectional::{BidirectionalSerialInterface, SerialElementOutcome, ShiftDirection};
+pub use bidirectional::{first_unknown, BidirectionalSerialInterface, SerialElementOutcome, ShiftDirection};
 pub use delivery::PatternDeliveryBus;
 pub use psc::ParallelToSerialConverter;
 pub use single_directional::SingleDirectionalSerialInterface;
