@@ -12,9 +12,9 @@
 //! every later pass of that loop sees the same failing sites: the rest
 //! of the loop replays the recorded per-element streams instead of
 //! stepping the memory, and skips the memory once a pass locates
-//! nothing. [`DiagnosisKernel::PerMemory`] sweeps every row of every memory in
-//! every pass and is the dense oracle the row-restricted walk is checked
-//! against. Cycles are the Eq. (1) closed form under both.
+//! nothing. [`DiagnosisKernel::PerMemory`] sweeps every row of every
+//! memory in every pass and is the dense oracle the row-restricted walk
+//! is checked against. Cycles are the Eq. (1) closed form under both.
 
 use crate::components::MemorySizeTable;
 use crate::kernel::DiagnosisKernel;
@@ -196,16 +196,16 @@ impl HuangScheme {
     /// Diagnoses a population under an explicit [`ShardPlan`].
     ///
     /// The baseline iterates globally (every memory that can still
-    /// locate something takes part in every `M1` pass, and the pass count
-    /// is what Eq. (1) charges), so
-    /// sharding happens *inside* each pass: the memories the pass runs
-    /// are split into contiguous per-worker segments, each worker runs
-    /// the pass over its memories and adds what they locate to their
-    /// known sites, and the found-anything verdicts OR-reduce across
-    /// segments to drive the global iteration. Each memory's known sites are its own, so
-    /// the result is byte-identical to the sequential walk for every
-    /// plan. The mismatch count is one per located site: the serial
-    /// interface shifts out only a newly located cell.
+    /// locate something takes part in every `M1` pass, and the pass
+    /// count is what Eq. (1) charges), so sharding happens *inside* each
+    /// pass: the memories the pass runs are split into contiguous
+    /// per-worker segments, each worker runs the pass over its memories
+    /// and adds what they locate to their known sites, and the
+    /// found-anything verdicts OR-reduce across segments to drive the
+    /// global iteration. Each memory's known sites are its own, so the
+    /// result is byte-identical to the sequential walk for every plan.
+    /// The mismatch count is one per located site: the serial interface
+    /// shifts out only a newly located cell.
     ///
     /// # Errors
     ///
@@ -326,9 +326,10 @@ impl HuangScheme {
 /// deterministic executor in contiguous mutable segments. The work of a
 /// pass is the cells it steps or the failing sites it replays, so the
 /// cost-balanced partition weights a stepped memory by its stepped rows
-/// times its width and a replayed one by its streams' length. The found-anything
-/// verdicts OR-reduce, which is associative over adjacent segments, so
-/// the merged pass equals the sequential walk for every plan.
+/// times its width and a replayed one by its streams' length. The
+/// found-anything verdicts OR-reduce, which is associative over adjacent
+/// segments, so the merged pass equals the sequential walk for every
+/// plan.
 fn run_population_pass(
     plan: ShardPlan,
     memories: &mut [MemoryUnderDiagnosis],

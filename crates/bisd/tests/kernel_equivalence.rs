@@ -397,14 +397,15 @@ fn huang_scheme_replays_a_memory_that_locates_for_several_passes() {
 
 #[test]
 fn huang_scheme_replays_the_drf_loop_only_from_its_second_pass() {
-    // The memory of the test above, plus the retention cell (1, 2). The
-    // base pass locates (0, 0) and leaves every cell at zero. The first
-    // DRF pass locates (1, 2) and ends with the cells at one, so its
-    // ⇕(w0) never makes the aggressor (1, 1) fall, but the second
-    // pass's does: only from the second pass on does ⇕(r0,w1) read the
-    // inverted victim (0, 3). The second pass locates it and ends where
-    // it started, and the third is replayed and locates nothing. A
-    // replay of the first pass's streams would never locate (0, 3).
+    // Member 1 of `huang_scheme_replays_a_quiet_memory_whose_pass_moved_its_state`,
+    // plus the retention cell (1, 2). The base pass locates (0, 0) and
+    // leaves every cell at zero. The first DRF pass locates (1, 2) and
+    // ends with the cells at one, so its ⇕(w0) never makes the aggressor
+    // (1, 1) fall, but the second pass's does: only from the second pass
+    // on does ⇕(r0,w1) read the inverted victim (0, 3). The second pass
+    // locates it and ends where it started, and the third is replayed
+    // and locates nothing. A replay of the first pass's streams would
+    // never locate (0, 3).
     let members = [(
         2,
         4,
